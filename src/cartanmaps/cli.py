@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import os
-import random
 import re
 import sys
 import time
@@ -61,16 +60,17 @@ from .geometry import (
     enumerate_H,
     enumerate_pairs_ordered,
     enumerate_pairs_unordered,
+    generators,
     gl2_order,
     parse_point,
     subgroup_order,
 )
 from .modular_arith import PrimeContext, is_odd_prime
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # the verify report; 2 lists the equivariance generators
+TABLE_SCHEMA_VERSION = 1  # the eigenvalues and decompose documents
 DEFAULT_MAX_ELL = 101
 COINCIDENCE_BOUND = 7
-EQUIVARIANCE_SAMPLES = 100
 AUX_RANK_PRIME = 1_048_583  # fixed word-sized prime for the per-slope rank observations
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def _theorem_section(matrix, side: str, expected: int, ell: int) -> tuple[dict, 
 
 
 def run_verification(ell: int, epsilon: int | None = None, root: int | None = None,
-                     seed: int = 0, skip_cosets: bool = False,
+                     skip_cosets: bool = False,
                      strict_roots: bool = False, all_epsilon: bool = False) -> dict:
     """Full pipeline for one prime; returns the per-run report dict."""
     timings: dict[str, float] = {}
@@ -238,13 +238,12 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         }
 
     with _phase(timings, "equivariance"):
-        rng = random.Random(f"{seed}:{ell}")
-        eq_plus = check_equivariance_psi_plus(ctx, rng, EQUIVARIANCE_SAMPLES)
-        eq_psi = check_equivariance_psi(ctx, scheme, rng, EQUIVARIANCE_SAMPLES)
-        report["equivariance"] = {"samples": EQUIVARIANCE_SAMPLES,
+        eq_plus = check_equivariance_psi_plus(psi_plus, ctx)
+        eq_psi = check_equivariance_psi(psi, ctx)
+        report["equivariance"] = {"generators": [list(h) for h in generators(ctx)],
                                   "psi_plus": eq_plus, "psi": eq_psi}
         if not (eq_plus and eq_psi):
-            failures.append("equivariance sampling failed")
+            failures.append("equivariance fails on a generator of GL2")
 
     with _phase(timings, "degrees"):
         sub_n = enumerate_subgroup(NORMALIZER_SPLIT, ctx)
@@ -365,30 +364,38 @@ def _parse_ells(args) -> list[int]:
     return ells
 
 
-def _make_context(args) -> PrimeContext:
-    ells = _parse_ells(args)
-    if len(ells) != 1:
-        raise UsageError("this command takes a single --ell")
+def _context(ell: int, args) -> PrimeContext:
     try:
-        return PrimeContext(ells[0], getattr(args, "epsilon", None),
+        return PrimeContext(ell, getattr(args, "epsilon", None),
                             getattr(args, "root", None))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
+def _make_context(args) -> PrimeContext:
+    ells = _parse_ells(args)
+    if len(ells) != 1:
+        raise UsageError("this command takes a single --ell")
+    return _context(ells[0], args)
+
+
 def cmd_verify(args) -> int:
     ells = _parse_ells(args)
-    kwargs = dict(epsilon=args.epsilon, root=args.root, seed=args.seed,
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    for e in ells:  # every usage error surfaces before any work starts
+        _context(e, args)
+    kwargs = dict(epsilon=args.epsilon, root=args.root,
                   skip_cosets=args.skip_cosets, strict_roots=args.strict_roots,
                   all_epsilon=args.all_epsilon)
-    try:
-        if args.jobs > 1 and len(ells) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                runs = list(pool.map(_verify_worker, [(e, kwargs) for e in ells]))
-        else:
-            runs = [run_verification(e, **kwargs) for e in ells]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(args.jobs, len(ells), cpus)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(_verify_worker, [(e, kwargs) for e in ells]))
+    else:
+        runs = [run_verification(e, **kwargs) for e in ells]
     n_fail = sum(len(r["failures"]) for r in runs)
     n_open = sum(len(r["nonconclusive"]) for r in runs)
     doc = {
@@ -443,7 +450,7 @@ def cmd_eigenvalues(args) -> int:
         recs = exc.reports
         code = EXIT_FAIL
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": TABLE_SCHEMA_VERSION,
         "ell": ctx.ell, "epsilon": ctx.epsilon, "g": ctx.g, "case": args.case,
         "records": [r.to_json() for r in recs],
     }
@@ -469,7 +476,7 @@ def cmd_decompose(args) -> int:
         g = GroupElement(1, s, 0, 1)
     dec = decompose(H, g, K, ctx)
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": TABLE_SCHEMA_VERSION,
         "ell": ctx.ell, "epsilon": ctx.epsilon, "s": s,
         "H": H.kind, "K": K.kind, "g": list(g),
         "degree": dec.degree,
@@ -590,8 +597,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip the coset-operator coincidence checks")
     p.add_argument("--strict-roots", action="store_true",
                    help="re-run the circulant certificates for every primitive root")
-    p.add_argument("--seed", type=int, default=0, help="equivariance sampling seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over primes")
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: equivariance is proved on generators, not sampled")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers over primes (at most one per usable CPU)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="dump an operator matrix as CSV triplets")

@@ -8,7 +8,6 @@ enumerations fixed in `geometry`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,13 +26,13 @@ from .geometry import (
     basis_ordered_pairs,
     basis_unordered_pairs,
     cartan_act,
-    enumerate_pairs_ordered,
-    enumerate_pairs_unordered,
+    cartan_index,
+    generators,
+    move_cartan,
     orbit_act,
-    orbit_of,
-    pair_act_ordered,
-    pair_act_unordered,
-    random_invertible,
+    orbit_index,
+    permutation,
+    stack,
 )
 from .modular_arith import PrimeContext
 
@@ -175,58 +174,40 @@ class OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized assembly.  Values stay far below int64 limits: every intermediate
-# is a product of at most four residues < ell.
+# Assembly: one broadcast action of the stacked column transporters on the
+# base geodesic or path.  Index arrays are (points, columns), so temporaries
+# stay at about ell times the column count.
 # ---------------------------------------------------------------------------
 
-def _act_arrays(ctx: PrimeContext, g: GroupElement,
-                xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cartan_act of g applied elementwise to the points (xs[i], ys[i])."""
-    ell, eps = ctx.ell, ctx.epsilon
-    a, b, c, d = g
-    dn = (c * xs + d) % ell
-    dy = (c * ys) % ell
-    norm = (dn * dn - eps * dy * dy) % ell
-    ni = ctx.inverse_table[norm]
-    det = (a * d - b * c) % ell
-    x = ((a * xs + b) % ell * dn - (eps * a) % ell * ys % ell * dy) % ell * ni % ell
-    y = ys * det % ell * ni % ell
-    return x, y
+def _require_distinct(idx: np.ndarray, cols: Basis, what: str) -> None:
+    """Every column of idx must list distinct row indices."""
+    ok = (np.diff(np.sort(idx, axis=0), axis=0) > 0).all(axis=0)
+    if not ok.all():
+        raise AssertionError(f"{what} through {cols.elements[np.argmin(ok)]} "
+                             f"is not {len(idx)} distinct points")
 
 
-def _geodesic_row_indices(ctx: PrimeContext, pair: UnorderedPair) -> np.ndarray:
-    """Indices into the H_ell basis of the geodesic through `pair`."""
-    ell, r = ctx.ell, ctx.r
-    g = transporter(pair.lo, pair.hi, ell)
-    lam = np.arange(1, ell, dtype=np.int64)
-    x, y = _act_arrays(ctx, g, np.zeros(ell - 1, dtype=np.int64), lam)
-    y = np.where(y <= r, y, ell - y)
-    idx = np.unique(x * r + y - 1)
-    if idx.size != r:
-        raise AssertionError(f"geodesic through {pair} is not {r} distinct points")
-    return idx
-
-
-def _path_row_indices(ctx: PrimeContext, pair: OrderedPair, s: int) -> np.ndarray:
-    """Indices into the C_ell basis of the slope-s path through `pair`."""
+def _path_rows(ctx: PrimeContext, g: GroupElement, cols: Basis, s: int) -> np.ndarray:
+    """C_ell indices of the slope-s paths, one column per transporter in g."""
     ell = ctx.ell
-    g = transporter(pair.first, pair.second, ell)
-    lam = np.arange(1, ell, dtype=np.int64)
-    x, y = _act_arrays(ctx, g, lam * s % ell, lam)
-    idx = x * (ell - 1) + y - 1
-    if np.unique(idx).size != ell - 1:
-        raise AssertionError(f"path through {pair} at slope {s} is not "
-                             f"{ell - 1} distinct points")
+    lam = np.arange(1, ell, dtype=np.int64)[:, None]
+    idx = cartan_index(*move_cartan(g, lam * s % ell, lam, ctx), ell)
+    _require_distinct(idx, cols, f"path at slope {s}")
     return idx
 
 
 def build_psi_plus(ctx: PrimeContext) -> OperatorMatrix:
     """0/1 incidence matrix of geodesic membership: rows H_ell, cols unordered pairs."""
+    ell = ctx.ell
     rows = basis_H(ctx)
     cols = basis_unordered_pairs(ctx)
+    g = stack([transporter(pair.lo, pair.hi, ell) for pair in cols])
+    lam = np.arange(1, ctx.r + 1, dtype=np.int64)[:, None]
+    idx = orbit_index(*move_cartan(g, 0, lam, ctx), ell)
+    # lam and its negative land on conjugate points, so lam <= r suffices
+    _require_distinct(idx, cols, "geodesic")
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    for ci, pair in enumerate(cols):
-        data[_geodesic_row_indices(ctx, pair), ci] = 1
+    data[idx, np.arange(len(cols))] = 1
     return OperatorMatrix(rows, cols, data)
 
 
@@ -237,9 +218,9 @@ def build_H_s(ctx: PrimeContext, s: int) -> OperatorMatrix:
         raise ValueError("path slope must be nonzero")
     rows = basis_C(ctx)
     cols = basis_ordered_pairs(ctx)
+    g = stack([transporter(pair.first, pair.second, ctx.ell) for pair in cols])
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    for ci, pair in enumerate(cols):
-        data[_path_row_indices(ctx, pair, s), ci] = 1
+    data[_path_rows(ctx, g, cols, s), np.arange(len(cols))] = 1
     return OperatorMatrix(rows, cols, data)
 
 
@@ -250,24 +231,11 @@ def build_psi(ctx: PrimeContext, scheme: CoefficientScheme | None = None) -> Ope
     scheme.validate(ctx)
     rows = basis_C(ctx)
     cols = basis_ordered_pairs(ctx)
-    dim = len(rows)
-    weights = np.repeat(
-        np.array([scheme.combined(s) for s in range(1, ell)], dtype=np.int64),
-        ell - 1,
-    )
-    sv = np.repeat(np.arange(1, ell, dtype=np.int64), ell - 1)
-    lv = np.tile(np.arange(1, ell, dtype=np.int64), ell - 1)
-    xs0 = sv * lv % ell
-    data = np.zeros((dim, len(cols)), dtype=np.int32)
-    for ci, pair in enumerate(cols):
-        g = transporter(pair.first, pair.second, ell)
-        x, y = _act_arrays(ctx, g, xs0, lv)
-        idx = x * (ell - 1) + y - 1
-        per_s = np.sort(idx.reshape(ell - 1, ell - 1), axis=1)
-        if not (np.diff(per_s, axis=1) > 0).all():
-            raise AssertionError(f"path multiplicity violated at {pair}")
-        col = np.bincount(idx, weights=weights, minlength=dim)
-        data[:, ci] = col.astype(np.int32)
+    g = stack([transporter(pair.first, pair.second, ell) for pair in cols])
+    data = np.zeros((len(rows), len(cols)), dtype=np.int32)
+    for s in range(1, ell):
+        # within one slope every (row, column) occurs once, so += is exact
+        data[_path_rows(ctx, g, cols, s), np.arange(len(cols))] += scheme.combined(s)
     return OperatorMatrix(rows, cols, data)
 
 
@@ -285,47 +253,24 @@ def restrict_to_affine(m: OperatorMatrix, side: str) -> OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Equivariance spot checks: both maps must commute with the G-action on the
-# bases.  Set/coefficient-level comparison, no matrices needed.
+# Equivariance, proved on the assembled matrices: M intertwines the actions
+# on its row and column bases iff M[P_row(h)][:, P_col(h)] == M for every h
+# in a generating set of GL2(F_ell).
 # ---------------------------------------------------------------------------
 
-def psi_image_coefficients(pair: OrderedPair, scheme: CoefficientScheme,
-                           ctx: PrimeContext) -> dict[CartanPoint, int]:
-    """Coefficient of each point of C_ell in the image of the given pair."""
-    out: dict[CartanPoint, int] = {}
-    for s in range(1, ctx.ell):
-        w = scheme.combined(s)
-        if w == 0:
-            continue
-        for z in path_points(pair, s, ctx).points:
-            out[z] = out.get(z, 0) + w
-    return out
-
-
-def check_equivariance_psi_plus(ctx: PrimeContext, rng: random.Random,
-                                samples: int = 100) -> bool:
-    pairs = enumerate_pairs_unordered(ctx)
-    for _ in range(samples):
-        g = random_invertible(rng, ctx.ell)
-        pair = pairs[rng.randrange(len(pairs))]
-        lhs = geodesic_points(pair_act_unordered(g, pair, ctx.ell), ctx).points
-        rhs = frozenset(orbit_act(g, w, ctx) for w in geodesic_points(pair, ctx).points)
-        if lhs != rhs:
+def _fixed_by_generators(m: OperatorMatrix, ctx: PrimeContext) -> bool:
+    for h in generators(ctx):
+        rows = permutation(h, m.row_basis.tag, ctx)
+        cols = permutation(h, m.col_basis.tag, ctx)
+        if not np.array_equal(m.data[rows][:, cols], m.data):
             return False
     return True
 
 
-def check_equivariance_psi(ctx: PrimeContext, scheme: CoefficientScheme,
-                           rng: random.Random, samples: int = 100) -> bool:
-    pairs = enumerate_pairs_ordered(ctx)
-    for _ in range(samples):
-        g = random_invertible(rng, ctx.ell)
-        pair = pairs[rng.randrange(len(pairs))]
-        lhs = psi_image_coefficients(pair_act_ordered(g, pair, ctx.ell), scheme, ctx)
-        moved = {
-            cartan_act(g, z, ctx): coeff
-            for z, coeff in psi_image_coefficients(pair, scheme, ctx).items()
-        }
-        if lhs != moved:
-            return False
-    return True
+def check_equivariance_psi_plus(psi_plus: OperatorMatrix, ctx: PrimeContext) -> bool:
+    return _fixed_by_generators(psi_plus, ctx)
+
+
+def check_equivariance_psi(psi: OperatorMatrix, ctx: PrimeContext) -> bool:
+    """Also applies to each H_s, which has the bases of psi."""
+    return _fixed_by_generators(psi, ctx)

@@ -8,32 +8,30 @@ O(|K|) comparisons for the named subgroup kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .correspondence import OperatorMatrix, transporter
 from .geometry import (
-    CartanOrbit,
-    CartanPoint,
     GroupElement,
     IDENTITY,
-    INFINITY,
-    OrderedPair,
-    ProjectivePoint,
-    UnorderedPair,
     basis_C,
     basis_H,
     basis_ordered_pairs,
     basis_unordered_pairs,
-    cartan_act,
+    cartan_index,
     det_mod,
     gl2_order,
     mat_inv,
     mat_mul,
-    mobius_act,
-    orbit_act,
+    move_cartan,
+    move_p1,
+    orbit_index,
+    ordered_pair_index,
+    stack,
     subgroup_order,
+    unordered_pair_index,
 )
 from .modular_arith import PrimeContext
 
@@ -132,24 +130,24 @@ def full_group(ctx: PrimeContext) -> SubgroupSpec:
     return SubgroupSpec(CUSTOM, elems)
 
 
-def coset_key(K: SubgroupSpec, m: GroupElement, ctx: PrimeContext):
-    """A canonical key for the coset mK: the geometric object it stabilizes."""
+def coset_key(K: SubgroupSpec, m, ctx: PrimeContext):
+    """A canonical key for the coset mK: the basis index of the geometric
+    object it stabilizes.  m is one group element or a stack of them."""
     ell = ctx.ell
     kind = K.kind
     if kind == NORMALIZER_SPLIT:
-        return UnorderedPair(mobius_act(m, ProjectivePoint(False, 0), ell),
-                             mobius_act(m, INFINITY, ell))
+        return unordered_pair_index(move_p1(m, 0, ell), move_p1(m, ell, ell), ell)
     if kind == SPLIT_CARTAN:
-        return OrderedPair(mobius_act(m, ProjectivePoint(False, 0), ell),
-                           mobius_act(m, INFINITY, ell))
+        return ordered_pair_index(move_p1(m, 0, ell), move_p1(m, ell, ell), ell)
     if kind == NORMALIZER_NONSPLIT:
-        return orbit_act(m, CartanOrbit(0, 1), ctx)
+        return orbit_index(*move_cartan(m, 0, 1, ctx), ell)
     if kind == NONSPLIT_CARTAN:
-        return cartan_act(m, CartanPoint(0, 1), ctx)
+        return cartan_index(*move_cartan(m, 0, 1, ctx), ell)
     if kind == BOREL:
-        return mobius_act(m, INFINITY, ell)
-    # no geometric identification: canonicalize by the smallest coset member
-    return min(mat_mul(m, k, ell) for k in K.elements)
+        return move_p1(m, ell, ell)
+    # no geometric identification: the smallest coset member, as base-ell digits
+    return reduce(np.minimum, (np.ravel_multi_index(mat_mul(m, k, ell), (ell,) * 4)
+                               for k in K.elements))
 
 
 @dataclass(frozen=True)
@@ -170,10 +168,9 @@ def decompose(H: SubgroupSpec, g: GroupElement, K: SubgroupSpec,
     """
     ell = ctx.ell
     buckets: dict = {}
-    for h in H.elements:
-        key = coset_key(K, mat_mul(h, g, ell), ctx)
-        if key not in buckets:
-            buckets[key] = h
+    keys = coset_key(K, mat_mul(stack(H.elements), g, ell), ctx)
+    for h, key in zip(H.elements, keys.tolist()):
+        buckets.setdefault(key, h)
     degree = len(buckets)
     ginv = mat_inv(g, ell)
     conj = frozenset(mat_mul(mat_mul(g, k, ell), ginv, ell) for k in K.elements)
@@ -216,11 +213,11 @@ def coset_operator(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> Operator
                              f"{side.kind!r}")
     col_basis = _DOMAIN_BASES[dec.H.kind](ctx)
     row_basis = _DOMAIN_BASES[dec.K.kind](ctx)
+    x = stack([_object_transporter(dec.H.kind, obj, ell) for obj in col_basis])
+    moved = stack([mat_mul(alpha, dec.g, ell) for alpha in dec.representatives])
+    # (representatives, columns): the row each representative sends a column to
+    keys = coset_key(dec.K, mat_mul(x, GroupElement(*(e[:, None] for e in moved)),
+                                    ell), ctx)
     data = np.zeros((len(row_basis), len(col_basis)), dtype=np.int32)
-    moved = [mat_mul(alpha, dec.g, ell) for alpha in dec.representatives]
-    for ci, obj in enumerate(col_basis):
-        x = _object_transporter(dec.H.kind, obj, ell)
-        for ag in moved:
-            key = coset_key(dec.K, mat_mul(x, ag, ell), ctx)
-            data[row_basis.index_of(key), ci] += 1
+    np.add.at(data, (keys, np.arange(len(col_basis))), 1)
     return OperatorMatrix(row_basis, col_basis, data)

@@ -11,7 +11,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .modular_arith import PrimeContext
+import numpy as np
+
+from .modular_arith import PrimeContext, inverse_table
 
 
 @dataclass(frozen=True, order=True)
@@ -20,14 +22,6 @@ class ProjectivePoint:
 
     at_infinity: bool
     x: int = 0
-
-    @classmethod
-    def affine(cls, x: int, ell: int) -> "ProjectivePoint":
-        return cls(False, x % ell)
-
-    @classmethod
-    def infinity(cls) -> "ProjectivePoint":
-        return INFINITY
 
     def __str__(self) -> str:
         return "inf" if self.at_infinity else str(self.x)
@@ -115,10 +109,6 @@ def orbit_of(x: int, y: int, ell: int) -> CartanOrbit:
     return CartanOrbit(x, y)
 
 
-def orbit_of_point(z: CartanPoint, ell: int) -> CartanOrbit:
-    return orbit_of(z.x, z.y, ell)
-
-
 class GroupElement(NamedTuple):
     """The matrix (a b; c d) in GL2(F_ell); entries are canonical residues."""
 
@@ -129,13 +119,6 @@ class GroupElement(NamedTuple):
 
 
 IDENTITY = GroupElement(1, 0, 0, 1)
-
-
-def group_element(a: int, b: int, c: int, d: int, ell: int) -> GroupElement:
-    m = GroupElement(a % ell, b % ell, c % ell, d % ell)
-    if det_mod(m, ell) == 0:
-        raise ValueError(f"matrix {m} is singular mod {ell}")
-    return m
 
 
 def det_mod(m: GroupElement, ell: int) -> int:
@@ -166,49 +149,98 @@ def random_invertible(rng: random.Random, ell: int) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# Group actions
+# Group actions.  `move_p1` and `move_cartan` state each action once, as
+# elementwise arithmetic on integer coordinates: a point of P^1 by its index
+# (x, or ell for infinity), a point of C_ell or H_ell by (x, y).  The entries
+# of m (see `stack`) and the coordinates may be ints or broadcastable numpy
+# arrays.  The dataclass actions are converters around them, and the
+# encoders map coordinates to positions in the enumerations below.
 # ---------------------------------------------------------------------------
 
-def mobius_act(m: GroupElement, p: ProjectivePoint, ell: int) -> ProjectivePoint:
+def stack(elements) -> GroupElement:
+    """Group elements as one GroupElement whose entries are int64 arrays."""
+    return GroupElement(*np.array(elements, dtype=np.int64).reshape(-1, 4).T)
+
+
+def move_p1(m, p, ell: int):
     """Action on column vectors: (x : y) -> (ax + by : cx + dy), renormalized."""
-    if p.at_infinity:
-        num, den = m.a, m.c
-    else:
-        num, den = (m.a * p.x + m.b) % ell, (m.c * p.x + m.d) % ell
-    if den == 0:
-        return INFINITY
-    return ProjectivePoint(False, num * pow(den, -1, ell) % ell)
+    a, b, c, d = m
+    inf = p == ell
+    x = p + inf * (1 - ell)  # (x : y) = (p : 1), or (1 : 0) at infinity
+    y = 1 - inf
+    num = (a * x + b * y) % ell
+    den = (c * x + d * y) % ell
+    # den = 0 sends the point to infinity; then num != 0 and num * 0 = 0
+    return num * inverse_table(ell)[den] % ell + (den == 0) * ell
 
 
-def cartan_act(m: GroupElement, z: CartanPoint, ctx: PrimeContext) -> CartanPoint:
-    """z -> (az + b)/(cz + d), expanded in the basis {1, sqrt(epsilon)}.
+def move_cartan(m, x, y, ctx: PrimeContext):
+    """z -> (az + b)/(cz + d) on z = x + y*se, expanded in the basis {1, se}.
 
     The denominator norm never vanishes: cz + d = 0 with z outside F_ell
-    would force c = d = 0, contradicting invertibility.
+    would force c = d = 0, contradicting invertibility.  Reducing after each
+    product keeps array intermediates below ell^3.
     """
     ell, eps = ctx.ell, ctx.epsilon
     a, b, c, d = m
-    x, y = z
     dn = (c * x + d) % ell
     dy = c * y % ell
     norm = (dn * dn - eps * dy * dy) % ell
-    ni = pow(norm, -1, ell)
-    nx = ((a * x + b) * dn - eps * a * y * dy) * ni % ell
-    ny = y * (a * d - b * c) * ni % ell
-    return CartanPoint(nx, ny)
+    ni = ctx.inverse_table[norm]
+    nx = ((a * x + b) % ell * dn - eps * a % ell * y % ell * dy) % ell * ni % ell
+    ny = y * ((a * d - b * c) % ell) % ell * ni % ell
+    return nx, ny
+
+
+def mobius_act(m: GroupElement, p: ProjectivePoint, ell: int) -> ProjectivePoint:
+    i = move_p1(m, p1_index(p, ell), ell)
+    return INFINITY if i == ell else ProjectivePoint(False, int(i))
+
+
+def cartan_act(m: GroupElement, z: CartanPoint, ctx: PrimeContext) -> CartanPoint:
+    x, y = move_cartan(m, z.x, z.y, ctx)
+    return CartanPoint(int(x), int(y))
 
 
 def orbit_act(m: GroupElement, w: CartanOrbit, ctx: PrimeContext) -> CartanOrbit:
-    z = cartan_act(m, CartanPoint(w.x, w.y), ctx)
-    return orbit_of(z.x, z.y, ctx.ell)
+    x, y = move_cartan(m, w.x, w.y, ctx)
+    return orbit_of(int(x), int(y), ctx.ell)
 
 
-def pair_act_unordered(m: GroupElement, p: UnorderedPair, ell: int) -> UnorderedPair:
-    return UnorderedPair(mobius_act(m, p.lo, ell), mobius_act(m, p.hi, ell))
+def generators(ctx: PrimeContext) -> tuple[GroupElement, ...]:
+    """(1 1; 0 1), (1 0; 1 1) and diag(g, 1), which generate GL2(F_ell).
+
+    The two elementary matrices generate SL2 over a prime field, and the
+    determinant of diag(g, 1) generates F_ell^x.
+    """
+    return (GroupElement(1, 1, 0, 1), GroupElement(1, 0, 1, 1),
+            GroupElement(ctx.g, 0, 0, 1))
 
 
-def pair_act_ordered(m: GroupElement, p: OrderedPair, ell: int) -> OrderedPair:
-    return OrderedPair(mobius_act(m, p.first, ell), mobius_act(m, p.second, ell))
+def p1_index(p: ProjectivePoint, ell: int) -> int:
+    return ell if p.at_infinity else p.x
+
+
+def unordered_pair_index(i, j, ell: int):
+    """{i, j} for P^1 indices i != j: row-major over lo < hi."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    return lo * ell - lo * (lo - 1) // 2 + hi - lo - 1
+
+
+def ordered_pair_index(i, j, ell: int):
+    """(i, j) for P^1 indices i != j: row-major, the diagonal skipped."""
+    return i * ell + j - (j > i)
+
+
+def orbit_index(x, y, ell: int):
+    """The orbit of x + y*se in H_ell, for any y != 0."""
+    r = (ell - 1) // 2
+    return x * r + np.minimum(y, ell - y) - 1
+
+
+def cartan_index(x, y, ell: int):
+    """x + y*se in C_ell."""
+    return x * (ell - 1) + y - 1
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +313,23 @@ def basis_H(ctx: PrimeContext) -> Basis:
 
 def basis_C(ctx: PrimeContext) -> Basis:
     return Basis("C_ell", enumerate_C(ctx))
+
+
+def permutation(m: GroupElement, tag: str, ctx: PrimeContext) -> np.ndarray:
+    """out[i] = the index of m * (element i) in the basis with this tag."""
+    ell = ctx.ell
+    if tag == "unordered_pairs":
+        i, j = np.triu_indices(ell + 1, 1)
+        return unordered_pair_index(move_p1(m, i, ell), move_p1(m, j, ell), ell)
+    if tag == "ordered_pairs":
+        i, j = np.nonzero(~np.eye(ell + 1, dtype=bool))
+        return ordered_pair_index(move_p1(m, i, ell), move_p1(m, j, ell), ell)
+    if tag in ("H_ell", "C_ell"):
+        n = ctx.r if tag == "H_ell" else ell - 1
+        x, y = np.divmod(np.arange(ell * n), n)
+        x, y = move_cartan(m, x, y + 1, ctx)
+        return orbit_index(x, y, ell) if tag == "H_ell" else cartan_index(x, y, ell)
+    raise ValueError(f"no group action on basis {tag!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -159,6 +159,15 @@ def binom_mod(n: int, k: int, ell: int) -> int:
     return math.comb(n, k) % ell
 
 
+@lru_cache(maxsize=None)
+def inverse_table(ell: int) -> np.ndarray:
+    """inverse_table(ell)[a] = a^-1 mod ell for a in [1, ell); entry 0 is 0."""
+    tab = np.zeros(ell, dtype=np.int64)
+    tab[1:] = [pow(a, -1, ell) for a in range(1, ell)]
+    tab.flags.writeable = False
+    return tab
+
+
 @dataclass(frozen=True)
 class PrimeContext:
     """The prime ell with a chosen non-square epsilon and primitive root g.
@@ -188,20 +197,9 @@ class PrimeContext:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "r", (ell - 1) // 2)
 
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.ell)
-
-    def is_square(self, a: int) -> bool:
-        """True iff a is a nonzero square mod ell."""
-        return legendre(a, self.ell) == 1
-
-    @cached_property
+    @property
     def inverse_table(self) -> np.ndarray:
-        """inverse_table[a] = a^-1 mod ell for a in [1, ell); entry 0 unused."""
-        ell = self.ell
-        tab = np.zeros(ell, dtype=np.int64)
-        tab[1:] = [pow(a, -1, ell) for a in range(1, ell)]
-        return tab
+        return inverse_table(self.ell)
 
     @cached_property
     def dlog(self) -> tuple[int, ...]:

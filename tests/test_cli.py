@@ -1,7 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import cartanmaps
 from cartanmaps.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -23,7 +27,7 @@ def test_verify_smallest_prime(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ell", "3")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     run = doc["runs"][0]
     assert run["theorem1"]["rank"] == 3
     assert run["theorem2"]["rank"] == 6
@@ -54,6 +58,32 @@ def test_verify_respects_ell_cap(capsys):
 def test_verify_invalid_epsilon_or_root(capsys):
     assert run_cli(capsys, "verify", "--ell", "7", "--epsilon", "2")[0] == EXIT_USAGE
     assert run_cli(capsys, "verify", "--ell", "7", "--root", "2")[0] == EXIT_USAGE
+
+
+def test_verify_range_validates_every_prime_first(capsys):
+    # 2 is a non-square mod 3 and 5 but a square mod 7
+    code, out, err = run_cli(capsys, "verify", "--ell-range", "3..7", "--epsilon", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "square modulo 7" in err
+
+
+def test_verify_internal_value_error_is_not_usage_error(capsys, monkeypatch):
+    import cartanmaps.cli as cli_mod
+
+    def broken_build_H_s(ctx, s):
+        raise ValueError("path slope must be nonzero")
+
+    monkeypatch.setattr(cli_mod, "build_H_s", broken_build_H_s)
+    with pytest.raises(ValueError, match="slope"):
+        main(["verify", "--ell", "3"])
+
+
+def test_verify_jobs_must_be_positive(capsys):
+    code, out, err = run_cli(capsys, "verify", "--ell-range", "3..5", "--jobs", "0")
+    assert code == EXIT_USAGE
+    assert out == "" and "--jobs" in err
+    assert run_cli(capsys, "verify", "--ell", "3", "--jobs", "-2")[0] == EXIT_USAGE
 
 
 def test_verify_range_with_jobs(capsys):
@@ -210,20 +240,25 @@ def test_plot_usage_errors(capsys):
 
 
 def test_module_entry_point_subprocess():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cartanmaps.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cartanmaps.cli", "verify", "--ell", "3"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["ok"]
 
 
 def test_run_verification_report_shape():
-    report = run_verification(5, seed=3)
+    report = run_verification(5)
     for key in ("sets", "theorem1", "theorem2", "chart_conjugacy", "circulant",
                 "equivariance", "degrees", "h_s_ranks", "coincidence",
                 "timings", "failures", "nonconclusive"):
         assert key in report
-    assert report["equivariance"]["samples"] == 100
+    assert report["equivariance"]["generators"] == [[1, 1, 0, 1], [1, 0, 1, 1],
+                                                    [2, 0, 0, 1]]
+    assert report["equivariance"]["psi_plus"] and report["equivariance"]["psi"]
     assert set(report["h_s_ranks"]) == {1, 2, 3, 4}
     assert report["ok"]

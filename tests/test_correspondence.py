@@ -15,7 +15,6 @@ from cartanmaps.correspondence import (
     check_equivariance_psi_plus,
     geodesic_points,
     path_points,
-    psi_image_coefficients,
     restrict_to_affine,
     transporter,
 )
@@ -304,10 +303,23 @@ def test_coefficient_scheme_validation(contexts):
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
 def test_equivariance_sampled(ell, contexts):
+    """Proved on the generators of GL2 for the assembled psi+, psi and H_s."""
     ctx = contexts[ell]
-    rng = random.Random(f"equiv:{ell}")
-    assert check_equivariance_psi_plus(ctx, rng, samples=30)
-    assert check_equivariance_psi(ctx, CoefficientScheme.standard(ctx), rng, samples=15)
+    assert check_equivariance_psi_plus(build_psi_plus(ctx), ctx)
+    assert check_equivariance_psi(build_psi(ctx), ctx)
+    for s in range(1, ell):
+        assert check_equivariance_psi(build_H_s(ctx, s), ctx)
+
+
+@pytest.mark.parametrize("ell", (3, 7))
+def test_equivariance_rejects_one_changed_entry(ell, contexts):
+    ctx = contexts[ell]
+    psi_plus = build_psi_plus(ctx)
+    psi_plus.data[0, 0] ^= 1
+    assert not check_equivariance_psi_plus(psi_plus, ctx)
+    psi = build_psi(ctx)
+    psi.data[-1, 5] += 1
+    assert not check_equivariance_psi(psi, ctx)
 
 
 def test_psi_image_coefficients_matches_matrix(contexts):
@@ -315,10 +327,10 @@ def test_psi_image_coefficients_matches_matrix(contexts):
     scheme = CoefficientScheme.standard(ctx)
     psi = build_psi(ctx, scheme)
     for ci, pair in list(enumerate(psi.col_basis))[::7]:
-        coeffs = psi_image_coefficients(pair, scheme, ctx)
-        col = psi.data[:, ci]
+        paths = {s: path_points(pair, s, ctx).points for s in range(1, ctx.ell)}
         for ri, z in enumerate(psi.row_basis):
-            assert coeffs.get(z, 0) == col[ri]
+            expected = sum(scheme.combined(s) for s, pts in paths.items() if z in pts)
+            assert psi.data[ri, ci] == expected
 
 
 def test_operator_matrix_triplets_and_csv(contexts):

@@ -13,7 +13,10 @@ from cartanmaps.geometry import (
     UnorderedPair,
     basis_C,
     basis_H,
+    basis_ordered_pairs,
+    basis_unordered_pairs,
     cartan_act,
+    cartan_index,
     cartan_point,
     cartan_to_diff,
     det_mod,
@@ -24,6 +27,7 @@ from cartanmaps.geometry import (
     enumerate_p1,
     enumerate_pairs_ordered,
     enumerate_pairs_unordered,
+    generators,
     gl2_order,
     mat_inv,
     mat_mul,
@@ -31,17 +35,22 @@ from cartanmaps.geometry import (
     nonsplit_tm_to_tn,
     nonsplit_tn_to_tm,
     orbit_act,
+    orbit_index,
     orbit_of,
     orbit_to_tn,
+    ordered_pair_index,
+    p1_index,
     pair_to_diff,
     pair_to_tn,
     parse_point,
+    permutation,
     random_invertible,
     subgroup_order,
     tm_to_tn,
     tn_to_orbit,
     tn_to_pair,
     tn_to_tm,
+    unordered_pair_index,
 )
 from cartanmaps.modular_arith import legendre
 
@@ -165,6 +174,45 @@ def test_action_laws(ell, contexts):
         assert orbit_act(g, w, ctx) == orbit_of(zg.x, zg.y, ell)
         # inverse undoes the action
         assert cartan_act(mat_inv(g, ell), zg, ctx) == z
+
+
+@pytest.mark.parametrize("ell", PRIMES_SMALL)
+def test_index_encoders_and_generator_permutations(ell, contexts):
+    """The closed-form indices follow the Basis order, and each generator of
+    GL2 permutes every basis the way the dataclass actions say."""
+    ctx = contexts[ell]
+    assert [p1_index(p, ell) for p in enumerate_p1(ctx)] == list(range(ell + 1))
+    unordered, ordered = basis_unordered_pairs(ctx), basis_ordered_pairs(ctx)
+    H, C = basis_H(ctx), basis_C(ctx)
+    for e in unordered:
+        i, j = p1_index(e.lo, ell), p1_index(e.hi, ell)
+        assert unordered_pair_index(i, j, ell) == unordered.index_of(e)
+        assert unordered_pair_index(j, i, ell) == unordered.index_of(e)
+    for e in ordered:
+        i, j = p1_index(e.first, ell), p1_index(e.second, ell)
+        assert ordered_pair_index(i, j, ell) == ordered.index_of(e)
+    for w in H:
+        assert orbit_index(w.x, w.y, ell) == H.index_of(w)
+        assert orbit_index(w.x, ell - w.y, ell) == H.index_of(w)
+    for z in C:
+        assert cartan_index(z.x, z.y, ell) == C.index_of(z)
+    moved = [
+        (unordered, lambda h, e: UnorderedPair(mobius_act(h, e.lo, ell),
+                                               mobius_act(h, e.hi, ell))),
+        (ordered, lambda h, e: OrderedPair(mobius_act(h, e.first, ell),
+                                           mobius_act(h, e.second, ell))),
+        (H, lambda h, e: orbit_act(h, e, ctx)),
+        (C, lambda h, e: cartan_act(h, e, ctx)),
+    ]
+    for basis, act in moved:
+        assert permutation(IDENTITY, basis.tag, ctx).tolist() == list(range(len(basis)))
+        for h in generators(ctx):
+            perm = permutation(h, basis.tag, ctx).tolist()
+            assert sorted(perm) == list(range(len(basis)))
+            assert [basis.elements[i] for i in perm] == [act(h, e) for e in basis]
+    for h in generators(ctx):
+        assert sorted(mobius_act(h, p, ell) for p in enumerate_p1(ctx)) \
+            == sorted(enumerate_p1(ctx))
 
 
 @pytest.mark.parametrize("ell", PRIMES_ALL)

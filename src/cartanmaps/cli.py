@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import platform
 import re
 import sys
 import time
@@ -40,6 +41,7 @@ from .correspondence import (
     geodesic_points,
     path_points,
     restrict_to_affine,
+    torus_rank_mod_p,
 )
 from .cosets import (
     IDENTITY,
@@ -65,13 +67,14 @@ from .geometry import (
     parse_point,
     subgroup_order,
 )
-from .modular_arith import PrimeContext, is_odd_prime
+from .modular_arith import PrimeContext, is_odd_prime, is_prime
 
 SCHEMA_VERSION = 2  # the verify report; 2 lists the equivariance generators
 TABLE_SCHEMA_VERSION = 1  # the eigenvalues and decompose documents
 DEFAULT_MAX_ELL = 101
 COINCIDENCE_BOUND = 7
-AUX_RANK_PRIME = 1_048_583  # fixed word-sized prime for the per-slope rank observations
+AUX_RANK_PRIME = 1_048_583  # floor of the auxiliary primes of the per-slope rank observations
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -114,6 +117,16 @@ def _emit(doc, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # The verification pipeline for one prime
 # ---------------------------------------------------------------------------
+
+def aux_rank_prime(ell: int) -> int:
+    """The least prime >= AUX_RANK_PRIME that is 1 mod ell - 1, so that
+    F_p holds the (ell-1)-th roots of unity the torus characters need."""
+    n = ell - 1
+    p = AUX_RANK_PRIME + (1 - AUX_RANK_PRIME) % n
+    while not is_prime(p):
+        p += n
+    return p
+
 
 def _theorem_section(matrix, side: str, expected: int, ell: int) -> tuple[dict, list, list]:
     failures, nonconclusive = [], []
@@ -263,27 +276,40 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         if not (deg_n_ok and deg_c_ok):
             failures.append("double coset degrees differ from the index formulas")
 
+    check_coincidence = not skip_cosets and ell <= COINCIDENCE_BOUND
     with _phase(timings, "h_s"):
-        h_matrices = {s: build_H_s(ctx, s) for s in range(1, ell)}
-        col_ok = all((m.column_sums() == ell - 1).all() for m in h_matrices.values())
-        if not col_ok:
-            failures.append("per-slope column sums differ from the coset degree")
         # Observation only (no asserted expected value): the rank of a single
         # slope operator, conclusive when full rank is hit mod some prime.
-        hs_ranks = {}
-        for s, m in h_matrices.items():
-            r_ell = rank_mod_p(m, ell)
-            r_aux = rank_mod_p(m, AUX_RANK_PRIME)
+        # Both ranks come from torus-character blocks, so the aux prime must
+        # hold the (ell-1)-th roots of unity; it is needed only below full rank.
+        aux = aux_rank_prime(ell)
+        h_matrices, hs_ranks = {}, {}
+        col_ok = eq_hs = True
+        for s in range(1, ell):
+            m = build_H_s(ctx, s)
+            col_ok = col_ok and bool((m.column_sums() == ell - 1).all())
+            eq_hs = eq_hs and check_equivariance_psi(m, ctx)
             full = min(m.shape)
+            r_ell = torus_rank_mod_p(m, ell, ctx)
+            observed = r_ell if r_ell == full else max(r_ell, torus_rank_mod_p(m, aux, ctx))
             hs_ranks[s] = {
                 "rank_mod_ell": r_ell,
-                "observed_rank": max(r_ell, r_aux),
-                "conclusive": max(r_ell, r_aux) == full,
+                "observed_rank": observed,
+                "conclusive": observed == full,
             }
+            if check_coincidence:
+                h_matrices[s] = m
+        if not col_ok:
+            failures.append("per-slope column sums differ from the coset degree")
+        report["equivariance"]["h_s"] = eq_hs
+        if not eq_hs:
+            failures.append("equivariance fails on a generator of GL2 for some H_s")
+        report["h_s_rank_method"] = {"method": "torus characters",
+                                     "primes": [ell, aux], "blocks": ell - 1}
         report["h_s_ranks"] = hs_ranks
         report["h_s_column_sums_ok"] = col_ok
 
-    if not skip_cosets and ell <= COINCIDENCE_BOUND:
+    if check_coincidence:
         with _phase(timings, "coincidence"):
             op_plus = coset_operator(dec_n, ctx)
             plus_ok = op_plus == psi_plus
@@ -401,6 +427,15 @@ def cmd_verify(args) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "cartanmaps", "version": __version__},
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARIABLES},
+            "usable_cpus": cpus,
+            "jobs": args.jobs,
+            # 0: the primes ran in this process
+            "worker_processes": workers if workers > 1 else 0,
+        },
         "runs": runs,
         "summary": {"ok": n_fail == 0 and n_open == 0,
                     "failures": n_fail, "nonconclusive": n_open},

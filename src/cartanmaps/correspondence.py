@@ -34,7 +34,8 @@ from .geometry import (
     permutation,
     stack,
 )
-from .modular_arith import PrimeContext
+from .exact_linalg import rank_mod_p_stack
+from .modular_arith import PrimeContext, find_primitive_root
 
 
 def transporter(a: ProjectivePoint, b: ProjectivePoint, ell: int) -> GroupElement:
@@ -255,16 +256,26 @@ def restrict_to_affine(m: OperatorMatrix, side: str) -> OperatorMatrix:
 # ---------------------------------------------------------------------------
 # Equivariance, proved on the assembled matrices: M intertwines the actions
 # on its row and column bases iff M[P_row(h)][:, P_col(h)] == M for every h
-# in a generating set of GL2(F_ell).
+# in a generating set of GL2(F_ell).  The comparison runs over blocks of
+# rows, so its temporaries stay near _CHECK_ENTRIES entries and in cache;
+# permuting a whole ell = 61 matrix at once was 5-7 times slower.
 # ---------------------------------------------------------------------------
 
+_CHECK_ENTRIES = 1 << 17
+
+
+def _fixed_by(m: OperatorMatrix, perms) -> bool:
+    """True iff m[p_row][:, p_col] == m for every (p_row, p_col) in perms."""
+    M = m.data
+    step = max(1, _CHECK_ENTRIES // max(1, M.shape[1]))
+    return all(np.array_equal(M[p_row[i:i + step]][:, p_col], M[i:i + step])
+               for p_row, p_col in perms for i in range(0, len(M), step))
+
+
 def _fixed_by_generators(m: OperatorMatrix, ctx: PrimeContext) -> bool:
-    for h in generators(ctx):
-        rows = permutation(h, m.row_basis.tag, ctx)
-        cols = permutation(h, m.col_basis.tag, ctx)
-        if not np.array_equal(m.data[rows][:, cols], m.data):
-            return False
-    return True
+    return _fixed_by(m, ((permutation(h, m.row_basis.tag, ctx),
+                          permutation(h, m.col_basis.tag, ctx))
+                         for h in generators(ctx)))
 
 
 def check_equivariance_psi_plus(psi_plus: OperatorMatrix, ctx: PrimeContext) -> bool:
@@ -274,3 +285,58 @@ def check_equivariance_psi_plus(psi_plus: OperatorMatrix, ctx: PrimeContext) -> 
 def check_equivariance_psi(psi: OperatorMatrix, ctx: PrimeContext) -> bool:
     """Also applies to each H_s, which has the bases of psi."""
     return _fixed_by_generators(psi, ctx)
+
+
+# ---------------------------------------------------------------------------
+# Rank by torus characters.  An operator fixed by h = diag(g, 1) commutes with
+# the split torus T = <h> of order n = ell - 1.  Over an F_p holding an
+# element w of order n (so p does not divide n), the permutation modules
+# split into the eigenspaces of h, and the rank is the sum of the ranks on
+# the eigenspaces.  The w^a-eigenspace of the columns is spanned by
+# v_j = sum_k w^(-ak) e_(h^k c_j) over the orbit representatives c_j, and an
+# eigenvector on the rows is determined by its entries at the representatives
+# r_i; so the block of eigenvalue w^a is
+#     B_a[i, j] = (M v_j)[r_i] = sum_k w^(ak) M[h^k r_i, c_j].
+# An orbit with a nontrivial stabilizer contributes a zero row or column to
+# the blocks whose character is nontrivial on that stabilizer, so it needs
+# no special case.
+# ---------------------------------------------------------------------------
+
+def _orbit_powers(perm: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, reps): P[k] = perm composed k times for k < n, and the orbit minima."""
+    P = np.empty((n, len(perm)), dtype=np.int64)
+    P[0] = np.arange(len(perm))
+    for k in range(1, n):
+        P[k] = perm[P[k - 1]]
+    return P, np.flatnonzero(P.min(axis=0) == P[0])
+
+
+def torus_rank_mod_p(m: OperatorMatrix, p: int, ctx: PrimeContext) -> int:
+    """Rank mod p of an operator fixed by diag(g, 1), from its ell - 1
+    torus-character blocks of (row orbits) x (column orbits) each.
+
+    Needs ell - 1 to divide p - 1 and m to be fixed by diag(g, 1); raises
+    ValueError otherwise.
+    """
+    n = ctx.ell - 1
+    if (p - 1) % n:
+        raise ValueError(f"F_{p} has no element of order {n}: "
+                         f"{p} - 1 is not divisible by {n}")
+    h = GroupElement(ctx.g, 0, 0, 1)
+    row1 = permutation(h, m.row_basis.tag, ctx)
+    col1 = permutation(h, m.col_basis.tag, ctx)
+    if not _fixed_by(m, [(row1, col1)]):
+        raise ValueError(f"{m!r} is not fixed by diag({ctx.g}, 1)")
+    omega = ctx.g if p == ctx.ell else pow(find_primitive_root(p), (p - 1) // n, p)
+    P, r = _orbit_powers(row1, n)
+    c = _orbit_powers(col1, n)[1]
+    G = m.data[P[:, r][:, :, None], c].astype(np.int64) % p
+    powers = np.array([pow(omega, t, p) for t in range(n)], dtype=np.int64)
+    k = np.arange(n)
+    W = powers[np.outer(k, k) % n]
+    # B = W @ G mod p, summed in slices short enough to stay exact in int64
+    step = max(1, ((1 << 63) - p) // (p - 1) ** 2)
+    B = np.zeros((n, G[0].size), dtype=np.int64)
+    for k0 in range(0, n, step):
+        B = (B + W[:, k0:k0 + step] @ G[k0:k0 + step].reshape(-1, G[0].size)) % p
+    return int(rank_mod_p_stack(B.reshape(G.shape), p).sum())

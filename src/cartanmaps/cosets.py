@@ -168,17 +168,21 @@ def decompose(H: SubgroupSpec, g: GroupElement, K: SubgroupSpec,
     """
     ell = ctx.ell
     buckets: dict = {}
-    keys = coset_key(K, mat_mul(stack(H.elements), g, ell), ctx)
+    hs = stack(H.elements)
+    keys = coset_key(K, mat_mul(hs, g, ell), ctx)
     for h, key in zip(H.elements, keys.tolist()):
         buckets.setdefault(key, h)
     degree = len(buckets)
-    ginv = mat_inv(g, ell)
-    conj = frozenset(mat_mul(mat_mul(g, k, ell), ginv, ell) for k in K.elements)
-    stab = H.element_set & conj
-    if len(H.elements) % len(stab) != 0 or degree != len(H.elements) // len(stab):
+    conj = mat_mul(mat_mul(g, stack(K.elements), ell), mat_inv(g, ell), ell)
+    # |H n gKg^-1|, matching the elements by their base-ell digits; a set
+    # intersection, as np.isin sorts here and its first call adds ~1.4 MB RSS
+    digits = (ell,) * 4
+    stab = len(set(np.ravel_multi_index(hs, digits).tolist())
+               .intersection(np.ravel_multi_index(conj, digits).tolist()))
+    if len(H.elements) % stab != 0 or degree != len(H.elements) // stab:
         raise AssertionError(
             f"degree mismatch: {degree} buckets vs index "
-            f"{len(H.elements)}/{len(stab)} for {H.kind} g {K.kind}")
+            f"{len(H.elements)}/{stab} for {H.kind} g {K.kind}")
     return DoubleCosetDecomposition(H, K, g, tuple(buckets.values()), degree)
 
 

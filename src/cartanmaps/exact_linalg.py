@@ -3,8 +3,9 @@
 The mod-p engine eliminates in panels whose updates are applied as float64
 matrix products; the panel width is capped so every dot product stays below
 2^53 and is therefore exact. Larger primes fall back to an int64 per-pivot
-path. Fraction-free (Bareiss) elimination over Python ints provides the
-unconditionally exact route for small matrices.
+path. A stack of small matrices is ranked in one vectorized int64
+elimination. Fraction-free (Bareiss) elimination over Python ints provides
+the unconditionally exact route for small matrices.
 """
 
 from __future__ import annotations
@@ -139,6 +140,45 @@ def rank_mod_p(m, p: int) -> int:
     if A.size == 0:
         return 0
     return _echelon_mod_p(A, p)[0]
+
+
+def rank_mod_p_stack(B, p: int) -> np.ndarray:
+    """Rank over F_p of every matrix in an integer stack of shape (batch, m, k).
+
+    One elimination runs over the whole stack; Python loops over columns
+    only.  Each matrix keeps a mask of the rows that already hold a pivot,
+    and the pivot column is cleared from the rows that hold none yet,
+    fraction-free (row <- pivot*row - entry*pivot_row): no inverses are
+    needed and every product stays below p^2, exact in int64 while p < 2^31.
+    """
+    if p >= 1 << 31:
+        raise ValueError(f"modulus {p} does not fit the int64 elimination path")
+    if p < 2:
+        raise ValueError("modulus must be >= 2")
+    W = np.asarray(B).astype(np.int64) % p
+    if W.ndim != 3:
+        raise ValueError(f"expected a (batch, m, k) stack, got shape {W.shape}")
+    batch, m, k = W.shape
+    used = np.zeros((batch, m), dtype=bool)
+    rank = np.zeros(batch, dtype=np.int64)
+    b = np.arange(batch)
+    for j in range(k):
+        free = (W[:, :, j] != 0) & ~used
+        found = free.any(axis=1)
+        if not found.any():
+            continue
+        piv = free.argmax(axis=1)
+        pv = np.where(found, W[b, piv, j], 1)
+        factor = np.where(free, W[:, :, j], 0)
+        factor[b, piv] = 0
+        prow = W[b, piv, j + 1:]
+        W[:, :, j + 1:] = (pv[:, None, None] * W[:, :, j + 1:]
+                           - factor[:, :, None] * prow[:, None, :]) % p
+        used[b[found], piv[found]] = True
+        rank += found
+        if (rank == m).all():
+            break
+    return rank
 
 
 def det_mod_p(m, p: int) -> int:

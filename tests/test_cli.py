@@ -94,6 +94,19 @@ def test_verify_range_with_jobs(capsys):
     assert all(r["ok"] for r in doc["runs"])
 
 
+def test_verify_environment_block(capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..5", "--jobs", "2")
+    assert code == EXIT_OK
+    env = json.loads(out)["environment"]
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert env["jobs"] == 2 and env["usable_cpus"] >= 1
+    assert env["worker_processes"] == (2 if env["usable_cpus"] >= 2 else 0)
+    assert env["python"] == "%d.%d.%d" % sys.version_info[:3]
+
+
 def test_verify_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--ell", "5", "--seed", "7")
     _, out2, _ = run_cli(capsys, "verify", "--ell", "5", "--seed", "7")

@@ -53,7 +53,15 @@ from .cosets import (
     decompose,
     enumerate_subgroup,
 )
-from .exact_linalg import RankPolicy, det_mod_p, rank_exact, rank_mod_p
+# rank_mod_p is not called here; it stays importable as cli.rank_mod_p, which
+# perfbench/tracer.py times alongside rank_exact.
+from .exact_linalg import (  # noqa: F401
+    RankCertificate,
+    RankPolicy,
+    det_mod_p,
+    rank_exact,
+    rank_mod_p,
+)
 from .geometry import (
     GroupElement,
     OrderedPair,
@@ -128,11 +136,31 @@ def aux_rank_prime(ell: int) -> int:
     return p
 
 
-def _theorem_section(matrix, side: str, expected: int, ell: int) -> tuple[dict, list, list]:
-    failures, nonconclusive = [], []
-    cert = rank_exact(matrix, RankPolicy(preferred_primes=(ell,)))
+def _rank_certificate(matrix, ctx: PrimeContext) -> RankCertificate:
+    """Rank over Q of an operator fixed by diag(g, 1), with its certificate.
+
+    The torus-character blocks give the rank mod ell exactly (|T| = ell - 1
+    is prime to ell and F_ell holds the characters), and full rank mod ell
+    is full rank over Q.  Below full rank the dense escalation of
+    rank_exact decides.
+    """
+    rows, cols = matrix.shape
+    r = torus_rank_mod_p(matrix, ctx.ell, ctx)
+    if r == min(rows, cols):
+        return RankCertificate(rows, cols, r, ((ctx.ell, r),), "torus characters", True)
+    return rank_exact(matrix, RankPolicy(preferred_primes=(ctx.ell,)))
+
+
+def _restricted_nonsingular(matrix, side: str, ctx: PrimeContext) -> bool:
     restricted = restrict_to_affine(matrix, side)
-    nonsing = rank_mod_p(restricted, ell) == len(restricted.col_basis)
+    return torus_rank_mod_p(restricted, ctx.ell, ctx) == len(restricted.col_basis)
+
+
+def _theorem_section(matrix, side: str, expected: int,
+                     ctx: PrimeContext) -> tuple[dict, list, list]:
+    failures, nonconclusive = [], []
+    cert = _rank_certificate(matrix, ctx)
+    nonsing = _restricted_nonsingular(matrix, side, ctx)
     section = {
         "rank": cert.rank,
         "expected": expected,
@@ -144,7 +172,7 @@ def _theorem_section(matrix, side: str, expected: int, ell: int) -> tuple[dict, 
     if cert.rank != expected:
         failures.append(f"{name}: rank {cert.rank} != expected {expected}")
     if not nonsing:
-        failures.append(f"{name}: affine restriction is singular mod {ell}")
+        failures.append(f"{name}: affine restriction is singular mod {ctx.ell}")
     if not cert.conclusive:
         nonconclusive.append(f"{name}: rank certificate non-conclusive")
     return section, failures, nonconclusive
@@ -191,14 +219,14 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         psi_plus = build_psi_plus(ctx)
         if not (psi_plus.column_sums() == ctx.r).all():
             failures.append(f"psi+ column sums differ from {ctx.r}")
-        section, f1, n1 = _theorem_section(psi_plus, "N", n_H, ell)
+        section, f1, n1 = _theorem_section(psi_plus, "N", n_H, ctx)
         report["theorem1"] = section
         failures += f1
         nonconclusive += n1
 
     with _phase(timings, "theorem2"):
         psi = build_psi(ctx, scheme)
-        section, f2, n2 = _theorem_section(psi, "C", n_C, ell)
+        section, f2, n2 = _theorem_section(psi, "C", n_C, ctx)
         report["theorem2"] = section
         failures += f2
         nonconclusive += n2
@@ -328,8 +356,8 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
             for eps in ctx.nonsquares():
                 sub_ctx = PrimeContext(ell, eps, ctx.g)
                 m = build_psi_plus(sub_ctx)
-                cert = rank_exact(m, RankPolicy(preferred_primes=(ell,)))
-                nonsing = rank_mod_p(restrict_to_affine(m, "N"), ell) == n_H
+                cert = _rank_certificate(m, sub_ctx)
+                nonsing = _restricted_nonsingular(m, "N", sub_ctx)
                 ok = cert.rank == n_H and cert.conclusive and nonsing
                 eps_reports.append({"epsilon": eps, "rank": cert.rank,
                                     "restricted_nonsingular": nonsing, "ok": ok})

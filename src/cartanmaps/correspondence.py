@@ -9,6 +9,7 @@ enumerations fixed in `geometry`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -212,14 +213,25 @@ def build_psi_plus(ctx: PrimeContext) -> OperatorMatrix:
     return OperatorMatrix(rows, cols, data)
 
 
+@lru_cache(maxsize=4)
+def _path_frame(ell: int) -> tuple[Basis, Basis, GroupElement]:
+    """(C_ell basis, ordered-pairs basis, stacked column transporters): all
+    that the path operators of one ell share, whatever the slope, epsilon
+    or primitive root.  The transporter arrays are read-only."""
+    ctx = PrimeContext(ell)
+    cols = basis_ordered_pairs(ctx)
+    g = stack([transporter(pair.first, pair.second, ell) for pair in cols])
+    for entry in g:
+        entry.flags.writeable = False
+    return basis_C(ctx), cols, g
+
+
 def build_H_s(ctx: PrimeContext, s: int) -> OperatorMatrix:
     """0/1 incidence matrix of slope-s path membership: rows C_ell, cols ordered pairs."""
     s %= ctx.ell
     if s == 0:
         raise ValueError("path slope must be nonzero")
-    rows = basis_C(ctx)
-    cols = basis_ordered_pairs(ctx)
-    g = stack([transporter(pair.first, pair.second, ctx.ell) for pair in cols])
+    rows, cols, g = _path_frame(ctx.ell)
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
     data[_path_rows(ctx, g, cols, s), np.arange(len(cols))] = 1
     return OperatorMatrix(rows, cols, data)
@@ -230,9 +242,7 @@ def build_psi(ctx: PrimeContext, scheme: CoefficientScheme | None = None) -> Ope
     ell = ctx.ell
     scheme = scheme or CoefficientScheme.standard(ctx)
     scheme.validate(ctx)
-    rows = basis_C(ctx)
-    cols = basis_ordered_pairs(ctx)
-    g = stack([transporter(pair.first, pair.second, ell) for pair in cols])
+    rows, cols, g = _path_frame(ell)
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
     for s in range(1, ell):
         # within one slope every (row, column) occurs once, so += is exact
@@ -302,13 +312,20 @@ def check_equivariance_psi(psi: OperatorMatrix, ctx: PrimeContext) -> bool:
 # no special case.
 # ---------------------------------------------------------------------------
 
-def _orbit_powers(perm: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, reps): P[k] = perm composed k times for k < n, and the orbit minima."""
-    P = np.empty((n, len(perm)), dtype=np.int64)
-    P[0] = np.arange(len(perm))
-    for k in range(1, n):
-        P[k] = perm[P[k - 1]]
-    return P, np.flatnonzero(P.min(axis=0) == P[0])
+@lru_cache(maxsize=16)
+def _torus_orbits(ctx: PrimeContext, tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """(h, O) for h = diag(g, 1) on the basis with this tag: h as a
+    permutation, and O[k, i] = h^k applied to the i-th orbit minimum, for
+    k < ell - 1.  Both depend only on ctx and the tag, so every operator on
+    that basis shares them; they are returned read-only."""
+    h = permutation(GroupElement(ctx.g, 0, 0, 1), tag, ctx)
+    O = np.empty((ctx.ell - 1, len(h)), dtype=np.int64)
+    O[0] = np.arange(len(h))
+    for k in range(1, len(O)):
+        O[k] = h[O[k - 1]]
+    O = O[:, O.min(axis=0) == O[0]]
+    h.flags.writeable = O.flags.writeable = False
+    return h, O
 
 
 def torus_rank_mod_p(m: OperatorMatrix, p: int, ctx: PrimeContext) -> int:
@@ -322,15 +339,12 @@ def torus_rank_mod_p(m: OperatorMatrix, p: int, ctx: PrimeContext) -> int:
     if (p - 1) % n:
         raise ValueError(f"F_{p} has no element of order {n}: "
                          f"{p} - 1 is not divisible by {n}")
-    h = GroupElement(ctx.g, 0, 0, 1)
-    row1 = permutation(h, m.row_basis.tag, ctx)
-    col1 = permutation(h, m.col_basis.tag, ctx)
+    row1, P = _torus_orbits(ctx, m.row_basis.tag)
+    col1, C = _torus_orbits(ctx, m.col_basis.tag)
     if not _fixed_by(m, [(row1, col1)]):
         raise ValueError(f"{m!r} is not fixed by diag({ctx.g}, 1)")
     omega = ctx.g if p == ctx.ell else pow(find_primitive_root(p), (p - 1) // n, p)
-    P, r = _orbit_powers(row1, n)
-    c = _orbit_powers(col1, n)[1]
-    G = m.data[P[:, r][:, :, None], c].astype(np.int64) % p
+    G = m.data[P[:, :, None], C[0]].astype(np.int64) % p
     powers = np.array([pow(omega, t, p) for t in range(n)], dtype=np.int64)
     k = np.arange(n)
     W = powers[np.outer(k, k) % n]

@@ -146,10 +146,12 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
     """Rank over F_p of every matrix in an integer stack of shape (batch, m, k).
 
     One elimination runs over the whole stack; Python loops over columns
-    only.  Each matrix keeps a mask of the rows that already hold a pivot,
-    and the pivot column is cleared from the rows that hold none yet,
-    fraction-free (row <- pivot*row - entry*pivot_row): no inverses are
-    needed and every product stays below p^2, exact in int64 while p < 2^31.
+    only.  Each matrix swaps its pivot row to position rank[b] and clears
+    the pivot column fraction-free (row <- pivot*row - entry*pivot_row): no
+    inverses are needed and every product stays below p^2, exact in int64
+    while p < 2^31.  The update also zeroes the pivot row itself in every
+    later column, so a row that holds a pivot is never chosen again, and
+    rows above rank.min() are left out of the search and the update.
     """
     if p >= 1 << 31:
         raise ValueError(f"modulus {p} does not fit the int64 elimination path")
@@ -159,25 +161,28 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
     if W.ndim != 3:
         raise ValueError(f"expected a (batch, m, k) stack, got shape {W.shape}")
     batch, m, k = W.shape
-    used = np.zeros((batch, m), dtype=bool)
     rank = np.zeros(batch, dtype=np.int64)
+    if batch == 0:
+        return rank
     b = np.arange(batch)
     for j in range(k):
-        free = (W[:, :, j] != 0) & ~used
+        lo = int(rank.min())
+        if lo == m:
+            break
+        free = W[:, lo:, j] != 0
         found = free.any(axis=1)
         if not found.any():
             continue
-        piv = free.argmax(axis=1)
-        pv = np.where(found, W[b, piv, j], 1)
-        factor = np.where(free, W[:, :, j], 0)
-        factor[b, piv] = 0
-        prow = W[b, piv, j + 1:]
-        W[:, :, j + 1:] = (pv[:, None, None] * W[:, :, j + 1:]
-                           - factor[:, :, None] * prow[:, None, :]) % p
-        used[b[found], piv[found]] = True
+        fb, top, piv = b[found], rank[found], lo + free[found].argmax(axis=1)
+        W[fb, top, j:], W[fb, piv, j:] = W[fb, piv, j:], W[fb, top, j:]
+        # a matrix without a pivot here has a zero column from lo down, so
+        # with pv = 1 the update leaves it as it is
+        at = np.minimum(rank, m - 1)
+        pv = np.where(found, W[b, at, j], 1)
+        prow = W[b, at, j + 1:]
+        W[:, lo:, j + 1:] = (pv[:, None, None] * W[:, lo:, j + 1:]
+                             - W[:, lo:, j, None] * prow[:, None, :]) % p
         rank += found
-        if (rank == m).all():
-            break
     return rank
 
 

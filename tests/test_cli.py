@@ -134,12 +134,12 @@ def test_verify_skip_cosets(capsys):
 def test_verify_nonconclusive_exit_code(capsys, monkeypatch):
     import cartanmaps.cli as cli_mod
 
-    def fake_rank_exact(m, policy=None):
+    def fake_rank_certificate(m, ctx):
         rows, cols = m.shape
         return RankCertificate(rows, cols, min(rows, cols), ((999983, 1),),
                                "multi-prime stabilized", False)
 
-    monkeypatch.setattr(cli_mod, "rank_exact", fake_rank_exact)
+    monkeypatch.setattr(cli_mod, "_rank_certificate", fake_rank_certificate)
     code, out, _ = run_cli(capsys, "verify", "--ell", "3")
     assert code == EXIT_INCONCLUSIVE
     assert json.loads(out)["runs"][0]["nonconclusive"]
@@ -148,11 +148,11 @@ def test_verify_nonconclusive_exit_code(capsys, monkeypatch):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import cartanmaps.cli as cli_mod
 
-    def fake_rank_exact(m, policy=None):
+    def fake_rank_certificate(m, ctx):
         rows, cols = m.shape
         return RankCertificate(rows, cols, 1, ((3, 1),), "single-prime full rank", True)
 
-    monkeypatch.setattr(cli_mod, "rank_exact", fake_rank_exact)
+    monkeypatch.setattr(cli_mod, "_rank_certificate", fake_rank_certificate)
     code, out, _ = run_cli(capsys, "verify", "--ell", "3")
     assert code == EXIT_FAIL
     assert json.loads(out)["runs"][0]["failures"]

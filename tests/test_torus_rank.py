@@ -12,9 +12,17 @@ from cartanmaps.correspondence import (
     build_psi,
     build_psi_plus,
     check_equivariance_psi,
+    restrict_to_affine,
     torus_rank_mod_p,
 )
-from cartanmaps.exact_linalg import rank_mod_p, rank_mod_p_stack
+from cartanmaps.exact_linalg import RankPolicy, rank_exact, rank_mod_p, rank_mod_p_stack
+from cartanmaps.geometry import (
+    GroupElement,
+    OrderedPair,
+    UnorderedPair,
+    mobius_act,
+    permutation,
+)
 from cartanmaps.modular_arith import PrimeContext, is_odd_prime, is_prime
 
 from conftest import PRIMES_SMALL
@@ -142,7 +150,7 @@ def test_h_s_phase_ranks_by_torus_characters(capsys, monkeypatch):
                                           "primes": [ell, aux_rank_prime(ell)],
                                           "blocks": ell - 1}
         assert run["equivariance"]["h_s"] is True
-        assert run["theorem2"]["certificate"]["method"] == "single-prime full rank"
+        assert run["theorem2"]["certificate"]["method"] == "torus characters"
     # ell = 5: H_2 and H_3 are rank-deficient at both primes
     assert doc["runs"][0]["h_s_ranks"]["2"] == {"rank_mod_ell": 15,
                                                 "observed_rank": 15,
@@ -161,3 +169,82 @@ def test_h_s_equivariance_failure_is_reported(capsys, monkeypatch):
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["equivariance"]["h_s"] is False
     assert any("H_s" in f for f in run["failures"])
+
+
+def certified_operators(ctx):
+    psi_plus, psi = build_psi_plus(ctx), build_psi(ctx)
+    yield "psi+", psi_plus
+    yield "psi", psi
+    yield "psi+ affine", restrict_to_affine(psi_plus, "N")
+    yield "psi affine", restrict_to_affine(psi, "C")
+
+
+def cross_check_certificates(ctx):
+    ell = ctx.ell
+    for name, m in certified_operators(ctx):
+        cert = cli_mod._rank_certificate(m, ctx)
+        dense = rank_exact(m, RankPolicy(preferred_primes=(ell,)))
+        full = min(m.shape)
+        assert cert.rank == dense.rank == rank_mod_p(m, ell) == full, name
+        assert (cert.method, cert.witnesses, cert.conclusive) == \
+            ("torus characters", ((ell, full),), True), name
+        assert (cert.rows, cert.cols) == m.shape
+
+
+@pytest.mark.parametrize("ell", PRIMES_SMALL)
+def test_rank_certificate_matches_dense_rank(ell, contexts):
+    cross_check_certificates(contexts[ell])
+
+
+def test_rank_certificate_under_other_contexts():
+    cross_check_certificates(PrimeContext(13, 5, 7))
+    for ell in (3, 5, 7):
+        for eps in PrimeContext(ell).nonsquares():
+            cross_check_certificates(PrimeContext(ell, eps))
+
+
+def test_rank_certificate_falls_back_below_full_rank(contexts):
+    ctx = contexts[5]
+    m = build_H_s(ctx, 2)
+    cert = cli_mod._rank_certificate(m, ctx)
+    assert cert.rank == 15 < min(m.shape) == 20
+    assert cert == rank_exact(m, RankPolicy(preferred_primes=(5,)))
+
+
+@pytest.mark.parametrize("ell", PRIMES_SMALL)
+def test_affine_pair_permutations(ell, contexts):
+    """Elements fixing infinity permute the affine pairs in the column order
+    of restrict_to_affine; an element moving infinity is refused."""
+    ctx = contexts[ell]
+    acts = {
+        "N": lambda h, e: UnorderedPair(mobius_act(h, e.lo, ell),
+                                        mobius_act(h, e.hi, ell)),
+        "C": lambda h, e: OrderedPair(mobius_act(h, e.first, ell),
+                                      mobius_act(h, e.second, ell)),
+    }
+    for side, m in (("N", build_psi_plus(ctx)), ("C", build_psi(ctx))):
+        basis = restrict_to_affine(m, side).col_basis
+        for h in (GroupElement(ctx.g, 0, 0, 1), GroupElement(1, 1, 0, 1)):
+            perm = permutation(h, basis.tag, ctx).tolist()
+            assert sorted(perm) == list(range(len(basis)))
+            assert [basis.elements[i] for i in perm] == [acts[side](h, e) for e in basis]
+        with pytest.raises(ValueError, match="infinity"):
+            permutation(GroupElement(1, 0, 1, 1), basis.tag, ctx)
+
+
+def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):
+    dense_calls = []
+    for name in ("rank_exact", "rank_mod_p"):
+        monkeypatch.setattr(cli_mod, name,
+                            lambda *args, name=name: dense_calls.append(name))
+    assert main(["verify", "--ell-range", "3..13"]) == 0
+    assert dense_calls == []
+    for run in json.loads(capsys.readouterr().out)["runs"]:
+        for theorem in ("theorem1", "theorem2"):
+            assert run[theorem]["certificate"]["method"] == "torus characters"
+            assert run[theorem]["restricted_nonsingular"] is True
+    # every non-square re-certifies psi+ the same way
+    assert main(["verify", "--ell-range", "3..7", "--skip-cosets", "--all-epsilon"]) == 0
+    assert dense_calls == []
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [len(run["all_epsilon"]) for run in runs] == [1, 2, 3]

@@ -36,11 +36,17 @@ from .correspondence import (
     build_H_s,
     build_psi,
     build_psi_plus,
+    check_equivariance_incidence,
     check_equivariance_psi,
     check_equivariance_psi_plus,
     geodesic_points,
+    incidence_operator,
+    incidence_torus_columns,
+    incidence_torus_ranks,
+    path_incidence,
     path_points,
     restrict_to_affine,
+    torus_block_shape,
     torus_rank_mod_p,
 )
 from .cosets import (
@@ -308,32 +314,45 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
     with _phase(timings, "h_s"):
         # Observation only (no asserted expected value): the rank of a single
         # slope operator, conclusive when full rank is hit mod some prime.
-        # Both ranks come from torus-character blocks, so the aux prime must
-        # hold the (ell-1)-th roots of unity; it is needed only below full rank.
+        # Each H_s is kept as its incidence index array; the generator proof
+        # and the torus-character blocks read that array, and the blocks of
+        # the slopes are ranked in shared stacks.  The aux prime must hold the
+        # (ell-1)-th roots of unity; it is needed only below full rank.
         aux = aux_rank_prime(ell)
-        h_matrices, hs_ranks = {}, {}
+        incidences, reps = {}, {}
         col_ok = eq_hs = True
         for s in range(1, ell):
-            m = build_H_s(ctx, s)
-            col_ok = col_ok and bool((m.column_sums() == ell - 1).all())
-            eq_hs = eq_hs and check_equivariance_psi(m, ctx)
-            full = min(m.shape)
-            r_ell = torus_rank_mod_p(m, ell, ctx)
-            observed = r_ell if r_ell == full else max(r_ell, torus_rank_mod_p(m, aux, ctx))
+            idx = path_incidence(ctx, s)
+            # its columns list distinct rows, so each column sum is len(idx)
+            col_ok = col_ok and len(idx) == ell - 1
+            # the proof covers diag(g, 1), so it is what the torus blocks need
+            if check_equivariance_incidence(idx, ctx):
+                reps[s] = incidence_torus_columns(idx, ctx)
+            else:
+                eq_hs = False
+            if check_coincidence:
+                incidences[s] = idx
+        full = min(n_C, n_op)
+        r_ell = dict(zip(reps, incidence_torus_ranks(list(reps.values()), ell, ctx)))
+        low = [s for s, r in r_ell.items() if r < full]
+        r_aux = dict(zip(low, incidence_torus_ranks([reps[s] for s in low], aux, ctx)))
+        hs_ranks = {}
+        for s in range(1, ell):
+            # an unproved slope has no torus rank: its blocks would mean nothing
+            observed = max(r_ell[s], r_aux.get(s, 0)) if s in r_ell else None
             hs_ranks[s] = {
-                "rank_mod_ell": r_ell,
+                "rank_mod_ell": r_ell.get(s),
                 "observed_rank": observed,
                 "conclusive": observed == full,
             }
-            if check_coincidence:
-                h_matrices[s] = m
         if not col_ok:
             failures.append("per-slope column sums differ from the coset degree")
         report["equivariance"]["h_s"] = eq_hs
         if not eq_hs:
             failures.append("equivariance fails on a generator of GL2 for some H_s")
         report["h_s_rank_method"] = {"method": "torus characters",
-                                     "primes": [ell, aux], "blocks": ell - 1}
+                                     "primes": [ell, aux], "blocks": ell - 1,
+                                     "block_shape": list(torus_block_shape(ctx))}
         report["h_s_ranks"] = hs_ranks
         report["h_s_column_sums_ok"] = col_ok
 
@@ -341,7 +360,8 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         with _phase(timings, "coincidence"):
             op_plus = coset_operator(dec_n, ctx)
             plus_ok = op_plus == psi_plus
-            hs_ok = all(coset_operator(dec_c[s], ctx) == h_matrices[s]
+            hs_ok = all(coset_operator(dec_c[s], ctx)
+                        == incidence_operator(ctx, incidences[s])
                         for s in range(1, ell))
             report["coincidence"] = {"checked": True, "psi_plus": plus_ok,
                                      "h_s": hs_ok}

@@ -181,21 +181,22 @@ class OperatorMatrix:
 # stay at about ell times the column count.
 # ---------------------------------------------------------------------------
 
-def _require_distinct(idx: np.ndarray, cols: Basis, what: str) -> None:
-    """Every column of idx must list distinct row indices."""
-    ok = (np.diff(np.sort(idx, axis=0), axis=0) > 0).all(axis=0)
+def _distinct_sorted(idx: np.ndarray, cols: Basis, what: str) -> np.ndarray:
+    """idx with every column sorted; each column must list distinct row indices."""
+    idx = np.sort(idx, axis=0)
+    ok = (np.diff(idx, axis=0) > 0).all(axis=0)
     if not ok.all():
         raise AssertionError(f"{what} through {cols.elements[np.argmin(ok)]} "
                              f"is not {len(idx)} distinct points")
+    return idx
 
 
 def _path_rows(ctx: PrimeContext, g: GroupElement, cols: Basis, s: int) -> np.ndarray:
-    """C_ell indices of the slope-s paths, one column per transporter in g."""
+    """C_ell indices of the slope-s paths, one sorted column per transporter in g."""
     ell = ctx.ell
     lam = np.arange(1, ell, dtype=np.int64)[:, None]
     idx = cartan_index(*move_cartan(g, lam * s % ell, lam, ctx), ell)
-    _require_distinct(idx, cols, f"path at slope {s}")
-    return idx
+    return _distinct_sorted(idx, cols, f"path at slope {s}")
 
 
 def build_psi_plus(ctx: PrimeContext) -> OperatorMatrix:
@@ -207,7 +208,7 @@ def build_psi_plus(ctx: PrimeContext) -> OperatorMatrix:
     lam = np.arange(1, ctx.r + 1, dtype=np.int64)[:, None]
     idx = orbit_index(*move_cartan(g, 0, lam, ctx), ell)
     # lam and its negative land on conjugate points, so lam <= r suffices
-    _require_distinct(idx, cols, "geodesic")
+    idx = _distinct_sorted(idx, cols, "geodesic")
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
     data[idx, np.arange(len(cols))] = 1
     return OperatorMatrix(rows, cols, data)
@@ -226,15 +227,28 @@ def _path_frame(ell: int) -> tuple[Basis, Basis, GroupElement]:
     return basis_C(ctx), cols, g
 
 
-def build_H_s(ctx: PrimeContext, s: int) -> OperatorMatrix:
-    """0/1 incidence matrix of slope-s path membership: rows C_ell, cols ordered pairs."""
+def path_incidence(ctx: PrimeContext, s: int) -> np.ndarray:
+    """H_s as its incidence index array: column j of H_s has its ones at the
+    C_ell rows idx[:, j], which are ell - 1 distinct indices in ascending order."""
     s %= ctx.ell
     if s == 0:
         raise ValueError("path slope must be nonzero")
-    rows, cols, g = _path_frame(ctx.ell)
+    _, cols, g = _path_frame(ctx.ell)
+    return _path_rows(ctx, g, cols, s)
+
+
+def incidence_operator(ctx: PrimeContext, idx: np.ndarray) -> OperatorMatrix:
+    """The dense 0/1 operator, rows C_ell and cols ordered pairs, with a one
+    at (idx[i, j], j) for every i and j."""
+    rows, cols, _ = _path_frame(ctx.ell)
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    data[_path_rows(ctx, g, cols, s), np.arange(len(cols))] = 1
+    data[idx, np.arange(len(cols))] = 1
     return OperatorMatrix(rows, cols, data)
+
+
+def build_H_s(ctx: PrimeContext, s: int) -> OperatorMatrix:
+    """0/1 incidence matrix of slope-s path membership: rows C_ell, cols ordered pairs."""
+    return incidence_operator(ctx, path_incidence(ctx, s))
 
 
 def build_psi(ctx: PrimeContext, scheme: CoefficientScheme | None = None) -> OperatorMatrix:
@@ -274,6 +288,18 @@ def restrict_to_affine(m: OperatorMatrix, side: str) -> OperatorMatrix:
 _CHECK_ENTRIES = 1 << 17
 
 
+@lru_cache(maxsize=16)
+def _generator_perms(ctx: PrimeContext, row_tag: str,
+                     col_tag: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(P_row(h), P_col(h)) for the generators h of GL2(F_ell), read-only."""
+    perms = tuple((permutation(h, row_tag, ctx), permutation(h, col_tag, ctx))
+                  for h in generators(ctx))
+    for pair in perms:
+        for perm in pair:
+            perm.flags.writeable = False
+    return perms
+
+
 def _fixed_by(m: OperatorMatrix, perms) -> bool:
     """True iff m[p_row][:, p_col] == m for every (p_row, p_col) in perms."""
     M = m.data
@@ -283,9 +309,7 @@ def _fixed_by(m: OperatorMatrix, perms) -> bool:
 
 
 def _fixed_by_generators(m: OperatorMatrix, ctx: PrimeContext) -> bool:
-    return _fixed_by(m, ((permutation(h, m.row_basis.tag, ctx),
-                          permutation(h, m.col_basis.tag, ctx))
-                         for h in generators(ctx)))
+    return _fixed_by(m, _generator_perms(ctx, m.row_basis.tag, m.col_basis.tag))
 
 
 def check_equivariance_psi_plus(psi_plus: OperatorMatrix, ctx: PrimeContext) -> bool:
@@ -297,6 +321,19 @@ def check_equivariance_psi(psi: OperatorMatrix, ctx: PrimeContext) -> bool:
     return _fixed_by_generators(psi, ctx)
 
 
+def check_equivariance_incidence(idx: np.ndarray, ctx: PrimeContext) -> bool:
+    """check_equivariance_psi on incidence_operator(ctx, idx), read off idx.
+
+    The columns of idx must list distinct rows.  For a 0/1 matrix whose
+    column j has its ones at the rows R_j, M[P_row][:, P_col] == M says
+    R_(P_col(j)) = P_row(R_j) for every column j; with every R_j sorted that
+    is one array compare per generator.
+    """
+    S = np.sort(idx, axis=0)
+    return all(np.array_equal(np.sort(p_row[S], axis=0), S[:, p_col])
+               for p_row, p_col in _generator_perms(ctx, "C_ell", "ordered_pairs"))
+
+
 # ---------------------------------------------------------------------------
 # Rank by torus characters.  An operator fixed by h = diag(g, 1) commutes with
 # the split torus T = <h> of order n = ell - 1.  Over an F_p holding an
@@ -306,11 +343,19 @@ def check_equivariance_psi(psi: OperatorMatrix, ctx: PrimeContext) -> bool:
 # v_j = sum_k w^(-ak) e_(h^k c_j) over the orbit representatives c_j, and an
 # eigenvector on the rows is determined by its entries at the representatives
 # r_i; so the block of eigenvalue w^a is
-#     B_a[i, j] = (M v_j)[r_i] = sum_k w^(ak) M[h^k r_i, c_j].
+#     B_a[i, j] = (M v_j)[r_i] = sum_k w^(ak) M[h^k r_i, c_j],
+# which reads only the columns M[:, c_j].
 # An orbit with a nontrivial stabilizer contributes a zero row or column to
 # the blocks whose character is nontrivial on that stabilizer, so it needs
 # no special case.
 # ---------------------------------------------------------------------------
+
+# Entry budget of one stacked elimination of the path operators' blocks.  A
+# stack lives as about three int64/float64 arrays of this size at once; at
+# 2^18 entries that raised the peak RSS of a 3..23 sweep by about 4 MB
+# (12%), at 2^16 it stays where one dense H_s at a time left it.
+_STACK_ENTRIES = 1 << 16
+
 
 @lru_cache(maxsize=16)
 def _torus_orbits(ctx: PrimeContext, tag: str) -> tuple[np.ndarray, np.ndarray]:
@@ -328,6 +373,37 @@ def _torus_orbits(ctx: PrimeContext, tag: str) -> tuple[np.ndarray, np.ndarray]:
     return h, O
 
 
+def _torus_blocks(cols: np.ndarray, row_tag: str, p: int,
+                  ctx: PrimeContext) -> np.ndarray:
+    """The (ell - 1, row orbits, k) stack of character blocks B_a mod p from
+    cols, the k columns M[:, c_j] at column-orbit representatives; columns of
+    several operators on the same rows may stand side by side."""
+    n = ctx.ell - 1
+    if (p - 1) % n:
+        raise ValueError(f"F_{p} has no element of order {n}: "
+                         f"{p} - 1 is not divisible by {n}")
+    _, P = _torus_orbits(ctx, row_tag)
+    omega = ctx.g if p == ctx.ell else pow(find_primitive_root(p), (p - 1) // n, p)
+    # B = W @ G mod p, summed in slices short enough to stay exact: in
+    # float64 (BLAS) while a product fits its 53-bit mantissa, else in int64
+    bits, dtype = (53, np.float64) if (p - 1) ** 2 < 1 << 52 else (63, np.int64)
+    step = max(1, ((1 << bits) - p) // (p - 1) ** 2)
+    shape = (n, P.shape[1], cols.shape[1])
+    # fmod keeps each integer's class mod p and its size below p, several
+    # times faster than % on floats; in-place updates keep at most three
+    # stack-sized arrays alive
+    G = np.fmod(cols[P].astype(dtype).reshape(n, -1), p)
+    powers = np.array([pow(omega, t, p) for t in range(n)], dtype=dtype)
+    k = np.arange(n)
+    W = powers[np.outer(k, k) % n]
+    B = np.fmod(W[:, :step] @ G[:step], p)
+    for k0 in range(step, n, step):
+        B += W[:, k0:k0 + step] @ G[k0:k0 + step]
+        np.fmod(B, p, out=B)
+    del G
+    return B.astype(np.int64).reshape(shape)
+
+
 def torus_rank_mod_p(m: OperatorMatrix, p: int, ctx: PrimeContext) -> int:
     """Rank mod p of an operator fixed by diag(g, 1), from its ell - 1
     torus-character blocks of (row orbits) x (column orbits) each.
@@ -335,22 +411,47 @@ def torus_rank_mod_p(m: OperatorMatrix, p: int, ctx: PrimeContext) -> int:
     Needs ell - 1 to divide p - 1 and m to be fixed by diag(g, 1); raises
     ValueError otherwise.
     """
-    n = ctx.ell - 1
-    if (p - 1) % n:
-        raise ValueError(f"F_{p} has no element of order {n}: "
-                         f"{p} - 1 is not divisible by {n}")
-    row1, P = _torus_orbits(ctx, m.row_basis.tag)
+    row1, _ = _torus_orbits(ctx, m.row_basis.tag)
     col1, C = _torus_orbits(ctx, m.col_basis.tag)
     if not _fixed_by(m, [(row1, col1)]):
         raise ValueError(f"{m!r} is not fixed by diag({ctx.g}, 1)")
-    omega = ctx.g if p == ctx.ell else pow(find_primitive_root(p), (p - 1) // n, p)
-    G = m.data[P[:, :, None], C[0]].astype(np.int64) % p
-    powers = np.array([pow(omega, t, p) for t in range(n)], dtype=np.int64)
-    k = np.arange(n)
-    W = powers[np.outer(k, k) % n]
-    # B = W @ G mod p, summed in slices short enough to stay exact in int64
-    step = max(1, ((1 << 63) - p) // (p - 1) ** 2)
-    B = np.zeros((n, G[0].size), dtype=np.int64)
-    for k0 in range(0, n, step):
-        B = (B + W[:, k0:k0 + step] @ G[k0:k0 + step].reshape(-1, G[0].size)) % p
-    return int(rank_mod_p_stack(B.reshape(G.shape), p).sum())
+    B = _torus_blocks(m.data[:, C[0]], m.row_basis.tag, p, ctx)
+    return int(rank_mod_p_stack(B, p).sum())
+
+
+def torus_block_shape(ctx: PrimeContext) -> tuple[int, int]:
+    """(row orbits, column orbits) of diag(g, 1) on the bases of the H_s:
+    the shape of each of their torus-character blocks."""
+    return (_torus_orbits(ctx, "C_ell")[1].shape[1],
+            _torus_orbits(ctx, "ordered_pairs")[1].shape[1])
+
+
+def incidence_torus_columns(idx: np.ndarray, ctx: PrimeContext) -> np.ndarray:
+    """The columns of an incidence index array at the column-orbit
+    representatives of diag(g, 1): all that its torus blocks read."""
+    return idx[:, _torus_orbits(ctx, "ordered_pairs")[1][0]]
+
+
+def incidence_torus_ranks(reps: list[np.ndarray], p: int,
+                          ctx: PrimeContext) -> list[int]:
+    """torus_rank_mod_p of incidence_operator(ctx, idx) for every idx whose
+    incidence_torus_columns are listed in reps.
+
+    Each operator must be fixed by diag(g, 1) (check_equivariance_incidence
+    proves it).  The blocks of consecutive operators are ranked together, in
+    stacks of at most about _STACK_ENTRIES entries.
+    """
+    h, P = _torus_orbits(ctx, "C_ell")
+    n, R = P.shape
+    K = _torus_orbits(ctx, "ordered_pairs")[1].shape[1]
+    per = max(1, _STACK_ENTRIES // (n * R * K))
+    ranks = []
+    for i in range(0, len(reps), per):
+        rows = np.hstack(reps[i:i + per])
+        cols = np.zeros((len(h), rows.shape[1]), dtype=np.int8)
+        cols[rows, np.arange(rows.shape[1])] = 1
+        # slope-major order, so the ell - 1 blocks of one slope are adjacent
+        blocks = (_torus_blocks(cols, "C_ell", p, ctx).reshape(n, R, -1, K)
+                  .transpose(2, 0, 1, 3).reshape(-1, R, K))
+        ranks += rank_mod_p_stack(blocks, p).reshape(-1, n).sum(axis=1).tolist()
+    return ranks

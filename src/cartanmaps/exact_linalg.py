@@ -142,22 +142,38 @@ def rank_mod_p(m, p: int) -> int:
     return _echelon_mod_p(A, p)[0]
 
 
+def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """a^(p-2) mod p elementwise: the inverses of the units of F_p, p < 2^31."""
+    out = np.ones_like(a)
+    base, e = a % p, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
 def rank_mod_p_stack(B, p: int) -> np.ndarray:
     """Rank over F_p of every matrix in an integer stack of shape (batch, m, k).
 
     One elimination runs over the whole stack; Python loops over columns
-    only.  Each matrix swaps its pivot row to position rank[b] and clears
-    the pivot column fraction-free (row <- pivot*row - entry*pivot_row): no
-    inverses are needed and every product stays below p^2, exact in int64
-    while p < 2^31.  The update also zeroes the pivot row itself in every
-    later column, so a row that holds a pivot is never chosen again, and
-    rows above rank.min() are left out of the search and the update.
+    only.  Each matrix swaps its pivot row to position rank[b] and subtracts
+    (entry / pivot) * pivot_row from its rows, with the multipliers and the
+    pivot row reduced below p.  Every update thus grows an entry by less
+    than (p - 1)^2, so the trailing block is reduced mod p only when int64
+    would run out of room (never for the primes below about 2^20 that
+    `verify` uses, once a step near 2^31).  The update also zeroes the pivot
+    row itself in every later column, so a row that holds a pivot is never
+    chosen again, and rows above rank.min() are left out of the search and
+    the update.
     """
     if p >= 1 << 31:
         raise ValueError(f"modulus {p} does not fit the int64 elimination path")
     if p < 2:
         raise ValueError("modulus must be >= 2")
-    W = np.asarray(B).astype(np.int64) % p
+    W = np.array(B, dtype=np.int64)
+    W %= p
     if W.ndim != 3:
         raise ValueError(f"expected a (batch, m, k) stack, got shape {W.shape}")
     batch, m, k = W.shape
@@ -165,23 +181,30 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
     if batch == 0:
         return rank
     b = np.arange(batch)
+    room = ((1 << 63) - p) // (p - 1) ** 2  # updates an entry below p can take
+    pending = 0
     for j in range(k):
         lo = int(rank.min())
         if lo == m:
             break
-        free = W[:, lo:, j] != 0
+        col = W[:, lo:, j] % p
+        free = col != 0
         found = free.any(axis=1)
         if not found.any():
             continue
         fb, top, piv = b[found], rank[found], lo + free[found].argmax(axis=1)
         W[fb, top, j:], W[fb, piv, j:] = W[fb, piv, j:], W[fb, top, j:]
+        col[fb, top - lo], col[fb, piv - lo] = col[fb, piv - lo], col[fb, top - lo]
         # a matrix without a pivot here has a zero column from lo down, so
-        # with pv = 1 the update leaves it as it is
+        # its multipliers are zero and the update leaves it as it is
         at = np.minimum(rank, m - 1)
-        pv = np.where(found, W[b, at, j], 1)
-        prow = W[b, at, j + 1:]
-        W[:, lo:, j + 1:] = (pv[:, None, None] * W[:, lo:, j + 1:]
-                             - W[:, lo:, j, None] * prow[:, None, :]) % p
+        pv = np.where(found, col[b, at - lo], 1)
+        mult = col * _inverse_mod_p(pv, p)[:, None] % p
+        W[:, lo:, j + 1:] -= mult[:, :, None] * (W[b, at, j + 1:] % p)[:, None, :]
+        pending += 1
+        if pending == room:
+            W[:, lo:, j + 1:] %= p
+            pending = 0
         rank += found
     return rank
 

@@ -71,10 +71,10 @@ def test_verify_range_validates_every_prime_first(capsys):
 def test_verify_internal_value_error_is_not_usage_error(capsys, monkeypatch):
     import cartanmaps.cli as cli_mod
 
-    def broken_build_H_s(ctx, s):
+    def broken_path_incidence(ctx, s):
         raise ValueError("path slope must be nonzero")
 
-    monkeypatch.setattr(cli_mod, "build_H_s", broken_build_H_s)
+    monkeypatch.setattr(cli_mod, "path_incidence", broken_path_incidence)
     with pytest.raises(ValueError, match="slope"):
         main(["verify", "--ell", "3"])
 

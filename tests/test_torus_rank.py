@@ -11,7 +11,12 @@ from cartanmaps.correspondence import (
     build_H_s,
     build_psi,
     build_psi_plus,
+    check_equivariance_incidence,
     check_equivariance_psi,
+    incidence_operator,
+    incidence_torus_columns,
+    incidence_torus_ranks,
+    path_incidence,
     restrict_to_affine,
     torus_rank_mod_p,
 )
@@ -24,6 +29,7 @@ from cartanmaps.geometry import (
     permutation,
 )
 from cartanmaps.modular_arith import PrimeContext, is_odd_prime, is_prime
+from cartanmaps.cli import run_verification
 
 from conftest import PRIMES_SMALL
 
@@ -49,6 +55,21 @@ def test_torus_rank_under_nondefault_context():
     for p in (13, aux_rank_prime(13)):
         for name, m in operators(ctx):
             assert torus_rank_mod_p(m, p, ctx) == rank_mod_p(m, p), (name, p)
+
+
+@pytest.mark.parametrize("ell", (5, 7))
+def test_torus_rank_at_a_prime_too_large_for_float64_blocks(ell, contexts):
+    """Above about 2^26 a product of two residues overflows the float64
+    mantissa, so the blocks are formed in int64."""
+    ctx = contexts[ell]
+    start = (1 << 30) - (1 << 30) % (ell - 1) + 1  # 1 mod ell - 1
+    p = next(q for q in range(start, 1 << 31, ell - 1) if is_prime(q))
+    for name, m in operators(ctx):
+        want = rank_mod_p(m, p)
+        assert torus_rank_mod_p(m, p, ctx) == want, name
+        # a unit multiple has the same rank, and residues near p in the blocks
+        scaled = OperatorMatrix(m.row_basis, m.col_basis, m.data.astype(np.int64) * (p // 3))
+        assert torus_rank_mod_p(scaled, p, ctx) == want, name
 
 
 def test_torus_rank_rejects_primes_without_the_characters(contexts):
@@ -101,7 +122,7 @@ def planted_stack(rng, batch, m, k, p):
     return out
 
 
-@pytest.mark.parametrize("p", (2, 3, 31, 1_048_609))
+@pytest.mark.parametrize("p", (2, 3, 31, 1_048_609, 2_147_483_647))
 def test_rank_mod_p_stack_matches_rank_mod_p(p):
     rng = np.random.default_rng(p)
     for m, k in ((1, 1), (1, 7), (4, 4), (6, 9), (9, 5), (12, 12)):
@@ -148,7 +169,8 @@ def test_h_s_phase_ranks_by_torus_characters(capsys, monkeypatch):
         ell = run["ell"]
         assert run["h_s_rank_method"] == {"method": "torus characters",
                                           "primes": [ell, aux_rank_prime(ell)],
-                                          "blocks": ell - 1}
+                                          "blocks": ell - 1,
+                                          "block_shape": [ell, ell + 4]}
         assert run["equivariance"]["h_s"] is True
         assert run["theorem2"]["certificate"]["method"] == "torus characters"
     # ell = 5: H_2 and H_3 are rank-deficient at both primes
@@ -164,11 +186,14 @@ def test_h_s_phase_ranks_by_torus_characters(capsys, monkeypatch):
 
 
 def test_h_s_equivariance_failure_is_reported(capsys, monkeypatch):
-    monkeypatch.setattr(cli_mod, "check_equivariance_psi", lambda m, ctx: False)
+    monkeypatch.setattr(cli_mod, "check_equivariance_incidence", lambda idx, ctx: False)
     assert main(["verify", "--ell", "3"]) == 1
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["equivariance"]["h_s"] is False
     assert any("H_s" in f for f in run["failures"])
+    # without the proof the torus blocks of an H_s mean nothing, so no rank
+    assert all(h == {"rank_mod_ell": None, "observed_rank": None, "conclusive": False}
+               for h in run["h_s_ranks"].values())
 
 
 def certified_operators(ctx):
@@ -248,3 +273,139 @@ def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):
     assert dense_calls == []
     runs = json.loads(capsys.readouterr().out)["runs"]
     assert [len(run["all_epsilon"]) for run in runs] == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# The H_s kept as incidence index arrays: the sparse generator proof and the
+# stacked torus ranks against their dense counterparts.
+# ---------------------------------------------------------------------------
+
+def check_incidence_proofs(ctx):
+    for s in range(1, ctx.ell):
+        idx = path_incidence(ctx, s)
+        m = incidence_operator(ctx, idx)
+        assert m == build_H_s(ctx, s), s
+        assert check_equivariance_incidence(idx, ctx) is True, s
+        assert check_equivariance_psi(m, ctx) is True, s
+
+
+@pytest.mark.parametrize("ell", PRIMES_SMALL)
+def test_incidence_proof_matches_dense_proof(ell, contexts):
+    check_incidence_proofs(contexts[ell])
+
+
+def test_incidence_proof_under_nondefault_context():
+    check_incidence_proofs(PrimeContext(13, 5, 7))
+
+
+def mutated_incidences(idx):
+    """A moved entry (to a row outside its column) and two swapped columns."""
+    for j in (0, idx.shape[1] // 2, idx.shape[1] - 1):
+        moved = idx.copy()
+        moved[1, j] = np.setdiff1d(np.arange(idx.max() + 1), idx[:, j])[j % 3]
+        yield f"moved in column {j}", moved
+    other = int(np.flatnonzero((idx != idx[:, :1]).any(axis=0))[-1])
+    swapped = idx.copy()
+    swapped[:, [0, other]] = idx[:, [other, 0]]
+    yield f"columns 0 and {other} swapped", swapped
+
+
+@pytest.mark.parametrize("ell", (3, 7))
+def test_incidence_proof_sees_moved_entries_and_swapped_columns(ell, contexts):
+    ctx = contexts[ell]
+    for s in range(1, ell):
+        for what, idx in mutated_incidences(path_incidence(ctx, s)):
+            dense = check_equivariance_psi(incidence_operator(ctx, idx), ctx)
+            assert check_equivariance_incidence(idx, ctx) is dense is False, (s, what)
+
+
+def check_h_s_ranks(ctx):
+    """The phase's ranks, and the stacked ranks of every slope at both primes,
+    equal torus_rank_mod_p on the dense H_s."""
+    ell, aux = ctx.ell, aux_rank_prime(ctx.ell)
+    dense = {p: [torus_rank_mod_p(build_H_s(ctx, s), p, ctx) for s in range(1, ell)]
+             for p in (ell, aux)}
+    reps = [incidence_torus_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
+    for p in (ell, aux):
+        assert incidence_torus_ranks(reps, p, ctx) == dense[p], p
+    full = ell * (ell - 1)
+    got = run_verification(ell, ctx.epsilon, ctx.g, skip_cosets=True)["h_s_ranks"]
+    for s, r_ell, r_aux in zip(range(1, ell), dense[ell], dense[aux]):
+        observed = r_ell if r_ell == full else max(r_ell, r_aux)
+        assert got[s] == {"rank_mod_ell": r_ell, "observed_rank": observed,
+                          "conclusive": observed == full}, s
+
+
+@pytest.mark.parametrize("ell", PRIMES_SMALL)
+def test_h_s_phase_ranks_match_torus_rank(ell, contexts):
+    check_h_s_ranks(contexts[ell])
+
+
+def test_h_s_phase_ranks_under_nondefault_context():
+    check_h_s_ranks(PrimeContext(13, 5, 7))
+
+
+@pytest.mark.parametrize("slopes_per_stack", (1, 3))
+def test_h_s_ranks_do_not_depend_on_the_stack_budget(slopes_per_stack, monkeypatch):
+    ell = 13  # 8 of the 12 slopes are below full rank mod 13
+    want = run_verification(ell, skip_cosets=True)["h_s_ranks"]
+    block = (ell - 1) * ell * (ell + 4)
+    monkeypatch.setattr(correspondence, "_STACK_ENTRIES", slopes_per_stack * block)
+    batches, calls = [], []
+    stack_rank, ranks = correspondence.rank_mod_p_stack, cli_mod.incidence_torus_ranks
+
+    def recorded_stack(B, p):
+        if calls:  # inside the h_s phase's ranking, not a theorem certificate
+            batches.append((p, len(B)))
+        return stack_rank(B, p)
+
+    def recorded_ranks(reps, p, ctx):
+        calls.append(p)
+        try:
+            return ranks(reps, p, ctx)
+        finally:
+            calls.pop()
+
+    monkeypatch.setattr(correspondence, "rank_mod_p_stack", recorded_stack)
+    monkeypatch.setattr(cli_mod, "incidence_torus_ranks", recorded_ranks)
+    assert run_verification(ell, skip_cosets=True)["h_s_ranks"] == want
+    # each stack holds the ell - 1 blocks of 1..slopes_per_stack slopes
+    assert all(n in range(ell - 1, slopes_per_stack * (ell - 1) + 1, ell - 1)
+               for _, n in batches)
+    assert sum(n for p, n in batches if p == ell) == (ell - 1) ** 2
+    low = sum(h["rank_mod_ell"] < ell * (ell - 1) for h in want.values())
+    aux = [n for p, n in batches if p == aux_rank_prime(ell)]
+    assert sum(aux) == low * (ell - 1)
+    assert len(aux) == -(-low // slopes_per_stack) > 1  # the re-rank is split
+
+
+def test_verify_builds_no_dense_h_s(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dense H_s was built")
+
+    monkeypatch.setattr(cli_mod, "build_H_s", refuse)
+    monkeypatch.setattr(correspondence, "build_H_s", refuse)
+    monkeypatch.setattr(cli_mod, "incidence_operator", refuse)
+    assert main(["verify", "--ell-range", "11..13"]) == 0
+
+
+def test_coincidence_densifies_the_ranked_incidences(capsys, monkeypatch):
+    ranked, densified = [], []
+    columns, operator = cli_mod.incidence_torus_columns, cli_mod.incidence_operator
+
+    def ranked_columns(idx, ctx):
+        ranked.append(idx)
+        return columns(idx, ctx)
+
+    def densify(ctx, idx):
+        densified.append(idx)
+        return operator(ctx, idx)
+
+    monkeypatch.setattr(cli_mod, "incidence_torus_columns", ranked_columns)
+    monkeypatch.setattr(cli_mod, "incidence_operator", densify)
+    assert main(["verify", "--ell-range", "3..7"]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert all(run["coincidence"] == {"checked": True, "psi_plus": True, "h_s": True}
+               for run in runs)
+    assert len(densified) == len(ranked) == 2 + 4 + 6
+    assert all(a is b for a, b in zip(densified, ranked))

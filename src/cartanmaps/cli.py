@@ -8,6 +8,7 @@ check failed, 2 a rank certificate was non-conclusive, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -37,8 +38,10 @@ from .correspondence import (
     build_psi,
     build_psi_plus,
     check_equivariance_incidence,
-    check_equivariance_psi,
-    check_equivariance_psi_plus,
+    check_equivariance_psi,  # noqa: F401
+    check_equivariance_psi_plus,  # noqa: F401
+    combined_torus_ranks,
+    geodesic_incidence,
     geodesic_points,
     incidence_operator,
     incidence_torus_columns,
@@ -47,7 +50,6 @@ from .correspondence import (
     path_points,
     restrict_to_affine,
     torus_block_shape,
-    torus_rank_mod_p,
 )
 from .cosets import (
     IDENTITY,
@@ -59,8 +61,9 @@ from .cosets import (
     decompose,
     enumerate_subgroup,
 )
-# rank_mod_p is not called here; it stays importable as cli.rank_mod_p, which
-# perfbench/tracer.py times alongside rank_exact.
+# rank_mod_p, rank_exact and the correspondence names marked F401 stay
+# importable as cli attributes even where verify no longer calls them:
+# perfbench/tracer.py wraps every name of its TIMED table here, for --trace 1.
 from .exact_linalg import (  # noqa: F401
     RankCertificate,
     RankPolicy,
@@ -142,31 +145,46 @@ def aux_rank_prime(ell: int) -> int:
     return p
 
 
-def _rank_certificate(matrix, ctx: PrimeContext) -> RankCertificate:
-    """Rank over Q of an operator fixed by diag(g, 1), with its certificate.
+def _rank_certificate(shape: tuple[int, int], torus_rank: int | None, dense,
+                     ctx: PrimeContext) -> RankCertificate:
+    """Rank over Q of an operator, with its certificate.
 
-    The torus-character blocks give the rank mod ell exactly (|T| = ell - 1
-    is prime to ell and F_ell holds the characters), and full rank mod ell
-    is full rank over Q.  Below full rank the dense escalation of
-    rank_exact decides.
+    torus_rank is the rank mod ell of the operator's torus-character blocks,
+    which is exact (|T| = ell - 1 is prime to ell and F_ell holds the
+    characters); full rank mod ell is full rank over Q.  Otherwise the dense
+    escalation of rank_exact decides, on the operator dense() returns.
     """
-    rows, cols = matrix.shape
-    r = torus_rank_mod_p(matrix, ctx.ell, ctx)
-    if r == min(rows, cols):
-        return RankCertificate(rows, cols, r, ((ctx.ell, r),), "torus characters", True)
-    return rank_exact(matrix, RankPolicy(preferred_primes=(ctx.ell,)))
+    rows, cols = shape
+    if torus_rank == min(rows, cols):
+        return RankCertificate(rows, cols, torus_rank, ((ctx.ell, torus_rank),),
+                               "torus characters", True)
+    return rank_exact(dense(), RankPolicy(preferred_primes=(ctx.ell,)))
 
 
-def _restricted_nonsingular(matrix, side: str, ctx: PrimeContext) -> bool:
-    restricted = restrict_to_affine(matrix, side)
-    return torus_rank_mod_p(restricted, ctx.ell, ctx) == len(restricted.col_basis)
+def _psi_plus_ranks(geodesics, ctx: PrimeContext) -> tuple[int, int] | None:
+    """combined_torus_ranks of psi+ mod ell, or None when the generator proof
+    of its geodesic array fails."""
+    if not check_equivariance_incidence(geodesics, ctx):
+        return None
+    return combined_torus_ranks([incidence_torus_columns(geodesics, ctx)], [1],
+                                ctx.ell, ctx)
 
 
-def _theorem_section(matrix, side: str, expected: int,
+def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dense,
+                     side: str, expected: int,
                      ctx: PrimeContext) -> tuple[dict, list, list]:
+    """ranks is (rank, affine rank) mod ell from the operator's torus blocks,
+    or None when its generator proof failed, so that the blocks mean nothing;
+    then the certificate and the affine restriction come from the dense
+    operator, built once by dense()."""
     failures, nonconclusive = [], []
-    cert = _rank_certificate(matrix, ctx)
-    nonsing = _restricted_nonsingular(matrix, side, ctx)
+    dense = functools.cache(dense)
+    rank, affine_rank = ranks or (None, None)
+    cert = _rank_certificate(shape, rank, dense, ctx)
+    if ranks is None:
+        affine_rank = rank_mod_p(restrict_to_affine(dense(), side), ctx.ell)
+    # the affine restriction is square, with the rows of the operator
+    nonsing = affine_rank == shape[0]
     section = {
         "rank": cert.rank,
         "expected": expected,
@@ -221,18 +239,42 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         if not sizes_ok:
             failures.append("set cardinalities disagree with coset-space indices")
 
+    check_coincidence = not skip_cosets and ell <= COINCIDENCE_BOUND
     with _phase(timings, "theorem1"):
-        psi_plus = build_psi_plus(ctx)
-        if not (psi_plus.column_sums() == ctx.r).all():
+        # proved and ranked on its geodesic array; the dense psi+ serves chart
+        # conjugacy and the coset coincidence
+        geodesics = geodesic_incidence(ctx)
+        psi_plus = incidence_operator(ctx, geodesics)
+        # its columns list distinct rows, so each column sum is len(geodesics)
+        if len(geodesics) != ctx.r:
             failures.append(f"psi+ column sums differ from {ctx.r}")
-        section, f1, n1 = _theorem_section(psi_plus, "N", n_H, ctx)
+        ranks = _psi_plus_ranks(geodesics, ctx)
+        eq_plus = ranks is not None
+        section, f1, n1 = _theorem_section(psi_plus.shape, ranks, lambda: psi_plus,
+                                           "N", n_H, ctx)
         report["theorem1"] = section
         failures += f1
         nonconclusive += n1
 
     with _phase(timings, "theorem2"):
-        psi = build_psi(ctx, scheme)
-        section, f2, n2 = _theorem_section(psi, "C", n_C, ctx)
+        # One path pass per slope: its proof and its columns at the torus-orbit
+        # representatives serve psi (sum_s c_s H_s) here and H_s in the h_s phase
+        reps, incidences = {}, {}
+        col_ok = True
+        for s in range(1, ell):
+            idx = path_incidence(ctx, s)
+            # its columns list distinct rows, so each column sum is len(idx)
+            col_ok = col_ok and len(idx) == ell - 1
+            if check_equivariance_incidence(idx, ctx):
+                reps[s] = incidence_torus_columns(idx, ctx)
+            if check_coincidence:
+                incidences[s] = idx
+        eq_hs = len(reps) == ell - 1
+        ranks = (combined_torus_ranks(list(reps.values()),
+                                      [scheme.combined(s) for s in reps], ell, ctx)
+                 if eq_hs else None)
+        section, f2, n2 = _theorem_section((n_C, n_op), ranks,
+                                           lambda: build_psi(ctx, scheme), "C", n_C, ctx)
         report["theorem2"] = section
         failures += f2
         nonconclusive += n2
@@ -285,11 +327,10 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         }
 
     with _phase(timings, "equivariance"):
-        eq_plus = check_equivariance_psi_plus(psi_plus, ctx)
-        eq_psi = check_equivariance_psi(psi, ctx)
+        # proved before the ranks: psi is fixed when every H_s is
         report["equivariance"] = {"generators": [list(h) for h in generators(ctx)],
-                                  "psi_plus": eq_plus, "psi": eq_psi}
-        if not (eq_plus and eq_psi):
+                                  "psi_plus": eq_plus, "psi": eq_hs}
+        if not (eq_plus and eq_hs):
             failures.append("equivariance fails on a generator of GL2")
 
     with _phase(timings, "degrees"):
@@ -310,28 +351,13 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         if not (deg_n_ok and deg_c_ok):
             failures.append("double coset degrees differ from the index formulas")
 
-    check_coincidence = not skip_cosets and ell <= COINCIDENCE_BOUND
     with _phase(timings, "h_s"):
         # Observation only (no asserted expected value): the rank of a single
         # slope operator, conclusive when full rank is hit mod some prime.
-        # Each H_s is kept as its incidence index array; the generator proof
-        # and the torus-character blocks read that array, and the blocks of
-        # the slopes are ranked in shared stacks.  The aux prime must hold the
+        # The blocks of the proved slopes, read off the columns kept in
+        # theorem2, are ranked in shared stacks.  The aux prime must hold the
         # (ell-1)-th roots of unity; it is needed only below full rank.
         aux = aux_rank_prime(ell)
-        incidences, reps = {}, {}
-        col_ok = eq_hs = True
-        for s in range(1, ell):
-            idx = path_incidence(ctx, s)
-            # its columns list distinct rows, so each column sum is len(idx)
-            col_ok = col_ok and len(idx) == ell - 1
-            # the proof covers diag(g, 1), so it is what the torus blocks need
-            if check_equivariance_incidence(idx, ctx):
-                reps[s] = incidence_torus_columns(idx, ctx)
-            else:
-                eq_hs = False
-            if check_coincidence:
-                incidences[s] = idx
         full = min(n_C, n_op)
         r_ell = dict(zip(reps, incidence_torus_ranks(list(reps.values()), ell, ctx)))
         low = [s for s, r in r_ell.items() if r < full]
@@ -375,11 +401,14 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
             eps_reports = []
             for eps in ctx.nonsquares():
                 sub_ctx = PrimeContext(ell, eps, ctx.g)
-                m = build_psi_plus(sub_ctx)
-                cert = _rank_certificate(m, sub_ctx)
-                nonsing = _restricted_nonsingular(m, "N", sub_ctx)
-                ok = cert.rank == n_H and cert.conclusive and nonsing
-                eps_reports.append({"epsilon": eps, "rank": cert.rank,
+                geodesics = geodesic_incidence(sub_ctx)
+                section, _, _ = _theorem_section(
+                    (n_H, n_up), _psi_plus_ranks(geodesics, sub_ctx),
+                    lambda: incidence_operator(sub_ctx, geodesics), "N", n_H, sub_ctx)
+                nonsing = section["restricted_nonsingular"]
+                ok = (section["surjective"] and section["certificate"]["conclusive"]
+                      and nonsing)
+                eps_reports.append({"epsilon": eps, "rank": section["rank"],
                                     "restricted_nonsingular": nonsing, "ok": ok})
                 if not ok:
                     failures.append(f"theorem1 failed for epsilon={eps}")
@@ -421,20 +450,20 @@ def _parse_ells(args) -> list[int]:
     if args.ell is not None:
         if not is_odd_prime(args.ell):
             raise UsageError(f"--ell must be an odd prime, got {args.ell}")
-        ells = [args.ell]
+        lo = hi = args.ell
     elif args.ell_range is not None:
         m = re.fullmatch(r"(\d+)\.\.(\d+)", args.ell_range)
         if not m:
             raise UsageError(f"--ell-range must look like A..B, got {args.ell_range!r}")
         lo, hi = int(m.group(1)), int(m.group(2))
-        ells = [n for n in range(max(3, lo), hi + 1) if is_odd_prime(n)]
-        if not ells:
-            raise UsageError(f"no odd primes in range {lo}..{hi}")
     else:
         raise UsageError("one of --ell or --ell-range is required")
-    cap = getattr(args, "max_ell_unsafe", False)
-    if not cap and max(ells) > DEFAULT_MAX_ELL:
+    # checked before the range is enumerated, so a huge one is refused at once
+    if hi > DEFAULT_MAX_ELL and not getattr(args, "max_ell_unsafe", False):
         raise UsageError(f"ell > {DEFAULT_MAX_ELL} needs --max-ell-unsafe")
+    ells = [n for n in range(max(3, lo), hi + 1) if is_odd_prime(n)]
+    if not ells:
+        raise UsageError(f"no odd primes in range {lo}..{hi}")
     return ells
 
 

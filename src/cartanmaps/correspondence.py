@@ -176,10 +176,33 @@ class OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Assembly: one broadcast action of the stacked column transporters on the
-# base geodesic or path.  Index arrays are (points, columns), so temporaries
-# stay at about ell times the column count.
+# Assembly: psi+ and each H_s as an incidence index array, from one broadcast
+# action of the stacked column transporters on the base geodesic or path.
+# Arrays are (points, columns), so temporaries stay at about ell times the
+# column count.  A dense operator is its array scattered.
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _frame(ell: int, col_tag: str) -> tuple[Basis, Basis, GroupElement]:
+    """(row basis, column basis, read-only stacked column transporters) of
+    psi+ (col_tag "unordered_pairs") or of the H_s ("ordered_pairs"), for
+    every epsilon, primitive root and slope."""
+    ctx = PrimeContext(ell)
+    if col_tag == "unordered_pairs":
+        rows, cols = basis_H(ctx), basis_unordered_pairs(ctx)
+        g = stack([transporter(pair.lo, pair.hi, ell) for pair in cols])
+    else:
+        rows, cols = basis_C(ctx), basis_ordered_pairs(ctx)
+        g = stack([transporter(pair.first, pair.second, ell) for pair in cols])
+    for entry in g:
+        entry.flags.writeable = False
+    return rows, cols, g
+
+
+def _frame_of(idx: np.ndarray, ctx: PrimeContext) -> tuple[Basis, Basis, GroupElement]:
+    """The frame of an incidence array: a geodesic has r points, a path ell - 1."""
+    return _frame(ctx.ell, "unordered_pairs" if len(idx) == ctx.r else "ordered_pairs")
+
 
 def _distinct_sorted(idx: np.ndarray, cols: Basis, what: str) -> np.ndarray:
     """idx with every column sorted; each column must list distinct row indices."""
@@ -191,59 +214,48 @@ def _distinct_sorted(idx: np.ndarray, cols: Basis, what: str) -> np.ndarray:
     return idx
 
 
-def _path_rows(ctx: PrimeContext, g: GroupElement, cols: Basis, s: int) -> np.ndarray:
-    """C_ell indices of the slope-s paths, one sorted column per transporter in g."""
-    ell = ctx.ell
-    lam = np.arange(1, ell, dtype=np.int64)[:, None]
-    idx = cartan_index(*move_cartan(g, lam * s % ell, lam, ctx), ell)
-    return _distinct_sorted(idx, cols, f"path at slope {s}")
+def _scatter(out: np.ndarray, idx: np.ndarray, weight: int = 1) -> np.ndarray:
+    """out[idx[i, j], j] += weight for every i and j.  A column of idx lists
+    distinct rows, so every (row, column) occurs once and += is exact."""
+    out[idx, np.arange(idx.shape[1])] += weight
+    return out
 
 
-def build_psi_plus(ctx: PrimeContext) -> OperatorMatrix:
-    """0/1 incidence matrix of geodesic membership: rows H_ell, cols unordered pairs."""
-    ell = ctx.ell
-    rows = basis_H(ctx)
-    cols = basis_unordered_pairs(ctx)
-    g = stack([transporter(pair.lo, pair.hi, ell) for pair in cols])
+def geodesic_incidence(ctx: PrimeContext) -> np.ndarray:
+    """psi+ as its incidence index array: column j of psi+ has its ones at the
+    H_ell rows idx[:, j], which are r distinct indices in ascending order."""
+    _, cols, g = _frame(ctx.ell, "unordered_pairs")
     lam = np.arange(1, ctx.r + 1, dtype=np.int64)[:, None]
-    idx = orbit_index(*move_cartan(g, 0, lam, ctx), ell)
     # lam and its negative land on conjugate points, so lam <= r suffices
-    idx = _distinct_sorted(idx, cols, "geodesic")
-    data = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    data[idx, np.arange(len(cols))] = 1
-    return OperatorMatrix(rows, cols, data)
-
-
-@lru_cache(maxsize=4)
-def _path_frame(ell: int) -> tuple[Basis, Basis, GroupElement]:
-    """(C_ell basis, ordered-pairs basis, stacked column transporters): all
-    that the path operators of one ell share, whatever the slope, epsilon
-    or primitive root.  The transporter arrays are read-only."""
-    ctx = PrimeContext(ell)
-    cols = basis_ordered_pairs(ctx)
-    g = stack([transporter(pair.first, pair.second, ell) for pair in cols])
-    for entry in g:
-        entry.flags.writeable = False
-    return basis_C(ctx), cols, g
+    idx = orbit_index(*move_cartan(g, 0, lam, ctx), ctx.ell)
+    return _distinct_sorted(idx, cols, "geodesic")
 
 
 def path_incidence(ctx: PrimeContext, s: int) -> np.ndarray:
     """H_s as its incidence index array: column j of H_s has its ones at the
     C_ell rows idx[:, j], which are ell - 1 distinct indices in ascending order."""
-    s %= ctx.ell
+    ell = ctx.ell
+    s %= ell
     if s == 0:
         raise ValueError("path slope must be nonzero")
-    _, cols, g = _path_frame(ctx.ell)
-    return _path_rows(ctx, g, cols, s)
+    _, cols, g = _frame(ell, "ordered_pairs")
+    lam = np.arange(1, ell, dtype=np.int64)[:, None]
+    idx = cartan_index(*move_cartan(g, lam * s % ell, lam, ctx), ell)
+    return _distinct_sorted(idx, cols, f"path at slope {s}")
 
 
 def incidence_operator(ctx: PrimeContext, idx: np.ndarray) -> OperatorMatrix:
-    """The dense 0/1 operator, rows C_ell and cols ordered pairs, with a one
-    at (idx[i, j], j) for every i and j."""
-    rows, cols, _ = _path_frame(ctx.ell)
+    """The dense 0/1 operator of an incidence array, with a one at
+    (idx[i, j], j) for every i and j: psi+ for geodesic_incidence, H_s for
+    path_incidence."""
+    rows, cols, _ = _frame_of(idx, ctx)
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    data[idx, np.arange(len(cols))] = 1
-    return OperatorMatrix(rows, cols, data)
+    return OperatorMatrix(rows, cols, _scatter(data, idx))
+
+
+def build_psi_plus(ctx: PrimeContext) -> OperatorMatrix:
+    """0/1 incidence matrix of geodesic membership: rows H_ell, cols unordered pairs."""
+    return incidence_operator(ctx, geodesic_incidence(ctx))
 
 
 def build_H_s(ctx: PrimeContext, s: int) -> OperatorMatrix:
@@ -256,11 +268,10 @@ def build_psi(ctx: PrimeContext, scheme: CoefficientScheme | None = None) -> Ope
     ell = ctx.ell
     scheme = scheme or CoefficientScheme.standard(ctx)
     scheme.validate(ctx)
-    rows, cols, g = _path_frame(ell)
+    rows, cols, _ = _frame(ell, "ordered_pairs")
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
     for s in range(1, ell):
-        # within one slope every (row, column) occurs once, so += is exact
-        data[_path_rows(ctx, g, cols, s), np.arange(len(cols))] += scheme.combined(s)
+        _scatter(data, path_incidence(ctx, s), scheme.combined(s))
     return OperatorMatrix(rows, cols, data)
 
 
@@ -278,11 +289,11 @@ def restrict_to_affine(m: OperatorMatrix, side: str) -> OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Equivariance, proved on the assembled matrices: M intertwines the actions
-# on its row and column bases iff M[P_row(h)][:, P_col(h)] == M for every h
-# in a generating set of GL2(F_ell).  The comparison runs over blocks of
-# rows, so its temporaries stay near _CHECK_ENTRIES entries and in cache;
-# permuting a whole ell = 61 matrix at once was 5-7 times slower.
+# Equivariance: M intertwines the actions on its row and column bases iff
+# M[P_row(h)][:, P_col(h)] == M for every h in a generating set of GL2(F_ell).
+# verify reads the proof off the incidence arrays; the dense compare runs
+# over blocks of rows, so its temporaries stay near _CHECK_ENTRIES entries
+# and in cache (permuting a whole ell = 61 matrix at once was 5-7x slower).
 # ---------------------------------------------------------------------------
 
 _CHECK_ENTRIES = 1 << 17
@@ -308,30 +319,27 @@ def _fixed_by(m: OperatorMatrix, perms) -> bool:
                for p_row, p_col in perms for i in range(0, len(M), step))
 
 
-def _fixed_by_generators(m: OperatorMatrix, ctx: PrimeContext) -> bool:
+def check_equivariance_psi(m: OperatorMatrix, ctx: PrimeContext) -> bool:
+    """The generator proof on a dense operator: psi, psi+ or an H_s."""
     return _fixed_by(m, _generator_perms(ctx, m.row_basis.tag, m.col_basis.tag))
 
 
-def check_equivariance_psi_plus(psi_plus: OperatorMatrix, ctx: PrimeContext) -> bool:
-    return _fixed_by_generators(psi_plus, ctx)
-
-
-def check_equivariance_psi(psi: OperatorMatrix, ctx: PrimeContext) -> bool:
-    """Also applies to each H_s, which has the bases of psi."""
-    return _fixed_by_generators(psi, ctx)
+check_equivariance_psi_plus = check_equivariance_psi
 
 
 def check_equivariance_incidence(idx: np.ndarray, ctx: PrimeContext) -> bool:
-    """check_equivariance_psi on incidence_operator(ctx, idx), read off idx.
+    """The generator proof of incidence_operator(ctx, idx), read off idx: the
+    geodesic array of psi+ or the path array of an H_s.
 
     The columns of idx must list distinct rows.  For a 0/1 matrix whose
     column j has its ones at the rows R_j, M[P_row][:, P_col] == M says
     R_(P_col(j)) = P_row(R_j) for every column j; with every R_j sorted that
     is one array compare per generator.
     """
+    rows, cols, _ = _frame_of(idx, ctx)
     S = np.sort(idx, axis=0)
     return all(np.array_equal(np.sort(p_row[S], axis=0), S[:, p_col])
-               for p_row, p_col in _generator_perms(ctx, "C_ell", "ordered_pairs"))
+               for p_row, p_col in _generator_perms(ctx, rows.tag, cols.tag))
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +412,6 @@ def _torus_blocks(cols: np.ndarray, row_tag: str, p: int,
     return B.astype(np.int64).reshape(shape)
 
 
-def torus_rank_mod_p(m: OperatorMatrix, p: int, ctx: PrimeContext) -> int:
-    """Rank mod p of an operator fixed by diag(g, 1), from its ell - 1
-    torus-character blocks of (row orbits) x (column orbits) each.
-
-    Needs ell - 1 to divide p - 1 and m to be fixed by diag(g, 1); raises
-    ValueError otherwise.
-    """
-    row1, _ = _torus_orbits(ctx, m.row_basis.tag)
-    col1, C = _torus_orbits(ctx, m.col_basis.tag)
-    if not _fixed_by(m, [(row1, col1)]):
-        raise ValueError(f"{m!r} is not fixed by diag({ctx.g}, 1)")
-    B = _torus_blocks(m.data[:, C[0]], m.row_basis.tag, p, ctx)
-    return int(rank_mod_p_stack(B, p).sum())
-
-
 def torus_block_shape(ctx: PrimeContext) -> tuple[int, int]:
     """(row orbits, column orbits) of diag(g, 1) on the bases of the H_s:
     the shape of each of their torus-character blocks."""
@@ -429,13 +422,34 @@ def torus_block_shape(ctx: PrimeContext) -> tuple[int, int]:
 def incidence_torus_columns(idx: np.ndarray, ctx: PrimeContext) -> np.ndarray:
     """The columns of an incidence index array at the column-orbit
     representatives of diag(g, 1): all that its torus blocks read."""
-    return idx[:, _torus_orbits(ctx, "ordered_pairs")[1][0]]
+    _, cols, _ = _frame_of(idx, ctx)
+    return idx[:, _torus_orbits(ctx, cols.tag)[1][0]]
+
+
+def combined_torus_ranks(reps: list[np.ndarray], weights: list[int], p: int,
+                         ctx: PrimeContext) -> tuple[int, int]:
+    """Ranks mod p of M = sum_t weights[t] * incidence_operator(ctx, idx_t)
+    and of its affine restriction, from reps[t] = incidence_torus_columns(idx_t, ctx).
+
+    Each operator must be fixed by diag(g, 1) (check_equivariance_incidence
+    proves it).  The blocks are linear in M, and diag(g, 1) fixes infinity,
+    so the restriction's blocks are M's at the affine representatives.
+    """
+    rows, cols, _ = _frame_of(reps[0], ctx)
+    reps_at = _torus_orbits(ctx, cols.tag)[1][0]
+    M = np.zeros((len(rows), len(reps_at)), dtype=np.int64)
+    for rep, w in zip(reps, weights):
+        _scatter(M, rep, w)
+    B = _torus_blocks(M, rows.tag, p, ctx)
+    affine = [cols.elements[j].is_affine for j in reps_at]
+    return (int(rank_mod_p_stack(B, p).sum()),
+            int(rank_mod_p_stack(B[:, :, affine], p).sum()))
 
 
 def incidence_torus_ranks(reps: list[np.ndarray], p: int,
                           ctx: PrimeContext) -> list[int]:
-    """torus_rank_mod_p of incidence_operator(ctx, idx) for every idx whose
-    incidence_torus_columns are listed in reps.
+    """The rank mod p of incidence_operator(ctx, idx) for every path array
+    idx whose incidence_torus_columns are listed in reps.
 
     Each operator must be fixed by diag(g, 1) (check_equivariance_incidence
     proves it).  The blocks of consecutive operators are ranked together, in
@@ -448,8 +462,7 @@ def incidence_torus_ranks(reps: list[np.ndarray], p: int,
     ranks = []
     for i in range(0, len(reps), per):
         rows = np.hstack(reps[i:i + per])
-        cols = np.zeros((len(h), rows.shape[1]), dtype=np.int8)
-        cols[rows, np.arange(rows.shape[1])] = 1
+        cols = _scatter(np.zeros((len(h), rows.shape[1]), dtype=np.int8), rows)
         # slope-major order, so the ell - 1 blocks of one slope are adjacent
         blocks = (_torus_blocks(cols, "C_ell", p, ctx).reshape(n, R, -1, K)
                   .transpose(2, 0, 1, 3).reshape(-1, R, K))

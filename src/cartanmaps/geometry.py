@@ -316,25 +316,14 @@ def basis_C(ctx: PrimeContext) -> Basis:
 
 
 def permutation(m: GroupElement, tag: str, ctx: PrimeContext) -> np.ndarray:
-    """out[i] = the index of m * (element i) in the basis with this tag.
-
-    The `_affine` pair bases (the columns `restrict_to_affine` keeps, in the
-    same order) are the pairs of the ell affine points, so the pair encoders
-    apply with ell - 1 in place of ell; only elements that fix infinity act
-    on them.
-    """
+    """out[i] = the index of m * (element i) in the basis with this tag."""
     ell = ctx.ell
-    n = ell + 1  # points of P^1 that the pairs are drawn from
-    if tag in ("unordered_pairs_affine", "ordered_pairs_affine"):
-        if move_p1(m, ell, ell) != ell:
-            raise ValueError(f"{m} moves infinity, so it does not act on {tag!r}")
-        tag, n = tag[:-len("_affine")], ell
     if tag == "unordered_pairs":
-        i, j = np.triu_indices(n, 1)
-        return unordered_pair_index(move_p1(m, i, ell), move_p1(m, j, ell), n - 1)
+        i, j = np.triu_indices(ell + 1, 1)
+        return unordered_pair_index(move_p1(m, i, ell), move_p1(m, j, ell), ell)
     if tag == "ordered_pairs":
-        i, j = np.nonzero(~np.eye(n, dtype=bool))
-        return ordered_pair_index(move_p1(m, i, ell), move_p1(m, j, ell), n - 1)
+        i, j = np.nonzero(~np.eye(ell + 1, dtype=bool))
+        return ordered_pair_index(move_p1(m, i, ell), move_p1(m, j, ell), ell)
     if tag in ("H_ell", "C_ell"):
         n = ctx.r if tag == "H_ell" else ell - 1
         x, y = np.divmod(np.arange(ell * n), n)

@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import pytest
 
 import cartanmaps
 from cartanmaps.cli import (
+    DEFAULT_MAX_ELL,
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -53,6 +56,28 @@ def test_verify_respects_ell_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "--ell", "103")
     assert code == EXIT_USAGE
     assert "--max-ell-unsafe" in err
+
+
+def test_verify_range_above_cap_is_refused_before_enumerating(capsys, monkeypatch):
+    import cartanmaps.cli as cli_mod
+
+    tested = []
+    odd_prime = cli_mod.is_odd_prime
+
+    def bounded(n):
+        tested.append(n)
+        if len(tested) > DEFAULT_MAX_ELL:
+            raise AssertionError("the range is being enumerated past the cap")
+        return odd_prime(n)
+
+    monkeypatch.setattr(cli_mod, "is_odd_prime", bounded)
+    code, out, err = run_cli(capsys, "verify", "--ell-range", "3..100000000")
+    assert code == EXIT_USAGE
+    assert out == "" and "--max-ell-unsafe" in err
+    # a range that ends at the cap is still read
+    args = argparse.Namespace(ell=None, ell_range=f"90..{DEFAULT_MAX_ELL}",
+                              max_ell_unsafe=False)
+    assert cli_mod._parse_ells(args) == [97, 101]
 
 
 def test_verify_invalid_epsilon_or_root(capsys):
@@ -134,8 +159,8 @@ def test_verify_skip_cosets(capsys):
 def test_verify_nonconclusive_exit_code(capsys, monkeypatch):
     import cartanmaps.cli as cli_mod
 
-    def fake_rank_certificate(m, ctx):
-        rows, cols = m.shape
+    def fake_rank_certificate(shape, torus_rank, dense, ctx):
+        rows, cols = shape
         return RankCertificate(rows, cols, min(rows, cols), ((999983, 1),),
                                "multi-prime stabilized", False)
 
@@ -148,8 +173,8 @@ def test_verify_nonconclusive_exit_code(capsys, monkeypatch):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import cartanmaps.cli as cli_mod
 
-    def fake_rank_certificate(m, ctx):
-        rows, cols = m.shape
+    def fake_rank_certificate(shape, torus_rank, dense, ctx):
+        rows, cols = shape
         return RankCertificate(rows, cols, 1, ((3, 1),), "single-prime full rank", True)
 
     monkeypatch.setattr(cli_mod, "_rank_certificate", fake_rank_certificate)
@@ -275,3 +300,17 @@ def test_run_verification_report_shape():
     assert report["equivariance"]["psi_plus"] and report["equivariance"]["psi"]
     assert set(report["h_s_ranks"]) == {1, 2, 3, 4}
     assert report["ok"]
+
+
+def test_tracer_names_stay_cli_attributes():
+    """perfbench/tracer.py times `cli.<name>` for every name in its TIMED
+    table, so --trace 1 needs each of them, called by verify or not."""
+    import cartanmaps.cli as cli_mod
+
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [name for name in tracer.TIMED if not hasattr(cli_mod, name)]
+    assert tracer.TIMED and missing == []

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,54 +8,66 @@ import cartanmaps.cli as cli_mod
 from cartanmaps import correspondence
 from cartanmaps.cli import AUX_RANK_PRIME, aux_rank_prime, main
 from cartanmaps.correspondence import (
+    CoefficientScheme,
     OperatorMatrix,
     build_H_s,
     build_psi,
     build_psi_plus,
     check_equivariance_incidence,
     check_equivariance_psi,
+    check_equivariance_psi_plus,
+    combined_torus_ranks,
+    geodesic_incidence,
     incidence_operator,
     incidence_torus_columns,
     incidence_torus_ranks,
     path_incidence,
     restrict_to_affine,
-    torus_rank_mod_p,
 )
 from cartanmaps.exact_linalg import RankPolicy, rank_exact, rank_mod_p, rank_mod_p_stack
-from cartanmaps.geometry import (
-    GroupElement,
-    OrderedPair,
-    UnorderedPair,
-    mobius_act,
-    permutation,
-)
 from cartanmaps.modular_arith import PrimeContext, is_odd_prime, is_prime
 from cartanmaps.cli import run_verification
 
 from conftest import PRIMES_SMALL
 
 
-def operators(ctx):
-    yield "psi+", build_psi_plus(ctx)
-    yield "psi", build_psi(ctx)
-    for s in range(1, ctx.ell):
-        yield f"H_{s}", build_H_s(ctx, s)
+def incidence_route(ctx, p, scale=1):
+    """(name, (rank, affine rank) mod p from the incidence arrays, dense
+    operator, side) for psi+, psi and every H_s; every weight times scale."""
+    ell = ctx.ell
+    geodesics = incidence_torus_columns(geodesic_incidence(ctx), ctx)
+    yield "psi+", combined_torus_ranks([geodesics], [scale], p, ctx), build_psi_plus(ctx), "N"
+    scheme = CoefficientScheme.standard(ctx)
+    reps = [incidence_torus_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
+    weights = [scale * scheme.combined(s) for s in range(1, ell)]
+    yield "psi", combined_torus_ranks(reps, weights, p, ctx), build_psi(ctx), "C"
+    # the weights matter: all slopes weighted 0 but one
+    only_h_2 = [scale * (s == 2 % ell) for s in range(1, ell)]
+    yield "H_2 of psi's terms", combined_torus_ranks(reps, only_h_2, p, ctx), \
+        build_H_s(ctx, 2 % ell), "C"
+    for s, rep in enumerate(reps, start=1):
+        yield f"H_{s}", combined_torus_ranks([rep], [scale], p, ctx), build_H_s(ctx, s), "C"
+
+
+def check_incidence_route(ctx, p, scale=1):
+    """The incidence route's ranks equal dense rank_mod_p of each operator
+    and of its affine restriction."""
+    for name, ranks, m, side in incidence_route(ctx, p, scale):
+        want = (rank_mod_p(m, p), rank_mod_p(restrict_to_affine(m, side), p))
+        assert ranks == want, (name, p)
 
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
 def test_torus_rank_matches_dense_rank(ell, contexts):
-    ctx = contexts[ell]
     for p in (ell, aux_rank_prime(ell)):
-        for name, m in operators(ctx):
-            assert torus_rank_mod_p(m, p, ctx) == rank_mod_p(m, p), (name, p)
+        check_incidence_route(contexts[ell], p)
 
 
 def test_torus_rank_under_nondefault_context():
     ctx = PrimeContext(13, 5, 7)  # 5 is a non-square and 7 a primitive root mod 13
     assert (ctx.epsilon, ctx.g) == (5, 7)
     for p in (13, aux_rank_prime(13)):
-        for name, m in operators(ctx):
-            assert torus_rank_mod_p(m, p, ctx) == rank_mod_p(m, p), (name, p)
+        check_incidence_route(ctx, p)
 
 
 @pytest.mark.parametrize("ell", (5, 7))
@@ -64,32 +77,87 @@ def test_torus_rank_at_a_prime_too_large_for_float64_blocks(ell, contexts):
     ctx = contexts[ell]
     start = (1 << 30) - (1 << 30) % (ell - 1) + 1  # 1 mod ell - 1
     p = next(q for q in range(start, 1 << 31, ell - 1) if is_prime(q))
-    for name, m in operators(ctx):
-        want = rank_mod_p(m, p)
-        assert torus_rank_mod_p(m, p, ctx) == want, name
-        # a unit multiple has the same rank, and residues near p in the blocks
-        scaled = OperatorMatrix(m.row_basis, m.col_basis, m.data.astype(np.int64) * (p // 3))
-        assert torus_rank_mod_p(scaled, p, ctx) == want, name
+    check_incidence_route(ctx, p)
+    # a unit multiple has the same rank, and residues near p in the blocks
+    check_incidence_route(ctx, p, scale=p // 3)
+
+
+@pytest.mark.parametrize("ell", (5, 7))
+def test_affine_rank_reads_only_the_affine_columns(ell, contexts):
+    """H_1 minus an operator that agrees with H_1 on the affine pairs and
+    with H_2 at infinity vanishes on the affine columns only."""
+    ctx = contexts[ell]
+    h_1, h_2 = path_incidence(ctx, 1), path_incidence(ctx, 2)
+    affine = [pair.is_affine for pair in incidence_operator(ctx, h_1).col_basis]
+    mixed = np.where(affine, h_1, h_2)
+    reps = [incidence_torus_columns(idx, ctx) for idx in (h_1, mixed)]
+    m = incidence_operator(ctx, h_1)
+    m = OperatorMatrix(m.row_basis, m.col_basis, m.data - incidence_operator(ctx, mixed).data)
+    for p in (ell, aux_rank_prime(ell)):
+        rank, affine_rank = combined_torus_ranks(reps, [1, -1], p, ctx)
+        assert affine_rank == rank_mod_p(restrict_to_affine(m, "C"), p) == 0
+        assert rank == rank_mod_p(m, p) > 0
 
 
 def test_torus_rank_rejects_primes_without_the_characters(contexts):
     ctx = contexts[7]
-    m = build_H_s(ctx, 1)
+    rep = incidence_torus_columns(path_incidence(ctx, 1), ctx)
     with pytest.raises(ValueError, match="order 6"):
-        torus_rank_mod_p(m, 5, ctx)  # 6 does not divide 4
+        combined_torus_ranks([rep], [1], 5, ctx)  # 6 does not divide 4
     with pytest.raises(ValueError):
-        torus_rank_mod_p(m, AUX_RANK_PRIME, ctx)  # 6 does not divide 1048582
+        incidence_torus_ranks([rep], AUX_RANK_PRIME, ctx)  # 6 does not divide 1048582
+
+
+def failing_proof(target):
+    """check_equivariance_incidence, failing on psi+'s geodesic array or on
+    the path array of H_1."""
+    def check(idx, ctx):
+        if target == "psi+" and len(idx) == ctx.r:
+            return False
+        if target == "H_1" and len(idx) == ctx.ell - 1 and \
+                np.array_equal(idx, path_incidence(ctx, 1)):
+            return False
+        return check_equivariance_incidence(idx, ctx)
+    return check
 
 
 @pytest.mark.parametrize("ell", (3, 7))
-def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, contexts):
-    ctx = contexts[ell]
-    m = build_H_s(ctx, 1)
-    data = m.data.copy()
-    data[0, 0] ^= 1
-    broken = OperatorMatrix(m.row_basis, m.col_basis, data)
-    with pytest.raises(ValueError, match="not fixed"):
-        torus_rank_mod_p(broken, ell, ctx)
+def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeypatch):
+    """An operator whose generator proof fails gets no torus rank: its theorem
+    falls back to the dense escalation, with the same rank, and the run fails."""
+    ctx = PrimeContext(ell)
+    want = run_verification(ell)
+    dense_of = {"theorem1": (build_psi_plus(ctx), "N", "psi_plus"),
+                "theorem2": (build_psi(ctx), "C", "psi")}
+    ranked = cli_mod.combined_torus_ranks
+    for target, theorem in (("psi+", "theorem1"), ("H_1", "theorem2")):
+        ranked_reps = []
+
+        def recorded(reps, weights, p, ctx):
+            ranked_reps.append(len(reps))
+            return ranked(reps, weights, p, ctx)
+
+        monkeypatch.setattr(cli_mod, "combined_torus_ranks", recorded)
+        monkeypatch.setattr(cli_mod, "check_equivariance_incidence", failing_proof(target))
+        assert main(["verify", "--ell", str(ell)]) == 1
+        run = json.loads(capsys.readouterr().out)["runs"][0]
+        m, side, eq_key = dense_of[theorem]
+        dense = rank_exact(m, RankPolicy(preferred_primes=(ell,)))
+        assert run[theorem]["certificate"] == json.loads(json.dumps(dense.to_json()))
+        assert run[theorem]["certificate"]["method"] != "torus characters"
+        assert run[theorem]["rank"] == want[theorem]["rank"] == dense.rank
+        assert run[theorem]["restricted_nonsingular"] is True
+        assert run["equivariance"][eq_key] is False
+        assert "equivariance fails on a generator of GL2" in run["failures"]
+        other = ({"theorem1", "theorem2"} - {theorem}).pop()
+        assert run[other] == want[other]
+        # only the proved operator was ranked by its torus blocks
+        assert ranked_reps == ([ell - 1] if target == "psi+" else [1])
+        if target == "H_1":
+            assert run["equivariance"]["h_s"] is False
+            assert run["h_s_ranks"]["1"]["rank_mod_ell"] is None
+            assert {s: h for s, h in run["h_s_ranks"].items() if s != "1"} == \
+                {str(s): h for s, h in want["h_s_ranks"].items() if s != 1}
 
 
 @pytest.mark.parametrize("block_entries", (1, 1 << 17))
@@ -196,24 +264,23 @@ def test_h_s_equivariance_failure_is_reported(capsys, monkeypatch):
                for h in run["h_s_ranks"].values())
 
 
-def certified_operators(ctx):
-    psi_plus, psi = build_psi_plus(ctx), build_psi(ctx)
-    yield "psi+", psi_plus
-    yield "psi", psi
-    yield "psi+ affine", restrict_to_affine(psi_plus, "N")
-    yield "psi affine", restrict_to_affine(psi, "C")
-
-
 def cross_check_certificates(ctx):
+    """Both theorem certificates and restricted_nonsingular values of a run
+    against dense rank_exact and rank_mod_p of the operators."""
     ell = ctx.ell
-    for name, m in certified_operators(ctx):
-        cert = cli_mod._rank_certificate(m, ctx)
+    run = run_verification(ell, ctx.epsilon, ctx.g, skip_cosets=True)
+    for theorem, m, side in (("theorem1", build_psi_plus(ctx), "N"),
+                             ("theorem2", build_psi(ctx), "C")):
         dense = rank_exact(m, RankPolicy(preferred_primes=(ell,)))
         full = min(m.shape)
-        assert cert.rank == dense.rank == rank_mod_p(m, ell) == full, name
-        assert (cert.method, cert.witnesses, cert.conclusive) == \
-            ("torus characters", ((ell, full),), True), name
-        assert (cert.rows, cert.cols) == m.shape
+        assert run[theorem]["rank"] == dense.rank == rank_mod_p(m, ell) == full, theorem
+        assert run[theorem]["certificate"] == {
+            "rows": m.shape[0], "cols": m.shape[1], "rank": full,
+            "witnesses": [[ell, full]], "method": "torus characters", "conclusive": True,
+        }, theorem
+        restricted = restrict_to_affine(m, side)
+        assert rank_mod_p(restricted, ell) == len(restricted.col_basis) == m.shape[0]
+        assert run[theorem]["restricted_nonsingular"] is True, theorem
 
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
@@ -231,30 +298,11 @@ def test_rank_certificate_under_other_contexts():
 def test_rank_certificate_falls_back_below_full_rank(contexts):
     ctx = contexts[5]
     m = build_H_s(ctx, 2)
-    cert = cli_mod._rank_certificate(m, ctx)
-    assert cert.rank == 15 < min(m.shape) == 20
+    rank, _ = combined_torus_ranks([incidence_torus_columns(path_incidence(ctx, 2), ctx)],
+                                   [1], 5, ctx)
+    cert = cli_mod._rank_certificate(m.shape, rank, lambda: m, ctx)
+    assert cert.rank == rank == 15 < min(m.shape) == 20
     assert cert == rank_exact(m, RankPolicy(preferred_primes=(5,)))
-
-
-@pytest.mark.parametrize("ell", PRIMES_SMALL)
-def test_affine_pair_permutations(ell, contexts):
-    """Elements fixing infinity permute the affine pairs in the column order
-    of restrict_to_affine; an element moving infinity is refused."""
-    ctx = contexts[ell]
-    acts = {
-        "N": lambda h, e: UnorderedPair(mobius_act(h, e.lo, ell),
-                                        mobius_act(h, e.hi, ell)),
-        "C": lambda h, e: OrderedPair(mobius_act(h, e.first, ell),
-                                      mobius_act(h, e.second, ell)),
-    }
-    for side, m in (("N", build_psi_plus(ctx)), ("C", build_psi(ctx))):
-        basis = restrict_to_affine(m, side).col_basis
-        for h in (GroupElement(ctx.g, 0, 0, 1), GroupElement(1, 1, 0, 1)):
-            perm = permutation(h, basis.tag, ctx).tolist()
-            assert sorted(perm) == list(range(len(basis)))
-            assert [basis.elements[i] for i in perm] == [acts[side](h, e) for e in basis]
-        with pytest.raises(ValueError, match="infinity"):
-            permutation(GroupElement(1, 0, 1, 1), basis.tag, ctx)
 
 
 def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):
@@ -281,6 +329,12 @@ def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def check_incidence_proofs(ctx):
+    geodesics = geodesic_incidence(ctx)
+    m = incidence_operator(ctx, geodesics)
+    assert m.shape == (ctx.ell * ctx.r, ctx.ell * (ctx.ell + 1) // 2)
+    assert (m.data.sum(axis=0) == ctx.r).all()
+    assert check_equivariance_incidence(geodesics, ctx) is True
+    assert check_equivariance_psi_plus(m, ctx) is True
     for s in range(1, ctx.ell):
         idx = path_incidence(ctx, s)
         m = incidence_operator(ctx, idx)
@@ -302,7 +356,8 @@ def mutated_incidences(idx):
     """A moved entry (to a row outside its column) and two swapped columns."""
     for j in (0, idx.shape[1] // 2, idx.shape[1] - 1):
         moved = idx.copy()
-        moved[1, j] = np.setdiff1d(np.arange(idx.max() + 1), idx[:, j])[j % 3]
+        outside = np.setdiff1d(np.arange(idx.max() + 1), idx[:, j])
+        moved[-1, j] = outside[j % len(outside)]
         yield f"moved in column {j}", moved
     other = int(np.flatnonzero((idx != idx[:, :1]).any(axis=0))[-1])
     swapped = idx.copy()
@@ -313,17 +368,19 @@ def mutated_incidences(idx):
 @pytest.mark.parametrize("ell", (3, 7))
 def test_incidence_proof_sees_moved_entries_and_swapped_columns(ell, contexts):
     ctx = contexts[ell]
-    for s in range(1, ell):
-        for what, idx in mutated_incidences(path_incidence(ctx, s)):
+    arrays = [("psi+", geodesic_incidence(ctx))]
+    arrays += [(f"H_{s}", path_incidence(ctx, s)) for s in range(1, ell)]
+    for name, array in arrays:
+        for what, idx in mutated_incidences(array):
             dense = check_equivariance_psi(incidence_operator(ctx, idx), ctx)
-            assert check_equivariance_incidence(idx, ctx) is dense is False, (s, what)
+            assert check_equivariance_incidence(idx, ctx) is dense is False, (name, what)
 
 
 def check_h_s_ranks(ctx):
     """The phase's ranks, and the stacked ranks of every slope at both primes,
-    equal torus_rank_mod_p on the dense H_s."""
+    equal dense rank_mod_p of the H_s."""
     ell, aux = ctx.ell, aux_rank_prime(ctx.ell)
-    dense = {p: [torus_rank_mod_p(build_H_s(ctx, s), p, ctx) for s in range(1, ell)]
+    dense = {p: [rank_mod_p(build_H_s(ctx, s), p) for s in range(1, ell)]
              for p in (ell, aux)}
     reps = [incidence_torus_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
     for p in (ell, aux):
@@ -379,14 +436,26 @@ def test_h_s_ranks_do_not_depend_on_the_stack_budget(slopes_per_stack, monkeypat
     assert len(aux) == -(-low // slopes_per_stack) > 1  # the re-rank is split
 
 
-def test_verify_builds_no_dense_h_s(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a dense H_s was built")
+def refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"verify called {what}")
+    return refused
 
-    monkeypatch.setattr(cli_mod, "build_H_s", refuse)
-    monkeypatch.setattr(correspondence, "build_H_s", refuse)
-    monkeypatch.setattr(cli_mod, "incidence_operator", refuse)
+
+def test_verify_builds_no_dense_h_s(monkeypatch):
+    densified = []
+    operator = cli_mod.incidence_operator
+
+    def geodesics_only(ctx, idx):
+        assert len(idx) == ctx.r, "a dense H_s was built"
+        densified.append(ctx.ell)
+        return operator(ctx, idx)
+
+    monkeypatch.setattr(cli_mod, "build_H_s", refuse("build_H_s"))
+    monkeypatch.setattr(correspondence, "build_H_s", refuse("build_H_s"))
+    monkeypatch.setattr(cli_mod, "incidence_operator", geodesics_only)
     assert main(["verify", "--ell-range", "11..13"]) == 0
+    assert densified == [11, 13]  # psi+, once per prime
 
 
 def test_coincidence_densifies_the_ranked_incidences(capsys, monkeypatch):
@@ -407,5 +476,32 @@ def test_coincidence_densifies_the_ranked_incidences(capsys, monkeypatch):
     runs = json.loads(capsys.readouterr().out)["runs"]
     assert all(run["coincidence"] == {"checked": True, "psi_plus": True, "h_s": True}
                for run in runs)
-    assert len(densified) == len(ranked) == 2 + 4 + 6
+    # per prime: psi+'s geodesic array, then the path array of every slope
+    assert len(densified) == len(ranked) == (1 + 2) + (1 + 4) + (1 + 6)
     assert all(a is b for a, b in zip(densified, ranked))
+
+
+def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):
+    """No dense psi, restriction or dense equivariance proof, and one path
+    pass per slope, shared by theorem2 and the h_s phase."""
+    for name in ("build_psi", "restrict_to_affine", "check_equivariance_psi",
+                 "check_equivariance_psi_plus"):
+        monkeypatch.setattr(cli_mod, name, refuse(name))
+    passes = Counter()
+    path = cli_mod.path_incidence
+
+    def counted(ctx, s):
+        passes[ctx.ell] += 1
+        return path(ctx, s)
+
+    monkeypatch.setattr(cli_mod, "path_incidence", counted)
+    assert main(["verify", "--ell-range", "3..13"]) == 0
+    assert passes == {ell: ell - 1 for ell in PRIMES_SMALL}
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert all(run["equivariance"]["psi_plus"] and run["equivariance"]["psi"]
+               for run in runs)
+    passes.clear()
+    assert main(["verify", "--ell-range", "3..7", "--all-epsilon"]) == 0
+    assert passes == {3: 2, 5: 4, 7: 6}
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert all(e["ok"] for run in runs for e in run["all_epsilon"])

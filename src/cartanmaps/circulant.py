@@ -18,13 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correspondence import (
-    CoefficientScheme,
-    OperatorMatrix,
-    build_psi_plus,
-    restrict_to_affine,
-)
-from .geometry import orbit_to_tn, nonsplit_tn_to_tm, pair_to_tn, tn_to_tm
+from .correspondence import CoefficientScheme
+from .geometry import (enumerate_H, enumerate_pairs_unordered, nonsplit_tn_to_tm,
+                       orbit_to_tn, pair_to_tn, tn_to_tm)
 from .modular_arith import PrimeContext, binom_mod, multiplicative_order
 
 
@@ -66,30 +62,27 @@ def build_block_matrix_N(ctx: PrimeContext) -> BlockMatrixN:
     return BlockMatrixN(ell, ctx.epsilon, blocks)
 
 
-def verify_chart_conjugacy(ctx: PrimeContext,
-                           psi_plus: OperatorMatrix | None = None) -> bool:
-    """Check the chart-coordinate blocks equal the geometric matrix under the
-    row/column relabelings induced by the coordinate bijections."""
+def verify_chart_conjugacy(ctx: PrimeContext, geodesics: np.ndarray) -> bool:
+    """True iff psi+ on the affine pairs is the chart-coordinate operator: the
+    column of the pair with chart coordinates (t, m) has its ones at the rows
+    (T, M) with (T - t)^2 = m + M.  psi+ is read off its geodesic array
+    (geodesic_incidence); the row chart must be injective."""
     ell = ctx.ell
-    restricted = restrict_to_affine(psi_plus or build_psi_plus(ctx), "N")
-    # root_count_ind[u, v] = 1 iff v^2 = u (mod ell)
-    root_ind = np.zeros((ell, ell), dtype=np.int32)
-    for v in range(ell):
-        root_ind[v * v % ell, v] = 1
-    col_t = np.empty(len(restricted.col_basis), dtype=np.int64)
-    col_m = np.empty(len(restricted.col_basis), dtype=np.int64)
-    for ci, pair in enumerate(restricted.col_basis):
-        tm = tn_to_tm(pair_to_tn(pair, ctx), ctx)
-        col_t[ci], col_m[ci] = tm.t, tm.m
-    row_T = np.empty(len(restricted.row_basis), dtype=np.int64)
-    row_M = np.empty(len(restricted.row_basis), dtype=np.int64)
-    for ri, orbit in enumerate(restricted.row_basis):
-        tm = nonsplit_tn_to_tm(orbit_to_tn(orbit, ctx), ctx)
-        row_T[ri], row_M[ri] = tm.t, tm.m
-    m_plus_M = (col_m[None, :] + row_M[:, None]) % ell
-    diff = (row_T[:, None] - col_t[None, :]) % ell
-    chart = root_ind[m_plus_M, diff]
-    return bool(np.array_equal(np.asarray(restricted.data, dtype=np.int32), chart))
+    T, M = np.array([nonsplit_tn_to_tm(orbit_to_tn(w, ctx), ctx)
+                     for w in enumerate_H(ctx)]).T
+    row_at = np.full((ell, ell), -1, dtype=np.int64)
+    row_at[T, M] = np.arange(len(T))
+    if (row_at >= 0).sum() != len(T):
+        return False
+    pairs = enumerate_pairs_unordered(ctx)
+    affine = [j for j, pair in enumerate(pairs) if pair.is_affine]
+    t, m = np.array([tn_to_tm(pair_to_tn(pairs[j], ctx), ctx) for j in affine]).T
+    # the row at T = t + d has M = d^2 - m; the -1 entries (no row) sort first
+    d = np.arange(ell, dtype=np.int64)[:, None]
+    chart = np.sort(row_at[(t + d) % ell, (d * d - m) % ell], axis=0)
+    k = len(geodesics)
+    return bool(((chart >= 0).sum(axis=0) == k).all()
+                and np.array_equal(chart[-k:], np.sort(geodesics[:, affine], axis=0)))
 
 
 @dataclass(frozen=True)

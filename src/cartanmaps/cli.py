@@ -57,12 +57,13 @@ from .cosets import (
     NORMALIZER_NONSPLIT,
     NORMALIZER_SPLIT,
     SPLIT_CARTAN,
-    coset_operator,
+    coset_incidence,
+    coset_operator,  # noqa: F401
     decompose,
     enumerate_subgroup,
 )
-# rank_mod_p, rank_exact and the correspondence names marked F401 stay
-# importable as cli attributes even where verify no longer calls them:
+# rank_mod_p, rank_exact and the names marked F401 above stay importable as
+# cli attributes even where verify no longer calls them:
 # perfbench/tracer.py wraps every name of its TIMED table here, for --trace 1.
 from .exact_linalg import (  # noqa: F401
     RankCertificate,
@@ -103,6 +104,16 @@ log = logging.getLogger("cartanmaps")
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_USAGE: argparse's own
+    code 2 means a non-conclusive rank certificate here.  add_subparsers
+    makes its subparsers of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 @contextmanager
@@ -241,17 +252,16 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
 
     check_coincidence = not skip_cosets and ell <= COINCIDENCE_BOUND
     with _phase(timings, "theorem1"):
-        # proved and ranked on its geodesic array; the dense psi+ serves chart
-        # conjugacy and the coset coincidence
+        # proved and ranked on its geodesic array, which chart conjugacy and
+        # the coset coincidence read too
         geodesics = geodesic_incidence(ctx)
-        psi_plus = incidence_operator(ctx, geodesics)
         # its columns list distinct rows, so each column sum is len(geodesics)
         if len(geodesics) != ctx.r:
             failures.append(f"psi+ column sums differ from {ctx.r}")
         ranks = _psi_plus_ranks(geodesics, ctx)
         eq_plus = ranks is not None
-        section, f1, n1 = _theorem_section(psi_plus.shape, ranks, lambda: psi_plus,
-                                           "N", n_H, ctx)
+        section, f1, n1 = _theorem_section(
+            (n_H, n_up), ranks, lambda: incidence_operator(ctx, geodesics), "N", n_H, ctx)
         report["theorem1"] = section
         failures += f1
         nonconclusive += n1
@@ -280,7 +290,7 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         nonconclusive += n2
 
     with _phase(timings, "chart_conjugacy"):
-        chart_ok = verify_chart_conjugacy(ctx, psi_plus)
+        chart_ok = verify_chart_conjugacy(ctx, geodesics)
         report["chart_conjugacy"] = chart_ok
         if not chart_ok:
             failures.append("chart-coordinate matrix differs from geometric matrix")
@@ -384,10 +394,10 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
 
     if check_coincidence:
         with _phase(timings, "coincidence"):
-            op_plus = coset_operator(dec_n, ctx)
-            plus_ok = op_plus == psi_plus
-            hs_ok = all(coset_operator(dec_c[s], ctx)
-                        == incidence_operator(ctx, incidences[s])
+            # a column's sorted rows, repeats included, fix the operator's
+            # column, so the arrays are equal iff the operators are
+            plus_ok = np.array_equal(coset_incidence(dec_n, ctx), geodesics)
+            hs_ok = all(np.array_equal(coset_incidence(dec_c[s], ctx), incidences[s])
                         for s in range(1, ell))
             report["coincidence"] = {"checked": True, "psi_plus": plus_ok,
                                      "h_s": hs_ok}
@@ -447,6 +457,8 @@ def _verify_worker(item):
 # ---------------------------------------------------------------------------
 
 def _parse_ells(args) -> list[int]:
+    if args.ell is not None and args.ell_range is not None:
+        raise UsageError("--ell and --ell-range exclude each other")
     if args.ell is not None:
         if not is_odd_prime(args.ell):
             raise UsageError(f"--ell must be an odd prime, got {args.ell}")
@@ -694,7 +706,7 @@ def _add_context_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cartanmaps",
         description="Verify the coset-space correspondences for GL2(F_ell) "
                     "and export their matrices and certificates.",

@@ -204,24 +204,28 @@ def _object_transporter(kind: str, obj, ell: int) -> GroupElement:
     return GroupElement(obj.y, obj.x, 0, 1)
 
 
-def coset_operator(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> OperatorMatrix:
-    """Matrix of the induced map Z[G/H] -> Z[G/K] on the canonical bases.
-
-    Entry multiplicities count representatives landing on each codomain
-    object; only the four stabilizer identifications are supported.
-    """
+def coset_incidence(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> np.ndarray:
+    """The induced map Z[G/H] -> Z[G/K] on the canonical bases as an index
+    array: column j lists, in ascending order, the codomain object each
+    representative sends the j-th domain object to, repeats included.  Only
+    the four stabilizer identifications are supported."""
     ell = ctx.ell
     for side in (dec.H, dec.K):
         if side.kind not in _DOMAIN_BASES:
             raise ValueError(f"no basis identification for subgroup kind "
                              f"{side.kind!r}")
     col_basis = _DOMAIN_BASES[dec.H.kind](ctx)
-    row_basis = _DOMAIN_BASES[dec.K.kind](ctx)
     x = stack([_object_transporter(dec.H.kind, obj, ell) for obj in col_basis])
     moved = stack([mat_mul(alpha, dec.g, ell) for alpha in dec.representatives])
-    # (representatives, columns): the row each representative sends a column to
     keys = coset_key(dec.K, mat_mul(x, GroupElement(*(e[:, None] for e in moved)),
                                     ell), ctx)
-    data = np.zeros((len(row_basis), len(col_basis)), dtype=np.int32)
-    np.add.at(data, (keys, np.arange(len(col_basis))), 1)
-    return OperatorMatrix(row_basis, col_basis, data)
+    return np.sort(keys, axis=0)
+
+
+def coset_operator(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> OperatorMatrix:
+    """coset_incidence as a matrix, whose entries count the repeats."""
+    keys = coset_incidence(dec, ctx)
+    rows, cols = (_DOMAIN_BASES[side.kind](ctx) for side in (dec.K, dec.H))
+    data = np.zeros((len(rows), len(cols)), dtype=np.int32)
+    np.add.at(data, (keys, np.arange(len(cols))), 1)
+    return OperatorMatrix(rows, cols, data)

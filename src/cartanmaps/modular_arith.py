@@ -16,9 +16,6 @@ import numpy as np
 # Enough witnesses to make Miller-Rabin deterministic for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Below this, sqrt_mod scans all residues; above, Tonelli-Shanks.
-SQRT_SCAN_LIMIT = 10_000
-
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all inputs up to 64 bits."""
@@ -88,21 +85,15 @@ def _tonelli_shanks(a: int, ell: int) -> int:
     return r
 
 
-def sqrt_mod(a: int, ell: int, scan_limit: int = SQRT_SCAN_LIMIT) -> tuple[int, ...]:
-    """All x with x^2 = a (mod ell), sorted: (), (0,), or (x, ell-x).
-
-    Exhaustive scan for ell <= scan_limit, Tonelli-Shanks above; the output
-    contract is identical either way.
-    """
+def sqrt_mod(a: int, ell: int) -> tuple[int, ...]:
+    """All x with x^2 = a (mod ell), sorted: (), (0,), or (x, ell-x), by
+    Tonelli-Shanks."""
     a %= ell
     if a == 0:
         return (0,)
     if legendre(a, ell) == -1:
         return ()
-    if ell <= scan_limit:
-        x = next(x for x in range(1, ell) if x * x % ell == a)
-    else:
-        x = _tonelli_shanks(a, ell)
+    x = _tonelli_shanks(a, ell)
     return tuple(sorted((x, ell - x)))
 
 

@@ -27,6 +27,7 @@ from cartanmaps.correspondence import (
     build_psi_plus,
     check_equivariance_psi,
     check_equivariance_psi_plus,
+    geodesic_incidence,
     geodesic_points,
     path_points,
     restrict_to_affine,
@@ -191,7 +192,7 @@ def test_criterion_05_circulant_certificates(contexts):
         assert recs_c[0].residue == 1 % ell
         prod_c = circulant_det_mod(rm_c.combined_row, 1, ctx)
         assert prod_c == det_mod_p(rm_c.matrix(), ell) != 0, f"ell={ell}"
-        assert verify_chart_conjugacy(ctx)
+        assert verify_chart_conjugacy(ctx, geodesic_incidence(ctx))
     print("\n[criterion 5] PASS circulant certificates: residues = closed forms, "
           "nonzero, determinant product = direct determinant, ell<=31")
 

@@ -12,13 +12,22 @@ from cartanmaps.circulant import (
     reduce_mod_frak_L,
     verify_chart_conjugacy,
 )
+from cartanmaps import circulant
 from cartanmaps.correspondence import (
     CoefficientScheme,
     build_H_s,
     build_psi_plus,
+    geodesic_incidence,
     restrict_to_affine,
 )
 from cartanmaps.exact_linalg import det_mod_p
+from cartanmaps.geometry import (
+    NonsplitTM,
+    nonsplit_tn_to_tm,
+    orbit_to_tn,
+    pair_to_tn,
+    tn_to_tm,
+)
 from cartanmaps.modular_arith import PrimeContext, legendre
 
 from conftest import PRIMES_ALL, PRIMES_SMALL
@@ -204,7 +213,57 @@ def test_circulant_det_matches_direct_determinant(ell, contexts):
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
 def test_chart_conjugacy(ell, contexts):
-    assert verify_chart_conjugacy(contexts[ell])
+    """The check passes, and the dense psi+ on affine pairs has its ones
+    exactly where the chart condition (T - t)^2 = m + M holds."""
+    ctx = contexts[ell]
+    assert verify_chart_conjugacy(ctx, geodesic_incidence(ctx))
+    restricted = restrict_to_affine(build_psi_plus(ctx), "N")
+    for ci, pair in enumerate(restricted.col_basis):
+        t, m = tn_to_tm(pair_to_tn(pair, ctx), ctx)
+        for ri, orbit in enumerate(restricted.row_basis):
+            T, M = nonsplit_tn_to_tm(orbit_to_tn(orbit, ctx), ctx)
+            assert restricted.data[ri, ci] == (pow(T - t, 2, ell) == (m + M) % ell)
+
+
+CHART_CONTEXTS = [(ell, None, None) for ell in PRIMES_SMALL] + [(13, 5, 7)]
+
+
+@pytest.mark.parametrize("ell,eps,root", CHART_CONTEXTS)
+def test_chart_conjugacy_sees_moved_entries_and_swapped_columns(ell, eps, root):
+    ctx = PrimeContext(ell, eps, root)
+    geodesics = geodesic_incidence(ctx)
+    pairs = build_psi_plus(ctx).col_basis
+    affine = [j for j, pair in enumerate(pairs) if pair.is_affine]
+    at_inf = [j for j, pair in enumerate(pairs) if not pair.is_affine]
+
+    def moved(j):
+        """geodesics with the last entry of column j moved to a row outside it."""
+        out = geodesics.copy()
+        out[-1, j] = min(set(range(ell * ctx.r)) - set(out[:, j].tolist()))
+        return out
+
+    assert not verify_chart_conjugacy(ctx, moved(affine[0]))
+    assert not verify_chart_conjugacy(ctx, moved(affine[-1]))
+    swapped = geodesics.copy()
+    swapped[:, [affine[0], affine[-1]]] = swapped[:, [affine[-1], affine[0]]]
+    assert not verify_chart_conjugacy(ctx, swapped)
+    # every column one point short
+    assert not verify_chart_conjugacy(ctx, geodesics[1:])
+    # a pair through infinity has no chart coordinates, so its column is not read
+    assert verify_chart_conjugacy(ctx, moved(at_inf[0]))
+
+
+def test_chart_conjugacy_needs_an_injective_row_chart(contexts, monkeypatch):
+    """A row chart that names two rows alike fails before any column is read."""
+    ctx = contexts[7]
+
+    def unread(*args):
+        raise AssertionError("a column was read")
+
+    monkeypatch.setattr(circulant, "nonsplit_tn_to_tm",
+                        lambda tn, ctx: NonsplitTM(tn.t, 0))
+    monkeypatch.setattr(circulant, "tn_to_tm", unread)
+    assert not verify_chart_conjugacy(ctx, geodesic_incidence(ctx))
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])

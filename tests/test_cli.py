@@ -52,6 +52,38 @@ def test_verify_composite_is_usage_error(capsys):
     assert run_cli(capsys, "verify")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [["verify", "--ell", "abc"],
+                                  ["verify", "--ell", "5", "--bogus"],
+                                  ["export", "--ell", "5"],
+                                  ["bogus"]])
+def test_argparse_errors_exit_with_the_usage_code(argv, capsys):
+    """argparse's own code 2 would read as a non-conclusive certificate."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+def test_ell_and_ell_range_exclude_each_other(capsys, monkeypatch):
+    import cartanmaps.cli as cli_mod
+
+    def refused(*args, **kwargs):
+        raise AssertionError("verification started")
+
+    monkeypatch.setattr(cli_mod, "run_verification", refused)
+    code, out, err = run_cli(capsys, "verify", "--ell", "5", "--ell-range", "3..7")
+    assert code == EXIT_USAGE and out == ""
+    assert "--ell-range" in err
+
+
 def test_verify_respects_ell_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "--ell", "103")
     assert code == EXIT_USAGE

@@ -67,7 +67,7 @@ def test_sqrt_mod_counts(ell):
 
 
 def test_sqrt_mod_tonelli_branch():
-    # large enough to take the Tonelli-Shanks path, both 1 mod 4 and 3 mod 4
+    # primes beyond the sweep, both 1 mod 4 and 3 mod 4
     for ell in (10007, 10009):
         assert is_prime(ell)
         for a in (2, 3, 12345, ell - 1):

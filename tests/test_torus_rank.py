@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cartanmaps.cli as cli_mod
-from cartanmaps import correspondence
+from cartanmaps import correspondence, cosets
 from cartanmaps.cli import AUX_RANK_PRIME, aux_rank_prime, main
 from cartanmaps.correspondence import (
     CoefficientScheme,
@@ -442,43 +442,77 @@ def refuse(what):
     return refused
 
 
-def test_verify_builds_no_dense_h_s(monkeypatch):
-    densified = []
-    operator = cli_mod.incidence_operator
+def test_verify_builds_no_dense_h_s(capsys, monkeypatch):
+    """A passing verify builds no dense operator: psi+, psi and every H_s
+    stay incidence arrays through the proofs, the ranks, chart conjugacy and
+    the coset coincidence."""
+    for module in (cli_mod, correspondence, cosets):
+        for name in ("incidence_operator", "build_psi_plus", "build_psi", "build_H_s",
+                     "coset_operator", "restrict_to_affine"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    assert main(["verify", "--ell-range", "3..13"]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [run["coincidence"]["checked"] for run in runs] == [True] * 3 + [False] * 2
+    assert main(["verify", "--ell-range", "3..7", "--all-epsilon"]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert all(eps["ok"] for run in runs for eps in run["all_epsilon"])
 
-    def geodesics_only(ctx, idx):
-        assert len(idx) == ctx.r, "a dense H_s was built"
-        densified.append(ctx.ell)
-        return operator(ctx, idx)
 
-    monkeypatch.setattr(cli_mod, "build_H_s", refuse("build_H_s"))
-    monkeypatch.setattr(correspondence, "build_H_s", refuse("build_H_s"))
-    monkeypatch.setattr(cli_mod, "incidence_operator", geodesics_only)
-    assert main(["verify", "--ell-range", "11..13"]) == 0
-    assert densified == [11, 13]  # psi+, once per prime
-
-
-def test_coincidence_densifies_the_ranked_incidences(capsys, monkeypatch):
-    ranked, densified = [], []
-    columns, operator = cli_mod.incidence_torus_columns, cli_mod.incidence_operator
+def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
+    ranked, coset_arrays, compared = [], [], []
+    columns, incidence, equal = (cli_mod.incidence_torus_columns,
+                                 cli_mod.coset_incidence, np.array_equal)
 
     def ranked_columns(idx, ctx):
         ranked.append(idx)
         return columns(idx, ctx)
 
-    def densify(ctx, idx):
-        densified.append(idx)
-        return operator(ctx, idx)
+    def recorded_incidence(dec, ctx):
+        coset_arrays.append(incidence(dec, ctx))
+        return coset_arrays[-1]
+
+    def array_equal(a, b, *args, **kwargs):
+        if any(a is c for c in coset_arrays):
+            compared.append(b)
+        return equal(a, b, *args, **kwargs)
 
     monkeypatch.setattr(cli_mod, "incidence_torus_columns", ranked_columns)
-    monkeypatch.setattr(cli_mod, "incidence_operator", densify)
+    monkeypatch.setattr(cli_mod, "coset_incidence", recorded_incidence)
+    monkeypatch.setattr(np, "array_equal", array_equal)
     assert main(["verify", "--ell-range", "3..7"]) == 0
     runs = json.loads(capsys.readouterr().out)["runs"]
     assert all(run["coincidence"] == {"checked": True, "psi_plus": True, "h_s": True}
                for run in runs)
     # per prime: psi+'s geodesic array, then the path array of every slope
-    assert len(densified) == len(ranked) == (1 + 2) + (1 + 4) + (1 + 6)
-    assert all(a is b for a, b in zip(densified, ranked))
+    assert len(compared) == len(ranked) == (1 + 2) + (1 + 4) + (1 + 6)
+    assert all(a is b for a, b in zip(compared, ranked))
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+@pytest.mark.parametrize("kind,section", [(cosets.NORMALIZER_NONSPLIT, "psi_plus"),
+                                          (cosets.NONSPLIT_CARTAN, "h_s")])
+def test_coincidence_sees_a_moved_coset_entry(ell, kind, section, capsys, monkeypatch):
+    """One entry of psi+'s coset array, or of the last slope's, moved to a
+    row outside its column fails that side of the coincidence."""
+    incidence = cli_mod.coset_incidence
+
+    def moved(dec, ctx):
+        keys = incidence(dec, ctx)
+        if dec.K.kind == kind and (kind != cosets.NONSPLIT_CARTAN
+                                   or dec.g == (1, ctx.ell - 1, 0, 1)):
+            # the array hits every row, so keys.max() + 1 is the row count
+            keys[-1, 0] = min(set(range(keys.max() + 1)) - set(keys[:, 0].tolist()))
+            keys = np.sort(keys, axis=0)
+        return keys
+
+    monkeypatch.setattr(cli_mod, "coset_incidence", moved)
+    assert main(["verify", "--ell", str(ell)]) == 1
+    run = json.loads(capsys.readouterr().out)["runs"][0]
+    want = {"checked": True, "psi_plus": True, "h_s": True}
+    want[section] = False
+    assert run["coincidence"] == want
+    assert run["failures"] == ["coset operator differs from the geometric map"]
 
 
 def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):

@@ -64,7 +64,6 @@ from .circulant import (
 )
 from .exact_linalg import (
     RankCertificate,
-    RankPolicy,
     det_exact_small,
     det_mod_p,
     rank_exact,

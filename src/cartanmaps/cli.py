@@ -67,7 +67,6 @@ from .cosets import (
 # perfbench/tracer.py wraps every name of its TIMED table here, for --trace 1.
 from .exact_linalg import (  # noqa: F401
     RankCertificate,
-    RankPolicy,
     det_mod_p,
     rank_exact,
     rank_mod_p,
@@ -133,13 +132,18 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _emit(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, default=_json_default)
+def _write(out_path: str | None, write) -> None:
+    """write(fh) on the --out file (checked by _check_out), else on stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            write(fh)
     else:
-        sys.stdout.write(text + "\n")
+        write(sys.stdout)
+
+
+def _emit(doc, out_path: str | None) -> None:
+    text = json.dumps(doc, indent=2, default=_json_default)
+    _write(out_path, lambda fh: fh.write(text + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +173,7 @@ def _rank_certificate(shape: tuple[int, int], torus_rank: int | None, dense,
     if torus_rank == min(rows, cols):
         return RankCertificate(rows, cols, torus_rank, ((ctx.ell, torus_rank),),
                                "torus characters", True)
-    return rank_exact(dense(), RankPolicy(preferred_primes=(ctx.ell,)))
+    return rank_exact(dense(), preferred_primes=(ctx.ell,))
 
 
 def _psi_plus_ranks(geodesics, ctx: PrimeContext) -> tuple[int, int] | None:
@@ -553,11 +557,7 @@ def cmd_export(args) -> int:
         raise UsageError(f"unknown map {args.map!r}")
     if args.restricted:
         m = restrict_to_affine(m, "N" if args.map == "psi-plus" else "C")
-    if args.out:
-        with open(args.out, "w") as fh:
-            m.write_csv(fh, ctx)
-    else:
-        m.write_csv(sys.stdout, ctx)
+    _write(args.out, lambda fh: m.write_csv(fh, ctx))
     return EXIT_OK
 
 
@@ -685,11 +685,7 @@ def cmd_plot(args) -> int:
         lines.append("x,y")
         lines += [f"{x},{y}" for (x, y) in pts]
         text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write(args.out, lambda fh: fh.write(text + "\n"))
     return EXIT_OK
 
 
@@ -766,10 +762,25 @@ def _configure_logging() -> None:
     )
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an --out path that cannot be written, before any work starts;
+    the file is neither created nor truncated here."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out {path}: no directory {parent}")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise UsageError(f"--out {path} is not writable")
+
+
 def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from .geometry import (
     permutation,
     stack,
 )
-from .exact_linalg import rank_mod_p_stack
+from .exact_linalg import check_float_modulus, rank_mod_p_stack
 from .modular_arith import PrimeContext, find_primitive_root
 
 
@@ -291,13 +291,9 @@ def restrict_to_affine(m: OperatorMatrix, side: str) -> OperatorMatrix:
 # ---------------------------------------------------------------------------
 # Equivariance: M intertwines the actions on its row and column bases iff
 # M[P_row(h)][:, P_col(h)] == M for every h in a generating set of GL2(F_ell).
-# verify reads the proof off the incidence arrays; the dense compare runs
-# over blocks of rows, so its temporaries stay near _CHECK_ENTRIES entries
-# and in cache (permuting a whole ell = 61 matrix at once was 5-7x slower).
+# verify reads the proof off the incidence arrays; the dense compare below
+# is the reference the tests check that proof against.
 # ---------------------------------------------------------------------------
-
-_CHECK_ENTRIES = 1 << 17
-
 
 @lru_cache(maxsize=16)
 def _generator_perms(ctx: PrimeContext, row_tag: str,
@@ -311,17 +307,11 @@ def _generator_perms(ctx: PrimeContext, row_tag: str,
     return perms
 
 
-def _fixed_by(m: OperatorMatrix, perms) -> bool:
-    """True iff m[p_row][:, p_col] == m for every (p_row, p_col) in perms."""
-    M = m.data
-    step = max(1, _CHECK_ENTRIES // max(1, M.shape[1]))
-    return all(np.array_equal(M[p_row[i:i + step]][:, p_col], M[i:i + step])
-               for p_row, p_col in perms for i in range(0, len(M), step))
-
-
 def check_equivariance_psi(m: OperatorMatrix, ctx: PrimeContext) -> bool:
     """The generator proof on a dense operator: psi, psi+ or an H_s."""
-    return _fixed_by(m, _generator_perms(ctx, m.row_basis.tag, m.col_basis.tag))
+    M = m.data
+    return all(np.array_equal(M[p_row][:, p_col], M) for p_row, p_col
+               in _generator_perms(ctx, m.row_basis.tag, m.col_basis.tag))
 
 
 check_equivariance_psi_plus = check_equivariance_psi
@@ -386,22 +376,22 @@ def _torus_blocks(cols: np.ndarray, row_tag: str, p: int,
     """The (ell - 1, row orbits, k) stack of character blocks B_a mod p from
     cols, the k columns M[:, c_j] at column-orbit representatives; columns of
     several operators on the same rows may stand side by side."""
+    check_float_modulus(p)
     n = ctx.ell - 1
     if (p - 1) % n:
         raise ValueError(f"F_{p} has no element of order {n}: "
                          f"{p} - 1 is not divisible by {n}")
     _, P = _torus_orbits(ctx, row_tag)
     omega = ctx.g if p == ctx.ell else pow(find_primitive_root(p), (p - 1) // n, p)
-    # B = W @ G mod p, summed in slices short enough to stay exact: in
-    # float64 (BLAS) while a product fits its 53-bit mantissa, else in int64
-    bits, dtype = (53, np.float64) if (p - 1) ** 2 < 1 << 52 else (63, np.int64)
-    step = max(1, ((1 << bits) - p) // (p - 1) ** 2)
+    # B = W @ G mod p in float64 (BLAS), summed in slices short enough that
+    # every partial sum stays below 2^53: at least 2 terms, as p < 2^26
+    step = ((1 << 53) - p) // (p - 1) ** 2
     shape = (n, P.shape[1], cols.shape[1])
     # fmod keeps each integer's class mod p and its size below p, several
     # times faster than % on floats; in-place updates keep at most three
     # stack-sized arrays alive
-    G = np.fmod(cols[P].astype(dtype).reshape(n, -1), p)
-    powers = np.array([pow(omega, t, p) for t in range(n)], dtype=dtype)
+    G = np.fmod(cols[P].astype(np.float64).reshape(n, -1), p)
+    powers = np.array([pow(omega, t, p) for t in range(n)], dtype=np.float64)
     k = np.arange(n)
     W = powers[np.outer(k, k) % n]
     B = np.fmod(W[:, :step] @ G[:step], p)

@@ -55,6 +55,14 @@ class SubgroupSpec:
     def element_set(self) -> frozenset[GroupElement]:
         return frozenset(self.elements)
 
+    @cached_property
+    def stacked(self) -> GroupElement:
+        """The elements as one GroupElement of read-only int64 arrays."""
+        entries = stack(self.elements)
+        for a in entries:
+            a.flags.writeable = False
+        return entries
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -168,12 +176,12 @@ def decompose(H: SubgroupSpec, g: GroupElement, K: SubgroupSpec,
     """
     ell = ctx.ell
     buckets: dict = {}
-    hs = stack(H.elements)
+    hs = H.stacked
     keys = coset_key(K, mat_mul(hs, g, ell), ctx)
     for h, key in zip(H.elements, keys.tolist()):
         buckets.setdefault(key, h)
     degree = len(buckets)
-    conj = mat_mul(mat_mul(g, stack(K.elements), ell), mat_inv(g, ell), ell)
+    conj = mat_mul(mat_mul(g, K.stacked, ell), mat_inv(g, ell), ell)
     # |H n gKg^-1|, matching the elements by their base-ell digits; a set
     # intersection, as np.isin sorts here and its first call adds ~1.4 MB RSS
     digits = (ell,) * 4

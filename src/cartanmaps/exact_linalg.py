@@ -2,10 +2,12 @@
 
 The mod-p engine eliminates in panels whose updates are applied as float64
 matrix products; the panel width is capped so every dot product stays below
-2^53 and is therefore exact. Larger primes fall back to an int64 per-pivot
-path. A stack of small matrices is ranked in one vectorized int64
-elimination. Fraction-free (Bareiss) elimination over Python ints provides
-the unconditionally exact route for small matrices.
+2^53 and is therefore exact.  Every float64 mod-p kernel (this engine and
+the torus blocks of `correspondence`) takes primes p < 2^26 only, where
+(p - 1)^2 < 2^52 leaves a panel at least 2 wide, and raises ValueError
+above.  A stack of small matrices is ranked in one vectorized int64
+elimination, for p < 2^31.  Fraction-free (Bareiss) elimination over Python
+ints provides the unconditionally exact route for small matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ import numpy as np
 from .modular_arith import is_prime
 
 _PANEL_CAP = 192
+FLOAT_PRIME_BOUND = 1 << 26  # the primes of every float64 mod-p kernel lie below
+# rank_exact's escalation after its preferred primes, and det_exact_small's bound
+_BAREISS_LIMIT = 256
+_RANDOM_PRIME_COUNT = 8
 _RANDOM_PRIME_RANGE = (1 << 24, 1 << 25)
+_STABILIZE_WINDOW = 3
+_SEED = 0
+_DET_EXACT_MAX_DIM = 64
 
 
 def _as_int_matrix(m) -> np.ndarray:
@@ -31,10 +40,13 @@ def _as_int_matrix(m) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def _panel_width(p: int) -> int:
+def check_float_modulus(p: int) -> None:
+    """Refuse a modulus outside the float64 kernels' domain 2 <= p < 2^26."""
     if p <= 1:
         raise ValueError("modulus must be >= 2")
-    return min(_PANEL_CAP, (1 << 53) // max(1, (p - 1) ** 2))
+    if p >= FLOAT_PRIME_BOUND:
+        raise ValueError(f"modulus {p} is not below 2^26, the bound of the "
+                         f"float64 mod-p kernels")
 
 
 def _echelon_float(A: np.ndarray, p: int) -> tuple[int, int]:
@@ -46,7 +58,7 @@ def _echelon_float(A: np.ndarray, p: int) -> tuple[int, int]:
     """
     m, n = A.shape
     W = np.mod(A, p).astype(np.float64)
-    width = _panel_width(p)
+    width = min(_PANEL_CAP, (1 << 53) // (p - 1) ** 2)
     F = np.zeros((m, width))
     R = np.zeros((width, n))
     slots = 0
@@ -94,52 +106,10 @@ def _echelon_float(A: np.ndarray, p: int) -> tuple[int, int]:
     return rank, det
 
 
-def _echelon_int64(A: np.ndarray, p: int) -> tuple[int, int]:
-    """Per-pivot int64 elimination; valid for p < 2^31."""
-    if p >= 1 << 31:
-        raise ValueError(f"modulus {p} does not fit the int64 elimination path")
-    m, n = A.shape
-    W = np.mod(A, p).astype(np.int64)
-    rank = 0
-    sign = 1
-    piv_prod = 1
-    for j in range(n):
-        if rank == m:
-            break
-        nz = np.nonzero(W[rank:, j])[0]
-        if nz.size == 0:
-            continue
-        i0 = rank + int(nz[0])
-        if i0 != rank:
-            W[[rank, i0], :] = W[[i0, rank], :]
-            sign = -sign
-        pv = int(W[rank, j])
-        piv_prod = piv_prod * pv % p
-        row = W[rank, :] * pow(pv, -1, p) % p
-        W[rank, :] = row
-        below = W[rank + 1:, j]
-        mask = below != 0
-        if mask.any():
-            W[rank + 1:, :][mask] = (
-                W[rank + 1:, :][mask] - np.outer(below[mask], row)
-            ) % p
-        rank += 1
-    det = sign * piv_prod % p if (m == n and rank == n) else 0
-    return rank, det
-
-
-def _echelon_mod_p(A: np.ndarray, p: int) -> tuple[int, int]:
-    if _panel_width(p) >= 4:
-        return _echelon_float(A, p)
-    return _echelon_int64(A, p)
-
-
 def rank_mod_p(m, p: int) -> int:
-    """Rank over F_p by Gaussian elimination."""
-    A = _as_int_matrix(m)
-    if A.size == 0:
-        return 0
-    return _echelon_mod_p(A, p)[0]
+    """Rank over F_p, p < 2^26, by Gaussian elimination."""
+    check_float_modulus(p)
+    return _echelon_float(_as_int_matrix(m), p)[0]
 
 
 def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
@@ -210,13 +180,12 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
 
 
 def det_mod_p(m, p: int) -> int:
-    """Determinant mod p of a square integer matrix."""
+    """Determinant mod p, p < 2^26, of a square integer matrix."""
     A = _as_int_matrix(m)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"determinant requires a square matrix, got {A.shape}")
-    if A.shape[0] == 0:
-        return 1 % p
-    return _echelon_mod_p(A, p)[1]
+    check_float_modulus(p)
+    return _echelon_float(A, p)[1]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -226,37 +195,12 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination (Python ints)."""
-    n = len(rows)
-    if n == 0:
-        return 1
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """(rank over Q, det) by fraction-free elimination with column skipping,
+    over Python ints; det is 0 unless the matrix is square of full rank."""
     a = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = _exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Exact rank over Q by fraction-free elimination with column skipping."""
-    m = len(rows)
-    if m == 0:
-        return 0
-    a = [list(map(int, r)) for r in rows]
-    n = len(a[0])
-    prev = 1
+    m, n = len(a), len(a[0]) if a else 0
+    sign = prev = 1
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
@@ -264,6 +208,7 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
             continue
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
         for i in range(rank + 1, m):
             for j in range(col + 1, n):
                 a[i][j] = _exact_div(a[i][j] * a[rank][col] - a[i][col] * a[rank][j], prev)
@@ -272,28 +217,18 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
         rank += 1
         if rank == m:
             break
-    return rank
+    return rank, sign * prev if m == n == rank else 0
 
 
-def det_exact_small(m, max_dim: int = 64) -> int:
+def det_exact_small(m) -> int:
     """Exact determinant over Z, restricted to small matrices (cross-checks only)."""
     A = _as_int_matrix(m)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"determinant requires a square matrix, got {A.shape}")
-    if A.shape[0] > max_dim:
-        raise ValueError(f"dimension {A.shape[0]} exceeds det_exact_small bound {max_dim}")
-    return _bareiss_det(A.tolist())
-
-
-@dataclass(frozen=True)
-class RankPolicy:
-    """How rank_exact escalates when the preferred primes are not conclusive."""
-
-    preferred_primes: tuple[int, ...] = ()
-    random_prime_count: int = 8
-    stabilize_window: int = 3
-    bareiss_limit: int = 256
-    seed: int = 0
+    if A.shape[0] > _DET_EXACT_MAX_DIM:
+        raise ValueError(f"dimension {A.shape[0]} exceeds det_exact_small bound "
+                         f"{_DET_EXACT_MAX_DIM}")
+    return _bareiss(A.tolist())[1]
 
 
 @dataclass(frozen=True)
@@ -324,32 +259,33 @@ def _random_prime(rng: random.Random) -> int:
             return cand
 
 
-def rank_exact(m, policy: RankPolicy | None = None) -> RankCertificate:
+def rank_exact(m, preferred_primes: tuple[int, ...] = ()) -> RankCertificate:
     """Rank over Q with a certificate.
 
-    Tries the policy's preferred primes first (full rank mod p is exact);
-    small matrices then go through fraction-free elimination (exact), larger
-    ones through random primes until the rank stabilizes (explicit
-    non-conclusive flag, never silent).
+    Tries the preferred primes (each below 2^26) first: full rank mod p is
+    exact.  Matrices of at most _BAREISS_LIMIT rows and columns then go
+    through fraction-free elimination (exact); larger ones through up to
+    _RANDOM_PRIME_COUNT random primes in (2^24, 2^25), drawn from a fixed
+    seed, until full rank or until the last _STABILIZE_WINDOW ranks agree
+    (explicit non-conclusive flag, never silent).
     """
-    policy = policy or RankPolicy()
     A = _as_int_matrix(m)
     rows, cols = A.shape
     full = min(rows, cols)
     witnesses: list[tuple[int, int]] = []
-    for p in policy.preferred_primes:
+    for p in preferred_primes:
         r = rank_mod_p(A, p)
         witnesses.append((p, r))
         if r == full:
             return RankCertificate(rows, cols, r, tuple(witnesses),
                                    "single-prime full rank", True)
-    if max(rows, cols) <= policy.bareiss_limit:
-        r = _bareiss_rank(A.tolist())
+    if max(rows, cols) <= _BAREISS_LIMIT:
+        r = _bareiss(A.tolist())[0]
         return RankCertificate(rows, cols, r, tuple(witnesses),
                                "fraction-free exact", True)
-    rng = random.Random(policy.seed)
+    rng = random.Random(_SEED)
     ranks: list[int] = []
-    for _ in range(policy.random_prime_count):
+    for _ in range(_RANDOM_PRIME_COUNT):
         p = _random_prime(rng)
         r = rank_mod_p(A, p)
         witnesses.append((p, r))
@@ -357,8 +293,8 @@ def rank_exact(m, policy: RankPolicy | None = None) -> RankCertificate:
         if r == full:
             return RankCertificate(rows, cols, r, tuple(witnesses),
                                    "single-prime full rank", True)
-        window = policy.stabilize_window
-        if len(ranks) >= window and len(set(ranks[-window:])) == 1:
+        if (len(ranks) >= _STABILIZE_WINDOW
+                and len(set(ranks[-_STABILIZE_WINDOW:])) == 1):
             break
     best = max(ranks) if ranks else 0
     return RankCertificate(rows, cols, best, tuple(witnesses),

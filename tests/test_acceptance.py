@@ -43,7 +43,6 @@ from cartanmaps.cosets import (
     enumerate_subgroup,
 )
 from cartanmaps.exact_linalg import (
-    RankPolicy,
     det_exact_small,
     det_mod_p,
     rank_exact,
@@ -81,7 +80,7 @@ def theorem1_sweep(contexts):
     for ell in PRIMES:
         ctx = contexts[ell]
         m = build_psi_plus(ctx)
-        cert = rank_exact(m, RankPolicy(preferred_primes=(ell,)))
+        cert = rank_exact(m, preferred_primes=(ell,))
         restricted = restrict_to_affine(m, "N")
         nonsingular = rank_mod_p(restricted, ell) == len(restricted.col_basis)
         results[ell] = (m, cert, nonsingular)
@@ -95,7 +94,7 @@ def theorem2_sweep(contexts):
     for ell in PRIMES:
         ctx = contexts[ell]
         m = build_psi(ctx, CoefficientScheme.standard(ctx))
-        cert = rank_exact(m, RankPolicy(preferred_primes=(ell,)))
+        cert = rank_exact(m, preferred_primes=(ell,))
         restricted = restrict_to_affine(m, "C")
         nonsingular = rank_mod_p(restricted, ell) == len(restricted.col_basis)
         results[ell] = (m, cert, nonsingular)
@@ -119,7 +118,7 @@ def test_criterion_01_half_plane_surjection(theorem1_sweep, contexts):
             ctx = PrimeContext(ell, eps)
             m = build_psi_plus(ctx)
             expected = ell * (ell - 1) // 2
-            cert = rank_exact(m, RankPolicy(preferred_primes=(ell,)))
+            cert = rank_exact(m, preferred_primes=(ell,))
             assert cert.rank == expected and cert.conclusive, f"ell={ell} eps={eps}"
             assert rank_mod_p(restrict_to_affine(m, "N"), ell) == expected
     print(f"\n[criterion 1] PASS half-plane surjection, ell<=31, all epsilon "

@@ -223,6 +223,32 @@ def test_verify_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["summary"]["ok"]
 
 
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_out_is_a_usage_error_before_any_work(target, tmp_path, capsys,
+                                                         monkeypatch):
+    import cartanmaps.cli as cli_mod
+
+    def refused(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli_mod, "run_verification", refused)
+    monkeypatch.setattr(cli_mod, "build_psi_plus", refused)
+    out = tmp_path / "missing" / "x.json" if target == "missing directory" else tmp_path
+    for argv in (["verify", "--ell", "3"], ["export", "--ell", "3", "--map", "psi-plus"]):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == EXIT_USAGE and stdout == ""
+        assert err.startswith("error: --out ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_out_check_leaves_an_existing_file_alone(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("kept\n")
+    code, stdout, err = run_cli(capsys, "verify", "--ell", "9", "--out", str(target))
+    assert code == EXIT_USAGE and stdout == "" and "odd prime" in err
+    assert target.read_text() == "kept\n"
+
+
 def test_export_psi_plus(capsys):
     code, out, _ = run_cli(capsys, "export", "--ell", "3", "--map", "psi-plus")
     assert code == EXIT_OK

@@ -64,6 +64,15 @@ def test_normalizer_normalizes(contexts):
         assert {mat_mul(mat_mul(n, c, 5), ninv, 5) for c in Cp} == Cp
 
 
+def test_stacked_elements_are_cached_and_read_only(contexts):
+    sub = enumerate_subgroup(NORMALIZER_NONSPLIT, contexts[5])
+    stacked = sub.stacked
+    assert sub.stacked is stacked
+    assert [tuple(m) for m in zip(*(a.tolist() for a in stacked))] == list(sub.elements)
+    with pytest.raises(ValueError):
+        stacked.a[0] = 0
+
+
 def test_custom_subgroup_witnesses(contexts):
     ctx = contexts[5]
     with pytest.raises(ValueError, match="identity"):

@@ -4,18 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cartanmaps import exact_linalg
 from cartanmaps.correspondence import build_psi_plus, restrict_to_affine
 from cartanmaps.exact_linalg import (
     RankCertificate,
-    RankPolicy,
-    _echelon_float,
-    _echelon_int64,
     det_exact_small,
     det_mod_p,
     rank_exact,
     rank_mod_p,
 )
 from cartanmaps.modular_arith import PrimeContext
+
+from conftest import oracle_mod_p
 
 
 def fraction_rank(rows) -> int:
@@ -79,47 +79,49 @@ def test_det_examples():
     assert d != 0 and det_mod_p(restricted, 3) == d % 3
 
 
-def test_det_validation():
+def test_det_validation(monkeypatch):
     with pytest.raises(ValueError):
         det_mod_p(np.zeros((2, 3), dtype=np.int64), 5)
     with pytest.raises(ValueError):
         det_exact_small(np.eye(65, dtype=np.int64))
-    det_exact_small(np.eye(65, dtype=np.int64), max_dim=65)
+    monkeypatch.setattr(exact_linalg, "_DET_EXACT_MAX_DIM", 65)
+    assert det_exact_small(np.eye(65, dtype=np.int64)) == 1
 
 
 def test_rank_exact_preferred_prime_path():
     ctx = PrimeContext(5)
-    cert = rank_exact(build_psi_plus(ctx), RankPolicy(preferred_primes=(5,)))
+    cert = rank_exact(build_psi_plus(ctx), preferred_primes=(5,))
     assert cert.rank == 10
     assert cert.conclusive
     assert cert.method == "single-prime full rank"
     assert cert.witnesses == ((5, 10),)
     # the 10x10 affine restriction is itself full rank through the same route
     restricted = restrict_to_affine(build_psi_plus(ctx), "N")
-    cert_r = rank_exact(restricted, RankPolicy(preferred_primes=(5,)))
+    cert_r = rank_exact(restricted, preferred_primes=(5,))
     assert restricted.shape == (10, 10)
     assert cert_r.rank == 10 and cert_r.conclusive
 
 
 def test_rank_exact_escalates_trivially():
-    cert = rank_exact(np.array([[1, 1], [1, 1]]), RankPolicy(preferred_primes=(5,)))
+    cert = rank_exact(np.array([[1, 1], [1, 1]]), preferred_primes=(5,))
     assert cert.rank == 1
     assert cert.conclusive
     assert cert.method == "fraction-free exact"
     assert cert.witnesses == ((5, 1),)
 
 
-def test_rank_exact_multi_prime_path():
-    # rank-8 product matrix, too big for the exact path under this policy
+def test_rank_exact_multi_prime_path(monkeypatch):
+    # rank-8 product matrix, too big for the exact path once its limit is 0
+    monkeypatch.setattr(exact_linalg, "_BAREISS_LIMIT", 0)
     rng = np.random.default_rng(11)
     A = rng.integers(-3, 4, size=(20, 8)) @ rng.integers(-3, 4, size=(8, 20))
-    policy = RankPolicy(bareiss_limit=0, random_prime_count=5,
-                        stabilize_window=2, seed=42)
-    cert = rank_exact(A, policy)
+    cert = rank_exact(A)
     assert cert.method == "multi-prime stabilized"
     assert not cert.conclusive
     assert cert.rank == fraction_rank(A.tolist()) == 8
     assert all(r == 8 for (_, r) in cert.witnesses)
+    # the random primes stop once the last _STABILIZE_WINDOW ranks agree
+    assert len(cert.witnesses) == exact_linalg._STABILIZE_WINDOW
 
 
 def test_rank_mod_p_is_lower_bound():
@@ -148,12 +150,25 @@ def test_fuzz_rank_and_det_500():
                 assert det_mod_p(np.array(A, dtype=np.int64), p) == d % p
 
 
-def test_float_and_int_engines_agree():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        A = rng.integers(-50, 50, size=(rng.integers(1, 30), rng.integers(1, 30)))
-        for p in (2, 31, 97, 1048583):
-            assert _echelon_float(A, p) == _echelon_int64(A, p)
+@pytest.mark.parametrize("p", (2, 3, 97, 1_048_583, 67_108_859))
+def test_rank_and_det_mod_p_match_the_oracle(p):
+    """Planted ranks, every other matrix square; 67108859 is the largest
+    prime below 2^26, where a float64 panel is 2 pivots wide."""
+    rng = np.random.default_rng(p)
+    for trial in range(40):
+        m, n = (int(v) for v in rng.integers(1, 25, size=2))
+        if trial % 2:
+            n = m
+        r = int(rng.integers(0, min(m, n) + 1))
+        left = rng.integers(0, p, size=(m, r, 1))
+        right = rng.integers(0, p, size=(1, r, n))
+        A = (left * right % p).sum(axis=1) % p
+        # residues of either sign, up to 3p in size
+        A += p * rng.integers(-3, 3, size=A.shape)
+        rank, det = oracle_mod_p(A.tolist(), p)
+        assert rank_mod_p(A, p) == rank, (trial, m, n)
+        if m == n:
+            assert det_mod_p(A, p) == det, (trial, m)
 
 
 def test_certificate_serialization():

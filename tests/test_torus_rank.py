@@ -24,11 +24,12 @@ from cartanmaps.correspondence import (
     path_incidence,
     restrict_to_affine,
 )
-from cartanmaps.exact_linalg import RankPolicy, rank_exact, rank_mod_p, rank_mod_p_stack
-from cartanmaps.modular_arith import PrimeContext, is_odd_prime, is_prime
+from cartanmaps.exact_linalg import det_mod_p, rank_exact, rank_mod_p, rank_mod_p_stack
+from cartanmaps.modular_arith import (PrimeContext, find_primitive_root, is_odd_prime,
+                                      is_prime)
 from cartanmaps.cli import run_verification
 
-from conftest import PRIMES_SMALL
+from conftest import PRIMES_SMALL, oracle_mod_p
 
 
 def incidence_route(ctx, p, scale=1):
@@ -70,16 +71,58 @@ def test_torus_rank_under_nondefault_context():
         check_incidence_route(ctx, p)
 
 
+def largest_float_prime(n: int) -> int:
+    """The largest prime below 2^26 that is 1 mod n."""
+    start = (1 << 26) - 1 - ((1 << 26) - 2) % n  # 1 mod n
+    return next(q for q in range(start, 0, -n) if is_prime(q))
+
+
 @pytest.mark.parametrize("ell", (5, 7))
 def test_torus_rank_at_a_prime_too_large_for_float64_blocks(ell, contexts):
-    """Above about 2^26 a product of two residues overflows the float64
-    mantissa, so the blocks are formed in int64."""
+    """From 2^26 on a product of two residues can overflow the float64
+    mantissa, so the blocks refuse the prime; at the largest prime below,
+    where a slice of the block product is 2 terms long, they stay exact."""
     ctx = contexts[ell]
-    start = (1 << 30) - (1 << 30) % (ell - 1) + 1  # 1 mod ell - 1
-    p = next(q for q in range(start, 1 << 31, ell - 1) if is_prime(q))
+    p = largest_float_prime(ell - 1)
+    assert p == 67_108_837
     check_incidence_route(ctx, p)
     # a unit multiple has the same rank, and residues near p in the blocks
     check_incidence_route(ctx, p, scale=p // 3)
+    too_large = next(q for q in range(p + ell - 1, 1 << 31, ell - 1) if is_prime(q))
+    with pytest.raises(ValueError, match=r"2\^26"):
+        check_incidence_route(ctx, too_large)
+
+
+def test_torus_blocks_stay_exact_at_the_largest_float64_prime(contexts):
+    """Residues just below p make every product of the block sums near
+    2^52, so only slices of 2 terms stay below 2^53; compared with the
+    block formula in Python ints."""
+    ctx = contexts[7]
+    n, p = ctx.ell - 1, largest_float_prime(6)
+    h, P = correspondence._torus_orbits(ctx, "C_ell")
+    cols = np.random.default_rng(0).integers(p - 1000, p, size=(len(h), 5))
+    omega = pow(find_primitive_root(p), (p - 1) // n, p)
+    want = [[[sum(pow(omega, a * k, p) * int(cols[P[k, i], j]) for k in range(n)) % p
+              for j in range(cols.shape[1])] for i in range(P.shape[1])]
+            for a in range(n)]
+    assert correspondence._torus_blocks(cols, "C_ell", p, ctx).tolist() == want
+
+
+def test_float_kernels_refuse_primes_from_2_to_the_26(contexts):
+    """Every float64 mod-p kernel names its bound, 2^26, also at a prime
+    that holds the torus characters."""
+    ctx = contexts[7]
+    idx = path_incidence(ctx, 1)
+    rep = incidence_torus_columns(idx, ctx)
+    m = incidence_operator(ctx, idx)
+    p = next(q for q in range(1 << 26, 1 << 27) if q % 6 == 1 and is_prime(q))
+    for kernel in (lambda: rank_mod_p(m, p), lambda: det_mod_p(np.eye(2), p),
+                   lambda: combined_torus_ranks([rep], [1], p, ctx),
+                   lambda: incidence_torus_ranks([rep], p, ctx)):
+        with pytest.raises(ValueError, match=r"not below 2\^26"):
+            kernel()
+    with pytest.raises(ValueError, match=r"2\^26"):
+        rank_mod_p(np.eye(2), 1 << 26)  # the bound itself, prime or not
 
 
 @pytest.mark.parametrize("ell", (5, 7))
@@ -142,7 +185,7 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
         assert main(["verify", "--ell", str(ell)]) == 1
         run = json.loads(capsys.readouterr().out)["runs"][0]
         m, side, eq_key = dense_of[theorem]
-        dense = rank_exact(m, RankPolicy(preferred_primes=(ell,)))
+        dense = rank_exact(m, preferred_primes=(ell,))
         assert run[theorem]["certificate"] == json.loads(json.dumps(dense.to_json()))
         assert run[theorem]["certificate"]["method"] != "torus characters"
         assert run[theorem]["rank"] == want[theorem]["rank"] == dense.rank
@@ -160,12 +203,9 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
                 {str(s): h for s, h in want["h_s_ranks"].items() if s != 1}
 
 
-@pytest.mark.parametrize("block_entries", (1, 1 << 17))
 @pytest.mark.parametrize("ell", (3, 7))
-def test_generator_check_sees_removed_and_added_entries(ell, block_entries,
-                                                        contexts, monkeypatch):
-    """Compared a row at a time or all at once, a lost or a new entry shows."""
-    monkeypatch.setattr(correspondence, "_CHECK_ENTRIES", block_entries)
+def test_generator_check_sees_removed_and_added_entries(ell, contexts):
+    """A lost or a new entry of a dense operator shows."""
     ctx = contexts[ell]
     m = build_H_s(ctx, 2 % ell)
     assert check_equivariance_psi(m, ctx)
@@ -192,11 +232,13 @@ def planted_stack(rng, batch, m, k, p):
 
 @pytest.mark.parametrize("p", (2, 3, 31, 1_048_609, 2_147_483_647))
 def test_rank_mod_p_stack_matches_rank_mod_p(p):
+    """Against the pure-Python oracle, which also reaches the primes above
+    2^26 that rank_mod_p refuses and the stack's deferred reduction serves."""
     rng = np.random.default_rng(p)
     for m, k in ((1, 1), (1, 7), (4, 4), (6, 9), (9, 5), (12, 12)):
         stack = planted_stack(rng, 12, m, k, p)
         got = rank_mod_p_stack(stack, p)
-        want = [rank_mod_p(a, p) for a in stack]
+        want = [oracle_mod_p(a.tolist(), p)[0] for a in stack]
         assert got.tolist() == want, (m, k)
         assert (got <= min(m, k)).all()
     # every member is reduced mod p first, like rank_mod_p
@@ -271,7 +313,7 @@ def cross_check_certificates(ctx):
     run = run_verification(ell, ctx.epsilon, ctx.g, skip_cosets=True)
     for theorem, m, side in (("theorem1", build_psi_plus(ctx), "N"),
                              ("theorem2", build_psi(ctx), "C")):
-        dense = rank_exact(m, RankPolicy(preferred_primes=(ell,)))
+        dense = rank_exact(m, preferred_primes=(ell,))
         full = min(m.shape)
         assert run[theorem]["rank"] == dense.rank == rank_mod_p(m, ell) == full, theorem
         assert run[theorem]["certificate"] == {
@@ -302,7 +344,7 @@ def test_rank_certificate_falls_back_below_full_rank(contexts):
                                    [1], 5, ctx)
     cert = cli_mod._rank_certificate(m.shape, rank, lambda: m, ctx)
     assert cert.rank == rank == 15 < min(m.shape) == 20
-    assert cert == rank_exact(m, RankPolicy(preferred_primes=(5,)))
+    assert cert == rank_exact(m, preferred_primes=(5,))
 
 
 def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):

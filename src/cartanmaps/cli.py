@@ -14,6 +14,7 @@ import logging
 import os
 import platform
 import re
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,23 +34,27 @@ from .circulant import (
     verify_chart_conjugacy,
 )
 from .correspondence import (
+    TORUS,
+    UNIPOTENT,
     CoefficientScheme,
+    block_shape,
     build_H_s,
     build_psi,
     build_psi_plus,
     check_equivariance_incidence,
     check_equivariance_psi,  # noqa: F401
     check_equivariance_psi_plus,  # noqa: F401
+    check_galois_commutes,
     combined_torus_ranks,
     geodesic_incidence,
     geodesic_points,
+    incidence_columns,
     incidence_operator,
-    incidence_torus_columns,
-    incidence_torus_ranks,
+    incidence_ranks,
+    is_galois_pair,
     path_incidence,
     path_points,
     restrict_to_affine,
-    torus_block_shape,
 )
 from .cosets import (
     IDENTITY,
@@ -99,6 +104,8 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
 log = logging.getLogger("cartanmaps")
+# one JSON line per phase end, at info
+phase_log = logging.getLogger("cartanmaps.phases")
 
 
 class UsageError(Exception):
@@ -115,11 +122,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _Timings(dict):
+    """The seconds each phase of one prime's run took, by phase name."""
+
+    def __init__(self, ell: int):
+        super().__init__()
+        self.ell = ell
+
+
 @contextmanager
-def _phase(timings: dict, name: str):
+def _phase(timings: _Timings, name: str):
     t0 = time.perf_counter()
     yield
     timings[name] = round(time.perf_counter() - t0, 6)
+    if phase_log.isEnabledFor(logging.INFO):
+        # ru_maxrss is the peak of this process, in KiB on Linux
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        phase_log.info(json.dumps({"ell": timings.ell, "phase": name,
+                                   "elapsed_s": timings[name],
+                                   "maxrss_mb": round(rss, 1)}))
 
 
 def _json_default(o):
@@ -151,9 +172,10 @@ def _emit(doc, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def aux_rank_prime(ell: int) -> int:
-    """The least prime >= AUX_RANK_PRIME that is 1 mod ell - 1, so that
-    F_p holds the (ell-1)-th roots of unity the torus characters need."""
-    n = ell - 1
+    """The least prime >= AUX_RANK_PRIME that is 1 mod ell(ell - 1), so that
+    F_p holds the ell-th roots of unity the unipotent characters need, and
+    the (ell-1)-th roots the torus characters need."""
+    n = ell * (ell - 1)
     p = AUX_RANK_PRIME + (1 - AUX_RANK_PRIME) % n
     while not is_prime(p):
         p += n
@@ -181,8 +203,7 @@ def _psi_plus_ranks(geodesics, ctx: PrimeContext) -> tuple[int, int] | None:
     of its geodesic array fails."""
     if not check_equivariance_incidence(geodesics, ctx):
         return None
-    return combined_torus_ranks([incidence_torus_columns(geodesics, ctx)], [1],
-                                ctx.ell, ctx)
+    return combined_torus_ranks([incidence_columns(geodesics, ctx)], [1], ctx.ell, ctx)
 
 
 def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dense,
@@ -221,7 +242,7 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
                      skip_cosets: bool = False,
                      strict_roots: bool = False, all_epsilon: bool = False) -> dict:
     """Full pipeline for one prime; returns the per-run report dict."""
-    timings: dict[str, float] = {}
+    timings = _Timings(ell)
     failures: list[str] = []
     nonconclusive: list[str] = []
     ctx = PrimeContext(ell, epsilon, root)
@@ -271,18 +292,37 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         nonconclusive += n1
 
     with _phase(timings, "theorem2"):
-        # One path pass per slope: its proof and its columns at the torus-orbit
-        # representatives serve psi (sum_s c_s H_s) here and H_s in the h_s phase
-        reps, incidences = {}, {}
+        # One path pass per slope, made in Galois pairs (s, ell - s).  A slope's
+        # columns at the torus-orbit representatives serve psi (sum_s c_s H_s)
+        # here and H_s in the h_s phase; its columns at the unipotent ones serve
+        # the auxiliary prime.  ell - s takes the proof and the ranks of s when
+        # J commutes with GL2 and maps the one array onto the other; otherwise
+        # it is proved and ranked on its own.
+        reps, unipotent_reps, paired, incidences = {}, {}, {}, {}
         col_ok = True
-        for s in range(1, ell):
-            idx = path_incidence(ctx, s)
+        galois_ok = check_galois_commutes(ctx)
+
+        def keep(t, idx, proved_by_pairing):
+            """Keep what slope t's path array serves; a slope that is not
+            paired is proved here and gets its unipotent columns."""
+            nonlocal col_ok
             # its columns list distinct rows, so each column sum is len(idx)
             col_ok = col_ok and len(idx) == ell - 1
-            if check_equivariance_incidence(idx, ctx):
-                reps[s] = incidence_torus_columns(idx, ctx)
             if check_coincidence:
-                incidences[s] = idx
+                incidences[t] = idx
+            if proved_by_pairing or check_equivariance_incidence(idx, ctx):
+                reps[t] = incidence_columns(idx, ctx)
+                if not proved_by_pairing:
+                    unipotent_reps[t] = incidence_columns(idx, ctx, UNIPOTENT)
+
+        for s in range(1, ctx.r + 1):
+            idx_s = path_incidence(ctx, s)
+            keep(s, idx_s, False)
+            idx_t = path_incidence(ctx, ell - s)
+            if galois_ok and s in reps and is_galois_pair(idx_s, idx_t, ctx):
+                paired[ell - s] = s
+            keep(ell - s, idx_t, ell - s in paired)
+            del idx_s, idx_t  # at most two path arrays are alive
         eq_hs = len(reps) == ell - 1
         ranks = (combined_torus_ranks(list(reps.values()),
                                       [scheme.combined(s) for s in reps], ell, ctx)
@@ -369,13 +409,20 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         # Observation only (no asserted expected value): the rank of a single
         # slope operator, conclusive when full rank is hit mod some prime.
         # The blocks of the proved slopes, read off the columns kept in
-        # theorem2, are ranked in shared stacks.  The aux prime must hold the
-        # (ell-1)-th roots of unity; it is needed only below full rank.
+        # theorem2, are ranked in shared stacks: mod ell the Weyl-paired torus
+        # characters, and only below full rank the two unipotent characters
+        # mod the aux prime.  A paired slope copies the ranks of its conjugate.
         aux = aux_rank_prime(ell)
         full = min(n_C, n_op)
-        r_ell = dict(zip(reps, incidence_torus_ranks(list(reps.values()), ell, ctx)))
-        low = [s for s, r in r_ell.items() if r < full]
-        r_aux = dict(zip(low, incidence_torus_ranks([reps[s] for s in low], aux, ctx)))
+        own = list(unipotent_reps)  # the slopes proved on their own
+        r_ell = dict(zip(own, incidence_ranks([reps[s] for s in own], ell, ctx, "weyl")))
+        low = [s for s in own if r_ell[s] < full]
+        r_aux = dict(zip(low, incidence_ranks([unipotent_reps[s] for s in low], aux, ctx,
+                                              "unipotent")))
+        for t, s in paired.items():
+            r_ell[t] = r_ell[s]
+            if s in r_aux:
+                r_aux[t] = r_aux[s]
         hs_ranks = {}
         for s in range(1, ell):
             # an unproved slope has no torus rank: its blocks would mean nothing
@@ -390,9 +437,14 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         report["equivariance"]["h_s"] = eq_hs
         if not eq_hs:
             failures.append("equivariance fails on a generator of GL2 for some H_s")
-        report["h_s_rank_method"] = {"method": "torus characters",
-                                     "primes": [ell, aux], "blocks": ell - 1,
-                                     "block_shape": list(torus_block_shape(ctx))}
+        report["h_s_rank_method"] = {
+            "method": "torus characters", "primes": [ell, aux], "blocks": ell - 1,
+            "block_shape": list(block_shape(ctx, TORUS)),
+            "characters_ranked": ctx.r + 1,
+            "paired_slopes": [[s, t] for t, s in paired.items()],
+            "aux_method": "unipotent characters",
+            "aux_block_shape": list(block_shape(ctx, UNIPOTENT)),
+        }
         report["h_s_ranks"] = hs_ranks
         report["h_s_column_sums_ok"] = col_ok
 
@@ -511,8 +563,13 @@ def cmd_verify(args) -> int:
             else os.cpu_count() or 1)
     workers = min(args.jobs, len(ells), cpus)
     if workers > 1:
+        # The largest primes go first, so the last worker does not run on
+        # alone; the report lists the runs in ascending order.  The default
+        # context forks on Linux: the workers start with numpy imported.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_verify_worker, [(e, kwargs) for e in ells]))
+            futures = {e: pool.submit(_verify_worker, (e, kwargs))
+                       for e in sorted(ells, reverse=True)}
+            runs = [futures[e].result() for e in ells]
     else:
         runs = [run_verification(e, **kwargs) for e in ells]
     n_fail = sum(len(r["failures"]) for r in runs)
@@ -754,12 +811,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("CARTAN_LOG", "warning").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    """Log to stderr at the level CARTAN_LOG names (debug, info, warning,
+    error, critical), at warning when it is unset or names no level; phase
+    ends are logged as bare JSON lines."""
+    name = os.environ.get("CARTAN_LOG", "warning").upper()
+    level = logging.getLevelNamesMapping().get(name, logging.WARNING)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s",
+                        stream=sys.stderr)
+    # set on the package logger, so it holds also where the root logger was
+    # configured before
+    log.setLevel(level)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    phase_log.handlers[:] = [handler]
+    phase_log.propagate = False
 
 
 def _check_out(path: str | None) -> None:

@@ -205,8 +205,9 @@ def _frame_of(idx: np.ndarray, ctx: PrimeContext) -> tuple[Basis, Basis, GroupEl
 
 
 def _distinct_sorted(idx: np.ndarray, cols: Basis, what: str) -> np.ndarray:
-    """idx with every column sorted; each column must list distinct row indices."""
-    idx = np.sort(idx, axis=0)
+    """idx as int32 with every column sorted; each column must list distinct
+    row indices."""
+    idx = np.sort(idx.astype(np.int32), axis=0)
     ok = (np.diff(idx, axis=0) > 0).all(axis=0)
     if not ok.all():
         raise AssertionError(f"{what} through {cols.elements[np.argmin(ok)]} "
@@ -333,67 +334,141 @@ def check_equivariance_incidence(idx: np.ndarray, ctx: PrimeContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rank by torus characters.  An operator fixed by h = diag(g, 1) commutes with
-# the split torus T = <h> of order n = ell - 1.  Over an F_p holding an
-# element w of order n (so p does not divide n), the permutation modules
-# split into the eigenspaces of h, and the rank is the sum of the ranks on
-# the eigenspaces.  The w^a-eigenspace of the columns is spanned by
-# v_j = sum_k w^(-ak) e_(h^k c_j) over the orbit representatives c_j, and an
-# eigenvector on the rows is determined by its entries at the representatives
-# r_i; so the block of eigenvalue w^a is
+# Slope pairing.  Galois conjugation J: x + y*se -> x - y*se is a bijection of
+# C_ell, and it commutes with every g of GL2(F_ell), whose entries lie in
+# F_ell.  It maps the slope-s path through a pair onto the slope-(ell - s)
+# path through the same pair (lam*s - lam*se has slope -s), so
+# H_(ell-s) = J H_s: a row permutation of H_s, fixed by GL2 when H_s and J
+# are, and of the same rank over every field.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def galois_conjugation(ell: int) -> np.ndarray:
+    """J on C_ell as a read-only index array: J[x(ell-1) + y - 1] is the
+    index x(ell-1) + (ell-y) - 1 of x - y*se."""
+    x, y = np.divmod(np.arange(ell * (ell - 1)), ell - 1)
+    J = cartan_index(x, ell - 1 - y, ell)
+    J.flags.writeable = False
+    return J
+
+
+def check_galois_commutes(ctx: PrimeContext) -> bool:
+    """The generator proof of J: J[P(h)] == P(h)[J] on C_ell for the
+    generators h of GL2(F_ell)."""
+    J = galois_conjugation(ctx.ell)
+    return all(np.array_equal(J[p_row], p_row[J])
+               for p_row, _ in _generator_perms(ctx, "C_ell", "ordered_pairs"))
+
+
+def is_galois_pair(idx_s: np.ndarray, idx_t: np.ndarray, ctx: PrimeContext) -> bool:
+    """Whether incidence_operator(ctx, idx_t) == J incidence_operator(ctx, idx_s),
+    for path arrays with sorted columns."""
+    return np.array_equal(np.sort(galois_conjugation(ctx.ell)[idx_s], axis=0), idx_t)
+
+
+# ---------------------------------------------------------------------------
+# Rank by characters.  An operator fixed by an element h of order n commutes
+# with the cyclic group <h>.  Over an F_p holding an element w of order n (so
+# p does not divide n), the permutation modules split into the eigenspaces of
+# h, and the rank is the sum of the ranks on the eigenspaces.  The
+# w^a-eigenspace of the columns is spanned by v_j = sum_k w^(-ak) e_(h^k c_j)
+# over the orbit representatives c_j, and an eigenvector on the rows is
+# determined by its entries at the representatives r_i; so the block of
+# eigenvalue w^a is
 #     B_a[i, j] = (M v_j)[r_i] = sum_k w^(ak) M[h^k r_i, c_j],
 # which reads only the columns M[:, c_j].
 # An orbit with a nontrivial stabilizer contributes a zero row or column to
 # the blocks whose character is nontrivial on that stabilizer, so it needs
 # no special case.
+#
+# Two groups serve, each needing only the generator proof of M:
+# - the split torus T = <diag(g, 1)>, of order ell - 1, over F_ell (and any
+#   p = 1 mod ell - 1).  The Weyl element w = (0 1; 1 0) conjugates diag(g, 1)
+#   to diag(1, g), which acts as its inverse since scalars act trivially on
+#   the four G-sets; so w carries the a-eigenspaces to the (-a)-eigenspaces
+#   and rank B_a = rank B_(-a).  An affine restriction is not fixed by w,
+#   which moves infinity, so its blocks are all ranked.
+# - the unipotent group U = <(1 1; 0 1)>, of order ell, over p = 1 mod ell.
+#   U acts freely on all four bases, and diag(t, 1) conjugates u to u^t, so
+#   it permutes the nontrivial characters of U transitively: the rank is
+#   rank B_0 + (ell - 1) rank B_1, two blocks (the mirabolic restriction).
+#   U is an ell-group, so this needs p != ell.
 # ---------------------------------------------------------------------------
 
-# Entry budget of one stacked elimination of the path operators' blocks.  A
-# stack lives as about three int64/float64 arrays of this size at once; at
-# 2^18 entries that raised the peak RSS of a 3..23 sweep by about 4 MB
-# (12%), at 2^16 it stays where one dense H_s at a time left it.
+TORUS, UNIPOTENT = "torus", "unipotent"
+
+# Entry budget of one stacked elimination of the path operators' blocks,
+# counted on the gathered columns cols[P] (rows times columns) that the
+# blocks are formed from: a stack lives as about three int64/float64 arrays
+# of this size at once.  At 2^18 entries that raised the peak RSS of a 3..23
+# sweep by about 4 MB (12%); at 2^16 it stays where one dense H_s at a time
+# left it.
 _STACK_ENTRIES = 1 << 16
 
 
-@lru_cache(maxsize=16)
-def _torus_orbits(ctx: PrimeContext, tag: str) -> tuple[np.ndarray, np.ndarray]:
-    """(h, O) for h = diag(g, 1) on the basis with this tag: h as a
-    permutation, and O[k, i] = h^k applied to the i-th orbit minimum, for
-    k < ell - 1.  Both depend only on ctx and the tag, so every operator on
-    that basis shares them; they are returned read-only."""
-    h = permutation(GroupElement(ctx.g, 0, 0, 1), tag, ctx)
-    O = np.empty((ctx.ell - 1, len(h)), dtype=np.int64)
+@lru_cache(maxsize=32)
+def _orbits(ctx: PrimeContext, tag: str, group: str) -> tuple[np.ndarray, np.ndarray]:
+    """(h, O) for the generator h of the group (TORUS or UNIPOTENT) on the
+    basis with this tag: h as a permutation, and O[k, i] = h^k applied to the
+    i-th orbit minimum, for k below the order of h.  Both depend only on ctx,
+    the tag and the group, so every operator on that basis shares them; they
+    are returned read-only."""
+    if group == TORUS:
+        gen, order = GroupElement(ctx.g, 0, 0, 1), ctx.ell - 1
+    elif group == UNIPOTENT:
+        gen, order = GroupElement(1, 1, 0, 1), ctx.ell
+    else:
+        raise ValueError(f"no character split by {group!r}")
+    h = permutation(gen, tag, ctx)
+    O = np.empty((order, len(h)), dtype=np.int64)
     O[0] = np.arange(len(h))
-    for k in range(1, len(O)):
+    for k in range(1, order):
         O[k] = h[O[k - 1]]
     O = O[:, O.min(axis=0) == O[0]]
     h.flags.writeable = O.flags.writeable = False
     return h, O
 
 
-def _torus_blocks(cols: np.ndarray, row_tag: str, p: int,
-                  ctx: PrimeContext) -> np.ndarray:
-    """The (ell - 1, row orbits, k) stack of character blocks B_a mod p from
-    cols, the k columns M[:, c_j] at column-orbit representatives; columns of
-    several operators on the same rows may stand side by side."""
-    check_float_modulus(p)
+def _split(method: str, ctx: PrimeContext) -> tuple[str, list[int], np.ndarray]:
+    """(group, characters ranked, weight of each rank) of a rank method:
+    "torus" ranks every torus character, "weyl" the torus characters
+    a = 0..(ell-1)/2 with a and -a counted once each, "unipotent" the
+    characters 0 and 1 of U, the latter counted ell - 1 times."""
     n = ctx.ell - 1
+    if method == "torus":
+        return TORUS, list(range(n)), np.ones(n, dtype=np.int64)
+    if method == "weyl":
+        weights = np.full(ctx.r + 1, 2, dtype=np.int64)
+        weights[[0, -1]] = 1
+        return TORUS, list(range(ctx.r + 1)), weights
+    if method == "unipotent":
+        return UNIPOTENT, [0, 1], np.array([1, n], dtype=np.int64)
+    raise ValueError(f"unknown rank method {method!r}")
+
+
+def _character_blocks(cols: np.ndarray, row_tag: str, p: int, ctx: PrimeContext,
+                      group: str, characters: list[int]) -> np.ndarray:
+    """The (characters, row orbits, k) stack of the blocks B_a mod p of the
+    group, for a in characters, from cols, the k columns M[:, c_j] at the
+    group's column-orbit representatives; columns of several operators on
+    the same rows may stand side by side."""
+    check_float_modulus(p)
+    _, P = _orbits(ctx, row_tag, group)
+    n = len(P)
     if (p - 1) % n:
         raise ValueError(f"F_{p} has no element of order {n}: "
                          f"{p} - 1 is not divisible by {n}")
-    _, P = _torus_orbits(ctx, row_tag)
-    omega = ctx.g if p == ctx.ell else pow(find_primitive_root(p), (p - 1) // n, p)
+    omega = pow(find_primitive_root(p), (p - 1) // n, p)
     # B = W @ G mod p in float64 (BLAS), summed in slices short enough that
     # every partial sum stays below 2^53: at least 2 terms, as p < 2^26
     step = ((1 << 53) - p) // (p - 1) ** 2
-    shape = (n, P.shape[1], cols.shape[1])
+    shape = (len(characters), P.shape[1], cols.shape[1])
     # fmod keeps each integer's class mod p and its size below p, several
     # times faster than % on floats; in-place updates keep at most three
     # stack-sized arrays alive
     G = np.fmod(cols[P].astype(np.float64).reshape(n, -1), p)
     powers = np.array([pow(omega, t, p) for t in range(n)], dtype=np.float64)
-    k = np.arange(n)
-    W = powers[np.outer(k, k) % n]
+    W = powers[np.outer(characters, np.arange(n)) % n]
     B = np.fmod(W[:, :step] @ G[:step], p)
     for k0 in range(step, n, step):
         B += W[:, k0:k0 + step] @ G[k0:k0 + step]
@@ -402,59 +477,69 @@ def _torus_blocks(cols: np.ndarray, row_tag: str, p: int,
     return B.astype(np.int64).reshape(shape)
 
 
-def torus_block_shape(ctx: PrimeContext) -> tuple[int, int]:
-    """(row orbits, column orbits) of diag(g, 1) on the bases of the H_s:
-    the shape of each of their torus-character blocks."""
-    return (_torus_orbits(ctx, "C_ell")[1].shape[1],
-            _torus_orbits(ctx, "ordered_pairs")[1].shape[1])
+def block_shape(ctx: PrimeContext, group: str) -> tuple[int, int]:
+    """(row orbits, column orbits) of the group on the bases of the H_s: the
+    shape of each of their character blocks."""
+    return (_orbits(ctx, "C_ell", group)[1].shape[1],
+            _orbits(ctx, "ordered_pairs", group)[1].shape[1])
 
 
-def incidence_torus_columns(idx: np.ndarray, ctx: PrimeContext) -> np.ndarray:
+def incidence_columns(idx: np.ndarray, ctx: PrimeContext,
+                      group: str = TORUS) -> np.ndarray:
     """The columns of an incidence index array at the column-orbit
-    representatives of diag(g, 1): all that its torus blocks read."""
+    representatives of the group: all that its character blocks read."""
     _, cols, _ = _frame_of(idx, ctx)
-    return idx[:, _torus_orbits(ctx, cols.tag)[1][0]]
+    return idx[:, _orbits(ctx, cols.tag, group)[1][0]]
 
 
 def combined_torus_ranks(reps: list[np.ndarray], weights: list[int], p: int,
                          ctx: PrimeContext) -> tuple[int, int]:
     """Ranks mod p of M = sum_t weights[t] * incidence_operator(ctx, idx_t)
-    and of its affine restriction, from reps[t] = incidence_torus_columns(idx_t, ctx).
+    and of its affine restriction, from reps[t] = incidence_columns(idx_t, ctx).
 
     Each operator must be fixed by diag(g, 1) (check_equivariance_incidence
     proves it).  The blocks are linear in M, and diag(g, 1) fixes infinity,
-    so the restriction's blocks are M's at the affine representatives.
+    so the restriction's blocks are M's at the affine representatives.  The
+    restriction is ranked first: it is a column submatrix with the rows of
+    M, so at full row rank there M has full row rank too, and M's own blocks
+    are ranked only when the restriction is singular.
     """
     rows, cols, _ = _frame_of(reps[0], ctx)
-    reps_at = _torus_orbits(ctx, cols.tag)[1][0]
+    reps_at = _orbits(ctx, cols.tag, TORUS)[1][0]
     M = np.zeros((len(rows), len(reps_at)), dtype=np.int64)
     for rep, w in zip(reps, weights):
         _scatter(M, rep, w)
-    B = _torus_blocks(M, rows.tag, p, ctx)
+    B = _character_blocks(M, rows.tag, p, ctx, TORUS, list(range(ctx.ell - 1)))
     affine = [cols.elements[j].is_affine for j in reps_at]
-    return (int(rank_mod_p_stack(B, p).sum()),
-            int(rank_mod_p_stack(B[:, :, affine], p).sum()))
+    affine_rank = int(rank_mod_p_stack(B[:, :, affine], p).sum())
+    if affine_rank == len(rows):
+        return affine_rank, affine_rank
+    return int(rank_mod_p_stack(B, p).sum()), affine_rank
 
 
-def incidence_torus_ranks(reps: list[np.ndarray], p: int,
-                          ctx: PrimeContext) -> list[int]:
+def incidence_ranks(reps: list[np.ndarray], p: int, ctx: PrimeContext,
+                    method: str) -> list[int]:
     """The rank mod p of incidence_operator(ctx, idx) for every path array
-    idx whose incidence_torus_columns are listed in reps.
+    idx whose incidence_columns at the method's group are listed in reps.
 
-    Each operator must be fixed by diag(g, 1) (check_equivariance_incidence
-    proves it).  The blocks of consecutive operators are ranked together, in
-    stacks of at most about _STACK_ENTRIES entries.
+    method is "torus" (every torus character), "weyl" (the torus characters
+    a = 0..(ell-1)/2) or "unipotent" (p = 1 mod ell; the characters 0 and 1
+    of U).  Each operator must be fixed by GL2 (check_equivariance_incidence
+    proves it); "torus" needs diag(g, 1) only.  The blocks of consecutive
+    operators are ranked together, in stacks whose gathered columns hold at
+    most about _STACK_ENTRIES entries.
     """
-    h, P = _torus_orbits(ctx, "C_ell")
-    n, R = P.shape
-    K = _torus_orbits(ctx, "ordered_pairs")[1].shape[1]
-    per = max(1, _STACK_ENTRIES // (n * R * K))
+    group, characters, weights = _split(method, ctx)
+    h, P = _orbits(ctx, "C_ell", group)
+    R, c = P.shape[1], len(characters)
+    K = _orbits(ctx, "ordered_pairs", group)[1].shape[1]
+    per = max(1, _STACK_ENTRIES // (len(h) * K))
     ranks = []
     for i in range(0, len(reps), per):
         rows = np.hstack(reps[i:i + per])
         cols = _scatter(np.zeros((len(h), rows.shape[1]), dtype=np.int8), rows)
-        # slope-major order, so the ell - 1 blocks of one slope are adjacent
-        blocks = (_torus_blocks(cols, "C_ell", p, ctx).reshape(n, R, -1, K)
-                  .transpose(2, 0, 1, 3).reshape(-1, R, K))
-        ranks += rank_mod_p_stack(blocks, p).reshape(-1, n).sum(axis=1).tolist()
+        # slope-major order, so the blocks of one slope are adjacent
+        blocks = (_character_blocks(cols, "C_ell", p, ctx, group, characters)
+                  .reshape(c, R, -1, K).transpose(2, 0, 1, 3).reshape(-1, R, K))
+        ranks += (rank_mod_p_stack(blocks, p).reshape(-1, c) @ weights).tolist()
     return ranks

@@ -372,3 +372,68 @@ def test_tracer_names_stay_cli_attributes():
     spec.loader.exec_module(tracer)
     missing = [name for name in tracer.TIMED if not hasattr(cli_mod, name)]
     assert tracer.TIMED and missing == []
+
+
+def test_verify_jobs_submits_the_largest_primes_first(capsys, monkeypatch):
+    """The pool gets the primes largest first; the report lists them in
+    ascending order all the same."""
+    import cartanmaps.cli as cli_mod
+
+    submitted = []
+
+    class RecordingPool(cli_mod.ProcessPoolExecutor):
+        def submit(self, fn, item, *args, **kwargs):
+            submitted.append(item[0])
+            return super().submit(fn, item, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    # two usable CPUs, so that a pool starts also on a one-CPU machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..13", "--jobs", "2")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert submitted == [13, 11, 7, 5, 3]
+    assert [r["ell"] for r in doc["runs"]] == [3, 5, 7, 11, 13]
+    assert doc["environment"]["worker_processes"] == 2
+    serial = run_cli(capsys, "verify", "--ell-range", "3..13")[1]
+    for a, b in zip(doc["runs"], json.loads(serial)["runs"]):
+        a["timings"] = b["timings"] = None
+        assert a == b
+
+
+def run_module_logged(level, *argv):
+    """python -m cartanmaps.cli with CARTAN_LOG=level, in a fresh process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cartanmaps.__file__)))
+    env = dict(os.environ, CARTAN_LOG=level)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cartanmaps.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+@pytest.mark.parametrize("level", ["basic_format", "nonsense", "", "Warning"])
+def test_cartan_log_accepts_only_level_names(level):
+    """A value that names no level (BASIC_FORMAT is a logging attribute, not
+    a level) falls back to warning instead of failing the run."""
+    proc = run_module_logged(level, "verify", "--ell", "3")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["ok"]
+    assert proc.stderr == ""
+
+
+def test_cartan_log_info_logs_each_phase_end_as_json():
+    proc = run_module_logged("info", "verify", "--ell-range", "3..5", "--skip-cosets")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    runs = json.loads(proc.stdout)["runs"]
+    records = []
+    for line in proc.stderr.splitlines():
+        if line.startswith("{"):
+            records.append(json.loads(line))
+        else:
+            assert line.startswith("INFO cartanmaps: verifying"), line
+    for run in runs:
+        mine = [r for r in records if r["ell"] == run["ell"]]
+        assert [r["phase"] for r in mine] == list(run["timings"])
+        assert [r["elapsed_s"] for r in mine] == list(run["timings"].values())
+        assert all(set(r) == {"ell", "phase", "elapsed_s", "maxrss_mb"} for r in mine)
+        assert all(r["maxrss_mb"] > 0 for r in mine)
+    assert len(records) == sum(len(run["timings"]) for run in runs)

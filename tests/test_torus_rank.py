@@ -8,6 +8,8 @@ import cartanmaps.cli as cli_mod
 from cartanmaps import correspondence, cosets
 from cartanmaps.cli import AUX_RANK_PRIME, aux_rank_prime, main
 from cartanmaps.correspondence import (
+    TORUS,
+    UNIPOTENT,
     CoefficientScheme,
     OperatorMatrix,
     build_H_s,
@@ -18,9 +20,9 @@ from cartanmaps.correspondence import (
     check_equivariance_psi_plus,
     combined_torus_ranks,
     geodesic_incidence,
+    incidence_columns,
     incidence_operator,
-    incidence_torus_columns,
-    incidence_torus_ranks,
+    incidence_ranks,
     path_incidence,
     restrict_to_affine,
 )
@@ -36,10 +38,10 @@ def incidence_route(ctx, p, scale=1):
     """(name, (rank, affine rank) mod p from the incidence arrays, dense
     operator, side) for psi+, psi and every H_s; every weight times scale."""
     ell = ctx.ell
-    geodesics = incidence_torus_columns(geodesic_incidence(ctx), ctx)
+    geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
     yield "psi+", combined_torus_ranks([geodesics], [scale], p, ctx), build_psi_plus(ctx), "N"
     scheme = CoefficientScheme.standard(ctx)
-    reps = [incidence_torus_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
+    reps = [incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
     weights = [scale * scheme.combined(s) for s in range(1, ell)]
     yield "psi", combined_torus_ranks(reps, weights, p, ctx), build_psi(ctx), "C"
     # the weights matter: all slopes weighted 0 but one
@@ -99,13 +101,14 @@ def test_torus_blocks_stay_exact_at_the_largest_float64_prime(contexts):
     block formula in Python ints."""
     ctx = contexts[7]
     n, p = ctx.ell - 1, largest_float_prime(6)
-    h, P = correspondence._torus_orbits(ctx, "C_ell")
+    h, P = correspondence._orbits(ctx, "C_ell", TORUS)
     cols = np.random.default_rng(0).integers(p - 1000, p, size=(len(h), 5))
     omega = pow(find_primitive_root(p), (p - 1) // n, p)
     want = [[[sum(pow(omega, a * k, p) * int(cols[P[k, i], j]) for k in range(n)) % p
               for j in range(cols.shape[1])] for i in range(P.shape[1])]
             for a in range(n)]
-    assert correspondence._torus_blocks(cols, "C_ell", p, ctx).tolist() == want
+    got = correspondence._character_blocks(cols, "C_ell", p, ctx, TORUS, list(range(n)))
+    assert got.tolist() == want
 
 
 def test_float_kernels_refuse_primes_from_2_to_the_26(contexts):
@@ -113,42 +116,81 @@ def test_float_kernels_refuse_primes_from_2_to_the_26(contexts):
     that holds the torus characters."""
     ctx = contexts[7]
     idx = path_incidence(ctx, 1)
-    rep = incidence_torus_columns(idx, ctx)
+    rep, unipotent = incidence_columns(idx, ctx), incidence_columns(idx, ctx, UNIPOTENT)
     m = incidence_operator(ctx, idx)
-    p = next(q for q in range(1 << 26, 1 << 27) if q % 6 == 1 and is_prime(q))
+    p = next(q for q in range(1 << 26, 1 << 27) if q % 42 == 1 and is_prime(q))
     for kernel in (lambda: rank_mod_p(m, p), lambda: det_mod_p(np.eye(2), p),
                    lambda: combined_torus_ranks([rep], [1], p, ctx),
-                   lambda: incidence_torus_ranks([rep], p, ctx)):
+                   lambda: incidence_ranks([rep], p, ctx, "torus"),
+                   lambda: incidence_ranks([rep], p, ctx, "weyl"),
+                   lambda: incidence_ranks([unipotent], p, ctx, "unipotent")):
         with pytest.raises(ValueError, match=r"not below 2\^26"):
             kernel()
     with pytest.raises(ValueError, match=r"2\^26"):
         rank_mod_p(np.eye(2), 1 << 26)  # the bound itself, prime or not
 
 
+def recorded_stack_shapes(monkeypatch):
+    """The shapes of the stacks correspondence ranks, in order."""
+    shapes, stack_rank = [], correspondence.rank_mod_p_stack
+
+    def recorded(B, p):
+        shapes.append(B.shape)
+        return stack_rank(B, p)
+
+    monkeypatch.setattr(correspondence, "rank_mod_p_stack", recorded)
+    return shapes
+
+
 @pytest.mark.parametrize("ell", (5, 7))
-def test_affine_rank_reads_only_the_affine_columns(ell, contexts):
+def test_affine_rank_reads_only_the_affine_columns(ell, contexts, monkeypatch):
     """H_1 minus an operator that agrees with H_1 on the affine pairs and
-    with H_2 at infinity vanishes on the affine columns only."""
+    with H_2 at infinity vanishes on the affine columns only.  Its singular
+    restriction still lets the full blocks be ranked, after the affine ones."""
     ctx = contexts[ell]
+    shapes = recorded_stack_shapes(monkeypatch)
     h_1, h_2 = path_incidence(ctx, 1), path_incidence(ctx, 2)
     affine = [pair.is_affine for pair in incidence_operator(ctx, h_1).col_basis]
     mixed = np.where(affine, h_1, h_2)
-    reps = [incidence_torus_columns(idx, ctx) for idx in (h_1, mixed)]
+    reps = [incidence_columns(idx, ctx) for idx in (h_1, mixed)]
     m = incidence_operator(ctx, h_1)
     m = OperatorMatrix(m.row_basis, m.col_basis, m.data - incidence_operator(ctx, mixed).data)
     for p in (ell, aux_rank_prime(ell)):
         rank, affine_rank = combined_torus_ranks(reps, [1, -1], p, ctx)
         assert affine_rank == rank_mod_p(restrict_to_affine(m, "C"), p) == 0
         assert rank == rank_mod_p(m, p) > 0
+        # the ell affine representatives of the ell + 4, then all of them
+        assert shapes == [(ell - 1, ell, ell), (ell - 1, ell, ell + 4)]
+        shapes.clear()
+
+
+@pytest.mark.parametrize("ell", (3, 7))
+def test_a_nonsingular_restriction_spares_the_full_blocks(ell, contexts, monkeypatch):
+    """The affine restriction is a column submatrix with the rows of the
+    operator: at full rank there, the operator's own blocks are not ranked."""
+    ctx = contexts[ell]
+    shapes = recorded_stack_shapes(monkeypatch)
+    geodesics = geodesic_incidence(ctx)
+    rows = ell * ctx.r
+    assert combined_torus_ranks([incidence_columns(geodesics, ctx)], [1], ell, ctx) \
+        == (rows, rows) == (rank_mod_p(build_psi_plus(ctx), ell),) * 2
+    assert len(shapes) == 1 and shapes[0][0] == ell - 1
+    n_affine = sum(pair.is_affine for pair in incidence_operator(ctx, geodesics).col_basis)
+    assert n_affine == rows
 
 
 def test_torus_rank_rejects_primes_without_the_characters(contexts):
     ctx = contexts[7]
-    rep = incidence_torus_columns(path_incidence(ctx, 1), ctx)
+    rep = incidence_columns(path_incidence(ctx, 1), ctx)
     with pytest.raises(ValueError, match="order 6"):
         combined_torus_ranks([rep], [1], 5, ctx)  # 6 does not divide 4
-    with pytest.raises(ValueError):
-        incidence_torus_ranks([rep], AUX_RANK_PRIME, ctx)  # 6 does not divide 1048582
+    with pytest.raises(ValueError, match="order 6"):
+        incidence_ranks([rep], AUX_RANK_PRIME, ctx, "weyl")  # 6 does not divide 1048582
+    unipotent = incidence_columns(path_incidence(ctx, 1), ctx, UNIPOTENT)
+    with pytest.raises(ValueError, match="order 7"):
+        incidence_ranks([unipotent], 7, ctx, "unipotent")  # U is a 7-group
+    with pytest.raises(ValueError, match="unknown rank method"):
+        incidence_ranks([rep], 7, ctx, "dense")
 
 
 def failing_proof(target):
@@ -199,6 +241,8 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
         if target == "H_1":
             assert run["equivariance"]["h_s"] is False
             assert run["h_s_ranks"]["1"]["rank_mod_ell"] is None
+            # ell - 1 cannot take the proof of H_1: it proved and ranked itself
+            assert [1, ell - 1] not in run["h_s_rank_method"]["paired_slopes"]
             assert {s: h for s, h in run["h_s_ranks"].items() if s != "1"} == \
                 {str(s): h for s, h in want["h_s_ranks"].items() if s != 1}
 
@@ -256,13 +300,15 @@ def test_rank_mod_p_stack_validation():
 
 
 def test_aux_rank_prime():
-    assert aux_rank_prime(3) == AUX_RANK_PRIME == 1_048_583
+    """The least prime from AUX_RANK_PRIME on that is 1 mod ell(ell - 1):
+    F_p holds the characters of U (order ell) and of T (order ell - 1)."""
+    assert AUX_RANK_PRIME == 1_048_583
+    assert [aux_rank_prime(ell) for ell in (3, 7, 101)] == [1_048_609, 1_048_783, 1_121_101]
     for ell in filter(is_odd_prime, range(3, 102)):
-        p = aux_rank_prime(ell)
-        assert is_prime(p) and p >= AUX_RANK_PRIME and (p - 1) % (ell - 1) == 0
+        p, n = aux_rank_prime(ell), ell * (ell - 1)
+        assert is_prime(p) and p >= AUX_RANK_PRIME and (p - 1) % n == 0
         # the least such prime
-        assert not any(is_prime(q) for q in range(p - (ell - 1), AUX_RANK_PRIME - 1,
-                                                    -(ell - 1)))
+        assert not any(is_prime(q) for q in range(p - n, AUX_RANK_PRIME - 1, -n))
 
 
 def test_h_s_phase_ranks_by_torus_characters(capsys, monkeypatch):
@@ -277,10 +323,13 @@ def test_h_s_phase_ranks_by_torus_characters(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     for run in doc["runs"]:
         ell = run["ell"]
-        assert run["h_s_rank_method"] == {"method": "torus characters",
-                                          "primes": [ell, aux_rank_prime(ell)],
-                                          "blocks": ell - 1,
-                                          "block_shape": [ell, ell + 4]}
+        r = (ell - 1) // 2
+        assert run["h_s_rank_method"] == {
+            "method": "torus characters", "primes": [ell, aux_rank_prime(ell)],
+            "blocks": ell - 1, "block_shape": [ell, ell + 4],
+            "characters_ranked": r + 1,
+            "paired_slopes": [[s, ell - s] for s in range(1, r + 1)],
+            "aux_method": "unipotent characters", "aux_block_shape": [ell - 1, ell + 1]}
         assert run["equivariance"]["h_s"] is True
         assert run["theorem2"]["certificate"]["method"] == "torus characters"
     # ell = 5: H_2 and H_3 are rank-deficient at both primes
@@ -340,7 +389,7 @@ def test_rank_certificate_under_other_contexts():
 def test_rank_certificate_falls_back_below_full_rank(contexts):
     ctx = contexts[5]
     m = build_H_s(ctx, 2)
-    rank, _ = combined_torus_ranks([incidence_torus_columns(path_incidence(ctx, 2), ctx)],
+    rank, _ = combined_torus_ranks([incidence_columns(path_incidence(ctx, 2), ctx)],
                                    [1], 5, ctx)
     cert = cli_mod._rank_certificate(m.shape, rank, lambda: m, ctx)
     assert cert.rank == rank == 15 < min(m.shape) == 20
@@ -419,14 +468,19 @@ def test_incidence_proof_sees_moved_entries_and_swapped_columns(ell, contexts):
 
 
 def check_h_s_ranks(ctx):
-    """The phase's ranks, and the stacked ranks of every slope at both primes,
-    equal dense rank_mod_p of the H_s."""
+    """The phase's ranks, and the stacked ranks of every slope at both primes
+    by every torus character, by the Weyl-paired ones and (at the auxiliary
+    prime) by the unipotent characters, equal dense rank_mod_p of the H_s."""
     ell, aux = ctx.ell, aux_rank_prime(ctx.ell)
     dense = {p: [rank_mod_p(build_H_s(ctx, s), p) for s in range(1, ell)]
              for p in (ell, aux)}
-    reps = [incidence_torus_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
+    paths = [path_incidence(ctx, s) for s in range(1, ell)]
+    reps = [incidence_columns(idx, ctx) for idx in paths]
     for p in (ell, aux):
-        assert incidence_torus_ranks(reps, p, ctx) == dense[p], p
+        for method in ("torus", "weyl"):
+            assert incidence_ranks(reps, p, ctx, method) == dense[p], (p, method)
+    unipotent = [incidence_columns(idx, ctx, UNIPOTENT) for idx in paths]
+    assert incidence_ranks(unipotent, aux, ctx, "unipotent") == dense[aux]
     full = ell * (ell - 1)
     got = run_verification(ell, ctx.epsilon, ctx.g, skip_cosets=True)["h_s_ranks"]
     for s, r_ell, r_aux in zip(range(1, ell), dense[ell], dense[aux]):
@@ -448,33 +502,47 @@ def test_h_s_phase_ranks_under_nondefault_context():
 def test_h_s_ranks_do_not_depend_on_the_stack_budget(slopes_per_stack, monkeypatch):
     ell = 13  # 8 of the 12 slopes are below full rank mod 13
     want = run_verification(ell, skip_cosets=True)["h_s_ranks"]
-    block = (ell - 1) * ell * (ell + 4)
-    monkeypatch.setattr(correspondence, "_STACK_ENTRIES", slopes_per_stack * block)
-    batches, calls = [], []
-    stack_rank, ranks = correspondence.rank_mod_p_stack, cli_mod.incidence_torus_ranks
+    # the gathered columns of one slope's torus blocks: ell(ell - 1) rows
+    # times ell + 4 column-orbit representatives
+    budget = slopes_per_stack * ell * (ell - 1) * (ell + 4)
+    monkeypatch.setattr(correspondence, "_STACK_ENTRIES", budget)
+    batches, gathered, calls = [], [], []
+    stack_rank, blocks, ranks = (correspondence.rank_mod_p_stack,
+                                 correspondence._character_blocks, cli_mod.incidence_ranks)
 
     def recorded_stack(B, p):
         if calls:  # inside the h_s phase's ranking, not a theorem certificate
             batches.append((p, len(B)))
         return stack_rank(B, p)
 
-    def recorded_ranks(reps, p, ctx):
+    def recorded_blocks(cols, row_tag, p, ctx, group, characters):
+        if calls:  # both groups act freely on C_ell, so cols[P] is as large as cols
+            gathered.append(cols.size)
+        return blocks(cols, row_tag, p, ctx, group, characters)
+
+    def recorded_ranks(reps, p, ctx, method):
         calls.append(p)
         try:
-            return ranks(reps, p, ctx)
+            return ranks(reps, p, ctx, method)
         finally:
             calls.pop()
 
     monkeypatch.setattr(correspondence, "rank_mod_p_stack", recorded_stack)
-    monkeypatch.setattr(cli_mod, "incidence_torus_ranks", recorded_ranks)
+    monkeypatch.setattr(correspondence, "_character_blocks", recorded_blocks)
+    monkeypatch.setattr(cli_mod, "incidence_ranks", recorded_ranks)
     assert run_verification(ell, skip_cosets=True)["h_s_ranks"] == want
-    # each stack holds the ell - 1 blocks of 1..slopes_per_stack slopes
-    assert all(n in range(ell - 1, slopes_per_stack * (ell - 1) + 1, ell - 1)
-               for _, n in batches)
-    assert sum(n for p, n in batches if p == ell) == (ell - 1) ** 2
-    low = sum(h["rank_mod_ell"] < ell * (ell - 1) for h in want.values())
+    assert 0 < max(gathered) <= budget
+    # mod ell only the slopes s <= (ell-1)/2 are ranked, each by its
+    # (ell + 1)/2 Weyl-paired blocks, 1..slopes_per_stack slopes a stack
+    c, ranked = (ell + 1) // 2, range(1, (ell + 1) // 2)
+    mod_ell = [n for p, n in batches if p == ell]
+    assert all(n in range(c, slopes_per_stack * c + 1, c) for n in mod_ell)
+    assert sum(mod_ell) == len(ranked) * c
+    # the low ones again at the aux prime, each by its two unipotent blocks
+    low = sum(want[s]["rank_mod_ell"] < ell * (ell - 1) for s in ranked)
     aux = [n for p, n in batches if p == aux_rank_prime(ell)]
-    assert sum(aux) == low * (ell - 1)
+    assert all(n in range(2, 2 * slopes_per_stack + 1, 2) for n in aux)
+    assert sum(aux) == low * 2
     assert len(aux) == -(-low // slopes_per_stack) > 1  # the re-rank is split
 
 
@@ -503,12 +571,13 @@ def test_verify_builds_no_dense_h_s(capsys, monkeypatch):
 
 def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
     ranked, coset_arrays, compared = [], [], []
-    columns, incidence, equal = (cli_mod.incidence_torus_columns,
+    columns, incidence, equal = (cli_mod.incidence_columns,
                                  cli_mod.coset_incidence, np.array_equal)
 
-    def ranked_columns(idx, ctx):
-        ranked.append(idx)
-        return columns(idx, ctx)
+    def ranked_columns(idx, ctx, group=TORUS):
+        if group == TORUS:
+            ranked.append(idx)
+        return columns(idx, ctx, group)
 
     def recorded_incidence(dec, ctx):
         coset_arrays.append(incidence(dec, ctx))
@@ -519,16 +588,17 @@ def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
             compared.append(b)
         return equal(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "incidence_torus_columns", ranked_columns)
+    monkeypatch.setattr(cli_mod, "incidence_columns", ranked_columns)
     monkeypatch.setattr(cli_mod, "coset_incidence", recorded_incidence)
     monkeypatch.setattr(np, "array_equal", array_equal)
     assert main(["verify", "--ell-range", "3..7"]) == 0
     runs = json.loads(capsys.readouterr().out)["runs"]
     assert all(run["coincidence"] == {"checked": True, "psi_plus": True, "h_s": True}
                for run in runs)
-    # per prime: psi+'s geodesic array, then the path array of every slope
+    # per prime: psi+'s geodesic array and the path array of every slope,
+    # ranked in Galois pairs and compared in slope order
     assert len(compared) == len(ranked) == (1 + 2) + (1 + 4) + (1 + 6)
-    assert all(a is b for a, b in zip(compared, ranked))
+    assert {id(a) for a in compared} == {id(b) for b in ranked}
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -581,3 +651,121 @@ def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):
     assert passes == {3: 2, 5: 4, 7: 6}
     runs = json.loads(capsys.readouterr().out)["runs"]
     assert all(e["ok"] for run in runs for e in run["all_epsilon"])
+
+
+# ---------------------------------------------------------------------------
+# The symmetries that spare ranks: each one against the full route.
+# ---------------------------------------------------------------------------
+
+def check_galois_pairing(ctx):
+    ell = ctx.ell
+    J = correspondence.galois_conjugation(ell)
+    assert sorted(J.tolist()) == list(range(ell * (ell - 1)))
+    assert (J[J] == np.arange(len(J))).all() and (J != np.arange(len(J))).all()
+    assert correspondence.check_galois_commutes(ctx) is True
+    for s in range(1, ell):
+        idx_s, idx_t = path_incidence(ctx, s), path_incidence(ctx, ell - s)
+        assert correspondence.is_galois_pair(idx_s, idx_t, ctx) is True, s
+        # J H_s, row i of which is row J(i) of H_s, is H_(ell-s)
+        h_s = incidence_operator(ctx, idx_s).data
+        assert np.array_equal(h_s[J], incidence_operator(ctx, idx_t).data), s
+        # ell is odd, so s != ell - s, and J H_s is not H_s
+        assert correspondence.is_galois_pair(idx_s, idx_s, ctx) is False, s
+
+
+@pytest.mark.parametrize("ell", PRIMES_SMALL)
+def test_galois_conjugation_pairs_the_slopes(ell, contexts):
+    check_galois_pairing(contexts[ell])
+
+
+def test_galois_conjugation_pairs_the_slopes_under_nondefault_context():
+    check_galois_pairing(PrimeContext(13, 5, 7))
+
+
+def character_ranks(m, p, ctx, group):
+    """The rank mod p of every character block of the group, from the
+    dense operator's columns at the group's column-orbit representatives."""
+    _, P = correspondence._orbits(ctx, m.row_basis.tag, group)
+    reps = correspondence._orbits(ctx, m.col_basis.tag, group)[1][0]
+    B = correspondence._character_blocks(m.data[:, reps], m.row_basis.tag, p, ctx,
+                                         group, list(range(len(P))))
+    return rank_mod_p_stack(B, p).tolist()
+
+
+@pytest.mark.parametrize("ctx", [PrimeContext(ell) for ell in PRIMES_SMALL]
+                         + [PrimeContext(13, 5, 7)], ids=str)
+def test_weyl_and_unipotent_pairings_hold_block_by_block(ctx):
+    """rank B_a = rank B_(-a) for the torus, and every nontrivial unipotent
+    character has the same rank, for psi+, psi and every H_s; the sums are
+    the dense ranks."""
+    ell, aux = ctx.ell, aux_rank_prime(ctx.ell)
+    operators = [build_psi_plus(ctx), build_psi(ctx)]
+    operators += [build_H_s(ctx, s) for s in range(1, ell)]
+    for m in operators:
+        torus = character_ranks(m, ell, ctx, TORUS)
+        assert torus == torus[:1] + torus[:0:-1], m
+        unipotent = character_ranks(m, aux, ctx, UNIPOTENT)
+        assert len(unipotent) == ell and len(set(unipotent[1:])) == 1, m
+        assert unipotent[0] + (ell - 1) * unipotent[1] == rank_mod_p(m, aux) \
+            == sum(character_ranks(m, aux, ctx, TORUS)), m
+        assert sum(torus) == rank_mod_p(m, ell), m
+
+
+def recorded_slope_work(monkeypatch):
+    """The path arrays proved on their own, and (method, slopes) of every
+    incidence_ranks call verify makes."""
+    proved, ranked = [], []
+    check, ranks = cli_mod.check_equivariance_incidence, cli_mod.incidence_ranks
+
+    def recorded_check(idx, ctx):
+        if len(idx) == ctx.ell - 1:
+            proved.append(idx)
+        return check(idx, ctx)
+
+    def recorded_ranks(reps, p, ctx, method):
+        ranked.append((method, len(reps)))
+        return ranks(reps, p, ctx, method)
+
+    monkeypatch.setattr(cli_mod, "check_equivariance_incidence", recorded_check)
+    monkeypatch.setattr(cli_mod, "incidence_ranks", recorded_ranks)
+    return proved, ranked
+
+
+@pytest.mark.parametrize("broken", ["identity", "rolled"])
+def test_a_broken_conjugation_makes_every_slope_prove_and_rank_itself(broken, capsys,
+                                                                      monkeypatch):
+    """The identity commutes with GL2 but maps no slope onto its conjugate; a
+    rolled J does not commute.  Either way no slope is paired, and the ranks
+    are those of the paired run."""
+    ell = 7
+    ctx = PrimeContext(ell)
+    want = json.loads(json.dumps(run_verification(ell)))
+    J = correspondence.galois_conjugation(ell)
+    fake = np.arange(len(J)) if broken == "identity" else np.roll(J, 1)
+    monkeypatch.setattr(correspondence, "galois_conjugation", lambda ell: fake)
+    assert correspondence.check_galois_commutes(ctx) is (broken == "identity")
+    proved, ranked = recorded_slope_work(monkeypatch)
+    assert main(["verify", "--ell", str(ell)]) == 0
+    run = json.loads(capsys.readouterr().out)["runs"][0]
+    assert run["h_s_rank_method"]["paired_slopes"] == []
+    assert len(proved) == ell - 1
+    assert ranked[0] == ("weyl", ell - 1)
+    assert run["h_s_ranks"] == want["h_s_ranks"]
+    assert run["theorem2"] == want["theorem2"]
+
+
+def test_a_slope_that_is_not_the_conjugate_proves_and_ranks_itself(capsys, monkeypatch):
+    """With H_6 replaced by H_1 (fixed by GL2, but not J H_1), slope 6 takes
+    its own proof and rank; the other pairs stay paired."""
+    ell = 7
+    path = cli_mod.path_incidence
+    monkeypatch.setattr(cli_mod, "path_incidence",
+                        lambda ctx, s: path(ctx, 1 if s == ell - 1 else s))
+    proved, ranked = recorded_slope_work(monkeypatch)
+    main(["verify", "--ell", str(ell), "--skip-cosets"])
+    run = json.loads(capsys.readouterr().out)["runs"][0]
+    assert run["h_s_rank_method"]["paired_slopes"] == [[2, 5], [3, 4]]
+    assert len(proved) == 4 and np.array_equal(proved[1], path(PrimeContext(ell), 1))
+    assert ranked[0] == ("weyl", 4)
+    assert run["equivariance"]["h_s"] is True
+    assert run["h_s_ranks"]["6"] == run["h_s_ranks"]["1"]

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correspondence import CoefficientScheme
-from .geometry import (enumerate_H, enumerate_pairs_unordered, nonsplit_tn_to_tm,
-                       orbit_to_tn, pair_to_tn, tn_to_tm)
+from .geometry import (CartanOrbit, SplitPairTN, decode, nonsplit_tn_to_tm, orbit_to_tn,
+                       tn_to_tm)
 from .modular_arith import PrimeContext, binom_mod, multiplicative_order
 
 
@@ -68,15 +68,17 @@ def verify_chart_conjugacy(ctx: PrimeContext, geodesics: np.ndarray) -> bool:
     (T, M) with (T - t)^2 = m + M.  psi+ is read off its geodesic array
     (geodesic_incidence); the row chart must be injective."""
     ell = ctx.ell
-    T, M = np.array([nonsplit_tn_to_tm(orbit_to_tn(w, ctx), ctx)
-                     for w in enumerate_H(ctx)]).T
+    # the charts are arithmetic on the coordinates, so they map whole arrays
+    T, M = nonsplit_tn_to_tm(orbit_to_tn(CartanOrbit(*decode("H_ell", ell)), ctx), ctx)
     row_at = np.full((ell, ell), -1, dtype=np.int64)
     row_at[T, M] = np.arange(len(T))
     if (row_at >= 0).sum() != len(T):
         return False
-    pairs = enumerate_pairs_unordered(ctx)
-    affine = [j for j, pair in enumerate(pairs) if pair.is_affine]
-    t, m = np.array([tn_to_tm(pair_to_tn(pairs[j], ctx), ctx) for j in affine]).T
+    a, b = decode("unordered_pairs", ell)
+    affine = b < ell  # a < b, so only b can be infinity
+    a, b = a[affine], b[affine]
+    # pair_to_tn of the affine pairs {a, b}
+    t, m = tn_to_tm(SplitPairTN((a + b) % ell, a * b % ell), ctx)
     # the row at T = t + d has M = d^2 - m; the -1 entries (no row) sort first
     d = np.arange(ell, dtype=np.int64)[:, None]
     chart = np.sort(row_at[(t + d) % ell, (d * d - m) % ell], axis=0)

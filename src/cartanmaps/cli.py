@@ -80,10 +80,7 @@ from .geometry import (
     GroupElement,
     OrderedPair,
     UnorderedPair,
-    enumerate_C,
-    enumerate_H,
-    enumerate_pairs_ordered,
-    enumerate_pairs_unordered,
+    decode,
     generators,
     gl2_order,
     parse_point,
@@ -252,10 +249,8 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
     log.info("verifying ell=%d epsilon=%d g=%d", ell, ctx.epsilon, ctx.g)
 
     with _phase(timings, "geometry"):
-        n_up = len(enumerate_pairs_unordered(ctx))
-        n_op = len(enumerate_pairs_ordered(ctx))
-        n_H = len(enumerate_H(ctx))
-        n_C = len(enumerate_C(ctx))
+        n_up, n_op, n_H, n_C = (len(decode(tag, ell)[0]) for tag in
+                                ("unordered_pairs", "ordered_pairs", "H_ell", "C_ell"))
         order = gl2_order(ell)
         sizes_ok = (
             n_up == ell * (ell + 1) // 2

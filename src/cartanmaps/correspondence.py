@@ -22,18 +22,17 @@ from .geometry import (
     OrderedPair,
     ProjectivePoint,
     UnorderedPair,
-    basis_C,
-    basis_H,
-    basis_ordered_pairs,
-    basis_unordered_pairs,
+    basis,
     cartan_act,
     cartan_index,
+    decode,
     generators,
     move_cartan,
     orbit_act,
     orbit_index,
+    p1_index,
     permutation,
-    stack,
+    transporters,
 )
 from .exact_linalg import check_float_modulus, rank_mod_p_stack
 from .modular_arith import PrimeContext, find_primitive_root
@@ -43,11 +42,8 @@ def transporter(a: ProjectivePoint, b: ProjectivePoint, ell: int) -> GroupElemen
     """A matrix g with g(0) = a and g(infinity) = b."""
     if a == b:
         raise ValueError("transporter endpoints must be distinct")
-    if a.at_infinity:
-        return GroupElement(b.x, 1, 1, 0)
-    if b.at_infinity:
-        return GroupElement(1, a.x, 0, 1)
-    return GroupElement(b.x, a.x, 1, 1)
+    x = transporters("ordered_pairs", p1_index(a, ell), p1_index(b, ell), ell)
+    return GroupElement(*map(int, x))
 
 
 @dataclass(frozen=True)
@@ -177,41 +173,31 @@ class OperatorMatrix:
 
 # ---------------------------------------------------------------------------
 # Assembly: psi+ and each H_s as an incidence index array, from one broadcast
-# action of the stacked column transporters on the base geodesic or path.
-# Arrays are (points, columns), so temporaries stay at about ell times the
-# column count.  A dense operator is its array scattered.
+# action of the column transporters (geometry.transporters) on the base
+# geodesic or path.  psi+ has rows H_ell and columns the unordered pairs,
+# every H_s rows C_ell and columns the ordered pairs.  Arrays are (points,
+# columns), so temporaries stay at about ell times the column count.  A dense
+# operator is its array scattered.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _frame(ell: int, col_tag: str) -> tuple[Basis, Basis, GroupElement]:
-    """(row basis, column basis, read-only stacked column transporters) of
-    psi+ (col_tag "unordered_pairs") or of the H_s ("ordered_pairs"), for
-    every epsilon, primitive root and slope."""
-    ctx = PrimeContext(ell)
-    if col_tag == "unordered_pairs":
-        rows, cols = basis_H(ctx), basis_unordered_pairs(ctx)
-        g = stack([transporter(pair.lo, pair.hi, ell) for pair in cols])
-    else:
-        rows, cols = basis_C(ctx), basis_ordered_pairs(ctx)
-        g = stack([transporter(pair.first, pair.second, ell) for pair in cols])
-    for entry in g:
-        entry.flags.writeable = False
-    return rows, cols, g
+def _tags(idx: np.ndarray, ctx: PrimeContext) -> tuple[str, str]:
+    """(row tag, column tag) of an incidence array: a geodesic has r points,
+    a path ell - 1."""
+    if len(idx) == ctx.r:
+        return "H_ell", "unordered_pairs"
+    return "C_ell", "ordered_pairs"
 
 
-def _frame_of(idx: np.ndarray, ctx: PrimeContext) -> tuple[Basis, Basis, GroupElement]:
-    """The frame of an incidence array: a geodesic has r points, a path ell - 1."""
-    return _frame(ctx.ell, "unordered_pairs" if len(idx) == ctx.r else "ordered_pairs")
-
-
-def _distinct_sorted(idx: np.ndarray, cols: Basis, what: str) -> np.ndarray:
+def _distinct_sorted(idx: np.ndarray, col_tag: str, ell: int, what: str) -> np.ndarray:
     """idx as int32 with every column sorted; each column must list distinct
     row indices."""
     idx = np.sort(idx.astype(np.int32), axis=0)
     ok = (np.diff(idx, axis=0) > 0).all(axis=0)
     if not ok.all():
-        raise AssertionError(f"{what} through {cols.elements[np.argmin(ok)]} "
-                             f"is not {len(idx)} distinct points")
+        ends = ",".join("inf" if k == ell else str(k)
+                        for k in (int(c[np.argmin(ok)]) for c in decode(col_tag, ell)))
+        ends = f"{{{ends}}}" if col_tag == "unordered_pairs" else f"({ends})"
+        raise AssertionError(f"{what} through {ends} is not {len(idx)} distinct points")
     return idx
 
 
@@ -225,31 +211,32 @@ def _scatter(out: np.ndarray, idx: np.ndarray, weight: int = 1) -> np.ndarray:
 def geodesic_incidence(ctx: PrimeContext) -> np.ndarray:
     """psi+ as its incidence index array: column j of psi+ has its ones at the
     H_ell rows idx[:, j], which are r distinct indices in ascending order."""
-    _, cols, g = _frame(ctx.ell, "unordered_pairs")
+    ell, tag = ctx.ell, "unordered_pairs"
+    g = transporters(tag, *decode(tag, ell), ell)
     lam = np.arange(1, ctx.r + 1, dtype=np.int64)[:, None]
     # lam and its negative land on conjugate points, so lam <= r suffices
-    idx = orbit_index(*move_cartan(g, 0, lam, ctx), ctx.ell)
-    return _distinct_sorted(idx, cols, "geodesic")
+    idx = orbit_index(*move_cartan(g, 0, lam, ctx), ell)
+    return _distinct_sorted(idx, tag, ell, "geodesic")
 
 
 def path_incidence(ctx: PrimeContext, s: int) -> np.ndarray:
     """H_s as its incidence index array: column j of H_s has its ones at the
     C_ell rows idx[:, j], which are ell - 1 distinct indices in ascending order."""
-    ell = ctx.ell
+    ell, tag = ctx.ell, "ordered_pairs"
     s %= ell
     if s == 0:
         raise ValueError("path slope must be nonzero")
-    _, cols, g = _frame(ell, "ordered_pairs")
+    g = transporters(tag, *decode(tag, ell), ell)
     lam = np.arange(1, ell, dtype=np.int64)[:, None]
     idx = cartan_index(*move_cartan(g, lam * s % ell, lam, ctx), ell)
-    return _distinct_sorted(idx, cols, f"path at slope {s}")
+    return _distinct_sorted(idx, tag, ell, f"path at slope {s}")
 
 
 def incidence_operator(ctx: PrimeContext, idx: np.ndarray) -> OperatorMatrix:
     """The dense 0/1 operator of an incidence array, with a one at
     (idx[i, j], j) for every i and j: psi+ for geodesic_incidence, H_s for
     path_incidence."""
-    rows, cols, _ = _frame_of(idx, ctx)
+    rows, cols = (basis(tag, ctx) for tag in _tags(idx, ctx))
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
     return OperatorMatrix(rows, cols, _scatter(data, idx))
 
@@ -269,7 +256,7 @@ def build_psi(ctx: PrimeContext, scheme: CoefficientScheme | None = None) -> Ope
     ell = ctx.ell
     scheme = scheme or CoefficientScheme.standard(ctx)
     scheme.validate(ctx)
-    rows, cols, _ = _frame(ell, "ordered_pairs")
+    rows, cols = basis("C_ell", ctx), basis("ordered_pairs", ctx)
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
     for s in range(1, ell):
         _scatter(data, path_incidence(ctx, s), scheme.combined(s))
@@ -296,7 +283,7 @@ def restrict_to_affine(m: OperatorMatrix, side: str) -> OperatorMatrix:
 # is the reference the tests check that proof against.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def _generator_perms(ctx: PrimeContext, row_tag: str,
                      col_tag: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(P_row(h), P_col(h)) for the generators h of GL2(F_ell), read-only."""
@@ -327,10 +314,9 @@ def check_equivariance_incidence(idx: np.ndarray, ctx: PrimeContext) -> bool:
     R_(P_col(j)) = P_row(R_j) for every column j; with every R_j sorted that
     is one array compare per generator.
     """
-    rows, cols, _ = _frame_of(idx, ctx)
     S = np.sort(idx, axis=0)
     return all(np.array_equal(np.sort(p_row[S], axis=0), S[:, p_col])
-               for p_row, p_col in _generator_perms(ctx, rows.tag, cols.tag))
+               for p_row, p_col in _generator_perms(ctx, *_tags(idx, ctx)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +328,12 @@ def check_equivariance_incidence(idx: np.ndarray, ctx: PrimeContext) -> bool:
 # are, and of the same rank over every field.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def galois_conjugation(ell: int) -> np.ndarray:
     """J on C_ell as a read-only index array: J[x(ell-1) + y - 1] is the
     index x(ell-1) + (ell-y) - 1 of x - y*se."""
-    x, y = np.divmod(np.arange(ell * (ell - 1)), ell - 1)
-    J = cartan_index(x, ell - 1 - y, ell)
+    x, y = decode("C_ell", ell)
+    J = cartan_index(x, ell - y, ell)
     J.flags.writeable = False
     return J
 
@@ -406,13 +392,13 @@ TORUS, UNIPOTENT = "torus", "unipotent"
 _STACK_ENTRIES = 1 << 16
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _orbits(ctx: PrimeContext, tag: str, group: str) -> tuple[np.ndarray, np.ndarray]:
     """(h, O) for the generator h of the group (TORUS or UNIPOTENT) on the
     basis with this tag: h as a permutation, and O[k, i] = h^k applied to the
     i-th orbit minimum, for k below the order of h.  Both depend only on ctx,
     the tag and the group, so every operator on that basis shares them; they
-    are returned read-only."""
+    are returned read-only and, like inverse_table, kept for the process."""
     if group == TORUS:
         gen, order = GroupElement(ctx.g, 0, 0, 1), ctx.ell - 1
     elif group == UNIPOTENT:
@@ -488,8 +474,7 @@ def incidence_columns(idx: np.ndarray, ctx: PrimeContext,
                       group: str = TORUS) -> np.ndarray:
     """The columns of an incidence index array at the column-orbit
     representatives of the group: all that its character blocks read."""
-    _, cols, _ = _frame_of(idx, ctx)
-    return idx[:, _orbits(ctx, cols.tag, group)[1][0]]
+    return idx[:, _orbits(ctx, _tags(idx, ctx)[1], group)[1][0]]
 
 
 def combined_torus_ranks(reps: list[np.ndarray], weights: list[int], p: int,
@@ -504,15 +489,17 @@ def combined_torus_ranks(reps: list[np.ndarray], weights: list[int], p: int,
     M, so at full row rank there M has full row rank too, and M's own blocks
     are ranked only when the restriction is singular.
     """
-    rows, cols, _ = _frame_of(reps[0], ctx)
-    reps_at = _orbits(ctx, cols.tag, TORUS)[1][0]
-    M = np.zeros((len(rows), len(reps_at)), dtype=np.int64)
+    row_tag, col_tag = _tags(reps[0], ctx)
+    n_rows = len(_orbits(ctx, row_tag, TORUS)[0])
+    reps_at = _orbits(ctx, col_tag, TORUS)[1][0]
+    M = np.zeros((n_rows, len(reps_at)), dtype=np.int64)
     for rep, w in zip(reps, weights):
         _scatter(M, rep, w)
-    B = _character_blocks(M, rows.tag, p, ctx, TORUS, list(range(ctx.ell - 1)))
-    affine = [cols.elements[j].is_affine for j in reps_at]
+    B = _character_blocks(M, row_tag, p, ctx, TORUS, list(range(ctx.ell - 1)))
+    # an affine pair has neither endpoint at infinity, whose P^1 index is ell
+    affine = (np.maximum(*decode(col_tag, ctx.ell)) < ctx.ell)[reps_at]
     affine_rank = int(rank_mod_p_stack(B[:, :, affine], p).sum())
-    if affine_rank == len(rows):
+    if affine_rank == n_rows:
         return affine_rank, affine_rank
     return int(rank_mod_p_stack(B, p).sum()), affine_rank
 

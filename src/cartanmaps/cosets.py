@@ -12,15 +12,13 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .correspondence import OperatorMatrix, transporter
+from .correspondence import OperatorMatrix
 from .geometry import (
     GroupElement,
     IDENTITY,
-    basis_C,
-    basis_H,
-    basis_ordered_pairs,
-    basis_unordered_pairs,
+    basis,
     cartan_index,
+    decode,
     det_mod,
     gl2_order,
     mat_inv,
@@ -31,6 +29,7 @@ from .geometry import (
     ordered_pair_index,
     stack,
     subgroup_order,
+    transporters,
     unordered_pair_index,
 )
 from .modular_arith import PrimeContext
@@ -194,22 +193,14 @@ def decompose(H: SubgroupSpec, g: GroupElement, K: SubgroupSpec,
     return DoubleCosetDecomposition(H, K, g, tuple(buckets.values()), degree)
 
 
-_DOMAIN_BASES = {
-    NORMALIZER_SPLIT: basis_unordered_pairs,
-    SPLIT_CARTAN: basis_ordered_pairs,
-    NORMALIZER_NONSPLIT: basis_H,
-    NONSPLIT_CARTAN: basis_C,
+# The basis G/K is identified with, by the kind of K: gK is g * (the base
+# object, whose stabilizer is K), as coset_key encodes it
+_DOMAIN_TAGS = {
+    NORMALIZER_SPLIT: "unordered_pairs",
+    SPLIT_CARTAN: "ordered_pairs",
+    NORMALIZER_NONSPLIT: "H_ell",
+    NONSPLIT_CARTAN: "C_ell",
 }
-
-
-def _object_transporter(kind: str, obj, ell: int) -> GroupElement:
-    """Some x in G whose coset xK corresponds to the given basis object."""
-    if kind == NORMALIZER_SPLIT:
-        return transporter(obj.lo, obj.hi, ell)
-    if kind == SPLIT_CARTAN:
-        return transporter(obj.first, obj.second, ell)
-    # both Cartan-side objects (x, y) are reached from se by (y x; 0 1)
-    return GroupElement(obj.y, obj.x, 0, 1)
 
 
 def coset_incidence(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> np.ndarray:
@@ -219,12 +210,13 @@ def coset_incidence(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> np.ndar
     the four stabilizer identifications are supported."""
     ell = ctx.ell
     for side in (dec.H, dec.K):
-        if side.kind not in _DOMAIN_BASES:
+        if side.kind not in _DOMAIN_TAGS:
             raise ValueError(f"no basis identification for subgroup kind "
                              f"{side.kind!r}")
-    col_basis = _DOMAIN_BASES[dec.H.kind](ctx)
-    x = stack([_object_transporter(dec.H.kind, obj, ell) for obj in col_basis])
-    moved = stack([mat_mul(alpha, dec.g, ell) for alpha in dec.representatives])
+    # x_j H is the j-th object of G/H: x_j carries its base object there
+    tag = _DOMAIN_TAGS[dec.H.kind]
+    x = transporters(tag, *decode(tag, ell), ell)
+    moved = mat_mul(stack(dec.representatives), dec.g, ell)
     keys = coset_key(dec.K, mat_mul(x, GroupElement(*(e[:, None] for e in moved)),
                                     ell), ctx)
     return np.sort(keys, axis=0)
@@ -233,7 +225,7 @@ def coset_incidence(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> np.ndar
 def coset_operator(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> OperatorMatrix:
     """coset_incidence as a matrix, whose entries count the repeats."""
     keys = coset_incidence(dec, ctx)
-    rows, cols = (_DOMAIN_BASES[side.kind](ctx) for side in (dec.K, dec.H))
+    rows, cols = (basis(_DOMAIN_TAGS[side.kind], ctx) for side in (dec.K, dec.H))
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
     np.add.at(data, (keys, np.arange(len(cols))), 1)
     return OperatorMatrix(rows, cols, data)

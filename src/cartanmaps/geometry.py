@@ -243,6 +243,48 @@ def cartan_index(x, y, ell: int):
     return x * (ell - 1) + y - 1
 
 
+def decode(tag: str, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of every element of the basis with this tag, in the
+    order of its enumeration below: the P^1 indices (i, j) of the pair for
+    "unordered_pairs" and "ordered_pairs", (x, y) of x + y*se for "H_ell"
+    (1 <= y <= r) and "C_ell".  The encoders above invert it."""
+    if tag == "unordered_pairs":
+        return np.triu_indices(ell + 1, 1)
+    if tag == "ordered_pairs":
+        return np.nonzero(~np.eye(ell + 1, dtype=bool))
+    if tag in ("H_ell", "C_ell"):
+        n = (ell - 1) // 2 if tag == "H_ell" else ell - 1
+        x, y = np.divmod(np.arange(ell * n), n)
+        return x, y + 1
+    raise ValueError(f"no basis {tag!r}")
+
+
+def transporters(tag: str, u, v, ell: int) -> GroupElement:
+    """An x in GL2 with x * base = the element with coordinates (u, v) (see
+    decode) of the basis with this tag, for ints or broadcastable arrays.
+
+    For a pair (i, j) the base is {0, inf} or (0, inf), and x is
+    (j 1; 1 0) for i = inf, (1 i; 0 1) for j = inf, else (j i; 1 1).  For
+    x + y*se in H_ell or C_ell the base is se, and x is (y x; 0 1).
+    """
+    if tag in ("unordered_pairs", "ordered_pairs"):
+        i_fin, j_fin = 1 * (u != ell), 1 * (v != ell)
+        return GroupElement(np.where(j_fin, v, 1), np.where(i_fin, u, 1), j_fin, i_fin)
+    return GroupElement(v, u, 0 * u, 0 * u + 1)
+
+
+def permutation(m: GroupElement, tag: str, ctx: PrimeContext) -> np.ndarray:
+    """out[i] = the index of m * (element i) in the basis with this tag."""
+    ell = ctx.ell
+    u, v = decode(tag, ell)
+    if tag == "unordered_pairs":
+        return unordered_pair_index(move_p1(m, u, ell), move_p1(m, v, ell), ell)
+    if tag == "ordered_pairs":
+        return ordered_pair_index(move_p1(m, u, ell), move_p1(m, v, ell), ell)
+    x, y = move_cartan(m, u, v, ctx)
+    return orbit_index(x, y, ell) if tag == "H_ell" else cartan_index(x, y, ell)
+
+
 # ---------------------------------------------------------------------------
 # Canonical enumerations (these orders are part of the matrix export format)
 # ---------------------------------------------------------------------------
@@ -299,37 +341,11 @@ class Basis:
         return f"Basis({self.tag!r}, size={len(self.elements)})"
 
 
-def basis_unordered_pairs(ctx: PrimeContext) -> Basis:
-    return Basis("unordered_pairs", enumerate_pairs_unordered(ctx))
-
-
-def basis_ordered_pairs(ctx: PrimeContext) -> Basis:
-    return Basis("ordered_pairs", enumerate_pairs_ordered(ctx))
-
-
-def basis_H(ctx: PrimeContext) -> Basis:
-    return Basis("H_ell", enumerate_H(ctx))
-
-
-def basis_C(ctx: PrimeContext) -> Basis:
-    return Basis("C_ell", enumerate_C(ctx))
-
-
-def permutation(m: GroupElement, tag: str, ctx: PrimeContext) -> np.ndarray:
-    """out[i] = the index of m * (element i) in the basis with this tag."""
-    ell = ctx.ell
-    if tag == "unordered_pairs":
-        i, j = np.triu_indices(ell + 1, 1)
-        return unordered_pair_index(move_p1(m, i, ell), move_p1(m, j, ell), ell)
-    if tag == "ordered_pairs":
-        i, j = np.nonzero(~np.eye(ell + 1, dtype=bool))
-        return ordered_pair_index(move_p1(m, i, ell), move_p1(m, j, ell), ell)
-    if tag in ("H_ell", "C_ell"):
-        n = ctx.r if tag == "H_ell" else ell - 1
-        x, y = np.divmod(np.arange(ell * n), n)
-        x, y = move_cartan(m, x, y + 1, ctx)
-        return orbit_index(x, y, ell) if tag == "H_ell" else cartan_index(x, y, ell)
-    raise ValueError(f"no group action on basis {tag!r}")
+def basis(tag: str, ctx: PrimeContext) -> Basis:
+    """The basis with this tag, whose elements decode gives coordinates of."""
+    return Basis(tag, {"unordered_pairs": enumerate_pairs_unordered,
+                       "ordered_pairs": enumerate_pairs_ordered,
+                       "H_ell": enumerate_H, "C_ell": enumerate_C}[tag](ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +8,16 @@ import pytest
 
 from cartanmaps.correspondence import (
     CoefficientScheme,
+    _distinct_sorted,
     OperatorMatrix,
     build_H_s,
     build_psi,
     build_psi_plus,
     check_equivariance_psi,
     check_equivariance_psi_plus,
+    geodesic_incidence,
     geodesic_points,
+    path_incidence,
     path_points,
     restrict_to_affine,
     transporter,
@@ -353,3 +357,21 @@ def test_operator_matrix_shape_validation(contexts):
     m = build_psi_plus(ctx)
     with pytest.raises(ValueError):
         OperatorMatrix(m.row_basis, m.col_basis, np.zeros((2, 2), dtype=np.int32))
+
+
+def test_distinct_sorted_names_the_column_that_repeats_a_row(contexts):
+    """A column of an incidence array that lists a row twice is refused, with
+    that column's endpoints decoded from its index."""
+    ctx = contexts[7]
+    cases = [(path_incidence(ctx, 2), "ordered_pairs", "path at slope 2",
+              enumerate_pairs_ordered(ctx)),
+             (geodesic_incidence(ctx), "unordered_pairs", "geodesic",
+              enumerate_pairs_unordered(ctx))]
+    for idx, tag, what, pairs in cases:
+        for col in (5, idx.shape[1] - 1):  # an affine pair, then one with inf
+            bad = idx.copy()
+            bad[1, col] = bad[0, col]
+            msg = f"{what} through {pairs[col]} is not {len(idx)} distinct points"
+            with pytest.raises(AssertionError, match=re.escape(msg)):
+                _distinct_sorted(bad, tag, ctx.ell, what)
+        assert np.array_equal(_distinct_sorted(idx[::-1], tag, ctx.ell, what), idx)

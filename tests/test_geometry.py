@@ -11,14 +11,12 @@ from cartanmaps.geometry import (
     OrderedPair,
     ProjectivePoint,
     UnorderedPair,
-    basis_C,
-    basis_H,
-    basis_ordered_pairs,
-    basis_unordered_pairs,
+    basis,
     cartan_act,
     cartan_index,
     cartan_point,
     cartan_to_diff,
+    decode,
     det_mod,
     diff_to_cartan,
     diff_to_pair,
@@ -50,9 +48,11 @@ from cartanmaps.geometry import (
     tn_to_orbit,
     tn_to_pair,
     tn_to_tm,
+    transporters,
     unordered_pair_index,
 )
-from cartanmaps.modular_arith import legendre
+from cartanmaps.correspondence import transporter
+from cartanmaps.modular_arith import PrimeContext, legendre
 
 from conftest import PRIMES_ALL, PRIMES_SMALL
 
@@ -85,7 +85,7 @@ def test_enumerations_are_canonical(ell, contexts):
     assert up == sorted(up)
     assert H == sorted(H) and C == sorted(C)
     # index arithmetic used by the assemblers matches the basis order
-    bH, bC = basis_H(ctx), basis_C(ctx)
+    bH, bC = basis("H_ell", ctx), basis("C_ell", ctx)
     for w in H:
         assert bH.index_of(w) == w.x * ctx.r + w.y - 1
     for z in C:
@@ -176,14 +176,37 @@ def test_action_laws(ell, contexts):
         assert cartan_act(mat_inv(g, ell), zg, ctx) == z
 
 
-@pytest.mark.parametrize("ell", PRIMES_SMALL)
-def test_index_encoders_and_generator_permutations(ell, contexts):
-    """The closed-form indices follow the Basis order, and each generator of
-    GL2 permutes every basis the way the dataclass actions say."""
-    ctx = contexts[ell]
+@pytest.mark.parametrize(
+    "ctx", [pytest.param(PrimeContext(ell), id=str(ell)) for ell in PRIMES_SMALL]
+    + [pytest.param(PrimeContext(13, 5, 7), id="13-eps5-g7")])
+def test_index_encoders_and_generator_permutations(ctx):
+    """The decoder lists each basis in its enumeration order, the closed-form
+    indices invert it, the closed-form transporters carry the base object to
+    each element, and each generator of GL2 permutes every basis the way the
+    dataclass actions say."""
+    ell = ctx.ell
     assert [p1_index(p, ell) for p in enumerate_p1(ctx)] == list(range(ell + 1))
-    unordered, ordered = basis_unordered_pairs(ctx), basis_ordered_pairs(ctx)
-    H, C = basis_H(ctx), basis_C(ctx)
+    unordered, ordered, H, C = (basis(tag, ctx) for tag in
+                                ("unordered_pairs", "ordered_pairs", "H_ell", "C_ell"))
+    for b in (unordered, ordered, H, C):
+        u, v = decode(b.tag, ell)
+        x = transporters(b.tag, u, v, ell)
+        assert len(u) == len(v) == len(b)
+        for k, e in enumerate(b):
+            g = GroupElement(*(int(entry[k]) for entry in x))
+            if b in (unordered, ordered):
+                ends = (e.lo, e.hi) if b is unordered else (e.first, e.second)
+                assert (u[k], v[k]) == tuple(p1_index(p, ell) for p in ends)
+                assert g == transporter(*ends, ell)
+                # g sends the base pair (0, inf) to (i, j), so {0, inf} to {i, j}
+                assert (mobius_act(g, aff(0), ell), mobius_act(g, INFINITY, ell)) == ends
+            else:
+                assert (u[k], v[k]) == (e.x, e.y)
+                assert g == GroupElement(e.y, e.x, 0, 1)
+                if b is H:
+                    assert orbit_act(g, CartanOrbit(0, 1), ctx) == e
+                else:
+                    assert cartan_act(g, CartanPoint(0, 1), ctx) == e
     for e in unordered:
         i, j = p1_index(e.lo, ell), p1_index(e.hi, ell)
         assert unordered_pair_index(i, j, ell) == unordered.index_of(e)
@@ -204,12 +227,12 @@ def test_index_encoders_and_generator_permutations(ell, contexts):
         (H, lambda h, e: orbit_act(h, e, ctx)),
         (C, lambda h, e: cartan_act(h, e, ctx)),
     ]
-    for basis, act in moved:
-        assert permutation(IDENTITY, basis.tag, ctx).tolist() == list(range(len(basis)))
+    for b, act in moved:
+        assert permutation(IDENTITY, b.tag, ctx).tolist() == list(range(len(b)))
         for h in generators(ctx):
-            perm = permutation(h, basis.tag, ctx).tolist()
-            assert sorted(perm) == list(range(len(basis)))
-            assert [basis.elements[i] for i in perm] == [act(h, e) for e in basis]
+            perm = permutation(h, b.tag, ctx).tolist()
+            assert sorted(perm) == list(range(len(b)))
+            assert [b.elements[i] for i in perm] == [act(h, e) for e in b]
     for h in generators(ctx):
         assert sorted(mobius_act(h, p, ell) for p in enumerate_p1(ctx)) \
             == sorted(enumerate_p1(ctx))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cartanmaps.cli as cli_mod
-from cartanmaps import correspondence, cosets
+from cartanmaps import circulant, correspondence, cosets, geometry
 from cartanmaps.cli import AUX_RANK_PRIME, aux_rank_prime, main
 from cartanmaps.correspondence import (
     TORUS,
@@ -27,8 +27,8 @@ from cartanmaps.correspondence import (
     restrict_to_affine,
 )
 from cartanmaps.exact_linalg import det_mod_p, rank_exact, rank_mod_p, rank_mod_p_stack
-from cartanmaps.modular_arith import (PrimeContext, find_primitive_root, is_odd_prime,
-                                      is_prime)
+from cartanmaps.modular_arith import (PrimeContext, find_primitive_root, inverse_table,
+                                      is_odd_prime, is_prime)
 from cartanmaps.cli import run_verification
 
 from conftest import PRIMES_SMALL, oracle_mod_p
@@ -651,6 +651,53 @@ def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):
     assert passes == {3: 2, 5: 4, 7: 6}
     runs = json.loads(capsys.readouterr().out)["runs"]
     assert all(e["ok"] for run in runs for e in run["all_epsilon"])
+
+
+def test_verify_builds_no_point_objects(capsys, monkeypatch):
+    """A passing verify reads every G-set through geometry's decoder and
+    transporters: no Basis, no enumeration, no dataclass point and no chart
+    or action that maps one point at a time, and the reports are unchanged."""
+    argvs = (["verify", "--ell-range", "3..13"],
+             ["verify", "--ell", "7", "--all-epsilon", "--strict-roots"])
+    want = []
+    for argv in argvs:
+        assert main(argv) == 0
+        want.append(json.loads(capsys.readouterr().out))
+    for cache in (correspondence._orbits, correspondence._generator_perms,
+                  correspondence.galois_conjugation):
+        cache.cache_clear()
+    for cls in (geometry.Basis, geometry.ProjectivePoint, geometry.UnorderedPair,
+                geometry.OrderedPair):
+        monkeypatch.setattr(cls, "__init__", refuse(f"{cls.__name__}()"))
+    names = [name for name in vars(geometry) if name.startswith("enumerate_")]
+    names += ["pair_to_tn", "tn_to_pair", "tn_to_orbit", "pair_to_diff", "diff_to_pair",
+              "diff_to_cartan", "mobius_act", "cartan_act", "orbit_act", "transporter"]
+    for module in (geometry, correspondence, cosets, circulant, cli_mod):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    for argv, doc in zip(argvs, want):
+        assert main(argv) == 0
+        got = json.loads(capsys.readouterr().out)
+        for run in got["runs"] + doc["runs"]:
+            del run["timings"]
+        assert got == doc
+
+
+def test_a_second_sweep_misses_no_cache():
+    """The per-prime tables verify caches (orbits, generator permutations,
+    Galois conjugation, inverses) are kept for the life of the process, so a
+    second 3..23 sweep computes none of them again.  The column transporters
+    are closed forms on the decoded coordinates and are not cached."""
+    caches = (correspondence._orbits, correspondence._generator_perms,
+              correspondence.galois_conjugation, inverse_table)
+    primes = [n for n in range(3, 24) if is_odd_prime(n)]
+    for ell in primes:
+        run_verification(ell)
+    misses = [cache.cache_info().misses for cache in caches]
+    for ell in primes:
+        run_verification(ell)
+    assert [cache.cache_info().misses for cache in caches] == misses
 
 
 # ---------------------------------------------------------------------------

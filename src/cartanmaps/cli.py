@@ -37,23 +37,27 @@ from .correspondence import (
     TORUS,
     UNIPOTENT,
     CoefficientScheme,
+    base_paths,
     block_shape,
     build_H_s,
     build_psi,
     build_psi_plus,
+    check_base_fixed,
     check_equivariance_incidence,
     check_equivariance_psi,  # noqa: F401
     check_equivariance_psi_plus,  # noqa: F401
+    check_galois_bases,
     check_galois_commutes,
+    check_transporters,
     combined_torus_ranks,
     geodesic_incidence,
     geodesic_points,
     incidence_columns,
     incidence_operator,
     incidence_ranks,
-    is_galois_pair,
-    path_incidence,
+    path_columns,
     path_points,
+    representatives,
     restrict_to_affine,
 )
 from .cosets import (
@@ -207,7 +211,7 @@ def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dens
                      side: str, expected: int,
                      ctx: PrimeContext) -> tuple[dict, list, list]:
     """ranks is (rank, affine rank) mod ell from the operator's torus blocks,
-    or None when its generator proof failed, so that the blocks mean nothing;
+    or None when its equivariance proof failed, so that the blocks mean nothing;
     then the certificate and the affine restriction come from the dense
     operator, built once by dense()."""
     failures, nonconclusive = [], []
@@ -270,7 +274,6 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         if not sizes_ok:
             failures.append("set cardinalities disagree with coset-space indices")
 
-    check_coincidence = not skip_cosets and ell <= COINCIDENCE_BOUND
     with _phase(timings, "theorem1"):
         # proved and ranked on its geodesic array, which chart conjugacy and
         # the coset coincidence read too
@@ -287,37 +290,34 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         nonconclusive += n1
 
     with _phase(timings, "theorem2"):
-        # One path pass per slope, made in Galois pairs (s, ell - s).  A slope's
-        # columns at the torus-orbit representatives serve psi (sum_s c_s H_s)
-        # here and H_s in the h_s phase; its columns at the unipotent ones serve
-        # the auxiliary prime.  ell - s takes the proof and the ranks of s when
-        # J commutes with GL2 and maps the one array onto the other; otherwise
-        # it is proved and ranked on its own.
-        reps, unipotent_reps, paired, incidences = {}, {}, {}, {}
-        col_ok = True
+        # Each H_s is its base path carried to every ordered pair by the pair's
+        # transporter, so it is GL2-equivariant when (a) the split Cartan fixes
+        # the base path and (b) every transporter carries (0, inf) to its pair
+        # (the lemma above correspondence.check_base_fixed); it is then built
+        # only at the column-orbit representatives the ranks read.  The slopes
+        # go in Galois pairs (s, ell - s): ell - s takes the proof and the
+        # ranks of s when J commutes with GL2 and maps the one base path onto
+        # the other; otherwise it is proved and ranked on its own.
+        bases = base_paths(ctx, range(1, ell))
+        # the base paths list distinct points, so each column sum is their length
+        col_ok = all(len(base) == ell - 1 for base in bases.values())
+        carried = check_transporters(ctx)
         galois_ok = check_galois_commutes(ctx)
-
-        def keep(t, idx, proved_by_pairing):
-            """Keep what slope t's path array serves; a slope that is not
-            paired is proved here and gets its unipotent columns."""
-            nonlocal col_ok
-            # its columns list distinct rows, so each column sum is len(idx)
-            col_ok = col_ok and len(idx) == ell - 1
-            if check_coincidence:
-                incidences[t] = idx
-            if proved_by_pairing or check_equivariance_incidence(idx, ctx):
-                reps[t] = incidence_columns(idx, ctx)
-                if not proved_by_pairing:
-                    unipotent_reps[t] = incidence_columns(idx, ctx, UNIPOTENT)
-
+        own, paired = [], {}  # the slopes proved on their own; t -> s
         for s in range(1, ctx.r + 1):
-            idx_s = path_incidence(ctx, s)
-            keep(s, idx_s, False)
-            idx_t = path_incidence(ctx, ell - s)
-            if galois_ok and s in reps and is_galois_pair(idx_s, idx_t, ctx):
-                paired[ell - s] = s
-            keep(ell - s, idx_t, ell - s in paired)
-            del idx_s, idx_t  # at most two path arrays are alive
+            t = ell - s
+            if carried and check_base_fixed(bases[s], ctx):
+                own.append(s)
+                if galois_ok and check_galois_bases(bases[s], bases[t], ctx):
+                    paired[t] = s
+                    continue
+            if carried and check_base_fixed(bases[t], ctx):
+                own.append(t)
+        # a slope's columns at the torus-orbit representatives serve psi
+        # (sum_s c_s H_s) here and H_s in the h_s phase
+        proved = set(own) | set(paired)
+        reps = path_columns(ctx, {s: bases[s] for s in range(1, ell) if s in proved},
+                            representatives(ctx, "ordered_pairs"))
         eq_hs = len(reps) == ell - 1
         ranks = (combined_torus_ranks(list(reps.values()),
                                       [scheme.combined(s) for s in reps], ell, ctx)
@@ -377,8 +377,13 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
 
     with _phase(timings, "equivariance"):
         # proved before the ranks: psi is fixed when every H_s is
+        # the H_s proof names its premises: (b), and the slopes (a) held for
+        h_s_proof = {"method": "transported base path",
+                     "transporters_carry_base": carried,
+                     "split_cartan_fixes_base": sorted(own)}
         report["equivariance"] = {"generators": [list(h) for h in generators(ctx)],
-                                  "psi_plus": eq_plus, "psi": eq_hs}
+                                  "psi_plus": eq_plus, "psi": eq_hs,
+                                  "h_s_proof": h_s_proof}
         if not (eq_plus and eq_hs):
             failures.append("equivariance fails on a generator of GL2")
 
@@ -403,16 +408,18 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
     with _phase(timings, "h_s"):
         # Observation only (no asserted expected value): the rank of a single
         # slope operator, conclusive when full rank is hit mod some prime.
-        # The blocks of the proved slopes, read off the columns kept in
-        # theorem2, are ranked in shared stacks: mod ell the Weyl-paired torus
-        # characters, and only below full rank the two unipotent characters
-        # mod the aux prime.  A paired slope copies the ranks of its conjugate.
+        # The blocks of the proved slopes are ranked in shared stacks: mod ell
+        # the Weyl-paired torus characters, read off the columns built in
+        # theorem2, and only below full rank the two unipotent characters mod
+        # the aux prime, from the columns at the U-orbit representatives.  A
+        # paired slope copies the ranks of its conjugate.
         aux = aux_rank_prime(ell)
         full = min(n_C, n_op)
-        own = list(unipotent_reps)  # the slopes proved on their own
         r_ell = dict(zip(own, incidence_ranks([reps[s] for s in own], ell, ctx, "weyl")))
         low = [s for s in own if r_ell[s] < full]
-        r_aux = dict(zip(low, incidence_ranks([unipotent_reps[s] for s in low], aux, ctx,
+        unipotent_reps = path_columns(ctx, {s: bases[s] for s in low},
+                                      representatives(ctx, "ordered_pairs", UNIPOTENT))
+        r_aux = dict(zip(low, incidence_ranks(list(unipotent_reps.values()), aux, ctx,
                                               "unipotent")))
         for t, s in paired.items():
             r_ell[t] = r_ell[s]
@@ -443,11 +450,13 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         report["h_s_ranks"] = hs_ranks
         report["h_s_column_sums_ok"] = col_ok
 
-    if check_coincidence:
+    if not skip_cosets and ell <= COINCIDENCE_BOUND:
         with _phase(timings, "coincidence"):
             # a column's sorted rows, repeats included, fix the operator's
             # column, so the arrays are equal iff the operators are
             plus_ok = np.array_equal(coset_incidence(dec_n, ctx), geodesics)
+            # every slope's full path array, from theorem2's base paths
+            incidences = path_columns(ctx, bases, np.arange(n_op))
             hs_ok = all(np.array_equal(coset_incidence(dec_c[s], ctx), incidences[s])
                         for s in range(1, ell))
             report["coincidence"] = {"checked": True, "psi_plus": plus_ok,

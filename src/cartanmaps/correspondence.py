@@ -26,8 +26,10 @@ from .geometry import (
     cartan_act,
     cartan_index,
     decode,
+    det_mod,
     generators,
     move_cartan,
+    move_p1,
     orbit_act,
     orbit_index,
     p1_index,
@@ -176,8 +178,9 @@ class OperatorMatrix:
 # action of the column transporters (geometry.transporters) on the base
 # geodesic or path.  psi+ has rows H_ell and columns the unordered pairs,
 # every H_s rows C_ell and columns the ordered pairs.  Arrays are (points,
-# columns), so temporaries stay at about ell times the column count.  A dense
-# operator is its array scattered.
+# columns), so temporaries stay at about ell times the column count; the
+# path operators are built at any subset of columns, for any set of slopes
+# at once.  A dense operator is its array scattered.
 # ---------------------------------------------------------------------------
 
 def _tags(idx: np.ndarray, ctx: PrimeContext) -> tuple[str, str]:
@@ -188,16 +191,23 @@ def _tags(idx: np.ndarray, ctx: PrimeContext) -> tuple[str, str]:
     return "C_ell", "ordered_pairs"
 
 
-def _distinct_sorted(idx: np.ndarray, col_tag: str, ell: int, what: str) -> np.ndarray:
-    """idx as int32 with every column sorted; each column must list distinct
-    row indices."""
-    idx = np.sort(idx.astype(np.int32), axis=0)
-    ok = (np.diff(idx, axis=0) > 0).all(axis=0)
+def _distinct_sorted(idx: np.ndarray, col_tag: str, ell: int, what,
+                     cols: np.ndarray | None = None) -> np.ndarray:
+    """idx as int32 with every column sorted along its points axis, the
+    second to last; each column must list distinct row indices.  A stack of
+    arrays names its k-th member what[k], a single array what.  cols are the
+    indices of idx's columns in the column basis, all of them by default."""
+    idx = np.sort(idx.astype(np.int32), axis=-2)
+    ok = (np.diff(idx, axis=-2) > 0).all(axis=-2)
     if not ok.all():
+        *member, j = np.argwhere(~ok)[0].tolist()
+        col = j if cols is None else int(cols[j])
         ends = ",".join("inf" if k == ell else str(k)
-                        for k in (int(c[np.argmin(ok)]) for c in decode(col_tag, ell)))
+                        for k in (int(c[col]) for c in decode(col_tag, ell)))
         ends = f"{{{ends}}}" if col_tag == "unordered_pairs" else f"({ends})"
-        raise AssertionError(f"{what} through {ends} is not {len(idx)} distinct points")
+        name = what[member[0]] if member else what
+        raise AssertionError(f"{name} through {ends} is not {idx.shape[-2]} "
+                             f"distinct points")
     return idx
 
 
@@ -219,17 +229,44 @@ def geodesic_incidence(ctx: PrimeContext) -> np.ndarray:
     return _distinct_sorted(idx, tag, ell, "geodesic")
 
 
+def base_paths(ctx: PrimeContext, slopes) -> dict[int, np.ndarray]:
+    """The base path of each slope s: the slope-s path through (0, inf),
+    {lam*s + lam*se : lam in F_ell^x}, as its ell - 1 C_ell indices in
+    ascending order, keyed by s mod ell."""
+    ell = ctx.ell
+    keys = [s % ell for s in slopes]
+    if 0 in keys:
+        raise ValueError("path slope must be nonzero")
+    s = np.array(keys, dtype=np.int64)[:, None]
+    lam = np.arange(1, ell, dtype=np.int64)
+    bases = np.sort(cartan_index(lam * s % ell, lam, ell).astype(np.int32), axis=1)
+    return dict(zip(keys, bases))
+
+
+def path_columns(ctx: PrimeContext, bases: dict[int, np.ndarray],
+                 cols: np.ndarray) -> dict[int, np.ndarray]:
+    """The columns cols of the path operators with these base paths (see
+    base_paths), by slope: column j of slope s lists the C_ell rows that the
+    transporter of the ordered pair cols[j] carries bases[s] to, ell - 1
+    distinct indices in ascending order.  One broadcast serves every slope."""
+    if not bases:
+        return {}
+    ell, tag = ctx.ell, "ordered_pairs"
+    i, j = decode(tag, ell)
+    g = transporters(tag, i[cols], j[cols], ell)
+    x, y = decode("C_ell", ell)
+    b = np.stack(list(bases.values()))[:, :, None]
+    idx = cartan_index(*move_cartan(g, x[b], y[b], ctx), ell)
+    names = [f"path at slope {s}" for s in bases]
+    return dict(zip(bases, _distinct_sorted(idx, tag, ell, names, cols)))
+
+
 def path_incidence(ctx: PrimeContext, s: int) -> np.ndarray:
     """H_s as its incidence index array: column j of H_s has its ones at the
     C_ell rows idx[:, j], which are ell - 1 distinct indices in ascending order."""
-    ell, tag = ctx.ell, "ordered_pairs"
-    s %= ell
-    if s == 0:
-        raise ValueError("path slope must be nonzero")
-    g = transporters(tag, *decode(tag, ell), ell)
-    lam = np.arange(1, ell, dtype=np.int64)[:, None]
-    idx = cartan_index(*move_cartan(g, lam * s % ell, lam, ctx), ell)
-    return _distinct_sorted(idx, tag, ell, f"path at slope {s}")
+    n = ctx.ell * (ctx.ell + 1)
+    (idx,) = path_columns(ctx, base_paths(ctx, [s]), np.arange(n)).values()
+    return idx
 
 
 def incidence_operator(ctx: PrimeContext, idx: np.ndarray) -> OperatorMatrix:
@@ -320,6 +357,40 @@ def check_equivariance_incidence(idx: np.ndarray, ctx: PrimeContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Equivariance by construction.  The ordered pairs are one GL2-orbit, that of
+# (0, inf), whose stabilizer is the split Cartan C of diagonal matrices.  Let
+# T_j be the transporter of pair j and M the operator whose column j is T_j
+# applied to a base set B of C_ell.  If every T_j is invertible and carries
+# (0, inf) to pair j, then for h in GL2 and h(pair j) = pair k the element
+# T_k^-1 h T_j fixes (0, inf), so it lies in C; if C fixes B, then h maps
+# column j onto column k, and M is GL2-equivariant (Frobenius reciprocity for
+# the induced module).  Conversely an equivariant M has its column at
+# (0, inf), whose transporter is the identity, fixed by C.  verify proves H_s
+# from these two premises, the one per slope and the other per prime, and so
+# builds each H_s only at the columns its ranks read.
+# ---------------------------------------------------------------------------
+
+def check_base_fixed(base: np.ndarray, ctx: PrimeContext) -> bool:
+    """Premise (a): diag(g, 1) and diag(1, g), which generate C, map the base
+    path (ascending C_ell indices, see base_paths) onto itself."""
+    ell = ctx.ell
+    x, y = (u[base] for u in decode("C_ell", ell))
+    return all(np.array_equal(np.sort(cartan_index(*move_cartan(h, x, y, ctx), ell)), base)
+               for h in (GroupElement(ctx.g, 0, 0, 1), GroupElement(1, 0, 0, ctx.g)))
+
+
+def check_transporters(ctx: PrimeContext) -> bool:
+    """Premise (b): the transporter of every ordered pair (i, j) is invertible
+    and carries 0 to i and infinity (P^1 index ell) to j."""
+    ell, tag = ctx.ell, "ordered_pairs"
+    i, j = decode(tag, ell)
+    g = transporters(tag, i, j, ell)
+    return bool((det_mod(g, ell) != 0).all()
+                and np.array_equal(move_p1(g, 0, ell), i)
+                and np.array_equal(move_p1(g, ell, ell), j))
+
+
+# ---------------------------------------------------------------------------
 # Slope pairing.  Galois conjugation J: x + y*se -> x - y*se is a bijection of
 # C_ell, and it commutes with every g of GL2(F_ell), whose entries lie in
 # F_ell.  It maps the slope-s path through a pair onto the slope-(ell - s)
@@ -352,6 +423,13 @@ def is_galois_pair(idx_s: np.ndarray, idx_t: np.ndarray, ctx: PrimeContext) -> b
     return np.array_equal(np.sort(galois_conjugation(ctx.ell)[idx_s], axis=0), idx_t)
 
 
+def check_galois_bases(base_s: np.ndarray, base_t: np.ndarray, ctx: PrimeContext) -> bool:
+    """Whether J maps the base path base_s onto base_t (both ascending); once
+    check_galois_commutes holds, J commutes with every transporter, so the
+    path operator of base_t is J times that of base_s."""
+    return np.array_equal(np.sort(galois_conjugation(ctx.ell)[base_s]), base_t)
+
+
 # ---------------------------------------------------------------------------
 # Rank by characters.  An operator fixed by an element h of order n commutes
 # with the cyclic group <h>.  Over an F_p holding an element w of order n (so
@@ -367,7 +445,8 @@ def is_galois_pair(idx_s: np.ndarray, idx_t: np.ndarray, ctx: PrimeContext) -> b
 # the blocks whose character is nontrivial on that stabilizer, so it needs
 # no special case.
 #
-# Two groups serve, each needing only the generator proof of M:
+# Two groups serve, each needing only that GL2 fixes M (the generator proof,
+# or for an H_s the two premises of its transported base path):
 # - the split torus T = <diag(g, 1)>, of order ell - 1, over F_ell (and any
 #   p = 1 mod ell - 1).  The Weyl element w = (0 1; 1 0) conjugates diag(g, 1)
 #   to diag(1, g), which acts as its inverse since scalars act trivially on
@@ -470,28 +549,36 @@ def block_shape(ctx: PrimeContext, group: str) -> tuple[int, int]:
             _orbits(ctx, "ordered_pairs", group)[1].shape[1])
 
 
+def representatives(ctx: PrimeContext, tag: str, group: str = TORUS) -> np.ndarray:
+    """The orbit minima of the group on the basis with this tag, ascending:
+    the only columns the character blocks of an operator read."""
+    return _orbits(ctx, tag, group)[1][0]
+
+
 def incidence_columns(idx: np.ndarray, ctx: PrimeContext,
                       group: str = TORUS) -> np.ndarray:
     """The columns of an incidence index array at the column-orbit
     representatives of the group: all that its character blocks read."""
-    return idx[:, _orbits(ctx, _tags(idx, ctx)[1], group)[1][0]]
+    return idx[:, representatives(ctx, _tags(idx, ctx)[1], group)]
 
 
 def combined_torus_ranks(reps: list[np.ndarray], weights: list[int], p: int,
                          ctx: PrimeContext) -> tuple[int, int]:
     """Ranks mod p of M = sum_t weights[t] * incidence_operator(ctx, idx_t)
-    and of its affine restriction, from reps[t] = incidence_columns(idx_t, ctx).
+    and of its affine restriction, from reps[t] = incidence_columns(idx_t, ctx)
+    (or path_columns at representatives(ctx, "ordered_pairs")).
 
-    Each operator must be fixed by diag(g, 1) (check_equivariance_incidence
-    proves it).  The blocks are linear in M, and diag(g, 1) fixes infinity,
-    so the restriction's blocks are M's at the affine representatives.  The
+    Each operator must be fixed by diag(g, 1) (check_equivariance_incidence,
+    or for an H_s check_base_fixed with check_transporters, proves it).  The
+    blocks are linear in M, and diag(g, 1) fixes infinity, so the
+    restriction's blocks are M's at the affine representatives.  The
     restriction is ranked first: it is a column submatrix with the rows of
     M, so at full row rank there M has full row rank too, and M's own blocks
     are ranked only when the restriction is singular.
     """
     row_tag, col_tag = _tags(reps[0], ctx)
     n_rows = len(_orbits(ctx, row_tag, TORUS)[0])
-    reps_at = _orbits(ctx, col_tag, TORUS)[1][0]
+    reps_at = representatives(ctx, col_tag)
     M = np.zeros((n_rows, len(reps_at)), dtype=np.int64)
     for rep, w in zip(reps, weights):
         _scatter(M, rep, w)
@@ -511,10 +598,10 @@ def incidence_ranks(reps: list[np.ndarray], p: int, ctx: PrimeContext,
 
     method is "torus" (every torus character), "weyl" (the torus characters
     a = 0..(ell-1)/2) or "unipotent" (p = 1 mod ell; the characters 0 and 1
-    of U).  Each operator must be fixed by GL2 (check_equivariance_incidence
-    proves it); "torus" needs diag(g, 1) only.  The blocks of consecutive
-    operators are ranked together, in stacks whose gathered columns hold at
-    most about _STACK_ENTRIES entries.
+    of U).  Each operator must be fixed by GL2 (check_base_fixed with
+    check_transporters proves it); "torus" needs diag(g, 1) only.  The
+    blocks of consecutive operators are ranked together, in stacks whose
+    gathered columns hold at most about _STACK_ENTRIES entries.
     """
     group, characters, weights = _split(method, ctx)
     h, P = _orbits(ctx, "C_ell", group)

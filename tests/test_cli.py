@@ -128,10 +128,10 @@ def test_verify_range_validates_every_prime_first(capsys):
 def test_verify_internal_value_error_is_not_usage_error(capsys, monkeypatch):
     import cartanmaps.cli as cli_mod
 
-    def broken_path_incidence(ctx, s):
+    def broken_base_paths(ctx, slopes):
         raise ValueError("path slope must be nonzero")
 
-    monkeypatch.setattr(cli_mod, "path_incidence", broken_path_incidence)
+    monkeypatch.setattr(cli_mod, "base_paths", broken_base_paths)
     with pytest.raises(ValueError, match="slope"):
         main(["verify", "--ell", "3"])
 

@@ -16,7 +16,9 @@ from cartanmaps.correspondence import (
     check_equivariance_psi,
     check_equivariance_psi_plus,
     geodesic_incidence,
+    base_paths,
     geodesic_points,
+    path_columns,
     path_incidence,
     path_points,
     restrict_to_affine,
@@ -375,3 +377,18 @@ def test_distinct_sorted_names_the_column_that_repeats_a_row(contexts):
             with pytest.raises(AssertionError, match=re.escape(msg)):
                 _distinct_sorted(bad, tag, ctx.ell, what)
         assert np.array_equal(_distinct_sorted(idx[::-1], tag, ctx.ell, what), idx)
+
+
+def test_path_columns_name_the_slope_and_pair_of_a_repeated_row(contexts):
+    """In a stack of slopes built at some columns, a repeated row is named by
+    its slope and by the pair of its column in the full basis."""
+    ctx = contexts[7]
+    bases = base_paths(ctx, [2, 3])
+    bases[3] = np.sort(np.append(bases[3][1:], bases[3][-1]))
+    cols = np.array([17, 5])
+    msg = f"path at slope 3 through {enumerate_pairs_ordered(ctx)[17]} is not 6 distinct points"
+    with pytest.raises(AssertionError, match=re.escape(msg)):
+        path_columns(ctx, bases, cols)
+    with pytest.raises(ValueError, match="nonzero"):
+        base_paths(ctx, [1, 7])
+    assert list(base_paths(ctx, [-1, 9])) == [6, 2]

@@ -27,3 +27,11 @@ def test_readme_h_s_rank_method_example_is_the_report():
     assert example is not None
     report = json.loads(json.dumps(run_verification(7)["h_s_rank_method"]))
     assert json.loads(example.group(1)) == report
+
+
+def test_readme_h_s_proof_example_is_the_report():
+    example = re.search(r"`h_s_proof` names the premises of the `H_s` proof, "
+                        r"e\.g\. at `ell = 7`\n`(\{.*?\})`", readme())
+    assert example is not None
+    report = json.loads(json.dumps(run_verification(7)["equivariance"]["h_s_proof"]))
+    assert json.loads(example.group(1)) == report

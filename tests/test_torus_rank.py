@@ -12,6 +12,7 @@ from cartanmaps.correspondence import (
     UNIPOTENT,
     CoefficientScheme,
     OperatorMatrix,
+    base_paths,
     build_H_s,
     build_psi,
     build_psi_plus,
@@ -23,6 +24,7 @@ from cartanmaps.correspondence import (
     incidence_columns,
     incidence_operator,
     incidence_ranks,
+    path_columns,
     path_incidence,
     restrict_to_affine,
 )
@@ -193,23 +195,23 @@ def test_torus_rank_rejects_primes_without_the_characters(contexts):
         incidence_ranks([rep], 7, ctx, "dense")
 
 
-def failing_proof(target):
-    """check_equivariance_incidence, failing on psi+'s geodesic array or on
-    the path array of H_1."""
-    def check(idx, ctx):
-        if target == "psi+" and len(idx) == ctx.r:
-            return False
-        if target == "H_1" and len(idx) == ctx.ell - 1 and \
-                np.array_equal(idx, path_incidence(ctx, 1)):
-            return False
-        return check_equivariance_incidence(idx, ctx)
-    return check
+def fail_proof(target, monkeypatch):
+    """Make verify's proof of psi+ fail (the generator proof of its geodesic
+    array), or that of H_1 (premise (a) on its base path)."""
+    if target == "psi+":
+        check = cli_mod.check_equivariance_incidence
+        monkeypatch.setattr(cli_mod, "check_equivariance_incidence",
+                            lambda idx, ctx: len(idx) != ctx.r and check(idx, ctx))
+    else:
+        check = cli_mod.check_base_fixed
+        monkeypatch.setattr(cli_mod, "check_base_fixed", lambda base, ctx: (
+            not np.array_equal(base, base_paths(ctx, [1])[1]) and check(base, ctx)))
 
 
 @pytest.mark.parametrize("ell", (3, 7))
 def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeypatch):
-    """An operator whose generator proof fails gets no torus rank: its theorem
-    falls back to the dense escalation, with the same rank, and the run fails."""
+    """An operator whose proof fails gets no torus rank: its theorem falls
+    back to the dense escalation, with the same rank, and the run fails."""
     ctx = PrimeContext(ell)
     want = run_verification(ell)
     dense_of = {"theorem1": (build_psi_plus(ctx), "N", "psi_plus"),
@@ -222,9 +224,10 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
             ranked_reps.append(len(reps))
             return ranked(reps, weights, p, ctx)
 
-        monkeypatch.setattr(cli_mod, "combined_torus_ranks", recorded)
-        monkeypatch.setattr(cli_mod, "check_equivariance_incidence", failing_proof(target))
-        assert main(["verify", "--ell", str(ell)]) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "combined_torus_ranks", recorded)
+            fail_proof(target, patch)
+            assert main(["verify", "--ell", str(ell)]) == 1
         run = json.loads(capsys.readouterr().out)["runs"][0]
         m, side, eq_key = dense_of[theorem]
         dense = rank_exact(m, preferred_primes=(ell,))
@@ -243,6 +246,8 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
             assert run["h_s_ranks"]["1"]["rank_mod_ell"] is None
             # ell - 1 cannot take the proof of H_1: it proved and ranked itself
             assert [1, ell - 1] not in run["h_s_rank_method"]["paired_slopes"]
+            fixed = run["equivariance"]["h_s_proof"]["split_cartan_fixes_base"]
+            assert 1 not in fixed and ell - 1 in fixed
             assert {s: h for s, h in run["h_s_ranks"].items() if s != "1"} == \
                 {str(s): h for s, h in want["h_s_ranks"].items() if s != 1}
 
@@ -345,14 +350,22 @@ def test_h_s_phase_ranks_by_torus_characters(capsys, monkeypatch):
 
 
 def test_h_s_equivariance_failure_is_reported(capsys, monkeypatch):
-    monkeypatch.setattr(cli_mod, "check_equivariance_incidence", lambda idx, ctx: False)
-    assert main(["verify", "--ell", "3"]) == 1
-    run = json.loads(capsys.readouterr().out)["runs"][0]
-    assert run["equivariance"]["h_s"] is False
-    assert any("H_s" in f for f in run["failures"])
-    # without the proof the torus blocks of an H_s mean nothing, so no rank
-    assert all(h == {"rank_mod_ell": None, "observed_rank": None, "conclusive": False}
-               for h in run["h_s_ranks"].values())
+    """Either premise of the H_s proof failing for every slope: premise (a),
+    checked per slope, or premise (b), checked once per prime."""
+    for premise in ("check_base_fixed", "check_transporters"):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, premise, lambda *args: False)
+            assert main(["verify", "--ell", "3"]) == 1
+        run = json.loads(capsys.readouterr().out)["runs"][0]
+        assert run["equivariance"]["h_s"] is False, premise
+        assert any("H_s" in f for f in run["failures"])
+        # without the proof the torus blocks of an H_s mean nothing, so no rank
+        assert all(h == {"rank_mod_ell": None, "observed_rank": None, "conclusive": False}
+                   for h in run["h_s_ranks"].values())
+        assert run["equivariance"]["h_s_proof"] == {
+            "method": "transported base path",
+            "transporters_carry_base": premise != "check_transporters",
+            "split_cartan_fixes_base": []}
 
 
 def cross_check_certificates(ctx):
@@ -570,14 +583,22 @@ def test_verify_builds_no_dense_h_s(capsys, monkeypatch):
 
 
 def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
-    ranked, coset_arrays, compared = [], [], []
-    columns, incidence, equal = (cli_mod.incidence_columns,
-                                 cli_mod.coset_incidence, np.array_equal)
+    """The coincidence compares psi+'s ranked geodesic array and, for every
+    slope, the full path array made from the very base path whose columns at
+    the torus representatives theorem2 ranked."""
+    ranked, built, coset_arrays, compared = [], [], [], []
+    columns, paths, incidence, equal = (cli_mod.incidence_columns, cli_mod.path_columns,
+                                        cli_mod.coset_incidence, np.array_equal)
 
     def ranked_columns(idx, ctx, group=TORUS):
         if group == TORUS:
             ranked.append(idx)
         return columns(idx, ctx, group)
+
+    def recorded_paths(ctx, bases, cols):
+        out = paths(ctx, bases, cols)
+        built.append((ctx, dict(bases), cols, out))
+        return out
 
     def recorded_incidence(dec, ctx):
         coset_arrays.append(incidence(dec, ctx))
@@ -589,16 +610,30 @@ def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
         return equal(a, b, *args, **kwargs)
 
     monkeypatch.setattr(cli_mod, "incidence_columns", ranked_columns)
+    monkeypatch.setattr(cli_mod, "path_columns", recorded_paths)
     monkeypatch.setattr(cli_mod, "coset_incidence", recorded_incidence)
     monkeypatch.setattr(np, "array_equal", array_equal)
     assert main(["verify", "--ell-range", "3..7"]) == 0
     runs = json.loads(capsys.readouterr().out)["runs"]
     assert all(run["coincidence"] == {"checked": True, "psi_plus": True, "h_s": True}
                for run in runs)
-    # per prime: psi+'s geodesic array and the path array of every slope,
-    # ranked in Galois pairs and compared in slope order
-    assert len(compared) == len(ranked) == (1 + 2) + (1 + 4) + (1 + 6)
-    assert {id(a) for a in compared} == {id(b) for b in ranked}
+    # per prime: psi+'s geodesic array, then every slope's path array in
+    # slope order
+    assert len(compared) == (1 + 2) + (1 + 4) + (1 + 6)
+    want, geodesics = [], iter(ranked)
+    for ctx in (PrimeContext(3), PrimeContext(5), PrimeContext(7)):
+        ell = ctx.ell
+        calls = [call for call in built if call[0].ell == ell]
+        at_reps = [call for call in calls if np.array_equal(
+            call[2], correspondence.representatives(ctx, "ordered_pairs"))]
+        full = [call for call in calls if len(call[2]) == ell * (ell + 1)]
+        assert len(at_reps) == len(full) == 1
+        (_, rep_bases, _, _), (_, full_bases, _, arrays) = at_reps[0], full[0]
+        assert list(full_bases) == list(rep_bases) == list(range(1, ell))
+        assert all(full_bases[s] is rep_bases[s] for s in full_bases)
+        want += [next(geodesics)] + [arrays[s] for s in range(1, ell)]
+    assert len(ranked) == 3
+    assert [id(a) for a in compared] == [id(b) for b in want]
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -628,29 +663,50 @@ def test_coincidence_sees_a_moved_coset_entry(ell, kind, section, capsys, monkey
 
 
 def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):
-    """No dense psi, restriction or dense equivariance proof, and one path
-    pass per slope, shared by theorem2 and the h_s phase."""
+    """No dense psi, restriction or dense equivariance proof, and no full path
+    array above COINCIDENCE_BOUND: each slope's columns are built once at the
+    torus representatives, shared by theorem2 and the h_s phase, at most once
+    at the unipotent ones, and in full only for the coincidence, all slopes
+    in one call.  path_incidence is not called at all."""
     for name in ("build_psi", "restrict_to_affine", "check_equivariance_psi",
                  "check_equivariance_psi_plus"):
         monkeypatch.setattr(cli_mod, name, refuse(name))
-    passes = Counter()
-    path = cli_mod.path_incidence
+    monkeypatch.setattr(correspondence, "path_incidence", refuse("path_incidence"))
+    built, calls = Counter(), Counter()
+    paths = cli_mod.path_columns
 
-    def counted(ctx, s):
-        passes[ctx.ell] += 1
-        return path(ctx, s)
+    def counted(ctx, bases, cols):
+        ell = ctx.ell
+        kind = next(kind for kind, at in (
+            ("torus", correspondence.representatives(ctx, "ordered_pairs", TORUS)),
+            ("unipotent", correspondence.representatives(ctx, "ordered_pairs", UNIPOTENT)),
+            ("full", np.arange(ell * (ell + 1)))) if np.array_equal(cols, at))
+        if kind == "full":
+            assert ell <= cli_mod.COINCIDENCE_BOUND, "a full path array"
+        built[ell, kind] += len(bases)
+        calls[ell, kind] += 1
+        return paths(ctx, bases, cols)
 
-    monkeypatch.setattr(cli_mod, "path_incidence", counted)
-    assert main(["verify", "--ell-range", "3..13"]) == 0
-    assert passes == {ell: ell - 1 for ell in PRIMES_SMALL}
-    runs = json.loads(capsys.readouterr().out)["runs"]
-    assert all(run["equivariance"]["psi_plus"] and run["equivariance"]["psi"]
-               for run in runs)
-    passes.clear()
-    assert main(["verify", "--ell-range", "3..7", "--all-epsilon"]) == 0
-    assert passes == {3: 2, 5: 4, 7: 6}
-    runs = json.loads(capsys.readouterr().out)["runs"]
-    assert all(e["ok"] for run in runs for e in run["all_epsilon"])
+    monkeypatch.setattr(cli_mod, "path_columns", counted)
+    for argv in (["verify", "--ell-range", "3..13"],
+                 ["verify", "--ell-range", "3..7", "--all-epsilon"]):
+        built.clear()
+        calls.clear()
+        assert main(argv) == 0
+        runs = json.loads(capsys.readouterr().out)["runs"]
+        assert all(run["equivariance"]["psi_plus"] and run["equivariance"]["psi"]
+                   for run in runs)
+        assert all(e["ok"] for run in runs for e in run.get("all_epsilon", []))
+        for run in runs:
+            ell = run["ell"]
+            assert built[ell, "torus"] == ell - 1 and calls[ell, "torus"] == 1
+            # the low slopes proved on their own, again at the aux prime
+            low = [s for s in run["equivariance"]["h_s_proof"]["split_cartan_fixes_base"]
+                   if run["h_s_ranks"][str(s)]["rank_mod_ell"] < ell * (ell - 1)]
+            assert built[ell, "unipotent"] == len(low) <= (ell - 1) // 2
+            full = ell <= cli_mod.COINCIDENCE_BOUND
+            assert (built[ell, "full"], calls[ell, "full"]) == ((ell - 1, 1) if full
+                                                                else (0, 0))
 
 
 def test_verify_builds_no_point_objects(capsys, monkeypatch):
@@ -759,36 +815,38 @@ def test_weyl_and_unipotent_pairings_hold_block_by_block(ctx):
 
 
 def recorded_slope_work(monkeypatch):
-    """The path arrays proved on their own, and (method, slopes) of every
-    incidence_ranks call verify makes."""
+    """The base paths proved on their own (premise (a)), and (method, slopes)
+    of every incidence_ranks call verify makes."""
     proved, ranked = [], []
-    check, ranks = cli_mod.check_equivariance_incidence, cli_mod.incidence_ranks
+    check, ranks = cli_mod.check_base_fixed, cli_mod.incidence_ranks
 
-    def recorded_check(idx, ctx):
-        if len(idx) == ctx.ell - 1:
-            proved.append(idx)
-        return check(idx, ctx)
+    def recorded_check(base, ctx):
+        proved.append(base)
+        return check(base, ctx)
 
     def recorded_ranks(reps, p, ctx, method):
         ranked.append((method, len(reps)))
         return ranks(reps, p, ctx, method)
 
-    monkeypatch.setattr(cli_mod, "check_equivariance_incidence", recorded_check)
+    monkeypatch.setattr(cli_mod, "check_base_fixed", recorded_check)
     monkeypatch.setattr(cli_mod, "incidence_ranks", recorded_ranks)
     return proved, ranked
 
 
-@pytest.mark.parametrize("broken", ["identity", "rolled"])
+@pytest.mark.parametrize("broken", ["identity", "rolled", "off the bases"])
 def test_a_broken_conjugation_makes_every_slope_prove_and_rank_itself(broken, capsys,
                                                                       monkeypatch):
     """The identity commutes with GL2 but maps no slope onto its conjugate; a
-    rolled J does not commute.  Either way no slope is paired, and the ranks
-    are those of the paired run."""
+    rolled J does not commute.  Nor does J with the images of 0 + se and
+    0 + 2 se swapped, although it maps every base path as J does (their
+    points have x != 0).  Either way no slope is paired, and the ranks are
+    those of the paired run."""
     ell = 7
     ctx = PrimeContext(ell)
     want = json.loads(json.dumps(run_verification(ell)))
     J = correspondence.galois_conjugation(ell)
-    fake = np.arange(len(J)) if broken == "identity" else np.roll(J, 1)
+    fake = {"identity": np.arange(len(J)), "rolled": np.roll(J, 1),
+            "off the bases": J[[1, 0, *range(2, len(J))]]}[broken]
     monkeypatch.setattr(correspondence, "galois_conjugation", lambda ell: fake)
     assert correspondence.check_galois_commutes(ctx) is (broken == "identity")
     proved, ranked = recorded_slope_work(monkeypatch)
@@ -802,17 +860,205 @@ def test_a_broken_conjugation_makes_every_slope_prove_and_rank_itself(broken, ca
 
 
 def test_a_slope_that_is_not_the_conjugate_proves_and_ranks_itself(capsys, monkeypatch):
-    """With H_6 replaced by H_1 (fixed by GL2, but not J H_1), slope 6 takes
-    its own proof and rank; the other pairs stay paired."""
+    """With the base path of slope 6 replaced by that of slope 1 (fixed by the
+    split Cartan, but not J applied to it), slope 6 takes its own proof and
+    rank; the other pairs stay paired."""
     ell = 7
-    path = cli_mod.path_incidence
-    monkeypatch.setattr(cli_mod, "path_incidence",
-                        lambda ctx, s: path(ctx, 1 if s == ell - 1 else s))
+    paths = cli_mod.base_paths
+
+    def swapped(ctx, slopes):
+        bases = paths(ctx, slopes)
+        bases[ell - 1] = bases[1]
+        return bases
+
+    monkeypatch.setattr(cli_mod, "base_paths", swapped)
     proved, ranked = recorded_slope_work(monkeypatch)
     main(["verify", "--ell", str(ell), "--skip-cosets"])
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["h_s_rank_method"]["paired_slopes"] == [[2, 5], [3, 4]]
-    assert len(proved) == 4 and np.array_equal(proved[1], path(PrimeContext(ell), 1))
+    assert len(proved) == 4
+    assert np.array_equal(proved[1], paths(PrimeContext(ell), [1])[1])
     assert ranked[0] == ("weyl", 4)
     assert run["equivariance"]["h_s"] is True
     assert run["h_s_ranks"]["6"] == run["h_s_ranks"]["1"]
+
+
+# ---------------------------------------------------------------------------
+# Equivariance by construction: the columns verify builds and the two
+# premises it proves each H_s from, against the full path arrays and their
+# generator proof, and the mutations the premises must refuse.
+# ---------------------------------------------------------------------------
+
+def all_columns(ctx):
+    return np.arange(ctx.ell * (ctx.ell + 1))
+
+
+def check_path_columns(ctx, slopes):
+    """path_columns at the representatives of both groups equals the columns
+    of the full path arrays there, and path_incidence the slope-s path
+    carried by every transporter."""
+    ell, tag = ctx.ell, "ordered_pairs"
+    bases = base_paths(ctx, slopes)
+    assert list(bases) == list(slopes)
+    g = geometry.transporters(tag, *geometry.decode(tag, ell), ell)
+    lam = np.arange(1, ell)[:, None]
+    for group in (TORUS, UNIPOTENT):
+        cols = path_columns(ctx, bases, correspondence.representatives(ctx, tag, group))
+        for s in slopes:
+            idx = path_incidence(ctx, s)
+            assert cols[s].dtype == np.int32 and np.array_equal(
+                cols[s], incidence_columns(idx, ctx, group)), (s, group)
+            moved = geometry.move_cartan(g, lam * s % ell, lam, ctx)
+            assert np.array_equal(idx, np.sort(geometry.cartan_index(*moved, ell), axis=0))
+
+
+@pytest.mark.parametrize("ctx,step", [(PrimeContext(ell), 1) for ell in PRIMES_SMALL]
+                         + [(PrimeContext(13, 5, 7), 1), (PrimeContext(61), 7)], ids=str)
+def test_representative_columns_are_those_of_the_full_path_arrays(ctx, step):
+    """Every slope, or every 7th at 61."""
+    check_path_columns(ctx, range(1, ctx.ell, step))
+
+
+def off_orbit(base, ell):
+    """The base path with one point replaced by a point outside it."""
+    moved = base.copy()
+    moved[len(base) // 2] = np.setdiff1d(np.arange(ell * (ell - 1)), base)[0]
+    return np.sort(moved)
+
+
+@pytest.mark.parametrize("ctx", [PrimeContext(ell) for ell in PRIMES_SMALL]
+                         + [PrimeContext(13, 5, 7)], ids=str)
+def test_premise_verdicts_equal_the_generator_proof(ctx, monkeypatch):
+    """Premise (a) holds exactly when the full array it transports passes
+    the generator proof: on every base path, and on each moved off its
+    orbit.  The base-path Galois compare agrees with the full-array one,
+    for J and for the identity, which commutes with GL2 but pairs nothing."""
+    ell = ctx.ell
+    assert correspondence.check_transporters(ctx) is True
+    bases = base_paths(ctx, range(1, ell))
+    for s, base in bases.items():
+        for b in (base, off_orbit(base, ell)):
+            (idx,) = path_columns(ctx, {s: b}, all_columns(ctx)).values()
+            assert correspondence.check_base_fixed(b, ctx) \
+                is check_equivariance_incidence(idx, ctx) is (b is base), s
+    paths = {s: path_incidence(ctx, s) for s in bases}
+    J = correspondence.galois_conjugation(ell)
+    for conjugation in (J, np.arange(len(J))):
+        with monkeypatch.context() as patch:
+            patch.setattr(correspondence, "galois_conjugation", lambda ell: conjugation)
+            for s in bases:
+                paired = correspondence.check_galois_bases(bases[s], bases[ell - s], ctx)
+                assert paired is correspondence.is_galois_pair(
+                    paths[s], paths[ell - s], ctx) is (conjugation is J), s
+
+
+# right factors u of a wrong transporter g u: w = (0 1; 1 0) moves both
+# ends of (0, inf), the other two one end each
+WRONG_FACTORS = (geometry.GroupElement(0, 1, 1, 0), geometry.GroupElement(1, 0, 1, 1),
+                 geometry.GroupElement(1, 1, 0, 1))
+
+
+def wrong_transporter(monkeypatch, ctx, col, u=WRONG_FACTORS[0]):
+    """Replace the transporter g of ordered pair col, wherever correspondence
+    reads it: by g u, or, for u None, by a singular matrix that move_p1 still
+    sends 0 and infinity to the pair's ends, (j 0; 1 0) for the pair (inf, j)."""
+    ell, tag = ctx.ell, "ordered_pairs"
+    i0, j0 = (int(v[col]) for v in geometry.decode(tag, ell))
+    real = correspondence.transporters
+
+    def wrong(tag_, i, j, ell_):
+        g = real(tag_, i, j, ell_)
+        if tag_ != tag or ell_ != ell:
+            return g
+        at = (np.asarray(i) == i0) & (np.asarray(j) == j0)
+        bad = (j0, 0, 1, 0) if u is None else geometry.mat_mul(g, u, ell)
+        return geometry.GroupElement(*(np.where(at, y, x) for x, y in zip(g, bad)))
+
+    monkeypatch.setattr(correspondence, "transporters", wrong)
+
+
+@pytest.mark.parametrize("ell", (3, 7))
+def test_premise_b_refuses_a_wrong_transporter_at_a_representative(ell, monkeypatch):
+    """The wrong transporter changes the representative column the ranks
+    read; premise (b) fails, and so does the generator proof of every full
+    array.  A singular one is refused too, and its column is no path."""
+    ctx = PrimeContext(ell)
+    reps = correspondence.representatives(ctx, "ordered_pairs")
+    bases = base_paths(ctx, range(1, ell))
+    want = path_columns(ctx, bases, reps)
+    for col in (reps[1], reps[-1]):  # an affine pair, then one with inf
+        for u in WRONG_FACTORS:
+            with monkeypatch.context() as patch:
+                wrong_transporter(patch, ctx, col, u)
+                assert correspondence.check_transporters(ctx) is False, (col, u)
+                got = path_columns(ctx, bases, reps)
+                full = path_columns(ctx, bases, all_columns(ctx))
+            k = int(np.flatnonzero(reps == col)[0])
+            for s in bases:
+                assert not np.array_equal(got[s][:, k], want[s][:, k]), (col, u, s)
+                assert check_equivariance_incidence(full[s], ctx) is False, (col, u, s)
+    col = reps[-1]
+    assert [int(v[col]) for v in geometry.decode("ordered_pairs", ell)] == [ell, 1]
+    with monkeypatch.context() as patch:
+        wrong_transporter(patch, ctx, col, None)
+        assert correspondence.check_transporters(ctx) is False
+        with pytest.raises(AssertionError, match=r"through \(inf,1\) is not"):
+            path_columns(ctx, bases, reps)
+
+
+def check_unproved_slopes(run, want, ctx, unproved):
+    """The fallbacks of a slope whose proof fails: no torus rank and no
+    pairing for it, theorem2 by the dense escalation with the same rank, and
+    a failed run."""
+    ell = ctx.ell
+    dense = rank_exact(build_psi(ctx), preferred_primes=(ell,))
+    assert run["theorem2"]["certificate"] == json.loads(json.dumps(dense.to_json()))
+    assert run["theorem2"]["certificate"]["method"] != "torus characters"
+    assert run["theorem2"]["rank"] == want["theorem2"]["rank"] == dense.rank
+    assert run["theorem2"]["restricted_nonsingular"] is True
+    assert run["theorem1"] == want["theorem1"]
+    assert run["equivariance"]["psi"] is run["equivariance"]["h_s"] is False
+    assert "equivariance fails on a generator of GL2" in run["failures"]
+    assert not run["ok"]
+    for s in range(1, ell):
+        if s in unproved:
+            assert run["h_s_ranks"][str(s)]["rank_mod_ell"] is None, s
+            assert not any(s in pair for pair in run["h_s_rank_method"]["paired_slopes"])
+        else:
+            assert run["h_s_ranks"][str(s)] == json.loads(
+                json.dumps(want["h_s_ranks"][s])), s
+
+
+@pytest.mark.parametrize("slope", (1, 6))
+def test_a_base_path_off_its_orbit_is_not_proved(slope, capsys, monkeypatch):
+    """One point of the base path of slope 1 (proved on its own) or of 6
+    (else paired with 1) replaced: that slope is neither proved nor paired,
+    and the coincidence, which builds its full array, sees it too."""
+    ell = 7
+    ctx = PrimeContext(ell)
+    want = run_verification(ell)
+    paths = cli_mod.base_paths
+
+    def moved(ctx, slopes):
+        bases = paths(ctx, slopes)
+        bases[slope] = off_orbit(bases[slope], ctx.ell)
+        return bases
+
+    monkeypatch.setattr(cli_mod, "base_paths", moved)
+    assert main(["verify", "--ell", str(ell)]) == 1
+    run = json.loads(capsys.readouterr().out)["runs"][0]
+    check_unproved_slopes(run, want, ctx, {slope})
+    assert slope not in run["equivariance"]["h_s_proof"]["split_cartan_fixes_base"]
+    assert run["coincidence"] == {"checked": True, "psi_plus": True, "h_s": False}
+
+
+def test_a_wrong_transporter_leaves_every_slope_unproved(capsys, monkeypatch):
+    ell = 7
+    ctx = PrimeContext(ell)
+    want = run_verification(ell)
+    wrong_transporter(monkeypatch, ctx, correspondence.representatives(ctx, "ordered_pairs")[1])
+    assert main(["verify", "--ell", str(ell), "--skip-cosets"]) == 1
+    run = json.loads(capsys.readouterr().out)["runs"][0]
+    assert run["equivariance"]["h_s_proof"]["transporters_carry_base"] is False
+    monkeypatch.undo()
+    check_unproved_slopes(run, want, ctx, set(range(1, ell)))

@@ -46,6 +46,7 @@ from .cosets import (
     coset_operator,
     custom_subgroup,
     decompose,
+    decompose_all,
     enumerate_subgroup,
 )
 from .circulant import (

@@ -87,6 +87,23 @@ def verify_chart_conjugacy(ctx: PrimeContext, geodesics: np.ndarray) -> bool:
                 and np.array_equal(chart[-k:], np.sort(geodesics[:, affine], axis=0)))
 
 
+def _circulant(row) -> np.ndarray:
+    """The circulant matrix with this first row: entry (i, j) is
+    row[(j - i) mod n]."""
+    n = len(row)
+    j = np.arange(n)
+    return np.asarray(row, dtype=np.int64)[(j - j[:, None]) % n]
+
+
+def _first_mismatch(vals: np.ndarray, row) -> tuple[int, int] | None:
+    """The first (i, j), row-major, where the square matrix vals differs
+    from _circulant(row); None if there is none."""
+    bad = vals != _circulant(row)
+    if not bad.any():
+        return None
+    return divmod(int(bad.argmax()), len(row))
+
+
 @dataclass(frozen=True)
 class ReducedCountMatrixN:
     """The r x r circulant of square-root counts a_j = #{x : x^2 = 1 + eps*g^2j}."""
@@ -101,9 +118,7 @@ class ReducedCountMatrixN:
         return len(self.first_row)
 
     def matrix(self) -> np.ndarray:
-        r = self.size
-        j = np.arange(r)
-        return np.array(self.first_row, dtype=np.int64)[(j[None, :] - j[:, None]) % r]
+        return _circulant(self.first_row)
 
 
 def reduce_mod_frak_L(bm: BlockMatrixN, ctx: PrimeContext) -> ReducedCountMatrixN:
@@ -120,11 +135,10 @@ def reduce_mod_frak_L(bm: BlockMatrixN, ctx: PrimeContext) -> ReducedCountMatrix
             raise CertificateError(f"block (1, {M}) collapses to {block_count}, "
                                    f"direct count is {direct}")
         row.append(direct)
-    for i in range(r):
-        for j in range(r):
-            val = counts[(pow(g, 2 * i, ell) + eps * pow(g, 2 * j, ell)) % ell]
-            if val != row[(j - i) % r]:
-                raise CertificateError(f"count matrix is not circulant at ({i},{j})")
+    g2 = np.array([pow(g, 2 * i, ell) for i in range(r)], dtype=np.int64)
+    at = _first_mismatch(np.array(counts)[(g2[:, None] + eps * g2) % ell], row)
+    if at is not None:
+        raise CertificateError("count matrix is not circulant at ({},{})".format(*at))
     return ReducedCountMatrixN(ell, eps, g, tuple(row))
 
 
@@ -144,9 +158,7 @@ class ReducedCountMatrixC:
         return len(self.combined_row)
 
     def matrix(self) -> np.ndarray:
-        n = self.size
-        j = np.arange(n)
-        return np.array(self.combined_row, dtype=np.int64)[(j[None, :] - j[:, None]) % n]
+        return _circulant(self.combined_row)
 
 
 def build_reduced_C(ctx: PrimeContext,
@@ -154,26 +166,25 @@ def build_reduced_C(ctx: PrimeContext,
     ell, g, eps = ctx.ell, ctx.g, ctx.epsilon
     scheme = scheme or CoefficientScheme.standard(ctx)
     scheme.validate(ctx)
-    counts = ctx.sqrt_counts
+    counts = np.array(ctx.sqrt_counts)
     n = ell - 1
-    gpow = [pow(g, j, ell) for j in range(n)]
+    gpow = np.array([pow(g, j, ell) for j in range(n)], dtype=np.int64)
+    sq = gpow * gpow % ell
+    # entry (i, j) of the slope-s count matrix counts the roots of
+    # g^2i + 4 eps g^2j - 4 s g^(i+j)
+    plane = (sq[:, None] + 4 * eps * sq) % ell
+    cross = 4 * gpow[:, None] * gpow % ell
     s_rows = {}
     for s in range(1, ell):
-        row = tuple(counts[(1 + 4 * eps * gpow[j] * gpow[j] - 4 * s * gpow[j]) % ell]
-                    for j in range(n))
-        for i in range(n):
-            for j in range(n):
-                val = counts[(gpow[i] * gpow[i] + 4 * eps * gpow[j] * gpow[j]
-                              - 4 * s * gpow[i] * gpow[j]) % ell]
-                if val != row[(j - i) % n]:
-                    raise CertificateError(
-                        f"slope-{s} count matrix is not circulant at ({i},{j})")
+        row = tuple(counts[(1 + 4 * eps * sq - 4 * s * gpow) % ell].tolist())
+        at = _first_mismatch(counts[(plane - s * cross) % ell], row)
+        if at is not None:
+            raise CertificateError(
+                "slope-{} count matrix is not circulant at ({},{})".format(s, *at))
         s_rows[s] = row
-    combined = tuple(
-        sum(scheme.combined(s) * s_rows[s][j] for s in range(1, ell)) % ell
-        for j in range(n)
-    )
-    return ReducedCountMatrixC(ell, eps, g, s_rows, combined)
+    weights = np.array([scheme.combined(s) % ell for s in s_rows], dtype=np.int64)
+    combined = weights @ np.array(list(s_rows.values()), dtype=np.int64) % ell
+    return ReducedCountMatrixC(ell, eps, g, s_rows, tuple(combined.tolist()))
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,7 @@ from .cosets import (
     coset_incidence,
     coset_operator,  # noqa: F401
     decompose,
+    decompose_all,
     enumerate_subgroup,
 )
 # rank_mod_p, rank_exact and the names marked F401 above stay importable as
@@ -394,8 +395,9 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         sub_cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
         dec_n = decompose(sub_n, IDENTITY, sub_np, ctx)
         deg_n_ok = dec_n.degree == ctx.r
-        dec_c = {s: decompose(sub_c, GroupElement(1, s, 0, 1), sub_cp, ctx)
-                 for s in range(1, ell)}
+        slopes = range(1, ell)
+        dec_c = dict(zip(slopes, decompose_all(
+            sub_c, [GroupElement(1, s, 0, 1) for s in slopes], sub_cp, ctx)))
         deg_c_ok = all(d.degree == ell - 1 for d in dec_c.values())
         report["degrees"] = {
             "NNp": {"degree": dec_n.degree, "expected": ctx.r, "ok": deg_n_ok},

@@ -1,8 +1,9 @@
 """Subgroups of GL2(F_ell), double coset decompositions, and induced operators.
 
-Subgroups are materialized as explicit element lists; coset membership is
-keyed by the geometric object a coset stabilizes, so bucketing never does
-O(|K|) comparisons for the named subgroup kinds.
+Subgroups are materialized as arrays of their elements' entries; coset
+membership is keyed by the geometric object a coset stabilizes, so bucketing
+never does O(|K|) comparisons for the named subgroup kinds, and every g of a
+family of double cosets HgK is bucketed in one broadcast.
 """
 
 from __future__ import annotations
@@ -45,28 +46,31 @@ NAMED_KINDS = (SPLIT_CARTAN, NONSPLIT_CARTAN, NORMALIZER_SPLIT,
                NORMALIZER_NONSPLIT, BOREL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgroupSpec:
+    """A subgroup as one GroupElement of read-only int64 arrays, one entry per
+    element; the tuple forms are derived from it on demand."""
+
     kind: str
-    elements: tuple[GroupElement, ...]
+    stacked: GroupElement
+
+    def __post_init__(self) -> None:
+        for a in self.stacked:
+            a.flags.writeable = False
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return tuple(map(GroupElement._make, zip(*(a.tolist() for a in self.stacked))))
 
     @cached_property
     def element_set(self) -> frozenset[GroupElement]:
         return frozenset(self.elements)
 
-    @cached_property
-    def stacked(self) -> GroupElement:
-        """The elements as one GroupElement of read-only int64 arrays."""
-        entries = stack(self.elements)
-        for a in entries:
-            a.flags.writeable = False
-        return entries
-
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.stacked.a)
 
     def __repr__(self) -> str:
-        return f"SubgroupSpec(kind={self.kind!r}, order={len(self.elements)})"
+        return f"SubgroupSpec(kind={self.kind!r}, order={len(self)})"
 
 
 def _validate_group(elements: tuple[GroupElement, ...], ctx: PrimeContext) -> None:
@@ -87,29 +91,37 @@ def _validate_group(elements: tuple[GroupElement, ...], ctx: PrimeContext) -> No
                 raise ValueError(f"not a group: product {m} * {n} escapes the set")
 
 
+def _grid(*ranges) -> list[np.ndarray]:
+    """Every tuple of the product of the ranges, in row-major order, as one
+    flat int64 array per coordinate."""
+    return [g.ravel() for g in np.meshgrid(*(np.arange(*r, dtype=np.int64)
+                                              for r in ranges), indexing="ij")]
+
+
 def enumerate_subgroup(kind: str, ctx: PrimeContext) -> SubgroupSpec:
-    """Explicit element list for one of the named subgroup kinds."""
+    """One of the named subgroup kinds, enumerated row-major over the
+    parameters of its elements: (a 0; 0 d) and (0 a; d 0) over units a, d;
+    (x eps*y; y x) and (x -eps*y; y -x) over (x, y) != (0, 0); (a b; 0 d)
+    over units a, d, then b."""
     ell, eps = ctx.ell, ctx.epsilon
-    units = range(1, ell)
-    if kind == SPLIT_CARTAN:
-        elems = [GroupElement(a, 0, 0, d) for a in units for d in units]
-    elif kind == NORMALIZER_SPLIT:
-        elems = [GroupElement(a, 0, 0, d) for a in units for d in units]
-        elems += [GroupElement(0, a, d, 0) for a in units for d in units]
-    elif kind == NONSPLIT_CARTAN:
-        elems = [GroupElement(x, eps * y % ell, y, x)
-                 for x in range(ell) for y in range(ell) if (x, y) != (0, 0)]
-    elif kind == NORMALIZER_NONSPLIT:
-        elems = [GroupElement(x, eps * y % ell, y, x)
-                 for x in range(ell) for y in range(ell) if (x, y) != (0, 0)]
-        elems += [GroupElement(x, -eps * y % ell, y, -x % ell)
-                  for x in range(ell) for y in range(ell) if (x, y) != (0, 0)]
+    units = (1, ell)
+    if kind in (SPLIT_CARTAN, NORMALIZER_SPLIT):
+        a, d = _grid(units, units)
+        zero = 0 * a
+        parts = [(a, zero, zero, d)]
+        if kind == NORMALIZER_SPLIT:
+            parts.append((zero, a, d, zero))
+    elif kind in (NONSPLIT_CARTAN, NORMALIZER_NONSPLIT):
+        x, y = (u[1:] for u in _grid((ell,), (ell,)))  # (0, 0) comes first
+        parts = [(x, eps * y % ell, y, x)]
+        if kind == NORMALIZER_NONSPLIT:
+            parts.append((x, -eps * y % ell, y, -x % ell))
     elif kind == BOREL:
-        elems = [GroupElement(a, b, 0, d)
-                 for a in units for d in units for b in range(ell)]
+        a, d, b = _grid(units, units, (ell,))
+        parts = [(a, b, 0 * a, d)]
     else:
         raise ValueError(f"unknown subgroup kind {kind!r}")
-    spec = SubgroupSpec(kind, tuple(elems))
+    spec = SubgroupSpec(kind, GroupElement(*map(np.concatenate, zip(*parts))))
     if len(spec) != subgroup_order(kind, ell):
         raise AssertionError(f"|{kind}| = {len(spec)}, expected "
                              f"{subgroup_order(kind, ell)}")
@@ -120,21 +132,18 @@ def custom_subgroup(elements, ctx: PrimeContext) -> SubgroupSpec:
     """A user-supplied subgroup; the group axioms are verified on construction."""
     elems = tuple(GroupElement(*(int(v) % ctx.ell for v in m)) for m in elements)
     _validate_group(elems, ctx)
-    return SubgroupSpec(CUSTOM, elems)
+    return SubgroupSpec(CUSTOM, stack(elems))
 
 
 def full_group(ctx: PrimeContext) -> SubgroupSpec:
     """All of GL2(F_ell) as a custom subgroup (exhaustive-test sizes only)."""
     ell = ctx.ell
-    elems = tuple(
-        GroupElement(a, b, c, d)
-        for a in range(ell) for b in range(ell)
-        for c in range(ell) for d in range(ell)
-        if (a * d - b * c) % ell != 0
-    )
-    if len(elems) != gl2_order(ell):
+    m = GroupElement(*_grid((ell,), (ell,), (ell,), (ell,)))
+    invertible = det_mod(m, ell) != 0
+    spec = SubgroupSpec(CUSTOM, GroupElement(*(e[invertible] for e in m)))
+    if len(spec) != gl2_order(ell):
         raise AssertionError("GL2 enumeration size mismatch")
-    return SubgroupSpec(CUSTOM, elems)
+    return spec
 
 
 def coset_key(K: SubgroupSpec, m, ctx: PrimeContext):
@@ -166,31 +175,67 @@ class DoubleCosetDecomposition:
     degree: int
 
 
-def decompose(H: SubgroupSpec, g: GroupElement, K: SubgroupSpec,
-              ctx: PrimeContext) -> DoubleCosetDecomposition:
-    """Decompose HgK into disjoint cosets alpha g K.
+# Entry budget of the (|H|, chunk) and (|K|, chunk) arrays of one chunk of
+# decompose_all: one chunk serves every slope of a prime up to 37, and at
+# ell = 61 a single chunk would raise the peak RSS of verify by ~9 MB
+_DECOMPOSE_ENTRIES = 1 << 16
 
-    Representatives come from bucketing h*g by right-K-coset; the bucket count
-    is cross-checked against the index [H : H n gKg^-1].
+
+def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
+                  ctx: PrimeContext) -> list[DoubleCosetDecomposition]:
+    """Decompose HgK into disjoint cosets alpha g K, for every g in gs.
+
+    The keys coset_key(K, h*g) of all h and a chunk of the g's form one
+    (|H|, chunk) array.  One sort of key*|H| + row per column puts the rows
+    of each key together, the first of them in H order, so the degree is the
+    number of distinct keys and the representatives are the first h of each
+    key, in H order.  The degree is cross-checked against the index
+    [H : H n gKg^-1], which does not use the keys.
     """
     ell = ctx.ell
-    buckets: dict = {}
+    gs = list(gs)
     hs = H.stacked
-    keys = coset_key(K, mat_mul(hs, g, ell), ctx)
-    for h, key in zip(H.elements, keys.tolist()):
-        buckets.setdefault(key, h)
-    degree = len(buckets)
-    conj = mat_mul(mat_mul(g, K.stacked, ell), mat_inv(g, ell), ell)
+    n = len(H)
+    rows = np.arange(n, dtype=np.int64)[:, None]
     # |H n gKg^-1|, matching the elements by their base-ell digits; a set
     # intersection, as np.isin sorts here and its first call adds ~1.4 MB RSS
     digits = (ell,) * 4
-    stab = len(set(np.ravel_multi_index(hs, digits).tolist())
-               .intersection(np.ravel_multi_index(conj, digits).tolist()))
-    if len(H.elements) % stab != 0 or degree != len(H.elements) // stab:
-        raise AssertionError(
-            f"degree mismatch: {degree} buckets vs index "
-            f"{len(H.elements)}/{stab} for {H.kind} g {K.kind}")
-    return DoubleCosetDecomposition(H, K, g, tuple(buckets.values()), degree)
+    h_digits = set(np.ravel_multi_index(hs, digits).tolist())
+    h_col = GroupElement(*(e[:, None] for e in hs))
+    k_col = GroupElement(*(e[:, None] for e in K.stacked))
+    per = max(1, _DECOMPOSE_ENTRIES // max(n, len(K)))
+    out = []
+    for lo in range(0, len(gs), per):
+        chunk = gs[lo:lo + per]
+        g = stack(chunk)
+        keys = coset_key(K, mat_mul(h_col, g, ell), ctx)
+        order = np.sort(keys * n + rows, axis=0)
+        first = np.ones(order.shape, dtype=bool)
+        first[1:] = np.diff(order // n, axis=0) != 0
+        degrees = first.sum(axis=0).tolist()
+        # column by column, the representatives' rows in H order
+        rep_rows = np.sort((order % n + n * np.arange(len(chunk)))[first]) % n
+        reps = list(map(GroupElement._make, zip(*(e[rep_rows].tolist() for e in hs))))
+        conj = np.ravel_multi_index(
+            mat_mul(mat_mul(g, k_col, ell), stack([mat_inv(x, ell) for x in chunk]), ell),
+            digits)
+        start = 0
+        for c, (x, degree) in enumerate(zip(chunk, degrees)):
+            stab = len(h_digits.intersection(conj[:, c].tolist()))
+            if stab == 0 or n % stab != 0 or degree != n // stab:
+                raise AssertionError(
+                    f"degree mismatch: {degree} buckets vs index "
+                    f"{n}/{stab} for {H.kind} g {K.kind}")
+            out.append(DoubleCosetDecomposition(
+                H, K, x, tuple(reps[start:start + degree]), degree))
+            start += degree
+    return out
+
+
+def decompose(H: SubgroupSpec, g: GroupElement, K: SubgroupSpec,
+              ctx: PrimeContext) -> DoubleCosetDecomposition:
+    """Decompose HgK into disjoint cosets alpha g K (see decompose_all)."""
+    return decompose_all(H, [g], K, ctx)[0]
 
 
 # The basis G/K is identified with, by the kind of K: gK is g * (the base

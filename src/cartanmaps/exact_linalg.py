@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modular_arith import is_prime
+from .modular_arith import inverse_table, is_prime
 
 _PANEL_CAP = 192
 FLOAT_PRIME_BOUND = 1 << 26  # the primes of every float64 mod-p kernel lie below
@@ -28,6 +28,10 @@ _RANDOM_PRIME_RANGE = (1 << 24, 1 << 25)
 _STABILIZE_WINDOW = 3
 _SEED = 0
 _DET_EXACT_MAX_DIM = 64
+# rank_mod_p_stack reads pivot inverses from the cached inverse_table(p) for p
+# below this bound, as ell is, and powers them out above it (the
+# auxiliary prime, whose table would take megabytes)
+_INVERSE_TABLE_BOUND = 1 << 12
 
 
 def _as_int_matrix(m) -> np.ndarray:
@@ -169,7 +173,8 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
         # its multipliers are zero and the update leaves it as it is
         at = np.minimum(rank, m - 1)
         pv = np.where(found, col[b, at - lo], 1)
-        mult = col * _inverse_mod_p(pv, p)[:, None] % p
+        inv = inverse_table(p)[pv] if p < _INVERSE_TABLE_BOUND else _inverse_mod_p(pv, p)
+        mult = col * inv[:, None] % p
         W[:, lo:, j + 1:] -= mult[:, :, None] * (W[b, at, j + 1:] % p)[:, None, :]
         pending += 1
         if pending == room:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -243,20 +244,26 @@ def cartan_index(x, y, ell: int):
     return x * (ell - 1) + y - 1
 
 
+@lru_cache(maxsize=None)
 def decode(tag: str, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """The coordinates of every element of the basis with this tag, in the
     order of its enumeration below: the P^1 indices (i, j) of the pair for
     "unordered_pairs" and "ordered_pairs", (x, y) of x + y*se for "H_ell"
-    (1 <= y <= r) and "C_ell".  The encoders above invert it."""
+    (1 <= y <= r) and "C_ell".  The encoders above invert it.  Kept for the
+    process, as read-only arrays."""
     if tag == "unordered_pairs":
-        return np.triu_indices(ell + 1, 1)
-    if tag == "ordered_pairs":
-        return np.nonzero(~np.eye(ell + 1, dtype=bool))
-    if tag in ("H_ell", "C_ell"):
+        coords = np.triu_indices(ell + 1, 1)
+    elif tag == "ordered_pairs":
+        coords = np.nonzero(~np.eye(ell + 1, dtype=bool))
+    elif tag in ("H_ell", "C_ell"):
         n = (ell - 1) // 2 if tag == "H_ell" else ell - 1
         x, y = np.divmod(np.arange(ell * n), n)
-        return x, y + 1
-    raise ValueError(f"no basis {tag!r}")
+        coords = x, y + 1
+    else:
+        raise ValueError(f"no basis {tag!r}")
+    for a in coords:
+        a.flags.writeable = False
+    return tuple(coords)
 
 
 def transporters(tag: str, u, v, ell: int) -> GroupElement:

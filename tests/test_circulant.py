@@ -311,3 +311,102 @@ def test_det_nonzero_iff_restriction_full_rank(ell, contexts):
     restricted = restrict_to_affine(build_psi_plus(ctx), "N")
     assert det_n != 0
     assert rank_mod_p(restricted, ell) == len(restricted.col_basis)
+
+
+# ---------------------------------------------------------------------------
+# The vectorised circulant-shift checks, against the loops they replaced.
+# ---------------------------------------------------------------------------
+
+def looped_reduce_N(bm, ctx):
+    """reduce_mod_frak_L as scalar loops: its first row, or the error text."""
+    ell, g, eps, r = ctx.ell, ctx.g, ctx.epsilon, ctx.r
+    counts = ctx.sqrt_counts
+    row = []
+    for j in range(r):
+        M = eps * pow(g, 2 * j, ell) % ell
+        block_count = int(bm.block(1 % ell, M)[0].sum())
+        direct = counts[(1 + M) % ell]
+        if block_count != direct:
+            return f"block (1, {M}) collapses to {block_count}, direct count is {direct}"
+        row.append(direct)
+    for i in range(r):
+        for j in range(r):
+            val = counts[(pow(g, 2 * i, ell) + eps * pow(g, 2 * j, ell)) % ell]
+            if val != row[(j - i) % r]:
+                return f"count matrix is not circulant at ({i},{j})"
+    return tuple(row)
+
+
+def looped_reduce_C(ctx, scheme):
+    """build_reduced_C as scalar loops: (s_rows, combined_row), or the error
+    text."""
+    ell, g, eps = ctx.ell, ctx.g, ctx.epsilon
+    counts = ctx.sqrt_counts
+    n = ell - 1
+    gpow = [pow(g, j, ell) for j in range(n)]
+    s_rows = {}
+    for s in range(1, ell):
+        row = tuple(counts[(1 + 4 * eps * gpow[j] * gpow[j] - 4 * s * gpow[j]) % ell]
+                    for j in range(n))
+        for i in range(n):
+            for j in range(n):
+                val = counts[(gpow[i] * gpow[i] + 4 * eps * gpow[j] * gpow[j]
+                              - 4 * s * gpow[i] * gpow[j]) % ell]
+                if val != row[(j - i) % n]:
+                    return f"slope-{s} count matrix is not circulant at ({i},{j})"
+        s_rows[s] = row
+    combined = tuple(sum(scheme.combined(s) * s_rows[s][j] for s in range(1, ell)) % ell
+                     for j in range(n))
+    return s_rows, combined
+
+
+def vectorised_reduce_N(bm, ctx):
+    try:
+        return reduce_mod_frak_L(bm, ctx).first_row
+    except CertificateError as exc:
+        return str(exc)
+
+
+def vectorised_reduce_C(ctx, scheme):
+    try:
+        rm = build_reduced_C(ctx, scheme)
+    except CertificateError as exc:
+        return str(exc)
+    return rm.s_rows, rm.combined_row
+
+
+LOOP_CONTEXTS = [PrimeContext(ell) for ell in PRIMES_ALL] + [PrimeContext(13, 5, 7)]
+
+
+@pytest.mark.parametrize("ctx", LOOP_CONTEXTS, ids=str)
+def test_count_circulants_match_the_loops(ctx):
+    bm = build_block_matrix_N(ctx)
+    first_row = vectorised_reduce_N(bm, ctx)
+    assert first_row == looped_reduce_N(bm, ctx)
+    assert all(type(v) is int for v in first_row)
+    scheme = CoefficientScheme.standard(ctx)
+    s_rows, combined = vectorised_reduce_C(ctx, scheme)
+    assert (s_rows, combined) == looped_reduce_C(ctx, scheme)
+    assert all(type(v) is int for v in combined + s_rows[1])
+
+
+@pytest.mark.parametrize("ell", [7, 13])
+def test_a_tampered_count_fails_with_the_loops_witness(ell):
+    """Each entry of sqrt_counts in turn is off by one: the vectorised checks
+    fail exactly when the loops do, naming the same slope and (i, j)."""
+    circulant_errors = set()
+    for a in range(ell):
+        ctx = PrimeContext(ell)
+        counts = list(ctx.sqrt_counts)
+        counts[a] += 1
+        ctx.__dict__["sqrt_counts"] = tuple(counts)
+        bm = build_block_matrix_N(ctx)
+        got_n, got_c = (vectorised_reduce_N(bm, ctx),
+                        vectorised_reduce_C(ctx, CoefficientScheme.standard(ctx)))
+        assert got_n == looped_reduce_N(bm, ctx), a
+        assert got_c == looped_reduce_C(ctx, CoefficientScheme.standard(ctx)), a
+        circulant_errors |= {e for e in (got_n, got_c)
+                             if isinstance(e, str) and "not circulant at" in e}
+    # the half-plane and some slope's circulant check each caught a tampering
+    assert any(e.startswith("count matrix") for e in circulant_errors)
+    assert any(e.startswith("slope-") for e in circulant_errors)

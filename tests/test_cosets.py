@@ -1,19 +1,25 @@
 import random
 
+import numpy as np
 import pytest
 
+from cartanmaps import cosets
+from cartanmaps.cli import main
 from cartanmaps.correspondence import build_H_s, build_psi_plus
 from cartanmaps.cosets import (
     BOREL,
     DoubleCosetDecomposition,
+    NAMED_KINDS,
     NONSPLIT_CARTAN,
     NORMALIZER_NONSPLIT,
     NORMALIZER_SPLIT,
     SPLIT_CARTAN,
+    SubgroupSpec,
     coset_key,
     coset_operator,
     custom_subgroup,
     decompose,
+    decompose_all,
     enumerate_subgroup,
     full_group,
 )
@@ -23,6 +29,7 @@ from cartanmaps.geometry import (
     det_mod,
     mat_inv,
     mat_mul,
+    random_invertible,
     subgroup_order,
 )
 from cartanmaps.modular_arith import PrimeContext
@@ -219,3 +226,143 @@ def test_coset_key_identifies_cosets(contexts):
             mp = random_invertible(rng, ell)
             same_coset = mat_mul(mat_inv(m, ell), mp, ell) in K.element_set
             assert (coset_key(K, m, ctx) == coset_key(K, mp, ctx)) == same_coset
+
+
+# ---------------------------------------------------------------------------
+# The array-first subgroups and decompose_all, against the scalar forms they
+# replaced.
+# ---------------------------------------------------------------------------
+
+def listed_subgroup(kind, ctx):
+    """The named subgroups as element lists, in their enumeration order."""
+    ell, eps = ctx.ell, ctx.epsilon
+    units = range(1, ell)
+    nonzero = [(x, y) for x in range(ell) for y in range(ell) if (x, y) != (0, 0)]
+    split = [GroupElement(a, 0, 0, d) for a in units for d in units]
+    nonsplit = [GroupElement(x, eps * y % ell, y, x) for x, y in nonzero]
+    return {
+        SPLIT_CARTAN: split,
+        NORMALIZER_SPLIT: split + [GroupElement(0, a, d, 0) for a in units for d in units],
+        NONSPLIT_CARTAN: nonsplit,
+        NORMALIZER_NONSPLIT: nonsplit + [GroupElement(x, -eps * y % ell, y, -x % ell)
+                                         for x, y in nonzero],
+        BOREL: [GroupElement(a, b, 0, d) for a in units for d in units for b in range(ell)],
+    }[kind]
+
+
+ORDER_CONTEXTS = [PrimeContext(3), PrimeContext(5), PrimeContext(7),
+                  PrimeContext(13, 5, 7)]
+
+
+@pytest.mark.parametrize("ctx", ORDER_CONTEXTS, ids=str)
+def test_enumerate_subgroup_keeps_the_element_order(ctx):
+    for kind in NAMED_KINDS:
+        sub = enumerate_subgroup(kind, ctx)
+        assert list(sub.elements) == listed_subgroup(kind, ctx), kind
+        assert all(a.dtype == np.int64 and not a.flags.writeable for a in sub.stacked)
+        assert all(type(v) is int for v in sub.elements[-1])
+
+
+def bucketed(H, g, K, ctx):
+    """The per-g bucketing loop decompose_all replaced: the keys of h*g for
+    every h of H, and the first h of each key kept, in H order."""
+    buckets = {}
+    keys = coset_key(K, mat_mul(H.stacked, g, ctx.ell), ctx)
+    for h, key in zip(H.elements, keys.tolist()):
+        buckets.setdefault(key, h)
+    return len(buckets), tuple(buckets.values())
+
+
+def assert_matches_bucketing(H, gs, K, ctx):
+    decs = decompose_all(H, gs, K, ctx)
+    assert len(decs) == len(gs)
+    for g, dec in zip(gs, decs):
+        assert (dec.H, dec.K, dec.g) == (H, K, g)
+        assert (dec.degree, dec.representatives) == bucketed(H, g, K, ctx), (H, g, K)
+    return decs
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_decompose_all_matches_the_bucketing_for_every_named_pair(ell, contexts):
+    ctx = contexts[ell]
+    rng = random.Random(f"named:{ell}")
+    gs = [IDENTITY, GroupElement(1, 1, 0, 1), GroupElement(0, 1, 1, 0)]
+    gs += [random_invertible(rng, ell) for _ in range(4)]
+    subs = {kind: enumerate_subgroup(kind, ctx) for kind in NAMED_KINDS}
+    for H in subs.values():
+        for K in subs.values():
+            assert_matches_bucketing(H, gs, K, ctx)
+
+
+@pytest.mark.parametrize("ctx", [PrimeContext(ell) for ell in PRIMES_ALL if ell <= 23]
+                         + [PrimeContext(13, 5, 7)], ids=str)
+def test_decompose_all_matches_the_bucketing_at_every_slope(ctx):
+    ell = ctx.ell
+    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
+    gs = [GroupElement(1, s, 0, 1) for s in range(1, ell)]
+    decs = assert_matches_bucketing(C, gs, Cp, ctx)
+    assert [d.degree for d in decs] == [ell - 1] * (ell - 1)
+    assert decompose(C, gs[-1], Cp, ctx).representatives == decs[-1].representatives
+
+
+def test_decompose_all_does_not_depend_on_the_chunks(monkeypatch, contexts):
+    ctx = contexts[13]
+    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
+    gs = [GroupElement(1, s, 0, 1) for s in range(1, 13)]
+    whole = decompose_all(C, gs, Cp, ctx)
+    # a budget below |K| leaves one g per chunk
+    monkeypatch.setattr(cosets, "_DECOMPOSE_ENTRIES", 1)
+    one_by_one = decompose_all(C, gs, Cp, ctx)
+    assert ([(d.g, d.degree, d.representatives) for d in one_by_one]
+            == [(d.g, d.degree, d.representatives) for d in whole])
+
+
+def test_decompose_all_keeps_its_arrays_within_the_budget(monkeypatch):
+    ctx = PrimeContext(61)
+    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
+    sizes = []
+
+    def recorded(m, n, ell):
+        out = mat_mul(m, n, ell)
+        sizes.append(np.size(out.a))
+        return out
+
+    monkeypatch.setattr(cosets, "mat_mul", recorded)
+    decs = decompose_all(C, [GroupElement(1, s, 0, 1) for s in range(1, 61)], Cp, ctx)
+    assert [d.degree for d in decs] == [60] * 60
+    assert max(sizes) <= cosets._DECOMPOSE_ENTRIES
+    # the 60 slopes do not fit one chunk
+    assert max(sizes) < 60 * len(Cp)
+
+
+def test_a_wrong_stabilizer_fails_the_degree_cross_check(monkeypatch, contexts):
+    """Conjugating K by g instead of g^-1 breaks the index the degree is
+    checked against, not the keys, so every slope reports the mismatch."""
+    ctx = contexts[7]
+    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
+    monkeypatch.setattr(cosets, "mat_inv", lambda m, ell: m)
+    for s in range(1, 7):
+        with pytest.raises(AssertionError, match="degree mismatch: 6 buckets vs index 36/"):
+            decompose_all(C, [GroupElement(1, s, 0, 1)], Cp, ctx)
+
+
+def test_verify_never_lists_a_whole_subgroup(monkeypatch, capsys):
+    """verify works on the subgroups' arrays only: no SubgroupSpec.elements."""
+    listed = []
+    elements = SubgroupSpec.__dict__["elements"].func
+
+    def counted(self):
+        listed.append(self.kind)
+        return elements(self)
+
+    monkeypatch.setattr(SubgroupSpec, "elements", property(counted))
+    assert main(["verify", "--ell", "11"]) == 0
+    capsys.readouterr()
+    assert listed == []
+    # the count does see a listing
+    assert len(enumerate_subgroup(SPLIT_CARTAN, PrimeContext(3)).elements) == 4
+    assert listed == [SPLIT_CARTAN]

@@ -12,8 +12,9 @@ from cartanmaps.exact_linalg import (
     det_mod_p,
     rank_exact,
     rank_mod_p,
+    rank_mod_p_stack,
 )
-from cartanmaps.modular_arith import PrimeContext
+from cartanmaps.modular_arith import PrimeContext, is_prime
 
 from conftest import oracle_mod_p
 
@@ -169,6 +170,35 @@ def test_rank_and_det_mod_p_match_the_oracle(p):
         assert rank_mod_p(A, p) == rank, (trial, m, n)
         if m == n:
             assert det_mod_p(A, p) == det, (trial, m)
+
+
+# the primes next to the bound below which pivot inverses come from a table
+TABLE_BOUND_PRIMES = (
+    max(p for p in range(3, exact_linalg._INVERSE_TABLE_BOUND) if is_prime(p)),
+    next(p for p in range(exact_linalg._INVERSE_TABLE_BOUND, 1 << 13) if is_prime(p)),
+)
+
+
+@pytest.mark.parametrize("p", TABLE_BOUND_PRIMES)
+@pytest.mark.parametrize("bound", ["default", "every prime", "no prime"])
+def test_rank_mod_p_stack_matches_the_oracle(p, bound, monkeypatch):
+    """Planted ranks in stacks of matrices of one shape, on both sides of the
+    table bound, and at each prime with the pivot inverses from the table and
+    from powering."""
+    if bound != "default":
+        monkeypatch.setattr(exact_linalg, "_INVERSE_TABLE_BOUND",
+                            (1 << 31) if bound == "every prime" else 0)
+    rng = np.random.default_rng(p)
+    for trial in range(12):
+        m, n = (int(v) for v in rng.integers(1, 16, size=2))
+        ranks = rng.integers(0, min(m, n) + 1, size=6)
+        B = np.stack([(rng.integers(0, p, size=(m, r, 1))
+                       * rng.integers(0, p, size=(1, r, n)) % p).sum(axis=1) % p
+                      for r in ranks.tolist()])
+        # residues of either sign, up to 3p in size
+        B += p * rng.integers(-3, 3, size=B.shape)
+        want = [oracle_mod_p(A.tolist(), p)[0] for A in B]
+        assert rank_mod_p_stack(B, p).tolist() == want, (trial, m, n)
 
 
 def test_certificate_serialization():

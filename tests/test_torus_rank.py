@@ -742,11 +742,12 @@ def test_verify_builds_no_point_objects(capsys, monkeypatch):
 
 def test_a_second_sweep_misses_no_cache():
     """The per-prime tables verify caches (orbits, generator permutations,
-    Galois conjugation, inverses) are kept for the life of the process, so a
-    second 3..23 sweep computes none of them again.  The column transporters
-    are closed forms on the decoded coordinates and are not cached."""
+    Galois conjugation, inverses, decoded coordinates) are kept for the life
+    of the process, so a second 3..23 sweep computes none of them again.  The
+    column transporters are closed forms on the decoded coordinates and are
+    not cached."""
     caches = (correspondence._orbits, correspondence._generator_perms,
-              correspondence.galois_conjugation, inverse_table)
+              correspondence.galois_conjugation, inverse_table, geometry.decode)
     primes = [n for n in range(3, 24) if is_odd_prime(n)]
     for ell in primes:
         run_verification(ell)

@@ -14,6 +14,7 @@ matrix itself. On the half-plane side the two differ by the invertible unit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,15 +226,13 @@ def eigenvalues_N(rm: ReducedCountMatrixN, ctx: PrimeContext) -> list[Eigenvalue
     """
     ell, g, eps, r = rm.ell, rm.g, rm.epsilon, len(rm.first_row)
     reports = []
-    for k in range(r):
+    for k, eig in enumerate(circulant_eigenvalues(rm.first_row, pow(g, 2, ell), ell)):
         kp = (-k) % r
         residue = sum(
             pow((pow(lam, -1, ell) - eps * lam) % ell, 2 * kp, ell)
             for lam in range(1, ell)
         ) % ell
         closed = binom_mod(2 * kp, kp, ell) * (-1) ** (kp + 1) * pow(eps, kp, ell) % ell
-        eig = sum(rm.first_row[j] * pow(g, 2 * k * j % (ell - 1), ell)
-                  for j in range(r)) % ell
         scale = pow(2, 2 * k - 1, ell)
         matches = residue == closed and eig == scale * residue % ell
         nonzero = residue != 0 and eig != 0
@@ -288,7 +287,7 @@ def eigenvalues_C(ctx: PrimeContext, scheme: CoefficientScheme | None = None,
     w_beta = np.array(scheme.beta, dtype=np.int64)[:, None]
     powers = np.ones_like(base)
     reports = []
-    for k in range(n):
+    for k, eig in enumerate(circulant_eigenvalues(rm.combined_row, g, ell)):
         if k:
             powers = powers * base % ell
         alpha = int((w_alpha * powers % ell).sum() % ell)
@@ -297,7 +296,6 @@ def eigenvalues_C(ctx: PrimeContext, scheme: CoefficientScheme | None = None,
         a_cl, b_cl = _closed_forms_C(k, kp, ell, eps)
         residue = (alpha + beta) % ell
         closed = (a_cl + b_cl) % ell
-        eig = sum(rm.combined_row[j] * pow(g, k * j % n, ell) for j in range(n)) % ell
         matches = alpha == a_cl and beta == b_cl and eig == residue
         nonzero = residue != 0
         reports.append(EigenvalueReport("C", k, kp, residue, closed, eig, 1,
@@ -310,6 +308,16 @@ def eigenvalues_C(ctx: PrimeContext, scheme: CoefficientScheme | None = None,
     return reports
 
 
+def circulant_eigenvalues(row, u: int, ell: int) -> list[int]:
+    """The eigenvalues mod ell of the circulant with this first row at the
+    powers of u, an n-th root of unity for n = len(row): the k-th is
+    sum_j row[j] u^(kj mod n)."""
+    n = len(row)
+    upow = [pow(u, i, ell) for i in range(n)]
+    return [sum(int(a) * upow[k * j % n] for j, a in enumerate(row)) % ell
+            for k in range(n)]
+
+
 def circulant_det_mod(first_row, e: int, ctx: PrimeContext) -> int:
     """Determinant mod ell of the circulant with the given first row, via the
     eigenvalue product at the powers of g^e.
@@ -317,22 +325,11 @@ def circulant_det_mod(first_row, e: int, ctx: PrimeContext) -> int:
     Requires g^e to have multiplicative order equal to the row length, so the
     relevant cyclotomic polynomial splits with distinct roots mod ell.
     """
-    ell, g = ctx.ell, ctx.g
-    row = [int(v) % ell for v in first_row]
-    nlen = len(row)
+    ell, nlen = ctx.ell, len(first_row)
     if nlen == 0 or (ell - 1) % nlen != 0:
         raise ValueError(f"row length {nlen} must divide ell-1 = {ell - 1}")
-    u = pow(g, e, ell)
+    u = pow(ctx.g, e, ell)
     if multiplicative_order(u, ell) != nlen:
         raise ValueError(f"g^{e} has order {multiplicative_order(u, ell)} "
                          f"mod {ell}, need {nlen}")
-    det = 1
-    for k in range(nlen):
-        uk = pow(u, k, ell)
-        acc = 0
-        term = 1
-        for aj in row:
-            acc = (acc + aj * term) % ell
-            term = term * uk % ell
-        det = det * acc % ell
-    return det
+    return math.prod(circulant_eigenvalues(first_row, u, ell)) % ell

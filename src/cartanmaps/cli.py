@@ -200,29 +200,22 @@ def _rank_certificate(shape: tuple[int, int], torus_rank: int | None, dense,
     return rank_exact(dense(), preferred_primes=(ctx.ell,))
 
 
-def _psi_plus_ranks(geodesics, ctx: PrimeContext) -> tuple[int, int] | None:
-    """combined_torus_ranks of psi+ mod ell, or None when the generator proof
-    of its geodesic array fails."""
-    if not check_equivariance_incidence(geodesics, ctx):
-        return None
-    return combined_torus_ranks([incidence_columns(geodesics, ctx)], [1], ctx.ell, ctx)
-
-
 def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dense,
-                     side: str, expected: int,
-                     ctx: PrimeContext) -> tuple[dict, list, list]:
+                     side: str, ctx: PrimeContext) -> tuple[dict, list, list]:
     """ranks is (rank, affine rank) mod ell from the operator's torus blocks,
     or None when its equivariance proof failed, so that the blocks mean nothing;
     then the certificate and the affine restriction come from the dense
-    operator, built once by dense()."""
+    operator, built once by dense().  The operator is onto: its expected rank
+    is its row count."""
     failures, nonconclusive = [], []
     dense = functools.cache(dense)
     rank, affine_rank = ranks or (None, None)
     cert = _rank_certificate(shape, rank, dense, ctx)
     if ranks is None:
         affine_rank = rank_mod_p(restrict_to_affine(dense(), side), ctx.ell)
+    expected = shape[0]
     # the affine restriction is square, with the rows of the operator
-    nonsing = affine_rank == shape[0]
+    nonsing = affine_rank == expected
     section = {
         "rank": cert.rank,
         "expected": expected,
@@ -240,6 +233,65 @@ def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dens
     return section, failures, nonconclusive
 
 
+def _theorem1(shape: tuple[int, int], ctx: PrimeContext):
+    """Theorem 1 at ctx's epsilon: psi+ proved and ranked on its geodesic
+    array.  Returns _theorem_section's (section, failures, nonconclusive),
+    the array, and whether its generator proof held."""
+    geodesics = geodesic_incidence(ctx)
+    proved = check_equivariance_incidence(geodesics, ctx)
+    ranks = (combined_torus_ranks([incidence_columns(geodesics, ctx)], [1], ctx.ell, ctx)
+             if proved else None)
+    section = _theorem_section(shape, ranks, lambda: incidence_operator(ctx, geodesics),
+                               "N", ctx)
+    return *section, geodesics, proved
+
+
+def _circulant_case(case: str, ctx: PrimeContext, scheme: CoefficientScheme):
+    """(count matrix, eigenvalue records, error) of case N (half-plane) or C
+    (punctured-plane): a CertificateError comes back as error, with the
+    records made before it, and with no matrix if the reduction raised it."""
+    rm = None
+    try:
+        if case == "N":
+            rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
+            return rm, eigenvalues_N(rm, ctx), None
+        rm = build_reduced_C(ctx, scheme)
+        return rm, eigenvalues_C(ctx, scheme, rm), None
+    except CertificateError as exc:
+        return rm, exc.reports, exc
+
+
+def _circulant_section(case: str, ctx: PrimeContext,
+                       scheme: CoefficientScheme) -> tuple[dict, list]:
+    """Case N or C of the circulant phase: the eigenvalue records, and the
+    count matrix's eigenvalue product against its direct determinant."""
+    rm, recs, error = _circulant_case(case, ctx, scheme)
+    failures = [] if error is None else [str(error)]
+    section = {"records": [r.to_json() for r in recs], "all_match": error is None}
+    if rm is None:
+        # the count matrix failed its reduction: no determinant to compare
+        section.update(det_product=None, det_direct=None, det_match=False)
+        return section, failures
+    # the half-plane eigenvalues sit at the powers of g^2, the others at g's
+    row, e = (rm.first_row, 2) if case == "N" else (rm.combined_row, 1)
+    prod = circulant_det_mod(row, e, ctx)
+    direct = det_mod_p(rm.matrix(), ctx.ell)
+    det_ok = prod == direct and direct != 0
+    if not det_ok:
+        plane = "half-plane" if case == "N" else "punctured-plane"
+        failures.append(f"{plane} circulant determinant check failed: "
+                        f"product {prod}, direct {direct}")
+    section.update(det_product=prod, det_direct=direct, det_match=det_ok)
+    return section, failures
+
+
+# The four G-sets: (decode tag, stabiliser in GL2, closed-form size)
+G_SETS = (("unordered_pairs", "N", lambda ell: ell * (ell + 1) // 2),
+          ("ordered_pairs", "C", lambda ell: ell * (ell + 1)),
+          ("H_ell", "N'", lambda ell: ell * (ell - 1) // 2),
+          ("C_ell", "C'", lambda ell: ell * (ell - 1)))
+
+
 def run_verification(ell: int, epsilon: int | None = None, root: int | None = None,
                      skip_cosets: bool = False,
                      strict_roots: bool = False, all_epsilon: bool = False) -> dict:
@@ -254,38 +306,24 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
     log.info("verifying ell=%d epsilon=%d g=%d", ell, ctx.epsilon, ctx.g)
 
     with _phase(timings, "geometry"):
-        n_up, n_op, n_H, n_C = (len(decode(tag, ell)[0]) for tag in
-                                ("unordered_pairs", "ordered_pairs", "H_ell", "C_ell"))
+        sizes = {tag: len(decode(tag, ell)[0]) for tag, _, _ in G_SETS}
+        n_up, n_op, n_H, n_C = sizes.values()
+        # each size is the closed form and the index |GL2| / |stabiliser|
         order = gl2_order(ell)
-        sizes_ok = (
-            n_up == ell * (ell + 1) // 2
-            and n_op == ell * (ell + 1)
-            and n_H == ell * (ell - 1) // 2
-            and n_C == ell * (ell - 1)
-            and order // subgroup_order("N", ell) == n_up
-            and order // subgroup_order("C", ell) == n_op
-            and order // subgroup_order("N'", ell) == n_H
-            and order // subgroup_order("C'", ell) == n_C
-        )
-        report["sets"] = {
-            "unordered_pairs": n_up, "ordered_pairs": n_op,
-            "H_ell": n_H, "C_ell": n_C,
-            "coset_space_sizes_match": sizes_ok,
-        }
+        sizes_ok = all(sizes[tag] == size(ell)
+                       and sizes[tag] == order // subgroup_order(kind, ell)
+                       for tag, kind, size in G_SETS)
+        report["sets"] = {**sizes, "coset_space_sizes_match": sizes_ok}
         if not sizes_ok:
             failures.append("set cardinalities disagree with coset-space indices")
 
     with _phase(timings, "theorem1"):
-        # proved and ranked on its geodesic array, which chart conjugacy and
-        # the coset coincidence read too
-        geodesics = geodesic_incidence(ctx)
+        # psi+'s geodesic array is read by chart conjugacy and the coset
+        # coincidence too
+        section, f1, n1, geodesics, eq_plus = _theorem1((n_H, n_up), ctx)
         # its columns list distinct rows, so each column sum is len(geodesics)
         if len(geodesics) != ctx.r:
             failures.append(f"psi+ column sums differ from {ctx.r}")
-        ranks = _psi_plus_ranks(geodesics, ctx)
-        eq_plus = ranks is not None
-        section, f1, n1 = _theorem_section(
-            (n_H, n_up), ranks, lambda: incidence_operator(ctx, geodesics), "N", n_H, ctx)
         report["theorem1"] = section
         failures += f1
         nonconclusive += n1
@@ -324,7 +362,7 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
                                       [scheme.combined(s) for s in reps], ell, ctx)
                  if eq_hs else None)
         section, f2, n2 = _theorem_section((n_C, n_op), ranks,
-                                           lambda: build_psi(ctx, scheme), "C", n_C, ctx)
+                                           lambda: build_psi(ctx, scheme), "C", ctx)
         report["theorem2"] = section
         failures += f2
         nonconclusive += n2
@@ -337,44 +375,9 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
 
     with _phase(timings, "circulant"):
         report["circulant"] = {}
-        rm_n = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
-        try:
-            recs = eigenvalues_N(rm_n, ctx)
-            ok_n = True
-        except CertificateError as exc:
-            recs = exc.reports
-            ok_n = False
-            failures.append(str(exc))
-        prod_n = circulant_det_mod(rm_n.first_row, 2, ctx)
-        direct_n = det_mod_p(rm_n.matrix(), ell)
-        det_ok_n = prod_n == direct_n and direct_n != 0
-        if not det_ok_n:
-            failures.append(f"half-plane circulant determinant check failed: "
-                            f"product {prod_n}, direct {direct_n}")
-        report["circulant"]["N"] = {
-            "records": [r.to_json() for r in recs],
-            "all_match": ok_n,
-            "det_product": prod_n, "det_direct": direct_n, "det_match": det_ok_n,
-        }
-        rm_c = build_reduced_C(ctx, scheme)
-        try:
-            recs = eigenvalues_C(ctx, scheme, rm_c)
-            ok_c = True
-        except CertificateError as exc:
-            recs = exc.reports
-            ok_c = False
-            failures.append(str(exc))
-        prod_c = circulant_det_mod(rm_c.combined_row, 1, ctx)
-        direct_c = det_mod_p(rm_c.matrix(), ell)
-        det_ok_c = prod_c == direct_c and direct_c != 0
-        if not det_ok_c:
-            failures.append(f"punctured-plane circulant determinant check failed: "
-                            f"product {prod_c}, direct {direct_c}")
-        report["circulant"]["C"] = {
-            "records": [r.to_json() for r in recs],
-            "all_match": ok_c,
-            "det_product": prod_c, "det_direct": direct_c, "det_match": det_ok_c,
-        }
+        for case in ("N", "C"):
+            report["circulant"][case], fc = _circulant_section(case, ctx, scheme)
+            failures += fc
 
     with _phase(timings, "equivariance"):
         # proved before the ranks: psi is fixed when every H_s is
@@ -472,11 +475,7 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         with _phase(timings, "all_epsilon"):
             eps_reports = []
             for eps in ctx.nonsquares():
-                sub_ctx = PrimeContext(ell, eps, ctx.g)
-                geodesics = geodesic_incidence(sub_ctx)
-                section, _, _ = _theorem_section(
-                    (n_H, n_up), _psi_plus_ranks(geodesics, sub_ctx),
-                    lambda: incidence_operator(sub_ctx, geodesics), "N", n_H, sub_ctx)
+                section = _theorem1((n_H, n_up), PrimeContext(ell, eps, ctx.g))[0]
                 nonsing = section["restricted_nonsingular"]
                 ok = (section["surjective"] and section["certificate"]["conclusive"]
                       and nonsing)
@@ -491,15 +490,13 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
             root_reports = []
             for gr in ctx.primitive_roots():
                 sub_ctx = PrimeContext(ell, ctx.epsilon, gr)
-                try:
-                    eigenvalues_N(reduce_mod_frak_L(build_block_matrix_N(sub_ctx),
-                                                    sub_ctx), sub_ctx)
-                    eigenvalues_C(sub_ctx, CoefficientScheme.standard(sub_ctx))
-                    ok = True
-                except CertificateError as exc:
-                    ok = False
-                    failures.append(f"certificates failed for root g={gr}: {exc}")
-                root_reports.append({"g": gr, "ok": ok})
+                # the eigenvalue certificates only, case C once N has passed;
+                # the scheme depends on ell alone
+                errors = (_circulant_case(case, sub_ctx, scheme)[2] for case in ("N", "C"))
+                error = next(filter(None, errors), None)
+                if error is not None:
+                    failures.append(f"certificates failed for root g={gr}: {error}")
+                root_reports.append({"g": gr, "ok": error is None})
             report["strict_roots"] = root_reports
 
     report["timings"] = timings
@@ -610,14 +607,12 @@ def cmd_export(args) -> int:
         m = build_psi_plus(ctx)
     elif args.map == "psi":
         m = build_psi(ctx)
-    elif args.map == "h-s":
+    else:  # h-s, the last of argparse's choices
         if args.s is None:
             raise UsageError("--map h-s requires --s")
         if args.s % ctx.ell == 0:
             raise UsageError("--s must be nonzero mod ell")
         m = build_H_s(ctx, args.s)
-    else:  # unreachable given argparse choices
-        raise UsageError(f"unknown map {args.map!r}")
     if args.restricted:
         m = restrict_to_affine(m, "N" if args.map == "psi-plus" else "C")
     _write(args.out, lambda fh: m.write_csv(fh, ctx))
@@ -626,23 +621,16 @@ def cmd_export(args) -> int:
 
 def cmd_eigenvalues(args) -> int:
     ctx = _make_context(args)
-    code = EXIT_OK
-    try:
-        if args.case == "N":
-            recs = eigenvalues_N(reduce_mod_frak_L(build_block_matrix_N(ctx), ctx), ctx)
-        else:
-            recs = eigenvalues_C(ctx, CoefficientScheme.standard(ctx))
-    except CertificateError as exc:
-        log.error("certificate failure: %s", exc)
-        recs = exc.reports
-        code = EXIT_FAIL
+    _, recs, error = _circulant_case(args.case, ctx, CoefficientScheme.standard(ctx))
+    if error is not None:
+        log.error("certificate failure: %s", error)
     doc = {
         "schema_version": TABLE_SCHEMA_VERSION,
         "ell": ctx.ell, "epsilon": ctx.epsilon, "g": ctx.g, "case": args.case,
         "records": [r.to_json() for r in recs],
     }
     _emit(doc, args.out)
-    return code
+    return EXIT_OK if error is None else EXIT_FAIL
 
 
 def cmd_decompose(args) -> int:
@@ -673,17 +661,15 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _conic_metadata(pair, slope, ctx: PrimeContext) -> dict | None:
-    """Center/right-hand side of the defining conic, affine endpoints only."""
+def _conic_metadata(p, q, slope, ctx: PrimeContext) -> dict | None:
+    """Center/right-hand side of the conic through the geodesic (slope None)
+    or the slope path from p to q, affine endpoints only.  The geodesic's
+    conic is symmetric in p and q; the path's center_y changes sign with
+    their order."""
+    if p.at_infinity or q.at_infinity:
+        return None
     ell, eps = ctx.ell, ctx.epsilon
-    if isinstance(pair, UnorderedPair):
-        if not pair.is_affine:
-            return None
-        a, b = pair.lo.x, pair.hi.x
-    else:
-        if not pair.is_affine:
-            return None
-        a, b = pair.first.x, pair.second.x
+    a, b = p.x, q.x
     half = pow(2, -1, ell)
     cx = (a + b) * half % ell
     if slope is None:
@@ -726,19 +712,19 @@ def cmd_plot(args) -> int:
         raise UsageError(str(exc)) from exc
     if p == q:
         raise UsageError("pair lies on the diagonal")
+    s = None
     if args.slope is not None:
         s = args.slope % ctx.ell
         if s == 0:
             raise UsageError("--slope must be nonzero mod ell")
         pair = OrderedPair(p, q)
         pts = sorted(path_points(pair, s, ctx).points)
-        meta = _conic_metadata(pair, s, ctx)
         title = f"path {pair} slope {s} (ell={ctx.ell})"
     else:
         pair = UnorderedPair(p, q)
         pts = sorted(geodesic_points(pair, ctx).points)
-        meta = _conic_metadata(pair, None, ctx)
         title = f"geodesic {pair} (ell={ctx.ell})"
+    meta = _conic_metadata(p, q, s, ctx)
     if args.format == "svg":
         text = _plot_svg(pts, ctx.ell, meta, title)
     else:

@@ -7,6 +7,7 @@ from cartanmaps.circulant import (
     build_block_matrix_N,
     build_reduced_C,
     circulant_det_mod,
+    circulant_eigenvalues,
     eigenvalues_C,
     eigenvalues_N,
     reduce_mod_frak_L,
@@ -197,6 +198,23 @@ def test_circulant_det_identity_and_ones(contexts):
         circulant_det_mod((1, 0, 0, 0), 1, ctx)   # 4 does not divide 6
     with pytest.raises(ValueError):
         circulant_det_mod((1, 0, 0), 1, ctx)      # g^1 has order 6, not 3
+
+
+@pytest.mark.parametrize("ell", PRIMES_SMALL)
+def test_circulant_eigenvalues_are_eigenvalues(ell, contexts):
+    """The k-th value of circulant_eigenvalues(row, u) is the eigenvalue of
+    the eigenvector (u^(ki))_i of the dense circulant, for u = g and g^2."""
+    ctx = contexts[ell]
+    rng = np.random.default_rng(ell)
+    for e in (1, 2):
+        n = (ell - 1) // e
+        u = pow(ctx.g, e, ell)
+        row = rng.integers(0, ell, n)
+        eigs = circulant_eigenvalues(row, u, ell)
+        assert len(eigs) == n
+        for k, eig in enumerate(eigs):
+            v = np.array([pow(u, k * i, ell) for i in range(n)], dtype=np.int64)
+            assert np.array_equal(circulant._circulant(row) @ v % ell, eig * v % ell)
 
 
 @pytest.mark.parametrize("ell", PRIMES_ALL)

@@ -1,7 +1,10 @@
 import argparse
+import dataclasses
 import importlib.util
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -17,7 +20,15 @@ from cartanmaps.cli import (
     main,
     run_verification,
 )
-from cartanmaps.exact_linalg import RankCertificate
+from cartanmaps.circulant import (
+    CertificateError,
+    build_block_matrix_N,
+    build_reduced_C,
+    circulant_det_mod,
+    reduce_mod_frak_L,
+)
+from cartanmaps.exact_linalg import RankCertificate, det_mod_p
+from cartanmaps.modular_arith import PrimeContext
 
 
 def run_cli(capsys, *argv):
@@ -328,6 +339,33 @@ def test_plot_path_csv_and_svg(capsys):
     assert out.count("<circle") == 6
 
 
+@pytest.mark.parametrize("ell", [7, 11])
+def test_plot_points_lie_on_the_named_conic(ell, capsys):
+    """Every point plot prints for an affine pair, in either order, as the
+    geodesic or the path of any slope, satisfies the conic of its metadata:
+    (x - center_x)^2 - epsilon (y - center_y)^2 = rhs mod ell."""
+    eps = PrimeContext(ell).epsilon
+    for a in range(ell):
+        for b in range(ell):
+            if a == b:
+                continue
+            for slope in [None, *range(1, ell)]:
+                argv = ["plot", "--ell", str(ell), "--pair", f"{a},{b}"]
+                if slope is not None:
+                    argv += ["--slope", str(slope)]
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == EXIT_OK
+                lines = out.splitlines()
+                conic = next(line for line in lines if line.startswith("# conic "))
+                meta = dict(item.split("=") for item in conic.split()[2:])
+                cx, cy, rhs = (int(meta[k]) for k in ("center_x", "center_y", "rhs"))
+                pts = [tuple(map(int, line.split(",")))
+                       for line in lines[lines.index("x,y") + 1:]]
+                assert pts, argv
+                assert all(((x - cx) ** 2 - eps * (y - cy) ** 2 - rhs) % ell == 0
+                           for x, y in pts), argv
+
+
 def test_plot_usage_errors(capsys):
     assert run_cli(capsys, "plot", "--ell", "7", "--pair", "2,2")[0] == EXIT_USAGE
     assert run_cli(capsys, "plot", "--ell", "7", "--pair", "2")[0] == EXIT_USAGE
@@ -360,18 +398,184 @@ def test_run_verification_report_shape():
     assert report["ok"]
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "perfbench")
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as a module, read and not modified."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_names_stay_cli_attributes():
     """perfbench/tracer.py times `cli.<name>` for every name in its TIMED
-    table, so --trace 1 needs each of them, called by verify or not."""
+    table, so --trace 1 needs each of them, called by verify or not; and
+    Tracer.install rebinds run_verification, _phase and _verify_worker."""
     import cartanmaps.cli as cli_mod
 
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                        "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
     missing = [name for name in tracer.TIMED if not hasattr(cli_mod, name)]
     assert tracer.TIMED and missing == []
+    rebound = re.findall(r"\bcli\.(\w+) = ", inspect.getsource(tracer.Tracer.install))
+    assert {"run_verification", "_phase", "_verify_worker"} <= set(rebound)
+    assert all(callable(getattr(cli_mod, name, None)) for name in rebound)
+
+
+def test_benchmark_reference_verdicts_reproduce(capsys):
+    """Every verdict of perfbench/reference.json, the benchmark's correctness
+    gate, comes out of verify again: the sweep, and each single:ell:eps:g
+    run with --all-epsilon --strict-roots."""
+    verdicts = load_perfbench("verdicts")
+    with open(os.path.join(PERFBENCH, "reference.json")) as fh:
+        reference = json.load(fh)
+    sweep = sorted(int(key.split(":")[1]) for key in reference if key.startswith("sweep:"))
+    code, out, _ = run_cli(capsys, "verify", "--ell-range", f"{sweep[0]}..{sweep[-1]}")
+    assert code == EXIT_OK
+    got = {f"sweep:{run['ell']}": verdicts.verdict(run) for run in json.loads(out)["runs"]}
+    for key in reference:
+        if key.startswith("single:"):
+            _, ell, eps, g = key.split(":")
+            code, out, _ = run_cli(capsys, "verify", "--ell", ell, "--epsilon", eps,
+                                   "--root", g, "--all-epsilon", "--strict-roots")
+            assert code == EXIT_OK, key
+            got[key] = verdicts.verdict(json.loads(out)["runs"][0])
+    assert got.keys() == reference.keys()
+    assert {key: verdicts.differences(want, got[key])
+            for key, want in reference.items()} == {key: [] for key in reference}
+
+
+# ---------------------------------------------------------------------------
+# The failure paths of the certificates: each verdict and failure text
+# ---------------------------------------------------------------------------
+
+def forged_certificate(real, fails=lambda ctx: True):
+    """The eigenvalue certificate real (eigenvalues_N or eigenvalues_C), made
+    to raise after its first record wherever fails(ctx) holds."""
+    def certify(*args):
+        ctx = next(a for a in args if isinstance(a, PrimeContext))
+        reports = real(*args)
+        if fails(ctx):
+            raise CertificateError(f"forged failure at g={ctx.g}", reports[:1])
+        return reports
+    return certify
+
+
+@pytest.mark.parametrize("case", ["N", "C"])
+def test_verify_eigenvalue_certificate_failure(case, capsys, monkeypatch):
+    import cartanmaps.cli as cli_mod
+
+    name = f"eigenvalues_{case}"
+    monkeypatch.setattr(cli_mod, name, forged_certificate(getattr(cli_mod, name)))
+    code, out, _ = run_cli(capsys, "verify", "--ell", "5")
+    assert code == EXIT_FAIL
+    run = json.loads(out)["runs"][0]
+    assert run["failures"] == ["forged failure at g=2"]
+    section = run["circulant"][case]
+    # the records are those the exception carries
+    assert section["all_match"] is False and len(section["records"]) == 1
+    assert section["det_match"] is True
+    assert run["circulant"]["C" if case == "N" else "N"]["all_match"] is True
+    code, out, _ = run_cli(capsys, "eigenvalues", "--ell", "5", "--case", case)
+    assert code == EXIT_FAIL
+    assert len(json.loads(out)["records"]) == 1
+
+
+@pytest.mark.parametrize("case, reduce", [("N", "reduce_mod_frak_L"),
+                                           ("C", "build_reduced_C")])
+def test_verify_count_matrix_reduction_failure(case, reduce, capsys, monkeypatch):
+    """A count matrix that fails its reduction fails its case, with no
+    determinant to compare, and the run still reports."""
+    import cartanmaps.cli as cli_mod
+
+    def refused(*args):
+        raise CertificateError("forged reduction failure")
+
+    monkeypatch.setattr(cli_mod, reduce, refused)
+    code, out, _ = run_cli(capsys, "verify", "--ell", "5", "--strict-roots")
+    assert code == EXIT_FAIL
+    run = json.loads(out)["runs"][0]
+    assert run["circulant"][case] == {"records": [], "all_match": False, "det_product": None,
+                                      "det_direct": None, "det_match": False}
+    assert run["circulant"]["C" if case == "N" else "N"]["det_match"] is True
+    assert run["failures"] == ["forged reduction failure",
+                               "certificates failed for root g=2: forged reduction failure",
+                               "certificates failed for root g=3: forged reduction failure"]
+
+
+@pytest.mark.parametrize("case, plane", [("N", "half-plane"), ("C", "punctured-plane")])
+def test_verify_circulant_determinant_mismatch(case, plane, capsys, monkeypatch):
+    """A direct determinant off by one in one case fails that case only."""
+    import cartanmaps.cli as cli_mod
+
+    ctx = PrimeContext(7)
+    if case == "N":
+        rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
+        row, e = rm.first_row, 2
+    else:
+        rm = build_reduced_C(ctx)
+        row, e = rm.combined_row, 1
+    size = len(row)  # 3 and 6: the two count matrices differ in size at 7
+    real = cli_mod.det_mod_p
+    monkeypatch.setattr(cli_mod, "det_mod_p",
+                        lambda m, p: (real(m, p) + (len(m) == size)) % p)
+    code, out, _ = run_cli(capsys, "verify", "--ell", "7")
+    assert code == EXIT_FAIL
+    run = json.loads(out)["runs"][0]
+    prod, direct = circulant_det_mod(row, e, ctx), (det_mod_p(rm.matrix(), 7) + 1) % 7
+    assert prod != direct
+    assert run["failures"] == [f"{plane} circulant determinant check failed: "
+                               f"product {prod}, direct {direct}"]
+    section = run["circulant"][case]
+    assert (section["det_product"], section["det_direct"]) == (prod, direct)
+    assert section["det_match"] is False and section["all_match"] is True
+    assert run["circulant"]["C" if case == "N" else "N"]["det_match"] is True
+
+
+@pytest.mark.parametrize("case", ["N", "C"])
+def test_strict_roots_reports_the_failing_root(case, capsys, monkeypatch):
+    import cartanmaps.cli as cli_mod
+
+    name = f"eigenvalues_{case}"
+    monkeypatch.setattr(cli_mod, name, forged_certificate(getattr(cli_mod, name),
+                                                          lambda ctx: ctx.g == 5))
+    code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets",
+                           "--strict-roots")
+    assert code == EXIT_FAIL
+    run = json.loads(out)["runs"][0]
+    assert run["g"] == 3 and run["circulant"][case]["all_match"] is True
+    assert run["strict_roots"] == [{"g": 3, "ok": True}, {"g": 5, "ok": False}]
+    assert run["failures"] == ["certificates failed for root g=5: forged failure at g=5"]
+
+
+def test_all_epsilon_reports_the_failing_nonsquare(capsys, monkeypatch):
+    """psi+ one rank short at epsilon = 5 only: the default epsilon = 3
+    passes, and --all-epsilon names 5."""
+    import cartanmaps.cli as cli_mod
+
+    real = cli_mod._rank_certificate
+
+    def short_at_5(shape, torus_rank, dense, ctx):
+        cert = real(shape, torus_rank, dense, ctx)
+        if ctx.epsilon == 5 and shape == (21, 28):  # psi+ at 7
+            return dataclasses.replace(cert, rank=cert.rank - 1)
+        return cert
+
+    monkeypatch.setattr(cli_mod, "_rank_certificate", short_at_5)
+    code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets",
+                           "--all-epsilon")
+    assert code == EXIT_FAIL
+    run = json.loads(out)["runs"][0]
+    assert run["epsilon"] == 3 and run["theorem1"]["surjective"] is True
+    assert run["all_epsilon"] == [
+        {"epsilon": 3, "rank": 21, "restricted_nonsingular": True, "ok": True},
+        {"epsilon": 5, "rank": 20, "restricted_nonsingular": True, "ok": False},
+        {"epsilon": 6, "rank": 21, "restricted_nonsingular": True, "ok": True},
+    ]
+    assert run["failures"] == ["theorem1 failed for epsilon=5"]
 
 
 def test_verify_jobs_submits_the_largest_primes_first(capsys, monkeypatch):

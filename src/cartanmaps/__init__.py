@@ -28,7 +28,6 @@ from .geometry import (
     UnorderedPair,
 )
 from .correspondence import (
-    CoefficientScheme,
     Geodesic,
     OperatorMatrix,
     PathSpec,

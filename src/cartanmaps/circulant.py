@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correspondence import CoefficientScheme
+from .correspondence import coefficients
 from .geometry import (CartanOrbit, SplitPairTN, decode, nonsplit_tn_to_tm, orbit_to_tn,
                        tn_to_tm)
 from .modular_arith import PrimeContext, binom_mod, multiplicative_order
@@ -37,30 +37,35 @@ class CertificateError(RuntimeError):
 class BlockMatrixN:
     """Blocks of the half-plane operator in (t, m) x (T, M) chart coordinates.
 
-    blocks[(m, M)] is the ell x ell 0/1 matrix over (t, T) with entry 1 iff
-    (T - t)^2 = m + M; each block is circulant in T - t.
+    The block (m, M), for m a square and M a non-square, is the ell x ell 0/1
+    matrix over (t, T) with entry 1 iff (T - t)^2 = m + M; it is circulant in
+    T - t and formed only when block(m, M) asks for it.
     """
 
     ell: int
     epsilon: int
-    blocks: dict
+    squares: tuple[int, ...]
+    nonsquares: tuple[int, ...]
+
+    def keys(self) -> list[tuple[int, int]]:
+        """The (m, M) of every block, m-major."""
+        return [(m, M) for m in self.squares for M in self.nonsquares]
+
+    def row(self, m: int, M: int) -> np.ndarray:
+        """Row t = 0 of the block (m, M): entry T is 1 iff T^2 = m + M."""
+        if m not in self.squares or M not in self.nonsquares:
+            raise KeyError((m, M))
+        d = np.arange(self.ell)
+        return (d * d % self.ell == (m + M) % self.ell).astype(np.int8)
 
     def block(self, m: int, M: int) -> np.ndarray:
-        return self.blocks[(m, M)]
+        d = np.arange(self.ell)
+        return self.row(m, M)[(d - d[:, None]) % self.ell]  # (t, T) -> T - t
 
 
 def build_block_matrix_N(ctx: PrimeContext) -> BlockMatrixN:
-    ell = ctx.ell
-    diff = (np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell  # (t, T) -> T - t
-    sq = np.arange(ell, dtype=np.int64) ** 2 % ell
-    blocks = {}
-    squares = sorted({pow(ctx.g, 2 * i, ell) for i in range(ctx.r)})
-    nonsquares = ctx.nonsquares()
-    for m in squares:
-        for M in nonsquares:
-            ind = (sq == (m + M) % ell).astype(np.int8)
-            blocks[(m, M)] = ind[diff]
-    return BlockMatrixN(ell, ctx.epsilon, blocks)
+    squares = tuple(sorted({pow(ctx.g, 2 * i, ctx.ell) for i in range(ctx.r)}))
+    return BlockMatrixN(ctx.ell, ctx.epsilon, squares, tuple(ctx.nonsquares()))
 
 
 def verify_chart_conjugacy(ctx: PrimeContext, geodesics: np.ndarray) -> bool:
@@ -130,7 +135,7 @@ def reduce_mod_frak_L(bm: BlockMatrixN, ctx: PrimeContext) -> ReducedCountMatrix
     row = []
     for j in range(r):
         M = eps * pow(g, 2 * j, ell) % ell
-        block_count = int(bm.block(1 % ell, M)[0].sum())
+        block_count = int(bm.row(1 % ell, M).sum())
         direct = counts[(1 + M) % ell]
         if block_count != direct:
             raise CertificateError(f"block (1, {M}) collapses to {block_count}, "
@@ -162,11 +167,8 @@ class ReducedCountMatrixC:
         return _circulant(self.combined_row)
 
 
-def build_reduced_C(ctx: PrimeContext,
-                    scheme: CoefficientScheme | None = None) -> ReducedCountMatrixC:
+def build_reduced_C(ctx: PrimeContext) -> ReducedCountMatrixC:
     ell, g, eps = ctx.ell, ctx.g, ctx.epsilon
-    scheme = scheme or CoefficientScheme.standard(ctx)
-    scheme.validate(ctx)
     counts = np.array(ctx.sqrt_counts)
     n = ell - 1
     gpow = np.array([pow(g, j, ell) for j in range(n)], dtype=np.int64)
@@ -183,7 +185,7 @@ def build_reduced_C(ctx: PrimeContext,
             raise CertificateError(
                 "slope-{} count matrix is not circulant at ({},{})".format(s, *at))
         s_rows[s] = row
-    weights = np.array([scheme.combined(s) % ell for s in s_rows], dtype=np.int64)
+    weights = sum(coefficients(ctx)) % ell
     combined = weights @ np.array(list(s_rows.values()), dtype=np.int64) % ell
     return ReducedCountMatrixC(ell, eps, g, s_rows, tuple(combined.tolist()))
 
@@ -261,7 +263,7 @@ def _closed_forms_C(k: int, kp: int, ell: int, eps: int) -> tuple[int, int]:
     return 0, beta
 
 
-def eigenvalues_C(ctx: PrimeContext, scheme: CoefficientScheme | None = None,
+def eigenvalues_C(ctx: PrimeContext,
                   rm: ReducedCountMatrixC | None = None) -> list[EigenvalueReport]:
     """Eigenvalue certificates for the combined punctured-plane operator.
 
@@ -271,20 +273,15 @@ def eigenvalues_C(ctx: PrimeContext, scheme: CoefficientScheme | None = None,
     agree exactly; no unit is dropped on this side).
     """
     ell, g, eps = ctx.ell, ctx.g, ctx.epsilon
-    scheme = scheme or CoefficientScheme.standard(ctx)
-    if not scheme.is_standard(ctx):
-        raise ValueError("closed forms hold only for the standard scheme "
-                         "(alpha_s = 1, beta_s = s^-1)")
     if rm is None:
-        rm = build_reduced_C(ctx, scheme)
+        rm = build_reduced_C(ctx)
     n = ell - 1
     # base[s-1, lam-1] = lam / ((lam*s + 1)^2 - eps*lam^2)
     sv = np.arange(1, ell, dtype=np.int64)[:, None]
     lv = np.arange(1, ell, dtype=np.int64)[None, :]
     den = (np.square(lv * sv + 1) - eps * np.square(lv)) % ell
     base = lv * ctx.inverse_table[den] % ell
-    w_alpha = np.array(scheme.alpha, dtype=np.int64)[:, None]
-    w_beta = np.array(scheme.beta, dtype=np.int64)[:, None]
+    w_alpha, w_beta = (w[:, None] for w in coefficients(ctx))
     powers = np.ones_like(base)
     reports = []
     for k, eig in enumerate(circulant_eigenvalues(rm.combined_row, g, ell)):

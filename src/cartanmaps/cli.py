@@ -36,7 +36,6 @@ from .circulant import (
 from .correspondence import (
     TORUS,
     UNIPOTENT,
-    CoefficientScheme,
     base_paths,
     block_shape,
     build_H_s,
@@ -49,6 +48,7 @@ from .correspondence import (
     check_galois_bases,
     check_galois_commutes,
     check_transporters,
+    coefficients,
     combined_torus_ranks,
     geodesic_incidence,
     geodesic_points,
@@ -201,7 +201,7 @@ def _rank_certificate(shape: tuple[int, int], torus_rank: int | None, dense,
 
 
 def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dense,
-                     side: str, ctx: PrimeContext) -> tuple[dict, list, list]:
+                     name: str, ctx: PrimeContext) -> tuple[dict, list, list]:
     """ranks is (rank, affine rank) mod ell from the operator's torus blocks,
     or None when its equivariance proof failed, so that the blocks mean nothing;
     then the certificate and the affine restriction come from the dense
@@ -212,7 +212,7 @@ def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dens
     rank, affine_rank = ranks or (None, None)
     cert = _rank_certificate(shape, rank, dense, ctx)
     if ranks is None:
-        affine_rank = rank_mod_p(restrict_to_affine(dense(), side), ctx.ell)
+        affine_rank = rank_mod_p(restrict_to_affine(dense()), ctx.ell)
     expected = shape[0]
     # the affine restriction is square, with the rows of the operator
     nonsing = affine_rank == expected
@@ -223,7 +223,6 @@ def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dens
         "restricted_nonsingular": nonsing,
         "certificate": cert.to_json(),
     }
-    name = "theorem1" if side == "N" else "theorem2"
     if cert.rank != expected:
         failures.append(f"{name}: rank {cert.rank} != expected {expected}")
     if not nonsing:
@@ -242,11 +241,11 @@ def _theorem1(shape: tuple[int, int], ctx: PrimeContext):
     ranks = (combined_torus_ranks([incidence_columns(geodesics, ctx)], [1], ctx.ell, ctx)
              if proved else None)
     section = _theorem_section(shape, ranks, lambda: incidence_operator(ctx, geodesics),
-                               "N", ctx)
+                               "theorem1", ctx)
     return *section, geodesics, proved
 
 
-def _circulant_case(case: str, ctx: PrimeContext, scheme: CoefficientScheme):
+def _circulant_case(case: str, ctx: PrimeContext):
     """(count matrix, eigenvalue records, error) of case N (half-plane) or C
     (punctured-plane): a CertificateError comes back as error, with the
     records made before it, and with no matrix if the reduction raised it."""
@@ -255,17 +254,16 @@ def _circulant_case(case: str, ctx: PrimeContext, scheme: CoefficientScheme):
         if case == "N":
             rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
             return rm, eigenvalues_N(rm, ctx), None
-        rm = build_reduced_C(ctx, scheme)
-        return rm, eigenvalues_C(ctx, scheme, rm), None
+        rm = build_reduced_C(ctx)
+        return rm, eigenvalues_C(ctx, rm), None
     except CertificateError as exc:
         return rm, exc.reports, exc
 
 
-def _circulant_section(case: str, ctx: PrimeContext,
-                       scheme: CoefficientScheme) -> tuple[dict, list]:
+def _circulant_section(case: str, ctx: PrimeContext) -> tuple[dict, list]:
     """Case N or C of the circulant phase: the eigenvalue records, and the
     count matrix's eigenvalue product against its direct determinant."""
-    rm, recs, error = _circulant_case(case, ctx, scheme)
+    rm, recs, error = _circulant_case(case, ctx)
     failures = [] if error is None else [str(error)]
     section = {"records": [r.to_json() for r in recs], "all_match": error is None}
     if rm is None:
@@ -300,7 +298,8 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
     failures: list[str] = []
     nonconclusive: list[str] = []
     ctx = PrimeContext(ell, epsilon, root)
-    scheme = CoefficientScheme.standard(ctx)
+    # "scheme" is a constant of schema 2: alpha_s = 1 and beta_s = s^-1 are
+    # fixed (correspondence.coefficients)
     report: dict = {"ell": ell, "epsilon": ctx.epsilon, "g": ctx.g,
                     "scheme": {"standard": True}}
     log.info("verifying ell=%d epsilon=%d g=%d", ell, ctx.epsilon, ctx.g)
@@ -358,11 +357,12 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         reps = path_columns(ctx, {s: bases[s] for s in range(1, ell) if s in proved},
                             representatives(ctx, "ordered_pairs"))
         eq_hs = len(reps) == ell - 1
+        weights = sum(coefficients(ctx))
         ranks = (combined_torus_ranks(list(reps.values()),
-                                      [scheme.combined(s) for s in reps], ell, ctx)
+                                      [weights[s - 1] for s in reps], ell, ctx)
                  if eq_hs else None)
         section, f2, n2 = _theorem_section((n_C, n_op), ranks,
-                                           lambda: build_psi(ctx, scheme), "C", ctx)
+                                           lambda: build_psi(ctx), "theorem2", ctx)
         report["theorem2"] = section
         failures += f2
         nonconclusive += n2
@@ -376,7 +376,7 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
     with _phase(timings, "circulant"):
         report["circulant"] = {}
         for case in ("N", "C"):
-            report["circulant"][case], fc = _circulant_section(case, ctx, scheme)
+            report["circulant"][case], fc = _circulant_section(case, ctx)
             failures += fc
 
     with _phase(timings, "equivariance"):
@@ -490,9 +490,8 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
             root_reports = []
             for gr in ctx.primitive_roots():
                 sub_ctx = PrimeContext(ell, ctx.epsilon, gr)
-                # the eigenvalue certificates only, case C once N has passed;
-                # the scheme depends on ell alone
-                errors = (_circulant_case(case, sub_ctx, scheme)[2] for case in ("N", "C"))
+                # the eigenvalue certificates only, case C once N has passed
+                errors = (_circulant_case(case, sub_ctx)[2] for case in ("N", "C"))
                 error = next(filter(None, errors), None)
                 if error is not None:
                     failures.append(f"certificates failed for root g={gr}: {error}")
@@ -603,6 +602,8 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     ctx = _make_context(args)
+    if args.s is not None and args.map != "h-s":
+        raise UsageError(f"--s applies to --map h-s only, not {args.map}")
     if args.map == "psi-plus":
         m = build_psi_plus(ctx)
     elif args.map == "psi":
@@ -614,14 +615,14 @@ def cmd_export(args) -> int:
             raise UsageError("--s must be nonzero mod ell")
         m = build_H_s(ctx, args.s)
     if args.restricted:
-        m = restrict_to_affine(m, "N" if args.map == "psi-plus" else "C")
+        m = restrict_to_affine(m)
     _write(args.out, lambda fh: m.write_csv(fh, ctx))
     return EXIT_OK
 
 
 def cmd_eigenvalues(args) -> int:
     ctx = _make_context(args)
-    _, recs, error = _circulant_case(args.case, ctx, CoefficientScheme.standard(ctx))
+    _, recs, error = _circulant_case(args.case, ctx)
     if error is not None:
         log.error("certificate failure: %s", error)
     doc = {
@@ -636,6 +637,8 @@ def cmd_eigenvalues(args) -> int:
 def cmd_decompose(args) -> int:
     ctx = _make_context(args)
     if args.case == "N":
+        if args.s is not None:
+            raise UsageError("--s applies to --case C only")
         H = enumerate_subgroup(NORMALIZER_SPLIT, ctx)
         K = enumerate_subgroup(NORMALIZER_NONSPLIT, ctx)
         g = IDENTITY

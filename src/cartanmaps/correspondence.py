@@ -92,39 +92,12 @@ def path_points(pair: OrderedPair, s: int, ctx: PrimeContext) -> PathSpec:
     return PathSpec(pair, s, pts)
 
 
-@dataclass(frozen=True)
-class CoefficientScheme:
-    """Per-slope integer weights: the combined operator is sum_s (alpha_s + beta_s) H_s."""
-
-    alpha: tuple[int, ...]  # alpha[s-1] for s = 1..ell-1
-    beta: tuple[int, ...]
-
-    @classmethod
-    def standard(cls, ctx: PrimeContext) -> "CoefficientScheme":
-        """alpha_s = 1 and beta_s the canonical representative of s^-1."""
-        ell = ctx.ell
-        return cls(
-            alpha=(1,) * (ell - 1),
-            beta=tuple(pow(s, -1, ell) for s in range(1, ell)),
-        )
-
-    def validate(self, ctx: PrimeContext) -> None:
-        ell = ctx.ell
-        if len(self.alpha) != ell - 1 or len(self.beta) != ell - 1:
-            raise ValueError("scheme must supply weights for every s in 1..ell-1")
-        for name, vals in (("alpha", self.alpha), ("beta", self.beta)):
-            for s, v in enumerate(vals, start=1):
-                if not 0 <= v <= ell - 1:
-                    raise ValueError(f"{name}_{s} = {v} outside [0, {ell - 1}]")
-
-    def is_standard(self, ctx: PrimeContext) -> bool:
-        ell = ctx.ell
-        return all(a % ell == 1 for a in self.alpha) and all(
-            b % ell == pow(s, -1, ell) for s, b in enumerate(self.beta, start=1)
-        )
-
-    def combined(self, s: int) -> int:
-        return self.alpha[s - 1] + self.beta[s - 1]
+def coefficients(ctx: PrimeContext) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (alpha, beta) of psi = sum_s (alpha_s + beta_s) H_s, indexed
+    by s - 1 for s = 1..ell-1: alpha_s = 1 and beta_s the representative of
+    s^-1 mod ell, the values the punctured-plane closed forms hold for."""
+    beta = ctx.inverse_table[1:]
+    return np.ones_like(beta), beta
 
 
 class OperatorMatrix:
@@ -288,28 +261,19 @@ def build_H_s(ctx: PrimeContext, s: int) -> OperatorMatrix:
     return incidence_operator(ctx, path_incidence(ctx, s))
 
 
-def build_psi(ctx: PrimeContext, scheme: CoefficientScheme | None = None) -> OperatorMatrix:
+def build_psi(ctx: PrimeContext) -> OperatorMatrix:
     """The combined operator sum_s (alpha_s + beta_s) H_s as one integer matrix."""
-    ell = ctx.ell
-    scheme = scheme or CoefficientScheme.standard(ctx)
-    scheme.validate(ctx)
     rows, cols = basis("C_ell", ctx), basis("ordered_pairs", ctx)
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    for s in range(1, ell):
-        _scatter(data, path_incidence(ctx, s), scheme.combined(s))
+    for s, w in enumerate(sum(coefficients(ctx)).tolist(), start=1):
+        _scatter(data, path_incidence(ctx, s), w)
     return OperatorMatrix(rows, cols, data)
 
 
-def restrict_to_affine(m: OperatorMatrix, side: str) -> OperatorMatrix:
+def restrict_to_affine(m: OperatorMatrix) -> OperatorMatrix:
     """Drop columns whose basis pair involves infinity; yields a square matrix."""
-    expected = {"N": "unordered_pairs", "C": "ordered_pairs"}.get(side)
-    if expected is None:
-        raise ValueError(f"side must be 'N' or 'C', got {side!r}")
-    if m.col_basis.tag != expected:
-        raise ValueError(f"restriction on side {side} needs column basis {expected}, "
-                         f"got {m.col_basis.tag}")
     keep = [i for i, pair in enumerate(m.col_basis) if pair.is_affine]
-    cols = Basis(expected + "_affine", (m.col_basis.elements[i] for i in keep))
+    cols = Basis(m.col_basis.tag + "_affine", (m.col_basis.elements[i] for i in keep))
     return OperatorMatrix(m.row_basis, cols, m.data[:, keep])
 
 

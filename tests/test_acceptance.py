@@ -21,7 +21,6 @@ from cartanmaps.circulant import (
     verify_chart_conjugacy,
 )
 from cartanmaps.correspondence import (
-    CoefficientScheme,
     build_H_s,
     build_psi,
     build_psi_plus,
@@ -81,7 +80,7 @@ def theorem1_sweep(contexts):
         ctx = contexts[ell]
         m = build_psi_plus(ctx)
         cert = rank_exact(m, preferred_primes=(ell,))
-        restricted = restrict_to_affine(m, "N")
+        restricted = restrict_to_affine(m)
         nonsingular = rank_mod_p(restricted, ell) == len(restricted.col_basis)
         results[ell] = (m, cert, nonsingular)
     return results, time.perf_counter() - t0
@@ -93,9 +92,9 @@ def theorem2_sweep(contexts):
     results = {}
     for ell in PRIMES:
         ctx = contexts[ell]
-        m = build_psi(ctx, CoefficientScheme.standard(ctx))
+        m = build_psi(ctx)
         cert = rank_exact(m, preferred_primes=(ell,))
-        restricted = restrict_to_affine(m, "C")
+        restricted = restrict_to_affine(m)
         nonsingular = rank_mod_p(restricted, ell) == len(restricted.col_basis)
         results[ell] = (m, cert, nonsingular)
     return results, time.perf_counter() - t0
@@ -120,13 +119,13 @@ def test_criterion_01_half_plane_surjection(theorem1_sweep, contexts):
             expected = ell * (ell - 1) // 2
             cert = rank_exact(m, preferred_primes=(ell,))
             assert cert.rank == expected and cert.conclusive, f"ell={ell} eps={eps}"
-            assert rank_mod_p(restrict_to_affine(m, "N"), ell) == expected
+            assert rank_mod_p(restrict_to_affine(m), ell) == expected
     print(f"\n[criterion 1] PASS half-plane surjection, ell<=31, all epsilon "
           f"(default sweep {elapsed:.2f}s < 5s)")
 
 
 def test_criterion_02_punctured_plane_surjection(theorem2_sweep):
-    """rank(psi) = ell(ell-1) with the standard coefficient scheme, conclusive
+    """rank(psi) = ell(ell-1) with alpha_s = 1 and beta_s = s^-1, conclusive
     mod ell, affine restriction nonsingular; sweep under 60 s."""
     results, elapsed = theorem2_sweep
     for ell, (m, cert, nonsingular) in results.items():

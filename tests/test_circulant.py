@@ -15,7 +15,6 @@ from cartanmaps.circulant import (
 )
 from cartanmaps import circulant
 from cartanmaps.correspondence import (
-    CoefficientScheme,
     build_H_s,
     build_psi_plus,
     geodesic_incidence,
@@ -36,8 +35,8 @@ from conftest import PRIMES_ALL, PRIMES_SMALL
 
 def test_block_index_sets_example(contexts):
     bm = build_block_matrix_N(contexts[5])
-    ms = sorted({m for (m, _) in bm.blocks})
-    Ms = sorted({M for (_, M) in bm.blocks})
+    ms = sorted({m for (m, _) in bm.keys()})
+    Ms = sorted({M for (_, M) in bm.keys()})
     assert ms == [1, 4] and Ms == [2, 3]
 
 
@@ -45,16 +44,17 @@ def test_block_example_smallest_prime(contexts):
     # ell=3: single block (1, 2); 1+2 = 0 has the lone root x = 0, so the
     # block is the identity permutation with multiplicity one
     bm = build_block_matrix_N(contexts[3])
-    assert set(bm.blocks) == {(1, 2)}
-    assert np.array_equal(bm.blocks[(1, 2)], np.eye(3, dtype=np.int8))
+    assert set(bm.keys()) == {(1, 2)}
+    assert np.array_equal(bm.block(1, 2), np.eye(3, dtype=np.int8))
 
 
 @pytest.mark.parametrize("ell", PRIMES_ALL)
 def test_blocks_are_circulant_and_correct(ell, contexts):
     ctx = contexts[ell]
     bm = build_block_matrix_N(ctx)
-    assert len(bm.blocks) == ctx.r * ctx.r
-    for (m, M), block in bm.blocks.items():
+    assert len(bm.keys()) == ctx.r * ctx.r
+    for m, M in bm.keys():
+        block = bm.block(m, M)
         assert legendre(m, ell) == 1 and legendre(M, ell) == -1
         row0 = block[0]
         for t in range(ell):
@@ -180,9 +180,8 @@ def test_reduced_C_rows(ell, contexts):
             rhs = (1 + 4 * eps * pow(g, 2 * j, ell) - 4 * s * pow(g, j, ell)) % ell
             assert rc.s_rows[s][j] == len([v for v in range(ell)
                                            if v * v % ell == rhs])
-    scheme = CoefficientScheme.standard(ctx)
     for j in range(ell - 1):
-        expected = sum(scheme.combined(s) * rc.s_rows[s][j]
+        expected = sum((1 + pow(s, -1, ell)) * rc.s_rows[s][j]
                        for s in range(1, ell)) % ell
         assert rc.combined_row[j] == expected
 
@@ -235,7 +234,7 @@ def test_chart_conjugacy(ell, contexts):
     exactly where the chart condition (T - t)^2 = m + M holds."""
     ctx = contexts[ell]
     assert verify_chart_conjugacy(ctx, geodesic_incidence(ctx))
-    restricted = restrict_to_affine(build_psi_plus(ctx), "N")
+    restricted = restrict_to_affine(build_psi_plus(ctx))
     for ci, pair in enumerate(restricted.col_basis):
         t, m = tn_to_tm(pair_to_tn(pair, ctx), ctx)
         for ri, orbit in enumerate(restricted.row_basis):
@@ -292,7 +291,7 @@ def test_chart_entries_C_side(ell, contexts):
     g, eps = ctx.g, ctx.epsilon
     dlog = ctx.dlog
     for s in range(1, ell):
-        h = restrict_to_affine(build_H_s(ctx, s), "C")
+        h = restrict_to_affine(build_H_s(ctx, s))
         for ci, pair in enumerate(h.col_basis):
             a, b = pair.first.x, pair.second.x
             t = (a + b) % ell
@@ -326,7 +325,7 @@ def test_det_nonzero_iff_restriction_full_rank(ell, contexts):
     ctx = contexts[ell]
     rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
     det_n = det_mod_p(rm.matrix(), ell)
-    restricted = restrict_to_affine(build_psi_plus(ctx), "N")
+    restricted = restrict_to_affine(build_psi_plus(ctx))
     assert det_n != 0
     assert rank_mod_p(restricted, ell) == len(restricted.col_basis)
 
@@ -355,7 +354,7 @@ def looped_reduce_N(bm, ctx):
     return tuple(row)
 
 
-def looped_reduce_C(ctx, scheme):
+def looped_reduce_C(ctx):
     """build_reduced_C as scalar loops: (s_rows, combined_row), or the error
     text."""
     ell, g, eps = ctx.ell, ctx.g, ctx.epsilon
@@ -373,7 +372,8 @@ def looped_reduce_C(ctx, scheme):
                 if val != row[(j - i) % n]:
                     return f"slope-{s} count matrix is not circulant at ({i},{j})"
         s_rows[s] = row
-    combined = tuple(sum(scheme.combined(s) * s_rows[s][j] for s in range(1, ell)) % ell
+    # alpha_s + beta_s = 1 + s^-1
+    combined = tuple(sum((1 + pow(s, -1, ell)) * s_rows[s][j] for s in range(1, ell)) % ell
                      for j in range(n))
     return s_rows, combined
 
@@ -385,9 +385,9 @@ def vectorised_reduce_N(bm, ctx):
         return str(exc)
 
 
-def vectorised_reduce_C(ctx, scheme):
+def vectorised_reduce_C(ctx):
     try:
-        rm = build_reduced_C(ctx, scheme)
+        rm = build_reduced_C(ctx)
     except CertificateError as exc:
         return str(exc)
     return rm.s_rows, rm.combined_row
@@ -402,9 +402,8 @@ def test_count_circulants_match_the_loops(ctx):
     first_row = vectorised_reduce_N(bm, ctx)
     assert first_row == looped_reduce_N(bm, ctx)
     assert all(type(v) is int for v in first_row)
-    scheme = CoefficientScheme.standard(ctx)
-    s_rows, combined = vectorised_reduce_C(ctx, scheme)
-    assert (s_rows, combined) == looped_reduce_C(ctx, scheme)
+    s_rows, combined = vectorised_reduce_C(ctx)
+    assert (s_rows, combined) == looped_reduce_C(ctx)
     assert all(type(v) is int for v in combined + s_rows[1])
 
 
@@ -419,10 +418,9 @@ def test_a_tampered_count_fails_with_the_loops_witness(ell):
         counts[a] += 1
         ctx.__dict__["sqrt_counts"] = tuple(counts)
         bm = build_block_matrix_N(ctx)
-        got_n, got_c = (vectorised_reduce_N(bm, ctx),
-                        vectorised_reduce_C(ctx, CoefficientScheme.standard(ctx)))
+        got_n, got_c = vectorised_reduce_N(bm, ctx), vectorised_reduce_C(ctx)
         assert got_n == looped_reduce_N(bm, ctx), a
-        assert got_c == looped_reduce_C(ctx, CoefficientScheme.standard(ctx)), a
+        assert got_c == looped_reduce_C(ctx), a
         circulant_errors |= {e for e in (got_n, got_c)
                              if isinstance(e, str) and "not circulant at" in e}
     # the half-plane and some slope's circulant check each caught a tampering

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -193,6 +194,16 @@ def test_verify_all_epsilon_and_strict_roots(capsys):
     assert all(r["ok"] for r in run["strict_roots"])
 
 
+def test_verify_scheme_field_is_a_constant(capsys):
+    """The coefficients are fixed, and schema 2 keeps their field as a
+    constant in every run."""
+    code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..13", "--all-epsilon")
+    assert code == EXIT_OK
+    runs = json.loads(out)["runs"]
+    assert [r["ell"] for r in runs] == [3, 5, 7, 11, 13]
+    assert all(r["scheme"] == {"standard": True} for r in runs)
+
+
 def test_verify_skip_cosets(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ell", "3", "--skip-cosets")
     assert code == EXIT_OK
@@ -279,6 +290,17 @@ def test_export_h_s_and_restricted(capsys):
     assert "basis_rows=C_ell" in header and "basis_cols=ordered_pairs_affine" in header
     assert run_cli(capsys, "export", "--ell", "5", "--map", "h-s")[0] == EXIT_USAGE
     assert run_cli(capsys, "export", "--ell", "5", "--map", "h-s", "--s", "5")[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["export", "--map", "psi", "--s", "2"],
+                                  ["export", "--map", "psi-plus", "--s", "2"],
+                                  ["decompose", "--case", "N", "--s", "3"]])
+def test_s_where_no_slope_applies_is_a_usage_error(argv, capsys):
+    """psi, psi+ and the N decomposition have no slope: --s is refused, not
+    ignored."""
+    code, out, err = run_cli(capsys, *argv, "--ell", "5")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: --s applies to ") and err.count("\n") == 1, err
 
 
 def test_eigenvalues_N_case(capsys):
@@ -423,6 +445,37 @@ def test_tracer_names_stay_cli_attributes():
     rebound = re.findall(r"\bcli\.(\w+) = ", inspect.getsource(tracer.Tracer.install))
     assert {"run_verification", "_phase", "_verify_worker"} <= set(rebound)
     assert all(callable(getattr(cli_mod, name, None)) for name in rebound)
+
+
+def unused_imports(path: str) -> list[str]:
+    """The names a module imports (__future__ features aside) and never reads."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    # an attribute chain such as np.int64 starts with the Name np
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every module of the package but __init__, which re-exports, reads each
+    name it imports; cli keeps, unread, only names of the tracer's TIMED
+    table, which it wraps as cli attributes."""
+    package = os.path.dirname(os.path.abspath(cartanmaps.__file__))
+    timed = set(load_perfbench("tracer").TIMED)
+    unused = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            names = unused_imports(os.path.join(package, name))
+            if name == "cli.py":
+                names = [n for n in names if n not in timed]
+            if names:
+                unused[name] = names
+    assert unused == {}
 
 
 def test_benchmark_reference_verdicts_reproduce(capsys):

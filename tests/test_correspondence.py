@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cartanmaps.correspondence import (
-    CoefficientScheme,
     _distinct_sorted,
     OperatorMatrix,
     build_H_s,
@@ -17,6 +16,7 @@ from cartanmaps.correspondence import (
     check_equivariance_psi_plus,
     geodesic_incidence,
     base_paths,
+    coefficients,
     geodesic_points,
     path_columns,
     path_incidence,
@@ -266,9 +266,9 @@ def test_psi_is_weighted_sum_of_slopes(contexts):
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
 def test_psi_column_sums(ell, contexts):
     ctx = contexts[ell]
-    scheme = CoefficientScheme.standard(ctx)
-    psi = build_psi(ctx, scheme)
-    expected = sum(scheme.combined(s) for s in range(1, ell)) * (ell - 1)
+    psi = build_psi(ctx)
+    # alpha_s + beta_s = 1 + s^-1
+    expected = sum(1 + pow(s, -1, ell) for s in range(1, ell)) * (ell - 1)
     assert (psi.column_sums() == expected).all()
     h = build_H_s(ctx, 1)
     assert (h.column_sums() == ell - 1).all()
@@ -276,35 +276,21 @@ def test_psi_column_sums(ell, contexts):
 
 def test_restrict_to_affine(contexts):
     ctx = contexts[3]
-    r = restrict_to_affine(build_psi_plus(ctx), "N")
+    r = restrict_to_affine(build_psi_plus(ctx))
     assert r.shape == (3, 3)
     assert r.col_basis.tag == "unordered_pairs_affine"
     assert rank_over_Q(r) == 3   # nonsingular
-    rc = restrict_to_affine(build_psi(contexts[5]), "C")
+    rc = restrict_to_affine(build_psi(contexts[5]))
     assert rc.shape == (20, 20)
-    with pytest.raises(ValueError):
-        restrict_to_affine(build_psi_plus(ctx), "C")
-    with pytest.raises(ValueError):
-        restrict_to_affine(build_psi_plus(ctx), "bogus")
+    assert rc.col_basis.tag == "ordered_pairs_affine"
 
 
-def test_coefficient_scheme_validation(contexts):
-    ctx = contexts[5]
-    scheme = CoefficientScheme.standard(ctx)
-    assert scheme.is_standard(ctx)
-    assert scheme.alpha == (1, 1, 1, 1)
-    assert scheme.beta == (1, 3, 2, 4)
-    bad = CoefficientScheme(alpha=(1, 1, 1, 9), beta=scheme.beta)
-    with pytest.raises(ValueError):
-        bad.validate(ctx)
-    short = CoefficientScheme(alpha=(1,), beta=(1,))
-    with pytest.raises(ValueError):
-        short.validate(ctx)
-    alt = CoefficientScheme(alpha=(0, 0, 0, 0), beta=(1, 0, 0, 0))
-    alt.validate(ctx)
-    assert not alt.is_standard(ctx)
-    # pluggable scheme reaches the assembler: psi becomes H_1
-    assert np.array_equal(build_psi(ctx, alt).data, build_H_s(ctx, 1).data)
+def test_coefficients(contexts):
+    """alpha_s = 1 and beta_s = s^-1 mod ell, for s = 1..ell-1."""
+    alpha, beta = coefficients(contexts[5])
+    assert alpha.tolist() == [1, 1, 1, 1]
+    assert beta.tolist() == [1, 3, 2, 4]
+    assert (alpha + beta).tolist() == [2, 4, 3, 5]
 
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
@@ -330,12 +316,13 @@ def test_equivariance_rejects_one_changed_entry(ell, contexts):
 
 def test_psi_image_coefficients_matches_matrix(contexts):
     ctx = contexts[5]
-    scheme = CoefficientScheme.standard(ctx)
-    psi = build_psi(ctx, scheme)
+    psi = build_psi(ctx)
     for ci, pair in list(enumerate(psi.col_basis))[::7]:
         paths = {s: path_points(pair, s, ctx).points for s in range(1, ctx.ell)}
         for ri, z in enumerate(psi.row_basis):
-            expected = sum(scheme.combined(s) for s, pts in paths.items() if z in pts)
+            # alpha_s + beta_s = 1 + s^-1
+            expected = sum(1 + pow(s, -1, ctx.ell) for s, pts in paths.items()
+                           if z in pts)
             assert psi.data[ri, ci] == expected
 
 

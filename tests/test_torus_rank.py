@@ -10,7 +10,6 @@ from cartanmaps.cli import AUX_RANK_PRIME, aux_rank_prime, main
 from cartanmaps.correspondence import (
     TORUS,
     UNIPOTENT,
-    CoefficientScheme,
     OperatorMatrix,
     base_paths,
     build_H_s,
@@ -38,27 +37,27 @@ from conftest import PRIMES_SMALL, oracle_mod_p
 
 def incidence_route(ctx, p, scale=1):
     """(name, (rank, affine rank) mod p from the incidence arrays, dense
-    operator, side) for psi+, psi and every H_s; every weight times scale."""
+    operator) for psi+, psi and every H_s; every weight times scale."""
     ell = ctx.ell
     geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
-    yield "psi+", combined_torus_ranks([geodesics], [scale], p, ctx), build_psi_plus(ctx), "N"
-    scheme = CoefficientScheme.standard(ctx)
+    yield "psi+", combined_torus_ranks([geodesics], [scale], p, ctx), build_psi_plus(ctx)
     reps = [incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
-    weights = [scale * scheme.combined(s) for s in range(1, ell)]
-    yield "psi", combined_torus_ranks(reps, weights, p, ctx), build_psi(ctx), "C"
+    # alpha_s + beta_s = 1 + s^-1
+    weights = [scale * (1 + pow(s, -1, ell)) for s in range(1, ell)]
+    yield "psi", combined_torus_ranks(reps, weights, p, ctx), build_psi(ctx)
     # the weights matter: all slopes weighted 0 but one
     only_h_2 = [scale * (s == 2 % ell) for s in range(1, ell)]
     yield "H_2 of psi's terms", combined_torus_ranks(reps, only_h_2, p, ctx), \
-        build_H_s(ctx, 2 % ell), "C"
+        build_H_s(ctx, 2 % ell)
     for s, rep in enumerate(reps, start=1):
-        yield f"H_{s}", combined_torus_ranks([rep], [scale], p, ctx), build_H_s(ctx, s), "C"
+        yield f"H_{s}", combined_torus_ranks([rep], [scale], p, ctx), build_H_s(ctx, s)
 
 
 def check_incidence_route(ctx, p, scale=1):
     """The incidence route's ranks equal dense rank_mod_p of each operator
     and of its affine restriction."""
-    for name, ranks, m, side in incidence_route(ctx, p, scale):
-        want = (rank_mod_p(m, p), rank_mod_p(restrict_to_affine(m, side), p))
+    for name, ranks, m in incidence_route(ctx, p, scale):
+        want = (rank_mod_p(m, p), rank_mod_p(restrict_to_affine(m), p))
         assert ranks == want, (name, p)
 
 
@@ -159,7 +158,7 @@ def test_affine_rank_reads_only_the_affine_columns(ell, contexts, monkeypatch):
     m = OperatorMatrix(m.row_basis, m.col_basis, m.data - incidence_operator(ctx, mixed).data)
     for p in (ell, aux_rank_prime(ell)):
         rank, affine_rank = combined_torus_ranks(reps, [1, -1], p, ctx)
-        assert affine_rank == rank_mod_p(restrict_to_affine(m, "C"), p) == 0
+        assert affine_rank == rank_mod_p(restrict_to_affine(m), p) == 0
         assert rank == rank_mod_p(m, p) > 0
         # the ell affine representatives of the ell + 4, then all of them
         assert shapes == [(ell - 1, ell, ell), (ell - 1, ell, ell + 4)]
@@ -214,8 +213,8 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
     back to the dense escalation, with the same rank, and the run fails."""
     ctx = PrimeContext(ell)
     want = run_verification(ell)
-    dense_of = {"theorem1": (build_psi_plus(ctx), "N", "psi_plus"),
-                "theorem2": (build_psi(ctx), "C", "psi")}
+    dense_of = {"theorem1": (build_psi_plus(ctx), "psi_plus"),
+                "theorem2": (build_psi(ctx), "psi")}
     ranked = cli_mod.combined_torus_ranks
     for target, theorem in (("psi+", "theorem1"), ("H_1", "theorem2")):
         ranked_reps = []
@@ -229,7 +228,7 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
             fail_proof(target, patch)
             assert main(["verify", "--ell", str(ell)]) == 1
         run = json.loads(capsys.readouterr().out)["runs"][0]
-        m, side, eq_key = dense_of[theorem]
+        m, eq_key = dense_of[theorem]
         dense = rank_exact(m, preferred_primes=(ell,))
         assert run[theorem]["certificate"] == json.loads(json.dumps(dense.to_json()))
         assert run[theorem]["certificate"]["method"] != "torus characters"
@@ -373,8 +372,7 @@ def cross_check_certificates(ctx):
     against dense rank_exact and rank_mod_p of the operators."""
     ell = ctx.ell
     run = run_verification(ell, ctx.epsilon, ctx.g, skip_cosets=True)
-    for theorem, m, side in (("theorem1", build_psi_plus(ctx), "N"),
-                             ("theorem2", build_psi(ctx), "C")):
+    for theorem, m in (("theorem1", build_psi_plus(ctx)), ("theorem2", build_psi(ctx))):
         dense = rank_exact(m, preferred_primes=(ell,))
         full = min(m.shape)
         assert run[theorem]["rank"] == dense.rank == rank_mod_p(m, ell) == full, theorem
@@ -382,7 +380,7 @@ def cross_check_certificates(ctx):
             "rows": m.shape[0], "cols": m.shape[1], "rank": full,
             "witnesses": [[ell, full]], "method": "torus characters", "conclusive": True,
         }, theorem
-        restricted = restrict_to_affine(m, side)
+        restricted = restrict_to_affine(m)
         assert rank_mod_p(restricted, ell) == len(restricted.col_basis) == m.shape[0]
         assert run[theorem]["restricted_nonsingular"] is True, theorem
 

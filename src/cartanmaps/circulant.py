@@ -280,15 +280,17 @@ def eigenvalues_C(ctx: PrimeContext,
     sv = np.arange(1, ell, dtype=np.int64)[:, None]
     lv = np.arange(1, ell, dtype=np.int64)[None, :]
     den = (np.square(lv * sv + 1) - eps * np.square(lv)) % ell
-    base = lv * ctx.inverse_table[den] % ell
-    w_alpha, w_beta = (w[:, None] for w in coefficients(ctx))
-    powers = np.ones_like(base)
+    base = (lv * ctx.inverse_table[den] % ell).ravel()
+    # the sum over (s, lam) of w_s base^k is sum_v W_v v^k, where W_v sums
+    # the w_s with base[s, lam] = v: one (n x ell) power table serves every k
+    table = np.ones((n, ell), dtype=np.int64)
+    for k in range(1, n):
+        table[k] = table[k - 1] * np.arange(ell) % ell
+    alphas, betas = (table @ np.bincount(base, np.repeat(w, n), ell).astype(np.int64) % ell
+                     for w in coefficients(ctx))
     reports = []
     for k, eig in enumerate(circulant_eigenvalues(rm.combined_row, g, ell)):
-        if k:
-            powers = powers * base % ell
-        alpha = int((w_alpha * powers % ell).sum() % ell)
-        beta = int((w_beta * powers % ell).sum() % ell)
+        alpha, beta = int(alphas[k]), int(betas[k])
         kp = 0 if k == 0 else (-k) % n
         a_cl, b_cl = _closed_forms_C(k, kp, ell, eps)
         residue = (alpha + beta) % ell

@@ -34,10 +34,7 @@ from .circulant import (
     verify_chart_conjugacy,
 )
 from .correspondence import (
-    TORUS,
-    UNIPOTENT,
     base_paths,
-    block_shape,
     build_H_s,
     build_psi,
     build_psi_plus,
@@ -49,7 +46,7 @@ from .correspondence import (
     check_galois_commutes,
     check_transporters,
     coefficients,
-    combined_torus_ranks,
+    combined_ranks,
     geodesic_incidence,
     geodesic_points,
     incidence_columns,
@@ -93,11 +90,11 @@ from .geometry import (
 )
 from .modular_arith import PrimeContext, is_odd_prime, is_prime
 
-SCHEMA_VERSION = 2  # the verify report; 2 lists the equivariance generators
+SCHEMA_VERSION = 3  # the verify report; 3 ranks by the unipotent characters only
 TABLE_SCHEMA_VERSION = 1  # the eigenvalues and decompose documents
 DEFAULT_MAX_ELL = 101
 COINCIDENCE_BOUND = 7
-AUX_RANK_PRIME = 1_048_583  # floor of the auxiliary primes of the per-slope rank observations
+AUX_RANK_PRIME = 1_048_583  # floor of the auxiliary primes every rank is taken at
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 EXIT_OK = 0
@@ -173,10 +170,11 @@ def _emit(doc, out_path: str | None) -> None:
 # The verification pipeline for one prime
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def aux_rank_prime(ell: int) -> int:
-    """The least prime >= AUX_RANK_PRIME that is 1 mod ell(ell - 1), so that
-    F_p holds the ell-th roots of unity the unipotent characters need, and
-    the (ell-1)-th roots the torus characters need."""
+    """The least prime >= AUX_RANK_PRIME that is 1 mod ell(ell - 1): F_p holds
+    the ell-th roots of unity the unipotent characters need (the factor
+    ell - 1 keeps the primes the slope ranks were first recorded at)."""
     n = ell * (ell - 1)
     p = AUX_RANK_PRIME + (1 - AUX_RANK_PRIME) % n
     while not is_prime(p):
@@ -184,35 +182,34 @@ def aux_rank_prime(ell: int) -> int:
     return p
 
 
-def _rank_certificate(shape: tuple[int, int], torus_rank: int | None, dense,
+def _rank_certificate(shape: tuple[int, int], rank: int | None, dense,
                      ctx: PrimeContext) -> RankCertificate:
-    """Rank over Q of an operator, with its certificate.
-
-    torus_rank is the rank mod ell of the operator's torus-character blocks,
-    which is exact (|T| = ell - 1 is prime to ell and F_ell holds the
-    characters); full rank mod ell is full rank over Q.  Otherwise the dense
-    escalation of rank_exact decides, on the operator dense() returns.
-    """
+    """Rank over Q of an operator, with its certificate: rank is its rank mod
+    p = aux_rank_prime(ell), from its unipotent blocks, and full rank mod p
+    is full rank over Q.  Otherwise rank_exact decides on the operator
+    dense() returns, trying p first."""
     rows, cols = shape
-    if torus_rank == min(rows, cols):
-        return RankCertificate(rows, cols, torus_rank, ((ctx.ell, torus_rank),),
-                               "torus characters", True)
-    return rank_exact(dense(), preferred_primes=(ctx.ell,))
+    p = aux_rank_prime(ctx.ell)
+    if rank == min(rows, cols):
+        return RankCertificate(rows, cols, rank, ((p, rank),),
+                               "unipotent characters", True)
+    return rank_exact(dense(), preferred_primes=(p,))
 
 
 def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dense,
                      name: str, ctx: PrimeContext) -> tuple[dict, list, list]:
-    """ranks is (rank, affine rank) mod ell from the operator's torus blocks,
-    or None when its equivariance proof failed, so that the blocks mean nothing;
-    then the certificate and the affine restriction come from the dense
-    operator, built once by dense().  The operator is onto: its expected rank
-    is its row count."""
+    """ranks is (rank, affine rank) mod p = aux_rank_prime(ell) from the
+    operator's blocks, or None when its equivariance proof failed, so that
+    the blocks mean nothing; then the certificate and the affine restriction
+    come from the dense operator, built once by dense().  The operator is
+    onto: its expected rank is its row count."""
     failures, nonconclusive = [], []
     dense = functools.cache(dense)
+    p = aux_rank_prime(ctx.ell)
     rank, affine_rank = ranks or (None, None)
     cert = _rank_certificate(shape, rank, dense, ctx)
     if ranks is None:
-        affine_rank = rank_mod_p(restrict_to_affine(dense()), ctx.ell)
+        affine_rank = rank_mod_p(restrict_to_affine(dense()), p)
     expected = shape[0]
     # the affine restriction is square, with the rows of the operator
     nonsing = affine_rank == expected
@@ -226,7 +223,7 @@ def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dens
     if cert.rank != expected:
         failures.append(f"{name}: rank {cert.rank} != expected {expected}")
     if not nonsing:
-        failures.append(f"{name}: affine restriction is singular mod {ctx.ell}")
+        failures.append(f"{name}: affine restriction is singular mod {p}")
     if not cert.conclusive:
         nonconclusive.append(f"{name}: rank certificate non-conclusive")
     return section, failures, nonconclusive
@@ -238,8 +235,8 @@ def _theorem1(shape: tuple[int, int], ctx: PrimeContext):
     the array, and whether its generator proof held."""
     geodesics = geodesic_incidence(ctx)
     proved = check_equivariance_incidence(geodesics, ctx)
-    ranks = (combined_torus_ranks([incidence_columns(geodesics, ctx)], [1], ctx.ell, ctx)
-             if proved else None)
+    ranks = (combined_ranks([incidence_columns(geodesics, ctx)], [1],
+                            aux_rank_prime(ctx.ell), ctx) if proved else None)
     section = _theorem_section(shape, ranks, lambda: incidence_operator(ctx, geodesics),
                                "theorem1", ctx)
     return *section, geodesics, proved
@@ -351,16 +348,16 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
                     continue
             if carried and check_base_fixed(bases[t], ctx):
                 own.append(t)
-        # a slope's columns at the torus-orbit representatives serve psi
-        # (sum_s c_s H_s) here and H_s in the h_s phase
+        # a slope's columns at the U-orbit representatives serve psi
+        # (sum_s c_s H_s) here and H_s in the h_s phase, both mod aux
+        aux = aux_rank_prime(ell)
         proved = set(own) | set(paired)
         reps = path_columns(ctx, {s: bases[s] for s in range(1, ell) if s in proved},
                             representatives(ctx, "ordered_pairs"))
         eq_hs = len(reps) == ell - 1
         weights = sum(coefficients(ctx))
-        ranks = (combined_torus_ranks(list(reps.values()),
-                                      [weights[s - 1] for s in reps], ell, ctx)
-                 if eq_hs else None)
+        ranks = (combined_ranks(list(reps.values()), [weights[s - 1] for s in reps],
+                                aux, ctx) if eq_hs else None)
         section, f2, n2 = _theorem_section((n_C, n_op), ranks,
                                            lambda: build_psi(ctx), "theorem2", ctx)
         report["theorem2"] = section
@@ -412,45 +409,26 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
 
     with _phase(timings, "h_s"):
         # Observation only (no asserted expected value): the rank of a single
-        # slope operator, conclusive when full rank is hit mod some prime.
-        # The blocks of the proved slopes are ranked in shared stacks: mod ell
-        # the Weyl-paired torus characters, read off the columns built in
-        # theorem2, and only below full rank the two unipotent characters mod
-        # the aux prime, from the columns at the U-orbit representatives.  A
-        # paired slope copies the ranks of its conjugate.
-        aux = aux_rank_prime(ell)
+        # slope operator mod the aux prime, conclusive at full rank.  The
+        # blocks of the slopes proved on their own are ranked in shared
+        # stacks, from the columns built in theorem2; a paired slope copies
+        # the rank of its conjugate.
         full = min(n_C, n_op)
-        r_ell = dict(zip(own, incidence_ranks([reps[s] for s in own], ell, ctx, "weyl")))
-        low = [s for s in own if r_ell[s] < full]
-        unipotent_reps = path_columns(ctx, {s: bases[s] for s in low},
-                                      representatives(ctx, "ordered_pairs", UNIPOTENT))
-        r_aux = dict(zip(low, incidence_ranks(list(unipotent_reps.values()), aux, ctx,
-                                              "unipotent")))
-        for t, s in paired.items():
-            r_ell[t] = r_ell[s]
-            if s in r_aux:
-                r_aux[t] = r_aux[s]
-        hs_ranks = {}
-        for s in range(1, ell):
-            # an unproved slope has no torus rank: its blocks would mean nothing
-            observed = max(r_ell[s], r_aux.get(s, 0)) if s in r_ell else None
-            hs_ranks[s] = {
-                "rank_mod_ell": r_ell.get(s),
-                "observed_rank": observed,
-                "conclusive": observed == full,
-            }
+        observed = dict(zip(own, incidence_ranks([reps[s] for s in own], aux, ctx)))
+        observed.update({t: observed[s] for t, s in paired.items()})
+        # an unproved slope has no rank: its blocks would mean nothing
+        hs_ranks = {s: {"observed_rank": observed.get(s),
+                        "conclusive": observed.get(s) == full}
+                    for s in range(1, ell)}
         if not col_ok:
             failures.append("per-slope column sums differ from the coset degree")
         report["equivariance"]["h_s"] = eq_hs
         if not eq_hs:
             failures.append("equivariance fails on a generator of GL2 for some H_s")
         report["h_s_rank_method"] = {
-            "method": "torus characters", "primes": [ell, aux], "blocks": ell - 1,
-            "block_shape": list(block_shape(ctx, TORUS)),
-            "characters_ranked": ctx.r + 1,
+            "method": "unipotent characters", "prime": aux,
+            "block_shape": [ell - 1, ell + 1],
             "paired_slopes": [[s, t] for t, s in paired.items()],
-            "aux_method": "unipotent characters",
-            "aux_block_shape": list(block_shape(ctx, UNIPOTENT)),
         }
         report["h_s_ranks"] = hs_ranks
         report["h_s_column_sums_ok"] = col_ok

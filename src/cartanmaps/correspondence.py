@@ -36,7 +36,7 @@ from .geometry import (
     permutation,
     transporters,
 )
-from .exact_linalg import check_float_modulus, rank_mod_p_stack
+from .exact_linalg import rank_mod_p_stack
 from .modular_arith import PrimeContext, find_primitive_root
 
 
@@ -381,12 +381,6 @@ def check_galois_commutes(ctx: PrimeContext) -> bool:
                for p_row, _ in _generator_perms(ctx, "C_ell", "ordered_pairs"))
 
 
-def is_galois_pair(idx_s: np.ndarray, idx_t: np.ndarray, ctx: PrimeContext) -> bool:
-    """Whether incidence_operator(ctx, idx_t) == J incidence_operator(ctx, idx_s),
-    for path arrays with sorted columns."""
-    return np.array_equal(np.sort(galois_conjugation(ctx.ell)[idx_s], axis=0), idx_t)
-
-
 def check_galois_bases(base_s: np.ndarray, base_t: np.ndarray, ctx: PrimeContext) -> bool:
     """Whether J maps the base path base_s onto base_t (both ascending); once
     check_galois_commutes holds, J commutes with every transporter, so the
@@ -395,189 +389,131 @@ def check_galois_bases(base_s: np.ndarray, base_t: np.ndarray, ctx: PrimeContext
 
 
 # ---------------------------------------------------------------------------
-# Rank by characters.  An operator fixed by an element h of order n commutes
-# with the cyclic group <h>.  Over an F_p holding an element w of order n (so
-# p does not divide n), the permutation modules split into the eigenspaces of
-# h, and the rank is the sum of the ranks on the eigenspaces.  The
-# w^a-eigenspace of the columns is spanned by v_j = sum_k w^(-ak) e_(h^k c_j)
-# over the orbit representatives c_j, and an eigenvector on the rows is
-# determined by its entries at the representatives r_i; so the block of
-# eigenvalue w^a is
-#     B_a[i, j] = (M v_j)[r_i] = sum_k w^(ak) M[h^k r_i, c_j],
-# which reads only the columns M[:, c_j].
-# An orbit with a nontrivial stabilizer contributes a zero row or column to
-# the blocks whose character is nontrivial on that stabilizer, so it needs
-# no special case.
-#
-# Two groups serve, each needing only that GL2 fixes M (the generator proof,
-# or for an H_s the two premises of its transported base path):
-# - the split torus T = <diag(g, 1)>, of order ell - 1, over F_ell (and any
-#   p = 1 mod ell - 1).  The Weyl element w = (0 1; 1 0) conjugates diag(g, 1)
-#   to diag(1, g), which acts as its inverse since scalars act trivially on
-#   the four G-sets; so w carries the a-eigenspaces to the (-a)-eigenspaces
-#   and rank B_a = rank B_(-a).  An affine restriction is not fixed by w,
-#   which moves infinity, so its blocks are all ranked.
-# - the unipotent group U = <(1 1; 0 1)>, of order ell, over p = 1 mod ell.
-#   U acts freely on all four bases, and diag(t, 1) conjugates u to u^t, so
-#   it permutes the nontrivial characters of U transitively: the rank is
-#   rank B_0 + (ell - 1) rank B_1, two blocks (the mirabolic restriction).
-#   U is an ell-group, so this needs p != ell.
+# Rank by characters.  An operator fixed by GL2 (the generator proof, or for
+# an H_s the two premises of its transported base path), and its affine
+# restriction, fixed by the Borel subgroup, commute with U = <u>,
+# u = (1 1; 0 1), and with diag(t, 1), which conjugates u to u^t.  u acts by
+# x -> x + 1 and fixes infinity, so U acts freely on all four bases, and
+# each element is u^k applied to the exponent-0 element of its orbit.  Over
+# an F_p holding an element w of order ell (p = 1 mod ell, so p != ell) the
+# permutation modules split into the eigenspaces of u, and the rank is the
+# sum of the ranks of the blocks
+#     B_a[i, j] = sum_k w^(ak) M[u^k r_i, c_j]
+# over the row- and column-orbit representatives r_i and c_j: they read only
+# the columns M[:, c_j].  diag(t, 1) permutes the nontrivial characters
+# transitively, so the rank is rank B_0 + (ell - 1) rank B_1 (the mirabolic,
+# or Kirillov-model, restriction), and U fixes infinity, so an affine
+# restriction's blocks are those at the affine column orbits.
 # ---------------------------------------------------------------------------
 
-TORUS, UNIPOTENT = "torus", "unipotent"
-
 # Entry budget of one stacked elimination of the path operators' blocks,
-# counted on the gathered columns cols[P] (rows times columns) that the
-# blocks are formed from: a stack lives as about three int64/float64 arrays
-# of this size at once.  At 2^18 entries that raised the peak RSS of a 3..23
-# sweep by about 4 MB (12%); at 2^16 it stays where one dense H_s at a time
-# left it.
+# counted on the block entries.
 _STACK_ENTRIES = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _orbits(ctx: PrimeContext, tag: str, group: str) -> tuple[np.ndarray, np.ndarray]:
-    """(h, O) for the generator h of the group (TORUS or UNIPOTENT) on the
-    basis with this tag: h as a permutation, and O[k, i] = h^k applied to the
-    i-th orbit minimum, for k below the order of h.  Both depend only on ctx,
-    the tag and the group, so every operator on that basis shares them; they
-    are returned read-only and, like inverse_table, kept for the process."""
-    if group == TORUS:
-        gen, order = GroupElement(ctx.g, 0, 0, 1), ctx.ell - 1
-    elif group == UNIPOTENT:
-        gen, order = GroupElement(1, 1, 0, 1), ctx.ell
+def orbits(tag: str, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(orbit, exponent, affine) of U on the basis with this tag, read-only
+    and kept for the process: element e is u^exponent[e] applied to the
+    exponent-0 element of orbit orbit[e], and affine[o] says whether orbit o
+    avoids infinity."""
+    u, v = decode(tag, ell)
+    if tag in ("H_ell", "C_ell"):
+        # x + y*se is u^x applied to 0 + y*se
+        orbit, exponent = v - 1, u
+    elif tag == "ordered_pairs":
+        # (i, j) is u^i (0, j - i), u^i (0, inf) or u^j (inf, 0)
+        orbit = np.where(v == ell, ell - 1, np.where(u == ell, ell, (v - u) % ell - 1))
+        exponent = np.where(u == ell, v, u)
     else:
-        raise ValueError(f"no character split by {group!r}")
-    h = permutation(gen, tag, ctx)
-    O = np.empty((order, len(h)), dtype=np.int64)
-    O[0] = np.arange(len(h))
-    for k in range(1, order):
-        O[k] = h[O[k - 1]]
-    O = O[:, O.min(axis=0) == O[0]]
-    h.flags.writeable = O.flags.writeable = False
-    return h, O
+        # {i, j} with i < j is u^i {0, inf}, u^i {0, j - i} for j - i <= r,
+        # else u^j {0, i - j}
+        r = (ell - 1) // 2
+        orbit = np.where(v == ell, r, np.minimum((v - u) % ell, (u - v) % ell) - 1)
+        exponent = np.where((v == ell) | ((v - u) % ell <= r), u, v)
+    affine = np.zeros(orbit.max() + 1, dtype=bool)
+    affine[orbit[np.maximum(u, v) < ell]] = True
+    for a in (orbit, exponent, affine):
+        a.flags.writeable = False
+    return orbit, exponent, affine
 
 
-def _split(method: str, ctx: PrimeContext) -> tuple[str, list[int], np.ndarray]:
-    """(group, characters ranked, weight of each rank) of a rank method:
-    "torus" ranks every torus character, "weyl" the torus characters
-    a = 0..(ell-1)/2 with a and -a counted once each, "unipotent" the
-    characters 0 and 1 of U, the latter counted ell - 1 times."""
-    n = ctx.ell - 1
-    if method == "torus":
-        return TORUS, list(range(n)), np.ones(n, dtype=np.int64)
-    if method == "weyl":
-        weights = np.full(ctx.r + 1, 2, dtype=np.int64)
-        weights[[0, -1]] = 1
-        return TORUS, list(range(ctx.r + 1)), weights
-    if method == "unipotent":
-        return UNIPOTENT, [0, 1], np.array([1, n], dtype=np.int64)
-    raise ValueError(f"unknown rank method {method!r}")
+@lru_cache(maxsize=None)
+def _omega_powers(p: int, ell: int) -> np.ndarray:
+    """w^k mod p for k = 0..ell-1, w an element of order ell of F_p; read-only."""
+    if (p - 1) % ell:
+        raise ValueError(f"F_{p} has no element of order {ell}")
+    omega = pow(find_primitive_root(p), (p - 1) // ell, p)
+    powers = np.array([pow(omega, k, p) for k in range(ell)], dtype=np.int64)
+    powers.flags.writeable = False
+    return powers
 
 
-def _character_blocks(cols: np.ndarray, row_tag: str, p: int, ctx: PrimeContext,
-                      group: str, characters: list[int]) -> np.ndarray:
-    """The (characters, row orbits, k) stack of the blocks B_a mod p of the
-    group, for a in characters, from cols, the k columns M[:, c_j] at the
-    group's column-orbit representatives; columns of several operators on
-    the same rows may stand side by side."""
-    check_float_modulus(p)
-    _, P = _orbits(ctx, row_tag, group)
-    n = len(P)
-    if (p - 1) % n:
-        raise ValueError(f"F_{p} has no element of order {n}: "
-                         f"{p} - 1 is not divisible by {n}")
-    omega = pow(find_primitive_root(p), (p - 1) // n, p)
-    # B = W @ G mod p in float64 (BLAS), summed in slices short enough that
-    # every partial sum stays below 2^53: at least 2 terms, as p < 2^26
-    step = ((1 << 53) - p) // (p - 1) ** 2
-    shape = (len(characters), P.shape[1], cols.shape[1])
-    # fmod keeps each integer's class mod p and its size below p, several
-    # times faster than % on floats; in-place updates keep at most three
-    # stack-sized arrays alive
-    G = np.fmod(cols[P].astype(np.float64).reshape(n, -1), p)
-    powers = np.array([pow(omega, t, p) for t in range(n)], dtype=np.float64)
-    W = powers[np.outer(characters, np.arange(n)) % n]
-    B = np.fmod(W[:, :step] @ G[:step], p)
-    for k0 in range(step, n, step):
-        B += W[:, k0:k0 + step] @ G[k0:k0 + step]
-        np.fmod(B, p, out=B)
-    del G
-    return B.astype(np.int64).reshape(shape)
+def representatives(ctx: PrimeContext, tag: str) -> np.ndarray:
+    """The exponent-0 element of each U-orbit of the basis with this tag, in
+    orbit order: the only columns the blocks of an operator read."""
+    orbit, exponent, _ = orbits(tag, ctx.ell)
+    at = np.flatnonzero(exponent == 0)
+    return at[np.argsort(orbit[at])]
 
 
-def block_shape(ctx: PrimeContext, group: str) -> tuple[int, int]:
-    """(row orbits, column orbits) of the group on the bases of the H_s: the
-    shape of each of their character blocks."""
-    return (_orbits(ctx, "C_ell", group)[1].shape[1],
-            _orbits(ctx, "ordered_pairs", group)[1].shape[1])
-
-
-def representatives(ctx: PrimeContext, tag: str, group: str = TORUS) -> np.ndarray:
-    """The orbit minima of the group on the basis with this tag, ascending:
-    the only columns the character blocks of an operator read."""
-    return _orbits(ctx, tag, group)[1][0]
-
-
-def incidence_columns(idx: np.ndarray, ctx: PrimeContext,
-                      group: str = TORUS) -> np.ndarray:
+def incidence_columns(idx: np.ndarray, ctx: PrimeContext) -> np.ndarray:
     """The columns of an incidence index array at the column-orbit
-    representatives of the group: all that its character blocks read."""
-    return idx[:, representatives(ctx, _tags(idx, ctx)[1], group)]
+    representatives: all that its blocks read."""
+    return idx[:, representatives(ctx, _tags(idx, ctx)[1])]
 
 
-def combined_torus_ranks(reps: list[np.ndarray], weights: list[int], p: int,
-                         ctx: PrimeContext) -> tuple[int, int]:
-    """Ranks mod p of M = sum_t weights[t] * incidence_operator(ctx, idx_t)
-    and of its affine restriction, from reps[t] = incidence_columns(idx_t, ctx)
-    (or path_columns at representatives(ctx, "ordered_pairs")).
+def _blocks(reps: list[np.ndarray], weights, groups: np.ndarray, p: int,
+            ctx: PrimeContext) -> np.ndarray:
+    """B_0 and B_1 mod p of each M_g = sum of weights[t] *
+    incidence_operator(ctx, idx_t) over the t with groups[t] = g, from
+    reps[t] = incidence_columns(idx_t, ctx): a (2G, row orbits, column
+    orbits) stack in the order (g, a).  A listed row adds its weight to B_0,
+    and its weight times w^exponent to B_1, at its row orbit: one bincount
+    per block of residues below p, exact in float64 while their count times
+    p stays below 2^53."""
+    orbit, exponent, _ = orbits(_tags(reps[0], ctx)[0], ctx.ell)
+    idx = np.stack(reps)
+    if idx.size * (p - 1) >= 1 << 53:
+        raise ValueError(f"{idx.size} residues mod {p} could overflow a float64 sum")
+    K, R, G = idx.shape[2], int(orbit.max()) + 1, int(groups.max()) + 1
+    key = ((groups[:, None, None] * R + orbit[idx]) * K + np.arange(K)).ravel()
+    w = np.broadcast_to(np.asarray(weights, dtype=np.int64)[:, None, None] % p, idx.shape)
+    w_k = w * _omega_powers(p, ctx.ell)[exponent[idx]] % p
+    B = np.stack([np.bincount(key, a.ravel(), G * R * K).reshape(G, R, K)
+                  for a in (w, w_k)], axis=1)
+    return B.astype(np.int64).reshape(2 * G, R, K) % p
 
-    Each operator must be fixed by diag(g, 1) (check_equivariance_incidence,
-    or for an H_s check_base_fixed with check_transporters, proves it).  The
-    blocks are linear in M, and diag(g, 1) fixes infinity, so the
-    restriction's blocks are M's at the affine representatives.  The
-    restriction is ranked first: it is a column submatrix with the rows of
-    M, so at full row rank there M has full row rank too, and M's own blocks
-    are ranked only when the restriction is singular.
-    """
-    row_tag, col_tag = _tags(reps[0], ctx)
-    n_rows = len(_orbits(ctx, row_tag, TORUS)[0])
-    reps_at = representatives(ctx, col_tag)
-    M = np.zeros((n_rows, len(reps_at)), dtype=np.int64)
-    for rep, w in zip(reps, weights):
-        _scatter(M, rep, w)
-    B = _character_blocks(M, row_tag, p, ctx, TORUS, list(range(ctx.ell - 1)))
-    # an affine pair has neither endpoint at infinity, whose P^1 index is ell
-    affine = (np.maximum(*decode(col_tag, ctx.ell)) < ctx.ell)[reps_at]
-    affine_rank = int(rank_mod_p_stack(B[:, :, affine], p).sum())
-    if affine_rank == n_rows:
+
+def _ranks(B: np.ndarray, p: int, ell: int) -> np.ndarray:
+    """rank B_0 + (ell - 1) rank B_1 of each consecutive pair of a stack."""
+    return rank_mod_p_stack(B, p).reshape(-1, 2) @ np.array([1, ell - 1])
+
+
+def combined_ranks(reps: list[np.ndarray], weights: list[int], p: int,
+                   ctx: PrimeContext) -> tuple[int, int]:
+    """Ranks mod p (p = 1 mod ell) of M = sum_t weights[t] *
+    incidence_operator(ctx, idx_t) and of its affine restriction, from
+    reps[t] = incidence_columns(idx_t, ctx), each operator fixed by GL2.
+    The restriction, a column submatrix with the rows of M, is ranked first:
+    at full row rank there M has full row rank too, and M's own blocks are
+    ranked only when the restriction is singular."""
+    B = _blocks(reps, weights, np.zeros(len(reps), dtype=np.int64), p, ctx)
+    affine = orbits(_tags(reps[0], ctx)[1], ctx.ell)[2]
+    (affine_rank,) = _ranks(B[:, :, affine], p, ctx.ell).tolist()
+    if affine_rank == ctx.ell * B.shape[1]:
         return affine_rank, affine_rank
-    return int(rank_mod_p_stack(B, p).sum()), affine_rank
+    return int(_ranks(B, p, ctx.ell)[0]), affine_rank
 
 
-def incidence_ranks(reps: list[np.ndarray], p: int, ctx: PrimeContext,
-                    method: str) -> list[int]:
-    """The rank mod p of incidence_operator(ctx, idx) for every path array
-    idx whose incidence_columns at the method's group are listed in reps.
-
-    method is "torus" (every torus character), "weyl" (the torus characters
-    a = 0..(ell-1)/2) or "unipotent" (p = 1 mod ell; the characters 0 and 1
-    of U).  Each operator must be fixed by GL2 (check_base_fixed with
-    check_transporters proves it); "torus" needs diag(g, 1) only.  The
-    blocks of consecutive operators are ranked together, in stacks whose
-    gathered columns hold at most about _STACK_ENTRIES entries.
-    """
-    group, characters, weights = _split(method, ctx)
-    h, P = _orbits(ctx, "C_ell", group)
-    R, c = P.shape[1], len(characters)
-    K = _orbits(ctx, "ordered_pairs", group)[1].shape[1]
-    per = max(1, _STACK_ENTRIES // (len(h) * K))
+def incidence_ranks(reps: list[np.ndarray], p: int, ctx: PrimeContext) -> list[int]:
+    """The rank mod p (p = 1 mod ell) of incidence_operator(ctx, idx) for the
+    path array idx of each incidence_columns in reps, each fixed by GL2,
+    ranked in stacks of at most about _STACK_ENTRIES block entries."""
+    per = max(1, _STACK_ENTRIES // (2 * (ctx.ell - 1) * (ctx.ell + 1)))
     ranks = []
     for i in range(0, len(reps), per):
-        rows = np.hstack(reps[i:i + per])
-        cols = _scatter(np.zeros((len(h), rows.shape[1]), dtype=np.int8), rows)
-        # slope-major order, so the blocks of one slope are adjacent
-        blocks = (_character_blocks(cols, "C_ell", p, ctx, group, characters)
-                  .reshape(c, R, -1, K).transpose(2, 0, 1, 3).reshape(-1, R, K))
-        ranks += (rank_mod_p_stack(blocks, p).reshape(-1, c) @ weights).tolist()
+        chunk = reps[i:i + per]
+        B = _blocks(chunk, [1] * len(chunk), np.arange(len(chunk)), p, ctx)
+        ranks += _ranks(B, p, ctx.ell).tolist()
     return ranks

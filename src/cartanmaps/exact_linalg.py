@@ -2,10 +2,9 @@
 
 The mod-p engine eliminates in panels whose updates are applied as float64
 matrix products; the panel width is capped so every dot product stays below
-2^53 and is therefore exact.  Every float64 mod-p kernel (this engine and
-the torus blocks of `correspondence`) takes primes p < 2^26 only, where
-(p - 1)^2 < 2^52 leaves a panel at least 2 wide, and raises ValueError
-above.  A stack of small matrices is ranked in one vectorized int64
+2^53 and is therefore exact.  This float64 engine takes primes p < 2^26
+only, where (p - 1)^2 < 2^52 leaves a panel at least 2 wide, and raises
+ValueError above.  A stack of small matrices is ranked in one vectorized int64
 elimination, for p < 2^31.  Fraction-free (Bareiss) elimination over Python
 ints provides the unconditionally exact route for small matrices.
 """
@@ -17,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modular_arith import inverse_table, is_prime
+from .modular_arith import is_prime
 
 _PANEL_CAP = 192
-FLOAT_PRIME_BOUND = 1 << 26  # the primes of every float64 mod-p kernel lie below
+FLOAT_PRIME_BOUND = 1 << 26  # the primes of the float64 mod-p engine lie below
 # rank_exact's escalation after its preferred primes, and det_exact_small's bound
 _BAREISS_LIMIT = 256
 _RANDOM_PRIME_COUNT = 8
@@ -28,10 +27,6 @@ _RANDOM_PRIME_RANGE = (1 << 24, 1 << 25)
 _STABILIZE_WINDOW = 3
 _SEED = 0
 _DET_EXACT_MAX_DIM = 64
-# rank_mod_p_stack reads pivot inverses from the cached inverse_table(p) for p
-# below this bound, as ell is, and powers them out above it (the
-# auxiliary prime, whose table would take megabytes)
-_INVERSE_TABLE_BOUND = 1 << 12
 
 
 def _as_int_matrix(m) -> np.ndarray:
@@ -45,12 +40,12 @@ def _as_int_matrix(m) -> np.ndarray:
 
 
 def check_float_modulus(p: int) -> None:
-    """Refuse a modulus outside the float64 kernels' domain 2 <= p < 2^26."""
+    """Refuse a modulus outside the float64 engine's domain 2 <= p < 2^26."""
     if p <= 1:
         raise ValueError("modulus must be >= 2")
     if p >= FLOAT_PRIME_BOUND:
         raise ValueError(f"modulus {p} is not below 2^26, the bound of the "
-                         f"float64 mod-p kernels")
+                         f"float64 mod-p engine")
 
 
 def _echelon_float(A: np.ndarray, p: int) -> tuple[int, int]:
@@ -116,18 +111,6 @@ def rank_mod_p(m, p: int) -> int:
     return _echelon_float(_as_int_matrix(m), p)[0]
 
 
-def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """a^(p-2) mod p elementwise: the inverses of the units of F_p, p < 2^31."""
-    out = np.ones_like(a)
-    base, e = a % p, p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
 def rank_mod_p_stack(B, p: int) -> np.ndarray:
     """Rank over F_p of every matrix in an integer stack of shape (batch, m, k).
 
@@ -140,7 +123,7 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
     `verify` uses, once a step near 2^31).  The update also zeroes the pivot
     row itself in every later column, so a row that holds a pivot is never
     chosen again, and rows above rank.min() are left out of the search and
-    the update.
+    the update.  Each pivot is inverted by Python's pow(v, -1, p).
     """
     if p >= 1 << 31:
         raise ValueError(f"modulus {p} does not fit the int64 elimination path")
@@ -173,7 +156,7 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
         # its multipliers are zero and the update leaves it as it is
         at = np.minimum(rank, m - 1)
         pv = np.where(found, col[b, at - lo], 1)
-        inv = inverse_table(p)[pv] if p < _INVERSE_TABLE_BOUND else _inverse_mod_p(pv, p)
+        inv = np.array([pow(v, -1, p) for v in pv.tolist()], dtype=np.int64)
         mult = col * inv[:, None] % p
         W[:, lo:, j + 1:] -= mult[:, :, None] * (W[b, at, j + 1:] % p)[:, None, :]
         pending += 1

@@ -42,7 +42,7 @@ def test_verify_smallest_prime(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ell", "3")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     run = doc["runs"][0]
     assert run["theorem1"]["rank"] == 3
     assert run["theorem2"]["rank"] == 6

@@ -14,7 +14,7 @@ from cartanmaps.exact_linalg import (
     rank_mod_p,
     rank_mod_p_stack,
 )
-from cartanmaps.modular_arith import PrimeContext, is_prime
+from cartanmaps.modular_arith import PrimeContext
 
 from conftest import oracle_mod_p
 
@@ -172,22 +172,10 @@ def test_rank_and_det_mod_p_match_the_oracle(p):
             assert det_mod_p(A, p) == det, (trial, m)
 
 
-# the primes next to the bound below which pivot inverses come from a table
-TABLE_BOUND_PRIMES = (
-    max(p for p in range(3, exact_linalg._INVERSE_TABLE_BOUND) if is_prime(p)),
-    next(p for p in range(exact_linalg._INVERSE_TABLE_BOUND, 1 << 13) if is_prime(p)),
-)
-
-
-@pytest.mark.parametrize("p", TABLE_BOUND_PRIMES)
-@pytest.mark.parametrize("bound", ["default", "every prime", "no prime"])
-def test_rank_mod_p_stack_matches_the_oracle(p, bound, monkeypatch):
-    """Planted ranks in stacks of matrices of one shape, on both sides of the
-    table bound, and at each prime with the pivot inverses from the table and
-    from powering."""
-    if bound != "default":
-        monkeypatch.setattr(exact_linalg, "_INVERSE_TABLE_BOUND",
-                            (1 << 31) if bound == "every prime" else 0)
+@pytest.mark.parametrize("p", (4093, 4099, 1_048_609))
+def test_rank_mod_p_stack_matches_the_oracle(p):
+    """Planted ranks in stacks of matrices of one shape, at small primes and
+    at an auxiliary prime, with residues of either sign."""
     rng = np.random.default_rng(p)
     for trial in range(12):
         m, n = (int(v) for v in rng.integers(1, 16, size=2))

@@ -4,7 +4,7 @@ import json
 import os
 import re
 
-from cartanmaps.cli import run_verification
+from cartanmaps.cli import SCHEMA_VERSION, run_verification
 
 
 def readme() -> str:
@@ -34,4 +34,18 @@ def test_readme_h_s_proof_example_is_the_report():
                         r"e\.g\. at `ell = 7`\n`(\{.*?\})`", readme())
     assert example is not None
     report = json.loads(json.dumps(run_verification(7)["equivariance"]["h_s_proof"]))
+    assert json.loads(example.group(1)) == report
+
+
+def test_readme_schema_version_is_the_report():
+    example = re.search(r"The verify report is schema-versioned JSON \(version (\d+)\)",
+                        readme())
+    assert example is not None
+    assert int(example.group(1)) == SCHEMA_VERSION
+
+
+def test_readme_theorem_certificate_example_is_the_report():
+    example = re.search(r"theorem 1 at `ell = 7` reads\n`(\{.*?\})`", readme())
+    assert example is not None
+    report = json.loads(json.dumps(run_verification(7)["theorem1"]["certificate"]))
     assert json.loads(example.group(1)) == report

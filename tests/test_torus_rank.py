@@ -1,3 +1,7 @@
+"""The rank route of verify: the unipotent-character blocks of psi+, psi and
+every H_s at the auxiliary prime, against dense ranks and independent
+oracles, and the proofs and symmetries the route rests on."""
+
 import json
 from collections import Counter
 
@@ -8,8 +12,6 @@ import cartanmaps.cli as cli_mod
 from cartanmaps import circulant, correspondence, cosets, geometry
 from cartanmaps.cli import AUX_RANK_PRIME, aux_rank_prime, main
 from cartanmaps.correspondence import (
-    TORUS,
-    UNIPOTENT,
     OperatorMatrix,
     base_paths,
     build_H_s,
@@ -18,7 +20,7 @@ from cartanmaps.correspondence import (
     check_equivariance_incidence,
     check_equivariance_psi,
     check_equivariance_psi_plus,
-    combined_torus_ranks,
+    combined_ranks,
     geodesic_incidence,
     incidence_columns,
     incidence_operator,
@@ -34,101 +36,153 @@ from cartanmaps.cli import run_verification
 
 from conftest import PRIMES_SMALL, oracle_mod_p
 
+U = geometry.GroupElement(1, 1, 0, 1)
+TAGS = ("unordered_pairs", "ordered_pairs", "H_ell", "C_ell")
+
+
+def least_prime_1_mod(n: int, start: int = 3) -> int:
+    """The least prime >= start that is 1 mod n."""
+    q = start + (1 - start) % n
+    while not is_prime(q):
+        q += n
+    return q
+
 
 def incidence_route(ctx, p, scale=1):
     """(name, (rank, affine rank) mod p from the incidence arrays, dense
     operator) for psi+, psi and every H_s; every weight times scale."""
     ell = ctx.ell
     geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
-    yield "psi+", combined_torus_ranks([geodesics], [scale], p, ctx), build_psi_plus(ctx)
+    yield "psi+", combined_ranks([geodesics], [scale], p, ctx), build_psi_plus(ctx)
     reps = [incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
     # alpha_s + beta_s = 1 + s^-1
     weights = [scale * (1 + pow(s, -1, ell)) for s in range(1, ell)]
-    yield "psi", combined_torus_ranks(reps, weights, p, ctx), build_psi(ctx)
+    yield "psi", combined_ranks(reps, weights, p, ctx), build_psi(ctx)
     # the weights matter: all slopes weighted 0 but one
     only_h_2 = [scale * (s == 2 % ell) for s in range(1, ell)]
-    yield "H_2 of psi's terms", combined_torus_ranks(reps, only_h_2, p, ctx), \
+    yield "H_2 of psi's terms", combined_ranks(reps, only_h_2, p, ctx), \
         build_H_s(ctx, 2 % ell)
     for s, rep in enumerate(reps, start=1):
-        yield f"H_{s}", combined_torus_ranks([rep], [scale], p, ctx), build_H_s(ctx, s)
+        yield f"H_{s}", combined_ranks([rep], [scale], p, ctx), build_H_s(ctx, s)
 
 
-def check_incidence_route(ctx, p, scale=1):
-    """The incidence route's ranks equal dense rank_mod_p of each operator
-    and of its affine restriction."""
+def check_incidence_route(ctx, p, scale=1, dense_rank=rank_mod_p):
+    """The incidence route's ranks equal the dense rank mod p of each
+    operator and of its affine restriction."""
     for name, ranks, m in incidence_route(ctx, p, scale):
-        want = (rank_mod_p(m, p), rank_mod_p(restrict_to_affine(m), p))
+        want = (dense_rank(m, p), dense_rank(restrict_to_affine(m), p))
         assert ranks == want, (name, p)
+
+
+def route_primes(ell):
+    """The auxiliary prime, and the least prime 1 mod ell, at which some of
+    the operators fall below full rank."""
+    return aux_rank_prime(ell), least_prime_1_mod(ell)
 
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
 def test_torus_rank_matches_dense_rank(ell, contexts):
-    for p in (ell, aux_rank_prime(ell)):
+    for p in route_primes(ell):
         check_incidence_route(contexts[ell], p)
 
 
 def test_torus_rank_under_nondefault_context():
     ctx = PrimeContext(13, 5, 7)  # 5 is a non-square and 7 a primitive root mod 13
     assert (ctx.epsilon, ctx.g) == (5, 7)
-    for p in (13, aux_rank_prime(13)):
+    for p in route_primes(13):
         check_incidence_route(ctx, p)
 
 
-def largest_float_prime(n: int) -> int:
-    """The largest prime below 2^26 that is 1 mod n."""
-    start = (1 << 26) - 1 - ((1 << 26) - 2) % n  # 1 mod n
+def largest_stack_prime(n: int) -> int:
+    """The largest prime below 2^31 that is 1 mod n."""
+    start = (1 << 31) - 1 - ((1 << 31) - 2) % n  # 1 mod n
     return next(q for q in range(start, 0, -n) if is_prime(q))
 
 
 @pytest.mark.parametrize("ell", (5, 7))
 def test_torus_rank_at_a_prime_too_large_for_float64_blocks(ell, contexts):
-    """From 2^26 on a product of two residues can overflow the float64
-    mantissa, so the blocks refuse the prime; at the largest prime below,
-    where a slice of the block product is 2 terms long, they stay exact."""
+    """From 2^26 on the float64 engine refuses a prime; the blocks are sums
+    of residues and the stack engine is int64, so the route ranks up to
+    2^31, here against the Python-int oracle of the dense operators, also
+    with every weight a unit multiple that puts residues near p."""
     ctx = contexts[ell]
-    p = largest_float_prime(ell - 1)
-    assert p == 67_108_837
-    check_incidence_route(ctx, p)
-    # a unit multiple has the same rank, and residues near p in the blocks
-    check_incidence_route(ctx, p, scale=p // 3)
-    too_large = next(q for q in range(p + ell - 1, 1 << 31, ell - 1) if is_prime(q))
+    p = largest_stack_prime(ell)
+    assert 1 << 30 < p < 1 << 31
+
+    def oracle(m, p):
+        return oracle_mod_p(m.data.tolist(), p)[0]
+
+    check_incidence_route(ctx, p, dense_rank=oracle)
+    check_incidence_route(ctx, p, scale=p // 3, dense_rank=oracle)
     with pytest.raises(ValueError, match=r"2\^26"):
+        rank_mod_p(build_psi_plus(ctx), p)
+    too_large = next(q for q in range(p + ell, 1 << 32, ell) if is_prime(q))
+    with pytest.raises(ValueError, match="int64"):
         check_incidence_route(ctx, too_large)
 
 
-def test_torus_blocks_stay_exact_at_the_largest_float64_prime(contexts):
-    """Residues just below p make every product of the block sums near
-    2^52, so only slices of 2 terms stay below 2^53; compared with the
-    block formula in Python ints."""
+def character_blocks(m, p, ctx, h, order):
+    """Every character block B_a mod p, a = 0..order-1, of the dense
+    operator m under the group <h>, from the orbits h walks on its bases:
+    B_a[i, j] = sum_k w^(ak) M[h^k r_i, c_j] over the orbit minima r_i and
+    c_j, in Python ints; w an element of that order of F_p."""
+    walks = []
+    for tag in (m.row_basis.tag, m.col_basis.tag):
+        perm = geometry.permutation(h, tag, ctx).tolist()
+        orbit_of, walk = {}, []
+        for e in range(len(perm)):
+            if e in orbit_of:
+                continue
+            path = [e]
+            while len(path) < order:
+                path.append(perm[path[-1]])
+            orbit_of.update(dict.fromkeys(path))
+            walk.append(path)
+        walks.append(walk)
+    rows, cols = walks
+    w = pow(find_primitive_root(p), (p - 1) // order, p)
+    powers = [pow(w, t, p) for t in range(order)]
+    M = m.data.tolist()
+    return [[[sum(powers[a * k % order] * M[row[k]][col[0]] for k in range(order)) % p
+              for col in cols] for row in rows] for a in range(order)]
+
+
+def test_unipotent_blocks_equal_the_block_formula(contexts):
+    """The two blocks, formed by bincount from the orbit and exponent of each
+    listed point, against the block formula walked with u itself, for psi
+    with weights near p at the largest stack prime.  Both take the exponent-0
+    element of each orbit as its representative, so they are equal entry by
+    entry, once w is the same."""
     ctx = contexts[7]
-    n, p = ctx.ell - 1, largest_float_prime(6)
-    h, P = correspondence._orbits(ctx, "C_ell", TORUS)
-    cols = np.random.default_rng(0).integers(p - 1000, p, size=(len(h), 5))
-    omega = pow(find_primitive_root(p), (p - 1) // n, p)
-    want = [[[sum(pow(omega, a * k, p) * int(cols[P[k, i], j]) for k in range(n)) % p
-              for j in range(cols.shape[1])] for i in range(P.shape[1])]
-            for a in range(n)]
-    got = correspondence._character_blocks(cols, "C_ell", p, ctx, TORUS, list(range(n)))
-    assert got.tolist() == want
+    ell, p = ctx.ell, largest_stack_prime(7)
+    weights = [p - 1 - s for s in range(1, ell)]
+    paths = [path_incidence(ctx, s) for s in range(1, ell)]
+    m = incidence_operator(ctx, paths[0])
+    data = sum(w * incidence_operator(ctx, idx).data.astype(object)
+               for w, idx in zip(weights, paths))
+    want = character_blocks(OperatorMatrix(m.row_basis, m.col_basis, data), p, ctx, U, ell)
+    got = correspondence._blocks([incidence_columns(idx, ctx) for idx in paths],
+                                 weights, np.zeros(ell - 1, dtype=np.int64), p, ctx)
+    # the orbit minima are the exponent-0 elements, in orbit order, for C_ell
+    # and the ordered pairs
+    assert got.tolist() == [want[0], want[1]]
 
 
 def test_float_kernels_refuse_primes_from_2_to_the_26(contexts):
-    """Every float64 mod-p kernel names its bound, 2^26, also at a prime
-    that holds the torus characters."""
+    """The float64 engine names its bound, 2^26, also at a prime that holds
+    the unipotent characters; the character route ranks there."""
     ctx = contexts[7]
     idx = path_incidence(ctx, 1)
-    rep, unipotent = incidence_columns(idx, ctx), incidence_columns(idx, ctx, UNIPOTENT)
     m = incidence_operator(ctx, idx)
     p = next(q for q in range(1 << 26, 1 << 27) if q % 42 == 1 and is_prime(q))
     for kernel in (lambda: rank_mod_p(m, p), lambda: det_mod_p(np.eye(2), p),
-                   lambda: combined_torus_ranks([rep], [1], p, ctx),
-                   lambda: incidence_ranks([rep], p, ctx, "torus"),
-                   lambda: incidence_ranks([rep], p, ctx, "weyl"),
-                   lambda: incidence_ranks([unipotent], p, ctx, "unipotent")):
+                   lambda: rank_exact(m, preferred_primes=(p,))):
         with pytest.raises(ValueError, match=r"not below 2\^26"):
             kernel()
     with pytest.raises(ValueError, match=r"2\^26"):
         rank_mod_p(np.eye(2), 1 << 26)  # the bound itself, prime or not
+    want = oracle_mod_p(m.data.tolist(), p)[0]
+    assert incidence_ranks([incidence_columns(idx, ctx)], p, ctx) == [want]
 
 
 def recorded_stack_shapes(monkeypatch):
@@ -156,12 +210,13 @@ def test_affine_rank_reads_only_the_affine_columns(ell, contexts, monkeypatch):
     reps = [incidence_columns(idx, ctx) for idx in (h_1, mixed)]
     m = incidence_operator(ctx, h_1)
     m = OperatorMatrix(m.row_basis, m.col_basis, m.data - incidence_operator(ctx, mixed).data)
-    for p in (ell, aux_rank_prime(ell)):
-        rank, affine_rank = combined_torus_ranks(reps, [1, -1], p, ctx)
+    for p in route_primes(ell):
+        rank, affine_rank = combined_ranks(reps, [1, -1], p, ctx)
         assert affine_rank == rank_mod_p(restrict_to_affine(m), p) == 0
         assert rank == rank_mod_p(m, p) > 0
-        # the ell affine representatives of the ell + 4, then all of them
-        assert shapes == [(ell - 1, ell, ell), (ell - 1, ell, ell + 4)]
+        # the two blocks at the ell - 1 affine orbits of the ell + 1, then
+        # at all of them
+        assert shapes == [(2, ell - 1, ell - 1), (2, ell - 1, ell + 1)]
         shapes.clear()
 
 
@@ -172,26 +227,47 @@ def test_a_nonsingular_restriction_spares_the_full_blocks(ell, contexts, monkeyp
     ctx = contexts[ell]
     shapes = recorded_stack_shapes(monkeypatch)
     geodesics = geodesic_incidence(ctx)
-    rows = ell * ctx.r
-    assert combined_torus_ranks([incidence_columns(geodesics, ctx)], [1], ell, ctx) \
-        == (rows, rows) == (rank_mod_p(build_psi_plus(ctx), ell),) * 2
-    assert len(shapes) == 1 and shapes[0][0] == ell - 1
+    rows, p = ell * ctx.r, aux_rank_prime(ell)
+    assert combined_ranks([incidence_columns(geodesics, ctx)], [1], p, ctx) \
+        == (rows, rows) == (rank_mod_p(build_psi_plus(ctx), p),) * 2
+    # B_0 and B_1 at the r affine orbits of the unordered pairs
+    assert shapes == [(2, ctx.r, ctx.r)]
     n_affine = sum(pair.is_affine for pair in incidence_operator(ctx, geodesics).col_basis)
     assert n_affine == rows
 
 
 def test_torus_rank_rejects_primes_without_the_characters(contexts):
+    """F_p must hold an element of order ell: p = 1 mod ell, so not ell."""
     ctx = contexts[7]
     rep = incidence_columns(path_incidence(ctx, 1), ctx)
-    with pytest.raises(ValueError, match="order 6"):
-        combined_torus_ranks([rep], [1], 5, ctx)  # 6 does not divide 4
-    with pytest.raises(ValueError, match="order 6"):
-        incidence_ranks([rep], AUX_RANK_PRIME, ctx, "weyl")  # 6 does not divide 1048582
-    unipotent = incidence_columns(path_incidence(ctx, 1), ctx, UNIPOTENT)
-    with pytest.raises(ValueError, match="order 7"):
-        incidence_ranks([unipotent], 7, ctx, "unipotent")  # U is a 7-group
-    with pytest.raises(ValueError, match="unknown rank method"):
-        incidence_ranks([rep], 7, ctx, "dense")
+    for p in (5, 7, AUX_RANK_PRIME):  # 7 divides none of 4, 6, 1048582
+        with pytest.raises(ValueError, match="order 7"):
+            combined_ranks([rep], [1], p, ctx)
+        with pytest.raises(ValueError, match="order 7"):
+            incidence_ranks([rep], p, ctx)
+
+
+def test_orbits_are_those_u_walks(contexts):
+    """orbits(tag, ell) against the permutation u = (1 1; 0 1) induces on
+    each of the four bases: u adds 1 to the exponent and keeps the orbit,
+    every orbit has ell elements, one of exponent 0, which representatives
+    lists in orbit order, and an orbit is affine when its elements avoid
+    infinity."""
+    for ell in PRIMES_SMALL:
+        ctx = contexts[ell]
+        for tag in TAGS:
+            orbit, exponent, affine = correspondence.orbits(tag, ell)
+            perm = geometry.permutation(U, tag, ctx)
+            assert np.array_equal(orbit[perm], orbit), (ell, tag)
+            assert np.array_equal(exponent[perm], (exponent + 1) % ell), (ell, tag)
+            assert (np.bincount(orbit) == ell).all() and len(affine) == len(orbit) // ell
+            reps = correspondence.representatives(ctx, tag)
+            assert np.array_equal(orbit[reps], np.arange(len(affine)))
+            assert (exponent[reps] == 0).all()
+            coords = geometry.decode(tag, ell)
+            at_infinity = (coords[1] == ell) | (coords[0] == ell) if "pairs" in tag \
+                else np.zeros(len(orbit), dtype=bool)
+            assert np.array_equal(affine[orbit], ~at_infinity), (ell, tag)
 
 
 def fail_proof(target, monkeypatch):
@@ -209,13 +285,14 @@ def fail_proof(target, monkeypatch):
 
 @pytest.mark.parametrize("ell", (3, 7))
 def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeypatch):
-    """An operator whose proof fails gets no torus rank: its theorem falls
-    back to the dense escalation, with the same rank, and the run fails."""
+    """An operator whose proof fails gets no character rank: its theorem
+    falls back to the dense escalation at the auxiliary prime, with the same
+    rank, and the run fails."""
     ctx = PrimeContext(ell)
     want = run_verification(ell)
     dense_of = {"theorem1": (build_psi_plus(ctx), "psi_plus"),
                 "theorem2": (build_psi(ctx), "psi")}
-    ranked = cli_mod.combined_torus_ranks
+    ranked = cli_mod.combined_ranks
     for target, theorem in (("psi+", "theorem1"), ("H_1", "theorem2")):
         ranked_reps = []
 
@@ -224,31 +301,66 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
             return ranked(reps, weights, p, ctx)
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli_mod, "combined_torus_ranks", recorded)
+            patch.setattr(cli_mod, "combined_ranks", recorded)
             fail_proof(target, patch)
             assert main(["verify", "--ell", str(ell)]) == 1
         run = json.loads(capsys.readouterr().out)["runs"][0]
         m, eq_key = dense_of[theorem]
-        dense = rank_exact(m, preferred_primes=(ell,))
+        dense = rank_exact(m, preferred_primes=(aux_rank_prime(ell),))
         assert run[theorem]["certificate"] == json.loads(json.dumps(dense.to_json()))
-        assert run[theorem]["certificate"]["method"] != "torus characters"
+        assert run[theorem]["certificate"]["method"] != "unipotent characters"
         assert run[theorem]["rank"] == want[theorem]["rank"] == dense.rank
         assert run[theorem]["restricted_nonsingular"] is True
         assert run["equivariance"][eq_key] is False
         assert "equivariance fails on a generator of GL2" in run["failures"]
         other = ({"theorem1", "theorem2"} - {theorem}).pop()
         assert run[other] == want[other]
-        # only the proved operator was ranked by its torus blocks
+        # only the proved operator was ranked by its blocks
         assert ranked_reps == ([ell - 1] if target == "psi+" else [1])
         if target == "H_1":
             assert run["equivariance"]["h_s"] is False
-            assert run["h_s_ranks"]["1"]["rank_mod_ell"] is None
+            assert run["h_s_ranks"]["1"]["observed_rank"] is None
             # ell - 1 cannot take the proof of H_1: it proved and ranked itself
             assert [1, ell - 1] not in run["h_s_rank_method"]["paired_slopes"]
             fixed = run["equivariance"]["h_s_proof"]["split_cartan_fixes_base"]
             assert 1 not in fixed and ell - 1 in fixed
             assert {s: h for s, h in run["h_s_ranks"].items() if s != "1"} == \
                 {str(s): h for s, h in want["h_s_ranks"].items() if s != 1}
+
+
+@pytest.mark.parametrize("ell", (3, 7))
+def test_a_moved_geodesic_entry_is_certified_by_the_dense_fallback(ell, capsys,
+                                                                   monkeypatch):
+    """psi+'s geodesic array with one entry moved to a row outside its column
+    fails the generator proof, so its blocks are not ranked: theorem 1 is
+    certified on the moved dense operator at the auxiliary prime, and its
+    restriction ranked there."""
+    ctx = PrimeContext(ell)
+    real = cli_mod.geodesic_incidence
+
+    def moved(ctx):
+        idx = real(ctx).copy()
+        idx[-1, 0] = np.setdiff1d(np.arange(ell * ctx.r), idx[:, 0])[-1]
+        return np.sort(idx, axis=0)
+
+    monkeypatch.setattr(cli_mod, "geodesic_incidence", moved)
+    ranked, combined = [], cli_mod.combined_ranks
+    monkeypatch.setattr(cli_mod, "combined_ranks",
+                        lambda *args: ranked.append(args) or combined(*args))
+    assert main(["verify", "--ell", str(ell), "--skip-cosets"]) == 1
+    run = json.loads(capsys.readouterr().out)["runs"][0]
+    m = incidence_operator(ctx, moved(ctx))
+    p = aux_rank_prime(ell)
+    dense = rank_exact(m, preferred_primes=(p,))
+    assert run["equivariance"]["psi_plus"] is False
+    assert run["theorem1"]["certificate"] == json.loads(json.dumps(dense.to_json()))
+    assert dense.witnesses[0][0] == p
+    assert run["theorem1"]["rank"] == dense.rank
+    assert run["theorem1"]["restricted_nonsingular"] is (
+        rank_mod_p(restrict_to_affine(m), p) == ell * ctx.r)
+    # the blocks ranked theorem 2 only
+    assert len(ranked) == 1 and len(ranked[0][0]) == ell - 1
+    assert run["theorem2"]["certificate"]["method"] == "unipotent characters"
 
 
 @pytest.mark.parametrize("ell", (3, 7))
@@ -305,7 +417,7 @@ def test_rank_mod_p_stack_validation():
 
 def test_aux_rank_prime():
     """The least prime from AUX_RANK_PRIME on that is 1 mod ell(ell - 1):
-    F_p holds the characters of U (order ell) and of T (order ell - 1)."""
+    F_p holds the characters of U (order ell)."""
     assert AUX_RANK_PRIME == 1_048_583
     assert [aux_rank_prime(ell) for ell in (3, 7, 101)] == [1_048_609, 1_048_783, 1_121_101]
     for ell in filter(is_odd_prime, range(3, 102)):
@@ -315,7 +427,7 @@ def test_aux_rank_prime():
         assert not any(is_prime(q) for q in range(p - n, AUX_RANK_PRIME - 1, -n))
 
 
-def test_h_s_phase_ranks_by_torus_characters(capsys, monkeypatch):
+def test_h_s_phase_ranks_by_unipotent_characters(capsys, monkeypatch):
     dense_rank = cli_mod.rank_mod_p
 
     def rank_without_h_s(m, p):
@@ -329,16 +441,13 @@ def test_h_s_phase_ranks_by_torus_characters(capsys, monkeypatch):
         ell = run["ell"]
         r = (ell - 1) // 2
         assert run["h_s_rank_method"] == {
-            "method": "torus characters", "primes": [ell, aux_rank_prime(ell)],
-            "blocks": ell - 1, "block_shape": [ell, ell + 4],
-            "characters_ranked": r + 1,
-            "paired_slopes": [[s, ell - s] for s in range(1, r + 1)],
-            "aux_method": "unipotent characters", "aux_block_shape": [ell - 1, ell + 1]}
+            "method": "unipotent characters", "prime": aux_rank_prime(ell),
+            "block_shape": [ell - 1, ell + 1],
+            "paired_slopes": [[s, ell - s] for s in range(1, r + 1)]}
         assert run["equivariance"]["h_s"] is True
-        assert run["theorem2"]["certificate"]["method"] == "torus characters"
-    # ell = 5: H_2 and H_3 are rank-deficient at both primes
-    assert doc["runs"][0]["h_s_ranks"]["2"] == {"rank_mod_ell": 15,
-                                                "observed_rank": 15,
+        assert run["theorem2"]["certificate"]["method"] == "unipotent characters"
+    # ell = 5: H_2 and H_3 are rank-deficient at the auxiliary prime
+    assert doc["runs"][0]["h_s_ranks"]["2"] == {"observed_rank": 15,
                                                 "conclusive": False}
     env = doc["environment"]
     assert set(env) == {"python", "numpy", "threads", "usable_cpus", "jobs",
@@ -358,8 +467,8 @@ def test_h_s_equivariance_failure_is_reported(capsys, monkeypatch):
         run = json.loads(capsys.readouterr().out)["runs"][0]
         assert run["equivariance"]["h_s"] is False, premise
         assert any("H_s" in f for f in run["failures"])
-        # without the proof the torus blocks of an H_s mean nothing, so no rank
-        assert all(h == {"rank_mod_ell": None, "observed_rank": None, "conclusive": False}
+        # without the proof the blocks of an H_s mean nothing, so no rank
+        assert all(h == {"observed_rank": None, "conclusive": False}
                    for h in run["h_s_ranks"].values())
         assert run["equivariance"]["h_s_proof"] == {
             "method": "transported base path",
@@ -369,19 +478,20 @@ def test_h_s_equivariance_failure_is_reported(capsys, monkeypatch):
 
 def cross_check_certificates(ctx):
     """Both theorem certificates and restricted_nonsingular values of a run
-    against dense rank_exact and rank_mod_p of the operators."""
-    ell = ctx.ell
+    against dense rank_exact and rank_mod_p of the operators at the
+    auxiliary prime."""
+    ell, p = ctx.ell, aux_rank_prime(ctx.ell)
     run = run_verification(ell, ctx.epsilon, ctx.g, skip_cosets=True)
     for theorem, m in (("theorem1", build_psi_plus(ctx)), ("theorem2", build_psi(ctx))):
-        dense = rank_exact(m, preferred_primes=(ell,))
+        dense = rank_exact(m, preferred_primes=(p,))
         full = min(m.shape)
-        assert run[theorem]["rank"] == dense.rank == rank_mod_p(m, ell) == full, theorem
+        assert run[theorem]["rank"] == dense.rank == rank_mod_p(m, p) == full, theorem
         assert run[theorem]["certificate"] == {
             "rows": m.shape[0], "cols": m.shape[1], "rank": full,
-            "witnesses": [[ell, full]], "method": "torus characters", "conclusive": True,
+            "witnesses": [[p, full]], "method": "unipotent characters", "conclusive": True,
         }, theorem
         restricted = restrict_to_affine(m)
-        assert rank_mod_p(restricted, ell) == len(restricted.col_basis) == m.shape[0]
+        assert rank_mod_p(restricted, p) == len(restricted.col_basis) == m.shape[0]
         assert run[theorem]["restricted_nonsingular"] is True, theorem
 
 
@@ -399,12 +509,11 @@ def test_rank_certificate_under_other_contexts():
 
 def test_rank_certificate_falls_back_below_full_rank(contexts):
     ctx = contexts[5]
-    m = build_H_s(ctx, 2)
-    rank, _ = combined_torus_ranks([incidence_columns(path_incidence(ctx, 2), ctx)],
-                                   [1], 5, ctx)
+    m, p = build_H_s(ctx, 2), aux_rank_prime(5)
+    rank, _ = combined_ranks([incidence_columns(path_incidence(ctx, 2), ctx)], [1], p, ctx)
     cert = cli_mod._rank_certificate(m.shape, rank, lambda: m, ctx)
     assert cert.rank == rank == 15 < min(m.shape) == 20
-    assert cert == rank_exact(m, preferred_primes=(5,))
+    assert cert == rank_exact(m, preferred_primes=(p,))
 
 
 def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):
@@ -416,7 +525,7 @@ def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):
     assert dense_calls == []
     for run in json.loads(capsys.readouterr().out)["runs"]:
         for theorem in ("theorem1", "theorem2"):
-            assert run[theorem]["certificate"]["method"] == "torus characters"
+            assert run[theorem]["certificate"]["method"] == "unipotent characters"
             assert run[theorem]["restricted_nonsingular"] is True
     # every non-square re-certifies psi+ the same way
     assert main(["verify", "--ell-range", "3..7", "--skip-cosets", "--all-epsilon"]) == 0
@@ -427,7 +536,7 @@ def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The H_s kept as incidence index arrays: the sparse generator proof and the
-# stacked torus ranks against their dense counterparts.
+# stacked character ranks against their dense counterparts.
 # ---------------------------------------------------------------------------
 
 def check_incidence_proofs(ctx):
@@ -479,25 +588,18 @@ def test_incidence_proof_sees_moved_entries_and_swapped_columns(ell, contexts):
 
 
 def check_h_s_ranks(ctx):
-    """The phase's ranks, and the stacked ranks of every slope at both primes
-    by every torus character, by the Weyl-paired ones and (at the auxiliary
-    prime) by the unipotent characters, equal dense rank_mod_p of the H_s."""
+    """The phase's ranks, and the stacked ranks of every slope at the route's
+    primes, equal dense rank_mod_p of the H_s."""
     ell, aux = ctx.ell, aux_rank_prime(ctx.ell)
-    dense = {p: [rank_mod_p(build_H_s(ctx, s), p) for s in range(1, ell)]
-             for p in (ell, aux)}
-    paths = [path_incidence(ctx, s) for s in range(1, ell)]
-    reps = [incidence_columns(idx, ctx) for idx in paths]
-    for p in (ell, aux):
-        for method in ("torus", "weyl"):
-            assert incidence_ranks(reps, p, ctx, method) == dense[p], (p, method)
-    unipotent = [incidence_columns(idx, ctx, UNIPOTENT) for idx in paths]
-    assert incidence_ranks(unipotent, aux, ctx, "unipotent") == dense[aux]
+    reps = [incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
+    dense = {}
+    for p in route_primes(ell):
+        dense[p] = [rank_mod_p(build_H_s(ctx, s), p) for s in range(1, ell)]
+        assert incidence_ranks(reps, p, ctx) == dense[p], p
     full = ell * (ell - 1)
     got = run_verification(ell, ctx.epsilon, ctx.g, skip_cosets=True)["h_s_ranks"]
-    for s, r_ell, r_aux in zip(range(1, ell), dense[ell], dense[aux]):
-        observed = r_ell if r_ell == full else max(r_ell, r_aux)
-        assert got[s] == {"rank_mod_ell": r_ell, "observed_rank": observed,
-                          "conclusive": observed == full}, s
+    assert got == {s: {"observed_rank": r, "conclusive": r == full}
+                   for s, r in enumerate(dense[aux], start=1)}
 
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
@@ -511,50 +613,37 @@ def test_h_s_phase_ranks_under_nondefault_context():
 
 @pytest.mark.parametrize("slopes_per_stack", (1, 3))
 def test_h_s_ranks_do_not_depend_on_the_stack_budget(slopes_per_stack, monkeypatch):
-    ell = 13  # 8 of the 12 slopes are below full rank mod 13
+    ell = 13  # 8 of the 12 slopes are below full rank at the auxiliary prime
     want = run_verification(ell, skip_cosets=True)["h_s_ranks"]
-    # the gathered columns of one slope's torus blocks: ell(ell - 1) rows
-    # times ell + 4 column-orbit representatives
-    budget = slopes_per_stack * ell * (ell - 1) * (ell + 4)
+    assert sum(not h["conclusive"] for h in want.values()) == 8
+    # the two (ell - 1) x (ell + 1) blocks of one slope
+    budget = slopes_per_stack * 2 * (ell - 1) * (ell + 1)
     monkeypatch.setattr(correspondence, "_STACK_ENTRIES", budget)
-    batches, gathered, calls = [], [], []
-    stack_rank, blocks, ranks = (correspondence.rank_mod_p_stack,
-                                 correspondence._character_blocks, cli_mod.incidence_ranks)
+    batches, calls = [], []
+    stack_rank, ranks = correspondence.rank_mod_p_stack, cli_mod.incidence_ranks
 
     def recorded_stack(B, p):
         if calls:  # inside the h_s phase's ranking, not a theorem certificate
-            batches.append((p, len(B)))
+            batches.append((p, B.size))
         return stack_rank(B, p)
 
-    def recorded_blocks(cols, row_tag, p, ctx, group, characters):
-        if calls:  # both groups act freely on C_ell, so cols[P] is as large as cols
-            gathered.append(cols.size)
-        return blocks(cols, row_tag, p, ctx, group, characters)
-
-    def recorded_ranks(reps, p, ctx, method):
+    def recorded_ranks(reps, p, ctx):
         calls.append(p)
         try:
-            return ranks(reps, p, ctx, method)
+            return ranks(reps, p, ctx)
         finally:
             calls.pop()
 
     monkeypatch.setattr(correspondence, "rank_mod_p_stack", recorded_stack)
-    monkeypatch.setattr(correspondence, "_character_blocks", recorded_blocks)
     monkeypatch.setattr(cli_mod, "incidence_ranks", recorded_ranks)
     assert run_verification(ell, skip_cosets=True)["h_s_ranks"] == want
-    assert 0 < max(gathered) <= budget
-    # mod ell only the slopes s <= (ell-1)/2 are ranked, each by its
-    # (ell + 1)/2 Weyl-paired blocks, 1..slopes_per_stack slopes a stack
-    c, ranked = (ell + 1) // 2, range(1, (ell + 1) // 2)
-    mod_ell = [n for p, n in batches if p == ell]
-    assert all(n in range(c, slopes_per_stack * c + 1, c) for n in mod_ell)
-    assert sum(mod_ell) == len(ranked) * c
-    # the low ones again at the aux prime, each by its two unipotent blocks
-    low = sum(want[s]["rank_mod_ell"] < ell * (ell - 1) for s in ranked)
-    aux = [n for p, n in batches if p == aux_rank_prime(ell)]
-    assert all(n in range(2, 2 * slopes_per_stack + 1, 2) for n in aux)
-    assert sum(aux) == low * 2
-    assert len(aux) == -(-low // slopes_per_stack) > 1  # the re-rank is split
+    # the slopes s <= (ell-1)/2 are ranked, 1..slopes_per_stack a stack, all
+    # at the auxiliary prime
+    one = 2 * (ell - 1) * (ell + 1)
+    assert {p for p, _ in batches} == {aux_rank_prime(ell)}
+    assert all(n in range(one, budget + 1, one) for _, n in batches)
+    assert sum(n for _, n in batches) == (ell - 1) // 2 * one
+    assert len(batches) == -(-(ell - 1) // 2 // slopes_per_stack) > 1
 
 
 def refuse(what):
@@ -583,15 +672,14 @@ def test_verify_builds_no_dense_h_s(capsys, monkeypatch):
 def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
     """The coincidence compares psi+'s ranked geodesic array and, for every
     slope, the full path array made from the very base path whose columns at
-    the torus representatives theorem2 ranked."""
+    the U-orbit representatives theorem2 ranked."""
     ranked, built, coset_arrays, compared = [], [], [], []
     columns, paths, incidence, equal = (cli_mod.incidence_columns, cli_mod.path_columns,
                                         cli_mod.coset_incidence, np.array_equal)
 
-    def ranked_columns(idx, ctx, group=TORUS):
-        if group == TORUS:
-            ranked.append(idx)
-        return columns(idx, ctx, group)
+    def ranked_columns(idx, ctx):
+        ranked.append(idx)
+        return columns(idx, ctx)
 
     def recorded_paths(ctx, bases, cols):
         out = paths(ctx, bases, cols)
@@ -663,9 +751,9 @@ def test_coincidence_sees_a_moved_coset_entry(ell, kind, section, capsys, monkey
 def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):
     """No dense psi, restriction or dense equivariance proof, and no full path
     array above COINCIDENCE_BOUND: each slope's columns are built once at the
-    torus representatives, shared by theorem2 and the h_s phase, at most once
-    at the unipotent ones, and in full only for the coincidence, all slopes
-    in one call.  path_incidence is not called at all."""
+    U-orbit representatives, shared by theorem2 and the h_s phase, and in
+    full only for the coincidence, all slopes in one call.  path_incidence is
+    not called at all."""
     for name in ("build_psi", "restrict_to_affine", "check_equivariance_psi",
                  "check_equivariance_psi_plus"):
         monkeypatch.setattr(cli_mod, name, refuse(name))
@@ -676,8 +764,7 @@ def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):
     def counted(ctx, bases, cols):
         ell = ctx.ell
         kind = next(kind for kind, at in (
-            ("torus", correspondence.representatives(ctx, "ordered_pairs", TORUS)),
-            ("unipotent", correspondence.representatives(ctx, "ordered_pairs", UNIPOTENT)),
+            ("representatives", correspondence.representatives(ctx, "ordered_pairs")),
             ("full", np.arange(ell * (ell + 1)))) if np.array_equal(cols, at))
         if kind == "full":
             assert ell <= cli_mod.COINCIDENCE_BOUND, "a full path array"
@@ -697,11 +784,8 @@ def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):
         assert all(e["ok"] for run in runs for e in run.get("all_epsilon", []))
         for run in runs:
             ell = run["ell"]
-            assert built[ell, "torus"] == ell - 1 and calls[ell, "torus"] == 1
-            # the low slopes proved on their own, again at the aux prime
-            low = [s for s in run["equivariance"]["h_s_proof"]["split_cartan_fixes_base"]
-                   if run["h_s_ranks"][str(s)]["rank_mod_ell"] < ell * (ell - 1)]
-            assert built[ell, "unipotent"] == len(low) <= (ell - 1) // 2
+            assert built[ell, "representatives"] == ell - 1
+            assert calls[ell, "representatives"] == 1
             full = ell <= cli_mod.COINCIDENCE_BOUND
             assert (built[ell, "full"], calls[ell, "full"]) == ((ell - 1, 1) if full
                                                                 else (0, 0))
@@ -717,8 +801,8 @@ def test_verify_builds_no_point_objects(capsys, monkeypatch):
     for argv in argvs:
         assert main(argv) == 0
         want.append(json.loads(capsys.readouterr().out))
-    for cache in (correspondence._orbits, correspondence._generator_perms,
-                  correspondence.galois_conjugation):
+    for cache in (correspondence.orbits, correspondence._omega_powers,
+                  correspondence._generator_perms, correspondence.galois_conjugation):
         cache.cache_clear()
     for cls in (geometry.Basis, geometry.ProjectivePoint, geometry.UnorderedPair,
                 geometry.OrderedPair):
@@ -739,13 +823,15 @@ def test_verify_builds_no_point_objects(capsys, monkeypatch):
 
 
 def test_a_second_sweep_misses_no_cache():
-    """The per-prime tables verify caches (orbits, generator permutations,
-    Galois conjugation, inverses, decoded coordinates) are kept for the life
+    """The per-prime tables verify caches (orbits, powers of w, generator
+    permutations, Galois conjugation, inverses, decoded coordinates, the
+    auxiliary prime) are kept for the life
     of the process, so a second 3..23 sweep computes none of them again.  The
     column transporters are closed forms on the decoded coordinates and are
     not cached."""
-    caches = (correspondence._orbits, correspondence._generator_perms,
-              correspondence.galois_conjugation, inverse_table, geometry.decode)
+    caches = (correspondence.orbits, correspondence._omega_powers,
+              correspondence._generator_perms, correspondence.galois_conjugation,
+              inverse_table, geometry.decode, aux_rank_prime)
     primes = [n for n in range(3, 24) if is_odd_prime(n)]
     for ell in primes:
         run_verification(ell)
@@ -759,6 +845,14 @@ def test_a_second_sweep_misses_no_cache():
 # The symmetries that spare ranks: each one against the full route.
 # ---------------------------------------------------------------------------
 
+def is_galois_pair(idx_s, idx_t, ctx):
+    """Whether incidence_operator(ctx, idx_t) == J incidence_operator(ctx, idx_s),
+    for path arrays with sorted columns: the full-array form of the base-path
+    compare verify makes."""
+    J = correspondence.galois_conjugation(ctx.ell)
+    return np.array_equal(np.sort(J[idx_s], axis=0), idx_t)
+
+
 def check_galois_pairing(ctx):
     ell = ctx.ell
     J = correspondence.galois_conjugation(ell)
@@ -767,12 +861,12 @@ def check_galois_pairing(ctx):
     assert correspondence.check_galois_commutes(ctx) is True
     for s in range(1, ell):
         idx_s, idx_t = path_incidence(ctx, s), path_incidence(ctx, ell - s)
-        assert correspondence.is_galois_pair(idx_s, idx_t, ctx) is True, s
+        assert is_galois_pair(idx_s, idx_t, ctx) is True, s
         # J H_s, row i of which is row J(i) of H_s, is H_(ell-s)
         h_s = incidence_operator(ctx, idx_s).data
         assert np.array_equal(h_s[J], incidence_operator(ctx, idx_t).data), s
         # ell is odd, so s != ell - s, and J H_s is not H_s
-        assert correspondence.is_galois_pair(idx_s, idx_s, ctx) is False, s
+        assert is_galois_pair(idx_s, idx_s, ctx) is False, s
 
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
@@ -784,38 +878,38 @@ def test_galois_conjugation_pairs_the_slopes_under_nondefault_context():
     check_galois_pairing(PrimeContext(13, 5, 7))
 
 
-def character_ranks(m, p, ctx, group):
-    """The rank mod p of every character block of the group, from the
-    dense operator's columns at the group's column-orbit representatives."""
-    _, P = correspondence._orbits(ctx, m.row_basis.tag, group)
-    reps = correspondence._orbits(ctx, m.col_basis.tag, group)[1][0]
-    B = correspondence._character_blocks(m.data[:, reps], m.row_basis.tag, p, ctx,
-                                         group, list(range(len(P))))
+def character_ranks(m, p, ctx, h, order):
+    """The rank mod p of every character block of <h>, by the oracle."""
+    B = np.array(character_blocks(m, p, ctx, h, order), dtype=np.int64)
     return rank_mod_p_stack(B, p).tolist()
 
 
 @pytest.mark.parametrize("ctx", [PrimeContext(ell) for ell in PRIMES_SMALL]
                          + [PrimeContext(13, 5, 7)], ids=str)
 def test_weyl_and_unipotent_pairings_hold_block_by_block(ctx):
-    """rank B_a = rank B_(-a) for the torus, and every nontrivial unipotent
-    character has the same rank, for psi+, psi and every H_s; the sums are
-    the dense ranks."""
+    """The symmetries of the operators that the character ranks rest on, by
+    the block oracle on the dense operators of psi+, psi and every H_s:
+    every nontrivial character of U has the same rank, so rank B_0 +
+    (ell - 1) rank B_1 is the dense rank; and for the split torus
+    T = <diag(g, 1)>, which does not act freely, the Weyl element pairs
+    rank B_a with rank B_(-a), and the blocks sum to the dense rank too."""
     ell, aux = ctx.ell, aux_rank_prime(ctx.ell)
+    torus_generator = geometry.GroupElement(ctx.g, 0, 0, 1)
     operators = [build_psi_plus(ctx), build_psi(ctx)]
     operators += [build_H_s(ctx, s) for s in range(1, ell)]
     for m in operators:
-        torus = character_ranks(m, ell, ctx, TORUS)
-        assert torus == torus[:1] + torus[:0:-1], m
-        unipotent = character_ranks(m, aux, ctx, UNIPOTENT)
-        assert len(unipotent) == ell and len(set(unipotent[1:])) == 1, m
+        unipotent = character_ranks(m, aux, ctx, U, ell)
+        assert len(set(unipotent[1:])) == 1, m
         assert unipotent[0] + (ell - 1) * unipotent[1] == rank_mod_p(m, aux) \
-            == sum(character_ranks(m, aux, ctx, TORUS)), m
+            == sum(character_ranks(m, aux, ctx, torus_generator, ell - 1)), m
+        torus = character_ranks(m, ell, ctx, torus_generator, ell - 1)
+        assert torus == torus[:1] + torus[:0:-1], m
         assert sum(torus) == rank_mod_p(m, ell), m
 
 
 def recorded_slope_work(monkeypatch):
-    """The base paths proved on their own (premise (a)), and (method, slopes)
-    of every incidence_ranks call verify makes."""
+    """The base paths proved on their own (premise (a)), and the number of
+    slopes of every incidence_ranks call verify makes."""
     proved, ranked = [], []
     check, ranks = cli_mod.check_base_fixed, cli_mod.incidence_ranks
 
@@ -823,9 +917,9 @@ def recorded_slope_work(monkeypatch):
         proved.append(base)
         return check(base, ctx)
 
-    def recorded_ranks(reps, p, ctx, method):
-        ranked.append((method, len(reps)))
-        return ranks(reps, p, ctx, method)
+    def recorded_ranks(reps, p, ctx):
+        ranked.append(len(reps))
+        return ranks(reps, p, ctx)
 
     monkeypatch.setattr(cli_mod, "check_base_fixed", recorded_check)
     monkeypatch.setattr(cli_mod, "incidence_ranks", recorded_ranks)
@@ -853,7 +947,7 @@ def test_a_broken_conjugation_makes_every_slope_prove_and_rank_itself(broken, ca
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["h_s_rank_method"]["paired_slopes"] == []
     assert len(proved) == ell - 1
-    assert ranked[0] == ("weyl", ell - 1)
+    assert ranked == [ell - 1]
     assert run["h_s_ranks"] == want["h_s_ranks"]
     assert run["theorem2"] == want["theorem2"]
 
@@ -877,7 +971,7 @@ def test_a_slope_that_is_not_the_conjugate_proves_and_ranks_itself(capsys, monke
     assert run["h_s_rank_method"]["paired_slopes"] == [[2, 5], [3, 4]]
     assert len(proved) == 4
     assert np.array_equal(proved[1], paths(PrimeContext(ell), [1])[1])
-    assert ranked[0] == ("weyl", 4)
+    assert ranked == [4]
     assert run["equivariance"]["h_s"] is True
     assert run["h_s_ranks"]["6"] == run["h_s_ranks"]["1"]
 
@@ -893,22 +987,21 @@ def all_columns(ctx):
 
 
 def check_path_columns(ctx, slopes):
-    """path_columns at the representatives of both groups equals the columns
-    of the full path arrays there, and path_incidence the slope-s path
-    carried by every transporter."""
+    """path_columns at the U-orbit representatives equals the columns of the
+    full path arrays there, and path_incidence the slope-s path carried by
+    every transporter."""
     ell, tag = ctx.ell, "ordered_pairs"
     bases = base_paths(ctx, slopes)
     assert list(bases) == list(slopes)
     g = geometry.transporters(tag, *geometry.decode(tag, ell), ell)
     lam = np.arange(1, ell)[:, None]
-    for group in (TORUS, UNIPOTENT):
-        cols = path_columns(ctx, bases, correspondence.representatives(ctx, tag, group))
-        for s in slopes:
-            idx = path_incidence(ctx, s)
-            assert cols[s].dtype == np.int32 and np.array_equal(
-                cols[s], incidence_columns(idx, ctx, group)), (s, group)
-            moved = geometry.move_cartan(g, lam * s % ell, lam, ctx)
-            assert np.array_equal(idx, np.sort(geometry.cartan_index(*moved, ell), axis=0))
+    cols = path_columns(ctx, bases, correspondence.representatives(ctx, tag))
+    for s in slopes:
+        idx = path_incidence(ctx, s)
+        assert cols[s].dtype == np.int32 and np.array_equal(
+            cols[s], incidence_columns(idx, ctx)), s
+        moved = geometry.move_cartan(g, lam * s % ell, lam, ctx)
+        assert np.array_equal(idx, np.sort(geometry.cartan_index(*moved, ell), axis=0))
 
 
 @pytest.mark.parametrize("ctx,step", [(PrimeContext(ell), 1) for ell in PRIMES_SMALL]
@@ -947,7 +1040,7 @@ def test_premise_verdicts_equal_the_generator_proof(ctx, monkeypatch):
             patch.setattr(correspondence, "galois_conjugation", lambda ell: conjugation)
             for s in bases:
                 paired = correspondence.check_galois_bases(bases[s], bases[ell - s], ctx)
-                assert paired is correspondence.is_galois_pair(
+                assert paired is is_galois_pair(
                     paths[s], paths[ell - s], ctx) is (conjugation is J), s
 
 
@@ -997,22 +1090,22 @@ def test_premise_b_refuses_a_wrong_transporter_at_a_representative(ell, monkeypa
                 assert not np.array_equal(got[s][:, k], want[s][:, k]), (col, u, s)
                 assert check_equivariance_incidence(full[s], ctx) is False, (col, u, s)
     col = reps[-1]
-    assert [int(v[col]) for v in geometry.decode("ordered_pairs", ell)] == [ell, 1]
+    assert [int(v[col]) for v in geometry.decode("ordered_pairs", ell)] == [ell, 0]
     with monkeypatch.context() as patch:
         wrong_transporter(patch, ctx, col, None)
         assert correspondence.check_transporters(ctx) is False
-        with pytest.raises(AssertionError, match=r"through \(inf,1\) is not"):
+        with pytest.raises(AssertionError, match=r"through \(inf,0\) is not"):
             path_columns(ctx, bases, reps)
 
 
 def check_unproved_slopes(run, want, ctx, unproved):
-    """The fallbacks of a slope whose proof fails: no torus rank and no
-    pairing for it, theorem2 by the dense escalation with the same rank, and
-    a failed run."""
+    """The fallbacks of a slope whose proof fails: no rank and no pairing
+    for it, theorem2 by the dense escalation at the auxiliary prime with the
+    same rank, and a failed run."""
     ell = ctx.ell
-    dense = rank_exact(build_psi(ctx), preferred_primes=(ell,))
+    dense = rank_exact(build_psi(ctx), preferred_primes=(aux_rank_prime(ell),))
     assert run["theorem2"]["certificate"] == json.loads(json.dumps(dense.to_json()))
-    assert run["theorem2"]["certificate"]["method"] != "torus characters"
+    assert run["theorem2"]["certificate"]["method"] != "unipotent characters"
     assert run["theorem2"]["rank"] == want["theorem2"]["rank"] == dense.rank
     assert run["theorem2"]["restricted_nonsingular"] is True
     assert run["theorem1"] == want["theorem1"]
@@ -1021,7 +1114,7 @@ def check_unproved_slopes(run, want, ctx, unproved):
     assert not run["ok"]
     for s in range(1, ell):
         if s in unproved:
-            assert run["h_s_ranks"][str(s)]["rank_mod_ell"] is None, s
+            assert run["h_s_ranks"][str(s)]["observed_rank"] is None, s
             assert not any(s in pair for pair in run["h_s_rank_method"]["paired_slopes"])
         else:
             assert run["h_s_ranks"][str(s)] == json.loads(
@@ -1055,7 +1148,10 @@ def test_a_wrong_transporter_leaves_every_slope_unproved(capsys, monkeypatch):
     ell = 7
     ctx = PrimeContext(ell)
     want = run_verification(ell)
-    wrong_transporter(monkeypatch, ctx, correspondence.representatives(ctx, "ordered_pairs")[1])
+    # at (0, inf), so that the affine restriction of the dense psi is psi's
+    col = correspondence.representatives(ctx, "ordered_pairs")[ell - 1]
+    assert [int(v[col]) for v in geometry.decode("ordered_pairs", ell)] == [0, ell]
+    wrong_transporter(monkeypatch, ctx, col)
     assert main(["verify", "--ell", str(ell), "--skip-cosets"]) == 1
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["equivariance"]["h_s_proof"]["transporters_carry_base"] is False

@@ -138,7 +138,7 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
     if batch == 0:
         return rank
     b = np.arange(batch)
-    room = ((1 << 63) - p) // (p - 1) ** 2  # updates an entry below p can take
+    room = _reduction_room(p)
     pending = 0
     for j in range(k):
         lo = int(rank.min())
@@ -165,6 +165,12 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
             pending = 0
         rank += found
     return rank
+
+
+def _reduction_room(p: int) -> int:
+    """Updates of at most (p - 1)^2 each that an int64 entry below p can
+    take; rank_mod_p_stack reduces its trailing block after that many."""
+    return ((1 << 63) - p) // (p - 1) ** 2
 
 
 def det_mod_p(m, p: int) -> int:

@@ -173,9 +173,16 @@ def test_rank_and_det_mod_p_match_the_oracle(p):
 
 
 @pytest.mark.parametrize("p", (4093, 4099, 1_048_609))
-def test_rank_mod_p_stack_matches_the_oracle(p):
+@pytest.mark.parametrize("bound", ["default", "every prime", "no prime"])
+def test_rank_mod_p_stack_matches_the_oracle(p, bound, monkeypatch):
     """Planted ranks in stacks of matrices of one shape, at small primes and
-    at an auxiliary prime, with residues of either sign."""
+    at an auxiliary prime, with residues of either sign; at each prime with
+    the trailing block reduced when int64 would run out of room (the
+    default), after every column step, and never (safe for these sizes)."""
+    if bound != "default":
+        monkeypatch.setattr(exact_linalg, "_reduction_room",
+                            (lambda p: 1) if bound == "every prime"
+                            else (lambda p: -1))
     rng = np.random.default_rng(p)
     for trial in range(12):
         m, n = (int(v) for v in rng.integers(1, 16, size=2))

@@ -169,24 +169,30 @@ class ReducedCountMatrixC:
 
 def build_reduced_C(ctx: PrimeContext) -> ReducedCountMatrixC:
     ell, g, eps = ctx.ell, ctx.g, ctx.epsilon
-    counts = np.array(ctx.sqrt_counts)
+    counts = np.array(ctx.sqrt_counts, dtype=np.int8)  # each at most 2
     n = ell - 1
-    gpow = np.array([pow(g, j, ell) for j in range(n)], dtype=np.int64)
+    # every value below lies within 4 ell^2 of 0: int32 halves the (ell-1)^3
+    # temporaries of the circulant compare wherever it holds them
+    dtype = np.int32 if 4 * ell * ell < 2**31 else np.int64
+    gpow = np.array([pow(g, j, ell) for j in range(n)], dtype=dtype)
     sq = gpow * gpow % ell
-    # entry (i, j) of the slope-s count matrix counts the roots of
-    # g^2i + 4 eps g^2j - 4 s g^(i+j)
+    s = np.arange(1, ell, dtype=dtype)[:, None, None]
+    # row s - 1 is the first row of the slope-s count matrix
+    rows = counts[(1 + 4 * eps * sq - 4 * s[:, 0] * gpow) % ell]
+    # entry (s - 1, i, j) counts the roots of g^2i + 4 eps g^2j - 4 s g^(i+j);
+    # every slope's matrix is compared with its circulant at once
     plane = (sq[:, None] + 4 * eps * sq) % ell
     cross = 4 * gpow[:, None] * gpow % ell
-    s_rows = {}
-    for s in range(1, ell):
-        row = tuple(counts[(1 + 4 * eps * sq - 4 * s * gpow) % ell].tolist())
-        at = _first_mismatch(counts[(plane - s * cross) % ell], row)
-        if at is not None:
-            raise CertificateError(
-                "slope-{} count matrix is not circulant at ({},{})".format(s, *at))
-        s_rows[s] = row
+    j = np.arange(n)
+    bad = counts[(plane - s * cross) % ell] != rows[:, (j - j[:, None]) % n]
+    if bad.any():
+        # the first failing slope, then its first mismatch row-major
+        at = np.unravel_index(bad.argmax(), bad.shape)
+        raise CertificateError("slope-{} count matrix is not circulant at ({},{})"
+                               .format(at[0] + 1, *at[1:]))
     weights = sum(coefficients(ctx)) % ell
-    combined = weights @ np.array(list(s_rows.values()), dtype=np.int64) % ell
+    combined = weights @ rows % ell
+    s_rows = dict(zip(range(1, ell), map(tuple, rows.tolist())))
     return ReducedCountMatrixC(ell, eps, g, s_rows, tuple(combined.tolist()))
 
 
@@ -312,9 +318,10 @@ def circulant_eigenvalues(row, u: int, ell: int) -> list[int]:
     powers of u, an n-th root of unity for n = len(row): the k-th is
     sum_j row[j] u^(kj mod n)."""
     n = len(row)
-    upow = [pow(u, i, ell) for i in range(n)]
-    return [sum(int(a) * upow[k * j % n] for j, a in enumerate(row)) % ell
-            for k in range(n)]
+    upow = np.array([pow(u, i, ell) for i in range(n)], dtype=np.int64)
+    k = np.arange(n)
+    row = np.asarray(row, dtype=np.int64) % ell
+    return (upow[k[:, None] * k % n] @ row % ell).tolist()
 
 
 def circulant_det_mod(first_row, e: int, ctx: PrimeContext) -> int:

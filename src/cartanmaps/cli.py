@@ -257,16 +257,18 @@ def _circulant_case(case: str, ctx: PrimeContext):
         return rm, exc.reports, exc
 
 
-def _circulant_section(case: str, ctx: PrimeContext) -> tuple[dict, list]:
+def _circulant_section(case: str, ctx: PrimeContext
+                       ) -> tuple[dict, list, CertificateError | None]:
     """Case N or C of the circulant phase: the eigenvalue records, and the
-    count matrix's eigenvalue product against its direct determinant."""
+    count matrix's eigenvalue product against its direct determinant; with
+    _circulant_case's error, which --strict-roots reads at ctx's root."""
     rm, recs, error = _circulant_case(case, ctx)
     failures = [] if error is None else [str(error)]
     section = {"records": [r.to_json() for r in recs], "all_match": error is None}
     if rm is None:
         # the count matrix failed its reduction: no determinant to compare
         section.update(det_product=None, det_direct=None, det_match=False)
-        return section, failures
+        return section, failures, error
     # the half-plane eigenvalues sit at the powers of g^2, the others at g's
     row, e = (rm.first_row, 2) if case == "N" else (rm.combined_row, 1)
     prod = circulant_det_mod(row, e, ctx)
@@ -277,7 +279,7 @@ def _circulant_section(case: str, ctx: PrimeContext) -> tuple[dict, list]:
         failures.append(f"{plane} circulant determinant check failed: "
                         f"product {prod}, direct {direct}")
     section.update(det_product=prod, det_direct=direct, det_match=det_ok)
-    return section, failures
+    return section, failures, error
 
 
 # The four G-sets: (decode tag, stabiliser in GL2, closed-form size)
@@ -371,9 +373,10 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
             failures.append("chart-coordinate matrix differs from geometric matrix")
 
     with _phase(timings, "circulant"):
-        report["circulant"] = {}
+        report["circulant"], circulant_errors = {}, {}
         for case in ("N", "C"):
-            report["circulant"][case], fc = _circulant_section(case, ctx)
+            section, fc, circulant_errors[case] = _circulant_section(case, ctx)
+            report["circulant"][case] = section
             failures += fc
 
     with _phase(timings, "equivariance"):
@@ -453,7 +456,9 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         with _phase(timings, "all_epsilon"):
             eps_reports = []
             for eps in ctx.nonsquares():
-                section = _theorem1((n_H, n_up), PrimeContext(ell, eps, ctx.g))[0]
+                # the theorem1 phase verified the default non-square already
+                section = (report["theorem1"] if eps == ctx.epsilon else
+                           _theorem1((n_H, n_up), PrimeContext(ell, eps, ctx.g))[0])
                 nonsing = section["restricted_nonsingular"]
                 ok = (section["surjective"] and section["certificate"]["conclusive"]
                       and nonsing)
@@ -467,9 +472,13 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         with _phase(timings, "strict_roots"):
             root_reports = []
             for gr in ctx.primitive_roots():
-                sub_ctx = PrimeContext(ell, ctx.epsilon, gr)
-                # the eigenvalue certificates only, case C once N has passed
-                errors = (_circulant_case(case, sub_ctx)[2] for case in ("N", "C"))
+                # the eigenvalue certificates only, case C once N has passed;
+                # the circulant phase certified the default root already
+                if gr == ctx.g:
+                    errors = circulant_errors.values()
+                else:
+                    sub_ctx = PrimeContext(ell, ctx.epsilon, gr)
+                    errors = (_circulant_case(case, sub_ctx)[2] for case in ("N", "C"))
                 error = next(filter(None, errors), None)
                 if error is not None:
                     failures.append(f"certificates failed for root g={gr}: {error}")
@@ -530,6 +539,16 @@ def _make_context(args) -> PrimeContext:
     return _context(ells[0], args)
 
 
+def _blas() -> dict | None:
+    """The name and version of the BLAS numpy was built against; None where
+    numpy cannot say (numpy < 2 has no show_config(mode="dicts"))."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def cmd_verify(args) -> int:
     ells = _parse_ells(args)
     if args.jobs < 1:
@@ -560,6 +579,7 @@ def cmd_verify(args) -> int:
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": _blas(),
             "threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARIABLES},
             "usable_cpus": cpus,
             "jobs": args.jobs,
@@ -731,7 +751,10 @@ def _add_context_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write output to a file")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args returns a new
+    namespace on every call, so no value carries from one call to the next."""
     parser = _Parser(
         prog="cartanmaps",
         description="Verify the coset-space correspondences for GL2(F_ell) "
@@ -742,11 +765,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification pipeline")
     _add_context_flags(p)
     p.add_argument("--all-epsilon", action="store_true",
-                   help="re-verify the half-plane surjection for every non-square")
+                   help="verify the half-plane surjection at every non-square")
     p.add_argument("--skip-cosets", action="store_true",
                    help="skip the coset-operator coincidence checks")
     p.add_argument("--strict-roots", action="store_true",
-                   help="re-run the circulant certificates for every primitive root")
+                   help="run the circulant certificates at every primitive root")
     p.add_argument("--seed", type=int, default=0,
                    help="ignored: equivariance is proved on generators, not sampled")
     p.add_argument("--jobs", type=int, default=1,

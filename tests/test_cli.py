@@ -174,6 +174,19 @@ def test_verify_environment_block(capsys, monkeypatch):
     assert env["jobs"] == 2 and env["usable_cpus"] >= 1
     assert env["worker_processes"] == (2 if env["usable_cpus"] >= 2 else 0)
     assert env["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert set(env) == {"python", "numpy", "blas", "threads", "usable_cpus", "jobs",
+                        "worker_processes"}
+    assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+
+
+def test_verify_environment_blas_is_null_where_numpy_cannot_say(capsys, monkeypatch):
+    """numpy < 2 has no show_config(mode="dicts"): the blas field is null."""
+    import cartanmaps.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.np, "show_config", lambda: None)  # numpy 1's signature
+    code, out, _ = run_cli(capsys, "verify", "--ell", "3")
+    assert code == EXIT_OK
+    assert json.loads(out)["environment"]["blas"] is None
 
 
 def test_verify_deterministic(capsys):
@@ -243,6 +256,27 @@ def test_verify_out_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(target.read_text())["summary"]["ok"]
+
+
+def test_the_cached_parser_keeps_calls_independent(tmp_path, capsys):
+    """main builds its parser once per process; no option of one call
+    carries over to the next."""
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", "--ell", "3", "--all-epsilon",
+                           "--strict-roots", "--out", str(target))
+    assert code == EXIT_OK and out == ""
+    run = json.loads(target.read_text())["runs"][0]
+    assert "all_epsilon" in run and "strict_roots" in run
+    code, out, _ = run_cli(capsys, "verify", "--ell", "3")
+    assert code == EXIT_OK
+    run = json.loads(out)["runs"][0]
+    assert "all_epsilon" not in run and "strict_roots" not in run
+    code, _, err = run_cli(capsys, "verify", "--ell", "3", "--jobs", "0")
+    assert code == EXIT_USAGE and "--jobs" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("target", ["missing directory", "directory"])
@@ -590,45 +624,103 @@ def test_verify_circulant_determinant_mismatch(case, plane, capsys, monkeypatch)
 
 @pytest.mark.parametrize("case", ["N", "C"])
 def test_strict_roots_reports_the_failing_root(case, capsys, monkeypatch):
+    """A certificate failing at g = 5 fails that root only; failing at the
+    default g = 3, it fails the circulant phase and --strict-roots names 3,
+    from the circulant phase's own error."""
     import cartanmaps.cli as cli_mod
 
     name = f"eigenvalues_{case}"
-    monkeypatch.setattr(cli_mod, name, forged_certificate(getattr(cli_mod, name),
-                                                          lambda ctx: ctx.g == 5))
-    code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets",
-                           "--strict-roots")
-    assert code == EXIT_FAIL
-    run = json.loads(out)["runs"][0]
-    assert run["g"] == 3 and run["circulant"][case]["all_match"] is True
-    assert run["strict_roots"] == [{"g": 3, "ok": True}, {"g": 5, "ok": False}]
-    assert run["failures"] == ["certificates failed for root g=5: forged failure at g=5"]
+    real = getattr(cli_mod, name)
+    for bad in (5, 3):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, name, forged_certificate(real, lambda ctx: ctx.g == bad))
+            code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets",
+                                   "--strict-roots")
+        assert code == EXIT_FAIL
+        run = json.loads(out)["runs"][0]
+        assert run["g"] == 3 and run["circulant"][case]["all_match"] is (bad != 3)
+        assert run["strict_roots"] == [{"g": g, "ok": g != bad} for g in (3, 5)]
+        strict = f"certificates failed for root g={bad}: forged failure at g={bad}"
+        assert run["failures"] == ([strict] if bad == 5
+                                   else ["forged failure at g=3", strict])
 
 
 def test_all_epsilon_reports_the_failing_nonsquare(capsys, monkeypatch):
     """psi+ one rank short at epsilon = 5 only: the default epsilon = 3
-    passes, and --all-epsilon names 5."""
+    passes, and --all-epsilon names 5.  One rank short at the default 3: the
+    theorem1 phase fails, and --all-epsilon names 3 from that phase's
+    section."""
     import cartanmaps.cli as cli_mod
 
     real = cli_mod._rank_certificate
+    for bad in (5, 3):
+        def short_at_bad(shape, torus_rank, dense, ctx):
+            cert = real(shape, torus_rank, dense, ctx)
+            if ctx.epsilon == bad and shape == (21, 28):  # psi+ at 7
+                return dataclasses.replace(cert, rank=cert.rank - 1)
+            return cert
 
-    def short_at_5(shape, torus_rank, dense, ctx):
-        cert = real(shape, torus_rank, dense, ctx)
-        if ctx.epsilon == 5 and shape == (21, 28):  # psi+ at 7
-            return dataclasses.replace(cert, rank=cert.rank - 1)
-        return cert
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "_rank_certificate", short_at_bad)
+            code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets",
+                                   "--all-epsilon")
+        assert code == EXIT_FAIL
+        run = json.loads(out)["runs"][0]
+        assert run["epsilon"] == 3 and run["theorem1"]["surjective"] is (bad != 3)
+        assert run["all_epsilon"] == [
+            {"epsilon": eps, "rank": 20 if eps == bad else 21,
+             "restricted_nonsingular": True, "ok": eps != bad} for eps in (3, 5, 6)]
+        all_eps = f"theorem1 failed for epsilon={bad}"
+        assert run["failures"] == ([all_eps] if bad == 5
+                                   else ["theorem1: rank 20 != expected 21", all_eps])
 
-    monkeypatch.setattr(cli_mod, "_rank_certificate", short_at_5)
-    code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets",
-                           "--all-epsilon")
-    assert code == EXIT_FAIL
-    run = json.loads(out)["runs"][0]
-    assert run["epsilon"] == 3 and run["theorem1"]["surjective"] is True
-    assert run["all_epsilon"] == [
-        {"epsilon": 3, "rank": 21, "restricted_nonsingular": True, "ok": True},
-        {"epsilon": 5, "rank": 20, "restricted_nonsingular": True, "ok": False},
-        {"epsilon": 6, "rank": 21, "restricted_nonsingular": True, "ok": True},
-    ]
-    assert run["failures"] == ["theorem1 failed for epsilon=5"]
+
+def _count_calls(monkeypatch, module, name, seen):
+    """Wrap module.name so that each call appends (ell, epsilon, g) of its
+    PrimeContext argument to seen."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        ctx = next(a for a in args if isinstance(a, PrimeContext))
+        seen.append((ctx.ell, ctx.epsilon, ctx.g))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_all_epsilon_builds_each_geodesic_array_once(capsys, monkeypatch):
+    """Per prime, psi+'s geodesic array is built once per non-square: the
+    default one's by the theorem1 phase, whose section the all_epsilon entry
+    mirrors."""
+    import cartanmaps.cli as cli_mod
+
+    seen = []
+    _count_calls(monkeypatch, cli_mod, "geodesic_incidence", seen)
+    code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..13", "--all-epsilon")
+    assert code == EXIT_OK
+    runs = json.loads(out)["runs"]
+    assert sorted(seen) == sorted((run["ell"], e, run["g"]) for run in runs
+                                  for e in PrimeContext(run["ell"]).nonsquares())
+    for run in runs:
+        entry = next(e for e in run["all_epsilon"] if e["epsilon"] == run["epsilon"])
+        assert entry["rank"] == run["theorem1"]["rank"]
+        assert entry["restricted_nonsingular"] == run["theorem1"]["restricted_nonsingular"]
+
+
+def test_strict_roots_certifies_each_root_once(capsys, monkeypatch):
+    """Per prime, each eigenvalue certificate runs once per primitive root:
+    the default root's by the circulant phase."""
+    import cartanmaps.cli as cli_mod
+
+    seen = {"N": [], "C": []}
+    for case in seen:
+        _count_calls(monkeypatch, cli_mod, f"eigenvalues_{case}", seen[case])
+    code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..13", "--strict-roots")
+    assert code == EXIT_OK
+    runs = json.loads(out)["runs"]
+    want = sorted((run["ell"], run["epsilon"], g) for run in runs
+                  for g in PrimeContext(run["ell"]).primitive_roots())
+    assert sorted(seen["N"]) == sorted(seen["C"]) == want
 
 
 def test_verify_jobs_submits_the_largest_primes_first(capsys, monkeypatch):

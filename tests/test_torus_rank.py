@@ -450,8 +450,9 @@ def test_h_s_phase_ranks_by_unipotent_characters(capsys, monkeypatch):
     assert doc["runs"][0]["h_s_ranks"]["2"] == {"observed_rank": 15,
                                                 "conclusive": False}
     env = doc["environment"]
-    assert set(env) == {"python", "numpy", "threads", "usable_cpus", "jobs",
+    assert set(env) == {"python", "numpy", "blas", "threads", "usable_cpus", "jobs",
                         "worker_processes"}
+    assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
     assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                    "MKL_NUM_THREADS"}
     assert env["jobs"] == 1 and env["worker_processes"] == 0

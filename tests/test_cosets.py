@@ -1,10 +1,11 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
 from cartanmaps import cosets
-from cartanmaps.cli import main
+from cartanmaps.cli import main, run_verification
 from cartanmaps.correspondence import build_H_s, build_psi_plus
 from cartanmaps.cosets import (
     BOREL,
@@ -37,6 +38,11 @@ from cartanmaps.modular_arith import PrimeContext
 from conftest import PRIMES_ALL
 
 
+def listed(sub):
+    """The elements of a subgroup as GroupElements of ints, in its order."""
+    return [GroupElement._make(m) for m in zip(*(a.tolist() for a in sub.stacked))]
+
+
 def test_subgroup_sizes_examples(contexts):
     assert len(enumerate_subgroup(SPLIT_CARTAN, contexts[3])) == 4
     assert len(enumerate_subgroup(NORMALIZER_NONSPLIT, contexts[3])) == 16
@@ -51,10 +57,15 @@ def test_subgroup_sizes_examples(contexts):
 @pytest.mark.parametrize("kind", [SPLIT_CARTAN, NONSPLIT_CARTAN, NORMALIZER_SPLIT,
                                   NORMALIZER_NONSPLIT, BOREL])
 def test_named_subgroups_are_groups(kind, contexts):
-    ctx = contexts[5]
-    sub = enumerate_subgroup(kind, ctx)
-    # converting through the custom validator re-checks every axiom
-    assert len(custom_subgroup(sub.elements, ctx)) == len(sub)
+    ell = 5
+    elements = listed(enumerate_subgroup(kind, contexts[ell]))
+    members = set(elements)
+    assert len(members) == len(elements)
+    assert IDENTITY in members
+    for m in elements:
+        assert det_mod(m, ell) != 0
+        assert mat_inv(m, ell) in members
+        assert {mat_mul(m, n, ell) for n in elements} <= members
 
 
 def test_normalizer_normalizes(contexts):
@@ -366,3 +377,61 @@ def test_verify_never_lists_a_whole_subgroup(monkeypatch, capsys):
     # the count does see a listing
     assert len(enumerate_subgroup(SPLIT_CARTAN, PrimeContext(3)).elements) == 4
     assert listed == [SPLIT_CARTAN]
+
+
+# ---------------------------------------------------------------------------
+# Route 2's outputs, pinned byte for byte.
+# ---------------------------------------------------------------------------
+
+PINNED_SECTIONS = {
+    3: '{"degrees": {"NNp": {"degree": 1, "expected": 1, "ok": true}, "CCp": '
+       '{"degrees": {"1": 2, "2": 2}, "expected": 2, "ok": true}}, "coincidence": '
+       '{"checked": true, "psi_plus": true, "h_s": true}}',
+    5: '{"degrees": {"NNp": {"degree": 2, "expected": 2, "ok": true}, "CCp": '
+       '{"degrees": {"1": 4, "2": 4, "3": 4, "4": 4}, "expected": 4, "ok": true}}, '
+       '"coincidence": {"checked": true, "psi_plus": true, "h_s": true}}',
+    7: '{"degrees": {"NNp": {"degree": 3, "expected": 3, "ok": true}, "CCp": '
+       '{"degrees": {"1": 6, "2": 6, "3": 6, "4": 6, "5": 6, "6": 6}, "expected": 6, '
+       '"ok": true}}, "coincidence": {"checked": true, "psi_plus": true, "h_s": true}}',
+    11: '{"degrees": {"NNp": {"degree": 5, "expected": 5, "ok": true}, "CCp": '
+        '{"degrees": {"1": 10, "2": 10, "3": 10, "4": 10, "5": 10, "6": 10, "7": 10, '
+        '"8": 10, "9": 10, "10": 10}, "expected": 10, "ok": true}}, "coincidence": '
+        '{"checked": false}}',
+    13: '{"degrees": {"NNp": {"degree": 6, "expected": 6, "ok": true}, "CCp": '
+        '{"degrees": {"1": 12, "2": 12, "3": 12, "4": 12, "5": 12, "6": 12, "7": 12, '
+        '"8": 12, "9": 12, "10": 12, "11": 12, "12": 12}, "expected": 12, "ok": true}}, '
+        '"coincidence": {"checked": false}}',
+}
+
+
+@pytest.mark.parametrize("ell", sorted(PINNED_SECTIONS))
+def test_degrees_and_coincidence_sections_are_pinned(ell):
+    """The sections as run_verification builds them: plain ints and bools,
+    slope keys in slope order."""
+    report = run_verification(ell)
+    assert json.dumps({k: report[k] for k in ("degrees", "coincidence")}) \
+        == PINNED_SECTIONS[ell]
+
+
+PINNED_DECOMPOSE = {
+    (5, "N"): '{"schema_version":1,"ell":5,"epsilon":2,"s":null,"H":"N","K":"N\'",'
+              '"g":[1,0,0,1],"degree":2,"representatives":[[1,0,0,1],[1,0,0,2]]}',
+    (5, "C"): '{"schema_version":1,"ell":5,"epsilon":2,"s":2,"H":"C","K":"C\'",'
+              '"g":[1,2,0,1],"degree":4,"representatives":[[1,0,0,1],[1,0,0,2],'
+              '[1,0,0,3],[1,0,0,4]]}',
+    (7, "N"): '{"schema_version":1,"ell":7,"epsilon":3,"s":null,"H":"N","K":"N\'",'
+              '"g":[1,0,0,1],"degree":3,"representatives":[[1,0,0,1],[1,0,0,2],'
+              '[1,0,0,3]]}',
+    (7, "C"): '{"schema_version":1,"ell":7,"epsilon":3,"s":2,"H":"C","K":"C\'",'
+              '"g":[1,2,0,1],"degree":6,"representatives":[[1,0,0,1],[1,0,0,2],'
+              '[1,0,0,3],[1,0,0,4],[1,0,0,5],[1,0,0,6]]}',
+}
+
+
+@pytest.mark.parametrize("ell,case", sorted(PINNED_DECOMPOSE))
+def test_decompose_documents_are_pinned(ell, case, capsys):
+    argv = ["decompose", "--ell", str(ell), "--case", case]
+    assert main(argv + (["--s", "2"] if case == "C" else [])) == 0
+    # the command writes json.dumps(doc, indent=2) and a newline
+    want = json.dumps(json.loads(PINNED_DECOMPOSE[ell, case]), indent=2) + "\n"
+    assert capsys.readouterr().out == want

@@ -43,7 +43,6 @@ from .cosets import (
     DoubleCosetDecomposition,
     SubgroupSpec,
     coset_operator,
-    custom_subgroup,
     decompose,
     decompose_all,
     enumerate_subgroup,

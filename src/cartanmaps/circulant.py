@@ -22,7 +22,7 @@ import numpy as np
 from .correspondence import coefficients
 from .geometry import (CartanOrbit, SplitPairTN, decode, nonsplit_tn_to_tm, orbit_to_tn,
                        tn_to_tm)
-from .modular_arith import PrimeContext, binom_mod, multiplicative_order
+from .modular_arith import PrimeContext, binom_mod, inverse_table, multiplicative_order
 
 
 class CertificateError(RuntimeError):
@@ -225,6 +225,18 @@ class EigenvalueReport:
         return rec
 
 
+def _power_sums(values: np.ndarray, weights, n: int, ell: int) -> np.ndarray:
+    """Row i, column k: sum_j w_j values_j^k mod ell for the i-th weight
+    vector w of weights (None weighs every value 1) and every k < n.  The
+    sum is sum_v W_v v^k, where W_v sums the w_j with values_j = v, so one
+    (n x ell) power table serves every k."""
+    table = np.ones((n, ell), dtype=np.int64)
+    for k in range(1, n):
+        table[k] = table[k - 1] * np.arange(ell) % ell
+    W = np.array([np.bincount(values, w, ell) for w in weights]).astype(np.int64)
+    return W @ table.T % ell
+
+
 def eigenvalues_N(rm: ReducedCountMatrixN, ctx: PrimeContext) -> list[EigenvalueReport]:
     """Eigenvalue certificates for the half-plane count matrix.
 
@@ -233,13 +245,14 @@ def eigenvalues_N(rm: ReducedCountMatrixN, ctx: PrimeContext) -> list[Eigenvalue
     equals 2^(2k-1) * residue_k; any zero or mismatch falsifies the build.
     """
     ell, g, eps, r = rm.ell, rm.g, rm.epsilon, len(rm.first_row)
+    lam = np.arange(1, ell, dtype=np.int64)
+    # (lam^-1 - eps*lam)^(2k') is (its square)^k'
+    base = (inverse_table(ell)[lam] - eps * lam) % ell
+    residues, = _power_sums(base * base % ell, [None], r, ell).tolist()
     reports = []
     for k, eig in enumerate(circulant_eigenvalues(rm.first_row, pow(g, 2, ell), ell)):
         kp = (-k) % r
-        residue = sum(
-            pow((pow(lam, -1, ell) - eps * lam) % ell, 2 * kp, ell)
-            for lam in range(1, ell)
-        ) % ell
+        residue = residues[kp]
         closed = binom_mod(2 * kp, kp, ell) * (-1) ** (kp + 1) * pow(eps, kp, ell) % ell
         scale = pow(2, 2 * k - 1, ell)
         matches = residue == closed and eig == scale * residue % ell
@@ -287,16 +300,11 @@ def eigenvalues_C(ctx: PrimeContext,
     lv = np.arange(1, ell, dtype=np.int64)[None, :]
     den = (np.square(lv * sv + 1) - eps * np.square(lv)) % ell
     base = (lv * ctx.inverse_table[den] % ell).ravel()
-    # the sum over (s, lam) of w_s base^k is sum_v W_v v^k, where W_v sums
-    # the w_s with base[s, lam] = v: one (n x ell) power table serves every k
-    table = np.ones((n, ell), dtype=np.int64)
-    for k in range(1, n):
-        table[k] = table[k - 1] * np.arange(ell) % ell
-    alphas, betas = (table @ np.bincount(base, np.repeat(w, n), ell).astype(np.int64) % ell
-                     for w in coefficients(ctx))
+    alphas, betas = _power_sums(base, [np.repeat(w, n) for w in coefficients(ctx)],
+                                n, ell).tolist()
     reports = []
     for k, eig in enumerate(circulant_eigenvalues(rm.combined_row, g, ell)):
-        alpha, beta = int(alphas[k]), int(betas[k])
+        alpha, beta = alphas[k], betas[k]
         kp = 0 if k == 0 else (-k) % n
         a_cl, b_cl = _closed_forms_C(k, kp, ell, eps)
         residue = (alpha + beta) % ell

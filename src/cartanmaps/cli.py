@@ -17,7 +17,6 @@ import re
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -58,7 +57,6 @@ from .correspondence import (
     restrict_to_affine,
 )
 from .cosets import (
-    IDENTITY,
     NONSPLIT_CARTAN,
     NORMALIZER_NONSPLIT,
     NORMALIZER_SPLIT,
@@ -79,6 +77,7 @@ from .exact_linalg import (  # noqa: F401
     rank_mod_p,
 )
 from .geometry import (
+    IDENTITY,
     GroupElement,
     OrderedPair,
     UnorderedPair,
@@ -172,13 +171,11 @@ def _emit(doc, out_path: str | None) -> None:
 
 @functools.lru_cache(maxsize=None)
 def aux_rank_prime(ell: int) -> int:
-    """The least prime >= AUX_RANK_PRIME that is 1 mod ell(ell - 1): F_p holds
-    the ell-th roots of unity the unipotent characters need (the factor
-    ell - 1 keeps the primes the slope ranks were first recorded at)."""
-    n = ell * (ell - 1)
-    p = AUX_RANK_PRIME + (1 - AUX_RANK_PRIME) % n
+    """The least prime >= AUX_RANK_PRIME that is 1 mod ell: F_p holds the
+    ell-th roots of unity the unipotent characters need."""
+    p = AUX_RANK_PRIME + (1 - AUX_RANK_PRIME) % ell
     while not is_prime(p):
-        p += n
+        p += ell
     return p
 
 
@@ -397,14 +394,16 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         sub_c = enumerate_subgroup(SPLIT_CARTAN, ctx)
         sub_cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
         dec_n = decompose(sub_n, IDENTITY, sub_np, ctx)
-        deg_n_ok = dec_n.degree == ctx.r
+        deg_n = int(dec_n.degrees[0])
+        deg_n_ok = deg_n == ctx.r
         slopes = range(1, ell)
-        dec_c = dict(zip(slopes, decompose_all(
-            sub_c, [GroupElement(1, s, 0, 1) for s in slopes], sub_cp, ctx)))
-        deg_c_ok = all(d.degree == ell - 1 for d in dec_c.values())
+        dec_c = decompose_all(sub_c, [GroupElement(1, s, 0, 1) for s in slopes],
+                              sub_cp, ctx)
+        deg_c = dec_c.degrees.tolist()
+        deg_c_ok = deg_c == [ell - 1] * (ell - 1)
         report["degrees"] = {
-            "NNp": {"degree": dec_n.degree, "expected": ctx.r, "ok": deg_n_ok},
-            "CCp": {"degrees": {s: d.degree for s, d in dec_c.items()},
+            "NNp": {"degree": deg_n, "expected": ctx.r, "ok": deg_n_ok},
+            "CCp": {"degrees": dict(zip(slopes, deg_c)),
                     "expected": ell - 1, "ok": deg_c_ok},
         }
         if not (deg_n_ok and deg_c_ok):
@@ -440,11 +439,11 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         with _phase(timings, "coincidence"):
             # a column's sorted rows, repeats included, fix the operator's
             # column, so the arrays are equal iff the operators are
-            plus_ok = np.array_equal(coset_incidence(dec_n, ctx), geodesics)
+            plus_ok = np.array_equal(coset_incidence(dec_n, ctx)[0], geodesics)
             # every slope's full path array, from theorem2's base paths
             incidences = path_columns(ctx, bases, np.arange(n_op))
-            hs_ok = all(np.array_equal(coset_incidence(dec_c[s], ctx), incidences[s])
-                        for s in range(1, ell))
+            hs_ok = all(np.array_equal(keys, incidences[s])
+                        for s, keys in zip(slopes, coset_incidence(dec_c, ctx)))
             report["coincidence"] = {"checked": True, "psi_plus": plus_ok,
                                      "h_s": hs_ok}
             if not (plus_ok and hs_ok):
@@ -564,7 +563,10 @@ def cmd_verify(args) -> int:
     if workers > 1:
         # The largest primes go first, so the last worker does not run on
         # alone; the report lists the runs in ascending order.  The default
-        # context forks on Linux: the workers start with numpy imported.
+        # context forks on Linux: the workers start with numpy imported.  The
+        # pool's module imports multiprocessing, which a serial run never loads.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {e: pool.submit(_verify_worker, (e, kwargs))
                        for e in sorted(ells, reverse=True)}
@@ -655,8 +657,9 @@ def cmd_decompose(args) -> int:
         "schema_version": TABLE_SCHEMA_VERSION,
         "ell": ctx.ell, "epsilon": ctx.epsilon, "s": s,
         "H": H.kind, "K": K.kind, "g": list(g),
-        "degree": dec.degree,
-        "representatives": [list(a) for a in dec.representatives],
+        "degree": int(dec.degrees[0]),
+        "representatives": [list(a) for a in zip(*(e.tolist()
+                                                   for e in dec.representatives))],
     }
     _emit(doc, args.out)
     return EXIT_OK

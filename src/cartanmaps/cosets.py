@@ -1,27 +1,24 @@
-"""Subgroups of GL2(F_ell), double coset decompositions, and induced operators.
+"""The paper's stabilizers in GL2(F_ell), double coset decompositions, and
+induced operators.
 
 Subgroups are materialized as arrays of their elements' entries; coset
 membership is keyed by the geometric object a coset stabilizes, so bucketing
-never does O(|K|) comparisons for the named subgroup kinds, and every g of a
-family of double cosets HgK is bucketed in one broadcast.
+never compares elements of K.  A family of double cosets HgK, one per g, is
+decomposed as one object, with every g bucketed in one broadcast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
 
 import numpy as np
 
 from .correspondence import OperatorMatrix
 from .geometry import (
     GroupElement,
-    IDENTITY,
     basis,
     cartan_index,
     decode,
-    det_mod,
-    gl2_order,
     mat_inv,
     mat_mul,
     move_cartan,
@@ -40,7 +37,6 @@ NONSPLIT_CARTAN = "C'"
 NORMALIZER_SPLIT = "N"
 NORMALIZER_NONSPLIT = "N'"
 BOREL = "B"
-CUSTOM = "custom"
 
 NAMED_KINDS = (SPLIT_CARTAN, NONSPLIT_CARTAN, NORMALIZER_SPLIT,
                NORMALIZER_NONSPLIT, BOREL)
@@ -49,7 +45,7 @@ NAMED_KINDS = (SPLIT_CARTAN, NONSPLIT_CARTAN, NORMALIZER_SPLIT,
 @dataclass(frozen=True, eq=False)
 class SubgroupSpec:
     """A subgroup as one GroupElement of read-only int64 arrays, one entry per
-    element; the tuple forms are derived from it on demand."""
+    element."""
 
     kind: str
     stacked: GroupElement
@@ -58,37 +54,11 @@ class SubgroupSpec:
         for a in self.stacked:
             a.flags.writeable = False
 
-    @cached_property
-    def elements(self) -> tuple[GroupElement, ...]:
-        return tuple(map(GroupElement._make, zip(*(a.tolist() for a in self.stacked))))
-
-    @cached_property
-    def element_set(self) -> frozenset[GroupElement]:
-        return frozenset(self.elements)
-
     def __len__(self) -> int:
         return len(self.stacked.a)
 
     def __repr__(self) -> str:
         return f"SubgroupSpec(kind={self.kind!r}, order={len(self)})"
-
-
-def _validate_group(elements: tuple[GroupElement, ...], ctx: PrimeContext) -> None:
-    """Group-axiom check with a witness of the first failed axiom."""
-    elems = set(elements)
-    if len(elems) != len(elements):
-        raise ValueError("element list contains duplicates")
-    if IDENTITY not in elems:
-        raise ValueError("not a group: identity matrix missing")
-    for m in elements:
-        if det_mod(m, ctx.ell) == 0:
-            raise ValueError(f"not a subgroup of GL2: {m} is singular")
-        if mat_inv(m, ctx.ell) not in elems:
-            raise ValueError(f"not a group: inverse of {m} missing")
-    for m in elements:
-        for n in elements:
-            if mat_mul(m, n, ctx.ell) not in elems:
-                raise ValueError(f"not a group: product {m} * {n} escapes the set")
 
 
 def _grid(*ranges) -> list[np.ndarray]:
@@ -128,24 +98,6 @@ def enumerate_subgroup(kind: str, ctx: PrimeContext) -> SubgroupSpec:
     return spec
 
 
-def custom_subgroup(elements, ctx: PrimeContext) -> SubgroupSpec:
-    """A user-supplied subgroup; the group axioms are verified on construction."""
-    elems = tuple(GroupElement(*(int(v) % ctx.ell for v in m)) for m in elements)
-    _validate_group(elems, ctx)
-    return SubgroupSpec(CUSTOM, stack(elems))
-
-
-def full_group(ctx: PrimeContext) -> SubgroupSpec:
-    """All of GL2(F_ell) as a custom subgroup (exhaustive-test sizes only)."""
-    ell = ctx.ell
-    m = GroupElement(*_grid((ell,), (ell,), (ell,), (ell,)))
-    invertible = det_mod(m, ell) != 0
-    spec = SubgroupSpec(CUSTOM, GroupElement(*(e[invertible] for e in m)))
-    if len(spec) != gl2_order(ell):
-        raise AssertionError("GL2 enumeration size mismatch")
-    return spec
-
-
 def coset_key(K: SubgroupSpec, m, ctx: PrimeContext):
     """A canonical key for the coset mK: the basis index of the geometric
     object it stabilizes.  m is one group element or a stack of them."""
@@ -161,18 +113,20 @@ def coset_key(K: SubgroupSpec, m, ctx: PrimeContext):
         return cartan_index(*move_cartan(m, 0, 1, ctx), ell)
     if kind == BOREL:
         return move_p1(m, ell, ell)
-    # no geometric identification: the smallest coset member, as base-ell digits
-    return reduce(np.minimum, (np.ravel_multi_index(mat_mul(m, k, ell), (ell,) * 4)
-                               for k in K.elements))
+    raise ValueError(f"unknown subgroup kind {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoubleCosetDecomposition:
+    """HgK = disjoint U alpha g K for every g of a family.  g is stacked, one
+    entry per g; representatives stacks the alpha of every g, in g order and
+    in H order within each g, degrees[i] of them for the i-th g."""
+
     H: SubgroupSpec
     K: SubgroupSpec
     g: GroupElement
-    representatives: tuple[GroupElement, ...]  # alpha with HgK = disjoint U alpha g K
-    degree: int
+    representatives: GroupElement
+    degrees: np.ndarray
 
 
 # Entry budget of the (|H|, chunk) and (|K|, chunk) arrays of one chunk of
@@ -182,8 +136,9 @@ _DECOMPOSE_ENTRIES = 1 << 16
 
 
 def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
-                  ctx: PrimeContext) -> list[DoubleCosetDecomposition]:
-    """Decompose HgK into disjoint cosets alpha g K, for every g in gs.
+                  ctx: PrimeContext) -> DoubleCosetDecomposition:
+    """Decompose HgK into disjoint cosets alpha g K, for every g in gs, as
+    one family.
 
     The keys coset_key(K, h*g) of all h and a chunk of the g's form one
     (|H|, chunk) array.  One sort of key*|H| + row per column puts the rows
@@ -204,7 +159,7 @@ def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
     h_col = GroupElement(*(e[:, None] for e in hs))
     k_col = GroupElement(*(e[:, None] for e in K.stacked))
     per = max(1, _DECOMPOSE_ENTRIES // max(n, len(K)))
-    out = []
+    rep_rows, degrees = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(gs), per):
         chunk = gs[lo:lo + per]
         g = stack(chunk)
@@ -212,30 +167,30 @@ def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
         order = np.sort(keys * n + rows, axis=0)
         first = np.ones(order.shape, dtype=bool)
         first[1:] = np.diff(order // n, axis=0) != 0
-        degrees = first.sum(axis=0).tolist()
+        degree = first.sum(axis=0)
         # column by column, the representatives' rows in H order
-        rep_rows = np.sort((order % n + n * np.arange(len(chunk)))[first]) % n
-        reps = list(map(GroupElement._make, zip(*(e[rep_rows].tolist() for e in hs))))
+        rep_rows.append(np.sort((order % n + n * np.arange(len(chunk)))[first]) % n)
+        degrees.append(degree)
         conj = np.ravel_multi_index(
             mat_mul(mat_mul(g, k_col, ell), stack([mat_inv(x, ell) for x in chunk]), ell),
             digits)
-        start = 0
-        for c, (x, degree) in enumerate(zip(chunk, degrees)):
-            stab = len(h_digits.intersection(conj[:, c].tolist()))
-            if stab == 0 or n % stab != 0 or degree != n // stab:
-                raise AssertionError(
-                    f"degree mismatch: {degree} buckets vs index "
-                    f"{n}/{stab} for {H.kind} g {K.kind}")
-            out.append(DoubleCosetDecomposition(
-                H, K, x, tuple(reps[start:start + degree]), degree))
-            start += degree
-    return out
+        stab = np.array([len(h_digits.intersection(c)) for c in conj.T.tolist()])
+        bad = degree * stab != n
+        if bad.any():
+            c = bad.argmax()
+            raise AssertionError(
+                f"degree mismatch: {degree[c]} buckets vs index "
+                f"{n}/{stab[c]} for {H.kind} g {K.kind}")
+    return DoubleCosetDecomposition(
+        H, K, stack(gs), GroupElement(*(e[np.concatenate(rep_rows)] for e in hs)),
+        np.concatenate(degrees))
 
 
 def decompose(H: SubgroupSpec, g: GroupElement, K: SubgroupSpec,
               ctx: PrimeContext) -> DoubleCosetDecomposition:
-    """Decompose HgK into disjoint cosets alpha g K (see decompose_all)."""
-    return decompose_all(H, [g], K, ctx)[0]
+    """Decompose HgK into disjoint cosets alpha g K: the one-g family of
+    decompose_all."""
+    return decompose_all(H, [g], K, ctx)
 
 
 # The basis G/K is identified with, by the kind of K: gK is g * (the base
@@ -248,11 +203,14 @@ _DOMAIN_TAGS = {
 }
 
 
-def coset_incidence(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> np.ndarray:
-    """The induced map Z[G/H] -> Z[G/K] on the canonical bases as an index
-    array: column j lists, in ascending order, the codomain object each
-    representative sends the j-th domain object to, repeats included.  Only
-    the four stabilizer identifications are supported."""
+def coset_incidence(dec: DoubleCosetDecomposition,
+                    ctx: PrimeContext) -> list[np.ndarray]:
+    """The induced maps Z[G/H] -> Z[G/K] of every g of the family, in g
+    order, on the canonical bases as index arrays: column j lists, in
+    ascending order, the codomain object each representative of that g sends
+    the j-th domain object to, repeats included.  Every g's keys come from
+    one broadcast of sum(degrees) x |G/H| entries.  Only the four stabilizer
+    identifications are supported."""
     ell = ctx.ell
     for side in (dec.H, dec.K):
         if side.kind not in _DOMAIN_TAGS:
@@ -261,15 +219,20 @@ def coset_incidence(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> np.ndar
     # x_j H is the j-th object of G/H: x_j carries its base object there
     tag = _DOMAIN_TAGS[dec.H.kind]
     x = transporters(tag, *decode(tag, ell), ell)
-    moved = mat_mul(stack(dec.representatives), dec.g, ell)
+    # each alpha times its own g
+    moved = mat_mul(dec.representatives,
+                    GroupElement(*(np.repeat(e, dec.degrees) for e in dec.g)), ell)
     keys = coset_key(dec.K, mat_mul(x, GroupElement(*(e[:, None] for e in moved)),
                                     ell), ctx)
-    return np.sort(keys, axis=0)
+    return [np.sort(k, axis=0) for k in np.split(keys, np.cumsum(dec.degrees)[:-1])]
 
 
 def coset_operator(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> OperatorMatrix:
-    """coset_incidence as a matrix, whose entries count the repeats."""
-    keys = coset_incidence(dec, ctx)
+    """coset_incidence of a one-g family as a matrix, whose entries count the
+    repeats."""
+    if len(dec.degrees) != 1:
+        raise ValueError(f"coset_operator takes a one-g family, not {len(dec.degrees)}")
+    keys, = coset_incidence(dec, ctx)
     rows, cols = (basis(_DOMAIN_TAGS[side.kind], ctx) for side in (dec.K, dec.H))
     data = np.zeros((len(rows), len(cols)), dtype=np.int32)
     np.add.at(data, (keys, np.arange(len(cols))), 1)

@@ -161,14 +161,14 @@ def test_criterion_04_degree_formulas(contexts):
         ctx = contexts[ell]
         dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx), IDENTITY,
                         enumerate_subgroup(NORMALIZER_NONSPLIT, ctx), ctx)
-        assert dec.degree == (ell - 1) // 2, f"ell={ell}"
-        assert (build_psi_plus(ctx).column_sums() == dec.degree).all()
+        assert dec.degrees.tolist() == [(ell - 1) // 2], f"ell={ell}"
+        assert (build_psi_plus(ctx).column_sums() == dec.degrees[0]).all()
         C = enumerate_subgroup(SPLIT_CARTAN, ctx)
         Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
         for s in range(1, ell):
             dec_s = decompose(C, GroupElement(1, s, 0, 1), Cp, ctx)
-            assert dec_s.degree == ell - 1, f"ell={ell} s={s}"
-            assert (build_H_s(ctx, s).column_sums() == dec_s.degree).all()
+            assert dec_s.degrees.tolist() == [ell - 1], f"ell={ell} s={s}"
+            assert (build_H_s(ctx, s).column_sums() == dec_s.degrees[0]).all()
     print("\n[criterion 4] PASS double coset degrees match column sums, ell<=31, all s")
 
 

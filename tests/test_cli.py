@@ -726,16 +726,17 @@ def test_strict_roots_certifies_each_root_once(capsys, monkeypatch):
 def test_verify_jobs_submits_the_largest_primes_first(capsys, monkeypatch):
     """The pool gets the primes largest first; the report lists them in
     ascending order all the same."""
-    import cartanmaps.cli as cli_mod
+    import concurrent.futures
 
     submitted = []
 
-    class RecordingPool(cli_mod.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, item, *args, **kwargs):
             submitted.append(item[0])
             return super().submit(fn, item, *args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    # cmd_verify imports the pool when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # two usable CPUs, so that a pool starts also on a one-CPU machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..13", "--jobs", "2")
@@ -748,6 +749,24 @@ def test_verify_jobs_submits_the_largest_primes_first(capsys, monkeypatch):
     for a, b in zip(doc["runs"], json.loads(serial)["runs"]):
         a["timings"] = b["timings"] = None
         assert a == b
+
+
+def test_serial_verify_never_imports_the_process_pool():
+    """The pool's module imports multiprocessing, subprocess and socket; a
+    run in one process loads none of them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cartanmaps.__file__)))
+    code = ("import contextlib, io, sys\n"
+            "from cartanmaps.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', '--ell', '5', '--jobs', '2']) == 0\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+            " if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def run_module_logged(level, *argv):

@@ -17,12 +17,11 @@ from cartanmaps.cosets import (
     SPLIT_CARTAN,
     SubgroupSpec,
     coset_key,
+    coset_incidence,
     coset_operator,
-    custom_subgroup,
     decompose,
     decompose_all,
     enumerate_subgroup,
-    full_group,
 )
 from cartanmaps.geometry import (
     GroupElement,
@@ -31,6 +30,7 @@ from cartanmaps.geometry import (
     mat_inv,
     mat_mul,
     random_invertible,
+    stack,
     subgroup_order,
 )
 from cartanmaps.modular_arith import PrimeContext
@@ -38,9 +38,20 @@ from cartanmaps.modular_arith import PrimeContext
 from conftest import PRIMES_ALL
 
 
+def listed_stack(stacked):
+    """A stack of group elements as GroupElements of ints, in its order."""
+    return [GroupElement._make(m) for m in zip(*(a.tolist() for a in stacked))]
+
+
 def listed(sub):
-    """The elements of a subgroup as GroupElements of ints, in its order."""
-    return [GroupElement._make(m) for m in zip(*(a.tolist() for a in sub.stacked))]
+    """The elements of a subgroup, in its order."""
+    return listed_stack(sub.stacked)
+
+
+def listed_reps(dec):
+    """The representatives of a family, in g order and in H order within
+    each g."""
+    return listed_stack(dec.representatives)
 
 
 def test_subgroup_sizes_examples(contexts):
@@ -70,14 +81,14 @@ def test_named_subgroups_are_groups(kind, contexts):
 
 def test_normalizer_normalizes(contexts):
     ctx = contexts[5]
-    C = enumerate_subgroup(SPLIT_CARTAN, ctx).element_set
+    C = set(listed(enumerate_subgroup(SPLIT_CARTAN, ctx)))
     N = enumerate_subgroup(NORMALIZER_SPLIT, ctx)
-    for n in N.elements:
+    for n in listed(N):
         ninv = mat_inv(n, 5)
         assert {mat_mul(mat_mul(n, c, 5), ninv, 5) for c in C} == C
-    Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx).element_set
+    Cp = set(listed(enumerate_subgroup(NONSPLIT_CARTAN, ctx)))
     Np = enumerate_subgroup(NORMALIZER_NONSPLIT, ctx)
-    for n in Np.elements:
+    for n in listed(Np):
         ninv = mat_inv(n, 5)
         assert {mat_mul(mat_mul(n, c, 5), ninv, 5) for c in Cp} == Cp
 
@@ -86,37 +97,21 @@ def test_stacked_elements_are_cached_and_read_only(contexts):
     sub = enumerate_subgroup(NORMALIZER_NONSPLIT, contexts[5])
     stacked = sub.stacked
     assert sub.stacked is stacked
-    assert [tuple(m) for m in zip(*(a.tolist() for a in stacked))] == list(sub.elements)
+    assert all(a.dtype == np.int64 and len(a) == len(sub) for a in stacked)
     with pytest.raises(ValueError):
         stacked.a[0] = 0
-
-
-def test_custom_subgroup_witnesses(contexts):
-    ctx = contexts[5]
-    with pytest.raises(ValueError, match="identity"):
-        custom_subgroup([GroupElement(2, 0, 0, 1)], ctx)
-    with pytest.raises(ValueError, match="inverse|product"):
-        custom_subgroup([IDENTITY, GroupElement(2, 0, 0, 1)], ctx)
-    with pytest.raises(ValueError, match="singular"):
-        custom_subgroup([IDENTITY, GroupElement(0, 0, 0, 0)], ctx)
-    # scalars do form a group
-    scalars = [GroupElement(a, 0, 0, a) for a in range(1, 5)]
-    assert len(custom_subgroup(scalars, ctx)) == 4
 
 
 def test_decompose_examples(contexts):
     ctx7 = contexts[7]
     dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx7), IDENTITY,
                     enumerate_subgroup(NORMALIZER_NONSPLIT, ctx7), ctx7)
-    assert dec.degree == 3
+    assert dec.degrees.tolist() == [3]
     ctx5 = contexts[5]
     dec2 = decompose(enumerate_subgroup(SPLIT_CARTAN, ctx5),
                      GroupElement(1, 2, 0, 1),
                      enumerate_subgroup(NONSPLIT_CARTAN, ctx5), ctx5)
-    assert dec2.degree == 4
-    g3 = full_group(contexts[3])
-    dec3 = decompose(g3, GroupElement(1, 1, 1, 0), g3, contexts[3])
-    assert dec3.degree == 1
+    assert dec2.degrees.tolist() == [4]
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -132,15 +127,15 @@ def test_decompose_disjoint_cover(ell, contexts):
         K = enumerate_subgroup(kk, ctx)
         dec = decompose(H, g, K, ctx)
         union = set()
-        for alpha in dec.representatives:
-            coset = {mat_mul(mat_mul(alpha, g, ell), k, ell) for k in K.elements}
+        for alpha in listed_reps(dec):
+            coset = {mat_mul(mat_mul(alpha, g, ell), k, ell) for k in listed(K)}
             assert len(coset) == len(K)
             assert not (union & coset)
             union |= coset
         hgk = {mat_mul(mat_mul(h, g, ell), k, ell)
-               for h in H.elements for k in K.elements}
+               for h in listed(H) for k in listed(K)}
         assert union == hgk
-        assert dec.degree * len(K) == len(hgk)
+        assert dec.degrees[0] * len(K) == len(hgk)
 
 
 @pytest.mark.parametrize("ell", [5, 7])
@@ -153,10 +148,10 @@ def test_degree_invariance_under_double_coset_choice(ell, contexts):
     g = GroupElement(1, 2, 0, 1)
     base = decompose(H, g, K, ctx)
     for _ in range(5):
-        h = H.elements[rng.randrange(len(H))]
-        k = K.elements[rng.randrange(len(K))]
+        h = listed(H)[rng.randrange(len(H))]
+        k = listed(K)[rng.randrange(len(K))]
         gp = mat_mul(mat_mul(h, g, ell), k, ell)
-        assert decompose(H, gp, K, ctx).degree == base.degree
+        assert decompose(H, gp, K, ctx).degrees.tolist() == base.degrees.tolist()
 
 
 @pytest.mark.parametrize("ell", PRIMES_ALL)
@@ -164,11 +159,11 @@ def test_degree_formulas(ell):
     ctx = PrimeContext(ell)
     dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx), IDENTITY,
                     enumerate_subgroup(NORMALIZER_NONSPLIT, ctx), ctx)
-    assert dec.degree == (ell - 1) // 2
+    assert dec.degrees.tolist() == [(ell - 1) // 2]
     C = enumerate_subgroup(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     for s in (1, 2, ell - 1):
-        assert decompose(C, GroupElement(1, s, 0, 1), Cp, ctx).degree == ell - 1
+        assert decompose(C, GroupElement(1, s, 0, 1), Cp, ctx).degrees.tolist() == [ell - 1]
 
 
 @pytest.mark.parametrize("ell", [3, 5])
@@ -204,14 +199,24 @@ def test_coset_operator_representative_independence(contexts):
     dec = decompose(H, g, K, ctx)
     base = coset_operator(dec, ctx)
     ginv = mat_inv(g, ell)
-    stab = [u for u in (mat_mul(mat_mul(g, k, ell), ginv, ell) for k in K.elements)
-            if u in H.element_set]
+    members = set(listed(H))
+    stab = [u for u in (mat_mul(mat_mul(g, k, ell), ginv, ell) for k in listed(K))
+            if u in members]
     rng = random.Random("reps")
     for _ in range(3):
-        reps = tuple(mat_mul(alpha, stab[rng.randrange(len(stab))], ell)
-                     for alpha in dec.representatives)
-        shuffled = DoubleCosetDecomposition(H, K, g, reps, dec.degree)
+        reps = [mat_mul(alpha, stab[rng.randrange(len(stab))], ell)
+                for alpha in listed_reps(dec)]
+        shuffled = DoubleCosetDecomposition(H, K, dec.g, stack(reps), dec.degrees)
         assert coset_operator(shuffled, ctx) == base
+
+
+def test_coset_operator_takes_a_one_g_family(contexts):
+    ctx = contexts[5]
+    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
+    dec = decompose_all(C, [GroupElement(1, s, 0, 1) for s in (1, 2)], Cp, ctx)
+    with pytest.raises(ValueError, match="one-g family"):
+        coset_operator(dec, ctx)
 
 
 def test_coset_operator_rejects_unidentified_kinds(contexts):
@@ -228,15 +233,17 @@ def test_coset_key_identifies_cosets(contexts):
     ctx = contexts[3]
     ell = 3
     rng = random.Random("keys")
-    from cartanmaps.geometry import random_invertible
     for kind in (SPLIT_CARTAN, NONSPLIT_CARTAN, NORMALIZER_SPLIT,
                  NORMALIZER_NONSPLIT, BOREL):
         K = enumerate_subgroup(kind, ctx)
         for _ in range(20):
             m = random_invertible(rng, ell)
             mp = random_invertible(rng, ell)
-            same_coset = mat_mul(mat_inv(m, ell), mp, ell) in K.element_set
+            same_coset = mat_mul(mat_inv(m, ell), mp, ell) in set(listed(K))
             assert (coset_key(K, m, ctx) == coset_key(K, mp, ctx)) == same_coset
+    # a kind without a geometric identification has no key
+    with pytest.raises(ValueError, match="unknown subgroup kind"):
+        coset_key(SubgroupSpec("scalars", stack([IDENTITY])), IDENTITY, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +276,8 @@ ORDER_CONTEXTS = [PrimeContext(3), PrimeContext(5), PrimeContext(7),
 def test_enumerate_subgroup_keeps_the_element_order(ctx):
     for kind in NAMED_KINDS:
         sub = enumerate_subgroup(kind, ctx)
-        assert list(sub.elements) == listed_subgroup(kind, ctx), kind
+        assert listed(sub) == listed_subgroup(kind, ctx), kind
         assert all(a.dtype == np.int64 and not a.flags.writeable for a in sub.stacked)
-        assert all(type(v) is int for v in sub.elements[-1])
 
 
 def bucketed(H, g, K, ctx):
@@ -279,18 +285,21 @@ def bucketed(H, g, K, ctx):
     every h of H, and the first h of each key kept, in H order."""
     buckets = {}
     keys = coset_key(K, mat_mul(H.stacked, g, ctx.ell), ctx)
-    for h, key in zip(H.elements, keys.tolist()):
+    for h, key in zip(listed(H), keys.tolist()):
         buckets.setdefault(key, h)
-    return len(buckets), tuple(buckets.values())
+    return len(buckets), list(buckets.values())
 
 
 def assert_matches_bucketing(H, gs, K, ctx):
-    decs = decompose_all(H, gs, K, ctx)
-    assert len(decs) == len(gs)
-    for g, dec in zip(gs, decs):
-        assert (dec.H, dec.K, dec.g) == (H, K, g)
-        assert (dec.degree, dec.representatives) == bucketed(H, g, K, ctx), (H, g, K)
-    return decs
+    """decompose_all's one family: the g's in order, and each g's degree and
+    representatives those of the bucketing, in g order."""
+    dec = decompose_all(H, gs, K, ctx)
+    assert (dec.H, dec.K) == (H, K)
+    assert listed_stack(dec.g) == list(gs)
+    want = [bucketed(H, g, K, ctx) for g in gs]
+    assert dec.degrees.tolist() == [degree for degree, _ in want], (H, K)
+    assert listed_reps(dec) == [h for _, reps in want for h in reps], (H, K)
+    return dec
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -312,9 +321,32 @@ def test_decompose_all_matches_the_bucketing_at_every_slope(ctx):
     C = enumerate_subgroup(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     gs = [GroupElement(1, s, 0, 1) for s in range(1, ell)]
-    decs = assert_matches_bucketing(C, gs, Cp, ctx)
-    assert [d.degree for d in decs] == [ell - 1] * (ell - 1)
-    assert decompose(C, gs[-1], Cp, ctx).representatives == decs[-1].representatives
+    dec = assert_matches_bucketing(C, gs, Cp, ctx)
+    assert dec.degrees.tolist() == [ell - 1] * (ell - 1)
+    assert listed_reps(decompose(C, gs[-1], Cp, ctx)) == listed_reps(dec)[-(ell - 1):]
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_coset_incidence_of_a_family_is_each_gs_own(ell, contexts):
+    """One broadcast for the family gives, g by g, the index array of the
+    one-g family, also where the degrees differ between the g's."""
+    ctx = contexts[ell]
+    rng = random.Random(f"family:{ell}")
+    gs = [GroupElement(1, s, 0, 1) for s in range(1, ell)]
+    gs += [IDENTITY] + [random_invertible(rng, ell) for _ in range(4)]
+    degrees = set()
+    for hk, kk in ((SPLIT_CARTAN, NONSPLIT_CARTAN), (NORMALIZER_SPLIT, NORMALIZER_NONSPLIT),
+                   (NONSPLIT_CARTAN, SPLIT_CARTAN)):
+        H, K = enumerate_subgroup(hk, ctx), enumerate_subgroup(kk, ctx)
+        dec = decompose_all(H, gs, K, ctx)
+        degrees.add(tuple(dec.degrees.tolist()))
+        family = coset_incidence(dec, ctx)
+        assert [len(keys) for keys in family] == dec.degrees.tolist()
+        for g, keys in zip(gs, family):
+            own, = coset_incidence(decompose(H, g, K, ctx), ctx)
+            assert np.array_equal(keys, own), (hk, g, kk)
+    # N g N' takes more than one degree over these g's
+    assert any(len(set(per_g)) > 1 for per_g in degrees)
 
 
 def test_decompose_all_does_not_depend_on_the_chunks(monkeypatch, contexts):
@@ -326,8 +358,10 @@ def test_decompose_all_does_not_depend_on_the_chunks(monkeypatch, contexts):
     # a budget below |K| leaves one g per chunk
     monkeypatch.setattr(cosets, "_DECOMPOSE_ENTRIES", 1)
     one_by_one = decompose_all(C, gs, Cp, ctx)
-    assert ([(d.g, d.degree, d.representatives) for d in one_by_one]
-            == [(d.g, d.degree, d.representatives) for d in whole])
+    for field in ("g", "representatives"):
+        assert (listed_stack(getattr(one_by_one, field))
+                == listed_stack(getattr(whole, field)))
+    assert one_by_one.degrees.tolist() == whole.degrees.tolist()
 
 
 def test_decompose_all_keeps_its_arrays_within_the_budget(monkeypatch):
@@ -342,8 +376,8 @@ def test_decompose_all_keeps_its_arrays_within_the_budget(monkeypatch):
         return out
 
     monkeypatch.setattr(cosets, "mat_mul", recorded)
-    decs = decompose_all(C, [GroupElement(1, s, 0, 1) for s in range(1, 61)], Cp, ctx)
-    assert [d.degree for d in decs] == [60] * 60
+    dec = decompose_all(C, [GroupElement(1, s, 0, 1) for s in range(1, 61)], Cp, ctx)
+    assert dec.degrees.tolist() == [60] * 60
     assert max(sizes) <= cosets._DECOMPOSE_ENTRIES
     # the 60 slopes do not fit one chunk
     assert max(sizes) < 60 * len(Cp)
@@ -362,21 +396,23 @@ def test_a_wrong_stabilizer_fails_the_degree_cross_check(monkeypatch, contexts):
 
 
 def test_verify_never_lists_a_whole_subgroup(monkeypatch, capsys):
-    """verify works on the subgroups' arrays only: no SubgroupSpec.elements."""
-    listed = []
-    elements = SubgroupSpec.__dict__["elements"].func
+    """verify works on the subgroups' arrays only: one decomposition per
+    family, psi+'s one g and every slope's, with stacked representatives."""
+    made = []
 
-    def counted(self):
-        listed.append(self.kind)
-        return elements(self)
+    class Recorded(DoubleCosetDecomposition):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
 
-    monkeypatch.setattr(SubgroupSpec, "elements", property(counted))
-    assert main(["verify", "--ell", "11"]) == 0
+    monkeypatch.setattr(cosets, "DoubleCosetDecomposition", Recorded)
+    assert main(["verify", "--ell-range", "3..11"]) == 0
     capsys.readouterr()
-    assert listed == []
-    # the count does see a listing
-    assert len(enumerate_subgroup(SPLIT_CARTAN, PrimeContext(3)).elements) == 4
-    assert listed == [SPLIT_CARTAN]
+    ells = [3, 5, 7, 11]
+    assert [(d.H.kind, len(d.degrees)) for d in made] == [
+        pair for ell in ells for pair in ((NORMALIZER_SPLIT, 1), (SPLIT_CARTAN, ell - 1))]
+    assert all(isinstance(d.representatives.a, np.ndarray) for d in made)
+    assert not hasattr(SubgroupSpec, "elements")
 
 
 # ---------------------------------------------------------------------------

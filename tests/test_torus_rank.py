@@ -416,15 +416,15 @@ def test_rank_mod_p_stack_validation():
 
 
 def test_aux_rank_prime():
-    """The least prime from AUX_RANK_PRIME on that is 1 mod ell(ell - 1):
-    F_p holds the characters of U (order ell)."""
+    """The least prime from AUX_RANK_PRIME on that is 1 mod ell: F_p holds
+    the characters of U (order ell)."""
     assert AUX_RANK_PRIME == 1_048_583
-    assert [aux_rank_prime(ell) for ell in (3, 7, 101)] == [1_048_609, 1_048_783, 1_121_101]
+    assert [aux_rank_prime(ell) for ell in (3, 7, 101)] == [1_048_609, 1_048_601, 1_048_583]
     for ell in filter(is_odd_prime, range(3, 102)):
-        p, n = aux_rank_prime(ell), ell * (ell - 1)
-        assert is_prime(p) and p >= AUX_RANK_PRIME and (p - 1) % n == 0
+        p = aux_rank_prime(ell)
+        assert is_prime(p) and p >= AUX_RANK_PRIME and (p - 1) % ell == 0
         # the least such prime
-        assert not any(is_prime(q) for q in range(p - n, AUX_RANK_PRIME - 1, -n))
+        assert not any(is_prime(q) for q in range(p - ell, AUX_RANK_PRIME - 1, -ell))
 
 
 def test_h_s_phase_ranks_by_unipotent_characters(capsys, monkeypatch):
@@ -674,7 +674,7 @@ def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
     """The coincidence compares psi+'s ranked geodesic array and, for every
     slope, the full path array made from the very base path whose columns at
     the U-orbit representatives theorem2 ranked."""
-    ranked, built, coset_arrays, compared = [], [], [], []
+    ranked, built, families, coset_arrays, compared = [], [], [], [], []
     columns, paths, incidence, equal = (cli_mod.incidence_columns, cli_mod.path_columns,
                                         cli_mod.coset_incidence, np.array_equal)
 
@@ -688,8 +688,10 @@ def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
         return out
 
     def recorded_incidence(dec, ctx):
-        coset_arrays.append(incidence(dec, ctx))
-        return coset_arrays[-1]
+        family = incidence(dec, ctx)
+        families.append(len(family))
+        coset_arrays.extend(family)
+        return family
 
     def array_equal(a, b, *args, **kwargs):
         if any(a is c for c in coset_arrays):
@@ -704,6 +706,8 @@ def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
     runs = json.loads(capsys.readouterr().out)["runs"]
     assert all(run["coincidence"] == {"checked": True, "psi_plus": True, "h_s": True}
                for run in runs)
+    # per prime one call per family, psi+'s and the slopes'
+    assert families == [1, 2, 1, 4, 1, 6]
     # per prime: psi+'s geodesic array, then every slope's path array in
     # slope order
     assert len(compared) == (1 + 2) + (1 + 4) + (1 + 6)
@@ -732,13 +736,14 @@ def test_coincidence_sees_a_moved_coset_entry(ell, kind, section, capsys, monkey
     incidence = cli_mod.coset_incidence
 
     def moved(dec, ctx):
-        keys = incidence(dec, ctx)
-        if dec.K.kind == kind and (kind != cosets.NONSPLIT_CARTAN
-                                   or dec.g == (1, ctx.ell - 1, 0, 1)):
+        family = incidence(dec, ctx)
+        if dec.K.kind == kind:
+            # psi+'s one array, or the last slope's
+            keys = family[-1]
             # the array hits every row, so keys.max() + 1 is the row count
             keys[-1, 0] = min(set(range(keys.max() + 1)) - set(keys[:, 0].tolist()))
-            keys = np.sort(keys, axis=0)
-        return keys
+            family[-1] = np.sort(keys, axis=0)
+        return family
 
     monkeypatch.setattr(cli_mod, "coset_incidence", moved)
     assert main(["verify", "--ell", str(ell)]) == 1
@@ -893,16 +898,19 @@ def test_weyl_and_unipotent_pairings_hold_block_by_block(ctx):
     every nontrivial character of U has the same rank, so rank B_0 +
     (ell - 1) rank B_1 is the dense rank; and for the split torus
     T = <diag(g, 1)>, which does not act freely, the Weyl element pairs
-    rank B_a with rank B_(-a), and the blocks sum to the dense rank too."""
+    rank B_a with rank B_(-a), and the blocks sum to the dense rank too.
+    The torus blocks mod p need p = 1 mod ell - 1 as well."""
     ell, aux = ctx.ell, aux_rank_prime(ctx.ell)
+    both = least_prime_1_mod(ell * (ell - 1), AUX_RANK_PRIME)
     torus_generator = geometry.GroupElement(ctx.g, 0, 0, 1)
     operators = [build_psi_plus(ctx), build_psi(ctx)]
     operators += [build_H_s(ctx, s) for s in range(1, ell)]
     for m in operators:
         unipotent = character_ranks(m, aux, ctx, U, ell)
         assert len(set(unipotent[1:])) == 1, m
-        assert unipotent[0] + (ell - 1) * unipotent[1] == rank_mod_p(m, aux) \
-            == sum(character_ranks(m, aux, ctx, torus_generator, ell - 1)), m
+        assert unipotent[0] + (ell - 1) * unipotent[1] == rank_mod_p(m, aux), m
+        assert sum(character_ranks(m, both, ctx, torus_generator, ell - 1)) \
+            == rank_mod_p(m, both), m
         torus = character_ranks(m, ell, ctx, torus_generator, ell - 1)
         assert torus == torus[:1] + torus[:0:-1], m
         assert sum(torus) == rank_mod_p(m, ell), m

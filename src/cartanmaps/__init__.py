@@ -16,28 +16,14 @@ from .modular_arith import (
     find_primitive_root,
     is_odd_prime,
     legendre,
-    sqrt_mod,
 )
-from .geometry import (
-    INFINITY,
-    CartanOrbit,
-    CartanPoint,
-    GroupElement,
-    OrderedPair,
-    ProjectivePoint,
-    UnorderedPair,
-)
+from .geometry import GroupElement
 from .correspondence import (
-    Geodesic,
     OperatorMatrix,
-    PathSpec,
     build_H_s,
     build_psi,
     build_psi_plus,
-    geodesic_points,
-    path_points,
     restrict_to_affine,
-    transporter,
 )
 from .cosets import (
     DoubleCosetDecomposition,

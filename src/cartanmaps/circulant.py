@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correspondence import coefficients
-from .geometry import (CartanOrbit, SplitPairTN, decode, nonsplit_tn_to_tm, orbit_to_tn,
-                       tn_to_tm)
+from .geometry import decode
 from .modular_arith import PrimeContext, binom_mod, inverse_table, multiplicative_order
 
 
@@ -72,10 +71,14 @@ def verify_chart_conjugacy(ctx: PrimeContext, geodesics: np.ndarray) -> bool:
     """True iff psi+ on the affine pairs is the chart-coordinate operator: the
     column of the pair with chart coordinates (t, m) has its ones at the rows
     (T, M) with (T - t)^2 = m + M.  psi+ is read off its geodesic array
-    (geodesic_incidence); the row chart must be injective."""
+    (geodesic_incidence); the row chart must be injective.
+
+    The class {z, zbar} of z = x + y*se has T = z + zbar = 2x and
+    M = T^2 - 4 z zbar = 4 eps y^2; the pair {a, b} has t = a + b and
+    m = t^2 - 4ab = (a - b)^2."""
     ell = ctx.ell
-    # the charts are arithmetic on the coordinates, so they map whole arrays
-    T, M = nonsplit_tn_to_tm(orbit_to_tn(CartanOrbit(*decode("H_ell", ell)), ctx), ctx)
+    x, y = decode("H_ell", ell)
+    T, M = 2 * x % ell, 4 * ctx.epsilon * y * y % ell
     row_at = np.full((ell, ell), -1, dtype=np.int64)
     row_at[T, M] = np.arange(len(T))
     if (row_at >= 0).sum() != len(T):
@@ -83,8 +86,7 @@ def verify_chart_conjugacy(ctx: PrimeContext, geodesics: np.ndarray) -> bool:
     a, b = decode("unordered_pairs", ell)
     affine = b < ell  # a < b, so only b can be infinity
     a, b = a[affine], b[affine]
-    # pair_to_tn of the affine pairs {a, b}
-    t, m = tn_to_tm(SplitPairTN((a + b) % ell, a * b % ell), ctx)
+    t, m = (a + b) % ell, (a - b) ** 2 % ell
     # the row at T = t + d has M = d^2 - m; the -1 entries (no row) sort first
     d = np.arange(ell, dtype=np.int64)[:, None]
     chart = np.sort(row_at[(t + d) % ell, (d * d - m) % ell], axis=0)

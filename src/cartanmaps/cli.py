@@ -47,12 +47,11 @@ from .correspondence import (
     coefficients,
     combined_ranks,
     geodesic_incidence,
-    geodesic_points,
     incidence_columns,
     incidence_operator,
     incidence_ranks,
+    pair_text,
     path_columns,
-    path_points,
     representatives,
     restrict_to_affine,
 )
@@ -79,13 +78,12 @@ from .exact_linalg import (  # noqa: F401
 from .geometry import (
     IDENTITY,
     GroupElement,
-    OrderedPair,
-    UnorderedPair,
     decode,
     generators,
     gl2_order,
-    parse_point,
+    ordered_pair_index,
     subgroup_order,
+    unordered_pair_index,
 )
 from .modular_arith import PrimeContext, is_odd_prime, is_prime
 
@@ -206,7 +204,7 @@ def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None, dens
     rank, affine_rank = ranks or (None, None)
     cert = _rank_certificate(shape, rank, dense, ctx)
     if ranks is None:
-        affine_rank = rank_mod_p(restrict_to_affine(dense()), p)
+        affine_rank = rank_mod_p(restrict_to_affine(dense(), ctx.ell), p)
     expected = shape[0]
     # the affine restriction is square, with the rows of the operator
     nonsing = affine_rank == expected
@@ -615,7 +613,7 @@ def cmd_export(args) -> int:
             raise UsageError("--s must be nonzero mod ell")
         m = build_H_s(ctx, args.s)
     if args.restricted:
-        m = restrict_to_affine(m)
+        m = restrict_to_affine(m, ctx.ell)
     _write(args.out, lambda fh: m.write_csv(fh, ctx))
     return EXIT_OK
 
@@ -665,15 +663,14 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _conic_metadata(p, q, slope, ctx: PrimeContext) -> dict | None:
+def _conic_metadata(a: int, b: int, slope, ctx: PrimeContext) -> dict | None:
     """Center/right-hand side of the conic through the geodesic (slope None)
-    or the slope path from p to q, affine endpoints only.  The geodesic's
-    conic is symmetric in p and q; the path's center_y changes sign with
-    their order."""
-    if p.at_infinity or q.at_infinity:
-        return None
+    or the slope path from a to b (P^1 indices), affine endpoints only.  The
+    geodesic's conic is symmetric in a and b; the path's center_y changes
+    sign with their order."""
     ell, eps = ctx.ell, ctx.epsilon
-    a, b = p.x, q.x
+    if ell in (a, b):
+        return None
     half = pow(2, -1, ell)
     cx = (a + b) * half % ell
     if slope is None:
@@ -710,24 +707,30 @@ def cmd_plot(args) -> int:
     parts = args.pair.split(",")
     if len(parts) != 2:
         raise UsageError(f"--pair must be 'a,b', got {args.pair!r}")
+    ell = ctx.ell
     try:
-        p, q = (parse_point(t, ctx.ell) for t in parts)
+        # P^1 indices: ell is infinity
+        p, q = (ell if t.strip() == "inf" else int(t) % ell for t in parts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if p == q:
         raise UsageError("pair lies on the diagonal")
     s = None
     if args.slope is not None:
-        s = args.slope % ctx.ell
+        s = args.slope % ell
         if s == 0:
             raise UsageError("--slope must be nonzero mod ell")
-        pair = OrderedPair(p, q)
-        pts = sorted(path_points(pair, s, ctx).points)
-        title = f"path {pair} slope {s} (ell={ctx.ell})"
+        col = np.array([ordered_pair_index(p, q, ell)])
+        rows = path_columns(ctx, base_paths(ctx, [s]), col)[s][:, 0]
+        x, y = decode("C_ell", ell)
+        title = f"path {pair_text('ordered_pairs', p, q, ell)} slope {s} (ell={ell})"
     else:
-        pair = UnorderedPair(p, q)
-        pts = sorted(geodesic_points(pair, ctx).points)
-        title = f"geodesic {pair} (ell={ctx.ell})"
+        rows = geodesic_incidence(ctx)[:, unordered_pair_index(p, q, ell)]
+        x, y = decode("H_ell", ell)
+        ends = pair_text("unordered_pairs", min(p, q), max(p, q), ell)
+        title = f"geodesic {ends} (ell={ell})"
+    # the rows are ascending, so the points are in (x, y) order
+    pts = list(zip(x[rows].tolist(), y[rows].tolist()))
     meta = _conic_metadata(p, q, s, ctx)
     if args.format == "svg":
         text = _plot_svg(pts, ctx.ell, meta, title)

@@ -8,88 +8,25 @@ enumerations fixed in `geometry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .geometry import (
-    Basis,
-    CartanOrbit,
-    CartanPoint,
     GroupElement,
-    OrderedPair,
-    ProjectivePoint,
-    UnorderedPair,
-    basis,
-    cartan_act,
     cartan_index,
     decode,
     det_mod,
     generators,
     move_cartan,
     move_p1,
-    orbit_act,
     orbit_index,
-    p1_index,
     permutation,
     transporters,
 )
 from .exact_linalg import rank_mod_p_stack
 from .modular_arith import PrimeContext, find_primitive_root
-
-
-def transporter(a: ProjectivePoint, b: ProjectivePoint, ell: int) -> GroupElement:
-    """A matrix g with g(0) = a and g(infinity) = b."""
-    if a == b:
-        raise ValueError("transporter endpoints must be distinct")
-    x = transporters("ordered_pairs", p1_index(a, ell), p1_index(b, ell), ell)
-    return GroupElement(*map(int, x))
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """The translate of F_ell^x * se joining the endpoints, as a set in H_ell."""
-
-    endpoints: UnorderedPair
-    points: frozenset[CartanOrbit]
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """The translate of the slope-s line {lam*s + lam*se}, as a set in C_ell."""
-
-    endpoints: OrderedPair
-    slope: int
-    points: frozenset[CartanPoint]
-
-
-def geodesic_points(pair: UnorderedPair, ctx: PrimeContext) -> Geodesic:
-    g = transporter(pair.lo, pair.hi, ctx.ell)
-    pts = frozenset(
-        orbit_act(g, CartanOrbit(0, lam), ctx) for lam in range(1, ctx.r + 1)
-    )
-    # lam and its negative land on conjugate points, so (ell-1)/2 orbits remain
-    if len(pts) != ctx.r:
-        raise AssertionError(f"geodesic through {pair} has {len(pts)} points, "
-                             f"expected {ctx.r}")
-    return Geodesic(pair, pts)
-
-
-def path_points(pair: OrderedPair, s: int, ctx: PrimeContext) -> PathSpec:
-    s %= ctx.ell
-    if s == 0:
-        raise ValueError("path slope must be nonzero")
-    g = transporter(pair.first, pair.second, ctx.ell)
-    pts = frozenset(
-        cartan_act(g, CartanPoint(lam * s % ctx.ell, lam), ctx)
-        for lam in range(1, ctx.ell)
-    )
-    if len(pts) != ctx.ell - 1:
-        raise AssertionError(f"path through {pair} at slope {s} has {len(pts)} "
-                             f"points, expected {ctx.ell - 1}")
-    return PathSpec(pair, s, pts)
 
 
 def coefficients(ctx: PrimeContext) -> tuple[np.ndarray, np.ndarray]:
@@ -101,27 +38,20 @@ def coefficients(ctx: PrimeContext) -> tuple[np.ndarray, np.ndarray]:
 
 
 class OperatorMatrix:
-    """Exact integer matrix between free modules on the tagged bases."""
+    """Exact integer matrix between free modules on the tagged bases: its
+    rows and columns are in the order of decode(row_tag) and decode(col_tag),
+    the latter restricted to the affine pairs for a tag ending in _affine."""
 
-    __slots__ = ("row_basis", "col_basis", "data")
+    __slots__ = ("row_tag", "col_tag", "data")
 
-    def __init__(self, row_basis: Basis, col_basis: Basis, data: np.ndarray):
-        if data.shape != (len(row_basis), len(col_basis)):
-            raise ValueError(f"data shape {data.shape} does not match bases "
-                             f"({len(row_basis)}, {len(col_basis)})")
-        self.row_basis = row_basis
-        self.col_basis = col_basis
+    def __init__(self, row_tag: str, col_tag: str, data: np.ndarray):
+        self.row_tag = row_tag
+        self.col_tag = col_tag
         self.data = data
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    def column_sums(self) -> np.ndarray:
-        return self.data.sum(axis=0)
-
-    def row_sums(self) -> np.ndarray:
-        return self.data.sum(axis=1)
 
     def to_triplets(self) -> Iterator[tuple[int, int, int]]:
         """Nonzero entries as (row, col, value), row-major."""
@@ -130,20 +60,18 @@ class OperatorMatrix:
             yield r, c, int(self.data[r, c])
 
     def write_csv(self, fh, ctx: PrimeContext) -> None:
-        fh.write(f"# basis_rows={self.row_basis.tag} basis_cols={self.col_basis.tag} "
+        fh.write(f"# basis_rows={self.row_tag} basis_cols={self.col_tag} "
                  f"ell={ctx.ell} epsilon={ctx.epsilon}\n")
         for r, c, v in self.to_triplets():
             fh.write(f"{r},{c},{v}\n")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OperatorMatrix)
-                and self.row_basis.tag == other.row_basis.tag
-                and self.col_basis.tag == other.col_basis.tag
+                and (self.row_tag, self.col_tag) == (other.row_tag, other.col_tag)
                 and np.array_equal(self.data, other.data))
 
     def __repr__(self) -> str:
-        return (f"OperatorMatrix({self.row_basis.tag} x {self.col_basis.tag}, "
-                f"shape={self.shape})")
+        return f"OperatorMatrix({self.row_tag} x {self.col_tag}, shape={self.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +92,13 @@ def _tags(idx: np.ndarray, ctx: PrimeContext) -> tuple[str, str]:
     return "C_ell", "ordered_pairs"
 
 
+def pair_text(tag: str, i: int, j: int, ell: int) -> str:
+    """The pair of P^1 indices (i, j) as {i,j} ("unordered_pairs") or (i,j)
+    ("ordered_pairs"), infinity as inf."""
+    ends = ",".join("inf" if k == ell else str(k) for k in (i, j))
+    return f"{{{ends}}}" if tag == "unordered_pairs" else f"({ends})"
+
+
 def _distinct_sorted(idx: np.ndarray, col_tag: str, ell: int, what,
                      cols: np.ndarray | None = None) -> np.ndarray:
     """idx as int32 with every column sorted along its points axis, the
@@ -175,9 +110,7 @@ def _distinct_sorted(idx: np.ndarray, col_tag: str, ell: int, what,
     if not ok.all():
         *member, j = np.argwhere(~ok)[0].tolist()
         col = j if cols is None else int(cols[j])
-        ends = ",".join("inf" if k == ell else str(k)
-                        for k in (int(c[col]) for c in decode(col_tag, ell)))
-        ends = f"{{{ends}}}" if col_tag == "unordered_pairs" else f"({ends})"
+        ends = pair_text(col_tag, *(int(c[col]) for c in decode(col_tag, ell)), ell)
         name = what[member[0]] if member else what
         raise AssertionError(f"{name} through {ends} is not {idx.shape[-2]} "
                              f"distinct points")
@@ -246,9 +179,9 @@ def incidence_operator(ctx: PrimeContext, idx: np.ndarray) -> OperatorMatrix:
     """The dense 0/1 operator of an incidence array, with a one at
     (idx[i, j], j) for every i and j: psi+ for geodesic_incidence, H_s for
     path_incidence."""
-    rows, cols = (basis(tag, ctx) for tag in _tags(idx, ctx))
-    data = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    return OperatorMatrix(rows, cols, _scatter(data, idx))
+    row_tag, col_tag = _tags(idx, ctx)
+    data = np.zeros((len(decode(row_tag, ctx.ell)[0]), idx.shape[1]), dtype=np.int32)
+    return OperatorMatrix(row_tag, col_tag, _scatter(data, idx))
 
 
 def build_psi_plus(ctx: PrimeContext) -> OperatorMatrix:
@@ -263,18 +196,18 @@ def build_H_s(ctx: PrimeContext, s: int) -> OperatorMatrix:
 
 def build_psi(ctx: PrimeContext) -> OperatorMatrix:
     """The combined operator sum_s (alpha_s + beta_s) H_s as one integer matrix."""
-    rows, cols = basis("C_ell", ctx), basis("ordered_pairs", ctx)
-    data = np.zeros((len(rows), len(cols)), dtype=np.int32)
+    ell = ctx.ell
+    data = np.zeros((ell * (ell - 1), ell * (ell + 1)), dtype=np.int32)
     for s, w in enumerate(sum(coefficients(ctx)).tolist(), start=1):
         _scatter(data, path_incidence(ctx, s), w)
-    return OperatorMatrix(rows, cols, data)
+    return OperatorMatrix("C_ell", "ordered_pairs", data)
 
 
-def restrict_to_affine(m: OperatorMatrix) -> OperatorMatrix:
-    """Drop columns whose basis pair involves infinity; yields a square matrix."""
-    keep = [i for i, pair in enumerate(m.col_basis) if pair.is_affine]
-    cols = Basis(m.col_basis.tag + "_affine", (m.col_basis.elements[i] for i in keep))
-    return OperatorMatrix(m.row_basis, cols, m.data[:, keep])
+def restrict_to_affine(m: OperatorMatrix, ell: int) -> OperatorMatrix:
+    """Drop the columns whose pair involves infinity; yields a square matrix."""
+    i, j = decode(m.col_tag, ell)
+    affine = (i < ell) & (j < ell)
+    return OperatorMatrix(m.row_tag, m.col_tag + "_affine", m.data[:, affine])
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +233,7 @@ def check_equivariance_psi(m: OperatorMatrix, ctx: PrimeContext) -> bool:
     """The generator proof on a dense operator: psi, psi+ or an H_s."""
     M = m.data
     return all(np.array_equal(M[p_row][:, p_col], M) for p_row, p_col
-               in _generator_perms(ctx, m.row_basis.tag, m.col_basis.tag))
+               in _generator_perms(ctx, m.row_tag, m.col_tag))
 
 
 check_equivariance_psi_plus = check_equivariance_psi

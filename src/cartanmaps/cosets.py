@@ -16,7 +16,6 @@ import numpy as np
 from .correspondence import OperatorMatrix
 from .geometry import (
     GroupElement,
-    basis,
     cartan_index,
     decode,
     mat_inv,
@@ -171,9 +170,8 @@ def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
         # column by column, the representatives' rows in H order
         rep_rows.append(np.sort((order % n + n * np.arange(len(chunk)))[first]) % n)
         degrees.append(degree)
-        conj = np.ravel_multi_index(
-            mat_mul(mat_mul(g, k_col, ell), stack([mat_inv(x, ell) for x in chunk]), ell),
-            digits)
+        conj = np.ravel_multi_index(mat_mul(mat_mul(g, k_col, ell), mat_inv(g, ell), ell),
+                                    digits)
         stab = np.array([len(h_digits.intersection(c)) for c in conj.T.tolist()])
         bad = degree * stab != n
         if bad.any():
@@ -233,7 +231,7 @@ def coset_operator(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> Operator
     if len(dec.degrees) != 1:
         raise ValueError(f"coset_operator takes a one-g family, not {len(dec.degrees)}")
     keys, = coset_incidence(dec, ctx)
-    rows, cols = (basis(_DOMAIN_TAGS[side.kind], ctx) for side in (dec.K, dec.H))
-    data = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    np.add.at(data, (keys, np.arange(len(cols))), 1)
-    return OperatorMatrix(rows, cols, data)
+    row_tag, col_tag = (_DOMAIN_TAGS[side.kind] for side in (dec.K, dec.H))
+    data = np.zeros((len(decode(row_tag, ctx.ell)[0]), keys.shape[1]), dtype=np.int32)
+    np.add.at(data, (keys, np.arange(keys.shape[1])), 1)
+    return OperatorMatrix(row_tag, col_tag, data)

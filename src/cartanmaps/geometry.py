@@ -1,113 +1,20 @@
-"""The finite sets P^1(F_ell), C_ell, H_ell, the GL2 action, and coordinate charts.
+"""The finite sets P^1(F_ell), C_ell, H_ell and the GL2 action on them.
 
-Enumeration orders fixed here define the row/column indexing of every operator
-matrix downstream: lexicographic on stored fields, with the point at infinity
-sorted last.
+Each set is encoded by integer coordinates: a point of P^1 by its index (x,
+or ell for infinity), a pair by the indices of its points, and x + y*se in
+C_ell or H_ell by (x, y).  The enumeration orders fixed here (see decode)
+define the row/column indexing of every operator matrix downstream:
+lexicographic on the coordinates, with the point at infinity last.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .modular_arith import PrimeContext, inverse_table
-
-
-@dataclass(frozen=True, order=True)
-class ProjectivePoint:
-    """A point of P^1(F_ell): Affine(x) = (x : 1) or Infinity = (1 : 0)."""
-
-    at_infinity: bool
-    x: int = 0
-
-    def __str__(self) -> str:
-        return "inf" if self.at_infinity else str(self.x)
-
-
-INFINITY = ProjectivePoint(True, 0)
-
-
-@dataclass(frozen=True, order=True)
-class UnorderedPair:
-    """{lo, hi}, distinct points; construction normalizes the order."""
-
-    lo: ProjectivePoint
-    hi: ProjectivePoint
-
-    def __post_init__(self) -> None:
-        if self.lo == self.hi:
-            raise ValueError(f"pair members must be distinct, got {self.lo}")
-        if self.hi < self.lo:
-            lo, hi = self.hi, self.lo
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
-
-    @property
-    def is_affine(self) -> bool:
-        return not self.hi.at_infinity
-
-    def __str__(self) -> str:
-        return "{%s,%s}" % (self.lo, self.hi)
-
-
-@dataclass(frozen=True, order=True)
-class OrderedPair:
-    """(first, second), distinct points."""
-
-    first: ProjectivePoint
-    second: ProjectivePoint
-
-    def __post_init__(self) -> None:
-        if self.first == self.second:
-            raise ValueError(f"pair members must be distinct, got {self.first}")
-
-    @property
-    def is_affine(self) -> bool:
-        return not (self.first.at_infinity or self.second.at_infinity)
-
-    def __str__(self) -> str:
-        return "(%s,%s)" % (self.first, self.second)
-
-
-class CartanPoint(NamedTuple):
-    """x + y*sqrt(epsilon) in C_ell; y != 0."""
-
-    x: int
-    y: int
-
-    def __str__(self) -> str:
-        return f"{self.x}+{self.y}*se"
-
-
-class CartanOrbit(NamedTuple):
-    """The conjugation class {x + y*se, x - y*se} in H_ell, stored with 1 <= y <= r."""
-
-    x: int
-    y: int
-
-    def __str__(self) -> str:
-        return f"{self.x}+{self.y}*se"
-
-
-def cartan_point(x: int, y: int, ell: int) -> CartanPoint:
-    x, y = x % ell, y % ell
-    if y == 0:
-        raise ValueError("CartanPoint requires y != 0")
-    return CartanPoint(x, y)
-
-
-def orbit_of(x: int, y: int, ell: int) -> CartanOrbit:
-    """Normalize (x, y) to the stored orbit representative with 1 <= y <= (ell-1)/2."""
-    x, y = x % ell, y % ell
-    if y == 0:
-        raise ValueError("CartanOrbit requires y != 0")
-    if y > (ell - 1) // 2:
-        y = ell - y
-    return CartanOrbit(x, y)
 
 
 class GroupElement(NamedTuple):
@@ -136,26 +43,20 @@ def mat_mul(m: GroupElement, n: GroupElement, ell: int) -> GroupElement:
 
 
 def mat_inv(m: GroupElement, ell: int) -> GroupElement:
-    di = pow(det_mod(m, ell), -1, ell)
-    return GroupElement(
-        m.d * di % ell, -m.b * di % ell, -m.c * di % ell, m.a * di % ell
-    )
-
-
-def random_invertible(rng: random.Random, ell: int) -> GroupElement:
-    while True:
-        m = GroupElement(*(rng.randrange(ell) for _ in range(4)))
-        if det_mod(m, ell) != 0:
-            return m
+    """The inverse of m, one element or a stack of them (see stack)."""
+    det = det_mod(m, ell)
+    # entry 0 of the inverse table is 0: a singular element must not pass
+    if np.any(det == 0):
+        raise ValueError(f"a singular element has no inverse mod {ell}")
+    di = inverse_table(ell)[det]
+    return GroupElement(m.d * di % ell, -m.b * di % ell, -m.c * di % ell, m.a * di % ell)
 
 
 # ---------------------------------------------------------------------------
 # Group actions.  `move_p1` and `move_cartan` state each action once, as
-# elementwise arithmetic on integer coordinates: a point of P^1 by its index
-# (x, or ell for infinity), a point of C_ell or H_ell by (x, y).  The entries
-# of m (see `stack`) and the coordinates may be ints or broadcastable numpy
-# arrays.  The dataclass actions are converters around them, and the
-# encoders map coordinates to positions in the enumerations below.
+# elementwise arithmetic on the integer coordinates.  The entries of m (see
+# `stack`) and the coordinates may be ints or broadcastable numpy arrays.  The
+# encoders map coordinates to positions in the enumerations of decode.
 # ---------------------------------------------------------------------------
 
 def stack(elements) -> GroupElement:
@@ -193,21 +94,6 @@ def move_cartan(m, x, y, ctx: PrimeContext):
     return nx, ny
 
 
-def mobius_act(m: GroupElement, p: ProjectivePoint, ell: int) -> ProjectivePoint:
-    i = move_p1(m, p1_index(p, ell), ell)
-    return INFINITY if i == ell else ProjectivePoint(False, int(i))
-
-
-def cartan_act(m: GroupElement, z: CartanPoint, ctx: PrimeContext) -> CartanPoint:
-    x, y = move_cartan(m, z.x, z.y, ctx)
-    return CartanPoint(int(x), int(y))
-
-
-def orbit_act(m: GroupElement, w: CartanOrbit, ctx: PrimeContext) -> CartanOrbit:
-    x, y = move_cartan(m, w.x, w.y, ctx)
-    return orbit_of(int(x), int(y), ctx.ell)
-
-
 def generators(ctx: PrimeContext) -> tuple[GroupElement, ...]:
     """(1 1; 0 1), (1 0; 1 1) and diag(g, 1), which generate GL2(F_ell).
 
@@ -216,10 +102,6 @@ def generators(ctx: PrimeContext) -> tuple[GroupElement, ...]:
     """
     return (GroupElement(1, 1, 0, 1), GroupElement(1, 0, 1, 1),
             GroupElement(ctx.g, 0, 0, 1))
-
-
-def p1_index(p: ProjectivePoint, ell: int) -> int:
-    return ell if p.at_infinity else p.x
 
 
 def unordered_pair_index(i, j, ell: int):
@@ -247,10 +129,12 @@ def cartan_index(x, y, ell: int):
 @lru_cache(maxsize=None)
 def decode(tag: str, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """The coordinates of every element of the basis with this tag, in the
-    order of its enumeration below: the P^1 indices (i, j) of the pair for
-    "unordered_pairs" and "ordered_pairs", (x, y) of x + y*se for "H_ell"
-    (1 <= y <= r) and "C_ell".  The encoders above invert it.  Kept for the
-    process, as read-only arrays."""
+    basis order: the P^1 indices (i, j) of the pair for "unordered_pairs"
+    (i < j) and "ordered_pairs" (i != j), (x, y) of x + y*se for "H_ell"
+    (the class {x + y*se, x - y*se}, 1 <= y <= r) and "C_ell" (y != 0).
+    Each is lexicographic, so these orders are part of the matrix export
+    format.  The encoders above invert it.  Kept for the process, as
+    read-only arrays."""
     if tag == "unordered_pairs":
         coords = np.triu_indices(ell + 1, 1)
     elif tag == "ordered_pairs":
@@ -290,219 +174,6 @@ def permutation(m: GroupElement, tag: str, ctx: PrimeContext) -> np.ndarray:
         return ordered_pair_index(move_p1(m, u, ell), move_p1(m, v, ell), ell)
     x, y = move_cartan(m, u, v, ctx)
     return orbit_index(x, y, ell) if tag == "H_ell" else cartan_index(x, y, ell)
-
-
-# ---------------------------------------------------------------------------
-# Canonical enumerations (these orders are part of the matrix export format)
-# ---------------------------------------------------------------------------
-
-def enumerate_p1(ctx: PrimeContext) -> list[ProjectivePoint]:
-    return [ProjectivePoint(False, x) for x in range(ctx.ell)] + [INFINITY]
-
-
-def enumerate_pairs_unordered(ctx: PrimeContext) -> list[UnorderedPair]:
-    pts = enumerate_p1(ctx)
-    return [UnorderedPair(pts[i], pts[j])
-            for i in range(len(pts)) for j in range(i + 1, len(pts))]
-
-
-def enumerate_pairs_ordered(ctx: PrimeContext) -> list[OrderedPair]:
-    pts = enumerate_p1(ctx)
-    return [OrderedPair(p, q) for p in pts for q in pts if p != q]
-
-
-def enumerate_H(ctx: PrimeContext) -> list[CartanOrbit]:
-    return [CartanOrbit(x, y) for x in range(ctx.ell) for y in range(1, ctx.r + 1)]
-
-
-def enumerate_C(ctx: PrimeContext) -> list[CartanPoint]:
-    return [CartanPoint(x, y) for x in range(ctx.ell) for y in range(1, ctx.ell)]
-
-
-class Basis:
-    """A tagged, ordered basis with O(1) element -> index lookup."""
-
-    __slots__ = ("tag", "elements", "_index")
-
-    def __init__(self, tag: str, elements: Iterable):
-        self.tag = tag
-        self.elements = tuple(elements)
-        self._index = {el: i for i, el in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError(f"duplicate elements in basis {tag!r}")
-
-    def index_of(self, element) -> int:
-        return self._index[element]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Basis) and self.tag == other.tag
-                and self.elements == other.elements)
-
-    def __repr__(self) -> str:
-        return f"Basis({self.tag!r}, size={len(self.elements)})"
-
-
-def basis(tag: str, ctx: PrimeContext) -> Basis:
-    """The basis with this tag, whose elements decode gives coordinates of."""
-    return Basis(tag, {"unordered_pairs": enumerate_pairs_unordered,
-                       "ordered_pairs": enumerate_pairs_ordered,
-                       "H_ell": enumerate_H, "C_ell": enumerate_C}[tag](ctx))
-
-
-# ---------------------------------------------------------------------------
-# Coordinate charts between the geometric sets and the (t, n)/(t, m) planes.
-# Each map below is a bijection onto its stated codomain; round-trips are the
-# identity. The split-side charts cover only pairs of affine points.
-# ---------------------------------------------------------------------------
-
-class SplitPairTN(NamedTuple):
-    """(t, n) = (a + b, a*b) with t^2 - 4n a nonzero square (the set B+)."""
-
-    t: int
-    n: int
-
-
-class SplitPairTM(NamedTuple):
-    """(t, m) with m = t^2 - 4n a nonzero square (the set S+)."""
-
-    t: int
-    m: int
-
-
-class NonsplitTN(NamedTuple):
-    """(T, N) = (z + zbar, z*zbar) with T^2 - 4N a non-square (the set B'+)."""
-
-    t: int
-    n: int
-
-
-class NonsplitTM(NamedTuple):
-    """(T, M) with M = T^2 - 4N a non-square (the set S'+)."""
-
-    t: int
-    m: int
-
-
-class SplitDiff(NamedTuple):
-    """(t, t') = (a + b, a - b) with t' != 0 (the set S)."""
-
-    t: int
-    tp: int
-
-
-class NonsplitDiff(NamedTuple):
-    """(T, T') = (z + zbar, 2y) where z - zbar = 2y*se (the set S')."""
-
-    t: int
-    tp: int
-
-
-def _require_affine_unordered(pair: UnorderedPair) -> tuple[int, int]:
-    if not pair.is_affine:
-        raise ValueError(f"chart covers only affine pairs, got {pair}")
-    return pair.lo.x, pair.hi.x
-
-
-def pair_to_tn(pair: UnorderedPair, ctx: PrimeContext) -> SplitPairTN:
-    a, b = _require_affine_unordered(pair)
-    return SplitPairTN((a + b) % ctx.ell, a * b % ctx.ell)
-
-
-def tn_to_pair(tn: SplitPairTN, ctx: PrimeContext) -> UnorderedPair:
-    """Roots of x^2 - t x + n; requires the discriminant to be a nonzero square."""
-    ell = ctx.ell
-    disc = (tn.t * tn.t - 4 * tn.n) % ell
-    roots = ctx.sqrts(disc)
-    if len(roots) != 2:
-        raise ValueError(f"(t,n)={tn} is outside B+: t^2-4n = {disc}")
-    half = pow(2, -1, ell)
-    a, b = ((tn.t + s) * half % ell for s in roots)
-    return UnorderedPair(ProjectivePoint(False, a), ProjectivePoint(False, b))
-
-
-def tn_to_tm(tn: SplitPairTN, ctx: PrimeContext) -> SplitPairTM:
-    return SplitPairTM(tn.t, (tn.t * tn.t - 4 * tn.n) % ctx.ell)
-
-
-def tm_to_tn(tm: SplitPairTM, ctx: PrimeContext) -> SplitPairTN:
-    inv4 = pow(4, -1, ctx.ell)
-    return SplitPairTN(tm.t, (tm.t * tm.t - tm.m) * inv4 % ctx.ell)
-
-
-def orbit_to_tn(w: CartanOrbit, ctx: PrimeContext) -> NonsplitTN:
-    """{z, zbar} -> (z + zbar, z*zbar) = (2x, x^2 - eps*y^2)."""
-    ell = ctx.ell
-    return NonsplitTN(2 * w.x % ell, (w.x * w.x - ctx.epsilon * w.y * w.y) % ell)
-
-
-def tn_to_orbit(tn: NonsplitTN, ctx: PrimeContext) -> CartanOrbit:
-    ell = ctx.ell
-    disc = (tn.t * tn.t - 4 * tn.n) % ell
-    # disc = 4*eps*y^2, so disc/eps must be a nonzero square
-    roots = ctx.sqrts(disc * pow(ctx.epsilon, -1, ell) % ell)
-    if len(roots) != 2:
-        raise ValueError(f"(T,N)={tn} is outside B'+: T^2-4N = {disc}")
-    half = pow(2, -1, ell)
-    x = tn.t * half % ell
-    y = roots[0] * half % ell
-    return orbit_of(x, y, ell)
-
-
-def nonsplit_tn_to_tm(tn: NonsplitTN, ctx: PrimeContext) -> NonsplitTM:
-    return NonsplitTM(tn.t, (tn.t * tn.t - 4 * tn.n) % ctx.ell)
-
-
-def nonsplit_tm_to_tn(tm: NonsplitTM, ctx: PrimeContext) -> NonsplitTN:
-    inv4 = pow(4, -1, ctx.ell)
-    return NonsplitTN(tm.t, (tm.t * tm.t - tm.m) * inv4 % ctx.ell)
-
-
-def pair_to_diff(pair: OrderedPair, ctx: PrimeContext) -> SplitDiff:
-    if not pair.is_affine:
-        raise ValueError(f"chart covers only affine pairs, got {pair}")
-    a, b = pair.first.x, pair.second.x
-    return SplitDiff((a + b) % ctx.ell, (a - b) % ctx.ell)
-
-
-def diff_to_pair(d: SplitDiff, ctx: PrimeContext) -> OrderedPair:
-    ell = ctx.ell
-    if d.tp % ell == 0:
-        raise ValueError("(t, t') requires t' != 0")
-    half = pow(2, -1, ell)
-    a = (d.t + d.tp) * half % ell
-    b = (d.t - d.tp) * half % ell
-    return OrderedPair(ProjectivePoint(False, a), ProjectivePoint(False, b))
-
-
-def cartan_to_diff(z: CartanPoint, ctx: PrimeContext) -> NonsplitDiff:
-    """z -> (z + zbar, T') where z - zbar = T'*se, i.e. (2x, 2y)."""
-    ell = ctx.ell
-    return NonsplitDiff(2 * z.x % ell, 2 * z.y % ell)
-
-
-def diff_to_cartan(d: NonsplitDiff, ctx: PrimeContext) -> CartanPoint:
-    ell = ctx.ell
-    if d.tp % ell == 0:
-        raise ValueError("(T, T') requires T' != 0")
-    half = pow(2, -1, ell)
-    return CartanPoint(d.t * half % ell, d.tp * half % ell)
-
-
-# ---------------------------------------------------------------------------
-# Canonical string forms for the CLI emitters
-# ---------------------------------------------------------------------------
-
-def parse_point(text: str, ell: int) -> ProjectivePoint:
-    text = text.strip()
-    if text == "inf":
-        return INFINITY
-    return ProjectivePoint(False, int(text) % ell)
 
 
 def subgroup_order(kind: str, ell: int) -> int:

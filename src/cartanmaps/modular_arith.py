@@ -60,43 +60,6 @@ def legendre(a: int, ell: int) -> int:
     return 1 if t == 1 else -1
 
 
-def _tonelli_shanks(a: int, ell: int) -> int:
-    """One square root of a mod ell; a must be a nonzero square."""
-    if ell % 4 == 3:
-        return pow(a, (ell + 1) // 4, ell)
-    q = ell - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, ell) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, ell), pow(a, q, ell), pow(a, (q + 1) // 2, ell)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % ell
-            i += 1
-        b = pow(c, 1 << (m - i - 1), ell)
-        m, c = i, b * b % ell
-        t, r = t * c % ell, r * b % ell
-    return r
-
-
-def sqrt_mod(a: int, ell: int) -> tuple[int, ...]:
-    """All x with x^2 = a (mod ell), sorted: (), (0,), or (x, ell-x), by
-    Tonelli-Shanks."""
-    a %= ell
-    if a == 0:
-        return (0,)
-    if legendre(a, ell) == -1:
-        return ()
-    x = _tonelli_shanks(a, ell)
-    return tuple(sorted((x, ell - x)))
-
-
 def find_nonsquare(ell: int) -> int:
     """Smallest non-square in F_ell^x (deterministic)."""
     _require_odd_prime(ell)
@@ -193,25 +156,12 @@ class PrimeContext:
         return inverse_table(self.ell)
 
     @cached_property
-    def dlog(self) -> tuple[int, ...]:
-        """dlog[a] = the i in [0, ell-1) with g^i = a; dlog[0] = -1."""
-        tab = [-1] * self.ell
-        acc = 1
-        for i in range(self.ell - 1):
-            tab[acc] = i
-            acc = acc * self.g % self.ell
-        return tuple(tab)
-
-    @cached_property
     def sqrt_counts(self) -> tuple[int, ...]:
         """sqrt_counts[a] = number of x with x^2 = a (mod ell)."""
         counts = [0] * self.ell
         for x in range(self.ell):
             counts[x * x % self.ell] += 1
         return tuple(counts)
-
-    def sqrts(self, a: int) -> tuple[int, ...]:
-        return sqrt_mod(a, self.ell)
 
     def nonsquares(self) -> list[int]:
         return [a for a in range(1, self.ell) if legendre(a, self.ell) == -1]

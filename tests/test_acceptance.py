@@ -26,11 +26,10 @@ from cartanmaps.correspondence import (
     build_psi_plus,
     check_equivariance_psi,
     check_equivariance_psi_plus,
+    base_paths,
     geodesic_incidence,
-    geodesic_points,
-    path_points,
+    path_columns,
     restrict_to_affine,
-    transporter,
 )
 from cartanmaps.cosets import (
     NONSPLIT_CARTAN,
@@ -50,16 +49,19 @@ from cartanmaps.exact_linalg import (
 from cartanmaps.geometry import (
     GroupElement,
     IDENTITY,
-    enumerate_C,
-    enumerate_H,
-    enumerate_pairs_ordered,
-    enumerate_pairs_unordered,
+    decode,
     gl2_order,
+    mat_inv,
     mat_mul,
-    random_invertible,
+    move_cartan,
+    move_p1,
+    orbit_index,
     subgroup_order,
 )
-from cartanmaps.modular_arith import PrimeContext
+from cartanmaps.modular_arith import PrimeContext, legendre
+
+from conftest import (fq_move, geodesic_set, incidence_sets, p1_move, path_set,
+                      random_invertible)
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 PRIMES_EXHAUSTIVE = (3, 5, 7, 11, 13)
@@ -80,8 +82,8 @@ def theorem1_sweep(contexts):
         ctx = contexts[ell]
         m = build_psi_plus(ctx)
         cert = rank_exact(m, preferred_primes=(ell,))
-        restricted = restrict_to_affine(m)
-        nonsingular = rank_mod_p(restricted, ell) == len(restricted.col_basis)
+        restricted = restrict_to_affine(m, ell)
+        nonsingular = rank_mod_p(restricted, ell) == restricted.shape[1]
         results[ell] = (m, cert, nonsingular)
     return results, time.perf_counter() - t0
 
@@ -94,8 +96,8 @@ def theorem2_sweep(contexts):
         ctx = contexts[ell]
         m = build_psi(ctx)
         cert = rank_exact(m, preferred_primes=(ell,))
-        restricted = restrict_to_affine(m)
-        nonsingular = rank_mod_p(restricted, ell) == len(restricted.col_basis)
+        restricted = restrict_to_affine(m, ell)
+        nonsingular = rank_mod_p(restricted, ell) == restricted.shape[1]
         results[ell] = (m, cert, nonsingular)
     return results, time.perf_counter() - t0
 
@@ -119,7 +121,7 @@ def test_criterion_01_half_plane_surjection(theorem1_sweep, contexts):
             expected = ell * (ell - 1) // 2
             cert = rank_exact(m, preferred_primes=(ell,))
             assert cert.rank == expected and cert.conclusive, f"ell={ell} eps={eps}"
-            assert rank_mod_p(restrict_to_affine(m), ell) == expected
+            assert rank_mod_p(restrict_to_affine(m, ell), ell) == expected
     print(f"\n[criterion 1] PASS half-plane surjection, ell<=31, all epsilon "
           f"(default sweep {elapsed:.2f}s < 5s)")
 
@@ -162,13 +164,13 @@ def test_criterion_04_degree_formulas(contexts):
         dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx), IDENTITY,
                         enumerate_subgroup(NORMALIZER_NONSPLIT, ctx), ctx)
         assert dec.degrees.tolist() == [(ell - 1) // 2], f"ell={ell}"
-        assert (build_psi_plus(ctx).column_sums() == dec.degrees[0]).all()
+        assert (build_psi_plus(ctx).data.sum(axis=0) == dec.degrees[0]).all()
         C = enumerate_subgroup(SPLIT_CARTAN, ctx)
         Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
         for s in range(1, ell):
             dec_s = decompose(C, GroupElement(1, s, 0, 1), Cp, ctx)
             assert dec_s.degrees.tolist() == [ell - 1], f"ell={ell} s={s}"
-            assert (build_H_s(ctx, s).column_sums() == dec_s.degrees[0]).all()
+            assert (build_H_s(ctx, s).data.sum(axis=0) == dec_s.degrees[0]).all()
     print("\n[criterion 4] PASS double coset degrees match column sums, ell<=31, all s")
 
 
@@ -219,101 +221,90 @@ def test_criterion_07_equivariance(contexts):
 
 
 def test_criterion_08_property_suites(contexts):
-    """Action laws, chart round trips, conic membership, transporter
-    well-definedness, cardinalities: exhaustive for ell <= 13, sampled to 31."""
-    from cartanmaps.geometry import (
-        cartan_act, cartan_to_diff, diff_to_cartan, diff_to_pair, mat_inv,
-        mobius_act, orbit_act, orbit_of, orbit_to_tn, pair_to_diff, pair_to_tn,
-        tn_to_orbit, tn_to_pair, tn_to_tm, tm_to_tn, nonsplit_tn_to_tm,
-        nonsplit_tm_to_tn, enumerate_p1, CartanPoint,
-    )
+    """Action laws, chart coordinates, conic membership, transporter
+    well-definedness, cardinalities: exhaustive for ell <= 13, sampled to 31.
+    The references are Python-int arithmetic from the paper's definitions
+    (conftest)."""
 
-    def conic_geodesic(pair, w, ctx):
-        a, b = pair.lo.x, pair.hi.x
-        return (pow(2 * w.x - (a + b), 2, ctx.ell)
-                == (pow(a - b, 2, ctx.ell) + 4 * ctx.epsilon * w.y * w.y) % ctx.ell)
+    def conic_geodesic(a, b, w, ctx):
+        x, y = w
+        return (pow(2 * x - (a + b), 2, ctx.ell)
+                == (pow(a - b, 2, ctx.ell) + 4 * ctx.epsilon * y * y) % ctx.ell)
 
-    def conic_path(pair, s, z, ctx):
+    def conic_path(a, b, s, z, ctx):
         ell, eps = ctx.ell, ctx.epsilon
-        a, b = pair.first.x, pair.second.x
+        x, y = z
         half = pow(2, -1, ell)
         cy = s * (b - a) * pow(2 * eps, -1, ell) % ell
-        lhs = (pow(z.x - (a + b) * half, 2, ell) - eps * pow(z.y - cy, 2, ell)) % ell
+        lhs = (pow(x - (a + b) * half, 2, ell) - eps * pow(y - cy, 2, ell)) % ell
         return lhs == (eps - s * s) * pow(a - b, 2, ell) * pow(4 * eps, -1, ell) % ell
 
     for ell in PRIMES:
         ctx = contexts[ell]
         exhaustive = ell <= 13
         rng = random.Random(f"acceptance-properties:{ell}")
-        # cardinalities
-        assert len(enumerate_pairs_unordered(ctx)) == ell * (ell + 1) // 2
-        assert len(enumerate_pairs_ordered(ctx)) == ell * (ell + 1)
-        assert len(enumerate_H(ctx)) == ell * (ell - 1) // 2
-        assert len(enumerate_C(ctx)) == ell * (ell - 1)
+        units = range(1, ell)
+        # cardinalities: distinct elements, as many as the coset spaces
         order = gl2_order(ell)
         assert order == (ell * ell - 1) * (ell * ell - ell)
-        for kind, size in (("N", ell * (ell + 1) // 2), ("N'", ell * (ell - 1) // 2),
-                           ("C", ell * (ell + 1)), ("C'", ell * (ell - 1))):
+        for tag, kind, size in (("unordered_pairs", "N", ell * (ell + 1) // 2),
+                                ("H_ell", "N'", ell * (ell - 1) // 2),
+                                ("ordered_pairs", "C", ell * (ell + 1)),
+                                ("C_ell", "C'", ell * (ell - 1))):
+            assert len(set(zip(*(c.tolist() for c in decode(tag, ell))))) == size
             assert order // subgroup_order(kind, ell) == size
-        # action laws on random triples
-        pts = enumerate_p1(ctx)
+        # action laws on random triples, and agreement with the references
         for _ in range(60):
             g, h = random_invertible(rng, ell), random_invertible(rng, ell)
             gh = mat_mul(g, h, ell)
-            p = pts[rng.randrange(len(pts))]
-            assert mobius_act(gh, p, ell) == mobius_act(g, mobius_act(h, p, ell), ell)
-            z = CartanPoint(rng.randrange(ell), rng.randrange(1, ell))
-            assert cartan_act(gh, z, ctx) == cartan_act(g, cartan_act(h, z, ctx), ctx)
-            w = orbit_of(z.x, z.y, ell)
-            assert orbit_act(gh, w, ctx) == orbit_act(g, orbit_act(h, w, ctx), ctx)
-        # chart round trips
-        unordered = enumerate_pairs_unordered(ctx)
-        ordered = enumerate_pairs_ordered(ctx)
-        u_dom = [p for p in unordered if p.is_affine]
-        o_dom = [p for p in ordered if p.is_affine]
-        u_check = u_dom if exhaustive else rng.sample(u_dom, 60)
-        for pair in u_check:
-            tn = pair_to_tn(pair, ctx)
-            assert tn_to_pair(tn, ctx) == pair
-            assert tm_to_tn(tn_to_tm(tn, ctx), ctx) == tn
-        h_all = enumerate_H(ctx)
-        for w in (h_all if exhaustive else rng.sample(h_all, 60)):
-            tn = orbit_to_tn(w, ctx)
-            assert tn_to_orbit(tn, ctx) == w
-            assert nonsplit_tm_to_tn(nonsplit_tn_to_tm(tn, ctx), ctx) == tn
-        for pair in (o_dom if exhaustive else rng.sample(o_dom, 60)):
-            assert diff_to_pair(pair_to_diff(pair, ctx), ctx) == pair
-        c_all = enumerate_C(ctx)
-        for z in (c_all if exhaustive else rng.sample(c_all, 60)):
-            assert diff_to_cartan(cartan_to_diff(z, ctx), ctx) == z
-        # conic membership and well-definedness under the transporter choice
-        u_check = unordered if exhaustive else rng.sample(unordered, 40)
-        for pair in u_check:
-            geo = geodesic_points(pair, ctx)
-            assert len(geo.points) == ctx.r
-            if pair.is_affine:
-                assert all(conic_geodesic(pair, w, ctx) for w in geo.points)
-            g2 = transporter(pair.hi, pair.lo, ell)
-            swapped = frozenset(
-                orbit_of(*cartan_act(g2, CartanPoint(0, lam), ctx), ell)
-                for lam in range(1, ell))
-            assert swapped == geo.points
+            p = rng.randrange(ell + 1)
+            assert move_p1(gh, p, ell) == move_p1(g, move_p1(h, p, ell), ell) \
+                == p1_move(gh, p, ell)
+            z = rng.randrange(ell), rng.randrange(1, ell)
+            assert move_cartan(gh, *z, ctx) == move_cartan(g, *move_cartan(h, *z, ctx), ctx) \
+                == fq_move(gh, *z, ctx)
+            assert move_cartan(mat_inv(g, ell), *move_cartan(g, *z, ctx), ctx) == z
+            # the action on H_ell is well defined: conjugates go to conjugates
+            w = z[0], ell - z[1]
+            assert orbit_index(*move_cartan(gh, *w, ctx), ell) \
+                == orbit_index(*move_cartan(g, *move_cartan(h, *z, ctx), ctx), ell)
+        # the chart coordinates of verify_chart_conjugacy: (a + b, (a - b)^2)
+        # on the affine pairs, (2x, 4 eps y^2) on H_ell; injective, onto the
+        # nonzero squares and the non-squares
+        a, b = decode("unordered_pairs", ell)
+        a, b = a[b < ell].tolist(), b[b < ell].tolist()
+        tm = {((i + j) % ell, (i - j) ** 2 % ell) for i, j in zip(a, b)}
+        assert len(tm) == len(a) and all(legendre(m, ell) == 1 for _, m in tm)
+        x, y = (c.tolist() for c in decode("H_ell", ell))
+        TM = {(2 * u % ell, 4 * ctx.epsilon * v * v % ell) for u, v in zip(x, y)}
+        assert len(TM) == len(x) and all(legendre(M, ell) == -1 for _, M in TM)
+        # geodesics and paths: on their conics, and equal to the reference
+        # under a random transporter (either order for a geodesic)
+        geodesics = incidence_sets(geodesic_incidence(ctx), "H_ell", "unordered_pairs", ell)
+        pairs = list(geodesics)
+        for i, j in (pairs if exhaustive else rng.sample(pairs, 40)):
+            pts = geodesics[i, j]
+            assert len(pts) == ctx.r
+            if j != ell:
+                assert all(conic_geodesic(i, j, w, ctx) for w in pts)
+            t, u = rng.choice(units), rng.choice(units)
+            assert geodesic_set(j, i, ctx, t, u) == pts
+        ordered = list(zip(*(c.tolist() for c in decode("ordered_pairs", ell))))
         if exhaustive:
             path_cases = [(pair, s) for pair in ordered for s in range(1, ell)]
         else:
             path_cases = [(ordered[rng.randrange(len(ordered))],
                            rng.randrange(1, ell)) for _ in range(150)]
-        for pair, s in path_cases:
-            spec = path_points(pair, s, ctx)
-            assert len(spec.points) == ell - 1
-            if pair.is_affine:
-                assert all(conic_path(pair, s, z, ctx) for z in spec.points)
-            # any transporter variant g*c with c diagonal gives the same path
-            c = GroupElement(rng.randrange(1, ell), 0, 0, rng.randrange(1, ell))
-            g3 = mat_mul(transporter(pair.first, pair.second, ell), c, ell)
-            pts3 = frozenset(cartan_act(g3, CartanPoint(lam * s % ell, lam), ctx)
-                             for lam in range(1, ell))
-            assert pts3 == spec.points
+        columns = path_columns(ctx, base_paths(ctx, range(1, ell)), np.arange(len(ordered)))
+        paths = {s: incidence_sets(idx, "C_ell", "ordered_pairs", ell)
+                 for s, idx in columns.items()}
+        for (i, j), s in path_cases:
+            pts = paths[s][i, j]
+            assert len(pts) == ell - 1
+            if ell not in (i, j):
+                assert all(conic_path(i, j, s, z, ctx) for z in pts)
+            t, u = rng.choice(units), rng.choice(units)
+            assert path_set(i, j, s, ctx, t, u) == pts
     print("\n[criterion 8] PASS property suites (exhaustive ell<=13, sampled to 31)")
 
 

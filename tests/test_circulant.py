@@ -21,13 +21,7 @@ from cartanmaps.correspondence import (
     restrict_to_affine,
 )
 from cartanmaps.exact_linalg import det_mod_p
-from cartanmaps.geometry import (
-    NonsplitTM,
-    nonsplit_tn_to_tm,
-    orbit_to_tn,
-    pair_to_tn,
-    tn_to_tm,
-)
+from cartanmaps.geometry import decode
 from cartanmaps.modular_arith import PrimeContext, legendre
 
 from conftest import PRIMES_ALL, PRIMES_SMALL
@@ -234,11 +228,18 @@ def test_chart_conjugacy(ell, contexts):
     exactly where the chart condition (T - t)^2 = m + M holds."""
     ctx = contexts[ell]
     assert verify_chart_conjugacy(ctx, geodesic_incidence(ctx))
-    restricted = restrict_to_affine(build_psi_plus(ctx))
-    for ci, pair in enumerate(restricted.col_basis):
-        t, m = tn_to_tm(pair_to_tn(pair, ctx), ctx)
-        for ri, orbit in enumerate(restricted.row_basis):
-            T, M = nonsplit_tn_to_tm(orbit_to_tn(orbit, ctx), ctx)
+    restricted = restrict_to_affine(build_psi_plus(ctx), ell)
+    a, b = decode("unordered_pairs", ell)
+    affine = b < ell
+    x, y = decode("H_ell", ell)
+    for ci, (i, j) in enumerate(zip(a[affine].tolist(), b[affine].tolist())):
+        # (t, n) = (a + b, ab), m = t^2 - 4n
+        t = (i + j) % ell
+        m = (t * t - 4 * i * j) % ell
+        for ri, (u, v) in enumerate(zip(x.tolist(), y.tolist())):
+            # (T, N) = (z + zbar, z zbar) = (2x, x^2 - eps y^2), M = T^2 - 4N
+            T = 2 * u % ell
+            M = (T * T - 4 * (u * u - ctx.epsilon * v * v)) % ell
             assert restricted.data[ri, ci] == (pow(T - t, 2, ell) == (m + M) % ell)
 
 
@@ -249,9 +250,8 @@ CHART_CONTEXTS = [(ell, None, None) for ell in PRIMES_SMALL] + [(13, 5, 7)]
 def test_chart_conjugacy_sees_moved_entries_and_swapped_columns(ell, eps, root):
     ctx = PrimeContext(ell, eps, root)
     geodesics = geodesic_incidence(ctx)
-    pairs = build_psi_plus(ctx).col_basis
-    affine = [j for j, pair in enumerate(pairs) if pair.is_affine]
-    at_inf = [j for j, pair in enumerate(pairs) if not pair.is_affine]
+    at_inf = decode("unordered_pairs", ell)[1] == ell
+    affine, at_inf = np.flatnonzero(~at_inf), np.flatnonzero(at_inf)
 
     def moved(j):
         """geodesics with the last entry of column j moved to a row outside it."""
@@ -274,13 +274,19 @@ def test_chart_conjugacy_needs_an_injective_row_chart(contexts, monkeypatch):
     """A row chart that names two rows alike fails before any column is read."""
     ctx = contexts[7]
 
-    def unread(*args):
-        raise AssertionError("a column was read")
+    geodesics = geodesic_incidence(ctx)
+    decoded = decode
 
-    monkeypatch.setattr(circulant, "nonsplit_tn_to_tm",
-                        lambda tn, ctx: NonsplitTM(tn.t, 0))
-    monkeypatch.setattr(circulant, "tn_to_tm", unread)
-    assert not verify_chart_conjugacy(ctx, geodesic_incidence(ctx))
+    def rows_alike(tag, ell):
+        """Every class of H_ell as x + se, so that the row chart repeats;
+        the columns must not be decoded."""
+        if tag != "H_ell":
+            raise AssertionError("a column was read")
+        x, y = decoded(tag, ell)
+        return x, np.ones_like(y)
+
+    monkeypatch.setattr(circulant, "decode", rows_alike)
+    assert not verify_chart_conjugacy(ctx, geodesics)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -289,16 +295,19 @@ def test_chart_entries_C_side(ell, contexts):
     with the labels g^i = b - a, g^j = y."""
     ctx = contexts[ell]
     g, eps = ctx.g, ctx.epsilon
-    dlog = ctx.dlog
+    dlog = {pow(g, k, ell): k for k in range(ell - 1)}
+    first, second = decode("ordered_pairs", ell)
+    affine = (first < ell) & (second < ell)
+    pairs = list(zip(first[affine].tolist(), second[affine].tolist()))
+    points = list(zip(*(c.tolist() for c in decode("C_ell", ell))))
     for s in range(1, ell):
-        h = restrict_to_affine(build_H_s(ctx, s))
-        for ci, pair in enumerate(h.col_basis):
-            a, b = pair.first.x, pair.second.x
+        h = restrict_to_affine(build_H_s(ctx, s), ell)
+        for ci, (a, b) in enumerate(pairs):
             t = (a + b) % ell
             i = dlog[(b - a) % ell]
-            for ri, z in enumerate(h.row_basis):
-                T = 2 * z.x % ell
-                j = dlog[z.y]
+            for ri, (x, y) in enumerate(points):
+                T = 2 * x % ell
+                j = dlog[y]
                 rhs = (pow(g, 2 * i, ell) + 4 * eps * pow(g, 2 * j, ell)
                        - 4 * s * pow(g, i + j, ell)) % ell
                 assert h.data[ri, ci] == (1 if pow(T - t, 2, ell) == rhs else 0)
@@ -325,9 +334,9 @@ def test_det_nonzero_iff_restriction_full_rank(ell, contexts):
     ctx = contexts[ell]
     rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
     det_n = det_mod_p(rm.matrix(), ell)
-    restricted = restrict_to_affine(build_psi_plus(ctx))
+    restricted = restrict_to_affine(build_psi_plus(ctx), ell)
     assert det_n != 0
-    assert rank_mod_p(restricted, ell) == len(restricted.col_basis)
+    assert rank_mod_p(restricted, ell) == restricted.shape[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -422,6 +423,80 @@ def test_plot_points_lie_on_the_named_conic(ell, capsys):
                            for x, y in pts), argv
 
 
+# The first 16 hex digits of the sha256 of what each plot and export command
+# writes: the documents are an output format, so no change of how the
+# commands encode the four G-sets may change a byte of them.
+PINNED_OUTPUTS = {
+    "plot --ell 3 --pair 0,inf --format csv": "a7467d06c8b4d34a",
+    "plot --ell 3 --pair 0,inf --format svg": "4f9776e69a4f81c7",
+    "plot --ell 3 --pair 0,inf --slope 2 --format csv": "69d6a39e1a93ae0c",
+    "plot --ell 3 --pair 0,inf --slope 2 --format svg": "e7c23f065d973620",
+    "plot --ell 3 --pair inf,0 --format csv": "a7467d06c8b4d34a",
+    "plot --ell 3 --pair inf,0 --format svg": "4f9776e69a4f81c7",
+    "plot --ell 3 --pair inf,0 --slope 2 --format csv": "3a22578c1b529776",
+    "plot --ell 3 --pair inf,0 --slope 2 --format svg": "4bcb94551743dbb2",
+    "plot --ell 3 --pair 1,3 --format csv": "d7da067d338f1028",
+    "plot --ell 3 --pair 1,3 --format svg": "cab18bc889d8de54",
+    "plot --ell 3 --pair 1,3 --slope 2 --format csv": "8be77ed4564998f8",
+    "plot --ell 3 --pair 1,3 --slope 2 --format svg": "c2aa0a00c86c515f",
+    "plot --ell 3 --pair 3,1 --format csv": "d7da067d338f1028",
+    "plot --ell 3 --pair 3,1 --format svg": "cab18bc889d8de54",
+    "plot --ell 3 --pair 3,1 --slope 2 --format csv": "3b143fed35a44e33",
+    "plot --ell 3 --pair 3,1 --slope 2 --format svg": "556fab93fecf214d",
+    "plot --ell 5 --pair 0,inf --format csv": "d22af7caf6ebf720",
+    "plot --ell 5 --pair 0,inf --format svg": "c2100fbdccce59a1",
+    "plot --ell 5 --pair 0,inf --slope 2 --format csv": "9c572bd83b96f3d3",
+    "plot --ell 5 --pair 0,inf --slope 2 --format svg": "1296c709d7ad1bba",
+    "plot --ell 5 --pair inf,0 --format csv": "d22af7caf6ebf720",
+    "plot --ell 5 --pair inf,0 --format svg": "c2100fbdccce59a1",
+    "plot --ell 5 --pair inf,0 --slope 2 --format csv": "9574684cd6398862",
+    "plot --ell 5 --pair inf,0 --slope 2 --format svg": "504f0d583e2242ff",
+    "plot --ell 5 --pair 1,3 --format csv": "917e8eff4730c14a",
+    "plot --ell 5 --pair 1,3 --format svg": "1e040e822aa6610a",
+    "plot --ell 5 --pair 1,3 --slope 2 --format csv": "c573b8c78d78b035",
+    "plot --ell 5 --pair 1,3 --slope 2 --format svg": "0ad2663131270565",
+    "plot --ell 5 --pair 3,1 --format csv": "917e8eff4730c14a",
+    "plot --ell 5 --pair 3,1 --format svg": "1e040e822aa6610a",
+    "plot --ell 5 --pair 3,1 --slope 2 --format csv": "d8b5311da1ce2e71",
+    "plot --ell 5 --pair 3,1 --slope 2 --format svg": "1d4a6ef214dcbab1",
+    "plot --ell 7 --pair 0,inf --format csv": "d087be101f32cf53",
+    "plot --ell 7 --pair 0,inf --format svg": "f07c0a7dffe9c6ea",
+    "plot --ell 7 --pair 0,inf --slope 2 --format csv": "19307b5bf92d4578",
+    "plot --ell 7 --pair 0,inf --slope 2 --format svg": "c92652a6d08dce6d",
+    "plot --ell 7 --pair inf,0 --format csv": "d087be101f32cf53",
+    "plot --ell 7 --pair inf,0 --format svg": "f07c0a7dffe9c6ea",
+    "plot --ell 7 --pair inf,0 --slope 2 --format csv": "403a2250308d79b5",
+    "plot --ell 7 --pair inf,0 --slope 2 --format svg": "b36bd3876f747369",
+    "plot --ell 7 --pair 1,3 --format csv": "efb78624bf943505",
+    "plot --ell 7 --pair 1,3 --format svg": "0d4b7a9e2aac9c85",
+    "plot --ell 7 --pair 1,3 --slope 2 --format csv": "5b289ce521f31bf0",
+    "plot --ell 7 --pair 1,3 --slope 2 --format svg": "e54878779458a58a",
+    "plot --ell 7 --pair 3,1 --format csv": "efb78624bf943505",
+    "plot --ell 7 --pair 3,1 --format svg": "0d4b7a9e2aac9c85",
+    "plot --ell 7 --pair 3,1 --slope 2 --format csv": "3fe13a5afe5f4da5",
+    "plot --ell 7 --pair 3,1 --slope 2 --format svg": "33875e9a262b6f92",
+    "export --ell 3 --map psi-plus": "42a945e2c6c79297",
+    "export --ell 3 --map psi-plus --restricted": "4e776ef7a874fb03",
+    "export --ell 3 --map psi": "f24a4d50539ffee2",
+    "export --ell 3 --map psi --restricted": "8b0b9c2f50c68872",
+    "export --ell 3 --map h-s --s 2": "90f094aa93c4a899",
+    "export --ell 3 --map h-s --s 2 --restricted": "66fd059b7fe79e22",
+    "export --ell 5 --map psi-plus": "819679ed05b50916",
+    "export --ell 5 --map psi-plus --restricted": "b976c9291f45f4b1",
+    "export --ell 5 --map psi": "9cb748cd952bc79e",
+    "export --ell 5 --map psi --restricted": "2bf25c19ad5bed7c",
+    "export --ell 5 --map h-s --s 2": "807a114fe3d42dec",
+    "export --ell 5 --map h-s --s 2 --restricted": "90b8740ba4d56b28",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS))
+def test_plot_and_export_outputs_are_pinned(argv, capsys):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_OUTPUTS[argv]
+
+
 def test_plot_usage_errors(capsys):
     assert run_cli(capsys, "plot", "--ell", "7", "--pair", "2,2")[0] == EXIT_USAGE
     assert run_cli(capsys, "plot", "--ell", "7", "--pair", "2")[0] == EXIT_USAGE
@@ -510,6 +585,37 @@ def test_no_module_imports_a_name_it_never_uses():
             if names:
                 unused[name] = names
     assert unused == {}
+
+
+def test_every_top_level_definition_has_a_caller_in_the_package():
+    """Every top-level function and class of a package module is named
+    somewhere in the package outside its own definition, or re-exported by
+    __init__, so that code only tests reach does not grow back into src; the
+    tracer's TIMED names, which it wraps as cli attributes, are exempt."""
+    package = os.path.dirname(os.path.abspath(cartanmaps.__file__))
+    defined, named = {}, {}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for k, node in enumerate(tree.body):
+            where = (name, k)
+            if name != "__init__.py" and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[f"{name[:-3]}.{node.name}"] = node.name, where
+            for sub in ast.walk(node):
+                ref = (sub.id if isinstance(sub, ast.Name)
+                       else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if ref is not None:
+                    named.setdefault(ref, set()).add(where)
+    with open(os.path.join(package, "__init__.py")) as fh:
+        exported = {alias.asname or alias.name for node in ast.parse(fh.read()).body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exempt = exported | set(load_perfbench("tracer").TIMED)
+    uncalled = sorted(full for full, (short, where) in defined.items()
+                      if short not in exempt and not named.get(short, set()) - {where})
+    assert uncalled == []
 
 
 def test_benchmark_reference_verdicts_reproduce(capsys):

@@ -29,13 +29,12 @@ from cartanmaps.geometry import (
     det_mod,
     mat_inv,
     mat_mul,
-    random_invertible,
     stack,
     subgroup_order,
 )
 from cartanmaps.modular_arith import PrimeContext
 
-from conftest import PRIMES_ALL
+from conftest import PRIMES_ALL, random_invertible
 
 
 def listed_stack(stacked):
@@ -186,7 +185,7 @@ def test_coset_operator_row_sums_constant(ell, contexts):
     dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx), IDENTITY,
                     enumerate_subgroup(NORMALIZER_NONSPLIT, ctx), ctx)
     op = coset_operator(dec, ctx)
-    assert set(op.row_sums().tolist()) == {(ell + 1) // 2}
+    assert set(op.data.sum(axis=1).tolist()) == {(ell + 1) // 2}
 
 
 def test_coset_operator_representative_independence(contexts):
@@ -389,10 +388,16 @@ def test_a_wrong_stabilizer_fails_the_degree_cross_check(monkeypatch, contexts):
     ctx = contexts[7]
     C = enumerate_subgroup(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
-    monkeypatch.setattr(cosets, "mat_inv", lambda m, ell: m)
+    inverted = []
+    monkeypatch.setattr(cosets, "mat_inv", lambda m, ell: inverted.append(m) or m)
     for s in range(1, 7):
         with pytest.raises(AssertionError, match="degree mismatch: 6 buckets vs index 36/"):
             decompose_all(C, [GroupElement(1, s, 0, 1)], Cp, ctx)
+    # the slopes of one family are inverted in one call, as one stack
+    inverted.clear()
+    with pytest.raises(AssertionError, match="degree mismatch: 6 buckets vs index 36/"):
+        decompose_all(C, [GroupElement(1, s, 0, 1) for s in range(1, 7)], Cp, ctx)
+    assert len(inverted) == 1 and inverted[0].b.tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_verify_never_lists_a_whole_subgroup(monkeypatch, capsys):

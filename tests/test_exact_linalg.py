@@ -64,7 +64,7 @@ def test_rank_mod_p_examples():
     assert rank_mod_p(np.zeros((4, 5), dtype=np.int64), 7) == 0
     assert rank_mod_p(np.eye(6, dtype=np.int64), 2) == 6
     ctx = PrimeContext(3)
-    restricted = restrict_to_affine(build_psi_plus(ctx))
+    restricted = restrict_to_affine(build_psi_plus(ctx), ctx.ell)
     assert rank_mod_p(restricted, 3) == 3
 
 
@@ -75,7 +75,7 @@ def test_det_examples():
     assert det_exact_small(np.diag([2, 3])) == 6
     assert det_exact_small(np.array([[1, 1], [1, 1]])) == 0
     ctx = PrimeContext(3)
-    restricted = restrict_to_affine(build_psi_plus(ctx))
+    restricted = restrict_to_affine(build_psi_plus(ctx), ctx.ell)
     d = det_exact_small(restricted)
     assert d != 0 and det_mod_p(restricted, 3) == d % 3
 
@@ -97,7 +97,7 @@ def test_rank_exact_preferred_prime_path():
     assert cert.method == "single-prime full rank"
     assert cert.witnesses == ((5, 10),)
     # the 10x10 affine restriction is itself full rank through the same route
-    restricted = restrict_to_affine(build_psi_plus(ctx))
+    restricted = restrict_to_affine(build_psi_plus(ctx), ctx.ell)
     cert_r = rank_exact(restricted, preferred_primes=(5,))
     assert restricted.shape == (10, 10)
     assert cert_r.rank == 10 and cert_r.conclusive

@@ -11,7 +11,6 @@ from cartanmaps.modular_arith import (
     is_prime,
     legendre,
     multiplicative_order,
-    sqrt_mod,
 )
 
 from conftest import PRIMES_ALL
@@ -49,32 +48,20 @@ def test_legendre_euler_criterion(ell):
 
 
 def test_sqrt_mod_examples():
-    assert sqrt_mod(0, 11) == (0,)
-    assert sqrt_mod(4, 11) == (2, 9)
+    """sqrt_counts[a] counts the square roots of a mod ell."""
+    counts = PrimeContext(11).sqrt_counts
+    assert (counts[0], counts[4], counts[6]) == (1, 2, 0)
     # brute-force squares mod 11 are {1, 3, 4, 5, 9}
     assert brute_squares(11) == {1, 3, 4, 5, 9}
-    assert sqrt_mod(6, 11) == ()
+    assert {a for a in range(11) if counts[a] == 2} == brute_squares(11)
 
 
 @pytest.mark.parametrize("ell", PRIMES_ALL)
 def test_sqrt_mod_counts(ell):
-    for a in range(ell):
-        roots = sqrt_mod(a, ell)
-        for x in roots:
-            assert x * x % ell == a
-        if a != 0:
-            assert len(roots) == 1 + legendre(a, ell)
-
-
-def test_sqrt_mod_tonelli_branch():
-    # primes beyond the sweep, both 1 mod 4 and 3 mod 4
-    for ell in (10007, 10009):
-        assert is_prime(ell)
-        for a in (2, 3, 12345, ell - 1):
-            roots = sqrt_mod(a, ell)
-            assert len(roots) == 1 + legendre(a, ell)
-            for x in roots:
-                assert x * x % ell == a % ell
+    counts = PrimeContext(ell).sqrt_counts
+    assert len(counts) == ell and counts[0] == 1
+    for a in range(1, ell):
+        assert counts[a] == sum(x * x % ell == a for x in range(ell)) == 1 + legendre(a, ell)
 
 
 def test_find_nonsquare_examples():
@@ -140,9 +127,8 @@ def test_prime_context_tables(ell):
     ctx = PrimeContext(ell)
     for a in range(1, ell):
         assert int(ctx.inverse_table[a]) * a % ell == 1
-        assert pow(ctx.g, ctx.dlog[a], ell) == a
-        assert ctx.sqrt_counts[a] == len(sqrt_mod(a, ell))
-    assert ctx.dlog[0] == -1
+        assert ctx.sqrt_counts[a] == 1 + legendre(a, ell)
+    assert ctx.inverse_table[0] == 0
     assert ctx.sqrt_counts[0] == 1
     assert set(ctx.nonsquares()) == {a for a in range(1, ell) if legendre(a, ell) == -1}
     assert ctx.g in ctx.primitive_roots()

@@ -15,13 +15,12 @@ import numpy as np
 
 from .geometry import (
     GroupElement,
+    act,
+    base_object,
     cartan_index,
     decode,
     det_mod,
     generators,
-    move_cartan,
-    move_p1,
-    orbit_index,
     permutation,
     transporters,
 )
@@ -131,7 +130,7 @@ def geodesic_incidence(ctx: PrimeContext) -> np.ndarray:
     g = transporters(tag, *decode(tag, ell), ell)
     lam = np.arange(1, ctx.r + 1, dtype=np.int64)[:, None]
     # lam and its negative land on conjugate points, so lam <= r suffices
-    idx = orbit_index(*move_cartan(g, 0, lam, ctx), ell)
+    idx = act(g, "H_ell", 0, lam, ctx)
     return _distinct_sorted(idx, tag, ell, "geodesic")
 
 
@@ -162,7 +161,7 @@ def path_columns(ctx: PrimeContext, bases: dict[int, np.ndarray],
     g = transporters(tag, i[cols], j[cols], ell)
     x, y = decode("C_ell", ell)
     b = np.stack(list(bases.values()))[:, :, None]
-    idx = cartan_index(*move_cartan(g, x[b], y[b], ctx), ell)
+    idx = act(g, "C_ell", x[b], y[b], ctx)
     names = [f"path at slope {s}" for s in bases]
     return dict(zip(bases, _distinct_sorted(idx, tag, ell, names, cols)))
 
@@ -270,21 +269,19 @@ def check_equivariance_incidence(idx: np.ndarray, ctx: PrimeContext) -> bool:
 def check_base_fixed(base: np.ndarray, ctx: PrimeContext) -> bool:
     """Premise (a): diag(g, 1) and diag(1, g), which generate C, map the base
     path (ascending C_ell indices, see base_paths) onto itself."""
-    ell = ctx.ell
-    x, y = (u[base] for u in decode("C_ell", ell))
-    return all(np.array_equal(np.sort(cartan_index(*move_cartan(h, x, y, ctx), ell)), base)
+    x, y = (u[base] for u in decode("C_ell", ctx.ell))
+    return all(np.array_equal(np.sort(act(h, "C_ell", x, y, ctx)), base)
                for h in (GroupElement(ctx.g, 0, 0, 1), GroupElement(1, 0, 0, ctx.g)))
 
 
 def check_transporters(ctx: PrimeContext) -> bool:
-    """Premise (b): the transporter of every ordered pair (i, j) is invertible
-    and carries 0 to i and infinity (P^1 index ell) to j."""
+    """Premise (b): the transporter of every ordered pair is invertible and
+    carries (0, inf) to that pair."""
     ell, tag = ctx.ell, "ordered_pairs"
-    i, j = decode(tag, ell)
-    g = transporters(tag, i, j, ell)
+    g = transporters(tag, *decode(tag, ell), ell)
     return bool((det_mod(g, ell) != 0).all()
-                and np.array_equal(move_p1(g, 0, ell), i)
-                and np.array_equal(move_p1(g, ell, ell), j))
+                and np.array_equal(act(g, tag, *base_object(tag, ell), ctx),
+                                   np.arange(len(g.a))))
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,16 @@ import numpy as np
 
 from .correspondence import OperatorMatrix
 from .geometry import (
+    STABILISERS,
     GroupElement,
-    cartan_index,
+    act,
+    base_object,
     decode,
     mat_inv,
     mat_mul,
-    move_cartan,
-    move_p1,
-    orbit_index,
-    ordered_pair_index,
     stack,
     subgroup_order,
     transporters,
-    unordered_pair_index,
 )
 from .modular_arith import PrimeContext
 
@@ -35,10 +32,8 @@ SPLIT_CARTAN = "C"
 NONSPLIT_CARTAN = "C'"
 NORMALIZER_SPLIT = "N"
 NORMALIZER_NONSPLIT = "N'"
-BOREL = "B"
 
-NAMED_KINDS = (SPLIT_CARTAN, NONSPLIT_CARTAN, NORMALIZER_SPLIT,
-               NORMALIZER_NONSPLIT, BOREL)
+NAMED_KINDS = (SPLIT_CARTAN, NONSPLIT_CARTAN, NORMALIZER_SPLIT, NORMALIZER_NONSPLIT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +65,7 @@ def _grid(*ranges) -> list[np.ndarray]:
 def enumerate_subgroup(kind: str, ctx: PrimeContext) -> SubgroupSpec:
     """One of the named subgroup kinds, enumerated row-major over the
     parameters of its elements: (a 0; 0 d) and (0 a; d 0) over units a, d;
-    (x eps*y; y x) and (x -eps*y; y -x) over (x, y) != (0, 0); (a b; 0 d)
-    over units a, d, then b."""
+    (x eps*y; y x) and (x -eps*y; y -x) over (x, y) != (0, 0)."""
     ell, eps = ctx.ell, ctx.epsilon
     units = (1, ell)
     if kind in (SPLIT_CARTAN, NORMALIZER_SPLIT):
@@ -85,9 +79,6 @@ def enumerate_subgroup(kind: str, ctx: PrimeContext) -> SubgroupSpec:
         parts = [(x, eps * y % ell, y, x)]
         if kind == NORMALIZER_NONSPLIT:
             parts.append((x, -eps * y % ell, y, -x % ell))
-    elif kind == BOREL:
-        a, d, b = _grid(units, units, (ell,))
-        parts = [(a, b, 0 * a, d)]
     else:
         raise ValueError(f"unknown subgroup kind {kind!r}")
     spec = SubgroupSpec(kind, GroupElement(*map(np.concatenate, zip(*parts))))
@@ -97,22 +88,21 @@ def enumerate_subgroup(kind: str, ctx: PrimeContext) -> SubgroupSpec:
     return spec
 
 
+def _g_set(kind: str) -> str:
+    """The tag of the basis G/K is identified with, K of this kind: gK is
+    g * (the base object K stabilises), inverting geometry.STABILISERS."""
+    tags = {k: tag for tag, k in STABILISERS.items()}
+    if kind not in tags:
+        raise ValueError(f"no basis identification for subgroup kind {kind!r}")
+    return tags[kind]
+
+
 def coset_key(K: SubgroupSpec, m, ctx: PrimeContext):
-    """A canonical key for the coset mK: the basis index of the geometric
-    object it stabilizes.  m is one group element or a stack of them."""
-    ell = ctx.ell
-    kind = K.kind
-    if kind == NORMALIZER_SPLIT:
-        return unordered_pair_index(move_p1(m, 0, ell), move_p1(m, ell, ell), ell)
-    if kind == SPLIT_CARTAN:
-        return ordered_pair_index(move_p1(m, 0, ell), move_p1(m, ell, ell), ell)
-    if kind == NORMALIZER_NONSPLIT:
-        return orbit_index(*move_cartan(m, 0, 1, ctx), ell)
-    if kind == NONSPLIT_CARTAN:
-        return cartan_index(*move_cartan(m, 0, 1, ctx), ell)
-    if kind == BOREL:
-        return move_p1(m, ell, ell)
-    raise ValueError(f"unknown subgroup kind {kind!r}")
+    """A canonical key for the coset mK: the basis index of the object it
+    stabilizes, m * (K's base object).  m is one group element or a stack of
+    them."""
+    tag = _g_set(K.kind)
+    return act(m, tag, *base_object(tag, ctx.ell), ctx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,16 +181,6 @@ def decompose(H: SubgroupSpec, g: GroupElement, K: SubgroupSpec,
     return decompose_all(H, [g], K, ctx)
 
 
-# The basis G/K is identified with, by the kind of K: gK is g * (the base
-# object, whose stabilizer is K), as coset_key encodes it
-_DOMAIN_TAGS = {
-    NORMALIZER_SPLIT: "unordered_pairs",
-    SPLIT_CARTAN: "ordered_pairs",
-    NORMALIZER_NONSPLIT: "H_ell",
-    NONSPLIT_CARTAN: "C_ell",
-}
-
-
 def coset_incidence(dec: DoubleCosetDecomposition,
                     ctx: PrimeContext) -> list[np.ndarray]:
     """The induced maps Z[G/H] -> Z[G/K] of every g of the family, in g
@@ -210,12 +190,8 @@ def coset_incidence(dec: DoubleCosetDecomposition,
     one broadcast of sum(degrees) x |G/H| entries.  Only the four stabilizer
     identifications are supported."""
     ell = ctx.ell
-    for side in (dec.H, dec.K):
-        if side.kind not in _DOMAIN_TAGS:
-            raise ValueError(f"no basis identification for subgroup kind "
-                             f"{side.kind!r}")
     # x_j H is the j-th object of G/H: x_j carries its base object there
-    tag = _DOMAIN_TAGS[dec.H.kind]
+    tag = _g_set(dec.H.kind)
     x = transporters(tag, *decode(tag, ell), ell)
     # each alpha times its own g
     moved = mat_mul(dec.representatives,
@@ -231,7 +207,7 @@ def coset_operator(dec: DoubleCosetDecomposition, ctx: PrimeContext) -> Operator
     if len(dec.degrees) != 1:
         raise ValueError(f"coset_operator takes a one-g family, not {len(dec.degrees)}")
     keys, = coset_incidence(dec, ctx)
-    row_tag, col_tag = (_DOMAIN_TAGS[side.kind] for side in (dec.K, dec.H))
+    row_tag, col_tag = _g_set(dec.K.kind), _g_set(dec.H.kind)
     data = np.zeros((len(decode(row_tag, ctx.ell)[0]), keys.shape[1]), dtype=np.int32)
     np.add.at(data, (keys, np.arange(keys.shape[1])), 1)
     return OperatorMatrix(row_tag, col_tag, data)

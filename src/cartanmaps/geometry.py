@@ -56,7 +56,8 @@ def mat_inv(m: GroupElement, ell: int) -> GroupElement:
 # Group actions.  `move_p1` and `move_cartan` state each action once, as
 # elementwise arithmetic on the integer coordinates.  The entries of m (see
 # `stack`) and the coordinates may be ints or broadcastable numpy arrays.  The
-# encoders map coordinates to positions in the enumerations of decode.
+# encoders map coordinates to positions in the enumerations of decode; `act`
+# composes the two, and is how every other module moves an element.
 # ---------------------------------------------------------------------------
 
 def stack(elements) -> GroupElement:
@@ -151,12 +152,12 @@ def decode(tag: str, ell: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def transporters(tag: str, u, v, ell: int) -> GroupElement:
-    """An x in GL2 with x * base = the element with coordinates (u, v) (see
-    decode) of the basis with this tag, for ints or broadcastable arrays.
+    """An x in GL2 with x * base_object(tag) = the element with coordinates
+    (u, v) (see decode) of the basis with this tag, for ints or broadcastable
+    arrays.
 
-    For a pair (i, j) the base is {0, inf} or (0, inf), and x is
-    (j 1; 1 0) for i = inf, (1 i; 0 1) for j = inf, else (j i; 1 1).  For
-    x + y*se in H_ell or C_ell the base is se, and x is (y x; 0 1).
+    For a pair (i, j), x is (j 1; 1 0) for i = inf, (1 i; 0 1) for j = inf,
+    else (j i; 1 1); for x + y*se in H_ell or C_ell it is (y x; 0 1).
     """
     if tag in ("unordered_pairs", "ordered_pairs"):
         i_fin, j_fin = 1 * (u != ell), 1 * (v != ell)
@@ -164,16 +165,33 @@ def transporters(tag: str, u, v, ell: int) -> GroupElement:
     return GroupElement(v, u, 0 * u, 0 * u + 1)
 
 
-def permutation(m: GroupElement, tag: str, ctx: PrimeContext) -> np.ndarray:
-    """out[i] = the index of m * (element i) in the basis with this tag."""
+# The stabiliser in GL2(F_ell) of the base object of each G-set, by tag: the
+# G-set is GL2/K, gK the image of the base object (see base_object) under g
+STABILISERS = {"unordered_pairs": "N", "ordered_pairs": "C", "H_ell": "N'", "C_ell": "C'"}
+
+
+def base_object(tag: str, ell: int) -> tuple[int, int]:
+    """The coordinates (see decode) of the object of the G-set with this tag
+    that its stabiliser fixes: {0, inf} or (0, inf) for the pairs, se in
+    H_ell and C_ell."""
+    return (0, ell) if tag in ("unordered_pairs", "ordered_pairs") else (0, 1)
+
+
+def act(m: GroupElement, tag: str, u, v, ctx: PrimeContext):
+    """The index of m * (the element with coordinates (u, v), see decode) in
+    the basis with this tag: the one place an action meets an encoder."""
     ell = ctx.ell
-    u, v = decode(tag, ell)
     if tag == "unordered_pairs":
         return unordered_pair_index(move_p1(m, u, ell), move_p1(m, v, ell), ell)
     if tag == "ordered_pairs":
         return ordered_pair_index(move_p1(m, u, ell), move_p1(m, v, ell), ell)
     x, y = move_cartan(m, u, v, ctx)
     return orbit_index(x, y, ell) if tag == "H_ell" else cartan_index(x, y, ell)
+
+
+def permutation(m: GroupElement, tag: str, ctx: PrimeContext) -> np.ndarray:
+    """out[i] = the index of m * (element i) in the basis with this tag."""
+    return act(m, tag, *decode(tag, ctx.ell), ctx)
 
 
 def subgroup_order(kind: str, ell: int) -> int:
@@ -183,7 +201,6 @@ def subgroup_order(kind: str, ell: int) -> int:
         "C'": ell * ell - 1,
         "N": 2 * (ell - 1) ** 2,
         "N'": 2 * (ell * ell - 1),
-        "B": ell * (ell - 1) ** 2,
     }
     return sizes[kind]
 

@@ -618,6 +618,24 @@ def test_every_top_level_definition_has_a_caller_in_the_package():
     assert uncalled == []
 
 
+def test_only_geometry_imports_the_actions():
+    """move_p1 and move_cartan are imported by no package module but
+    geometry, so every other module moves an element by geometry.act, the
+    one place an action meets an encoder."""
+    package = os.path.dirname(os.path.abspath(cartanmaps.__file__))
+    importers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "geometry.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(
+                    alias.name in ("move_p1", "move_cartan") for alias in node.names):
+                importers.add(name)
+    assert importers == set()
+
+
 def test_benchmark_reference_verdicts_reproduce(capsys):
     """Every verdict of perfbench/reference.json, the benchmark's correctness
     gate, comes out of verify again: the sweep, and each single:ell:eps:g

@@ -8,7 +8,6 @@ from cartanmaps import cosets
 from cartanmaps.cli import main, run_verification
 from cartanmaps.correspondence import build_H_s, build_psi_plus
 from cartanmaps.cosets import (
-    BOREL,
     DoubleCosetDecomposition,
     NAMED_KINDS,
     NONSPLIT_CARTAN,
@@ -24,9 +23,14 @@ from cartanmaps.cosets import (
     enumerate_subgroup,
 )
 from cartanmaps.geometry import (
+    STABILISERS,
     GroupElement,
     IDENTITY,
+    act,
+    base_object,
+    decode,
     det_mod,
+    gl2_order,
     mat_inv,
     mat_mul,
     stack,
@@ -34,7 +38,7 @@ from cartanmaps.geometry import (
 )
 from cartanmaps.modular_arith import PrimeContext
 
-from conftest import PRIMES_ALL, random_invertible
+from conftest import PRIMES_ALL, PRIMES_SMALL, random_invertible
 
 
 def listed_stack(stacked):
@@ -57,15 +61,30 @@ def test_subgroup_sizes_examples(contexts):
     assert len(enumerate_subgroup(SPLIT_CARTAN, contexts[3])) == 4
     assert len(enumerate_subgroup(NORMALIZER_NONSPLIT, contexts[3])) == 16
     ctx5 = contexts[5]
-    for kind in (SPLIT_CARTAN, NONSPLIT_CARTAN, NORMALIZER_SPLIT,
-                 NORMALIZER_NONSPLIT, BOREL):
+    for kind in NAMED_KINDS:
         assert len(enumerate_subgroup(kind, ctx5)) == subgroup_order(kind, 5)
-    with pytest.raises(ValueError):
-        enumerate_subgroup("Z", ctx5)
+    # the Borel subgroup has no G-set here, so it is no named kind
+    for kind in ("Z", "B"):
+        with pytest.raises(ValueError):
+            enumerate_subgroup(kind, ctx5)
 
 
-@pytest.mark.parametrize("kind", [SPLIT_CARTAN, NONSPLIT_CARTAN, NORMALIZER_SPLIT,
-                                  NORMALIZER_NONSPLIT, BOREL])
+@pytest.mark.parametrize("ctx", [PrimeContext(ell) for ell in PRIMES_SMALL]
+                         + [PrimeContext(13, 5, 7)], ids=str)
+def test_stabilisers_fix_the_base_objects(ctx):
+    """geometry.STABILISERS against route 2's own subgroups: every element
+    of the stabiliser of a G-set fixes its base object under act, and the
+    G-set is as large as the index of the stabiliser."""
+    ell = ctx.ell
+    for tag, kind in STABILISERS.items():
+        base = base_object(tag, ell)
+        fixed = act(IDENTITY, tag, *base, ctx)
+        K = enumerate_subgroup(kind, ctx)
+        assert (act(K.stacked, tag, *base, ctx) == fixed).all(), tag
+        assert len(decode(tag, ell)[0]) * subgroup_order(kind, ell) == gl2_order(ell), tag
+
+
+@pytest.mark.parametrize("kind", NAMED_KINDS)
 def test_named_subgroups_are_groups(kind, contexts):
     ell = 5
     elements = listed(enumerate_subgroup(kind, contexts[ell]))
@@ -219,12 +238,17 @@ def test_coset_operator_takes_a_one_g_family(contexts):
 
 
 def test_coset_operator_rejects_unidentified_kinds(contexts):
+    """A subgroup that stabilises no base object has no G-set: the scalars,
+    which lie in N', decompose on the left of N' but induce no operator, and
+    cannot stand on the right, where the cosets are keyed."""
     ctx = contexts[3]
-    B = enumerate_subgroup(BOREL, ctx)
+    scalars = SubgroupSpec("scalars", stack([GroupElement(a, 0, 0, a) for a in (1, 2)]))
     Np = enumerate_subgroup(NORMALIZER_NONSPLIT, ctx)
-    dec = decompose(B, IDENTITY, Np, ctx)
-    with pytest.raises(ValueError, match="identification"):
+    dec = decompose(scalars, IDENTITY, Np, ctx)
+    with pytest.raises(ValueError, match="no basis identification"):
         coset_operator(dec, ctx)
+    with pytest.raises(ValueError, match="no basis identification"):
+        decompose(Np, IDENTITY, scalars, ctx)
 
 
 def test_coset_key_identifies_cosets(contexts):
@@ -232,8 +256,7 @@ def test_coset_key_identifies_cosets(contexts):
     ctx = contexts[3]
     ell = 3
     rng = random.Random("keys")
-    for kind in (SPLIT_CARTAN, NONSPLIT_CARTAN, NORMALIZER_SPLIT,
-                 NORMALIZER_NONSPLIT, BOREL):
+    for kind in NAMED_KINDS:
         K = enumerate_subgroup(kind, ctx)
         for _ in range(20):
             m = random_invertible(rng, ell)
@@ -241,7 +264,7 @@ def test_coset_key_identifies_cosets(contexts):
             same_coset = mat_mul(mat_inv(m, ell), mp, ell) in set(listed(K))
             assert (coset_key(K, m, ctx) == coset_key(K, mp, ctx)) == same_coset
     # a kind without a geometric identification has no key
-    with pytest.raises(ValueError, match="unknown subgroup kind"):
+    with pytest.raises(ValueError, match="no basis identification"):
         coset_key(SubgroupSpec("scalars", stack([IDENTITY])), IDENTITY, ctx)
 
 
@@ -263,7 +286,6 @@ def listed_subgroup(kind, ctx):
         NONSPLIT_CARTAN: nonsplit,
         NORMALIZER_NONSPLIT: nonsplit + [GroupElement(x, -eps * y % ell, y, -x % ell)
                                          for x, y in nonzero],
-        BOREL: [GroupElement(a, b, 0, d) for a in units for d in units for b in range(ell)],
     }[kind]
 
 

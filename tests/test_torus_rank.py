@@ -38,6 +38,18 @@ from conftest import PRIMES_SMALL, oracle_mod_p
 
 U = geometry.GroupElement(1, 1, 0, 1)
 TAGS = ("unordered_pairs", "ordered_pairs", "H_ell", "C_ell")
+# verify's one failure line for a failed proof of psi+ (the generator proof)
+# and of the H_s (the transported base path)
+FAILURE_LINE = {
+    "psi+": "equivariance fails on a generator of GL2",
+    "H_1": "H_s equivariance unproved: the transported base path premises fail "
+           "for some slope",
+}
+
+
+def equivariance_failures(run):
+    """The failure lines of a run that report an equivariance proof."""
+    return [f for f in run["failures"] if "equivariance" in f]
 
 
 def least_prime_1_mod(n: int, start: int = 3) -> int:
@@ -312,7 +324,7 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
         assert run[theorem]["rank"] == want[theorem]["rank"] == dense.rank
         assert run[theorem]["restricted_nonsingular"] is True
         assert run["equivariance"][eq_key] is False
-        assert "equivariance fails on a generator of GL2" in run["failures"]
+        assert equivariance_failures(run) == [FAILURE_LINE[target]]
         other = ({"theorem1", "theorem2"} - {theorem}).pop()
         assert run[other] == want[other]
         # only the proved operator was ranked by its blocks
@@ -466,7 +478,8 @@ def test_h_s_equivariance_failure_is_reported(capsys, monkeypatch):
             assert main(["verify", "--ell", "3"]) == 1
         run = json.loads(capsys.readouterr().out)["runs"][0]
         assert run["equivariance"]["h_s"] is False, premise
-        assert any("H_s" in f for f in run["failures"])
+        # one failed proof, one line
+        assert equivariance_failures(run) == [FAILURE_LINE["H_1"]], premise
         # without the proof the blocks of an H_s mean nothing, so no rank
         assert all(h == {"observed_rank": None, "conclusive": False}
                    for h in run["h_s_ranks"].values())
@@ -800,13 +813,14 @@ def test_verify_builds_no_point_objects():
     """The four G-sets have one encoding, geometry's decoder and index
     arrays, so verify can build no other: no module keeps a point class, a
     Basis, an enumeration of points, a chart or an action that maps one
-    point at a time."""
+    point at a time, and route 2 keeps no kind or table beside
+    geometry.STABILISERS."""
     removed = ["ProjectivePoint", "UnorderedPair", "OrderedPair", "CartanPoint",
                "CartanOrbit", "INFINITY", "Basis", "basis", "pair_to_tn", "tn_to_pair",
                "tn_to_orbit", "orbit_to_tn", "pair_to_diff", "diff_to_pair",
                "diff_to_cartan", "cartan_to_diff", "mobius_act", "cartan_act",
                "orbit_act", "transporter", "geodesic_points", "path_points",
-               "parse_point", "p1_index", "random_invertible"]
+               "parse_point", "p1_index", "random_invertible", "BOREL", "_DOMAIN_TAGS"]
     for module in (geometry, correspondence, cosets, circulant, cli_mod):
         names = [name for name in vars(module)
                  if name in removed or name.startswith("enumerate_")]
@@ -1104,7 +1118,7 @@ def check_unproved_slopes(run, want, ctx, unproved):
     assert run["theorem2"]["restricted_nonsingular"] is True
     assert run["theorem1"] == want["theorem1"]
     assert run["equivariance"]["psi"] is run["equivariance"]["h_s"] is False
-    assert "equivariance fails on a generator of GL2" in run["failures"]
+    assert equivariance_failures(run) == [FAILURE_LINE["H_1"]]
     assert not run["ok"]
     for s in range(1, ell):
         if s in unproved:

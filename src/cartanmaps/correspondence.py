@@ -307,8 +307,8 @@ def check_galois_commutes(ctx: PrimeContext) -> bool:
     """The generator proof of J: J[P(h)] == P(h)[J] on C_ell for the
     generators h of GL2(F_ell)."""
     J = galois_conjugation(ctx.ell)
-    return all(np.array_equal(J[p_row], p_row[J])
-               for p_row, _ in _generator_perms(ctx, "C_ell", "ordered_pairs"))
+    return all(np.array_equal(J[perm], perm[J])
+               for perm in (permutation(h, "C_ell", ctx) for h in generators(ctx)))
 
 
 def check_galois_bases(base_s: np.ndarray, base_t: np.ndarray, ctx: PrimeContext) -> bool:

@@ -118,9 +118,9 @@ class DoubleCosetDecomposition:
     degrees: np.ndarray
 
 
-# Entry budget of the (|H|, chunk) and (|K|, chunk) arrays of one chunk of
-# decompose_all: one chunk serves every slope of a prime up to 37, and at
-# ell = 61 a single chunk would raise the peak RSS of verify by ~9 MB
+# Entry budget of the (|H|, chunk) arrays of one chunk of decompose_all: one
+# chunk serves every slope of a prime up to 41, and at ell = 61 a single
+# chunk would raise the peak RSS of verify by ~9 MB
 _DECOMPOSE_ENTRIES = 1 << 16
 
 
@@ -134,25 +134,26 @@ def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
     of each key together, the first of them in H order, so the degree is the
     number of distinct keys and the representatives are the first h of each
     key, in H order.  The degree is cross-checked against the index
-    [H : H n gKg^-1], which does not use the keys.
+    [H : H n gKg^-1], which does not use the keys: |H n gKg^-1| is the
+    number of h with g^-1 (h g) in K.
     """
     ell = ctx.ell
     gs = list(gs)
     hs = H.stacked
     n = len(H)
     rows = np.arange(n, dtype=np.int64)[:, None]
-    # |H n gKg^-1|, matching the elements by their base-ell digits; a set
+    # g^-1 (h g) is matched with K by its base-ell digits; a set
     # intersection, as np.isin sorts here and its first call adds ~1.4 MB RSS
     digits = (ell,) * 4
-    h_digits = set(np.ravel_multi_index(hs, digits).tolist())
+    k_digits = set(np.ravel_multi_index(K.stacked, digits).tolist())
     h_col = GroupElement(*(e[:, None] for e in hs))
-    k_col = GroupElement(*(e[:, None] for e in K.stacked))
-    per = max(1, _DECOMPOSE_ENTRIES // max(n, len(K)))
+    per = max(1, _DECOMPOSE_ENTRIES // n)
     rep_rows, degrees = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(gs), per):
         chunk = gs[lo:lo + per]
         g = stack(chunk)
-        keys = coset_key(K, mat_mul(h_col, g, ell), ctx)
+        hg = mat_mul(h_col, g, ell)
+        keys = coset_key(K, hg, ctx)
         order = np.sort(keys * n + rows, axis=0)
         first = np.ones(order.shape, dtype=bool)
         first[1:] = np.diff(order // n, axis=0) != 0
@@ -160,9 +161,9 @@ def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
         # column by column, the representatives' rows in H order
         rep_rows.append(np.sort((order % n + n * np.arange(len(chunk)))[first]) % n)
         degrees.append(degree)
-        conj = np.ravel_multi_index(mat_mul(mat_mul(g, k_col, ell), mat_inv(g, ell), ell),
-                                    digits)
-        stab = np.array([len(h_digits.intersection(c)) for c in conj.T.tolist()])
+        conj = np.ravel_multi_index(mat_mul(mat_inv(g, ell), hg, ell), digits)
+        # the h are distinct, so their conjugates are too
+        stab = np.array([len(k_digits.intersection(c)) for c in conj.T.tolist()])
         bad = degree * stab != n
         if bad.any():
             c = bad.argmax()

@@ -1,6 +1,5 @@
 import argparse
 import ast
-import dataclasses
 import hashlib
 import importlib.util
 import inspect
@@ -29,7 +28,7 @@ from cartanmaps.circulant import (
     circulant_det_mod,
     reduce_mod_frak_L,
 )
-from cartanmaps.exact_linalg import RankCertificate, det_mod_p
+from cartanmaps.exact_linalg import det_mod_p
 from cartanmaps.modular_arith import PrimeContext
 
 
@@ -225,30 +224,45 @@ def test_verify_skip_cosets(capsys):
 
 
 def test_verify_nonconclusive_exit_code(capsys, monkeypatch):
+    """A non-conclusive theorem certificate with no failure exits 2."""
     import cartanmaps.cli as cli_mod
 
-    def fake_rank_certificate(shape, torus_rank, dense, ctx):
-        rows, cols = shape
-        return RankCertificate(rows, cols, min(rows, cols), ((999983, 1),),
-                               "multi-prime stabilized", False)
+    real = cli_mod._theorem_section
 
-    monkeypatch.setattr(cli_mod, "_rank_certificate", fake_rank_certificate)
+    def nonconclusive(shape, ranks, name, ctx):
+        section, failures, _ = real(shape, ranks, name, ctx)
+        section["certificate"]["conclusive"] = False
+        return section, failures, [f"{name}: rank certificate non-conclusive"]
+
+    monkeypatch.setattr(cli_mod, "_theorem_section", nonconclusive)
     code, out, _ = run_cli(capsys, "verify", "--ell", "3")
     assert code == EXIT_INCONCLUSIVE
-    assert json.loads(out)["runs"][0]["nonconclusive"]
+    run = json.loads(out)["runs"][0]
+    assert run["failures"] == []
+    assert run["nonconclusive"] == ["theorem1: rank certificate non-conclusive",
+                                    "theorem2: rank certificate non-conclusive"]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
+    """Block ranks below full: each theorem reports its rank mod the
+    auxiliary prime as a non-conclusive lower bound, and the run exits 1,
+    failures taking precedence over non-conclusive certificates."""
     import cartanmaps.cli as cli_mod
 
-    def fake_rank_certificate(shape, torus_rank, dense, ctx):
-        rows, cols = shape
-        return RankCertificate(rows, cols, 1, ((3, 1),), "single-prime full rank", True)
-
-    monkeypatch.setattr(cli_mod, "_rank_certificate", fake_rank_certificate)
+    monkeypatch.setattr(cli_mod, "combined_ranks", lambda reps, weights, p, ctx: (1, 1))
     code, out, _ = run_cli(capsys, "verify", "--ell", "3")
     assert code == EXIT_FAIL
-    assert json.loads(out)["runs"][0]["failures"]
+    run = json.loads(out)["runs"][0]
+    p = cli_mod.aux_rank_prime(3)
+    for theorem, (rows, cols) in (("theorem1", (3, 6)), ("theorem2", (6, 12))):
+        assert run[theorem] == {
+            "rank": 1, "expected": rows, "surjective": False,
+            "restricted_nonsingular": False,
+            "certificate": {"rows": rows, "cols": cols, "rank": 1, "witnesses": [[p, 1]],
+                            "method": "unipotent characters", "conclusive": False}}
+        assert f"{theorem}: rank 1 != expected {rows}" in run["failures"]
+        assert f"{theorem}: affine restriction is singular mod {p}" in run["failures"]
+        assert f"{theorem}: rank certificate non-conclusive" in run["nonconclusive"]
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -636,6 +650,27 @@ def test_only_geometry_imports_the_actions():
     assert importers == set()
 
 
+def test_verify_names_no_dense_builder_or_rank():
+    """run_verification, _theorem1 and _theorem_section name no dense
+    operator builder and no dense rank: the theorem ranks come only from the
+    unipotent blocks.  export keeps the dense builders."""
+    import cartanmaps.cli as cli_mod
+
+    dense = {"build_psi", "build_psi_plus", "incidence_operator", "rank_exact",
+             "rank_mod_p", "restrict_to_affine"}
+    with open(cli_mod.__file__) as fh:
+        tree = ast.parse(fh.read())
+    named = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            named[node.name] = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                                for sub in ast.walk(node)
+                                if isinstance(sub, (ast.Name, ast.Attribute))}
+    verify = ("run_verification", "_theorem1", "_theorem_section")
+    assert {name: named[name] & dense for name in verify} == {name: set() for name in verify}
+    assert {"build_psi", "build_psi_plus", "restrict_to_affine"} <= named["cmd_export"]
+
+
 def test_benchmark_reference_verdicts_reproduce(capsys):
     """Every verdict of perfbench/reference.json, the benchmark's correctness
     gate, comes out of verify again: the sweep, and each single:ell:eps:g
@@ -776,16 +811,16 @@ def test_all_epsilon_reports_the_failing_nonsquare(capsys, monkeypatch):
     section."""
     import cartanmaps.cli as cli_mod
 
-    real = cli_mod._rank_certificate
+    real = cli_mod.combined_ranks
     for bad in (5, 3):
-        def short_at_bad(shape, torus_rank, dense, ctx):
-            cert = real(shape, torus_rank, dense, ctx)
-            if ctx.epsilon == bad and shape == (21, 28):  # psi+ at 7
-                return dataclasses.replace(cert, rank=cert.rank - 1)
-            return cert
+        def short_at_bad(reps, weights, p, ctx):
+            rank, affine_rank = real(reps, weights, p, ctx)
+            if ctx.epsilon == bad and len(reps[0]) == ctx.r:  # psi+'s geodesics
+                return rank - 1, affine_rank
+            return rank, affine_rank
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli_mod, "_rank_certificate", short_at_bad)
+            patch.setattr(cli_mod, "combined_ranks", short_at_bad)
             code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets",
                                    "--all-epsilon")
         assert code == EXIT_FAIL

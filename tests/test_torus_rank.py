@@ -295,16 +295,20 @@ def fail_proof(target, monkeypatch):
             not np.array_equal(base, base_paths(ctx, [1])[1]) and check(base, ctx)))
 
 
+def unranked(rows):
+    """The theorem section of an operator whose equivariance proof failed."""
+    return {"rank": None, "expected": rows, "surjective": None,
+            "restricted_nonsingular": None, "certificate": None}
+
+
 @pytest.mark.parametrize("ell", (3, 7))
 def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeypatch):
-    """An operator whose proof fails gets no character rank: its theorem
-    falls back to the dense escalation at the auxiliary prime, with the same
-    rank, and the run fails."""
-    ctx = PrimeContext(ell)
+    """An operator whose proof fails gets no character rank, and no other:
+    its theorem section is null, and the run fails on the proof's own line
+    alone."""
     want = run_verification(ell)
-    dense_of = {"theorem1": (build_psi_plus(ctx), "psi_plus"),
-                "theorem2": (build_psi(ctx), "psi")}
     ranked = cli_mod.combined_ranks
+    rows = {"theorem1": ell * (ell - 1) // 2, "theorem2": ell * (ell - 1)}
     for target, theorem in (("psi+", "theorem1"), ("H_1", "theorem2")):
         ranked_reps = []
 
@@ -317,14 +321,10 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
             fail_proof(target, patch)
             assert main(["verify", "--ell", str(ell)]) == 1
         run = json.loads(capsys.readouterr().out)["runs"][0]
-        m, eq_key = dense_of[theorem]
-        dense = rank_exact(m, preferred_primes=(aux_rank_prime(ell),))
-        assert run[theorem]["certificate"] == json.loads(json.dumps(dense.to_json()))
-        assert run[theorem]["certificate"]["method"] != "unipotent characters"
-        assert run[theorem]["rank"] == want[theorem]["rank"] == dense.rank
-        assert run[theorem]["restricted_nonsingular"] is True
-        assert run["equivariance"][eq_key] is False
-        assert equivariance_failures(run) == [FAILURE_LINE[target]]
+        assert run[theorem] == unranked(rows[theorem])
+        assert run["equivariance"]["psi_plus" if target == "psi+" else "psi"] is False
+        assert run["failures"] == [FAILURE_LINE[target]]
+        assert run["nonconclusive"] == []
         other = ({"theorem1", "theorem2"} - {theorem}).pop()
         assert run[other] == want[other]
         # only the proved operator was ranked by its blocks
@@ -341,12 +341,10 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
 
 
 @pytest.mark.parametrize("ell", (3, 7))
-def test_a_moved_geodesic_entry_is_certified_by_the_dense_fallback(ell, capsys,
-                                                                   monkeypatch):
+def test_a_moved_geodesic_entry_leaves_theorem1_unranked(ell, capsys, monkeypatch):
     """psi+'s geodesic array with one entry moved to a row outside its column
-    fails the generator proof, so its blocks are not ranked: theorem 1 is
-    certified on the moved dense operator at the auxiliary prime, and its
-    restriction ranked there."""
+    fails the generator proof, so its blocks are not ranked and theorem 1
+    has no rank; theorem 2 keeps its own."""
     ctx = PrimeContext(ell)
     real = cli_mod.geodesic_incidence
 
@@ -361,18 +359,51 @@ def test_a_moved_geodesic_entry_is_certified_by_the_dense_fallback(ell, capsys,
                         lambda *args: ranked.append(args) or combined(*args))
     assert main(["verify", "--ell", str(ell), "--skip-cosets"]) == 1
     run = json.loads(capsys.readouterr().out)["runs"][0]
-    m = incidence_operator(ctx, moved(ctx))
-    p = aux_rank_prime(ell)
-    dense = rank_exact(m, preferred_primes=(p,))
     assert run["equivariance"]["psi_plus"] is False
-    assert run["theorem1"]["certificate"] == json.loads(json.dumps(dense.to_json()))
-    assert dense.witnesses[0][0] == p
-    assert run["theorem1"]["rank"] == dense.rank
-    assert run["theorem1"]["restricted_nonsingular"] is (
-        rank_mod_p(restrict_to_affine(m, ell), p) == ell * ctx.r)
+    assert run["theorem1"] == unranked(ell * ctx.r)
+    assert equivariance_failures(run) == [FAILURE_LINE["psi+"]]
+    assert not any(f.startswith("theorem1") for f in run["failures"])
     # the blocks ranked theorem 2 only
     assert len(ranked) == 1 and len(ranked[0][0]) == ell - 1
     assert run["theorem2"]["certificate"]["method"] == "unipotent characters"
+
+
+def test_verify_reports_without_a_dense_operator_or_rank(capsys, monkeypatch):
+    """With the dense builders and ranks of cli made to raise, verify still
+    reports, with exit 1, a failed proof of psi+, a failed proof of H_1, and
+    psi's blocks one rank short."""
+    def refuse(*args):
+        raise AssertionError("verify built a dense operator or rank")
+
+    ell = 7
+    real = cli_mod.combined_ranks
+
+    def short(reps, weights, p, ctx):
+        """psi's two ranks one short; psi+ (one geodesic array) as it is."""
+        rank, affine_rank = real(reps, weights, p, ctx)
+        return (rank, affine_rank) if len(reps) == 1 else (rank - 1, affine_rank - 1)
+
+    for target in ("psi+", "H_1", "short"):
+        with monkeypatch.context() as patch:
+            for name in ("build_psi", "build_psi_plus", "rank_exact", "rank_mod_p"):
+                patch.setattr(cli_mod, name, refuse)
+            if target == "short":
+                patch.setattr(cli_mod, "combined_ranks", short)
+            else:
+                fail_proof(target, patch)
+            assert main(["verify", "--ell", str(ell)]) == 1, target
+        run = json.loads(capsys.readouterr().out)["runs"][0]
+        if target == "short":
+            p = aux_rank_prime(ell)
+            assert run["theorem2"]["rank"] == 41
+            assert run["theorem2"]["certificate"] == {
+                "rows": 42, "cols": 56, "rank": 41, "witnesses": [[p, 41]],
+                "method": "unipotent characters", "conclusive": False}
+            assert run["failures"] == ["theorem2: rank 41 != expected 42",
+                                       f"theorem2: affine restriction is singular mod {p}"]
+            assert run["nonconclusive"] == ["theorem2: rank certificate non-conclusive"]
+        else:
+            assert run["failures"] == [FAILURE_LINE[target]], target
 
 
 @pytest.mark.parametrize("ell", (3, 7))
@@ -520,13 +551,24 @@ def test_rank_certificate_under_other_contexts():
             cross_check_certificates(PrimeContext(ell, eps))
 
 
-def test_rank_certificate_falls_back_below_full_rank(contexts):
+def test_theorem_section_below_full_rank_is_a_lower_bound(contexts):
+    """Blocks below full rank: the rank mod the auxiliary prime is reported
+    as a non-conclusive lower bound of the rank over Q, and fails."""
     ctx = contexts[5]
     m, p = build_H_s(ctx, 2), aux_rank_prime(5)
-    rank, _ = combined_ranks([incidence_columns(path_incidence(ctx, 2), ctx)], [1], p, ctx)
-    cert = cli_mod._rank_certificate(m.shape, rank, lambda: m, ctx)
-    assert cert.rank == rank == 15 < min(m.shape) == 20
-    assert cert == rank_exact(m, preferred_primes=(p,))
+    ranks = combined_ranks([incidence_columns(path_incidence(ctx, 2), ctx)], [1], p, ctx)
+    section, failures, nonconclusive = cli_mod._theorem_section(m.shape, ranks, "H_2", ctx)
+    rank, affine_rank = ranks
+    assert rank == 15 < min(m.shape) == 20
+    assert rank <= rank_exact(m, preferred_primes=(p,)).rank
+    assert affine_rank == rank_mod_p(restrict_to_affine(m, 5), p) < 20
+    assert section == {
+        "rank": 15, "expected": 20, "surjective": False, "restricted_nonsingular": False,
+        "certificate": {"rows": 20, "cols": 30, "rank": 15, "witnesses": [[p, 15]],
+                        "method": "unipotent characters", "conclusive": False}}
+    assert failures == ["H_2: rank 15 != expected 20",
+                        f"H_2: affine restriction is singular mod {p}"]
+    assert nonconclusive == ["H_2: rank certificate non-conclusive"]
 
 
 def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):
@@ -1107,15 +1149,10 @@ def test_premise_b_refuses_a_wrong_transporter_at_a_representative(ell, monkeypa
 
 
 def check_unproved_slopes(run, want, ctx, unproved):
-    """The fallbacks of a slope whose proof fails: no rank and no pairing
-    for it, theorem2 by the dense escalation at the auxiliary prime with the
-    same rank, and a failed run."""
+    """A slope whose proof fails: no rank and no pairing for it, no rank for
+    theorem2, and a failed run."""
     ell = ctx.ell
-    dense = rank_exact(build_psi(ctx), preferred_primes=(aux_rank_prime(ell),))
-    assert run["theorem2"]["certificate"] == json.loads(json.dumps(dense.to_json()))
-    assert run["theorem2"]["certificate"]["method"] != "unipotent characters"
-    assert run["theorem2"]["rank"] == want["theorem2"]["rank"] == dense.rank
-    assert run["theorem2"]["restricted_nonsingular"] is True
+    assert run["theorem2"] == unranked(ell * (ell - 1))
     assert run["theorem1"] == want["theorem1"]
     assert run["equivariance"]["psi"] is run["equivariance"]["h_s"] is False
     assert equivariance_failures(run) == [FAILURE_LINE["H_1"]]
@@ -1156,7 +1193,7 @@ def test_a_wrong_transporter_leaves_every_slope_unproved(capsys, monkeypatch):
     ell = 7
     ctx = PrimeContext(ell)
     want = run_verification(ell)
-    # at (0, inf), so that the affine restriction of the dense psi is psi's
+    # the transporter of (0, inf)
     col = correspondence.representatives(ctx, "ordered_pairs")[ell - 1]
     assert [int(v[col]) for v in geometry.decode("ordered_pairs", ell)] == [0, ell]
     wrong_transporter(monkeypatch, ctx, col)
@@ -1165,3 +1202,25 @@ def test_a_wrong_transporter_leaves_every_slope_unproved(capsys, monkeypatch):
     assert run["equivariance"]["h_s_proof"]["transporters_carry_base"] is False
     monkeypatch.undo()
     check_unproved_slopes(run, want, ctx, set(range(1, ell)))
+
+
+@pytest.mark.parametrize("ell, argv", ((7, ()), (7, ("--skip-cosets",)), (11, ())))
+def test_a_repeated_base_path_point_fails_the_column_sums(ell, argv, capsys, monkeypatch):
+    """Slope 1's base path with a point repeated: the column-sum check
+    fails, and the coincidence, which cannot build that slope's full array,
+    reports h_s false instead of raising."""
+    paths = cli_mod.base_paths
+
+    def repeated(ctx, slopes):
+        bases = paths(ctx, slopes)
+        bases[1] = bases[1].copy()
+        bases[1][1] = bases[1][0]
+        return bases
+
+    monkeypatch.setattr(cli_mod, "base_paths", repeated)
+    assert main(["verify", "--ell", str(ell), *argv]) == 1
+    run = json.loads(capsys.readouterr().out)["runs"][0]
+    assert run["h_s_column_sums_ok"] is False
+    assert "per-slope column sums differ from the coset degree" in run["failures"]
+    if ell == 7 and not argv:
+        assert run["coincidence"] == {"checked": True, "psi_plus": True, "h_s": False}

@@ -2,7 +2,7 @@
 
 Machine output goes to stdout as JSON or CSV; logs go to stderr (level from
 the CARTAN_LOG environment variable). Exit codes: 0 all checks pass, 1 a
-check failed, 2 a rank certificate was non-conclusive, 64 usage error.
+check failed, 64 usage error.
 """
 
 from __future__ import annotations
@@ -33,19 +33,21 @@ from .circulant import (
     verify_chart_conjugacy,
 )
 from .correspondence import (
+    base_geodesic,
     base_paths,
     build_H_s,
     build_psi,
     build_psi_plus,
     check_base_fixed,
+    check_commutes,
     check_equivariance_incidence,
     check_equivariance_psi,  # noqa: F401
     check_equivariance_psi_plus,  # noqa: F401
-    check_galois_bases,
-    check_galois_commutes,
+    check_maps_base,
     check_transporters,
     coefficients,
     combined_ranks,
+    field_isomorphism,
     geodesic_incidence,
     incidence_columns,
     incidence_ranks,
@@ -87,7 +89,7 @@ from .geometry import (
 )
 from .modular_arith import PrimeContext, is_odd_prime, is_prime
 
-SCHEMA_VERSION = 3  # the verify report; 3 ranks by the unipotent characters only
+SCHEMA_VERSION = 4  # the verify report; 4 drops nonconclusive and scheme
 TABLE_SCHEMA_VERSION = 1  # the eigenvalues and decompose documents
 DEFAULT_MAX_ELL = 101
 COINCIDENCE_BOUND = 7
@@ -96,7 +98,6 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
 log = logging.getLogger("cartanmaps")
@@ -109,9 +110,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit EXIT_USAGE: argparse's own
-    code 2 means a non-conclusive rank certificate here.  add_subparsers
-    makes its subparsers of the same class."""
+    """An argument parser whose usage errors exit EXIT_USAGE, as every
+    other usage error does, instead of argparse's own code 2.
+    add_subparsers makes its subparsers of the same class."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -178,7 +179,7 @@ def aux_rank_prime(ell: int) -> int:
 
 
 def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None,
-                     name: str, ctx: PrimeContext) -> tuple[dict, list, list]:
+                     name: str, ctx: PrimeContext) -> tuple[dict, list]:
     """ranks is (rank, affine rank) mod p = aux_rank_prime(ell) from the
     operator's unipotent blocks, or None when its equivariance proof failed:
     then the blocks mean nothing and the operator gets no rank, and its
@@ -188,7 +189,7 @@ def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None,
     rows, cols = shape
     if ranks is None:
         return ({"rank": None, "expected": rows, "surjective": None,
-                 "restricted_nonsingular": None, "certificate": None}, [], [])
+                 "restricted_nonsingular": None, "certificate": None}, [])
     p = aux_rank_prime(ctx.ell)
     rank, affine_rank = ranks
     cert = RankCertificate(rows, cols, rank, ((p, rank),), "unipotent characters",
@@ -202,25 +203,12 @@ def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None,
         "restricted_nonsingular": nonsing,
         "certificate": cert.to_json(),
     }
-    failures, nonconclusive = [], []
+    failures = []
     if rank != rows:
         failures.append(f"{name}: rank {rank} != expected {rows}")
     if not nonsing:
         failures.append(f"{name}: affine restriction is singular mod {p}")
-    if not cert.conclusive:
-        nonconclusive.append(f"{name}: rank certificate non-conclusive")
-    return section, failures, nonconclusive
-
-
-def _theorem1(shape: tuple[int, int], ctx: PrimeContext):
-    """Theorem 1 at ctx's epsilon: psi+ proved and ranked on its geodesic
-    array.  Returns _theorem_section's (section, failures, nonconclusive),
-    the array, and whether its generator proof held."""
-    geodesics = geodesic_incidence(ctx)
-    proved = check_equivariance_incidence(geodesics, ctx)
-    ranks = (combined_ranks([incidence_columns(geodesics, ctx)], [1],
-                            aux_rank_prime(ctx.ell), ctx) if proved else None)
-    return *_theorem_section(shape, ranks, "theorem1", ctx), geodesics, proved
+    return section, failures
 
 
 def _circulant_case(case: str, ctx: PrimeContext):
@@ -238,18 +226,16 @@ def _circulant_case(case: str, ctx: PrimeContext):
         return rm, exc.reports, exc
 
 
-def _circulant_section(case: str, ctx: PrimeContext
-                       ) -> tuple[dict, list, CertificateError | None]:
+def _circulant_section(case: str, ctx: PrimeContext) -> tuple[dict, list]:
     """Case N or C of the circulant phase: the eigenvalue records, and the
-    count matrix's eigenvalue product against its direct determinant; with
-    _circulant_case's error, which --strict-roots reads at ctx's root."""
+    count matrix's eigenvalue product against its direct determinant."""
     rm, recs, error = _circulant_case(case, ctx)
     failures = [] if error is None else [str(error)]
     section = {"records": [r.to_json() for r in recs], "all_match": error is None}
     if rm is None:
         # the count matrix failed its reduction: no determinant to compare
         section.update(det_product=None, det_direct=None, det_match=False)
-        return section, failures, error
+        return section, failures
     # the half-plane eigenvalues sit at the powers of g^2, the others at g's
     row, e = (rm.first_row, 2) if case == "N" else (rm.combined_row, 1)
     prod = circulant_det_mod(row, e, ctx)
@@ -260,7 +246,7 @@ def _circulant_section(case: str, ctx: PrimeContext
         failures.append(f"{plane} circulant determinant check failed: "
                         f"product {prod}, direct {direct}")
     section.update(det_product=prod, det_direct=direct, det_match=det_ok)
-    return section, failures, error
+    return section, failures
 
 
 # The closed-form size of each of the four G-sets, by decode tag; the
@@ -277,12 +263,9 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
     """Full pipeline for one prime; returns the per-run report dict."""
     timings = _Timings(ell)
     failures: list[str] = []
-    nonconclusive: list[str] = []
     ctx = PrimeContext(ell, epsilon, root)
-    # "scheme" is a constant of schema 2: alpha_s = 1 and beta_s = s^-1 are
-    # fixed (correspondence.coefficients)
-    report: dict = {"ell": ell, "epsilon": ctx.epsilon, "g": ctx.g,
-                    "scheme": {"standard": True}}
+    aux = aux_rank_prime(ell)
+    report: dict = {"ell": ell, "epsilon": ctx.epsilon, "g": ctx.g}
     log.info("verifying ell=%d epsilon=%d g=%d", ell, ctx.epsilon, ctx.g)
 
     with _phase(timings, "geometry"):
@@ -298,12 +281,14 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
             failures.append("set cardinalities disagree with coset-space indices")
 
     with _phase(timings, "theorem1"):
-        # psi+'s geodesic array is read by chart conjugacy and the coset
-        # coincidence too
-        section, f1, n1, geodesics, eq_plus = _theorem1((n_H, n_up), ctx)
-        report["theorem1"] = section
+        # psi+ proved and ranked on its geodesic array, which chart conjugacy
+        # and the coset coincidence read too
+        geodesics = geodesic_incidence(ctx)
+        eq_plus = check_equivariance_incidence(geodesics, ctx)
+        ranks = (combined_ranks([incidence_columns(geodesics, ctx)], [1], aux, ctx)
+                 if eq_plus else None)
+        report["theorem1"], f1 = _theorem_section((n_H, n_up), ranks, "theorem1", ctx)
         failures += f1
-        nonconclusive += n1
 
     with _phase(timings, "theorem2"):
         # Each H_s is its base path carried to every ordered pair by the pair's
@@ -319,20 +304,20 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         # of its H_s the length ell - 1 of the path
         col_ok = all((np.diff(base) > 0).all() for base in bases.values())
         carried = check_transporters(ctx)
-        galois_ok = check_galois_commutes(ctx)
+        J = field_isomorphism("C_ell", -1, ell)
+        galois_ok = check_commutes(J, "C_ell", ctx, ctx)
         own, paired = [], {}  # the slopes proved on their own; t -> s
         for s in range(1, ctx.r + 1):
             t = ell - s
             if carried and check_base_fixed(bases[s], ctx):
                 own.append(s)
-                if galois_ok and check_galois_bases(bases[s], bases[t], ctx):
+                if galois_ok and check_maps_base(J, bases[s], bases[t]):
                     paired[t] = s
                     continue
             if carried and check_base_fixed(bases[t], ctx):
                 own.append(t)
         # a slope's columns at the U-orbit representatives serve psi
         # (sum_s c_s H_s) here and H_s in the h_s phase, both mod aux
-        aux = aux_rank_prime(ell)
         proved = set(own) | set(paired)
         reps = path_columns(ctx, {s: bases[s] for s in range(1, ell) if s in proved},
                             representatives(ctx, "ordered_pairs"))
@@ -340,10 +325,8 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         weights = sum(coefficients(ctx))
         ranks = (combined_ranks(list(reps.values()), [weights[s - 1] for s in reps],
                                 aux, ctx) if eq_hs else None)
-        section, f2, n2 = _theorem_section((n_C, n_op), ranks, "theorem2", ctx)
-        report["theorem2"] = section
+        report["theorem2"], f2 = _theorem_section((n_C, n_op), ranks, "theorem2", ctx)
         failures += f2
-        nonconclusive += n2
 
     with _phase(timings, "chart_conjugacy"):
         chart_ok = verify_chart_conjugacy(ctx, geodesics)
@@ -352,10 +335,9 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
             failures.append("chart-coordinate matrix differs from geometric matrix")
 
     with _phase(timings, "circulant"):
-        report["circulant"], circulant_errors = {}, {}
+        report["circulant"] = {}
         for case in ("N", "C"):
-            section, fc, circulant_errors[case] = _circulant_section(case, ctx)
-            report["circulant"][case] = section
+            report["circulant"][case], fc = _circulant_section(case, ctx)
             failures += fc
 
     with _phase(timings, "equivariance"):
@@ -440,41 +422,50 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
 
     if all_epsilon:
         with _phase(timings, "all_epsilon"):
-            eps_reports = []
+            # psi+ at each non-square eps' is psi+ at eps with its rows
+            # relabelled by sigma (correspondence.field_isomorphism) when both
+            # premises hold: the rank and the affine nonsingularity carry over
+            theorem1 = report["theorem1"]
+            # both are null where the proof of psi+ failed
+            held = (theorem1["surjective"] is True
+                    and theorem1["restricted_nonsingular"] is True)
+            square_root = {x * x % ell: x for x in range(1, ell)}
+            report["all_epsilon"] = []
             for eps in ctx.nonsquares():
-                # the theorem1 phase verified the default non-square already
-                section = (report["theorem1"] if eps == ctx.epsilon else
-                           _theorem1((n_H, n_up), PrimeContext(ell, eps, ctx.g))[0])
-                # both are null where the proof of psi+ failed
-                nonsing = section["restricted_nonsingular"]
-                ok = section["surjective"] is True and nonsing is True
-                eps_reports.append({"epsilon": eps, "rank": section["rank"],
-                                    "restricted_nonsingular": nonsing, "ok": ok})
-                if not ok:
+                ctx_to = PrimeContext(ell, eps, ctx.g)
+                # c^2 eps' = eps
+                c = square_root[ctx.epsilon * ctx.inverse_table[eps] % ell]
+                sigma = field_isomorphism("H_ell", c, ell)
+                premises = {
+                    "commutes_with_gl2": check_commutes(sigma, "H_ell", ctx, ctx_to),
+                    "maps_base_geodesic": check_maps_base(sigma, base_geodesic(ctx),
+                                                          base_geodesic(ctx_to))}
+                carried = all(premises.values())
+                report["all_epsilon"].append({
+                    "epsilon": eps, **{key: theorem1[key] if carried else None
+                                       for key in ("rank", "restricted_nonsingular")},
+                    "ok": carried and held, "method": "field isomorphism", **premises})
+                failures += [f"all_epsilon: {name} fails for epsilon={eps}"
+                             for name, ok in premises.items() if not ok]
+                if carried and not held:
                     failures.append(f"theorem1 failed for epsilon={eps}")
-            report["all_epsilon"] = eps_reports
 
     if strict_roots:
         with _phase(timings, "strict_roots"):
-            root_reports = []
-            for gr in ctx.primitive_roots():
-                # the eigenvalue certificates only, case C once N has passed;
-                # the circulant phase certified the default root already
-                if gr == ctx.g:
-                    errors = circulant_errors.values()
-                else:
-                    sub_ctx = PrimeContext(ell, ctx.epsilon, gr)
-                    errors = (_circulant_case(case, sub_ctx)[2] for case in ("N", "C"))
-                error = next(filter(None, errors), None)
-                if error is not None:
-                    failures.append(f"certificates failed for root g={gr}: {error}")
-                root_reports.append({"g": gr, "ok": error is None})
-            report["strict_roots"] = root_reports
+            # At g' = g^k each count row is relabelled j -> kj, so the k-th
+            # eigenvalue at g' is the k-th at g, and the residues and closed
+            # forms do not read g: the circulant verdict holds at every root
+            failed = " and ".join(case for case, section in report["circulant"].items()
+                                  if not section["all_match"])
+            roots = ctx.primitive_roots()
+            report["strict_roots"] = [{"g": gr, "ok": not failed,
+                                       "method": "root relabelling"} for gr in roots]
+            failures += [f"certificates failed for root g={gr}: case {failed} "
+                         f"failed at g={ctx.g}" for gr in roots if failed]
 
     report["timings"] = timings
     report["failures"] = failures
-    report["nonconclusive"] = nonconclusive
-    report["ok"] = not failures and not nonconclusive
+    report["ok"] = not failures
     return report
 
 
@@ -561,7 +552,6 @@ def cmd_verify(args) -> int:
     else:
         runs = [run_verification(e, **kwargs) for e in ells]
     n_fail = sum(len(r["failures"]) for r in runs)
-    n_open = sum(len(r["nonconclusive"]) for r in runs)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "cartanmaps", "version": __version__},
@@ -576,15 +566,10 @@ def cmd_verify(args) -> int:
             "worker_processes": workers if workers > 1 else 0,
         },
         "runs": runs,
-        "summary": {"ok": n_fail == 0 and n_open == 0,
-                    "failures": n_fail, "nonconclusive": n_open},
+        "summary": {"ok": n_fail == 0, "failures": n_fail},
     }
     _emit(doc, args.out)
-    if n_fail:
-        return EXIT_FAIL
-    if n_open:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_FAIL if n_fail else EXIT_OK
 
 
 def cmd_export(args) -> int:
@@ -764,7 +749,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-cosets", action="store_true",
                    help="skip the coset-operator coincidence checks")
     p.add_argument("--strict-roots", action="store_true",
-                   help="run the circulant certificates at every primitive root")
+                   help="verify the circulant certificates at every primitive root")
     p.add_argument("--seed", type=int, default=0,
                    help="ignored: equivariance is proved on generators, not sampled")
     p.add_argument("--jobs", type=int, default=1,

@@ -21,6 +21,7 @@ from .geometry import (
     decode,
     det_mod,
     generators,
+    orbit_index,
     permutation,
     transporters,
 )
@@ -123,13 +124,21 @@ def _scatter(out: np.ndarray, idx: np.ndarray, weight: int = 1) -> np.ndarray:
     return out
 
 
+def base_geodesic(ctx: PrimeContext) -> np.ndarray:
+    """The geodesic through {0, inf}, {lam*se}, as its r H_ell indices in
+    ascending order (lam and -lam land on conjugate points)."""
+    return np.sort(orbit_index(0, np.arange(1, ctx.r + 1), ctx.ell))
+
+
 def geodesic_incidence(ctx: PrimeContext) -> np.ndarray:
     """psi+ as its incidence index array: column j of psi+ has its ones at the
-    H_ell rows idx[:, j], which are r distinct indices in ascending order."""
+    H_ell rows idx[:, j], the base geodesic carried by pair j's transporter:
+    r distinct indices in ascending order."""
     ell, tag = ctx.ell, "unordered_pairs"
     g = transporters(tag, *decode(tag, ell), ell)
-    lam = np.arange(1, ctx.r + 1, dtype=np.int64)[:, None]
-    # lam and its negative land on conjugate points, so lam <= r suffices
+    # the base points lam*se have x = 0: the scalar keeps move_cartan's
+    # x terms at one value per pair
+    lam = decode("H_ell", ell)[1][base_geodesic(ctx)][:, None]
     idx = act(g, "H_ell", 0, lam, ctx)
     return _distinct_sorted(idx, tag, ell, "geodesic")
 
@@ -217,14 +226,11 @@ def restrict_to_affine(m: OperatorMatrix, ell: int) -> OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _generator_perms(ctx: PrimeContext, row_tag: str,
-                     col_tag: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(P_row(h), P_col(h)) for the generators h of GL2(F_ell), read-only."""
-    perms = tuple((permutation(h, row_tag, ctx), permutation(h, col_tag, ctx))
-                  for h in generators(ctx))
-    for pair in perms:
-        for perm in pair:
-            perm.flags.writeable = False
+def _generator_perms(ctx: PrimeContext, tag: str) -> tuple[np.ndarray, ...]:
+    """P(h) on the basis with this tag for the generators h, read-only."""
+    perms = tuple(permutation(h, tag, ctx) for h in generators(ctx))
+    for perm in perms:
+        perm.flags.writeable = False
     return perms
 
 
@@ -232,7 +238,7 @@ def check_equivariance_psi(m: OperatorMatrix, ctx: PrimeContext) -> bool:
     """The generator proof on a dense operator: psi, psi+ or an H_s."""
     M = m.data
     return all(np.array_equal(M[p_row][:, p_col], M) for p_row, p_col
-               in _generator_perms(ctx, m.row_tag, m.col_tag))
+               in zip(_generator_perms(ctx, m.row_tag), _generator_perms(ctx, m.col_tag)))
 
 
 check_equivariance_psi_plus = check_equivariance_psi
@@ -248,8 +254,9 @@ def check_equivariance_incidence(idx: np.ndarray, ctx: PrimeContext) -> bool:
     is one array compare per generator.
     """
     S = np.sort(idx, axis=0)
-    return all(np.array_equal(np.sort(p_row[S], axis=0), S[:, p_col])
-               for p_row, p_col in _generator_perms(ctx, *_tags(idx, ctx)))
+    row_tag, col_tag = _tags(idx, ctx)
+    return all(np.array_equal(np.sort(p_row[S], axis=0), S[:, p_col]) for p_row, p_col
+               in zip(_generator_perms(ctx, row_tag), _generator_perms(ctx, col_tag)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,37 +292,41 @@ def check_transporters(ctx: PrimeContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Slope pairing.  Galois conjugation J: x + y*se -> x - y*se is a bijection of
-# C_ell, and it commutes with every g of GL2(F_ell), whose entries lie in
-# F_ell.  It maps the slope-s path through a pair onto the slope-(ell - s)
-# path through the same pair (lam*s - lam*se has slope -s), so
-# H_(ell-s) = J H_s: a row permutation of H_s, fixed by GL2 when H_s and J
-# are, and of the same rank over every field.
+# Field isomorphisms.  x + y*se -> x + c*y*se' is a field isomorphism
+# F_ell(se) -> F_ell(se') iff c^2 eps' = eps, and then it commutes with GL2,
+# whose entries lie in F_ell.  Let column j of M (of M') be T_j applied to a
+# base set B (B').  If the map sigma commutes with the generators (premise 1)
+# and maps B onto B' (premise 2), sigma(T_j B) = T_j B', so M' = P_sigma M:
+# a row relabelling, which keeps every rank.  verify reads two cases:
+# - J, c = -1 on C_ell: the slope-s path maps onto the slope-(ell - s) path
+#   through the same pair, so H_(ell-s) = J H_s;
+# - sigma on H_ell, c^2 eps' = eps: psi+ at eps' is sigma psi+ at eps.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def galois_conjugation(ell: int) -> np.ndarray:
-    """J on C_ell as a read-only index array: J[x(ell-1) + y - 1] is the
-    index x(ell-1) + (ell-y) - 1 of x - y*se."""
-    x, y = decode("C_ell", ell)
-    J = cartan_index(x, ell - y, ell)
-    J.flags.writeable = False
-    return J
+def field_isomorphism(tag: str, c: int, ell: int) -> np.ndarray:
+    """x + y*se -> x + c*y*se' on the basis with this tag, "H_ell" or
+    "C_ell", as a read-only index array: entry i is the index of the image
+    of element i."""
+    x, y = decode(tag, ell)
+    index = orbit_index if tag == "H_ell" else cartan_index
+    perm = index(x, c * y % ell, ell)
+    perm.flags.writeable = False
+    return perm
 
 
-def check_galois_commutes(ctx: PrimeContext) -> bool:
-    """The generator proof of J: J[P(h)] == P(h)[J] on C_ell for the
-    generators h of GL2(F_ell)."""
-    J = galois_conjugation(ctx.ell)
-    return all(np.array_equal(J[perm], perm[J])
-               for perm in (permutation(h, "C_ell", ctx) for h in generators(ctx)))
+def check_commutes(perm: np.ndarray, tag: str, ctx: PrimeContext,
+                   ctx_to: PrimeContext) -> bool:
+    """Premise 1: perm[P_ctx(h)] == P_ctx_to(h)[perm] on the basis with this
+    tag for the generators h of ctx, whose primitive root ctx_to shares;
+    P_ctx is the cached table the generator proofs read."""
+    return all(np.array_equal(perm[p], permutation(h, tag, ctx_to)[perm])
+               for h, p in zip(generators(ctx), _generator_perms(ctx, tag)))
 
 
-def check_galois_bases(base_s: np.ndarray, base_t: np.ndarray, ctx: PrimeContext) -> bool:
-    """Whether J maps the base path base_s onto base_t (both ascending); once
-    check_galois_commutes holds, J commutes with every transporter, so the
-    path operator of base_t is J times that of base_s."""
-    return np.array_equal(np.sort(galois_conjugation(ctx.ell)[base_s]), base_t)
+def check_maps_base(perm: np.ndarray, base: np.ndarray, base_to: np.ndarray) -> bool:
+    """Premise 2: perm maps the base set base onto base_to (both ascending)."""
+    return np.array_equal(np.sort(perm[base]), base_to)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import cartanmaps
 from cartanmaps.cli import (
     DEFAULT_MAX_ELL,
     EXIT_FAIL,
-    EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -42,7 +41,7 @@ def test_verify_smallest_prime(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ell", "3")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     run = doc["runs"][0]
     assert run["theorem1"]["rank"] == 3
     assert run["theorem2"]["rank"] == 6
@@ -69,7 +68,7 @@ def test_verify_composite_is_usage_error(capsys):
                                   ["export", "--ell", "5"],
                                   ["bogus"]])
 def test_argparse_errors_exit_with_the_usage_code(argv, capsys):
-    """argparse's own code 2 would read as a non-conclusive certificate."""
+    """argparse's own errors exit with the one usage code, not its 2."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_USAGE
@@ -207,52 +206,24 @@ def test_verify_all_epsilon_and_strict_roots(capsys):
     assert all(r["ok"] for r in run["strict_roots"])
 
 
-def test_verify_scheme_field_is_a_constant(capsys):
-    """The coefficients are fixed, and schema 2 keeps their field as a
-    constant in every run."""
-    code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..13", "--all-epsilon")
-    assert code == EXIT_OK
-    runs = json.loads(out)["runs"]
-    assert [r["ell"] for r in runs] == [3, 5, 7, 11, 13]
-    assert all(r["scheme"] == {"standard": True} for r in runs)
-
-
 def test_verify_skip_cosets(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ell", "3", "--skip-cosets")
     assert code == EXIT_OK
     assert json.loads(out)["runs"][0]["coincidence"] == {"checked": False}
 
 
-def test_verify_nonconclusive_exit_code(capsys, monkeypatch):
-    """A non-conclusive theorem certificate with no failure exits 2."""
-    import cartanmaps.cli as cli_mod
-
-    real = cli_mod._theorem_section
-
-    def nonconclusive(shape, ranks, name, ctx):
-        section, failures, _ = real(shape, ranks, name, ctx)
-        section["certificate"]["conclusive"] = False
-        return section, failures, [f"{name}: rank certificate non-conclusive"]
-
-    monkeypatch.setattr(cli_mod, "_theorem_section", nonconclusive)
-    code, out, _ = run_cli(capsys, "verify", "--ell", "3")
-    assert code == EXIT_INCONCLUSIVE
-    run = json.loads(out)["runs"][0]
-    assert run["failures"] == []
-    assert run["nonconclusive"] == ["theorem1: rank certificate non-conclusive",
-                                    "theorem2: rank certificate non-conclusive"]
-
-
 def test_verify_failure_exit_code(capsys, monkeypatch):
     """Block ranks below full: each theorem reports its rank mod the
-    auxiliary prime as a non-conclusive lower bound, and the run exits 1,
-    failures taking precedence over non-conclusive certificates."""
+    auxiliary prime as a non-conclusive lower bound, and the run exits 1:
+    a theorem certificate below full rank is a failure of its theorem."""
     import cartanmaps.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "combined_ranks", lambda reps, weights, p, ctx: (1, 1))
     code, out, _ = run_cli(capsys, "verify", "--ell", "3")
     assert code == EXIT_FAIL
-    run = json.loads(out)["runs"][0]
+    doc = json.loads(out)
+    assert doc["summary"] == {"ok": False, "failures": 4}
+    run = doc["runs"][0]
     p = cli_mod.aux_rank_prime(3)
     for theorem, (rows, cols) in (("theorem1", (3, 6)), ("theorem2", (6, 12))):
         assert run[theorem] == {
@@ -262,7 +233,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
                             "method": "unipotent characters", "conclusive": False}}
         assert f"{theorem}: rank 1 != expected {rows}" in run["failures"]
         assert f"{theorem}: affine restriction is singular mod {p}" in run["failures"]
-        assert f"{theorem}: rank certificate non-conclusive" in run["nonconclusive"]
+    assert len(run["failures"]) == 4 and "nonconclusive" not in run
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -534,8 +505,10 @@ def test_run_verification_report_shape():
     report = run_verification(5)
     for key in ("sets", "theorem1", "theorem2", "chart_conjugacy", "circulant",
                 "equivariance", "degrees", "h_s_ranks", "coincidence",
-                "timings", "failures", "nonconclusive"):
+                "timings", "failures"):
         assert key in report
+    # schema 4 dropped the run-level nonconclusive list and the constant scheme
+    assert "nonconclusive" not in report and "scheme" not in report
     assert report["equivariance"]["generators"] == [[1, 1, 0, 1], [1, 0, 1, 1],
                                                     [2, 0, 0, 1]]
     assert report["equivariance"]["psi_plus"] and report["equivariance"]["psi"]
@@ -651,7 +624,7 @@ def test_only_geometry_imports_the_actions():
 
 
 def test_verify_names_no_dense_builder_or_rank():
-    """run_verification, _theorem1 and _theorem_section name no dense
+    """run_verification and _theorem_section name no dense
     operator builder and no dense rank: the theorem ranks come only from the
     unipotent blocks.  export keeps the dense builders."""
     import cartanmaps.cli as cli_mod
@@ -666,7 +639,7 @@ def test_verify_names_no_dense_builder_or_rank():
             named[node.name] = {sub.id if isinstance(sub, ast.Name) else sub.attr
                                 for sub in ast.walk(node)
                                 if isinstance(sub, (ast.Name, ast.Attribute))}
-    verify = ("run_verification", "_theorem1", "_theorem_section")
+    verify = ("run_verification", "_theorem_section")
     assert {name: named[name] & dense for name in verify} == {name: set() for name in verify}
     assert {"build_psi", "build_psi_plus", "restrict_to_affine"} <= named["cmd_export"]
 
@@ -747,9 +720,10 @@ def test_verify_count_matrix_reduction_failure(case, reduce, capsys, monkeypatch
     assert run["circulant"][case] == {"records": [], "all_match": False, "det_product": None,
                                       "det_direct": None, "det_match": False}
     assert run["circulant"]["C" if case == "N" else "N"]["det_match"] is True
-    assert run["failures"] == ["forged reduction failure",
-                               "certificates failed for root g=2: forged reduction failure",
-                               "certificates failed for root g=3: forged reduction failure"]
+    assert run["strict_roots"] == [{"g": g, "ok": False, "method": "root relabelling"}
+                                   for g in (2, 3)]
+    assert run["failures"] == ["forged reduction failure"] + [
+        f"certificates failed for root g={g}: case {case} failed at g=2" for g in (2, 3)]
 
 
 @pytest.mark.parametrize("case, plane", [("N", "half-plane"), ("C", "punctured-plane")])
@@ -783,55 +757,105 @@ def test_verify_circulant_determinant_mismatch(case, plane, capsys, monkeypatch)
 
 @pytest.mark.parametrize("case", ["N", "C"])
 def test_strict_roots_reports_the_failing_root(case, capsys, monkeypatch):
-    """A certificate failing at g = 5 fails that root only; failing at the
-    default g = 3, it fails the circulant phase and --strict-roots names 3,
-    from the circulant phase's own error."""
+    """A certificate failing at the default g = 3 fails the circulant phase,
+    and --strict-roots, which carries that phase's verdict to every root,
+    fails every root, one line each, naming the case and the default root."""
     import cartanmaps.cli as cli_mod
 
     name = f"eigenvalues_{case}"
-    real = getattr(cli_mod, name)
-    for bad in (5, 3):
-        with monkeypatch.context() as patch:
-            patch.setattr(cli_mod, name, forged_certificate(real, lambda ctx: ctx.g == bad))
-            code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets",
-                                   "--strict-roots")
-        assert code == EXIT_FAIL
-        run = json.loads(out)["runs"][0]
-        assert run["g"] == 3 and run["circulant"][case]["all_match"] is (bad != 3)
-        assert run["strict_roots"] == [{"g": g, "ok": g != bad} for g in (3, 5)]
-        strict = f"certificates failed for root g={bad}: forged failure at g={bad}"
-        assert run["failures"] == ([strict] if bad == 5
-                                   else ["forged failure at g=3", strict])
+    monkeypatch.setattr(cli_mod, name, forged_certificate(getattr(cli_mod, name)))
+    code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets",
+                           "--strict-roots")
+    assert code == EXIT_FAIL
+    run = json.loads(out)["runs"][0]
+    assert run["g"] == 3 and run["circulant"][case]["all_match"] is False
+    assert run["strict_roots"] == [{"g": g, "ok": False, "method": "root relabelling"}
+                                   for g in (3, 5)]
+    assert run["failures"] == ["forged failure at g=3"] + [
+        f"certificates failed for root g={g}: case {case} failed at g=3" for g in (3, 5)]
 
 
-def test_all_epsilon_reports_the_failing_nonsquare(capsys, monkeypatch):
-    """psi+ one rank short at epsilon = 5 only: the default epsilon = 3
-    passes, and --all-epsilon names 5.  One rank short at the default 3: the
-    theorem1 phase fails, and --all-epsilon names 3 from that phase's
-    section."""
+@pytest.mark.parametrize("ell", [5, 7, 13, 31])
+def test_circulant_records_are_the_same_at_every_root(ell):
+    """The relabelling lemma --strict-roots reads, checked by running both
+    certificates at every primitive root: with g' = g^k each count row is
+    relabelled j -> kj, so every root's eigenvalue records equal the
+    default root's."""
     import cartanmaps.cli as cli_mod
 
-    real = cli_mod.combined_ranks
-    for bad in (5, 3):
-        def short_at_bad(reps, weights, p, ctx):
-            rank, affine_rank = real(reps, weights, p, ctx)
-            if ctx.epsilon == bad and len(reps[0]) == ctx.r:  # psi+'s geodesics
-                return rank - 1, affine_rank
-            return rank, affine_rank
+    ctx = PrimeContext(ell)
+    for case in ("N", "C"):
+        _, want, error = cli_mod._circulant_case(case, ctx)
+        assert error is None and want, case
+        for g in ctx.primitive_roots():
+            _, got, error = cli_mod._circulant_case(case, PrimeContext(ell, ctx.epsilon, g))
+            assert error is None, (case, g)
+            assert [r.to_json() for r in got] == [r.to_json() for r in want], (case, g)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(cli_mod, "combined_ranks", short_at_bad)
-            code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets",
-                                   "--all-epsilon")
-        assert code == EXIT_FAIL
-        run = json.loads(out)["runs"][0]
-        assert run["epsilon"] == 3 and run["theorem1"]["surjective"] is (bad != 3)
-        assert run["all_epsilon"] == [
-            {"epsilon": eps, "rank": 20 if eps == bad else 21,
-             "restricted_nonsingular": True, "ok": eps != bad} for eps in (3, 5, 6)]
-        all_eps = f"theorem1 failed for epsilon={bad}"
-        assert run["failures"] == ([all_eps] if bad == 5
-                                   else ["theorem1: rank 20 != expected 21", all_eps])
+
+# (the defect, its ok flags of (theorem 1, the entries at 5 and 6), the
+# failure lines)
+ALL_EPSILON_DEFECTS = {
+    "sigma does not commute": (True, [
+        "all_epsilon: commutes_with_gl2 fails for epsilon=5",
+        "all_epsilon: commutes_with_gl2 fails for epsilon=6"]),
+    "base geodesic moved": (True, [
+        "all_epsilon: maps_base_geodesic fails for epsilon=5",
+        "all_epsilon: maps_base_geodesic fails for epsilon=6"]),
+    "theorem1 short": (False, [
+        "theorem1: rank 20 != expected 21", "theorem1 failed for epsilon=3",
+        "theorem1 failed for epsilon=5", "theorem1 failed for epsilon=6"]),
+}
+
+
+@pytest.mark.parametrize("defect", list(ALL_EPSILON_DEFECTS))
+def test_all_epsilon_reports_the_failing_nonsquare(defect, capsys, monkeypatch):
+    """At ell = 7, default epsilon 3, each entry of --all-epsilon is theorem
+    1 carried by a field isomorphism sigma, so a defect fails the entries it
+    reaches, each with its own line:
+    - the identity for sigma, which maps the base geodesic (the same indices
+      at every non-square) but does not commute with GL2, fails 5 and 6
+      only, with no rank; theorem 1 passes;
+    - the base geodesic moved at 5 and 6: on H_ell no map but sigma commutes
+      with GL2 (N' is its own normaliser), so the miss is seeded on the
+      base side; sigma commutes but misses it, and 5 and 6 fail the same
+      way;
+    - psi+ one rank short at 3 fails theorem 1, and every entry with it."""
+    import cartanmaps.cli as cli_mod
+
+    if defect == "sigma does not commute":
+        real = cli_mod.field_isomorphism
+        monkeypatch.setattr(cli_mod, "field_isomorphism", lambda tag, c, ell: (
+            real(tag, 1, ell) if tag == "H_ell" else real(tag, c, ell)))
+    elif defect == "base geodesic moved":
+        real = cli_mod.base_geodesic
+        monkeypatch.setattr(cli_mod, "base_geodesic", lambda ctx: (
+            real(ctx) if ctx.epsilon == 3 else real(ctx) + ctx.r))
+    else:
+        real = cli_mod.combined_ranks
+
+        def short(reps, weights, p, ctx):
+            rank, affine_rank = real(reps, weights, p, ctx)
+            # psi+'s one geodesic array
+            return (rank - 1, affine_rank) if len(reps[0]) == ctx.r else (rank, affine_rank)
+
+        monkeypatch.setattr(cli_mod, "combined_ranks", short)
+    code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets", "--all-epsilon")
+    assert code == EXIT_FAIL
+    run = json.loads(out)["runs"][0]
+    theorem1_ok, lines = ALL_EPSILON_DEFECTS[defect]
+    assert run["epsilon"] == 3 and run["theorem1"]["surjective"] is theorem1_ok
+    assert run["failures"] == lines
+    for entry in run["all_epsilon"]:
+        eps = entry["epsilon"]
+        relabelled = eps == 3 or theorem1_ok is False
+        assert entry == {
+            "epsilon": eps, "rank": (21 if theorem1_ok else 20) if relabelled else None,
+            "restricted_nonsingular": True if relabelled else None,
+            "ok": relabelled and theorem1_ok, "method": "field isomorphism",
+            "commutes_with_gl2": relabelled or defect != "sigma does not commute",
+            "maps_base_geodesic": relabelled or defect != "base geodesic moved"}, eps
+    assert [entry["epsilon"] for entry in run["all_epsilon"]] == [3, 5, 6]
 
 
 def _count_calls(monkeypatch, module, name, seen):
@@ -847,10 +871,9 @@ def _count_calls(monkeypatch, module, name, seen):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_all_epsilon_builds_each_geodesic_array_once(capsys, monkeypatch):
-    """Per prime, psi+'s geodesic array is built once per non-square: the
-    default one's by the theorem1 phase, whose section the all_epsilon entry
-    mirrors."""
+def test_all_epsilon_builds_one_geodesic_array_per_prime(capsys, monkeypatch):
+    """Per prime, psi+'s geodesic array is built once, by the theorem1 phase:
+    every all_epsilon entry carries that phase's rank by a relabelling."""
     import cartanmaps.cli as cli_mod
 
     seen = []
@@ -858,17 +881,18 @@ def test_all_epsilon_builds_each_geodesic_array_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..13", "--all-epsilon")
     assert code == EXIT_OK
     runs = json.loads(out)["runs"]
-    assert sorted(seen) == sorted((run["ell"], e, run["g"]) for run in runs
-                                  for e in PrimeContext(run["ell"]).nonsquares())
+    assert seen == [(run["ell"], run["epsilon"], run["g"]) for run in runs]
     for run in runs:
-        entry = next(e for e in run["all_epsilon"] if e["epsilon"] == run["epsilon"])
-        assert entry["rank"] == run["theorem1"]["rank"]
-        assert entry["restricted_nonsingular"] == run["theorem1"]["restricted_nonsingular"]
+        assert [e["epsilon"] for e in run["all_epsilon"]] == \
+            PrimeContext(run["ell"]).nonsquares()
+        for entry in run["all_epsilon"]:
+            assert entry["rank"] == run["theorem1"]["rank"]
+            assert entry["restricted_nonsingular"] == run["theorem1"]["restricted_nonsingular"]
 
 
-def test_strict_roots_certifies_each_root_once(capsys, monkeypatch):
-    """Per prime, each eigenvalue certificate runs once per primitive root:
-    the default root's by the circulant phase."""
+def test_strict_roots_runs_each_certificate_once_per_prime(capsys, monkeypatch):
+    """Per prime, each eigenvalue certificate runs once, at the default root,
+    by the circulant phase; --strict-roots reads its verdict."""
     import cartanmaps.cli as cli_mod
 
     seen = {"N": [], "C": []}
@@ -877,9 +901,10 @@ def test_strict_roots_certifies_each_root_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..13", "--strict-roots")
     assert code == EXIT_OK
     runs = json.loads(out)["runs"]
-    want = sorted((run["ell"], run["epsilon"], g) for run in runs
-                  for g in PrimeContext(run["ell"]).primitive_roots())
-    assert sorted(seen["N"]) == sorted(seen["C"]) == want
+    assert seen["N"] == seen["C"] == [(run["ell"], run["epsilon"], run["g"]) for run in runs]
+    for run in runs:
+        assert run["strict_roots"] == [{"g": g, "ok": True, "method": "root relabelling"}
+                                       for g in PrimeContext(run["ell"]).primitive_roots()]
 
 
 def test_verify_jobs_submits_the_largest_primes_first(capsys, monkeypatch):

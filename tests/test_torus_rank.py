@@ -34,7 +34,7 @@ from cartanmaps.modular_arith import (PrimeContext, find_primitive_root, inverse
                                       is_odd_prime, is_prime)
 from cartanmaps.cli import run_verification
 
-from conftest import PRIMES_SMALL, oracle_mod_p
+from conftest import PRIMES_ALL, PRIMES_SMALL, oracle_mod_p
 
 U = geometry.GroupElement(1, 1, 0, 1)
 TAGS = ("unordered_pairs", "ordered_pairs", "H_ell", "C_ell")
@@ -324,7 +324,6 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
         assert run[theorem] == unranked(rows[theorem])
         assert run["equivariance"]["psi_plus" if target == "psi+" else "psi"] is False
         assert run["failures"] == [FAILURE_LINE[target]]
-        assert run["nonconclusive"] == []
         other = ({"theorem1", "theorem2"} - {theorem}).pop()
         assert run[other] == want[other]
         # only the proved operator was ranked by its blocks
@@ -401,7 +400,6 @@ def test_verify_reports_without_a_dense_operator_or_rank(capsys, monkeypatch):
                 "method": "unipotent characters", "conclusive": False}
             assert run["failures"] == ["theorem2: rank 41 != expected 42",
                                        f"theorem2: affine restriction is singular mod {p}"]
-            assert run["nonconclusive"] == ["theorem2: rank certificate non-conclusive"]
         else:
             assert run["failures"] == [FAILURE_LINE[target]], target
 
@@ -557,7 +555,7 @@ def test_theorem_section_below_full_rank_is_a_lower_bound(contexts):
     ctx = contexts[5]
     m, p = build_H_s(ctx, 2), aux_rank_prime(5)
     ranks = combined_ranks([incidence_columns(path_incidence(ctx, 2), ctx)], [1], p, ctx)
-    section, failures, nonconclusive = cli_mod._theorem_section(m.shape, ranks, "H_2", ctx)
+    section, failures = cli_mod._theorem_section(m.shape, ranks, "H_2", ctx)
     rank, affine_rank = ranks
     assert rank == 15 < min(m.shape) == 20
     assert rank <= rank_exact(m, preferred_primes=(p,)).rank
@@ -568,7 +566,6 @@ def test_theorem_section_below_full_rank_is_a_lower_bound(contexts):
                         "method": "unipotent characters", "conclusive": False}}
     assert failures == ["H_2: rank 15 != expected 20",
                         f"H_2: affine restriction is singular mod {p}"]
-    assert nonconclusive == ["H_2: rank certificate non-conclusive"]
 
 
 def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):
@@ -582,7 +579,7 @@ def test_verify_makes_no_dense_rank_call(capsys, monkeypatch):
         for theorem in ("theorem1", "theorem2"):
             assert run[theorem]["certificate"]["method"] == "unipotent characters"
             assert run[theorem]["restricted_nonsingular"] is True
-    # every non-square re-certifies psi+ the same way
+    # every non-square carries theorem 1's block ranks by a relabelling
     assert main(["verify", "--ell-range", "3..7", "--skip-cosets", "--all-epsilon"]) == 0
     assert dense_calls == []
     runs = json.loads(capsys.readouterr().out)["runs"]
@@ -871,13 +868,13 @@ def test_verify_builds_no_point_objects():
 
 def test_a_second_sweep_misses_no_cache():
     """The per-prime tables verify caches (orbits, powers of w, generator
-    permutations, Galois conjugation, inverses, decoded coordinates, the
-    auxiliary prime) are kept for the life
+    permutations, the Galois field isomorphism, inverses, decoded
+    coordinates, the auxiliary prime) are kept for the life
     of the process, so a second 3..23 sweep computes none of them again.  The
     column transporters are closed forms on the decoded coordinates and are
     not cached."""
     caches = (correspondence.orbits, correspondence._omega_powers,
-              correspondence._generator_perms, correspondence.galois_conjugation,
+              correspondence._generator_perms, correspondence.field_isomorphism,
               inverse_table, geometry.decode, aux_rank_prime)
     primes = [n for n in range(3, 24) if is_odd_prime(n)]
     for ell in primes:
@@ -892,28 +889,36 @@ def test_a_second_sweep_misses_no_cache():
 # The symmetries that spare ranks: each one against the full route.
 # ---------------------------------------------------------------------------
 
-def is_galois_pair(idx_s, idx_t, ctx):
-    """Whether incidence_operator(ctx, idx_t) == J incidence_operator(ctx, idx_s),
-    for path arrays with sorted columns: the full-array form of the base-path
-    compare verify makes."""
-    J = correspondence.galois_conjugation(ctx.ell)
-    return np.array_equal(np.sort(J[idx_s], axis=0), idx_t)
+def is_relabelling(perm, idx, idx_to):
+    """Whether the rows of the incidence array idx relabelled by perm are
+    idx_to, both with sorted columns: incidence_operator of idx_to is P_perm
+    times that of idx.  The full-array form of the base-set compare verify
+    makes."""
+    return np.array_equal(np.sort(perm[idx], axis=0), idx_to)
+
+
+def galois_conjugation(ell):
+    """J: x + y*se -> x - y*se on C_ell, the field isomorphism with c = -1."""
+    return correspondence.field_isomorphism("C_ell", -1, ell)
 
 
 def check_galois_pairing(ctx):
     ell = ctx.ell
-    J = correspondence.galois_conjugation(ell)
+    J = galois_conjugation(ell)
     assert sorted(J.tolist()) == list(range(ell * (ell - 1)))
     assert (J[J] == np.arange(len(J))).all() and (J != np.arange(len(J))).all()
-    assert correspondence.check_galois_commutes(ctx) is True
+    # the index of x - y*se, from the closed form of the C_ell order
+    x, y = geometry.decode("C_ell", ell)
+    assert np.array_equal(J, x * (ell - 1) + (ell - y) - 1)
+    assert correspondence.check_commutes(J, "C_ell", ctx, ctx) is True
     for s in range(1, ell):
         idx_s, idx_t = path_incidence(ctx, s), path_incidence(ctx, ell - s)
-        assert is_galois_pair(idx_s, idx_t, ctx) is True, s
+        assert is_relabelling(J, idx_s, idx_t) is True, s
         # J H_s, row i of which is row J(i) of H_s, is H_(ell-s)
         h_s = incidence_operator(ctx, idx_s).data
         assert np.array_equal(h_s[J], incidence_operator(ctx, idx_t).data), s
         # ell is odd, so s != ell - s, and J H_s is not H_s
-        assert is_galois_pair(idx_s, idx_s, ctx) is False, s
+        assert is_relabelling(J, idx_s, idx_s) is False, s
 
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
@@ -923,6 +928,31 @@ def test_galois_conjugation_pairs_the_slopes(ell, contexts):
 
 def test_galois_conjugation_pairs_the_slopes_under_nondefault_context():
     check_galois_pairing(PrimeContext(13, 5, 7))
+
+
+@pytest.mark.parametrize("ctx", [PrimeContext(ell) for ell in PRIMES_ALL]
+                         + [PrimeContext(13, 5, 7)], ids=str)
+def test_field_isomorphism_relabels_the_geodesic_array(ctx):
+    """The lemma --all-epsilon reads, checked by building the geodesic array
+    at every non-square: for every non-square eps' and every c != 0, the map
+    x + y*se -> x + c*y*se' relabels psi+'s geodesic array at eps onto the
+    array geodesic_incidence builds at eps' exactly when c^2 eps' = eps,
+    and exactly then it commutes with the generators (premise 1); for such
+    a c it maps the base geodesic onto the base geodesic (premise 2)."""
+    ell = ctx.ell
+    geodesics = geodesic_incidence(ctx)
+    base = correspondence.base_geodesic(ctx)
+    for eps in ctx.nonsquares():
+        to = PrimeContext(ell, eps, ctx.g)
+        want = geodesic_incidence(to)
+        for c in range(1, ell):
+            sigma = correspondence.field_isomorphism("H_ell", c, ell)
+            isomorphism = c * c * eps % ell == ctx.epsilon
+            assert is_relabelling(sigma, geodesics, want) is isomorphism, (eps, c)
+            assert correspondence.check_commutes(sigma, "H_ell", ctx, to) is isomorphism
+            if isomorphism:
+                assert correspondence.check_maps_base(
+                    sigma, base, correspondence.base_geodesic(to)), (eps, c)
 
 
 def character_ranks(m, p, ctx, h, order):
@@ -987,11 +1017,13 @@ def test_a_broken_conjugation_makes_every_slope_prove_and_rank_itself(broken, ca
     ell = 7
     ctx = PrimeContext(ell)
     want = json.loads(json.dumps(run_verification(ell)))
-    J = correspondence.galois_conjugation(ell)
+    J = galois_conjugation(ell)
     fake = {"identity": np.arange(len(J)), "rolled": np.roll(J, 1),
             "off the bases": J[[1, 0, *range(2, len(J))]]}[broken]
-    monkeypatch.setattr(correspondence, "galois_conjugation", lambda ell: fake)
-    assert correspondence.check_galois_commutes(ctx) is (broken == "identity")
+    real = cli_mod.field_isomorphism
+    monkeypatch.setattr(cli_mod, "field_isomorphism", lambda tag, c, ell: (
+        fake if tag == "C_ell" else real(tag, c, ell)))
+    assert correspondence.check_commutes(fake, "C_ell", ctx, ctx) is (broken == "identity")
     proved, ranked = recorded_slope_work(monkeypatch)
     assert main(["verify", "--ell", str(ell)]) == 0
     run = json.loads(capsys.readouterr().out)["runs"][0]
@@ -1070,11 +1102,12 @@ def off_orbit(base, ell):
 
 @pytest.mark.parametrize("ctx", [PrimeContext(ell) for ell in PRIMES_SMALL]
                          + [PrimeContext(13, 5, 7)], ids=str)
-def test_premise_verdicts_equal_the_generator_proof(ctx, monkeypatch):
+def test_premise_verdicts_equal_the_generator_proof(ctx):
     """Premise (a) holds exactly when the full array it transports passes
     the generator proof: on every base path, and on each moved off its
-    orbit.  The base-path Galois compare agrees with the full-array one,
-    for J and for the identity, which commutes with GL2 but pairs nothing."""
+    orbit.  The base-path compare of premise 2 agrees with the full-array
+    relabelling, for J and for the identity, which commutes with GL2 but
+    pairs nothing."""
     ell = ctx.ell
     assert correspondence.check_transporters(ctx) is True
     bases = base_paths(ctx, range(1, ell))
@@ -1084,14 +1117,12 @@ def test_premise_verdicts_equal_the_generator_proof(ctx, monkeypatch):
             assert correspondence.check_base_fixed(b, ctx) \
                 is check_equivariance_incidence(idx, ctx) is (b is base), s
     paths = {s: path_incidence(ctx, s) for s in bases}
-    J = correspondence.galois_conjugation(ell)
+    J = galois_conjugation(ell)
     for conjugation in (J, np.arange(len(J))):
-        with monkeypatch.context() as patch:
-            patch.setattr(correspondence, "galois_conjugation", lambda ell: conjugation)
-            for s in bases:
-                paired = correspondence.check_galois_bases(bases[s], bases[ell - s], ctx)
-                assert paired is is_galois_pair(
-                    paths[s], paths[ell - s], ctx) is (conjugation is J), s
+        for s in bases:
+            paired = correspondence.check_maps_base(conjugation, bases[s], bases[ell - s])
+            assert paired is is_relabelling(
+                conjugation, paths[s], paths[ell - s]) is (conjugation is J), s
 
 
 # right factors u of a wrong transporter g u: w = (0 1; 1 0) moves both

@@ -474,6 +474,112 @@ def _verify_worker(item):
     return run_verification(ell, **kwargs)
 
 
+def _fan_out(ells: list[int], kwargs: dict, workers: int) -> list:
+    """The runs of _verify_worker over ells, in their order, verified by this
+    process and workers - 1 forked children.
+
+    Every process claims 4-byte records from one pipe until it is empty, the
+    largest primes first.  A record names a group of k consecutive primes of
+    the descending order, k = 1 for up to PIPE_BUF // 4 primes.  All records
+    go in before the first fork, in one write of at most PIPE_BUF bytes, which
+    an empty pipe takes whole, so the write never waits for a reader.  Each
+    child pickles its runs, or the exception that stopped it, into its own
+    pipe and leaves by os._exit.  A child's exception is raised here; a child
+    that ends without a result raises ChildProcessError; on any exception
+    every child not yet reaped is killed and reaped, so none outlives the
+    call."""
+    import pickle
+    import select
+    import signal
+
+    order = sorted(ells, reverse=True)
+    k = -(-len(order) // (select.PIPE_BUF // 4))
+    groups = [order[i:i + k] for i in range(0, len(order), k)]
+
+    def share(record: bytes) -> list[tuple[int, dict]]:
+        out = []
+        while record:
+            group = groups[int.from_bytes(record, "little")]
+            out += [(ell, _verify_worker((ell, kwargs))) for ell in group]
+            record = os.read(claims, 4)
+        return out
+
+    claims, feed = os.pipe()
+    fds = {claims}
+    children = {}  # pid -> the read end of its result pipe
+    try:
+        try:
+            os.write(feed, b"".join(g.to_bytes(4, "little") for g in range(len(groups))))
+        finally:
+            os.close(feed)
+        # this process takes the largest primes before any child can
+        first = os.read(claims, 4)
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            fds |= {r, w}
+            pid = os.fork()
+            if pid == 0:  # the child: it never returns into the caller
+                code = 1
+                try:
+                    view = memoryview(_child_payload(lambda: share(os.read(claims, 4))))
+                    while view:
+                        view = view[os.write(w, view):]
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            fds.discard(w)
+            children[pid] = r
+        pairs = share(first)
+        for pid, r in list(children.items()):
+            chunks = []
+            while chunk := os.read(r, 1 << 16):
+                chunks.append(chunk)
+            os.close(r)
+            fds.discard(r)
+            del children[pid]
+            status = os.waitpid(pid, 0)[1]
+            if status or not chunks:
+                raise ChildProcessError(
+                    f"verify worker {pid} ended with no result (wait status {status}, "
+                    f"exit code {os.waitstatus_to_exitcode(status)})")
+            tag, value = pickle.loads(b"".join(chunks))
+            if tag == "raised":
+                raise value
+            pairs += value
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    pairs.sort(key=lambda pair: pair[0])
+    return [run for _, run in pairs]
+
+
+def _child_payload(share) -> bytes:
+    """("ok", share()) or ("raised", the exception it raised), pickled; an
+    exception that does not survive pickling goes as a RuntimeError carrying
+    its formatted traceback."""
+    import pickle
+    import traceback
+
+    try:
+        result = ("ok", share())
+    except BaseException as exc:
+        result = ("raised", exc)
+    try:
+        data = pickle.dumps(result)
+        if result[0] == "raised":
+            pickle.loads(data)  # an exception may pickle and still not unpickle
+        return data
+    except Exception as exc:
+        failed = result[1] if result[0] == "raised" else exc
+        text = "".join(traceback.format_exception(failed))
+        return pickle.dumps(("raised", RuntimeError(
+            f"verify worker {os.getpid()} failed:\n{text}")))
+
+
 # ---------------------------------------------------------------------------
 # Argument handling
 # ---------------------------------------------------------------------------
@@ -537,18 +643,9 @@ def cmd_verify(args) -> int:
                   all_epsilon=args.all_epsilon)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(args.jobs, len(ells), cpus)
+    workers = min(args.jobs, len(ells), cpus) if hasattr(os, "fork") else 1
     if workers > 1:
-        # The largest primes go first, so the last worker does not run on
-        # alone; the report lists the runs in ascending order.  The default
-        # context forks on Linux: the workers start with numpy imported.  The
-        # pool's module imports multiprocessing, which a serial run never loads.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {e: pool.submit(_verify_worker, (e, kwargs))
-                       for e in sorted(ells, reverse=True)}
-            runs = [futures[e].result() for e in ells]
+        runs = _fan_out(ells, kwargs, workers)
     else:
         runs = [run_verification(e, **kwargs) for e in ells]
     n_fail = sum(len(r["failures"]) for r in runs)
@@ -562,7 +659,7 @@ def cmd_verify(args) -> int:
             "threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARIABLES},
             "usable_cpus": cpus,
             "jobs": args.jobs,
-            # 0: the primes ran in this process
+            # the processes that verified primes, this one included; 0: this one alone
             "worker_processes": workers if workers > 1 else 0,
         },
         "runs": runs,
@@ -753,7 +850,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="ignored: equivariance is proved on generators, not sampled")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers over primes (at most one per usable CPU)")
+                   help="processes verifying primes, this one included "
+                        "(at most one per usable CPU)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="dump an operator matrix as CSV triplets")

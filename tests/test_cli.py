@@ -907,50 +907,196 @@ def test_strict_roots_runs_each_certificate_once_per_prime(capsys, monkeypatch):
                                        for g in PrimeContext(run["ell"]).primitive_roots()]
 
 
-def test_verify_jobs_submits_the_largest_primes_first(capsys, monkeypatch):
-    """The pool gets the primes largest first; the report lists them in
-    ascending order all the same."""
-    import concurrent.futures
+def _record_claims(monkeypatch, path):
+    """Wrap cli._verify_worker so that every process appends "pid ell" to
+    path as it starts a prime: an append survives the fork."""
+    import cartanmaps.cli as cli_mod
 
-    submitted = []
+    inner = cli_mod._verify_worker
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, item, *args, **kwargs):
-            submitted.append(item[0])
-            return super().submit(fn, item, *args, **kwargs)
+    def recorder(item):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {item[0]}\n")
+        return inner(item)
 
-    # cmd_verify imports the pool when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    # two usable CPUs, so that a pool starts also on a one-CPU machine
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..13", "--jobs", "2")
+    monkeypatch.setattr(cli_mod, "_verify_worker", recorder)
+
+
+@pytest.mark.parametrize("jobs, processes", [(2, 2), (3, 3), (8, 4)])
+def test_verify_jobs_claims_the_largest_primes_first(capsys, monkeypatch, tmp_path,
+                                                     jobs, processes):
+    """Every process, the calling one included, claims the largest prime
+    left; each prime is verified once, and the report lists the runs in
+    ascending order, equal to the serial ones apart from timings."""
+    claims = tmp_path / "claims"
+    _record_claims(monkeypatch, claims)
+    # four usable CPUs, so that --jobs 8 starts four processes on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..13", "--jobs", str(jobs))
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert submitted == [13, 11, 7, 5, 3]
+    by_pid = {}
+    for line in claims.read_text().splitlines():
+        pid, ell = map(int, line.split())
+        by_pid.setdefault(pid, []).append(ell)
+    assert sorted(sum(by_pid.values(), [])) == [3, 5, 7, 11, 13]
+    # this process claims the largest prime before it forks
+    assert by_pid[os.getpid()][0] == 13
+    assert all(seq == sorted(seq, reverse=True) for seq in by_pid.values())
+    assert len(by_pid) <= processes
+    assert doc["environment"]["worker_processes"] == processes
     assert [r["ell"] for r in doc["runs"]] == [3, 5, 7, 11, 13]
-    assert doc["environment"]["worker_processes"] == 2
     serial = run_cli(capsys, "verify", "--ell-range", "3..13")[1]
-    for a, b in zip(doc["runs"], json.loads(serial)["runs"]):
+    for a, b in zip(doc["runs"], json.loads(serial)["runs"], strict=True):
         a["timings"] = b["timings"] = None
         assert a == b
 
 
-def test_serial_verify_never_imports_the_process_pool():
-    """The pool's module imports multiprocessing, subprocess and socket; a
-    run in one process loads none of them."""
+class _Unpicklable(Exception):
+    """Pickles by name, but its __init__ takes two arguments, so unpickling
+    it (which calls the class with its one message) fails."""
+
+    def __init__(self, ell, why):
+        super().__init__(f"{why} at {ell}")
+
+
+def _in_child(ell):
+    raise ValueError(f"no certificate at {ell}")
+
+
+def _exit_in_child(ell):
+    os._exit(3)
+
+
+def _unpicklable_in_child(ell):
+    raise _Unpicklable(ell, "odd failure")
+
+
+def _local_in_child(ell):
+    class Local(Exception):
+        pass
+
+    raise Local(f"local failure at {ell}")
+
+
+@pytest.mark.parametrize("child, error, match", [
+    (_in_child, ValueError, "no certificate at 5"),
+    (_exit_in_child, ChildProcessError, r"wait status 768, exit code 3"),
+    (_unpicklable_in_child, RuntimeError, r"(?s)Traceback.*_Unpicklable: odd failure at 5"),
+    (_local_in_child, RuntimeError, r"(?s)Traceback.*Local: local failure at 5"),
+])
+def test_verify_jobs_raises_a_worker_failure(capsys, monkeypatch, tmp_path, child,
+                                            error, match):
+    """A child's failure is raised in the calling process, no report is
+    written, and no child is left behind."""
+    import time
+
+    import cartanmaps.cli as cli_mod
+
+    parent = os.getpid()
+    started = tmp_path / "child-started"
+
+    def stub(ell, **kwargs):
+        if os.getpid() != parent:
+            started.touch()
+            return child(ell)
+        # this process claims 7 before it forks; it holds 7 until the child
+        # has claimed 5, so that the child fails on a prime of its own
+        deadline = time.monotonic() + 60
+        while ell == 7 and not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return {"ell": ell, "failures": []}
+
+    monkeypatch.setattr(cli_mod, "run_verification", stub)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(error, match=match):
+        main(["verify", "--ell-range", "3..7", "--jobs", "2"])
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_jobs_kills_the_children_when_the_caller_fails(capsys, monkeypatch):
+    """The children are killed, not waited for: the call ends long before
+    their 60-second primes would."""
+    import time
+
+    import cartanmaps.cli as cli_mod
+
+    parent = os.getpid()
+
+    def stub(ell, **kwargs):
+        if os.getpid() == parent:
+            raise ValueError(f"caller failed at {ell}")
+        time.sleep(60)
+        return {"ell": ell, "failures": []}
+
+    monkeypatch.setattr(cli_mod, "run_verification", stub)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="caller failed at 7"):
+        main(["verify", "--ell-range", "3..7", "--jobs", "3"])
+    assert time.monotonic() - t0 < 30
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [1024, 1025, 5000])
+def test_fan_out_returns_every_prime_once_in_order(monkeypatch, n):
+    """Past PIPE_BUF // 4 primes a claim names a group of them, so that the
+    claims go in one write an empty pipe takes whole: every prime is still
+    verified once, and the runs come back in ascending order."""
+    import select
+
+    import cartanmaps.cli as cli_mod
+
+    writes = []
+    write = os.write
+
+    def recording_write(fd, data):
+        writes.append(len(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(cli_mod, "run_verification", lambda ell, **kwargs: ell)
+    monkeypatch.setattr(os, "write", recording_write)
+    assert cli_mod._fan_out(list(range(n)), {}, 3) == list(range(n))
+    # this process writes the claims only; each child writes its own runs
+    assert len(writes) == 1 and writes[0] <= select.PIPE_BUF
+
+
+def test_verify_without_fork_runs_serially(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..5", "--jobs", "2")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["environment"]["worker_processes"] == 0
+    assert [r["ell"] for r in doc["runs"]] == [3, 5]
+
+
+@pytest.mark.parametrize("argv, processes", [
+    (["--ell", "5", "--jobs", "2"], 0),
+    (["--ell-range", "3..7", "--jobs", "2"], 2),
+])
+def test_verify_never_imports_a_process_pool(argv, processes):
+    """concurrent.futures.process imports multiprocessing, subprocess and
+    socket; verify loads none of them, in one process or forked."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cartanmaps.__file__)))
-    code = ("import contextlib, io, sys\n"
+    code = ("import contextlib, io, json, os, sys\n"
             "from cartanmaps.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['verify', '--ell', '5', '--jobs', '2']) == 0\n"
-            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    assert main(['verify', *{argv!r}]) == 0\n"
+            "print(json.loads(out.getvalue())['environment']['worker_processes'],\n"
+            "      sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
             " if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == f"{processes} []"
 
 
 def run_module_logged(level, *argv):

@@ -46,15 +46,14 @@ from .correspondence import (
     check_maps_base,
     check_transporters,
     coefficients,
-    combined_ranks,
     field_isomorphism,
     geodesic_incidence,
     incidence_columns,
-    incidence_ranks,
     pair_text,
     path_columns,
     representatives,
     restrict_to_affine,
+    unipotent_ranks,
 )
 from .cosets import (
     NONSPLIT_CARTAN,
@@ -281,14 +280,10 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
             failures.append("set cardinalities disagree with coset-space indices")
 
     with _phase(timings, "theorem1"):
-        # psi+ proved and ranked on its geodesic array, which chart conjugacy
-        # and the coset coincidence read too
+        # psi+ proved on its geodesic array, which theorem2 ranks, and chart
+        # conjugacy and the coset coincidence read
         geodesics = geodesic_incidence(ctx)
         eq_plus = check_equivariance_incidence(geodesics, ctx)
-        ranks = (combined_ranks([incidence_columns(geodesics, ctx)], [1], aux, ctx)
-                 if eq_plus else None)
-        report["theorem1"], f1 = _theorem_section((n_H, n_up), ranks, "theorem1", ctx)
-        failures += f1
 
     with _phase(timings, "theorem2"):
         # Each H_s is its base path carried to every ordered pair by the pair's
@@ -300,33 +295,32 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         # ranks of s when J commutes with GL2 and maps the one base path onto
         # the other; otherwise it is proved and ranked on its own.
         bases = base_paths(ctx, range(1, ell))
+        stacked = np.stack(list(bases.values()))
         # a base path of distinct points, ascending, makes each column sum
         # of its H_s the length ell - 1 of the path
-        col_ok = all((np.diff(base) > 0).all() for base in bases.values())
+        col_ok = bool((np.diff(stacked, axis=1) > 0).all())
         carried = check_transporters(ctx)
         J = field_isomorphism("C_ell", -1, ell)
-        galois_ok = check_commutes(J, "C_ell", ctx, ctx)
-        own, paired = [], {}  # the slopes proved on their own; t -> s
-        for s in range(1, ctx.r + 1):
-            t = ell - s
-            if carried and check_base_fixed(bases[s], ctx):
-                own.append(s)
-                if galois_ok and check_maps_base(J, bases[s], bases[t]):
-                    paired[t] = s
-                    continue
-            if carried and check_base_fixed(bases[t], ctx):
-                own.append(t)
-        # a slope's columns at the U-orbit representatives serve psi
-        # (sum_s c_s H_s) here and H_s in the h_s phase, both mod aux
+        # at s - 1, for slope s: (a) and (b) hold, and J maps the base path of
+        # s onto that of ell - s, the row of the reversed stack
+        fixed = (check_base_fixed(stacked, ctx) & carried).tolist()
+        maps = (check_maps_base(J, stacked, stacked[::-1])
+                & check_commutes(J, "C_ell", ctx, ctx)).tolist()
+        paired = {ell - s: s for s in range(1, ctx.r + 1) if fixed[s - 1] and maps[s - 1]}
+        # the slopes proved on their own
+        own = [s for s in range(1, ell) if fixed[s - 1] and s not in paired]
+        # one elimination ranks psi+, psi (sum_s c_s H_s) and the H_s proved
+        # on their own mod aux, from the columns at the U-orbit representatives
         proved = set(own) | set(paired)
         reps = path_columns(ctx, {s: bases[s] for s in range(1, ell) if s in proved},
                             representatives(ctx, "ordered_pairs"))
         eq_hs = len(reps) == ell - 1
-        weights = sum(coefficients(ctx))
-        ranks = (combined_ranks(list(reps.values()), [weights[s - 1] for s in reps],
-                                aux, ctx) if eq_hs else None)
-        report["theorem2"], f2 = _theorem_section((n_C, n_op), ranks, "theorem2", ctx)
-        failures += f2
+        route = unipotent_ranks(incidence_columns(geodesics, ctx) if eq_plus else None,
+                                reps, sum(coefficients(ctx)) if eq_hs else None, own, aux, ctx)
+        report["theorem1"], f1 = _theorem_section((n_H, n_up), route.psi_plus,
+                                                  "theorem1", ctx)
+        report["theorem2"], f2 = _theorem_section((n_C, n_op), route.psi, "theorem2", ctx)
+        failures += f1 + f2
 
     with _phase(timings, "chart_conjugacy"):
         chart_ok = verify_chart_conjugacy(ctx, geodesics)
@@ -367,21 +361,25 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         deg_c = dec_c.degrees.tolist()
         deg_c_ok = deg_c == [ell - 1] * (ell - 1)
         report["degrees"] = {
-            "NNp": {"degree": deg_n, "expected": ctx.r, "ok": deg_n_ok},
+            "NNp": {"degree": deg_n, "expected": ctx.r, "ok": deg_n_ok,
+                    "scalars_in_K": dec_n.scalars_in_K},
             "CCp": {"degrees": dict(zip(slopes, deg_c)),
-                    "expected": ell - 1, "ok": deg_c_ok},
+                    "expected": ell - 1, "ok": deg_c_ok,
+                    "scalars_in_K": dec_c.scalars_in_K},
         }
         if not (deg_n_ok and deg_c_ok):
             failures.append("double coset degrees differ from the index formulas")
+        failures += [f"{dec.K.kind} does not hold the scalars: the double coset degrees "
+                     f"are not cross-checked" for dec in (dec_n, dec_c)
+                     if not dec.scalars_in_K]
 
     with _phase(timings, "h_s"):
         # Observation only (no asserted expected value): the rank of a single
         # slope operator mod the aux prime, conclusive at full rank.  The
-        # blocks of the slopes proved on their own are ranked in shared
-        # stacks, from the columns built in theorem2; a paired slope copies
-        # the rank of its conjugate.
+        # slopes proved on their own were ranked in theorem2's elimination;
+        # a paired slope copies the rank of its conjugate.
         full = min(n_C, n_op)
-        observed = dict(zip(own, incidence_ranks([reps[s] for s in own], aux, ctx)))
+        observed = dict(route.h_s)
         observed.update({t: observed[s] for t, s in paired.items()})
         # an unproved slope has no rank: its blocks would mean nothing
         hs_ranks = {s: {"observed_rank": observed.get(s),
@@ -438,8 +436,8 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
                 sigma = field_isomorphism("H_ell", c, ell)
                 premises = {
                     "commutes_with_gl2": check_commutes(sigma, "H_ell", ctx, ctx_to),
-                    "maps_base_geodesic": check_maps_base(sigma, base_geodesic(ctx),
-                                                          base_geodesic(ctx_to))}
+                    "maps_base_geodesic": bool(check_maps_base(sigma, base_geodesic(ctx),
+                                                               base_geodesic(ctx_to)))}
                 carried = all(premises.values())
                 report["all_epsilon"].append({
                     "epsilon": eps, **{key: theorem1[key] if carried else None
@@ -484,10 +482,11 @@ def _fan_out(ells: list[int], kwargs: dict, workers: int) -> list:
     go in before the first fork, in one write of at most PIPE_BUF bytes, which
     an empty pipe takes whole, so the write never waits for a reader.  Each
     child pickles its runs, or the exception that stopped it, into its own
-    pipe and leaves by os._exit.  A child's exception is raised here; a child
-    that ends without a result raises ChildProcessError; on any exception
-    every child not yet reaped is killed and reaped, so none outlives the
-    call."""
+    pipe and leaves by os._exit.  A child's exception is raised here, as
+    soon as it arrives: this process polls the result pipes between its
+    claims.  A child that ends without a result raises ChildProcessError; on
+    any exception every child not yet reaped is killed and reaped, so none
+    outlives the call."""
     import pickle
     import select
     import signal
@@ -496,17 +495,42 @@ def _fan_out(ells: list[int], kwargs: dict, workers: int) -> list:
     k = -(-len(order) // (select.PIPE_BUF // 4))
     groups = [order[i:i + k] for i in range(0, len(order), k)]
 
-    def share(record: bytes) -> list[tuple[int, dict]]:
+    def share(record: bytes, poll=lambda: None) -> list[tuple[int, dict]]:
         out = []
         while record:
             group = groups[int.from_bytes(record, "little")]
             out += [(ell, _verify_worker((ell, kwargs))) for ell in group]
+            poll()
             record = os.read(claims, 4)
         return out
+
+    def reap(wait: bool) -> None:
+        """Read the result of every child, or of those whose pipes are
+        readable now, to its end, reap the child, and keep its runs or raise
+        what it raised."""
+        ready = children.values() if wait else select.select(list(children.values()),
+                                                              [], [], 0)[0]
+        for pid, r in [(pid, r) for pid, r in children.items() if r in ready]:
+            chunks = []
+            while chunk := os.read(r, 1 << 16):
+                chunks.append(chunk)
+            os.close(r)
+            fds.discard(r)
+            del children[pid]
+            status = os.waitpid(pid, 0)[1]
+            if status or not chunks:
+                raise ChildProcessError(
+                    f"verify worker {pid} ended with no result (wait status {status}, "
+                    f"exit code {os.waitstatus_to_exitcode(status)})")
+            tag, value = pickle.loads(b"".join(chunks))
+            if tag == "raised":
+                raise value
+            pairs.extend(value)
 
     claims, feed = os.pipe()
     fds = {claims}
     children = {}  # pid -> the read end of its result pipe
+    pairs = []
     try:
         try:
             os.write(feed, b"".join(g.to_bytes(4, "little") for g in range(len(groups))))
@@ -530,23 +554,8 @@ def _fan_out(ells: list[int], kwargs: dict, workers: int) -> list:
             os.close(w)
             fds.discard(w)
             children[pid] = r
-        pairs = share(first)
-        for pid, r in list(children.items()):
-            chunks = []
-            while chunk := os.read(r, 1 << 16):
-                chunks.append(chunk)
-            os.close(r)
-            fds.discard(r)
-            del children[pid]
-            status = os.waitpid(pid, 0)[1]
-            if status or not chunks:
-                raise ChildProcessError(
-                    f"verify worker {pid} ended with no result (wait status {status}, "
-                    f"exit code {os.waitstatus_to_exitcode(status)})")
-            tag, value = pickle.loads(b"".join(chunks))
-            if tag == "raised":
-                raise value
-            pairs += value
+        pairs += share(first, lambda: reap(False))
+        reap(True)
     finally:
         for fd in fds:
             os.close(fd)

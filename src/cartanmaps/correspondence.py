@@ -9,7 +9,7 @@ enumerations fixed in `geometry`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .geometry import (
     permutation,
     transporters,
 )
-from .exact_linalg import rank_mod_p_stack
+from .exact_linalg import _reduction_room, rank_mod_p_stack
 from .modular_arith import PrimeContext, find_primitive_root
 
 
@@ -273,12 +273,14 @@ def check_equivariance_incidence(idx: np.ndarray, ctx: PrimeContext) -> bool:
 # builds each H_s only at the columns its ranks read.
 # ---------------------------------------------------------------------------
 
-def check_base_fixed(base: np.ndarray, ctx: PrimeContext) -> bool:
-    """Premise (a): diag(g, 1) and diag(1, g), which generate C, map the base
-    path (ascending C_ell indices, see base_paths) onto itself."""
-    x, y = (u[base] for u in decode("C_ell", ctx.ell))
-    return all(np.array_equal(np.sort(act(h, "C_ell", x, y, ctx)), base)
-               for h in (GroupElement(ctx.g, 0, 0, 1), GroupElement(1, 0, 0, ctx.g)))
+def check_base_fixed(bases: np.ndarray, ctx: PrimeContext) -> np.ndarray:
+    """Premise (a) for each row of a stack of base paths (ascending C_ell
+    indices, see base_paths): diag(g, 1) and diag(1, g), which generate C,
+    map it onto itself."""
+    x, y = (u[bases] for u in decode("C_ell", ctx.ell))
+    fixed = [(np.sort(act(h, "C_ell", x, y, ctx), axis=-1) == bases).all(axis=-1)
+             for h in (GroupElement(ctx.g, 0, 0, 1), GroupElement(1, 0, 0, ctx.g))]
+    return fixed[0] & fixed[1]
 
 
 def check_transporters(ctx: PrimeContext) -> bool:
@@ -319,14 +321,18 @@ def check_commutes(perm: np.ndarray, tag: str, ctx: PrimeContext,
                    ctx_to: PrimeContext) -> bool:
     """Premise 1: perm[P_ctx(h)] == P_ctx_to(h)[perm] on the basis with this
     tag for the generators h of ctx, whose primitive root ctx_to shares;
-    P_ctx is the cached table the generator proofs read."""
-    return all(np.array_equal(perm[p], permutation(h, tag, ctx_to)[perm])
-               for h, p in zip(generators(ctx), _generator_perms(ctx, tag)))
+    P_ctx, and P_ctx_to where ctx_to is ctx, are the cached tables the
+    generator proofs read."""
+    perms = _generator_perms(ctx, tag)
+    perms_to = perms if ctx_to is ctx else [permutation(h, tag, ctx_to)
+                                            for h in generators(ctx)]
+    return all(np.array_equal(perm[p], p_to[perm]) for p, p_to in zip(perms, perms_to))
 
 
-def check_maps_base(perm: np.ndarray, base: np.ndarray, base_to: np.ndarray) -> bool:
-    """Premise 2: perm maps the base set base onto base_to (both ascending)."""
-    return np.array_equal(np.sort(perm[base]), base_to)
+def check_maps_base(perm: np.ndarray, base: np.ndarray, base_to: np.ndarray):
+    """Premise 2: perm maps the base set base onto base_to (both ascending
+    along the last axis), for a pair of sets or each row of two stacks."""
+    return (np.sort(perm[base], axis=-1) == base_to).all(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,57 +410,80 @@ def incidence_columns(idx: np.ndarray, ctx: PrimeContext) -> np.ndarray:
     return idx[:, representatives(ctx, _tags(idx, ctx)[1])]
 
 
-def _blocks(reps: list[np.ndarray], weights, groups: np.ndarray, p: int,
-            ctx: PrimeContext) -> np.ndarray:
-    """B_0 and B_1 mod p of each M_g = sum of weights[t] *
-    incidence_operator(ctx, idx_t) over the t with groups[t] = g, from
-    reps[t] = incidence_columns(idx_t, ctx): a (2G, row orbits, column
-    orbits) stack in the order (g, a).  A listed row adds its weight to B_0,
-    and its weight times w^exponent to B_1, at its row orbit: one bincount
-    per block of residues below p, exact in float64 while their count times
-    p stays below 2^53."""
+def _blocks(reps: list[np.ndarray], p: int, ctx: PrimeContext) -> np.ndarray:
+    """B_0 and B_1 mod p of each incidence_operator(ctx, idx_t), from reps[t]
+    = incidence_columns(idx_t, ctx): a (t, a, row orbit, column orbit)
+    stack.  A listed row adds 1 to B_0 and w^exponent to B_1 at its row
+    orbit: one bincount per block of residues below p, exact in float64
+    while their count times p stays below 2^53."""
     orbit, exponent, _ = orbits(_tags(reps[0], ctx)[0], ctx.ell)
     idx = np.stack(reps)
     if idx.size * (p - 1) >= 1 << 53:
         raise ValueError(f"{idx.size} residues mod {p} could overflow a float64 sum")
-    K, R, G = idx.shape[2], int(orbit.max()) + 1, int(groups.max()) + 1
-    key = ((groups[:, None, None] * R + orbit[idx]) * K + np.arange(K)).ravel()
-    w = np.broadcast_to(np.asarray(weights, dtype=np.int64)[:, None, None] % p, idx.shape)
-    w_k = w * _omega_powers(p, ctx.ell)[exponent[idx]] % p
-    B = np.stack([np.bincount(key, a.ravel(), G * R * K).reshape(G, R, K)
-                  for a in (w, w_k)], axis=1)
-    return B.astype(np.int64).reshape(2 * G, R, K) % p
+    T, R, K = len(reps), int(orbit.max()) + 1, idx.shape[2]
+    key = ((np.arange(T)[:, None, None] * R + orbit[idx]) * K + np.arange(K)).ravel()
+    B = [np.bincount(key, w, T * R * K).reshape(T, R, K)
+         for w in (None, _omega_powers(p, ctx.ell)[exponent[idx]].ravel())]
+    return np.stack(B, axis=1).astype(np.int64) % p
 
 
-def _ranks(B: np.ndarray, p: int, ell: int) -> np.ndarray:
-    """rank B_0 + (ell - 1) rank B_1 of each consecutive pair of a stack."""
-    return rank_mod_p_stack(B, p).reshape(-1, 2) @ np.array([1, ell - 1])
+def _ranks(blocks: list[np.ndarray], p: int, ell: int) -> list[int]:
+    """rank B_0 + (ell - 1) rank B_1 of each pair of blocks, in one stack
+    zero-padded to the (ell - 1) x (ell + 1) of an H_s: padding keeps ranks."""
+    if not blocks:
+        return []
+    B = np.zeros((len(blocks), 2, ell - 1, ell + 1), dtype=np.int64)
+    for b, pair in zip(B, blocks):
+        b[:, :pair.shape[1], :pair.shape[2]] = pair
+    return (rank_mod_p_stack(B.reshape(-1, ell - 1, ell + 1), p).reshape(-1, 2)
+            @ np.array([1, ell - 1])).tolist()
 
 
-def combined_ranks(reps: list[np.ndarray], weights: list[int], p: int,
-                   ctx: PrimeContext) -> tuple[int, int]:
-    """Ranks mod p (p = 1 mod ell) of M = sum_t weights[t] *
-    incidence_operator(ctx, idx_t) and of its affine restriction, from
-    reps[t] = incidence_columns(idx_t, ctx), each operator fixed by GL2.
-    The restriction, a column submatrix with the rows of M, is ranked first:
-    at full row rank there M has full row rank too, and M's own blocks are
-    ranked only when the restriction is singular."""
-    B = _blocks(reps, weights, np.zeros(len(reps), dtype=np.int64), p, ctx)
-    affine = orbits(_tags(reps[0], ctx)[1], ctx.ell)[2]
-    (affine_rank,) = _ranks(B[:, :, affine], p, ctx.ell).tolist()
-    if affine_rank == ctx.ell * B.shape[1]:
-        return affine_rank, affine_rank
-    return int(_ranks(B, p, ctx.ell)[0]), affine_rank
+class RouteRanks(NamedTuple):
+    psi_plus: tuple[int, int] | None  # (rank, affine rank)
+    psi: tuple[int, int] | None
+    h_s: dict[int, int]  # rank by slope
 
 
-def incidence_ranks(reps: list[np.ndarray], p: int, ctx: PrimeContext) -> list[int]:
-    """The rank mod p (p = 1 mod ell) of incidence_operator(ctx, idx) for the
-    path array idx of each incidence_columns in reps, each fixed by GL2,
-    ranked in stacks of at most about _STACK_ENTRIES block entries."""
-    per = max(1, _STACK_ENTRIES // (2 * (ctx.ell - 1) * (ctx.ell + 1)))
-    ranks = []
-    for i in range(0, len(reps), per):
-        chunk = reps[i:i + per]
-        B = _blocks(chunk, [1] * len(chunk), np.arange(len(chunk)), p, ctx)
-        ranks += _ranks(B, p, ctx.ell).tolist()
-    return ranks
+def unipotent_ranks(geodesics: np.ndarray | None, paths: dict[int, np.ndarray],
+                    weights, own, p: int, ctx: PrimeContext) -> RouteRanks:
+    """Route 1 mod p (p = 1 mod ell) from incidence_columns arrays: psi+
+    (geodesics) and psi = sum_t weights[t] * the t-th H_s of paths (slope ->
+    array), each skipped where its argument is None, and the H_s of the
+    slopes in own; each operator fixed by GL2.  Each slope's blocks are
+    built once, a chunk at a time, and psi's are their weighted sum.  One
+    stack per chunk ranks the own slopes, the last also psi+'s and psi's
+    affine restrictions: an operator's own blocks are ranked only where its
+    restriction, a column submatrix with all its rows, is singular."""
+    ell = ctx.ell
+    # a chunk's terms of psi, each below (p - 1)^2, must fit an int64 entry
+    # below p: p < 2^31, which rank_mod_p_stack checks, leaves room for one
+    per = max(1, min(_STACK_ENTRIES // (2 * (ell - 1) * (ell + 1)), _reduction_room(p)))
+    own, slopes, stack, h_s = set(own), list(paths), [], {}
+    psi = np.zeros((2, ell - 1, ell + 1), dtype=np.int64)
+    for lo in range(0, len(slopes), per):
+        chunk = slopes[lo:lo + per]
+        B = _blocks([paths[s] for s in chunk], p, ctx)
+        if weights is not None:
+            w = np.asarray(weights[lo:lo + per], dtype=np.int64) % p
+            psi = (psi + np.tensordot(w, B, 1)) % p
+        stack += [(s, b) for s, b in zip(chunk, B) if s in own]
+        if len(stack) > per:
+            h_s.update(zip([s for s, _ in stack[:per]],
+                           _ranks([b for _, b in stack[:per]], p, ell)))
+            del stack[:per]
+    named = {}  # name -> (blocks, column tag)
+    if geodesics is not None:
+        named["psi_plus"] = (_blocks([geodesics], p, ctx)[0], "unordered_pairs")
+    if weights is not None:
+        named["psi"] = (psi, "ordered_pairs")
+    ranks = _ranks([b for _, b in stack] + [B[:, :, orbits(tag, ell)[2]]
+                                            for B, tag in named.values()], p, ell)
+    h_s.update(zip([s for s, _ in stack], ranks))
+    affine = dict(zip(named, ranks[len(stack):]))
+    # full row rank is ell times the row orbits
+    singular = [name for name, (B, _) in named.items() if affine[name] != ell * B.shape[1]]
+    rank = {**affine, **dict(zip(singular, _ranks([named[name][0] for name in singular],
+                                                 p, ell)))}
+    return RouteRanks(*((rank[name], affine[name]) if name in named else None
+                        for name in ("psi_plus", "psi")), h_s)

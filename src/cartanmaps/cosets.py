@@ -109,19 +109,41 @@ def coset_key(K: SubgroupSpec, m, ctx: PrimeContext):
 class DoubleCosetDecomposition:
     """HgK = disjoint U alpha g K for every g of a family.  g is stacked, one
     entry per g; representatives stacks the alpha of every g, in g order and
-    in H order within each g, degrees[i] of them for the i-th g."""
+    in H order within each g, degrees[i] of them for the i-th g.
+    scalars_in_K: whether K's elements hold the scalars."""
 
     H: SubgroupSpec
     K: SubgroupSpec
     g: GroupElement
     representatives: GroupElement
     degrees: np.ndarray
+    scalars_in_K: bool
 
 
-# Entry budget of the (|H|, chunk) arrays of one chunk of decompose_all: one
-# chunk serves every slope of a prime up to 41, and at ell = 61 a single
-# chunk would raise the peak RSS of verify by ~9 MB
+# Entry budget of the (|T|, chunk) arrays of one chunk of decompose_all: one
+# chunk serves every slope of a prime up to 257
 _DECOMPOSE_ENTRIES = 1 << 16
+
+
+def _digits(m, ell: int) -> np.ndarray:
+    """Each element of the stack m as the base-ell digits of its entries."""
+    return np.ravel_multi_index(tuple(m), (ell,) * 4)
+
+
+def _member(sorted_digits: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Whether each of digits occurs in sorted_digits (ascending)."""
+    at = np.minimum(np.searchsorted(sorted_digits, digits), len(sorted_digits) - 1)
+    return sorted_digits[at] == digits
+
+
+def _transversal(H: SubgroupSpec, ctx: PrimeContext) -> np.ndarray:
+    """The rows, ascending, of the first element in H order of each class
+    hZ, Z the scalars, which h over its first nonzero entry names: for C the
+    diag(1, d), and for N also the (0 1; d 0)."""
+    a, b = H.stacked.a, H.stacked.b
+    inverse = ctx.inverse_table[np.where(a != 0, a, b)]
+    classes = _digits((e * inverse % ctx.ell for e in H.stacked), ctx.ell)
+    return np.sort(np.unique(classes, return_index=True)[1])
 
 
 def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
@@ -129,41 +151,47 @@ def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
     """Decompose HgK into disjoint cosets alpha g K, for every g in gs, as
     one family.
 
-    The keys coset_key(K, h*g) of all h and a chunk of the g's form one
-    (|H|, chunk) array.  One sort of key*|H| + row per column puts the rows
-    of each key together, the first of them in H order, so the degree is the
-    number of distinct keys and the representatives are the first h of each
-    key, in H order.  The degree is cross-checked against the index
-    [H : H n gKg^-1], which does not use the keys: |H n gKg^-1| is the
-    number of h with g^-1 (h g) in K.
+    The scalars Z are central and fix every point of G/K, so the H-orbit of
+    gK is that of the transversal T of H/Z, which _transversal lists.  The
+    keys coset_key(K, t*g) of all t and a chunk of the g's form one (|T|,
+    chunk) array.  One sort of key*|T| + row per column puts the rows of
+    each key together, the first in H order, so the degree is the number of
+    distinct keys and the representatives are the first t of each key: the
+    first h, as t comes first in its class.  Where K's elements hold the
+    scalars, t lies in gKg^-1 iff tZ does, and the degree is cross-checked
+    against the index, which does not use the keys:
+    degree * #{t : g^-1 (t g) in K} = |T|.
     """
     ell = ctx.ell
     gs = list(gs)
-    hs = H.stacked
-    n = len(H)
-    rows = np.arange(n, dtype=np.int64)[:, None]
-    # g^-1 (h g) is matched with K by its base-ell digits; a set
-    # intersection, as np.isin sorts here and its first call adds ~1.4 MB RSS
-    digits = (ell,) * 4
-    k_digits = set(np.ravel_multi_index(K.stacked, digits).tolist())
-    h_col = GroupElement(*(e[:, None] for e in hs))
+    # g^-1 (t g) is matched with K by its base-ell digits
+    k_digits = np.sort(_digits(K.stacked, ell))
+    units = np.arange(1, ell, dtype=np.int64)
+    scalars_in_K = bool(_member(k_digits, _digits((units, 0 * units, 0 * units, units),
+                                                  ell)).all())
+    rows = _transversal(H, ctx)
+    ts = GroupElement(*(e[rows] for e in H.stacked))
+    n = len(ts.a)
+    t_col = GroupElement(*(e[:, None] for e in ts))
+    t_rows = np.arange(n, dtype=np.int64)[:, None]
     per = max(1, _DECOMPOSE_ENTRIES // n)
     rep_rows, degrees = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(gs), per):
         chunk = gs[lo:lo + per]
         g = stack(chunk)
-        hg = mat_mul(h_col, g, ell)
-        keys = coset_key(K, hg, ctx)
-        order = np.sort(keys * n + rows, axis=0)
+        tg = mat_mul(t_col, g, ell)
+        keys = coset_key(K, tg, ctx)
+        order = np.sort(keys * n + t_rows, axis=0)
         first = np.ones(order.shape, dtype=bool)
         first[1:] = np.diff(order // n, axis=0) != 0
         degree = first.sum(axis=0)
-        # column by column, the representatives' rows in H order
+        # column by column, the representatives' rows in T order
         rep_rows.append(np.sort((order % n + n * np.arange(len(chunk)))[first]) % n)
         degrees.append(degree)
-        conj = np.ravel_multi_index(mat_mul(mat_inv(g, ell), hg, ell), digits)
-        # the h are distinct, so their conjugates are too
-        stab = np.array([len(k_digits.intersection(c)) for c in conj.T.tolist()])
+        if not scalars_in_K:
+            continue
+        # the t are distinct, so their conjugates are too
+        stab = _member(k_digits, _digits(mat_mul(mat_inv(g, ell), tg, ell), ell)).sum(axis=0)
         bad = degree * stab != n
         if bad.any():
             c = bad.argmax()
@@ -171,8 +199,8 @@ def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
                 f"degree mismatch: {degree[c]} buckets vs index "
                 f"{n}/{stab[c]} for {H.kind} g {K.kind}")
     return DoubleCosetDecomposition(
-        H, K, stack(gs), GroupElement(*(e[np.concatenate(rep_rows)] for e in hs)),
-        np.concatenate(degrees))
+        H, K, stack(gs), GroupElement(*(e[np.concatenate(rep_rows)] for e in ts)),
+        np.concatenate(degrees), scalars_in_K)
 
 
 def decompose(H: SubgroupSpec, g: GroupElement, K: SubgroupSpec,

@@ -115,12 +115,13 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
     """Rank over F_p of every matrix in an integer stack of shape (batch, m, k).
 
     One elimination runs over the whole stack; Python loops over columns
-    only.  Each matrix swaps its pivot row to position rank[b] and subtracts
-    (entry / pivot) * pivot_row from its rows, with the multipliers and the
-    pivot row reduced below p.  Every update thus grows an entry by less
-    than (p - 1)^2, so the trailing block is reduced mod p only when int64
-    would run out of room (never for the primes below about 2^20 that
-    `verify` uses, once a step near 2^31).  The update also zeroes the pivot
+    only.  Each matrix swaps its pivot row to position rank[b] (a no-op swap
+    where the pivot is there already, or where the column has none) and
+    subtracts (entry / pivot) * pivot_row from its rows, with the
+    multipliers and the pivot row reduced below p.  Every update thus grows
+    an entry by less than (p - 1)^2, so the trailing block is reduced mod p
+    only when int64 would run out of room (never for the primes below about
+    2^20 that `verify` uses, once a step near 2^31).  The update also zeroes the pivot
     row itself in every later column, so a row that holds a pivot is never
     chosen again, and rows above rank.min() are left out of the search and
     the update.  Each pivot is inverted by Python's pow(v, -1, p).
@@ -149,12 +150,12 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
         found = free.any(axis=1)
         if not found.any():
             continue
-        fb, top, piv = b[found], rank[found], lo + free[found].argmax(axis=1)
-        W[fb, top, j:], W[fb, piv, j:] = W[fb, piv, j:], W[fb, top, j:]
-        col[fb, top - lo], col[fb, piv - lo] = col[fb, piv - lo], col[fb, top - lo]
+        at = np.minimum(rank, m - 1)
+        piv = np.where(found, lo + free.argmax(axis=1), at)
+        W[b, at, j:], W[b, piv, j:] = W[b, piv, j:], W[b, at, j:]
         # a matrix without a pivot here has a zero column from lo down, so
         # its multipliers are zero and the update leaves it as it is
-        at = np.minimum(rank, m - 1)
+        col = W[:, lo:, j] % p
         pv = np.where(found, col[b, at - lo], 1)
         inv = np.array([pow(v, -1, p) for v in pv.tolist()], dtype=np.int64)
         mult = col * inv[:, None] % p

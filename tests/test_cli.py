@@ -218,7 +218,9 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     a theorem certificate below full rank is a failure of its theorem."""
     import cartanmaps.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "combined_ranks", lambda reps, weights, p, ctx: (1, 1))
+    real = cli_mod.unipotent_ranks
+    monkeypatch.setattr(cli_mod, "unipotent_ranks", lambda *args: real(*args)._replace(
+        psi_plus=(1, 1), psi=(1, 1)))
     code, out, _ = run_cli(capsys, "verify", "--ell", "3")
     assert code == EXIT_FAIL
     doc = json.loads(out)
@@ -832,14 +834,14 @@ def test_all_epsilon_reports_the_failing_nonsquare(defect, capsys, monkeypatch):
         monkeypatch.setattr(cli_mod, "base_geodesic", lambda ctx: (
             real(ctx) if ctx.epsilon == 3 else real(ctx) + ctx.r))
     else:
-        real = cli_mod.combined_ranks
+        real = cli_mod.unipotent_ranks
 
-        def short(reps, weights, p, ctx):
-            rank, affine_rank = real(reps, weights, p, ctx)
-            # psi+'s one geodesic array
-            return (rank - 1, affine_rank) if len(reps[0]) == ctx.r else (rank, affine_rank)
+        def short(*args):
+            route = real(*args)
+            rank, affine_rank = route.psi_plus
+            return route._replace(psi_plus=(rank - 1, affine_rank))
 
-        monkeypatch.setattr(cli_mod, "combined_ranks", short)
+        monkeypatch.setattr(cli_mod, "unipotent_ranks", short)
     code, out, _ = run_cli(capsys, "verify", "--ell", "7", "--skip-cosets", "--all-epsilon")
     assert code == EXIT_FAIL
     run = json.loads(out)["runs"][0]
@@ -1011,6 +1013,42 @@ def test_verify_jobs_raises_a_worker_failure(capsys, monkeypatch, tmp_path, chil
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with pytest.raises(error, match=match):
         main(["verify", "--ell-range", "3..7", "--jobs", "2"])
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_jobs_raises_a_worker_failure_when_it_happens(capsys, monkeypatch,
+                                                             tmp_path):
+    """A child that fails on its first prime stops the call within one more
+    prime of the caller's: the caller polls the children's result pipes
+    between its claims instead of verifying the rest of the range first."""
+    import time
+
+    import cartanmaps.cli as cli_mod
+
+    parent = os.getpid()
+    failed = tmp_path / "child-failed"
+    verified = []
+
+    def stub(ell, **kwargs):
+        if os.getpid() != parent:
+            failed.touch()
+            raise ValueError(f"no certificate at {ell}")
+        # the caller holds its first prime until the child has failed
+        deadline = time.monotonic() + 60
+        while not failed.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        verified.append(ell)
+        time.sleep(0.2)
+        return {"ell": ell, "failures": []}
+
+    monkeypatch.setattr(cli_mod, "run_verification", stub)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(ValueError, match="no certificate at 59"):
+        main(["verify", "--ell-range", "3..61", "--jobs", "2"])
+    # 17 primes: the caller took 61, and at most one more after the failure
+    assert verified[0] == 61 and len(verified) <= 2
     assert capsys.readouterr().out == ""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

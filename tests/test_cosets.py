@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -224,7 +225,7 @@ def test_coset_operator_representative_independence(contexts):
     for _ in range(3):
         reps = [mat_mul(alpha, stab[rng.randrange(len(stab))], ell)
                 for alpha in listed_reps(dec)]
-        shuffled = DoubleCosetDecomposition(H, K, dec.g, stack(reps), dec.degrees)
+        shuffled = dataclasses.replace(dec, representatives=stack(reps))
         assert coset_operator(shuffled, ctx) == base
 
 
@@ -370,6 +371,72 @@ def test_coset_incidence_of_a_family_is_each_gs_own(ell, contexts):
     assert any(len(set(per_g)) > 1 for per_g in degrees)
 
 
+def first_nonzero_is_one(stacked):
+    """Whether the first nonzero entry of each element of the stack is 1."""
+    return (np.where(stacked.a != 0, stacked.a, stacked.b) == 1).all()
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 13, 31])
+def test_the_transversal_decomposes_as_all_of_h(ell):
+    """Bucketing the transversal of H/Z gives the degrees and the
+    representatives, element for element, of the loop over every h of H:
+    for N g N' at psi+'s g and others, and for C (1 s; 0 1) C' at every
+    slope.  The representatives are the elements of H whose first nonzero
+    entry is 1."""
+    ctx = PrimeContext(ell)
+    rng = random.Random(f"transversal:{ell}")
+    families = {
+        (NORMALIZER_SPLIT, NORMALIZER_NONSPLIT):
+            [IDENTITY, GroupElement(1, 1, 0, 1)] + [random_invertible(rng, ell)
+                                                    for _ in range(3)],
+        (SPLIT_CARTAN, NONSPLIT_CARTAN): [GroupElement(1, s, 0, 1) for s in range(1, ell)],
+    }
+    for (hk, kk), gs in families.items():
+        H, K = enumerate_subgroup(hk, ctx), enumerate_subgroup(kk, ctx)
+        dec = assert_matches_bucketing(H, gs, K, ctx)
+        assert dec.scalars_in_K is True
+        assert first_nonzero_is_one(dec.representatives), hk
+
+
+def without_the_scalars(K):
+    """K with its ell - 1 scalar matrices left out."""
+    keep = ~((K.stacked.b == 0) & (K.stacked.c == 0) & (K.stacked.a == K.stacked.d))
+    return SubgroupSpec(K.kind, GroupElement(*(e[keep] for e in K.stacked)))
+
+
+def test_a_k_without_the_scalars_is_reported_not_cross_checked(contexts):
+    """Without the scalars in K the cross-check over the transversal has no
+    ground: it is not made, and the decomposition says so.  Its keys read
+    K's base object, not its elements, so the degrees and representatives
+    are still those of the loop over all of H."""
+    ctx = contexts[7]
+    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    Cp = without_the_scalars(enumerate_subgroup(NONSPLIT_CARTAN, ctx))
+    assert len(Cp) == subgroup_order(NONSPLIT_CARTAN, 7) - 6
+    dec = assert_matches_bucketing(C, [GroupElement(1, s, 0, 1) for s in range(1, 7)],
+                                   Cp, ctx)
+    assert dec.scalars_in_K is False
+
+
+@pytest.mark.parametrize("kind", [NONSPLIT_CARTAN, NORMALIZER_NONSPLIT])
+def test_verify_fails_on_a_k_without_the_scalars(kind, capsys, monkeypatch):
+    """An enumerated K without the scalars fails the run on its own line,
+    and the degrees section reports the premise for that family alone."""
+    import cartanmaps.cli as cli_mod
+
+    enumerate_real = cli_mod.enumerate_subgroup
+    monkeypatch.setattr(cli_mod, "enumerate_subgroup", lambda k, ctx: (
+        without_the_scalars(enumerate_real(k, ctx)) if k == kind else enumerate_real(k, ctx)))
+    assert main(["verify", "--ell", "5"]) == 1
+    run = json.loads(capsys.readouterr().out)["runs"][0]
+    assert run["failures"] == [f"{kind} does not hold the scalars: the double coset "
+                               f"degrees are not cross-checked"]
+    family = "NNp" if kind == NORMALIZER_NONSPLIT else "CCp"
+    assert {name: section["scalars_in_K"] for name, section in run["degrees"].items()} \
+        == {"NNp": family != "NNp", "CCp": family != "CCp"}
+    assert run["degrees"]["NNp"]["ok"] and run["degrees"]["CCp"]["ok"]
+
+
 def test_decompose_all_does_not_depend_on_the_chunks(monkeypatch, contexts):
     ctx = contexts[13]
     C = enumerate_subgroup(SPLIT_CARTAN, ctx)
@@ -386,9 +453,13 @@ def test_decompose_all_does_not_depend_on_the_chunks(monkeypatch, contexts):
 
 
 def test_decompose_all_keeps_its_arrays_within_the_budget(monkeypatch):
+    """The (|T|, chunk) arrays stay within the entry budget: at 61 the 60
+    slopes make one chunk of the 60 x 60 products of T, and with a budget
+    of 1000 entries the same family goes in chunks of 16 slopes."""
     ctx = PrimeContext(61)
     C = enumerate_subgroup(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
+    gs = [GroupElement(1, s, 0, 1) for s in range(1, 61)]
     sizes = []
 
     def recorded(m, n, ell):
@@ -397,27 +468,30 @@ def test_decompose_all_keeps_its_arrays_within_the_budget(monkeypatch):
         return out
 
     monkeypatch.setattr(cosets, "mat_mul", recorded)
-    dec = decompose_all(C, [GroupElement(1, s, 0, 1) for s in range(1, 61)], Cp, ctx)
+    dec = decompose_all(C, gs, Cp, ctx)
     assert dec.degrees.tolist() == [60] * 60
-    assert max(sizes) <= cosets._DECOMPOSE_ENTRIES
-    # the 60 slopes do not fit one chunk
-    assert max(sizes) < 60 * len(Cp)
+    assert max(sizes) == 60 * 60 <= cosets._DECOMPOSE_ENTRIES
+    sizes.clear()
+    monkeypatch.setattr(cosets, "_DECOMPOSE_ENTRIES", 1000)
+    assert decompose_all(C, gs, Cp, ctx).degrees.tolist() == [60] * 60
+    assert max(sizes) == 60 * 16 <= 1000
 
 
 def test_a_wrong_stabilizer_fails_the_degree_cross_check(monkeypatch, contexts):
     """Conjugating K by g instead of g^-1 breaks the index the degree is
-    checked against, not the keys, so every slope reports the mismatch."""
+    checked against, not the keys, so every slope reports the mismatch, over
+    the 6 elements of the transversal of C/Z."""
     ctx = contexts[7]
     C = enumerate_subgroup(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     inverted = []
     monkeypatch.setattr(cosets, "mat_inv", lambda m, ell: inverted.append(m) or m)
     for s in range(1, 7):
-        with pytest.raises(AssertionError, match="degree mismatch: 6 buckets vs index 36/"):
+        with pytest.raises(AssertionError, match="degree mismatch: 6 buckets vs index 6/"):
             decompose_all(C, [GroupElement(1, s, 0, 1)], Cp, ctx)
     # the slopes of one family are inverted in one call, as one stack
     inverted.clear()
-    with pytest.raises(AssertionError, match="degree mismatch: 6 buckets vs index 36/"):
+    with pytest.raises(AssertionError, match="degree mismatch: 6 buckets vs index 6/"):
         decompose_all(C, [GroupElement(1, s, 0, 1) for s in range(1, 7)], Cp, ctx)
     assert len(inverted) == 1 and inverted[0].b.tolist() == [1, 2, 3, 4, 5, 6]
 
@@ -447,23 +521,25 @@ def test_verify_never_lists_a_whole_subgroup(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 
 PINNED_SECTIONS = {
-    3: '{"degrees": {"NNp": {"degree": 1, "expected": 1, "ok": true}, "CCp": '
-       '{"degrees": {"1": 2, "2": 2}, "expected": 2, "ok": true}}, "coincidence": '
-       '{"checked": true, "psi_plus": true, "h_s": true}}',
-    5: '{"degrees": {"NNp": {"degree": 2, "expected": 2, "ok": true}, "CCp": '
-       '{"degrees": {"1": 4, "2": 4, "3": 4, "4": 4}, "expected": 4, "ok": true}}, '
+    3: '{"degrees": {"NNp": {"degree": 1, "expected": 1, "ok": true, "scalars_in_K": true}, '
+       '"CCp": {"degrees": {"1": 2, "2": 2}, "expected": 2, "ok": true, "scalars_in_K": true}}, '
        '"coincidence": {"checked": true, "psi_plus": true, "h_s": true}}',
-    7: '{"degrees": {"NNp": {"degree": 3, "expected": 3, "ok": true}, "CCp": '
-       '{"degrees": {"1": 6, "2": 6, "3": 6, "4": 6, "5": 6, "6": 6}, "expected": 6, '
-       '"ok": true}}, "coincidence": {"checked": true, "psi_plus": true, "h_s": true}}',
-    11: '{"degrees": {"NNp": {"degree": 5, "expected": 5, "ok": true}, "CCp": '
-        '{"degrees": {"1": 10, "2": 10, "3": 10, "4": 10, "5": 10, "6": 10, "7": 10, '
-        '"8": 10, "9": 10, "10": 10}, "expected": 10, "ok": true}}, "coincidence": '
-        '{"checked": false}}',
-    13: '{"degrees": {"NNp": {"degree": 6, "expected": 6, "ok": true}, "CCp": '
-        '{"degrees": {"1": 12, "2": 12, "3": 12, "4": 12, "5": 12, "6": 12, "7": 12, '
-        '"8": 12, "9": 12, "10": 12, "11": 12, "12": 12}, "expected": 12, "ok": true}}, '
+    5: '{"degrees": {"NNp": {"degree": 2, "expected": 2, "ok": true, "scalars_in_K": true}, '
+       '"CCp": {"degrees": {"1": 4, "2": 4, "3": 4, "4": 4}, "expected": 4, "ok": true, '
+       '"scalars_in_K": true}}, '
+       '"coincidence": {"checked": true, "psi_plus": true, "h_s": true}}',
+    7: '{"degrees": {"NNp": {"degree": 3, "expected": 3, "ok": true, "scalars_in_K": true}, '
+       '"CCp": {"degrees": {"1": 6, "2": 6, "3": 6, "4": 6, "5": 6, "6": 6}, "expected": 6, '
+       '"ok": true, "scalars_in_K": true}}, '
+       '"coincidence": {"checked": true, "psi_plus": true, "h_s": true}}',
+    11: '{"degrees": {"NNp": {"degree": 5, "expected": 5, "ok": true, "scalars_in_K": true}, '
+        '"CCp": {"degrees": {"1": 10, "2": 10, "3": 10, "4": 10, "5": 10, "6": 10, "7": 10, '
+        '"8": 10, "9": 10, "10": 10}, "expected": 10, "ok": true, "scalars_in_K": true}}, '
         '"coincidence": {"checked": false}}',
+    13: '{"degrees": {"NNp": {"degree": 6, "expected": 6, "ok": true, "scalars_in_K": true}, '
+        '"CCp": {"degrees": {"1": 12, "2": 12, "3": 12, "4": 12, "5": 12, "6": 12, "7": 12, '
+        '"8": 12, "9": 12, "10": 12, "11": 12, "12": 12}, "expected": 12, "ok": true, '
+        '"scalars_in_K": true}}, "coincidence": {"checked": false}}',
 }
 
 

@@ -20,14 +20,13 @@ from cartanmaps.correspondence import (
     check_equivariance_incidence,
     check_equivariance_psi,
     check_equivariance_psi_plus,
-    combined_ranks,
     geodesic_incidence,
     incidence_columns,
     incidence_operator,
-    incidence_ranks,
     path_columns,
     path_incidence,
     restrict_to_affine,
+    unipotent_ranks,
 )
 from cartanmaps.exact_linalg import det_mod_p, rank_exact, rank_mod_p, rank_mod_p_stack
 from cartanmaps.modular_arith import (PrimeContext, find_primitive_root, inverse_table,
@@ -62,28 +61,42 @@ def least_prime_1_mod(n: int, start: int = 3) -> int:
 
 def incidence_route(ctx, p, scale=1):
     """(name, (rank, affine rank) mod p from the incidence arrays, dense
-    operator) for psi+, psi and every H_s; every weight times scale."""
+    operator) for psi+, psi and every H_s, each asked of unipotent_ranks on
+    its own, then psi+ and psi asked with every H_s in one call; every
+    weight of psi times scale."""
     ell = ctx.ell
     geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
-    yield "psi+", combined_ranks([geodesics], [scale], p, ctx), build_psi_plus(ctx)
-    reps = [incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
+    yield "psi+", unipotent_ranks(geodesics, {}, None, (), p, ctx).psi_plus, \
+        build_psi_plus(ctx)
+    reps = {s: incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)}
     # alpha_s + beta_s = 1 + s^-1
     weights = [scale * (1 + pow(s, -1, ell)) for s in range(1, ell)]
-    yield "psi", combined_ranks(reps, weights, p, ctx), build_psi(ctx)
+    yield "psi", unipotent_ranks(None, reps, weights, (), p, ctx).psi, build_psi(ctx)
     # the weights matter: all slopes weighted 0 but one
     only_h_2 = [scale * (s == 2 % ell) for s in range(1, ell)]
-    yield "H_2 of psi's terms", combined_ranks(reps, only_h_2, p, ctx), \
+    yield "H_2 of psi's terms", unipotent_ranks(None, reps, only_h_2, (), p, ctx).psi, \
         build_H_s(ctx, 2 % ell)
-    for s, rep in enumerate(reps, start=1):
-        yield f"H_{s}", combined_ranks([rep], [scale], p, ctx), build_H_s(ctx, s)
+    for s, rep in reps.items():
+        yield f"H_{s}", unipotent_ranks(None, {s: rep}, [scale], (), p, ctx).psi, \
+            build_H_s(ctx, s)
+    route = unipotent_ranks(geodesics, reps, weights, list(reps), p, ctx)
+    yield "psi+ with the rest", route.psi_plus, build_psi_plus(ctx)
+    yield "psi with the rest", route.psi, build_psi(ctx)
+    for s, rank in route.h_s.items():
+        yield f"H_{s} with the rest", (rank, None), build_H_s(ctx, s)
 
 
 def check_incidence_route(ctx, p, scale=1, dense_rank=rank_mod_p):
     """The incidence route's ranks equal the dense rank mod p of each
-    operator and of its affine restriction."""
-    for name, ranks, m in incidence_route(ctx, p, scale):
-        want = (dense_rank(m, p), dense_rank(restrict_to_affine(m, ctx.ell), p))
-        assert ranks == want, (name, p)
+    operator and of its affine restriction (None for an H_s ranked by its
+    full blocks alone)."""
+    names = []
+    for name, (rank, affine_rank), m in incidence_route(ctx, p, scale):
+        names.append(name)
+        assert rank == dense_rank(m, p), (name, p)
+        if affine_rank is not None:
+            assert affine_rank == dense_rank(restrict_to_affine(m, ctx.ell), p), (name, p)
+    assert len(names) == 2 * ctx.ell + 3
 
 
 def route_primes(ell):
@@ -161,8 +174,9 @@ def character_blocks(m, p, ctx, h, order):
 
 def test_unipotent_blocks_equal_the_block_formula(contexts):
     """The two blocks, formed by bincount from the orbit and exponent of each
-    listed point, against the block formula walked with u itself, for psi
-    with weights near p at the largest stack prime.  Both take the exponent-0
+    listed point and summed with psi's weights as route 1 sums them, against
+    the block formula walked with u itself, for psi with weights near p at
+    the largest stack prime.  Both take the exponent-0
     element of each orbit as its representative, so they are equal entry by
     entry, once w is the same."""
     ctx = contexts[7]
@@ -173,8 +187,8 @@ def test_unipotent_blocks_equal_the_block_formula(contexts):
     data = sum(w * incidence_operator(ctx, idx).data.astype(object)
                for w, idx in zip(weights, paths))
     want = character_blocks(OperatorMatrix(m.row_tag, m.col_tag, data), p, ctx, U, ell)
-    got = correspondence._blocks([incidence_columns(idx, ctx) for idx in paths],
-                                 weights, np.zeros(ell - 1, dtype=np.int64), p, ctx)
+    B = correspondence._blocks([incidence_columns(idx, ctx) for idx in paths], p, ctx)
+    got = sum(w * b.astype(object) for w, b in zip(weights, B)) % p
     # the orbit minima are the exponent-0 elements, in orbit order, for C_ell
     # and the ordered pairs
     assert got.tolist() == [want[0], want[1]]
@@ -194,7 +208,8 @@ def test_float_kernels_refuse_primes_from_2_to_the_26(contexts):
     with pytest.raises(ValueError, match=r"2\^26"):
         rank_mod_p(np.eye(2), 1 << 26)  # the bound itself, prime or not
     want = oracle_mod_p(m.data.tolist(), p)[0]
-    assert incidence_ranks([incidence_columns(idx, ctx)], p, ctx) == [want]
+    assert unipotent_ranks(None, {1: incidence_columns(idx, ctx)}, None, [1], p,
+                           ctx).h_s == {1: want}
 
 
 def recorded_stack_shapes(monkeypatch):
@@ -213,22 +228,23 @@ def recorded_stack_shapes(monkeypatch):
 def test_affine_rank_reads_only_the_affine_columns(ell, contexts, monkeypatch):
     """H_1 minus an operator that agrees with H_1 on the affine pairs and
     with H_2 at infinity vanishes on the affine columns only.  Its singular
-    restriction still lets the full blocks be ranked, after the affine ones."""
+    restriction still lets the full blocks be ranked, after the affine ones,
+    each pair of blocks in a stack of its own."""
     ctx = contexts[ell]
     shapes = recorded_stack_shapes(monkeypatch)
     h_1, h_2 = path_incidence(ctx, 1), path_incidence(ctx, 2)
     first, second = geometry.decode("ordered_pairs", ell)
     mixed = np.where((first < ell) & (second < ell), h_1, h_2)
-    reps = [incidence_columns(idx, ctx) for idx in (h_1, mixed)]
+    reps = {1: incidence_columns(h_1, ctx), 2: incidence_columns(mixed, ctx)}
     m = incidence_operator(ctx, h_1)
     m = OperatorMatrix(m.row_tag, m.col_tag, m.data - incidence_operator(ctx, mixed).data)
     for p in route_primes(ell):
-        rank, affine_rank = combined_ranks(reps, [1, -1], p, ctx)
+        rank, affine_rank = unipotent_ranks(None, reps, [1, -1], (), p, ctx).psi
         assert affine_rank == rank_mod_p(restrict_to_affine(m, ell), p) == 0
         assert rank == rank_mod_p(m, p) > 0
-        # the two blocks at the ell - 1 affine orbits of the ell + 1, then
-        # at all of them
-        assert shapes == [(2, ell - 1, ell - 1), (2, ell - 1, ell + 1)]
+        # the two blocks at the ell - 1 affine orbits of the ell + 1,
+        # zero-padded to all of them, then at all of them
+        assert shapes == [(2, ell - 1, ell + 1)] * 2
         shapes.clear()
 
 
@@ -240,10 +256,12 @@ def test_a_nonsingular_restriction_spares_the_full_blocks(ell, contexts, monkeyp
     shapes = recorded_stack_shapes(monkeypatch)
     geodesics = geodesic_incidence(ctx)
     rows, p = ell * ctx.r, aux_rank_prime(ell)
-    assert combined_ranks([incidence_columns(geodesics, ctx)], [1], p, ctx) \
-        == (rows, rows) == (rank_mod_p(build_psi_plus(ctx), p),) * 2
-    # B_0 and B_1 at the r affine orbits of the unordered pairs
-    assert shapes == [(2, ctx.r, ctx.r)]
+    assert unipotent_ranks(incidence_columns(geodesics, ctx), {}, None, (), p, ctx) \
+        == ((rows, rows), None, {})
+    assert (rows, rows) == (rank_mod_p(build_psi_plus(ctx), p),) * 2
+    # B_0 and B_1 at the r affine orbits of the unordered pairs, zero-padded
+    # to the shape of an H_s's blocks
+    assert shapes == [(2, ell - 1, ell + 1)]
     n_affine = (geometry.decode("unordered_pairs", ell)[1] < ell).sum()
     assert n_affine == rows == restrict_to_affine(incidence_operator(ctx, geodesics), ell).shape[1]
 
@@ -251,12 +269,12 @@ def test_a_nonsingular_restriction_spares_the_full_blocks(ell, contexts, monkeyp
 def test_torus_rank_rejects_primes_without_the_characters(contexts):
     """F_p must hold an element of order ell: p = 1 mod ell, so not ell."""
     ctx = contexts[7]
-    rep = incidence_columns(path_incidence(ctx, 1), ctx)
+    rep = {1: incidence_columns(path_incidence(ctx, 1), ctx)}
+    geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
     for p in (5, 7, AUX_RANK_PRIME):  # 7 divides none of 4, 6, 1048582
-        with pytest.raises(ValueError, match="order 7"):
-            combined_ranks([rep], [1], p, ctx)
-        with pytest.raises(ValueError, match="order 7"):
-            incidence_ranks([rep], p, ctx)
+        for args in ((geodesics, {}, None, ()), (None, rep, [1], ()), (None, rep, None, [1])):
+            with pytest.raises(ValueError, match="order 7"):
+                unipotent_ranks(*args, p, ctx)
 
 
 def test_orbits_are_those_u_walks(contexts):
@@ -291,8 +309,8 @@ def fail_proof(target, monkeypatch):
                             lambda idx, ctx: len(idx) != ctx.r and check(idx, ctx))
     else:
         check = cli_mod.check_base_fixed
-        monkeypatch.setattr(cli_mod, "check_base_fixed", lambda base, ctx: (
-            not np.array_equal(base, base_paths(ctx, [1])[1]) and check(base, ctx)))
+        monkeypatch.setattr(cli_mod, "check_base_fixed", lambda bases, ctx: (
+            check(bases, ctx) & ~(bases == base_paths(ctx, [1])[1]).all(axis=1)))
 
 
 def unranked(rows):
@@ -307,17 +325,17 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
     its theorem section is null, and the run fails on the proof's own line
     alone."""
     want = run_verification(ell)
-    ranked = cli_mod.combined_ranks
+    ranked = cli_mod.unipotent_ranks
     rows = {"theorem1": ell * (ell - 1) // 2, "theorem2": ell * (ell - 1)}
     for target, theorem in (("psi+", "theorem1"), ("H_1", "theorem2")):
-        ranked_reps = []
+        asked = []
 
-        def recorded(reps, weights, p, ctx):
-            ranked_reps.append(len(reps))
-            return ranked(reps, weights, p, ctx)
+        def recorded(geodesics, paths, weights, *args):
+            asked.append((geodesics is not None, weights is not None))
+            return ranked(geodesics, paths, weights, *args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli_mod, "combined_ranks", recorded)
+            patch.setattr(cli_mod, "unipotent_ranks", recorded)
             fail_proof(target, patch)
             assert main(["verify", "--ell", str(ell)]) == 1
         run = json.loads(capsys.readouterr().out)["runs"][0]
@@ -326,8 +344,8 @@ def test_torus_rank_rejects_operator_not_fixed_by_the_torus(ell, capsys, monkeyp
         assert run["failures"] == [FAILURE_LINE[target]]
         other = ({"theorem1", "theorem2"} - {theorem}).pop()
         assert run[other] == want[other]
-        # only the proved operator was ranked by its blocks
-        assert ranked_reps == ([ell - 1] if target == "psi+" else [1])
+        # only the proved operator was ranked by its blocks: (psi+, psi)
+        assert asked == ([(False, True)] if target == "psi+" else [(True, False)])
         if target == "H_1":
             assert run["equivariance"]["h_s"] is False
             assert run["h_s_ranks"]["1"]["observed_rank"] is None
@@ -353,17 +371,17 @@ def test_a_moved_geodesic_entry_leaves_theorem1_unranked(ell, capsys, monkeypatc
         return np.sort(idx, axis=0)
 
     monkeypatch.setattr(cli_mod, "geodesic_incidence", moved)
-    ranked, combined = [], cli_mod.combined_ranks
-    monkeypatch.setattr(cli_mod, "combined_ranks",
-                        lambda *args: ranked.append(args) or combined(*args))
+    ranked, route = [], cli_mod.unipotent_ranks
+    monkeypatch.setattr(cli_mod, "unipotent_ranks",
+                        lambda *args: ranked.append(args) or route(*args))
     assert main(["verify", "--ell", str(ell), "--skip-cosets"]) == 1
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["equivariance"]["psi_plus"] is False
     assert run["theorem1"] == unranked(ell * ctx.r)
     assert equivariance_failures(run) == [FAILURE_LINE["psi+"]]
     assert not any(f.startswith("theorem1") for f in run["failures"])
-    # the blocks ranked theorem 2 only
-    assert len(ranked) == 1 and len(ranked[0][0]) == ell - 1
+    # the blocks ranked theorem 2 only: no geodesics, every slope's weight
+    assert len(ranked) == 1 and ranked[0][0] is None and len(ranked[0][2]) == ell - 1
     assert run["theorem2"]["certificate"]["method"] == "unipotent characters"
 
 
@@ -375,19 +393,20 @@ def test_verify_reports_without_a_dense_operator_or_rank(capsys, monkeypatch):
         raise AssertionError("verify built a dense operator or rank")
 
     ell = 7
-    real = cli_mod.combined_ranks
+    real = cli_mod.unipotent_ranks
 
-    def short(reps, weights, p, ctx):
-        """psi's two ranks one short; psi+ (one geodesic array) as it is."""
-        rank, affine_rank = real(reps, weights, p, ctx)
-        return (rank, affine_rank) if len(reps) == 1 else (rank - 1, affine_rank - 1)
+    def short(*args):
+        """psi's two ranks one short; psi+'s as they are."""
+        route = real(*args)
+        rank, affine_rank = route.psi
+        return route._replace(psi=(rank - 1, affine_rank - 1))
 
     for target in ("psi+", "H_1", "short"):
         with monkeypatch.context() as patch:
             for name in ("build_psi", "build_psi_plus", "rank_exact", "rank_mod_p"):
                 patch.setattr(cli_mod, name, refuse)
             if target == "short":
-                patch.setattr(cli_mod, "combined_ranks", short)
+                patch.setattr(cli_mod, "unipotent_ranks", short)
             else:
                 fail_proof(target, patch)
             assert main(["verify", "--ell", str(ell)]) == 1, target
@@ -500,10 +519,13 @@ def test_h_s_phase_ranks_by_unipotent_characters(capsys, monkeypatch):
 
 def test_h_s_equivariance_failure_is_reported(capsys, monkeypatch):
     """Either premise of the H_s proof failing for every slope: premise (a),
-    checked per slope, or premise (b), checked once per prime."""
-    for premise in ("check_base_fixed", "check_transporters"):
+    checked per slope (one verdict per row of the stacked base paths), or
+    premise (b), checked once per prime."""
+    failing = {"check_base_fixed": lambda bases, ctx: np.zeros(len(bases), dtype=bool),
+               "check_transporters": lambda ctx: False}
+    for premise, fails in failing.items():
         with monkeypatch.context() as patch:
-            patch.setattr(cli_mod, premise, lambda *args: False)
+            patch.setattr(cli_mod, premise, fails)
             assert main(["verify", "--ell", "3"]) == 1
         run = json.loads(capsys.readouterr().out)["runs"][0]
         assert run["equivariance"]["h_s"] is False, premise
@@ -554,7 +576,8 @@ def test_theorem_section_below_full_rank_is_a_lower_bound(contexts):
     as a non-conclusive lower bound of the rank over Q, and fails."""
     ctx = contexts[5]
     m, p = build_H_s(ctx, 2), aux_rank_prime(5)
-    ranks = combined_ranks([incidence_columns(path_incidence(ctx, 2), ctx)], [1], p, ctx)
+    ranks = unipotent_ranks(None, {2: incidence_columns(path_incidence(ctx, 2), ctx)},
+                            [1], (), p, ctx).psi
     section, failures = cli_mod._theorem_section(m.shape, ranks, "H_2", ctx)
     rank, affine_rank = ranks
     assert rank == 15 < min(m.shape) == 20
@@ -643,11 +666,12 @@ def check_h_s_ranks(ctx):
     """The phase's ranks, and the stacked ranks of every slope at the route's
     primes, equal dense rank_mod_p of the H_s."""
     ell, aux = ctx.ell, aux_rank_prime(ctx.ell)
-    reps = [incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)]
+    reps = {s: incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)}
     dense = {}
     for p in route_primes(ell):
         dense[p] = [rank_mod_p(build_H_s(ctx, s), p) for s in range(1, ell)]
-        assert incidence_ranks(reps, p, ctx) == dense[p], p
+        got = unipotent_ranks(None, reps, None, list(reps), p, ctx).h_s
+        assert list(got.items()) == list(zip(reps, dense[p])), p
     full = ell * (ell - 1)
     got = run_verification(ell, ctx.epsilon, ctx.g, skip_cosets=True)["h_s_ranks"]
     assert got == {s: {"observed_rank": r, "conclusive": r == full}
@@ -663,39 +687,46 @@ def test_h_s_phase_ranks_under_nondefault_context():
     check_h_s_ranks(PrimeContext(13, 5, 7))
 
 
+def without_timings(run):
+    return {key: value for key, value in run.items() if key != "timings"}
+
+
 @pytest.mark.parametrize("slopes_per_stack", (1, 3))
 def test_h_s_ranks_do_not_depend_on_the_stack_budget(slopes_per_stack, monkeypatch):
+    """With room for 1 or 3 slopes' blocks per stack, route 1 takes more
+    stacks, every one at the auxiliary prime, and the report is the same."""
     ell = 13  # 8 of the 12 slopes are below full rank at the auxiliary prime
-    want = run_verification(ell, skip_cosets=True)["h_s_ranks"]
-    assert sum(not h["conclusive"] for h in want.values()) == 8
+    want = without_timings(run_verification(ell, skip_cosets=True))
+    assert sum(not h["conclusive"] for h in want["h_s_ranks"].values()) == 8
     # the two (ell - 1) x (ell + 1) blocks of one slope
-    budget = slopes_per_stack * 2 * (ell - 1) * (ell + 1)
-    monkeypatch.setattr(correspondence, "_STACK_ENTRIES", budget)
-    batches, calls = [], []
-    stack_rank, ranks = correspondence.rank_mod_p_stack, cli_mod.incidence_ranks
+    one = 2 * (ell - 1) * (ell + 1)
+    monkeypatch.setattr(correspondence, "_STACK_ENTRIES", slopes_per_stack * one)
+    batches, stack_rank = [], correspondence.rank_mod_p_stack
 
     def recorded_stack(B, p):
-        if calls:  # inside the h_s phase's ranking, not a theorem certificate
-            batches.append((p, B.size))
+        batches.append((p, B.size // one))
         return stack_rank(B, p)
 
-    def recorded_ranks(reps, p, ctx):
-        calls.append(p)
-        try:
-            return ranks(reps, p, ctx)
-        finally:
-            calls.pop()
-
     monkeypatch.setattr(correspondence, "rank_mod_p_stack", recorded_stack)
-    monkeypatch.setattr(cli_mod, "incidence_ranks", recorded_ranks)
-    assert run_verification(ell, skip_cosets=True)["h_s_ranks"] == want
-    # the slopes s <= (ell-1)/2 are ranked, 1..slopes_per_stack a stack, all
-    # at the auxiliary prime
-    one = 2 * (ell - 1) * (ell + 1)
+    assert without_timings(run_verification(ell, skip_cosets=True)) == want
+    # the slopes s <= (ell-1)/2 are ranked, slopes_per_stack a stack, and
+    # psi+ and psi join the last stack
     assert {p for p, _ in batches} == {aux_rank_prime(ell)}
-    assert all(n in range(one, budget + 1, one) for _, n in batches)
-    assert sum(n for _, n in batches) == (ell - 1) // 2 * one
-    assert len(batches) == -(-(ell - 1) // 2 // slopes_per_stack) > 1
+    assert [n for _, n in batches[:-1]] == [slopes_per_stack] * (len(batches) - 1)
+    assert 2 < batches[-1][1] <= slopes_per_stack + 2
+    assert sum(n for _, n in batches) == (ell - 1) // 2 + 2
+    assert len(batches) > 1
+
+
+@pytest.mark.parametrize("ell", [n for n in range(3, 24) if is_odd_prime(n)])
+def test_a_passing_run_eliminates_once(ell, monkeypatch):
+    """Route 1 at a desk prime: the blocks of psi+'s and psi's affine
+    restrictions and of every slope proved on its own go in one stacked
+    elimination, and nothing else is eliminated."""
+    shapes = recorded_stack_shapes(monkeypatch)
+    run = run_verification(ell, skip_cosets=True)
+    assert run["ok"]
+    assert shapes == [(2 * ((ell - 1) // 2 + 2), ell - 1, ell + 1)]
 
 
 def refuse(what):
@@ -930,6 +961,17 @@ def test_galois_conjugation_pairs_the_slopes_under_nondefault_context():
     check_galois_pairing(PrimeContext(13, 5, 7))
 
 
+def test_the_galois_premise_reads_the_cached_generator_tables(monkeypatch):
+    """check_commutes at one context computes no permutation: both sides
+    are the tables the generator proofs cached."""
+    ctx = PrimeContext(11)
+    J = galois_conjugation(11)
+    correspondence._generator_perms(ctx, "C_ell")
+    monkeypatch.setattr(correspondence, "permutation", refuse("permutation"))
+    assert correspondence.check_commutes(J, "C_ell", ctx, ctx) is True
+    assert correspondence.check_commutes(np.roll(J, 1), "C_ell", ctx, ctx) is False
+
+
 @pytest.mark.parametrize("ctx", [PrimeContext(ell) for ell in PRIMES_ALL]
                          + [PrimeContext(13, 5, 7)], ids=str)
 def test_field_isomorphism_relabels_the_geodesic_array(ctx):
@@ -988,21 +1030,21 @@ def test_weyl_and_unipotent_pairings_hold_block_by_block(ctx):
 
 
 def recorded_slope_work(monkeypatch):
-    """The base paths proved on their own (premise (a)), and the number of
-    slopes of every incidence_ranks call verify makes."""
+    """The stacks of base paths premise (a) is checked on, and the number of
+    slopes ranked on their own in each unipotent_ranks call verify makes."""
     proved, ranked = [], []
-    check, ranks = cli_mod.check_base_fixed, cli_mod.incidence_ranks
+    check, ranks = cli_mod.check_base_fixed, cli_mod.unipotent_ranks
 
-    def recorded_check(base, ctx):
-        proved.append(base)
-        return check(base, ctx)
+    def recorded_check(bases, ctx):
+        proved.append(bases)
+        return check(bases, ctx)
 
-    def recorded_ranks(reps, p, ctx):
-        ranked.append(len(reps))
-        return ranks(reps, p, ctx)
+    def recorded_ranks(geodesics, paths, weights, own, p, ctx):
+        ranked.append(len(own))
+        return ranks(geodesics, paths, weights, own, p, ctx)
 
     monkeypatch.setattr(cli_mod, "check_base_fixed", recorded_check)
-    monkeypatch.setattr(cli_mod, "incidence_ranks", recorded_ranks)
+    monkeypatch.setattr(cli_mod, "unipotent_ranks", recorded_ranks)
     return proved, ranked
 
 
@@ -1028,7 +1070,7 @@ def test_a_broken_conjugation_makes_every_slope_prove_and_rank_itself(broken, ca
     assert main(["verify", "--ell", str(ell)]) == 0
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["h_s_rank_method"]["paired_slopes"] == []
-    assert len(proved) == ell - 1
+    assert [len(bases) for bases in proved] == [ell - 1]
     assert ranked == [ell - 1]
     assert run["h_s_ranks"] == want["h_s_ranks"]
     assert run["theorem2"] == want["theorem2"]
@@ -1051,8 +1093,9 @@ def test_a_slope_that_is_not_the_conjugate_proves_and_ranks_itself(capsys, monke
     main(["verify", "--ell", str(ell), "--skip-cosets"])
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["h_s_rank_method"]["paired_slopes"] == [[2, 5], [3, 4]]
-    assert len(proved) == 4
-    assert np.array_equal(proved[1], paths(PrimeContext(ell), [1])[1])
+    # one stack of every slope's base path, slope 6's that of slope 1
+    assert [len(bases) for bases in proved] == [ell - 1]
+    assert np.array_equal(proved[0][ell - 2], paths(PrimeContext(ell), [1])[1])
     assert ranked == [4]
     assert run["equivariance"]["h_s"] is True
     assert run["h_s_ranks"]["6"] == run["h_s_ranks"]["1"]
@@ -1111,17 +1154,22 @@ def test_premise_verdicts_equal_the_generator_proof(ctx):
     ell = ctx.ell
     assert correspondence.check_transporters(ctx) is True
     bases = base_paths(ctx, range(1, ell))
-    for s, base in bases.items():
-        for b in (base, off_orbit(base, ell)):
+    stacked = np.stack(list(bases.values()))
+    moved = np.stack([off_orbit(base, ell) for base in stacked])
+    for on_orbit, stack in ((True, stacked), (False, moved)):
+        fixed = correspondence.check_base_fixed(stack, ctx)
+        assert fixed.shape == (ell - 1,)
+        for s, b, verdict in zip(bases, stack, fixed.tolist()):
             (idx,) = path_columns(ctx, {s: b}, all_columns(ctx)).values()
-            assert correspondence.check_base_fixed(b, ctx) \
-                is check_equivariance_incidence(idx, ctx) is (b is base), s
+            assert verdict is check_equivariance_incidence(idx, ctx) is on_orbit, s
     paths = {s: path_incidence(ctx, s) for s in bases}
     J = galois_conjugation(ell)
     for conjugation in (J, np.arange(len(J))):
-        for s in bases:
-            paired = correspondence.check_maps_base(conjugation, bases[s], bases[ell - s])
-            assert paired is is_relabelling(
+        # row k of the stack against row ell - 2 - k, the conjugate slope
+        paired = correspondence.check_maps_base(conjugation, stacked, stacked[::-1]).tolist()
+        for s, verdict in zip(bases, paired):
+            assert verdict is bool(correspondence.check_maps_base(
+                conjugation, bases[s], bases[ell - s])) is is_relabelling(
                 conjugation, paths[s], paths[ell - s]) is (conjugation is J), s
 
 

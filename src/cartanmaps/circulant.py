@@ -50,16 +50,17 @@ class BlockMatrixN:
         """The (m, M) of every block, m-major."""
         return [(m, M) for m in self.squares for M in self.nonsquares]
 
-    def row(self, m: int, M: int) -> np.ndarray:
-        """Row t = 0 of the block (m, M): entry T is 1 iff T^2 = m + M."""
-        if m not in self.squares or M not in self.nonsquares:
+    def row(self, m: int, M) -> np.ndarray:
+        """Row t = 0 of the block (m, M): entry T is 1 iff T^2 = m + M; for an
+        array of M, one such row per M, along a last axis."""
+        M = np.asarray(M)
+        if m not in self.squares or not set(M.ravel().tolist()) <= set(self.nonsquares):
             raise KeyError((m, M))
         d = np.arange(self.ell)
-        return (d * d % self.ell == (m + M) % self.ell).astype(np.int8)
+        return (d * d % self.ell == (m + M[..., None]) % self.ell).astype(np.int8)
 
     def block(self, m: int, M: int) -> np.ndarray:
-        d = np.arange(self.ell)
-        return self.row(m, M)[(d - d[:, None]) % self.ell]  # (t, T) -> T - t
+        return _circulant(self.row(m, M))  # (t, T) -> T - t
 
 
 def build_block_matrix_N(ctx: PrimeContext) -> BlockMatrixN:
@@ -103,15 +104,6 @@ def _circulant(row) -> np.ndarray:
     return np.asarray(row, dtype=np.int64)[(j - j[:, None]) % n]
 
 
-def _first_mismatch(vals: np.ndarray, row) -> tuple[int, int] | None:
-    """The first (i, j), row-major, where the square matrix vals differs
-    from _circulant(row); None if there is none."""
-    bad = vals != _circulant(row)
-    if not bad.any():
-        return None
-    return divmod(int(bad.argmax()), len(row))
-
-
 @dataclass(frozen=True)
 class ReducedCountMatrixN:
     """The r x r circulant of square-root counts a_j = #{x : x^2 = 1 + eps*g^2j}."""
@@ -133,21 +125,21 @@ def reduce_mod_frak_L(bm: BlockMatrixN, ctx: PrimeContext) -> ReducedCountMatrix
     """Collapse each circulant block to its solution count and relabel
     m = g^2i, M = eps*g^2j; the circulant shift identity is re-verified."""
     ell, g, eps, r = bm.ell, ctx.g, bm.epsilon, ctx.r
-    counts = ctx.sqrt_counts
-    row = []
-    for j in range(r):
-        M = eps * pow(g, 2 * j, ell) % ell
-        block_count = int(bm.row(1 % ell, M).sum())
-        direct = counts[(1 + M) % ell]
-        if block_count != direct:
-            raise CertificateError(f"block (1, {M}) collapses to {block_count}, "
-                                   f"direct count is {direct}")
-        row.append(direct)
+    counts = np.array(ctx.sqrt_counts)
     g2 = np.array([pow(g, 2 * i, ell) for i in range(r)], dtype=np.int64)
-    at = _first_mismatch(np.array(counts)[(g2[:, None] + eps * g2) % ell], row)
-    if at is not None:
-        raise CertificateError("count matrix is not circulant at ({},{})".format(*at))
-    return ReducedCountMatrixN(ell, eps, g, tuple(row))
+    M = eps * g2 % ell
+    # every block (1, M) of the first block row at once
+    block_counts = bm.row(1 % ell, M).sum(axis=-1)
+    row = counts[(1 + M) % ell]
+    if (bad := block_counts != row).any():
+        j = int(bad.argmax())
+        raise CertificateError(f"block (1, {M[j]}) collapses to {block_counts[j]}, "
+                               f"direct count is {row[j]}")
+    # the first mismatch row-major
+    if (bad := counts[(g2[:, None] + eps * g2) % ell] != _circulant(row)).any():
+        raise CertificateError("count matrix is not circulant at ({},{})".format(
+            *divmod(int(bad.argmax()), r)))
+    return ReducedCountMatrixN(ell, eps, g, tuple(row.tolist()))
 
 
 @dataclass(frozen=True)

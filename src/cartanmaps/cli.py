@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import platform
 import re
@@ -47,6 +48,7 @@ from .correspondence import (
     check_transporters,
     coefficients,
     field_isomorphism,
+    galois_row_orbits,
     geodesic_incidence,
     incidence_columns,
     pair_text,
@@ -65,6 +67,7 @@ from .cosets import (
     decompose,
     decompose_all,
     enumerate_subgroup,
+    named_transversal,
 )
 # rank_mod_p, rank_exact and the names marked F401 above stay importable as
 # cli attributes even where verify no longer calls them:
@@ -235,9 +238,11 @@ def _circulant_section(case: str, ctx: PrimeContext) -> tuple[dict, list]:
         # the count matrix failed its reduction: no determinant to compare
         section.update(det_product=None, det_direct=None, det_match=False)
         return section, failures
+    # the records hold every eigenvalue unless the certificate failed early;
     # the half-plane eigenvalues sit at the powers of g^2, the others at g's
     row, e = (rm.first_row, 2) if case == "N" else (rm.combined_row, 1)
-    prod = circulant_det_mod(row, e, ctx)
+    prod = (math.prod(r.matrix_eigenvalue for r in recs) % ctx.ell
+            if len(recs) == len(row) else circulant_det_mod(row, e, ctx))
     direct = det_mod_p(rm.matrix(), ctx.ell)
     det_ok = prod == direct and direct != 0
     if not det_ok:
@@ -291,9 +296,9 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         # the base path and (b) every transporter carries (0, inf) to its pair
         # (the lemma above correspondence.check_base_fixed); it is then built
         # only at the column-orbit representatives the ranks read.  The slopes
-        # go in Galois pairs (s, ell - s): ell - s takes the proof and the
-        # ranks of s when J commutes with GL2 and maps the one base path onto
-        # the other; otherwise it is proved and ranked on its own.
+        # go in Galois pairs (s, ell - s): ell - s takes the proof, ranks and
+        # blocks (rows relabelled by sigma) of s when J commutes with GL2, has a
+        # sigma and maps base path onto base path; else it is built on its own.
         bases = base_paths(ctx, range(1, ell))
         stacked = np.stack(list(bases.values()))
         # a base path of distinct points, ascending, makes each column sum
@@ -301,22 +306,23 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
         col_ok = bool((np.diff(stacked, axis=1) > 0).all())
         carried = check_transporters(ctx)
         J = field_isomorphism("C_ell", -1, ell)
+        sigma = galois_row_orbits(J, ctx)
         # at s - 1, for slope s: (a) and (b) hold, and J maps the base path of
         # s onto that of ell - s, the row of the reversed stack
         fixed = (check_base_fixed(stacked, ctx) & carried).tolist()
         maps = (check_maps_base(J, stacked, stacked[::-1])
-                & check_commutes(J, "C_ell", ctx, ctx)).tolist()
+                & check_commutes(J, "C_ell", ctx, ctx) & (sigma is not None)).tolist()
         paired = {ell - s: s for s in range(1, ctx.r + 1) if fixed[s - 1] and maps[s - 1]}
-        # the slopes proved on their own
+        # the slopes proved on their own, the only ones built
         own = [s for s in range(1, ell) if fixed[s - 1] and s not in paired]
+        eq_hs = len(own) + len(paired) == ell - 1
         # one elimination ranks psi+, psi (sum_s c_s H_s) and the H_s proved
         # on their own mod aux, from the columns at the U-orbit representatives
-        proved = set(own) | set(paired)
-        reps = path_columns(ctx, {s: bases[s] for s in range(1, ell) if s in proved},
+        reps = path_columns(ctx, {s: bases[s] for s in own},
                             representatives(ctx, "ordered_pairs"))
-        eq_hs = len(reps) == ell - 1
+        weights = dict(enumerate(sum(coefficients(ctx)).tolist(), 1)) if eq_hs else None
         route = unipotent_ranks(incidence_columns(geodesics, ctx) if eq_plus else None,
-                                reps, sum(coefficients(ctx)) if eq_hs else None, own, aux, ctx)
+                                reps, weights, own, aux, ctx, paired, sigma)
         report["theorem1"], f1 = _theorem_section((n_H, n_up), route.psi_plus,
                                                   "theorem1", ctx)
         report["theorem2"], f2 = _theorem_section((n_C, n_op), route.psi, "theorem2", ctx)
@@ -348,16 +354,15 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
             failures.append("equivariance fails on a generator of GL2")
 
     with _phase(timings, "degrees"):
-        sub_n = enumerate_subgroup(NORMALIZER_SPLIT, ctx)
+        # C and N enter by their closed-form transversals of H/Z; K is enumerated
         sub_np = enumerate_subgroup(NORMALIZER_NONSPLIT, ctx)
-        sub_c = enumerate_subgroup(SPLIT_CARTAN, ctx)
         sub_cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
-        dec_n = decompose(sub_n, IDENTITY, sub_np, ctx)
+        dec_n = decompose(named_transversal(NORMALIZER_SPLIT, ctx), IDENTITY, sub_np, ctx)
         deg_n = int(dec_n.degrees[0])
         deg_n_ok = deg_n == ctx.r
         slopes = range(1, ell)
-        dec_c = decompose_all(sub_c, [GroupElement(1, s, 0, 1) for s in slopes],
-                              sub_cp, ctx)
+        dec_c = decompose_all(named_transversal(SPLIT_CARTAN, ctx), GroupElement(
+            *np.broadcast_arrays(1, np.arange(1, ell), 0, 1)), sub_cp, ctx)
         deg_c = dec_c.degrees.tolist()
         deg_c_ok = deg_c == [ell - 1] * (ell - 1)
         report["degrees"] = {
@@ -674,7 +679,8 @@ def cmd_verify(args) -> int:
         "runs": runs,
         "summary": {"ok": n_fail == 0, "failures": n_fail},
     }
-    _emit(doc, args.out)
+    # one line, by json's C encoder: python -m json.tool indents it
+    _write(args.out, lambda fh: fh.write(json.dumps(doc, default=_json_default) + "\n"))
     return EXIT_FAIL if n_fail else EXIT_OK
 
 
@@ -714,22 +720,19 @@ def cmd_eigenvalues(args) -> int:
 
 def cmd_decompose(args) -> int:
     ctx = _make_context(args)
+    s = None
     if args.case == "N":
         if args.s is not None:
             raise UsageError("--s applies to --case C only")
-        H = enumerate_subgroup(NORMALIZER_SPLIT, ctx)
-        K = enumerate_subgroup(NORMALIZER_NONSPLIT, ctx)
-        g = IDENTITY
-        s = None
+        kinds, g = (NORMALIZER_SPLIT, NORMALIZER_NONSPLIT), IDENTITY
     else:
         if args.s is None:
             raise UsageError("--case C requires --s")
         s = args.s % ctx.ell
         if s == 0:
             raise UsageError("--s must be nonzero mod ell")
-        H = enumerate_subgroup(SPLIT_CARTAN, ctx)
-        K = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
-        g = GroupElement(1, s, 0, 1)
+        kinds, g = (SPLIT_CARTAN, NONSPLIT_CARTAN), GroupElement(1, s, 0, 1)
+    H, K = (enumerate_subgroup(kind, ctx) for kind in kinds)
     dec = decompose(H, g, K, ctx)
     doc = {
         "schema_version": TABLE_SCHEMA_VERSION,

@@ -278,9 +278,9 @@ def check_base_fixed(bases: np.ndarray, ctx: PrimeContext) -> np.ndarray:
     indices, see base_paths): diag(g, 1) and diag(1, g), which generate C,
     map it onto itself."""
     x, y = (u[bases] for u in decode("C_ell", ctx.ell))
-    fixed = [(np.sort(act(h, "C_ell", x, y, ctx), axis=-1) == bases).all(axis=-1)
-             for h in (GroupElement(ctx.g, 0, 0, 1), GroupElement(1, 0, 0, ctx.g))]
-    return fixed[0] & fixed[1]
+    a, d = (np.array(e)[:, None, None] for e in ((ctx.g, 1), (1, ctx.g)))
+    moved = np.sort(act(GroupElement(a, 0, 0, d), "C_ell", x, y, ctx), axis=-1)
+    return (moved == bases).all(axis=-1).all(axis=0)
 
 
 def check_transporters(ctx: PrimeContext) -> bool:
@@ -439,6 +439,16 @@ def _ranks(blocks: list[np.ndarray], p: int, ell: int) -> list[int]:
             @ np.array([1, ell - 1])).tolist()
 
 
+def galois_row_orbits(J: np.ndarray, ctx: PrimeContext) -> np.ndarray | None:
+    """sigma with B(P_J M) = B(M)[:, sigma, :] for every M with rows C_ell, or
+    None where J moves a row-orbit representative r_i off exponent 0.  For
+    an involution J commuting with u, row u^k r_i of P_J M is row u^k J(r_i)
+    of M, and J(r_i) of exponent 0 is the representative of orbit sigma[i]."""
+    orbit, exponent, _ = orbits("C_ell", ctx.ell)
+    image = J[representatives(ctx, "C_ell")]
+    return orbit[image] if (exponent[image] == 0).all() else None
+
+
 class RouteRanks(NamedTuple):
     psi_plus: tuple[int, int] | None  # (rank, affine rank)
     psi: tuple[int, int] | None
@@ -446,27 +456,39 @@ class RouteRanks(NamedTuple):
 
 
 def unipotent_ranks(geodesics: np.ndarray | None, paths: dict[int, np.ndarray],
-                    weights, own, p: int, ctx: PrimeContext) -> RouteRanks:
+                    weights: dict[int, int] | None, own, p: int, ctx: PrimeContext,
+                    paired: dict[int, int] | None = None,
+                    sigma: np.ndarray | None = None) -> RouteRanks:
     """Route 1 mod p (p = 1 mod ell) from incidence_columns arrays: psi+
-    (geodesics) and psi = sum_t weights[t] * the t-th H_s of paths (slope ->
-    array), each skipped where its argument is None, and the H_s of the
-    slopes in own; each operator fixed by GL2.  Each slope's blocks are
-    built once, a chunk at a time, and psi's are their weighted sum.  One
-    stack per chunk ranks the own slopes, the last also psi+'s and psi's
-    affine restrictions: an operator's own blocks are ranked only where its
-    restriction, a column submatrix with all its rows, is singular."""
+    (geodesics) and psi = sum_t weights[t] H_t, each skipped where its
+    argument is None, and the H_s of the slopes in own; each operator fixed
+    by GL2.  paths maps a slope to its array; a slope t not in paths is
+    paired[t] = s, H_t = P_J H_s, whose blocks are those of s at the row
+    orbits sigma (galois_row_orbits).  Each slope's blocks are built once, a
+    chunk at a time, for psi and for the stack of each chunk, which ranks
+    the own slopes, the last also psi+'s and psi's affine restrictions: an
+    operator's own blocks are ranked only where its restriction, a column
+    submatrix with all its rows, is singular."""
     ell = ctx.ell
-    # a chunk's terms of psi, each below (p - 1)^2, must fit an int64 entry
-    # below p: p < 2^31, which rank_mod_p_stack checks, leaves room for one
+    # a chunk's sum of terms below (p - 1)^2 must fit int64 with an entry below
+    # p: p < 2^31, which rank_mod_p_stack checks, leaves room for one; the two
+    # sums of a chunk are reduced before they are added
     per = max(1, min(_STACK_ENTRIES // (2 * (ell - 1) * (ell + 1)), _reduction_room(p)))
     own, slopes, stack, h_s = set(own), list(paths), [], {}
+    partner = {s: t for t, s in (paired or {}).items() if t not in paths}
+    missing = sorted(set(weights or ()) - set(paths) - set(partner.values()))
+    if missing or partner and sigma is None:
+        raise ValueError(f"psi's slopes {missing} lack blocks, or paired ones sigma")
     psi = np.zeros((2, ell - 1, ell + 1), dtype=np.int64)
     for lo in range(0, len(slopes), per):
         chunk = slopes[lo:lo + per]
         B = _blocks([paths[s] for s in chunk], p, ctx)
         if weights is not None:
-            w = np.asarray(weights[lo:lo + per], dtype=np.int64) % p
-            psi = (psi + np.tensordot(w, B, 1)) % p
+            # each slope's weight, then its partner's, whose sum is relabelled
+            w = np.array([(weights.get(s, 0), weights.get(partner.get(s), 0))
+                          for s in chunk])
+            own_sum, partner_sum = np.tensordot(w.T % p, B, 1) % p
+            psi = (psi + own_sum + (partner_sum[:, sigma] if partner else 0)) % p
         stack += [(s, b) for s, b in zip(chunk, B) if s in own]
         if len(stack) > per:
             h_s.update(zip([s for s, _ in stack[:per]],

@@ -10,6 +10,7 @@ decomposed as one object, with every g bucketed in one broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,11 +56,18 @@ class SubgroupSpec:
         return f"SubgroupSpec(kind={self.kind!r}, order={len(self)})"
 
 
-def _grid(*ranges) -> list[np.ndarray]:
-    """Every tuple of the product of the ranges, in row-major order, as one
-    flat int64 array per coordinate."""
-    return [g.ravel() for g in np.meshgrid(*(np.arange(*r, dtype=np.int64)
-                                              for r in ranges), indexing="ij")]
+class Transversal(NamedTuple):
+    """The first element in H order of each class hZ of H of this kind, Z the
+    scalars, stacked (see geometry.stack): a transversal of H/Z."""
+    kind: str
+    stacked: GroupElement
+
+
+def _grid(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of range(lo, hi) x range(lo, hi), in row-major order, as
+    one flat int64 array per coordinate."""
+    i, j = np.divmod(np.arange((hi - lo) ** 2, dtype=np.int64), hi - lo)
+    return i + lo, j + lo
 
 
 def enumerate_subgroup(kind: str, ctx: PrimeContext) -> SubgroupSpec:
@@ -67,15 +75,14 @@ def enumerate_subgroup(kind: str, ctx: PrimeContext) -> SubgroupSpec:
     parameters of its elements: (a 0; 0 d) and (0 a; d 0) over units a, d;
     (x eps*y; y x) and (x -eps*y; y -x) over (x, y) != (0, 0)."""
     ell, eps = ctx.ell, ctx.epsilon
-    units = (1, ell)
     if kind in (SPLIT_CARTAN, NORMALIZER_SPLIT):
-        a, d = _grid(units, units)
+        a, d = _grid(1, ell)
         zero = 0 * a
         parts = [(a, zero, zero, d)]
         if kind == NORMALIZER_SPLIT:
             parts.append((zero, a, d, zero))
     elif kind in (NONSPLIT_CARTAN, NORMALIZER_NONSPLIT):
-        x, y = (u[1:] for u in _grid((ell,), (ell,)))  # (0, 0) comes first
+        x, y = (u[1:] for u in _grid(0, ell))  # (0, 0) comes first
         parts = [(x, eps * y % ell, y, x)]
         if kind == NORMALIZER_NONSPLIT:
             parts.append((x, -eps * y % ell, y, -x % ell))
@@ -112,7 +119,7 @@ class DoubleCosetDecomposition:
     in H order within each g, degrees[i] of them for the i-th g.
     scalars_in_K: whether K's elements hold the scalars."""
 
-    H: SubgroupSpec
+    H: SubgroupSpec | Transversal
     K: SubgroupSpec
     g: GroupElement
     representatives: GroupElement
@@ -136,49 +143,57 @@ def _member(sorted_digits: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return sorted_digits[at] == digits
 
 
-def _transversal(H: SubgroupSpec, ctx: PrimeContext) -> np.ndarray:
-    """The rows, ascending, of the first element in H order of each class
-    hZ, Z the scalars, which h over its first nonzero entry names: for C the
-    diag(1, d), and for N also the (0 1; d 0)."""
+def transversal(H: SubgroupSpec, ctx: PrimeContext) -> Transversal:
+    """T read off an enumerated H, of any kind: the first element in H order
+    of each class hZ, which h over its first nonzero entry names."""
     a, b = H.stacked.a, H.stacked.b
     inverse = ctx.inverse_table[np.where(a != 0, a, b)]
     classes = _digits((e * inverse % ctx.ell for e in H.stacked), ctx.ell)
-    return np.sort(np.unique(classes, return_index=True)[1])
+    rows = np.sort(np.unique(classes, return_index=True)[1])
+    return Transversal(H.kind, GroupElement(*(e[rows] for e in H.stacked)))
 
 
-def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
+def named_transversal(kind: str, ctx: PrimeContext) -> Transversal:
+    """T of C or N without enumerating either, the elements transversal
+    picks: diag(1, d), and for N then (0 1; d 0), d = 1..ell-1."""
+    if kind not in (SPLIT_CARTAN, NORMALIZER_SPLIT):
+        raise ValueError(f"no closed-form transversal for subgroup kind {kind!r}")
+    d = np.arange(1, ctx.ell, dtype=np.int64)
+    one, zero = d ** 0, 0 * d
+    parts = [(one, zero, zero, d)] + [(zero, one, d, zero)] * (kind == NORMALIZER_SPLIT)
+    return Transversal(kind, GroupElement(*map(np.concatenate, zip(*parts))))
+
+
+def decompose_all(H: SubgroupSpec | Transversal, gs: GroupElement, K: SubgroupSpec,
                   ctx: PrimeContext) -> DoubleCosetDecomposition:
-    """Decompose HgK into disjoint cosets alpha g K, for every g in gs, as
-    one family.
+    """Decompose HgK into disjoint cosets alpha g K, for every g of the stack
+    gs, as one family.
 
     The scalars Z are central and fix every point of G/K, so the H-orbit of
-    gK is that of the transversal T of H/Z, which _transversal lists.  The
-    keys coset_key(K, t*g) of all t and a chunk of the g's form one (|T|,
-    chunk) array.  One sort of key*|T| + row per column puts the rows of
-    each key together, the first in H order, so the degree is the number of
-    distinct keys and the representatives are the first t of each key: the
-    first h, as t comes first in its class.  Where K's elements hold the
-    scalars, t lies in gKg^-1 iff tZ does, and the degree is cross-checked
-    against the index, which does not use the keys:
+    gK is that of the transversal T of H/Z, given, or read off H.  The keys
+    coset_key(K, t*g) of all t and a chunk of the g's form one (|T|, chunk)
+    array.  One sort of key*|T| + row per column puts the rows of each key
+    together, the first in H order, so the degree is the number of distinct
+    keys and the representatives are the first t of each key: the first h,
+    as t comes first in its class.  Where K's elements hold the scalars, t
+    lies in gKg^-1 iff tZ does, and the degree is cross-checked against the
+    index, which does not use the keys:
     degree * #{t : g^-1 (t g) in K} = |T|.
     """
     ell = ctx.ell
-    gs = list(gs)
     # g^-1 (t g) is matched with K by its base-ell digits
     k_digits = np.sort(_digits(K.stacked, ell))
     units = np.arange(1, ell, dtype=np.int64)
     scalars_in_K = bool(_member(k_digits, _digits((units, 0 * units, 0 * units, units),
                                                   ell)).all())
-    rows = _transversal(H, ctx)
-    ts = GroupElement(*(e[rows] for e in H.stacked))
+    ts = (H if isinstance(H, Transversal) else transversal(H, ctx)).stacked
     n = len(ts.a)
     t_col = GroupElement(*(e[:, None] for e in ts))
     t_rows = np.arange(n, dtype=np.int64)[:, None]
     per = max(1, _DECOMPOSE_ENTRIES // n)
     rep_rows, degrees = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(gs), per):
-        chunk = gs[lo:lo + per]
-        g = stack(chunk)
+    for lo in range(0, len(gs.a), per):
+        g = GroupElement(*(e[lo:lo + per] for e in gs))
         tg = mat_mul(t_col, g, ell)
         keys = coset_key(K, tg, ctx)
         order = np.sort(keys * n + t_rows, axis=0)
@@ -186,7 +201,7 @@ def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
         first[1:] = np.diff(order // n, axis=0) != 0
         degree = first.sum(axis=0)
         # column by column, the representatives' rows in T order
-        rep_rows.append(np.sort((order % n + n * np.arange(len(chunk)))[first]) % n)
+        rep_rows.append(np.sort((order % n + n * np.arange(len(g.a)))[first]) % n)
         degrees.append(degree)
         if not scalars_in_K:
             continue
@@ -199,15 +214,15 @@ def decompose_all(H: SubgroupSpec, gs, K: SubgroupSpec,
                 f"degree mismatch: {degree[c]} buckets vs index "
                 f"{n}/{stab[c]} for {H.kind} g {K.kind}")
     return DoubleCosetDecomposition(
-        H, K, stack(gs), GroupElement(*(e[np.concatenate(rep_rows)] for e in ts)),
+        H, K, gs, GroupElement(*(e[np.concatenate(rep_rows)] for e in ts)),
         np.concatenate(degrees), scalars_in_K)
 
 
-def decompose(H: SubgroupSpec, g: GroupElement, K: SubgroupSpec,
+def decompose(H: SubgroupSpec | Transversal, g: GroupElement, K: SubgroupSpec,
               ctx: PrimeContext) -> DoubleCosetDecomposition:
     """Decompose HgK into disjoint cosets alpha g K: the one-g family of
     decompose_all."""
-    return decompose_all(H, [g], K, ctx)
+    return decompose_all(H, stack([g]), K, ctx)
 
 
 def coset_incidence(dec: DoubleCosetDecomposition,

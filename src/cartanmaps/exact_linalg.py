@@ -1,12 +1,10 @@
 """Exact rank and determinant of integer matrices via modular elimination.
 
-The mod-p engine eliminates in panels whose updates are applied as float64
-matrix products; the panel width is capped so every dot product stays below
-2^53 and is therefore exact.  This float64 engine takes primes p < 2^26
-only, where (p - 1)^2 < 2^52 leaves a panel at least 2 wide, and raises
-ValueError above.  A stack of small matrices is ranked in one vectorized int64
-elimination, for p < 2^31.  Fraction-free (Bareiss) elimination over Python
-ints provides the unconditionally exact route for small matrices.
+The dense mod-p engine eliminates by int64 row operations; it takes primes
+p < 2^26 only, where a product of two residues stays below 2^52, and raises
+ValueError above.  A stack of small matrices is ranked in one vectorized
+int64 elimination, for p < 2^31.  Fraction-free (Bareiss) elimination over
+Python ints provides the unconditionally exact route for small matrices.
 """
 
 from __future__ import annotations
@@ -18,8 +16,7 @@ import numpy as np
 
 from .modular_arith import is_prime
 
-_PANEL_CAP = 192
-FLOAT_PRIME_BOUND = 1 << 26  # the primes of the float64 mod-p engine lie below
+DENSE_PRIME_BOUND = 1 << 26  # the primes of the dense mod-p engine lie below
 # rank_exact's escalation after its preferred primes, and det_exact_small's bound
 _BAREISS_LIMIT = 256
 _RANDOM_PRIME_COUNT = 8
@@ -39,92 +36,76 @@ def _as_int_matrix(m) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def check_float_modulus(p: int) -> None:
-    """Refuse a modulus outside the float64 engine's domain 2 <= p < 2^26."""
+def _echelon(A, p: int) -> tuple[int, int]:
+    """Row echelon mod p, 2 <= p < 2^26, by int64 row operations: (rank,
+    det mod p), det 0 unless A is square of full rank.  The rows below a
+    pivot subtract multiples of the pivot row, both reduced below p, so an
+    update grows an entry by less than (p - 1)^2 < 2^52; a column is reduced
+    when it is read, the trailing block when int64 would run out of room."""
     if p <= 1:
         raise ValueError("modulus must be >= 2")
-    if p >= FLOAT_PRIME_BOUND:
+    if p >= DENSE_PRIME_BOUND:
         raise ValueError(f"modulus {p} is not below 2^26, the bound of the "
-                         f"float64 mod-p engine")
-
-
-def _echelon_float(A: np.ndarray, p: int) -> tuple[int, int]:
-    """Row echelon mod p with batched float64 GEMM updates.
-
-    Returns (rank, det mod p); det is meaningful only for square input.
-    Exact because every dot product is a sum of at most `width` terms,
-    each below (p-1)^2, and width*(p-1)^2 < 2^53.
-    """
-    m, n = A.shape
-    W = np.mod(A, p).astype(np.float64)
-    width = min(_PANEL_CAP, (1 << 53) // (p - 1) ** 2)
-    F = np.zeros((m, width))
-    R = np.zeros((width, n))
-    slots = 0
-    rank = 0
-    sign = 1
-    piv_prod = 1
+                         f"dense mod-p engine")
+    W = np.mod(_as_int_matrix(A), p)
+    m, n = W.shape
+    room, rank, det, pending = _reduction_room(p), 0, 1, 0
     for j in range(n):
         if rank == m:
             break
-        col = W[:, j].copy()
-        if slots:
-            col -= F[:, :slots] @ R[:slots, j]
-            col %= p
-        nz = np.nonzero(col[rank:])[0]
+        col = W[rank:, j] % p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        i0 = rank + int(nz[0])
-        if i0 != rank:
-            W[[rank, i0], :] = W[[i0, rank], :]
-            F[[rank, i0], :] = F[[i0, rank], :]
-            col[rank], col[i0] = col[i0], col[rank]
-            sign = -sign
-        rowvec = W[rank, :].copy()
-        if slots:
-            rowvec -= F[rank, :slots] @ R[:slots, :]
-            rowvec %= p
-        pv = int(rowvec[j]) % p
-        piv_prod = piv_prod * pv % p
-        R[slots, :] = np.mod(rowvec * pow(pv, -1, p), p)
-        fcol = np.zeros(m)
-        fcol[rank + 1:] = col[rank + 1:]
-        F[:, slots] = fcol
-        # The pivot row is final: fold its pending updates in and clear its factors.
-        W[rank, :] = rowvec
-        F[rank, :] = 0.0
-        slots += 1
+        i = int(nz[0])
+        if i:
+            W[[rank, rank + i]] = W[[rank + i, rank]]
+            det = -det
+        pv = int(col[i])
+        det = det * pv % p
+        if nz.size > 1:
+            # the rows from the next one with an entry down, below the swap
+            mult = col[nz[1]:] * pow(pv, -1, p) % p
+            W[rank + nz[1]:, j + 1:] -= mult[:, None] * (W[rank, j + 1:] % p)
+            pending += 1
+            if pending == room:
+                W[rank + 1:, j + 1:] %= p
+                pending = 0
         rank += 1
-        if slots == width:
-            W -= F @ R
-            W %= p
-            F[:] = 0.0
-            R[:] = 0.0
-            slots = 0
-    det = sign * piv_prod % p if (m == n and rank == n) else 0
-    return rank, det
+    return rank, det % p if m == n == rank else 0
 
 
 def rank_mod_p(m, p: int) -> int:
     """Rank over F_p, p < 2^26, by Gaussian elimination."""
-    check_float_modulus(p)
-    return _echelon_float(_as_int_matrix(m), p)[0]
+    return _echelon(m, p)[0]
+
+
+def _inverses(values: list[int], p: int) -> list[int]:
+    """The inverses mod p of nonzero residues by batch inversion (P. L.
+    Montgomery, Math. Comp. 48, 1987): one pow and 3(n - 1) products."""
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv, out = pow(acc, -1, p), []
+    for v, before in zip(reversed(values), reversed(prefix)):
+        out.append(inv * before % p)
+        inv = inv * v % p
+    return out[::-1]
 
 
 def rank_mod_p_stack(B, p: int) -> np.ndarray:
     """Rank over F_p of every matrix in an integer stack of shape (batch, m, k).
 
     One elimination runs over the whole stack; Python loops over columns
-    only.  Each matrix swaps its pivot row to position rank[b] (a no-op swap
-    where the pivot is there already, or where the column has none) and
-    subtracts (entry / pivot) * pivot_row from its rows, with the
-    multipliers and the pivot row reduced below p.  Every update thus grows
-    an entry by less than (p - 1)^2, so the trailing block is reduced mod p
-    only when int64 would run out of room (never for the primes below about
-    2^20 that `verify` uses, once a step near 2^31).  The update also zeroes the pivot
-    row itself in every later column, so a row that holds a pivot is never
-    chosen again, and rows above rank.min() are left out of the search and
-    the update.  Each pivot is inverted by Python's pow(v, -1, p).
+    only, and no row moves.  A matrix's pivot in a column is its first row
+    nonzero mod p there; its rows subtract (entry / pivot) * pivot_row, with
+    multipliers and pivot row reduced below p, which zeroes the pivot row in
+    every later column.  Rows zero in the column in every matrix are left
+    out.  An update grows an entry by less than (p - 1)^2, so the trailing
+    block is reduced only when int64 would run out of room (never below
+    about 2^20, where `verify`'s primes lie).  A column's pivots are
+    inverted together (_inverses).
     """
     if p >= 1 << 31:
         raise ValueError(f"modulus {p} does not fit the int64 elimination path")
@@ -136,41 +117,34 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
         raise ValueError(f"expected a (batch, m, k) stack, got shape {W.shape}")
     batch, m, k = W.shape
     rank = np.zeros(batch, dtype=np.int64)
-    if batch == 0:
+    if batch == 0 or m == 0:
         return rank
-    b = np.arange(batch)
-    room = _reduction_room(p)
-    pending = 0
+    b, room, pending = np.arange(batch), _reduction_room(p), 0
     for j in range(k):
-        lo = int(rank.min())
-        if lo == m:
-            break
-        col = W[:, lo:, j] % p
+        col = W[:, :, j] % p
         free = col != 0
-        found = free.any(axis=1)
-        if not found.any():
+        rows = free.any(axis=0)
+        if not rows.any():
             continue
-        at = np.minimum(rank, m - 1)
-        piv = np.where(found, lo + free.argmax(axis=1), at)
-        W[b, at, j:], W[b, piv, j:] = W[b, piv, j:], W[b, at, j:]
-        # a matrix without a pivot here has a zero column from lo down, so
-        # its multipliers are zero and the update leaves it as it is
-        col = W[:, lo:, j] % p
-        pv = np.where(found, col[b, at - lo], 1)
-        inv = np.array([pow(v, -1, p) for v in pv.tolist()], dtype=np.int64)
-        mult = col * inv[:, None] % p
-        W[:, lo:, j + 1:] -= mult[:, :, None] * (W[b, at, j + 1:] % p)[:, None, :]
+        lo, hi = int(rows.argmax()), m - int(rows[::-1].argmax())
+        piv = free.argmax(axis=1)
+        pv = col[b, piv]
+        # a matrix without a pivot here (pv = 0) has a zero column, so its
+        # multipliers are zero and the update leaves it as it is
+        inv = np.array(_inverses((pv + (pv == 0)).tolist(), p), dtype=np.int64)
+        mult = col[:, lo:hi] * inv[:, None] % p
+        W[:, lo:hi, j + 1:] -= mult[:, :, None] * (W[b, piv, j + 1:] % p)[:, None, :]
         pending += 1
         if pending == room:
-            W[:, lo:, j + 1:] %= p
+            W[:, :, j + 1:] %= p
             pending = 0
-        rank += found
+        rank += pv != 0
     return rank
 
 
 def _reduction_room(p: int) -> int:
     """Updates of at most (p - 1)^2 each that an int64 entry below p can
-    take; rank_mod_p_stack reduces its trailing block after that many."""
+    take; the eliminations reduce their trailing block after that many."""
     return ((1 << 63) - p) // (p - 1) ** 2
 
 
@@ -179,8 +153,7 @@ def det_mod_p(m, p: int) -> int:
     A = _as_int_matrix(m)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"determinant requires a square matrix, got {A.shape}")
-    check_float_modulus(p)
-    return _echelon_float(A, p)[1]
+    return _echelon(A, p)[1]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -236,14 +209,7 @@ class RankCertificate:
     conclusive: bool
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "rank": self.rank,
-            "witnesses": [list(w) for w in self.witnesses],
-            "method": self.method,
-            "conclusive": self.conclusive,
-        }
+        return {**vars(self), "witnesses": [list(w) for w in self.witnesses]}
 
 
 def _random_prime(rng: random.Random) -> int:

@@ -81,17 +81,17 @@ def move_cartan(m, x, y, ctx: PrimeContext):
     """z -> (az + b)/(cz + d) on z = x + y*se, expanded in the basis {1, se}.
 
     The denominator norm never vanishes: cz + d = 0 with z outside F_ell
-    would force c = d = 0, contradicting invertibility.  Reducing after each
-    product keeps array intermediates below ell^3.
+    would force c = d = 0, contradicting invertibility.  With every entry
+    and coordinate a residue, array intermediates stay below ell^5, so below
+    2^63 for ell < 6208, and are reduced only to index the inverse table.
     """
     ell, eps = ctx.ell, ctx.epsilon
     a, b, c, d = m
-    dn = (c * x + d) % ell
-    dy = c * y % ell
-    norm = (dn * dn - eps * dy * dy) % ell
-    ni = ctx.inverse_table[norm]
-    nx = ((a * x + b) % ell * dn - eps * a % ell * y % ell * dy) % ell * ni % ell
-    ny = y * ((a * d - b * c) % ell) % ell * ni % ell
+    dn = c * x + d  # below ell^2, like dy
+    dy = c * y
+    ni = ctx.inverse_table[(dn * dn - eps * dy * dy) % ell]
+    nx = ((a * x + b) * dn - eps * a * y * dy) % ell * ni % ell
+    ny = (a * d - b * c) * y % ell * ni % ell
     return nx, ny
 
 

@@ -53,6 +53,30 @@ def test_verify_smallest_prime(capsys):
     assert doc["summary"]["ok"] is True
 
 
+def test_verify_writes_its_report_on_one_line(capsys, monkeypatch, tmp_path):
+    """The verify report is one line of JSON, on stdout and in an --out
+    file, and parses to the document the indented form parses to; the
+    decompose and eigenvalues documents stay indented."""
+    import cartanmaps.cli as cli_mod
+
+    docs, dumps = [], json.dumps
+    monkeypatch.setattr(cli_mod.json, "dumps", lambda doc, **kwargs: (
+        docs.append(doc) or dumps(doc, **kwargs)))
+    code, out, _ = run_cli(capsys, "verify", "--ell-range", "3..7", "--all-epsilon")
+    monkeypatch.undo()
+    assert code == EXIT_OK
+    assert out.endswith("}\n") and out.count("\n") == 1
+    indented = json.dumps(docs[-1], indent=2, default=cli_mod._json_default)
+    assert json.loads(out) == json.loads(indented)
+    path = tmp_path / "report.json"
+    assert run_cli(capsys, "verify", "--ell", "5", "--out", str(path))[0] == EXIT_OK
+    assert path.read_text().count("\n") == 1
+    for argv in (["decompose", "--ell", "5", "--case", "N"],
+                 ["eigenvalues", "--ell", "5", "--case", "C"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and out.startswith("{\n  ")
+
+
 def test_verify_composite_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--ell", "9")
     assert code == EXIT_USAGE

@@ -22,6 +22,8 @@ from cartanmaps.cosets import (
     decompose,
     decompose_all,
     enumerate_subgroup,
+    named_transversal,
+    transversal,
 )
 from cartanmaps.geometry import (
     STABILISERS,
@@ -233,7 +235,7 @@ def test_coset_operator_takes_a_one_g_family(contexts):
     ctx = contexts[5]
     C = enumerate_subgroup(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
-    dec = decompose_all(C, [GroupElement(1, s, 0, 1) for s in (1, 2)], Cp, ctx)
+    dec = decompose_all(C, stack([GroupElement(1, s, 0, 1) for s in (1, 2)]), Cp, ctx)
     with pytest.raises(ValueError, match="one-g family"):
         coset_operator(dec, ctx)
 
@@ -315,7 +317,7 @@ def bucketed(H, g, K, ctx):
 def assert_matches_bucketing(H, gs, K, ctx):
     """decompose_all's one family: the g's in order, and each g's degree and
     representatives those of the bucketing, in g order."""
-    dec = decompose_all(H, gs, K, ctx)
+    dec = decompose_all(H, stack(gs), K, ctx)
     assert (dec.H, dec.K) == (H, K)
     assert listed_stack(dec.g) == list(gs)
     want = [bucketed(H, g, K, ctx) for g in gs]
@@ -360,7 +362,7 @@ def test_coset_incidence_of_a_family_is_each_gs_own(ell, contexts):
     for hk, kk in ((SPLIT_CARTAN, NONSPLIT_CARTAN), (NORMALIZER_SPLIT, NORMALIZER_NONSPLIT),
                    (NONSPLIT_CARTAN, SPLIT_CARTAN)):
         H, K = enumerate_subgroup(hk, ctx), enumerate_subgroup(kk, ctx)
-        dec = decompose_all(H, gs, K, ctx)
+        dec = decompose_all(H, stack(gs), K, ctx)
         degrees.add(tuple(dec.degrees.tolist()))
         family = coset_incidence(dec, ctx)
         assert [len(keys) for keys in family] == dec.degrees.tolist()
@@ -396,6 +398,69 @@ def test_the_transversal_decomposes_as_all_of_h(ell):
         dec = assert_matches_bucketing(H, gs, K, ctx)
         assert dec.scalars_in_K is True
         assert first_nonzero_is_one(dec.representatives), hk
+
+
+def first_of_each_class(H, ell):
+    """The first element in H order of each class hZ, Z the scalars, by a
+    loop that keys h by h over its first nonzero entry."""
+    firsts = {}
+    for h in listed(H):
+        lead = pow(h.a or h.b, -1, ell)
+        firsts.setdefault(tuple(e * lead % ell for e in h), h)
+    return list(firsts.values())
+
+
+@pytest.mark.parametrize("ell", PRIMES_ALL)
+def test_the_closed_form_transversal_is_the_enumerated_one(ell):
+    """The transversal of C/Z and N/Z that verify decomposes over, in closed
+    form, is the one transversal reads off the enumerated subgroup, element
+    for element and in order, and that of the loop over H; the other kinds
+    have no closed form."""
+    ctx = PrimeContext(ell)
+    for kind in (SPLIT_CARTAN, NORMALIZER_SPLIT):
+        H = enumerate_subgroup(kind, ctx)
+        T = named_transversal(kind, ctx)
+        assert T.kind == transversal(H, ctx).kind == kind
+        assert listed_stack(T.stacked) == listed_stack(transversal(H, ctx).stacked) \
+            == first_of_each_class(H, ell), kind
+        assert all(e.dtype == np.int64 for e in T.stacked)
+    for kind in (NONSPLIT_CARTAN, NORMALIZER_NONSPLIT):
+        with pytest.raises(ValueError, match="no closed-form transversal"):
+            named_transversal(kind, ctx)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 13])
+def test_decompose_all_over_the_closed_form_transversal_is_that_over_h(ell):
+    """Given T itself, decompose_all gives the degrees and representatives
+    of the enumerated H, for N g N' and C (1 s; 0 1) C'."""
+    ctx = PrimeContext(ell)
+    rng = random.Random(f"closed-form:{ell}")
+    gs = stack([IDENTITY, GroupElement(0, 1, 1, 0)]
+               + [GroupElement(1, s, 0, 1) for s in range(1, ell)]
+               + [random_invertible(rng, ell) for _ in range(3)])
+    for hk, kk in ((NORMALIZER_SPLIT, NORMALIZER_NONSPLIT), (SPLIT_CARTAN, NONSPLIT_CARTAN)):
+        K = enumerate_subgroup(kk, ctx)
+        want = decompose_all(enumerate_subgroup(hk, ctx), gs, K, ctx)
+        got = decompose_all(named_transversal(hk, ctx), gs, K, ctx)
+        assert got.H.kind == hk and got.degrees.tolist() == want.degrees.tolist()
+        assert listed_reps(got) == listed_reps(want)
+        assert got.scalars_in_K is want.scalars_in_K is True
+
+
+def test_verify_enumerates_neither_c_nor_n(monkeypatch, capsys):
+    """verify enumerates K, C' and N', for its scalars and the index
+    cross-check, and reads C and N through their closed-form transversals
+    alone."""
+    import cartanmaps.cli as cli_mod
+
+    enumerated = []
+    for module in (cli_mod, cosets):
+        real = getattr(module, "enumerate_subgroup")
+        monkeypatch.setattr(module, "enumerate_subgroup", lambda kind, ctx, real=real: (
+            enumerated.append(kind) or real(kind, ctx)))
+    assert main(["verify", "--ell-range", "3..13"]) == 0
+    capsys.readouterr()
+    assert enumerated == [NORMALIZER_NONSPLIT, NONSPLIT_CARTAN] * 5
 
 
 def without_the_scalars(K):
@@ -441,7 +506,7 @@ def test_decompose_all_does_not_depend_on_the_chunks(monkeypatch, contexts):
     ctx = contexts[13]
     C = enumerate_subgroup(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
-    gs = [GroupElement(1, s, 0, 1) for s in range(1, 13)]
+    gs = stack([GroupElement(1, s, 0, 1) for s in range(1, 13)])
     whole = decompose_all(C, gs, Cp, ctx)
     # a budget below |K| leaves one g per chunk
     monkeypatch.setattr(cosets, "_DECOMPOSE_ENTRIES", 1)
@@ -459,7 +524,7 @@ def test_decompose_all_keeps_its_arrays_within_the_budget(monkeypatch):
     ctx = PrimeContext(61)
     C = enumerate_subgroup(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
-    gs = [GroupElement(1, s, 0, 1) for s in range(1, 61)]
+    gs = stack([GroupElement(1, s, 0, 1) for s in range(1, 61)])
     sizes = []
 
     def recorded(m, n, ell):
@@ -488,11 +553,11 @@ def test_a_wrong_stabilizer_fails_the_degree_cross_check(monkeypatch, contexts):
     monkeypatch.setattr(cosets, "mat_inv", lambda m, ell: inverted.append(m) or m)
     for s in range(1, 7):
         with pytest.raises(AssertionError, match="degree mismatch: 6 buckets vs index 6/"):
-            decompose_all(C, [GroupElement(1, s, 0, 1)], Cp, ctx)
+            decompose_all(C, stack([GroupElement(1, s, 0, 1)]), Cp, ctx)
     # the slopes of one family are inverted in one call, as one stack
     inverted.clear()
     with pytest.raises(AssertionError, match="degree mismatch: 6 buckets vs index 6/"):
-        decompose_all(C, [GroupElement(1, s, 0, 1) for s in range(1, 7)], Cp, ctx)
+        decompose_all(C, stack([GroupElement(1, s, 0, 1) for s in range(1, 7)]), Cp, ctx)
     assert len(inverted) == 1 and inverted[0].b.tolist() == [1, 2, 3, 4, 5, 6]
 
 

@@ -14,7 +14,7 @@ from cartanmaps.exact_linalg import (
     rank_mod_p,
     rank_mod_p_stack,
 )
-from cartanmaps.modular_arith import PrimeContext
+from cartanmaps.modular_arith import PrimeContext, is_prime
 
 from conftest import oracle_mod_p
 
@@ -154,7 +154,7 @@ def test_fuzz_rank_and_det_500():
 @pytest.mark.parametrize("p", (2, 3, 97, 1_048_583, 67_108_859))
 def test_rank_and_det_mod_p_match_the_oracle(p):
     """Planted ranks, every other matrix square; 67108859 is the largest
-    prime below 2^26, where a float64 panel is 2 pivots wide."""
+    prime below 2^26, the bound of the dense engine."""
     rng = np.random.default_rng(p)
     for trial in range(40):
         m, n = (int(v) for v in rng.integers(1, 25, size=2))
@@ -194,6 +194,130 @@ def test_rank_mod_p_stack_matches_the_oracle(p, bound, monkeypatch):
         B += p * rng.integers(-3, 3, size=B.shape)
         want = [oracle_mod_p(A.tolist(), p)[0] for A in B]
         assert rank_mod_p_stack(B, p).tolist() == want, (trial, m, n)
+
+
+def eliminated_rank(rows, p: int) -> int:
+    """The rank mod p of one matrix by elimination with row swaps over Python
+    ints: the per-matrix reference of the stacked kernel."""
+    a = [[int(v) % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] * inv % p
+            a[i] = [(v - f * w) % p for v, w in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def stacks_of(rng, batch, m, k, p):
+    """Uniform members (full rank but for chance), planted members of every
+    rank up to min(m, k), and identity rows shuffled among zero rows, whose
+    pivots fall in no row order."""
+    yield rng.integers(0, p, size=(batch, m, k))
+    ranks = rng.integers(0, min(m, k) + 1, size=batch)
+    yield np.array([(rng.integers(0, p, size=(m, r, 1)) * rng.integers(0, p, size=(1, r, k))
+                     % p).sum(axis=1) % p for r in ranks.tolist()],
+                   dtype=np.int64).reshape(batch, m, k)
+    shuffled = np.zeros((batch, m, k), dtype=np.int64)
+    for b in range(batch):
+        n = int(rng.integers(0, min(m, k) + 1))
+        rows, cols = rng.permutation(m)[:n], rng.permutation(k)[:n]
+        shuffled[b, rows, cols] = rng.integers(1, p, size=n)
+    yield shuffled
+
+
+STACK_SHAPES = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (1, 1, 1), (5, 6, 6), (4, 7, 3),
+                (4, 3, 9), (6, 12, 14), (3, 22, 24)]
+
+
+@pytest.mark.parametrize("p, forced", [(3, False), (1_048_609, False),
+                                       (2_147_483_629, False), (2_147_483_629, True)])
+def test_swap_free_stack_ranks_equal_a_per_matrix_elimination(p, forced, monkeypatch):
+    """rank_mod_p_stack, which moves no row, against the per-matrix
+    elimination with swaps: uniform, planted and shuffled stacks, batch 0,
+    m = 0 and k = 0, and a prime just below 2^31, also with the trailing
+    block reduced at every column."""
+    assert is_prime(p)
+    if forced:
+        monkeypatch.setattr(exact_linalg, "_reduction_room", lambda p: 1)
+    rng = np.random.default_rng(p + forced)
+    for batch, m, k in STACK_SHAPES:
+        for B in stacks_of(rng, batch, m, k, p):
+            got = rank_mod_p_stack(B, p)
+            assert got.shape == (batch,)
+            assert got.tolist() == [eliminated_rank(A.tolist(), p) for A in B], (m, k)
+    if p > 3:
+        # uniform members at a large prime are of full rank
+        B = rng.integers(0, p, size=(8, 10, 12))
+        assert rank_mod_p_stack(B, p).tolist() == [10] * 8
+
+
+def float_panel_echelon(A, p: int) -> tuple[int, int]:
+    """(rank, det mod p) by the float64 panel elimination the dense engine
+    used before its int64 row operations: every dot product a sum of at
+    most `width` terms below (p - 1)^2, exact below 2^53.  The reference for
+    the results of rank_mod_p and det_mod_p."""
+    A = np.asarray(A, dtype=np.int64)
+    m, n = A.shape
+    W = np.mod(A, p).astype(np.float64)
+    width = min(192, (1 << 53) // (p - 1) ** 2)
+    F, R = np.zeros((m, width)), np.zeros((width, n))
+    slots = rank = 0
+    sign = piv_prod = 1
+    for j in range(n):
+        if rank == m:
+            break
+        col = W[:, j].copy()
+        if slots:
+            col = (col - F[:, :slots] @ R[:slots, j]) % p
+        nz = np.nonzero(col[rank:])[0]
+        if nz.size == 0:
+            continue
+        i0 = rank + int(nz[0])
+        if i0 != rank:
+            W[[rank, i0]], F[[rank, i0]] = W[[i0, rank]], F[[i0, rank]]
+            col[rank], col[i0] = col[i0], col[rank]
+            sign = -sign
+        rowvec = W[rank].copy()
+        if slots:
+            rowvec = (rowvec - F[rank, :slots] @ R[:slots]) % p
+        pv = int(rowvec[j]) % p
+        piv_prod = piv_prod * pv % p
+        R[slots] = np.mod(rowvec * pow(pv, -1, p), p)
+        F[:, slots] = np.where(np.arange(m) > rank, col, 0.0)
+        W[rank], F[rank] = rowvec, 0.0
+        slots, rank = slots + 1, rank + 1
+        if slots == width:
+            W = (W - F @ R) % p
+            F[:], R[:], slots = 0.0, 0.0, 0
+    return rank, sign * piv_prod % p if m == n == rank else 0
+
+
+@pytest.mark.parametrize("p", (2, 3, 97, 1_048_583, 67_108_859))
+def test_dense_engine_matches_det_exact_small_and_the_float_engine(p):
+    """det_mod_p is det_exact_small mod p, and rank_mod_p and det_mod_p are
+    the float64 panel engine's, on random matrices: square ones, singular
+    ones (a row a combination of two others) and wide and tall ones."""
+    rng = np.random.default_rng(p)
+    for trial in range(60):
+        n = int(rng.integers(1, 20))
+        A = rng.integers(-50, 51, size=(n, n))
+        if trial % 3 == 1 and n > 2:
+            A[-1] = 2 * A[0] - 3 * A[1]
+        rank, det = float_panel_echelon(A, p)
+        if trial % 3 == 2:
+            A = rng.integers(-50, 51, size=(n, int(rng.integers(1, 20))))
+            rank, det = float_panel_echelon(A, p)
+        else:
+            assert det_mod_p(A, p) == det_exact_small(A) % p == det, (trial, n)
+            if trial % 3 == 1 and n > 2:
+                assert det == 0
+        assert rank_mod_p(A, p) == rank, (trial, A.shape)
 
 
 def test_certificate_serialization():

@@ -70,14 +70,14 @@ def incidence_route(ctx, p, scale=1):
         build_psi_plus(ctx)
     reps = {s: incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)}
     # alpha_s + beta_s = 1 + s^-1
-    weights = [scale * (1 + pow(s, -1, ell)) for s in range(1, ell)]
+    weights = {s: scale * (1 + pow(s, -1, ell)) for s in range(1, ell)}
     yield "psi", unipotent_ranks(None, reps, weights, (), p, ctx).psi, build_psi(ctx)
     # the weights matter: all slopes weighted 0 but one
-    only_h_2 = [scale * (s == 2 % ell) for s in range(1, ell)]
+    only_h_2 = {s: scale * (s == 2 % ell) for s in range(1, ell)}
     yield "H_2 of psi's terms", unipotent_ranks(None, reps, only_h_2, (), p, ctx).psi, \
         build_H_s(ctx, 2 % ell)
     for s, rep in reps.items():
-        yield f"H_{s}", unipotent_ranks(None, {s: rep}, [scale], (), p, ctx).psi, \
+        yield f"H_{s}", unipotent_ranks(None, {s: rep}, {s: scale}, (), p, ctx).psi, \
             build_H_s(ctx, s)
     route = unipotent_ranks(geodesics, reps, weights, list(reps), p, ctx)
     yield "psi+ with the rest", route.psi_plus, build_psi_plus(ctx)
@@ -126,8 +126,8 @@ def largest_stack_prime(n: int) -> int:
 
 @pytest.mark.parametrize("ell", (5, 7))
 def test_torus_rank_at_a_prime_too_large_for_float64_blocks(ell, contexts):
-    """From 2^26 on the float64 engine refuses a prime; the blocks are sums
-    of residues and the stack engine is int64, so the route ranks up to
+    """From 2^26 on the dense mod-p engine refuses a prime; the blocks are
+    sums of residues and the stack engine is int64, so the route ranks up to
     2^31, here against the Python-int oracle of the dense operators, also
     with every weight a unit multiple that puts residues near p."""
     ctx = contexts[ell]
@@ -195,8 +195,8 @@ def test_unipotent_blocks_equal_the_block_formula(contexts):
 
 
 def test_float_kernels_refuse_primes_from_2_to_the_26(contexts):
-    """The float64 engine names its bound, 2^26, also at a prime that holds
-    the unipotent characters; the character route ranks there."""
+    """The dense mod-p engine names its bound, 2^26, also at a prime that
+    holds the unipotent characters; the character route ranks there."""
     ctx = contexts[7]
     idx = path_incidence(ctx, 1)
     m = incidence_operator(ctx, idx)
@@ -239,7 +239,7 @@ def test_affine_rank_reads_only_the_affine_columns(ell, contexts, monkeypatch):
     m = incidence_operator(ctx, h_1)
     m = OperatorMatrix(m.row_tag, m.col_tag, m.data - incidence_operator(ctx, mixed).data)
     for p in route_primes(ell):
-        rank, affine_rank = unipotent_ranks(None, reps, [1, -1], (), p, ctx).psi
+        rank, affine_rank = unipotent_ranks(None, reps, {1: 1, 2: -1}, (), p, ctx).psi
         assert affine_rank == rank_mod_p(restrict_to_affine(m, ell), p) == 0
         assert rank == rank_mod_p(m, p) > 0
         # the two blocks at the ell - 1 affine orbits of the ell + 1,
@@ -272,7 +272,7 @@ def test_torus_rank_rejects_primes_without_the_characters(contexts):
     rep = {1: incidence_columns(path_incidence(ctx, 1), ctx)}
     geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
     for p in (5, 7, AUX_RANK_PRIME):  # 7 divides none of 4, 6, 1048582
-        for args in ((geodesics, {}, None, ()), (None, rep, [1], ()), (None, rep, None, [1])):
+        for args in ((geodesics, {}, None, ()), (None, rep, {1: 1}, ()), (None, rep, None, [1])):
             with pytest.raises(ValueError, match="order 7"):
                 unipotent_ranks(*args, p, ctx)
 
@@ -577,7 +577,7 @@ def test_theorem_section_below_full_rank_is_a_lower_bound(contexts):
     ctx = contexts[5]
     m, p = build_H_s(ctx, 2), aux_rank_prime(5)
     ranks = unipotent_ranks(None, {2: incidence_columns(path_incidence(ctx, 2), ctx)},
-                            [1], (), p, ctx).psi
+                            {2: 1}, (), p, ctx).psi
     section, failures = cli_mod._theorem_section(m.shape, ranks, "H_2", ctx)
     rank, affine_rank = ranks
     assert rank == 15 < min(m.shape) == 20
@@ -755,7 +755,8 @@ def test_verify_builds_no_dense_h_s(capsys, monkeypatch):
 def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
     """The coincidence compares psi+'s ranked geodesic array and, for every
     slope, the full path array made from the very base path whose columns at
-    the U-orbit representatives theorem2 ranked."""
+    the U-orbit representatives theorem2 ranked, or, for a slope paired with
+    one that theorem2 built, from that slope's conjugate base path."""
     ranked, built, families, coset_arrays, compared = [], [], [], [], []
     columns, paths, incidence, equal = (cli_mod.incidence_columns, cli_mod.path_columns,
                                         cli_mod.coset_incidence, np.array_equal)
@@ -802,8 +803,9 @@ def test_coincidence_compares_the_ranked_incidences(capsys, monkeypatch):
         full = [call for call in calls if len(call[2]) == ell * (ell + 1)]
         assert len(at_reps) == len(full) == 1
         (_, rep_bases, _, _), (_, full_bases, _, arrays) = at_reps[0], full[0]
-        assert list(full_bases) == list(rep_bases) == list(range(1, ell))
-        assert all(full_bases[s] is rep_bases[s] for s in full_bases)
+        assert list(full_bases) == list(range(1, ell))
+        assert list(rep_bases) == list(range(1, ctx.r + 1))
+        assert all(full_bases[s] is rep_bases[s] for s in rep_bases)
         want += [next(geodesics)] + [arrays[s] for s in range(1, ell)]
     assert len(ranked) == 3
     assert [id(a) for a in compared] == [id(b) for b in want]
@@ -838,10 +840,11 @@ def test_coincidence_sees_a_moved_coset_entry(ell, kind, section, capsys, monkey
 
 def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):
     """No dense psi, restriction or dense equivariance proof, and no full path
-    array above COINCIDENCE_BOUND: each slope's columns are built once at the
-    U-orbit representatives, shared by theorem2 and the h_s phase, and in
-    full only for the coincidence, all slopes in one call.  path_incidence is
-    not called at all."""
+    array above COINCIDENCE_BOUND: the columns of the r slopes proved on
+    their own are built once at the U-orbit representatives, in one call
+    (their partners' blocks are relabelled), and every slope's in full only
+    for the coincidence, all slopes in one call.  path_incidence is not
+    called at all."""
     for name in ("build_psi", "restrict_to_affine", "check_equivariance_psi",
                  "check_equivariance_psi_plus"):
         monkeypatch.setattr(cli_mod, name, refuse(name))
@@ -872,7 +875,7 @@ def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):
         assert all(e["ok"] for run in runs for e in run.get("all_epsilon", []))
         for run in runs:
             ell = run["ell"]
-            assert built[ell, "representatives"] == ell - 1
+            assert built[ell, "representatives"] == (ell - 1) // 2
             assert calls[ell, "representatives"] == 1
             full = ell <= cli_mod.COINCIDENCE_BOUND
             assert (built[ell, "full"], calls[ell, "full"]) == ((ell - 1, 1) if full
@@ -1030,48 +1033,62 @@ def test_weyl_and_unipotent_pairings_hold_block_by_block(ctx):
 
 
 def recorded_slope_work(monkeypatch):
-    """The stacks of base paths premise (a) is checked on, and the number of
-    slopes ranked on their own in each unipotent_ranks call verify makes."""
-    proved, ranked = [], []
-    check, ranks = cli_mod.check_base_fixed, cli_mod.unipotent_ranks
+    """The stacks of base paths premise (a) is checked on, the number of
+    slopes ranked on their own in each unipotent_ranks call verify makes,
+    and the number of slopes whose columns each path_columns call at the
+    U-orbit representatives builds."""
+    proved, ranked, built = [], [], []
+    check, ranks, paths = cli_mod.check_base_fixed, cli_mod.unipotent_ranks, cli_mod.path_columns
 
     def recorded_check(bases, ctx):
         proved.append(bases)
         return check(bases, ctx)
 
-    def recorded_ranks(geodesics, paths, weights, own, p, ctx):
+    def recorded_ranks(geodesics, paths, weights, own, *args):
         ranked.append(len(own))
-        return ranks(geodesics, paths, weights, own, p, ctx)
+        return ranks(geodesics, paths, weights, own, *args)
+
+    def recorded_paths(ctx, bases, cols):
+        if np.array_equal(cols, correspondence.representatives(ctx, "ordered_pairs")):
+            built.append(len(bases))
+        return paths(ctx, bases, cols)
 
     monkeypatch.setattr(cli_mod, "check_base_fixed", recorded_check)
     monkeypatch.setattr(cli_mod, "unipotent_ranks", recorded_ranks)
-    return proved, ranked
+    monkeypatch.setattr(cli_mod, "path_columns", recorded_paths)
+    return proved, ranked, built
 
 
-@pytest.mark.parametrize("broken", ["identity", "rolled", "off the bases"])
+@pytest.mark.parametrize("broken", ["identity", "rolled", "off the bases",
+                                    "no row relabelling"])
 def test_a_broken_conjugation_makes_every_slope_prove_and_rank_itself(broken, capsys,
                                                                       monkeypatch):
     """The identity commutes with GL2 but maps no slope onto its conjugate; a
     rolled J does not commute.  Nor does J with the images of 0 + se and
     0 + 2 se swapped, although it maps every base path as J does (their
-    points have x != 0).  Either way no slope is paired, and the ranks are
-    those of the paired run."""
+    points have x != 0).  And with J sound but its row-orbit relabelling
+    refused, the blocks of ell - s cannot be read off those of s.  Each way
+    no slope is paired, every slope's columns are built and ranked, and the
+    ranks are those of the paired run."""
     ell = 7
     ctx = PrimeContext(ell)
     want = json.loads(json.dumps(run_verification(ell)))
     J = galois_conjugation(ell)
-    fake = {"identity": np.arange(len(J)), "rolled": np.roll(J, 1),
-            "off the bases": J[[1, 0, *range(2, len(J))]]}[broken]
-    real = cli_mod.field_isomorphism
-    monkeypatch.setattr(cli_mod, "field_isomorphism", lambda tag, c, ell: (
-        fake if tag == "C_ell" else real(tag, c, ell)))
-    assert correspondence.check_commutes(fake, "C_ell", ctx, ctx) is (broken == "identity")
-    proved, ranked = recorded_slope_work(monkeypatch)
+    if broken == "no row relabelling":
+        monkeypatch.setattr(cli_mod, "galois_row_orbits", lambda J, ctx: None)
+    else:
+        fake = {"identity": np.arange(len(J)), "rolled": np.roll(J, 1),
+                "off the bases": J[[1, 0, *range(2, len(J))]]}[broken]
+        real = cli_mod.field_isomorphism
+        monkeypatch.setattr(cli_mod, "field_isomorphism", lambda tag, c, ell: (
+            fake if tag == "C_ell" else real(tag, c, ell)))
+        assert correspondence.check_commutes(fake, "C_ell", ctx, ctx) is (broken == "identity")
+    proved, ranked, built = recorded_slope_work(monkeypatch)
     assert main(["verify", "--ell", str(ell)]) == 0
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["h_s_rank_method"]["paired_slopes"] == []
     assert [len(bases) for bases in proved] == [ell - 1]
-    assert ranked == [ell - 1]
+    assert ranked == built == [ell - 1]
     assert run["h_s_ranks"] == want["h_s_ranks"]
     assert run["theorem2"] == want["theorem2"]
 
@@ -1089,16 +1106,122 @@ def test_a_slope_that_is_not_the_conjugate_proves_and_ranks_itself(capsys, monke
         return bases
 
     monkeypatch.setattr(cli_mod, "base_paths", swapped)
-    proved, ranked = recorded_slope_work(monkeypatch)
+    proved, ranked, built = recorded_slope_work(monkeypatch)
     main(["verify", "--ell", str(ell), "--skip-cosets"])
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert run["h_s_rank_method"]["paired_slopes"] == [[2, 5], [3, 4]]
     # one stack of every slope's base path, slope 6's that of slope 1
     assert [len(bases) for bases in proved] == [ell - 1]
     assert np.array_equal(proved[0][ell - 2], paths(PrimeContext(ell), [1])[1])
-    assert ranked == [4]
+    # slopes 1, 2, 3 and 6 are built and ranked
+    assert ranked == built == [4]
     assert run["equivariance"]["h_s"] is True
     assert run["h_s_ranks"]["6"] == run["h_s_ranks"]["1"]
+
+
+# ---------------------------------------------------------------------------
+# Route 1 on the own slopes: the blocks of a paired slope ell - s are those
+# of s with their row orbits relabelled, so theorem2 builds r slopes.
+# ---------------------------------------------------------------------------
+
+RELABELLING_CONTEXTS = [PrimeContext(ell) for ell in PRIMES_ALL] + [PrimeContext(13, 5, 7)]
+
+
+def representative_columns(ctx):
+    """Every slope's columns at the U-orbit representatives, by slope."""
+    ell = ctx.ell
+    return path_columns(ctx, base_paths(ctx, range(1, ell)),
+                        correspondence.representatives(ctx, "ordered_pairs"))
+
+
+@pytest.mark.parametrize("ctx", RELABELLING_CONTEXTS, ids=str)
+def test_relabelled_blocks_equal_the_blocks_built_directly(ctx):
+    """For every paired slope t = ell - s the blocks of H_t, built from its
+    own columns, are those of H_s at the row orbits sigma, at the auxiliary
+    prime and at the least prime 1 mod ell."""
+    ell = ctx.ell
+    sigma = correspondence.galois_row_orbits(galois_conjugation(ell), ctx)
+    assert sorted(sigma.tolist()) == list(range(ell - 1))
+    cols = representative_columns(ctx)
+    for p in route_primes(ell):
+        B = dict(zip(cols, correspondence._blocks(list(cols.values()), p, ctx)))
+        for s in range(1, ctx.r + 1):
+            assert np.array_equal(B[s][:, sigma], B[ell - s]), (p, s)
+
+
+def recorded_blocks(monkeypatch):
+    """The lists of blocks correspondence ranks, call by call."""
+    calls, ranks = [], correspondence._ranks
+
+    def recorded(blocks, p, ell):
+        calls.append([b.copy() for b in blocks])
+        return ranks(blocks, p, ell)
+
+    monkeypatch.setattr(correspondence, "_ranks", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("ctx, p", [(PrimeContext(ell), aux_rank_prime(ell))
+                                    for ell in PRIMES_ALL]
+                         + [(PrimeContext(13, 5, 7), aux_rank_prime(13)),
+                            # psi's affine restriction is singular at these
+                            # primes, so its full blocks are ranked too
+                            (PrimeContext(11), 23), (PrimeContext(13), 131)], ids=str)
+@pytest.mark.parametrize("slopes_per_stack", (1, None))
+def test_psi_blocks_from_the_relabelling_equal_the_all_slope_sum(ctx, p, slopes_per_stack,
+                                                                 monkeypatch):
+    """psi's blocks, and every rank, from the r own slopes and their partners
+    relabelled equal those from every slope's own blocks: with psi's
+    weights and with weights near p that differ from slope to slope, in one
+    chunk or a slope a chunk."""
+    ell = ctx.ell
+    if slopes_per_stack:
+        monkeypatch.setattr(correspondence, "_STACK_ENTRIES",
+                            2 * (ell - 1) * (ell + 1) * slopes_per_stack)
+    calls = recorded_blocks(monkeypatch)
+    cols = representative_columns(ctx)
+    own = {s: cols[s] for s in range(1, ctx.r + 1)}
+    paired = {ell - s: s for s in own}
+    sigma = correspondence.galois_row_orbits(galois_conjugation(ell), ctx)
+    geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
+    for weights in (dict(zip(range(1, ell), sum(correspondence.coefficients(ctx)).tolist())),
+                    {t: p - 1 - t * t for t in range(1, ell)}):
+        whole = unipotent_ranks(geodesics, cols, weights, list(own), p, ctx)
+        n = len(calls)
+        relabelled = unipotent_ranks(geodesics, own, weights, list(own), p, ctx,
+                                     paired, sigma)
+        assert relabelled == whole
+        assert len(calls) == 2 * n
+        for want, got in zip(calls[:n], calls[n:]):
+            assert len(want) == len(got)
+            assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        calls.clear()
+
+
+def test_psi_needs_blocks_or_a_partner_for_every_weighted_slope(contexts):
+    ctx = contexts[7]
+    p = aux_rank_prime(7)
+    cols = representative_columns(ctx)
+    own = {s: cols[s] for s in (1, 2, 3)}
+    sigma = correspondence.galois_row_orbits(galois_conjugation(7), ctx)
+    weights = {t: 1 for t in range(1, 7)}
+    with pytest.raises(ValueError, match=r"slopes \[5, 6\] lack blocks"):
+        unipotent_ranks(None, own, weights, (), p, ctx, {4: 3}, sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        unipotent_ranks(None, own, weights, (), p, ctx, {4: 3, 5: 2, 6: 1})
+
+
+@pytest.mark.parametrize("ell", PRIMES_ALL)
+def test_a_passing_run_builds_the_own_slopes_alone(ell, monkeypatch):
+    """theorem2 builds the columns of the r slopes s <= (ell - 1)/2, in one
+    call, and ranks them; the coincidence, where it runs, builds every
+    slope in full."""
+    _, ranked, built = recorded_slope_work(monkeypatch)
+    run = run_verification(ell, skip_cosets=True)
+    assert run["ok"]
+    r = (ell - 1) // 2
+    assert built == ranked == [r]
+    assert run["h_s_rank_method"]["paired_slopes"] == [[s, ell - s] for s in range(1, r + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,10 @@ from .circulant import (
     BlockMatrixN,
     CertificateError,
     EigenvalueReport,
-    ReducedCountMatrixC,
-    ReducedCountMatrixN,
     build_block_matrix_N,
     build_reduced_C,
     circulant_det_mod,
+    circulant_matrix,
     eigenvalues_C,
     eigenvalues_N,
     reduce_mod_frak_L,
@@ -49,7 +48,6 @@ from .circulant import (
 )
 from .exact_linalg import (
     RankCertificate,
-    det_exact_small,
     det_mod_p,
     rank_exact,
     rank_mod_p,

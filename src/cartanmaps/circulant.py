@@ -42,7 +42,6 @@ class BlockMatrixN:
     """
 
     ell: int
-    epsilon: int
     squares: tuple[int, ...]
     nonsquares: tuple[int, ...]
 
@@ -60,12 +59,12 @@ class BlockMatrixN:
         return (d * d % self.ell == (m + M[..., None]) % self.ell).astype(np.int8)
 
     def block(self, m: int, M: int) -> np.ndarray:
-        return _circulant(self.row(m, M))  # (t, T) -> T - t
+        return circulant_matrix(self.row(m, M))  # (t, T) -> T - t
 
 
 def build_block_matrix_N(ctx: PrimeContext) -> BlockMatrixN:
     squares = tuple(sorted({pow(ctx.g, 2 * i, ctx.ell) for i in range(ctx.r)}))
-    return BlockMatrixN(ctx.ell, ctx.epsilon, squares, tuple(ctx.nonsquares()))
+    return BlockMatrixN(ctx.ell, squares, tuple(ctx.nonsquares()))
 
 
 def verify_chart_conjugacy(ctx: PrimeContext, geodesics: np.ndarray) -> bool:
@@ -96,7 +95,7 @@ def verify_chart_conjugacy(ctx: PrimeContext, geodesics: np.ndarray) -> bool:
                 and np.array_equal(chart[-k:], np.sort(geodesics[:, affine], axis=0)))
 
 
-def _circulant(row) -> np.ndarray:
+def circulant_matrix(row) -> np.ndarray:
     """The circulant matrix with this first row: entry (i, j) is
     row[(j - i) mod n]."""
     n = len(row)
@@ -104,27 +103,11 @@ def _circulant(row) -> np.ndarray:
     return np.asarray(row, dtype=np.int64)[(j - j[:, None]) % n]
 
 
-@dataclass(frozen=True)
-class ReducedCountMatrixN:
-    """The r x r circulant of square-root counts a_j = #{x : x^2 = 1 + eps*g^2j}."""
-
-    ell: int
-    epsilon: int
-    g: int
-    first_row: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.first_row)
-
-    def matrix(self) -> np.ndarray:
-        return _circulant(self.first_row)
-
-
-def reduce_mod_frak_L(bm: BlockMatrixN, ctx: PrimeContext) -> ReducedCountMatrixN:
-    """Collapse each circulant block to its solution count and relabel
+def reduce_mod_frak_L(bm: BlockMatrixN, ctx: PrimeContext) -> tuple[int, ...]:
+    """The first row a_j = #{x : x^2 = 1 + eps*g^2j} of the r x r count
+    circulant: each circulant block collapses to its solution count, relabelled
     m = g^2i, M = eps*g^2j; the circulant shift identity is re-verified."""
-    ell, g, eps, r = bm.ell, ctx.g, bm.epsilon, ctx.r
+    ell, g, eps, r = ctx.ell, ctx.g, ctx.epsilon, ctx.r
     counts = np.array(ctx.sqrt_counts)
     g2 = np.array([pow(g, 2 * i, ell) for i in range(r)], dtype=np.int64)
     M = eps * g2 % ell
@@ -136,32 +119,16 @@ def reduce_mod_frak_L(bm: BlockMatrixN, ctx: PrimeContext) -> ReducedCountMatrix
         raise CertificateError(f"block (1, {M[j]}) collapses to {block_counts[j]}, "
                                f"direct count is {row[j]}")
     # the first mismatch row-major
-    if (bad := counts[(g2[:, None] + eps * g2) % ell] != _circulant(row)).any():
+    if (bad := counts[(g2[:, None] + eps * g2) % ell] != circulant_matrix(row)).any():
         raise CertificateError("count matrix is not circulant at ({},{})".format(
             *divmod(int(bad.argmax()), r)))
-    return ReducedCountMatrixN(ell, eps, g, tuple(row.tolist()))
+    return tuple(row.tolist())
 
 
-@dataclass(frozen=True)
-class ReducedCountMatrixC:
-    """Per-slope count rows a_j(s) = #{v : v^2 = 1 + 4*eps*g^2j - 4*s*g^j} and
-    the combined residues b_j = sum_s (alpha_s + beta_s) a_j(s) mod ell."""
-
-    ell: int
-    epsilon: int
-    g: int
-    s_rows: dict
-    combined_row: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.combined_row)
-
-    def matrix(self) -> np.ndarray:
-        return _circulant(self.combined_row)
-
-
-def build_reduced_C(ctx: PrimeContext) -> ReducedCountMatrixC:
+def build_reduced_C(ctx: PrimeContext) -> tuple[int, ...]:
+    """The first row b_j = sum_s (alpha_s + beta_s) a_j(s) mod ell of the
+    combined count circulant, a_j(s) = #{v : v^2 = 1 + 4*eps*g^2j - 4*s*g^j}
+    the first row of slope s's, which is verified circulant."""
     ell, g, eps = ctx.ell, ctx.g, ctx.epsilon
     counts = np.array(ctx.sqrt_counts, dtype=np.int8)  # each at most 2
     n = ell - 1
@@ -185,9 +152,7 @@ def build_reduced_C(ctx: PrimeContext) -> ReducedCountMatrixC:
         raise CertificateError("slope-{} count matrix is not circulant at ({},{})"
                                .format(at[0] + 1, *at[1:]))
     weights = sum(coefficients(ctx)) % ell
-    combined = weights @ rows % ell
-    s_rows = dict(zip(range(1, ell), map(tuple, rows.tolist())))
-    return ReducedCountMatrixC(ell, eps, g, s_rows, tuple(combined.tolist()))
+    return tuple((weights @ rows % ell).tolist())
 
 
 @dataclass(frozen=True)
@@ -231,20 +196,20 @@ def _power_sums(values: np.ndarray, weights, n: int, ell: int) -> np.ndarray:
     return W @ table.T % ell
 
 
-def eigenvalues_N(rm: ReducedCountMatrixN, ctx: PrimeContext) -> list[EigenvalueReport]:
-    """Eigenvalue certificates for the half-plane count matrix.
+def eigenvalues_N(row, ctx: PrimeContext) -> list[EigenvalueReport]:
+    """Eigenvalue certificates for the half-plane count circulant's row.
 
     residue_k = sum_lam (lam^-1 - eps*lam)^(2k') with k' = -k mod r; the
     closed form is C(2k',k') (-1)^(k'+1) eps^k'. The count-matrix eigenvalue
     equals 2^(2k-1) * residue_k; any zero or mismatch falsifies the build.
     """
-    ell, g, eps, r = rm.ell, rm.g, rm.epsilon, len(rm.first_row)
+    ell, g, eps, r = ctx.ell, ctx.g, ctx.epsilon, ctx.r
     lam = np.arange(1, ell, dtype=np.int64)
     # (lam^-1 - eps*lam)^(2k') is (its square)^k'
     base = (inverse_table(ell)[lam] - eps * lam) % ell
     residues, = _power_sums(base * base % ell, [None], r, ell).tolist()
     reports = []
-    for k, eig in enumerate(circulant_eigenvalues(rm.first_row, pow(g, 2, ell), ell)):
+    for k, eig in enumerate(circulant_eigenvalues(row, pow(g, 2, ell), ell)):
         kp = (-k) % r
         residue = residues[kp]
         closed = binom_mod(2 * kp, kp, ell) * (-1) ** (kp + 1) * pow(eps, kp, ell) % ell
@@ -276,9 +241,9 @@ def _closed_forms_C(k: int, kp: int, ell: int, eps: int) -> tuple[int, int]:
     return 0, beta
 
 
-def eigenvalues_C(ctx: PrimeContext,
-                  rm: ReducedCountMatrixC | None = None) -> list[EigenvalueReport]:
-    """Eigenvalue certificates for the combined punctured-plane operator.
+def eigenvalues_C(ctx: PrimeContext, row=None) -> list[EigenvalueReport]:
+    """Eigenvalue certificates for the combined punctured-plane count
+    circulant's row, built where not given.
 
     For each k the alpha- and beta-weighted double sums over (s, lam) are
     computed directly, checked against their closed forms, and their sum is
@@ -286,8 +251,8 @@ def eigenvalues_C(ctx: PrimeContext,
     agree exactly; no unit is dropped on this side).
     """
     ell, g, eps = ctx.ell, ctx.g, ctx.epsilon
-    if rm is None:
-        rm = build_reduced_C(ctx)
+    if row is None:
+        row = build_reduced_C(ctx)
     n = ell - 1
     # base[s-1, lam-1] = lam / ((lam*s + 1)^2 - eps*lam^2)
     sv = np.arange(1, ell, dtype=np.int64)[:, None]
@@ -297,7 +262,7 @@ def eigenvalues_C(ctx: PrimeContext,
     alphas, betas = _power_sums(base, [np.repeat(w, n) for w in coefficients(ctx)],
                                 n, ell).tolist()
     reports = []
-    for k, eig in enumerate(circulant_eigenvalues(rm.combined_row, g, ell)):
+    for k, eig in enumerate(circulant_eigenvalues(row, g, ell)):
         alpha, beta = alphas[k], betas[k]
         kp = 0 if k == 0 else (-k) % n
         a_cl, b_cl = _closed_forms_C(k, kp, ell, eps)

@@ -28,6 +28,7 @@ from .circulant import (
     build_block_matrix_N,
     build_reduced_C,
     circulant_det_mod,
+    circulant_matrix,
     eigenvalues_C,
     eigenvalues_N,
     reduce_mod_frak_L,
@@ -214,36 +215,36 @@ def _theorem_section(shape: tuple[int, int], ranks: tuple[int, int] | None,
 
 
 def _circulant_case(case: str, ctx: PrimeContext):
-    """(count matrix, eigenvalue records, error) of case N (half-plane) or C
-    (punctured-plane): a CertificateError comes back as error, with the
-    records made before it, and with no matrix if the reduction raised it."""
-    rm = None
+    """(count circulant's row, eigenvalue records, error) of case N (half-plane)
+    or C (punctured-plane): a CertificateError comes back as error, with the
+    records made before it, and with no row if the reduction raised it."""
+    row = None
     try:
         if case == "N":
-            rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
-            return rm, eigenvalues_N(rm, ctx), None
-        rm = build_reduced_C(ctx)
-        return rm, eigenvalues_C(ctx, rm), None
+            row = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
+            return row, eigenvalues_N(row, ctx), None
+        row = build_reduced_C(ctx)
+        return row, eigenvalues_C(ctx, row), None
     except CertificateError as exc:
-        return rm, exc.reports, exc
+        return row, exc.reports, exc
 
 
 def _circulant_section(case: str, ctx: PrimeContext) -> tuple[dict, list]:
     """Case N or C of the circulant phase: the eigenvalue records, and the
     count matrix's eigenvalue product against its direct determinant."""
-    rm, recs, error = _circulant_case(case, ctx)
+    row, recs, error = _circulant_case(case, ctx)
     failures = [] if error is None else [str(error)]
     section = {"records": [r.to_json() for r in recs], "all_match": error is None}
-    if rm is None:
+    if row is None:
         # the count matrix failed its reduction: no determinant to compare
         section.update(det_product=None, det_direct=None, det_match=False)
         return section, failures
     # the records hold every eigenvalue unless the certificate failed early;
     # the half-plane eigenvalues sit at the powers of g^2, the others at g's
-    row, e = (rm.first_row, 2) if case == "N" else (rm.combined_row, 1)
+    e = 2 if case == "N" else 1
     prod = (math.prod(r.matrix_eigenvalue for r in recs) % ctx.ell
             if len(recs) == len(row) else circulant_det_mod(row, e, ctx))
-    direct = det_mod_p(rm.matrix(), ctx.ell)
+    direct = det_mod_p(circulant_matrix(row), ctx.ell)
     det_ok = prod == direct and direct != 0
     if not det_ok:
         plane = "half-plane" if case == "N" else "punctured-plane"
@@ -684,22 +685,40 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL if n_fail else EXIT_OK
 
 
+def _physical_memory() -> int:
+    """The machine's physical memory, in bytes."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def cmd_export(args) -> int:
     ctx = _make_context(args)
+    ell = ctx.ell
     if args.s is not None and args.map != "h-s":
         raise UsageError(f"--s applies to --map h-s only, not {args.map}")
+    if args.map == "h-s" and args.s is None:
+        raise UsageError("--map h-s requires --s")
+    if args.map == "h-s" and args.s % ell == 0:
+        raise UsageError("--s must be nonzero mod ell")
+    # the triplets in closed form, over all pairs or the affine ones: r a
+    # column of psi+, ell - 1 of H_s and (ell - 1)^2 of psi, whose slopes'
+    # paths are disjoint in a column.  export's peak is about 94 B a triplet
+    # (psi at 61: 1276 MB for 13.6 M); refused before anything is built
+    pairs = ell * (ell - 1 if args.restricted else ell + 1)
+    triplets = {"psi-plus": ctx.r * pairs // 2, "psi": (ell - 1) ** 2 * pairs,
+                "h-s": (ell - 1) * pairs}[args.map]
+    need = 94 * triplets
+    if need > _physical_memory() // 2:
+        raise UsageError(f"export --map {args.map} at ell={ell} would take about "
+                         f"{need >> 20} MB for {triplets} triplets, above half the "
+                         f"physical memory")
     if args.map == "psi-plus":
         m = build_psi_plus(ctx)
     elif args.map == "psi":
         m = build_psi(ctx)
     else:  # h-s, the last of argparse's choices
-        if args.s is None:
-            raise UsageError("--map h-s requires --s")
-        if args.s % ctx.ell == 0:
-            raise UsageError("--s must be nonzero mod ell")
         m = build_H_s(ctx, args.s)
     if args.restricted:
-        m = restrict_to_affine(m, ctx.ell)
+        m = restrict_to_affine(m, ell)
     _write(args.out, lambda fh: m.write_csv(fh, ctx))
     return EXIT_OK
 
@@ -732,7 +751,7 @@ def cmd_decompose(args) -> int:
         if s == 0:
             raise UsageError("--s must be nonzero mod ell")
         kinds, g = (SPLIT_CARTAN, NONSPLIT_CARTAN), GroupElement(1, s, 0, 1)
-    H, K = (enumerate_subgroup(kind, ctx) for kind in kinds)
+    H, K = named_transversal(kinds[0], ctx), enumerate_subgroup(kinds[1], ctx)
     dec = decompose(H, g, K, ctx)
     doc = {
         "schema_version": TABLE_SCHEMA_VERSION,

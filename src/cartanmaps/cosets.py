@@ -1,10 +1,11 @@
 """The paper's stabilizers in GL2(F_ell), double coset decompositions, and
 induced operators.
 
-Subgroups are materialized as arrays of their elements' entries; coset
-membership is keyed by the geometric object a coset stabilizes, so bucketing
-never compares elements of K.  A family of double cosets HgK, one per g, is
-decomposed as one object, with every g bucketed in one broadcast.
+Subgroups are materialized as arrays of their elements' entries, H of HgK
+as its transversal of H/Z; coset membership is keyed by the geometric object
+a coset stabilizes, so bucketing never compares elements of K.  A family of
+double cosets HgK, one per g, is decomposed as one object, with every g
+bucketed in one broadcast.
 """
 
 from __future__ import annotations
@@ -114,12 +115,12 @@ def coset_key(K: SubgroupSpec, m, ctx: PrimeContext):
 
 @dataclass(frozen=True, eq=False)
 class DoubleCosetDecomposition:
-    """HgK = disjoint U alpha g K for every g of a family.  g is stacked, one
-    entry per g; representatives stacks the alpha of every g, in g order and
-    in H order within each g, degrees[i] of them for the i-th g.
-    scalars_in_K: whether K's elements hold the scalars."""
+    """HgK = disjoint U alpha g K for every g of a family, H as its T of H/Z.
+    g is stacked, one entry per g; representatives stacks the alpha of every
+    g, in g order and in H order within each g, degrees[i] of them for the
+    i-th g.  scalars_in_K: whether K's elements hold the scalars."""
 
-    H: SubgroupSpec | Transversal
+    H: Transversal
     K: SubgroupSpec
     g: GroupElement
     representatives: GroupElement
@@ -143,19 +144,9 @@ def _member(sorted_digits: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return sorted_digits[at] == digits
 
 
-def transversal(H: SubgroupSpec, ctx: PrimeContext) -> Transversal:
-    """T read off an enumerated H, of any kind: the first element in H order
-    of each class hZ, which h over its first nonzero entry names."""
-    a, b = H.stacked.a, H.stacked.b
-    inverse = ctx.inverse_table[np.where(a != 0, a, b)]
-    classes = _digits((e * inverse % ctx.ell for e in H.stacked), ctx.ell)
-    rows = np.sort(np.unique(classes, return_index=True)[1])
-    return Transversal(H.kind, GroupElement(*(e[rows] for e in H.stacked)))
-
-
 def named_transversal(kind: str, ctx: PrimeContext) -> Transversal:
-    """T of C or N without enumerating either, the elements transversal
-    picks: diag(1, d), and for N then (0 1; d 0), d = 1..ell-1."""
+    """T of C or N without enumerating either: the first element in H order
+    of each class hZ, diag(1, d), and for N then (0 1; d 0), d = 1..ell-1."""
     if kind not in (SPLIT_CARTAN, NORMALIZER_SPLIT):
         raise ValueError(f"no closed-form transversal for subgroup kind {kind!r}")
     d = np.arange(1, ctx.ell, dtype=np.int64)
@@ -164,13 +155,13 @@ def named_transversal(kind: str, ctx: PrimeContext) -> Transversal:
     return Transversal(kind, GroupElement(*map(np.concatenate, zip(*parts))))
 
 
-def decompose_all(H: SubgroupSpec | Transversal, gs: GroupElement, K: SubgroupSpec,
+def decompose_all(H: Transversal, gs: GroupElement, K: SubgroupSpec,
                   ctx: PrimeContext) -> DoubleCosetDecomposition:
     """Decompose HgK into disjoint cosets alpha g K, for every g of the stack
     gs, as one family.
 
     The scalars Z are central and fix every point of G/K, so the H-orbit of
-    gK is that of the transversal T of H/Z, given, or read off H.  The keys
+    gK is that of the transversal T of H/Z, which H is given as.  The keys
     coset_key(K, t*g) of all t and a chunk of the g's form one (|T|, chunk)
     array.  One sort of key*|T| + row per column puts the rows of each key
     together, the first in H order, so the degree is the number of distinct
@@ -186,7 +177,7 @@ def decompose_all(H: SubgroupSpec | Transversal, gs: GroupElement, K: SubgroupSp
     units = np.arange(1, ell, dtype=np.int64)
     scalars_in_K = bool(_member(k_digits, _digits((units, 0 * units, 0 * units, units),
                                                   ell)).all())
-    ts = (H if isinstance(H, Transversal) else transversal(H, ctx)).stacked
+    ts = H.stacked
     n = len(ts.a)
     t_col = GroupElement(*(e[:, None] for e in ts))
     t_rows = np.arange(n, dtype=np.int64)[:, None]
@@ -218,7 +209,7 @@ def decompose_all(H: SubgroupSpec | Transversal, gs: GroupElement, K: SubgroupSp
         np.concatenate(degrees), scalars_in_K)
 
 
-def decompose(H: SubgroupSpec | Transversal, g: GroupElement, K: SubgroupSpec,
+def decompose(H: Transversal, g: GroupElement, K: SubgroupSpec,
               ctx: PrimeContext) -> DoubleCosetDecomposition:
     """Decompose HgK into disjoint cosets alpha g K: the one-g family of
     decompose_all."""

@@ -17,13 +17,12 @@ import numpy as np
 from .modular_arith import is_prime
 
 DENSE_PRIME_BOUND = 1 << 26  # the primes of the dense mod-p engine lie below
-# rank_exact's escalation after its preferred primes, and det_exact_small's bound
+# rank_exact's escalation after its preferred primes
 _BAREISS_LIMIT = 256
 _RANDOM_PRIME_COUNT = 8
 _RANDOM_PRIME_RANGE = (1 << 24, 1 << 25)
 _STABILIZE_WINDOW = 3
 _SEED = 0
-_DET_EXACT_MAX_DIM = 64
 
 
 def _as_int_matrix(m) -> np.ndarray:
@@ -163,20 +162,18 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """(rank over Q, det) by fraction-free elimination with column skipping,
-    over Python ints; det is 0 unless the matrix is square of full rank."""
+def _bareiss(rows: list[list[int]]) -> int:
+    """Rank over Q by fraction-free elimination with column skipping, over
+    Python ints."""
     a = [list(map(int, r)) for r in rows]
     m, n = len(a), len(a[0]) if a else 0
-    sign = prev = 1
+    prev = 1
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
         if piv is None:
             continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            sign = -sign
+        a[rank], a[piv] = a[piv], a[rank]
         for i in range(rank + 1, m):
             for j in range(col + 1, n):
                 a[i][j] = _exact_div(a[i][j] * a[rank][col] - a[i][col] * a[rank][j], prev)
@@ -185,18 +182,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
         rank += 1
         if rank == m:
             break
-    return rank, sign * prev if m == n == rank else 0
-
-
-def det_exact_small(m) -> int:
-    """Exact determinant over Z, restricted to small matrices (cross-checks only)."""
-    A = _as_int_matrix(m)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"determinant requires a square matrix, got {A.shape}")
-    if A.shape[0] > _DET_EXACT_MAX_DIM:
-        raise ValueError(f"dimension {A.shape[0]} exceeds det_exact_small bound "
-                         f"{_DET_EXACT_MAX_DIM}")
-    return _bareiss(A.tolist())[1]
+    return rank
 
 
 @dataclass(frozen=True)
@@ -241,7 +227,7 @@ def rank_exact(m, preferred_primes: tuple[int, ...] = ()) -> RankCertificate:
             return RankCertificate(rows, cols, r, tuple(witnesses),
                                    "single-prime full rank", True)
     if max(rows, cols) <= _BAREISS_LIMIT:
-        r = _bareiss(A.tolist())[0]
+        r = _bareiss(A.tolist())
         return RankCertificate(rows, cols, r, tuple(witnesses),
                                "fraction-free exact", True)
     rng = random.Random(_SEED)

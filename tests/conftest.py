@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from cartanmaps import GroupElement, PrimeContext
+from cartanmaps.cosets import Transversal
 from cartanmaps.geometry import decode
 
 # Exhaustive property range and the full desk-scale sweep.
@@ -35,6 +37,38 @@ def oracle_mod_p(rows, p: int) -> tuple[int, int]:
                 a[i] = [(v - f * w) % p for v, w in zip(a[i], a[rank])]
         rank += 1
     return rank, det % p if m == n == rank else 0
+
+
+def exact_det(rows) -> int:
+    """The determinant over Z of a square integer matrix, by fraction-free
+    (Bareiss) elimination over Python ints: every division is exact."""
+    a = [[int(v) for v in row] for row in rows]
+    n = len(a)
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def transversal(H, ctx) -> Transversal:
+    """The transversal of H/Z, Z the scalars, read off an enumerated H of any
+    kind: the first element in H order of each class hZ, which h over its
+    first nonzero entry names.  Route 2 takes H in this form."""
+    a, b = H.stacked.a, H.stacked.b
+    inverse = ctx.inverse_table[np.where(a != 0, a, b)]
+    classes = np.ravel_multi_index(tuple(e * inverse % ctx.ell for e in H.stacked),
+                                   (ctx.ell,) * 4)
+    rows = np.sort(np.unique(classes, return_index=True)[1])
+    return Transversal(H.kind, GroupElement(*(e[rows] for e in H.stacked)))
 
 
 # ---------------------------------------------------------------------------

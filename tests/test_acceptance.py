@@ -15,6 +15,7 @@ from cartanmaps.circulant import (
     build_block_matrix_N,
     build_reduced_C,
     circulant_det_mod,
+    circulant_matrix,
     eigenvalues_C,
     eigenvalues_N,
     reduce_mod_frak_L,
@@ -39,9 +40,9 @@ from cartanmaps.cosets import (
     coset_operator,
     decompose,
     enumerate_subgroup,
+    named_transversal,
 )
 from cartanmaps.exact_linalg import (
-    det_exact_small,
     det_mod_p,
     rank_exact,
     rank_mod_p,
@@ -60,8 +61,8 @@ from cartanmaps.geometry import (
 )
 from cartanmaps.modular_arith import PrimeContext, legendre
 
-from conftest import (fq_move, geodesic_set, incidence_sets, p1_move, path_set,
-                      random_invertible)
+from conftest import (exact_det, fq_move, geodesic_set, incidence_sets, p1_move,
+                      path_set, random_invertible)
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 PRIMES_EXHAUSTIVE = (3, 5, 7, 11, 13)
@@ -145,10 +146,10 @@ def test_criterion_03_coset_coincidence(contexts):
     geometric matrices entrywise, for the normalizer pair and for every s."""
     for ell in COINCIDENCE_PRIMES:
         ctx = contexts[ell]
-        dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx), IDENTITY,
+        dec = decompose(named_transversal(NORMALIZER_SPLIT, ctx), IDENTITY,
                         enumerate_subgroup(NORMALIZER_NONSPLIT, ctx), ctx)
         assert coset_operator(dec, ctx) == build_psi_plus(ctx), f"ell={ell}"
-        C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+        C = named_transversal(SPLIT_CARTAN, ctx)
         Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
         for s in range(1, ell):
             dec_s = decompose(C, GroupElement(1, s, 0, 1), Cp, ctx)
@@ -161,11 +162,11 @@ def test_criterion_04_degree_formulas(contexts):
     all s, and match the geometric column sums exactly."""
     for ell in PRIMES:
         ctx = contexts[ell]
-        dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx), IDENTITY,
+        dec = decompose(named_transversal(NORMALIZER_SPLIT, ctx), IDENTITY,
                         enumerate_subgroup(NORMALIZER_NONSPLIT, ctx), ctx)
         assert dec.degrees.tolist() == [(ell - 1) // 2], f"ell={ell}"
         assert (build_psi_plus(ctx).data.sum(axis=0) == dec.degrees[0]).all()
-        C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+        C = named_transversal(SPLIT_CARTAN, ctx)
         Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
         for s in range(1, ell):
             dec_s = decompose(C, GroupElement(1, s, 0, 1), Cp, ctx)
@@ -180,18 +181,18 @@ def test_criterion_05_circulant_certificates(contexts):
     eigenvalue-product determinant equals the direct determinant mod ell."""
     for ell in PRIMES:
         ctx = contexts[ell]
-        rm_n = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
-        recs_n = eigenvalues_N(rm_n, ctx)   # raises on mismatch or zero
+        row_n = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
+        recs_n = eigenvalues_N(row_n, ctx)   # raises on mismatch or zero
         assert all(r.matches and r.nonzero for r in recs_n)
         assert recs_n[0].residue == (-1) % ell
-        prod = circulant_det_mod(rm_n.first_row, 2, ctx)
-        assert prod == det_mod_p(rm_n.matrix(), ell) != 0, f"ell={ell}"
-        rm_c = build_reduced_C(ctx)
-        recs_c = eigenvalues_C(ctx, rm=rm_c)
+        prod = circulant_det_mod(row_n, 2, ctx)
+        assert prod == det_mod_p(circulant_matrix(row_n), ell) != 0, f"ell={ell}"
+        row_c = build_reduced_C(ctx)
+        recs_c = eigenvalues_C(ctx, row=row_c)
         assert all(r.matches and r.nonzero for r in recs_c)
         assert recs_c[0].residue == 1 % ell
-        prod_c = circulant_det_mod(rm_c.combined_row, 1, ctx)
-        assert prod_c == det_mod_p(rm_c.matrix(), ell) != 0, f"ell={ell}"
+        prod_c = circulant_det_mod(row_c, 1, ctx)
+        assert prod_c == det_mod_p(circulant_matrix(row_c), ell) != 0, f"ell={ell}"
         assert verify_chart_conjugacy(ctx, geodesic_incidence(ctx))
     print("\n[criterion 5] PASS circulant certificates: residues = closed forms, "
           "nonzero, determinant product = direct determinant, ell<=31")
@@ -310,7 +311,7 @@ def test_criterion_08_property_suites(contexts):
 
 def test_criterion_09_linear_algebra_fuzz():
     """500 random small matrices: rank_exact agrees with a rational-elimination
-    oracle; det_mod_p agrees with det_exact_small."""
+    oracle; det_mod_p agrees with an exact fraction-free determinant."""
 
     def oracle_rank(rows):
         a = [[Fraction(v) for v in row] for row in rows]
@@ -340,7 +341,7 @@ def test_criterion_09_linear_algebra_fuzz():
         assert cert.conclusive
         assert cert.rank == oracle_rank(A), f"trial {trial}"
         if m == n:
-            d = det_exact_small(arr)
+            d = exact_det(A)
             for p in (31, 999983):
                 assert det_mod_p(arr, p) == d % p, f"trial {trial}"
     print("\n[criterion 9] PASS 500-case rank/determinant fuzz against the "

@@ -3,11 +3,11 @@ import pytest
 
 from cartanmaps.circulant import (
     CertificateError,
-    ReducedCountMatrixN,
     build_block_matrix_N,
     build_reduced_C,
     circulant_det_mod,
     circulant_eigenvalues,
+    circulant_matrix,
     eigenvalues_C,
     eigenvalues_N,
     reduce_mod_frak_L,
@@ -62,27 +62,25 @@ def test_blocks_are_circulant_and_correct(ell, contexts):
 
 def test_reduce_example(contexts):
     ctx = contexts[7]
-    rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
     # a_j = #{x : x^2 = 1 + 3 * 3^(2j)} for j = 0, 1, 2
-    assert rm.first_row == (2, 1, 0)
-    rm5 = reduce_mod_frak_L(build_block_matrix_N(contexts[5]), contexts[5])
-    assert rm5.first_row == (0, 2)
+    assert reduce_mod_frak_L(build_block_matrix_N(ctx), ctx) == (2, 1, 0)
+    assert reduce_mod_frak_L(build_block_matrix_N(contexts[5]), contexts[5]) == (0, 2)
 
 
 @pytest.mark.parametrize("ell", PRIMES_ALL)
 def test_reduce_row_sums(ell, contexts):
     # sum_j a_j counts the x with (x^2 - 1)/eps a nonzero square
     ctx = contexts[ell]
-    rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
+    row = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
     inv_eps = pow(ctx.epsilon, -1, ell)
     brute = sum(1 for x in range(ell)
                 if legendre((x * x - 1) * inv_eps % ell, ell) == 1)
-    assert sum(rm.first_row) == brute
+    assert sum(row) == brute
     # full matrix is circulant with that first row
-    mat = rm.matrix()
+    mat = circulant_matrix(row)
     for i in range(ctx.r):
         for j in range(ctx.r):
-            assert mat[i, j] == rm.first_row[(j - i) % ctx.r]
+            assert mat[i, j] == row[(j - i) % ctx.r]
 
 
 def test_eigenvalues_N_frozen_values(contexts):
@@ -115,9 +113,8 @@ def test_eigenvalues_N_against_independent_sum(ell, contexts):
 
 def test_eigenvalues_N_detects_corruption(contexts):
     ctx = contexts[7]
-    bad = ReducedCountMatrixN(7, 3, 3, (2, 1, 1))
     with pytest.raises(CertificateError) as err:
-        eigenvalues_N(bad, ctx)
+        eigenvalues_N((2, 1, 1), ctx)
     assert err.value.reports  # partial context is carried
 
 
@@ -166,18 +163,18 @@ def test_parity_split(ell, contexts):
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
 def test_reduced_C_rows(ell, contexts):
+    """The combined row weighs each slope's row of root counts, counted
+    here by trying every v, by alpha_s + beta_s = 1 + s^-1."""
     ctx = contexts[ell]
-    rc = build_reduced_C(ctx)
     g, eps = ctx.g, ctx.epsilon
+    s_rows = {}
     for s in range(1, ell):
-        for j in range(ell - 1):
-            rhs = (1 + 4 * eps * pow(g, 2 * j, ell) - 4 * s * pow(g, j, ell)) % ell
-            assert rc.s_rows[s][j] == len([v for v in range(ell)
-                                           if v * v % ell == rhs])
-    for j in range(ell - 1):
-        expected = sum((1 + pow(s, -1, ell)) * rc.s_rows[s][j]
-                       for s in range(1, ell)) % ell
-        assert rc.combined_row[j] == expected
+        rhs = [(1 + 4 * eps * pow(g, 2 * j, ell) - 4 * s * pow(g, j, ell)) % ell
+               for j in range(ell - 1)]
+        s_rows[s] = [len([v for v in range(ell) if v * v % ell == c]) for c in rhs]
+    assert build_reduced_C(ctx) == tuple(
+        sum((1 + pow(s, -1, ell)) * s_rows[s][j] for s in range(1, ell)) % ell
+        for j in range(ell - 1))
 
 
 def test_circulant_det_identity_and_ones(contexts):
@@ -207,18 +204,18 @@ def test_circulant_eigenvalues_are_eigenvalues(ell, contexts):
         assert len(eigs) == n
         for k, eig in enumerate(eigs):
             v = np.array([pow(u, k * i, ell) for i in range(n)], dtype=np.int64)
-            assert np.array_equal(circulant._circulant(row) @ v % ell, eig * v % ell)
+            assert np.array_equal(circulant_matrix(row) @ v % ell, eig * v % ell)
 
 
 @pytest.mark.parametrize("ell", PRIMES_ALL)
 def test_circulant_det_matches_direct_determinant(ell, contexts):
     ctx = contexts[ell]
-    rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
-    prod = circulant_det_mod(rm.first_row, 2, ctx)
-    assert prod == det_mod_p(rm.matrix(), ell)
-    rc = build_reduced_C(ctx)
-    prod_c = circulant_det_mod(rc.combined_row, 1, ctx)
-    assert prod_c == det_mod_p(rc.matrix(), ell)
+    row = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
+    prod = circulant_det_mod(row, 2, ctx)
+    assert prod == det_mod_p(circulant_matrix(row), ell)
+    row_c = build_reduced_C(ctx)
+    prod_c = circulant_det_mod(row_c, 1, ctx)
+    assert prod_c == det_mod_p(circulant_matrix(row_c), ell)
     assert prod != 0 and prod_c != 0
 
 
@@ -332,8 +329,8 @@ def test_det_nonzero_iff_restriction_full_rank(ell, contexts):
     """The certificate's nonvanishing must agree with the geometric rank."""
     from cartanmaps.exact_linalg import rank_mod_p
     ctx = contexts[ell]
-    rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
-    det_n = det_mod_p(rm.matrix(), ell)
+    det_n = det_mod_p(circulant_matrix(reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)),
+                      ell)
     restricted = restrict_to_affine(build_psi_plus(ctx), ell)
     assert det_n != 0
     assert rank_mod_p(restricted, ell) == restricted.shape[1]
@@ -364,8 +361,7 @@ def looped_reduce_N(bm, ctx):
 
 
 def looped_reduce_C(ctx):
-    """build_reduced_C as scalar loops: (s_rows, combined_row), or the error
-    text."""
+    """build_reduced_C as scalar loops: the combined row, or the error text."""
     ell, g, eps = ctx.ell, ctx.g, ctx.epsilon
     counts = ctx.sqrt_counts
     n = ell - 1
@@ -382,24 +378,22 @@ def looped_reduce_C(ctx):
                     return f"slope-{s} count matrix is not circulant at ({i},{j})"
         s_rows[s] = row
     # alpha_s + beta_s = 1 + s^-1
-    combined = tuple(sum((1 + pow(s, -1, ell)) * s_rows[s][j] for s in range(1, ell)) % ell
-                     for j in range(n))
-    return s_rows, combined
+    return tuple(sum((1 + pow(s, -1, ell)) * s_rows[s][j] for s in range(1, ell)) % ell
+                 for j in range(n))
 
 
 def vectorised_reduce_N(bm, ctx):
     try:
-        return reduce_mod_frak_L(bm, ctx).first_row
+        return reduce_mod_frak_L(bm, ctx)
     except CertificateError as exc:
         return str(exc)
 
 
 def vectorised_reduce_C(ctx):
     try:
-        rm = build_reduced_C(ctx)
+        return build_reduced_C(ctx)
     except CertificateError as exc:
         return str(exc)
-    return rm.s_rows, rm.combined_row
 
 
 LOOP_CONTEXTS = [PrimeContext(ell) for ell in PRIMES_ALL] + [PrimeContext(13, 5, 7)]
@@ -411,9 +405,9 @@ def test_count_circulants_match_the_loops(ctx):
     first_row = vectorised_reduce_N(bm, ctx)
     assert first_row == looped_reduce_N(bm, ctx)
     assert all(type(v) is int for v in first_row)
-    s_rows, combined = vectorised_reduce_C(ctx)
-    assert (s_rows, combined) == looped_reduce_C(ctx)
-    assert all(type(v) is int for v in combined + s_rows[1])
+    combined = vectorised_reduce_C(ctx)
+    assert combined == looped_reduce_C(ctx)
+    assert all(type(v) is int for v in combined)
 
 
 @pytest.mark.parametrize("ell", [7, 13])

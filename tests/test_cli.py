@@ -25,6 +25,7 @@ from cartanmaps.circulant import (
     build_block_matrix_N,
     build_reduced_C,
     circulant_det_mod,
+    circulant_matrix,
     reduce_mod_frak_L,
 )
 from cartanmaps.exact_linalg import det_mod_p
@@ -338,6 +339,63 @@ def test_export_h_s_and_restricted(capsys):
     assert run_cli(capsys, "export", "--ell", "5", "--map", "h-s", "--s", "5")[0] == EXIT_USAGE
 
 
+class Built(Exception):
+    """A dense builder was reached: the export passed its memory guard."""
+
+
+def refuse_builds(monkeypatch, cli_mod):
+    """Every dense builder export calls raises Built instead."""
+    def built(*args):
+        raise Built
+
+    for name in ("build_psi_plus", "build_psi", "build_H_s"):
+        monkeypatch.setattr(cli_mod, name, built)
+
+
+def test_export_refuses_triplets_above_half_the_physical_memory(capsys, monkeypatch):
+    """On an 8 GiB machine psi at 101 (103 M triplets, about 9 GB) is refused
+    with exit 64 before any matrix is built, also restricted, while psi at
+    61 (13.6 M, about 1.2 GB) and psi+ at 101 reach the builder."""
+    import cartanmaps.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 8 << 30)
+    refuse_builds(monkeypatch, cli_mod)
+    for extra in ([], ["--restricted"]):
+        code, out, err = run_cli(capsys, "export", "--ell", "101", "--map", "psi", *extra)
+        triplets = 101 * (100 if extra else 102) * 100 ** 2
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"error: export --map psi at ell=101 would take about "
+                       f"{94 * triplets >> 20} MB for {triplets} triplets, above half "
+                       f"the physical memory\n")
+    for argv in (["--ell", "61", "--map", "psi"], ["--ell", "101", "--map", "psi-plus"]):
+        with pytest.raises(Built):
+            main(["export", *argv])
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_export_counts_its_triplets_in_closed_form(ell, capsys, monkeypatch):
+    """The triplet count the memory guard reads, made visible by a limit of
+    0, is the number of lines export writes, for every map, plain and
+    restricted."""
+    import cartanmaps.cli as cli_mod
+
+    argvs = [["--map", "psi-plus"], ["--map", "psi"], ["--map", "h-s", "--s", "2"]]
+    written = {}
+    for argv in argvs:
+        for extra in ([], ["--restricted"]):
+            code, out, _ = run_cli(capsys, "export", "--ell", str(ell), *argv, *extra)
+            assert code == EXIT_OK
+            written[argv[1], bool(extra)] = len(out.splitlines()) - 1
+    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 0)
+    refuse_builds(monkeypatch, cli_mod)
+    for argv in argvs:
+        for extra in ([], ["--restricted"]):
+            code, _, err = run_cli(capsys, "export", "--ell", str(ell), *argv, *extra)
+            assert code == EXIT_USAGE
+            counted = int(re.search(r" MB for (\d+) triplets", err).group(1))
+            assert counted == written[argv[1], bool(extra)], (argv, extra)
+
+
 @pytest.mark.parametrize("argv", [["export", "--map", "psi", "--s", "2"],
                                   ["export", "--map", "psi-plus", "--s", "2"],
                                   ["decompose", "--case", "N", "--s", "3"]])
@@ -562,11 +620,32 @@ def test_tracer_names_stay_cli_attributes():
     import cartanmaps.cli as cli_mod
 
     tracer = load_perfbench("tracer")
-    missing = [name for name in tracer.TIMED if not hasattr(cli_mod, name)]
+    missing = [name for name in tracer.TIMED if not callable(getattr(cli_mod, name, None))]
     assert tracer.TIMED and missing == []
     rebound = re.findall(r"\bcli\.(\w+) = ", inspect.getsource(tracer.Tracer.install))
     assert {"run_verification", "_phase", "_verify_worker"} <= set(rebound)
     assert all(callable(getattr(cli_mod, name, None)) for name in rebound)
+
+
+def test_tracer_installs_and_times_a_verify_run(capsys, monkeypatch, tmp_path):
+    """Tracer.install, which --trace 1 runs, wraps every name it names on cli,
+    and a verify run under it records the run, its phases and the
+    circulant, coset and subgroup layers.  Every name is restored after."""
+    import cartanmaps.cli as cli_mod
+
+    tracer = load_perfbench("tracer")
+    for name in [*tracer.TIMED, "run_verification", "_phase", "_verify_worker"]:
+        monkeypatch.setattr(cli_mod, name, getattr(cli_mod, name))
+    for module in (tracer.geometry, tracer.correspondence, tracer.cosets):
+        for name in tracer.ACTIONS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, getattr(module, name))
+    recorder = tracer.Tracer(str(tmp_path))
+    recorder.install()
+    assert run_cli(capsys, "verify", "--ell", "5")[0] == EXIT_OK
+    spans = {span[0] for span in recorder.spans}
+    assert {tracer.RUN, "cli.phase.circulant", "cli.phase.degrees", "circulant.certificates",
+            "cosets.decompose", "cosets.enumerate_subgroup"} <= spans
 
 
 def unused_imports(path: str) -> list[str]:
@@ -759,11 +838,9 @@ def test_verify_circulant_determinant_mismatch(case, plane, capsys, monkeypatch)
 
     ctx = PrimeContext(7)
     if case == "N":
-        rm = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx)
-        row, e = rm.first_row, 2
+        row, e = reduce_mod_frak_L(build_block_matrix_N(ctx), ctx), 2
     else:
-        rm = build_reduced_C(ctx)
-        row, e = rm.combined_row, 1
+        row, e = build_reduced_C(ctx), 1
     size = len(row)  # 3 and 6: the two count matrices differ in size at 7
     real = cli_mod.det_mod_p
     monkeypatch.setattr(cli_mod, "det_mod_p",
@@ -771,7 +848,8 @@ def test_verify_circulant_determinant_mismatch(case, plane, capsys, monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--ell", "7")
     assert code == EXIT_FAIL
     run = json.loads(out)["runs"][0]
-    prod, direct = circulant_det_mod(row, e, ctx), (det_mod_p(rm.matrix(), 7) + 1) % 7
+    prod = circulant_det_mod(row, e, ctx)
+    direct = (det_mod_p(circulant_matrix(row), 7) + 1) % 7
     assert prod != direct
     assert run["failures"] == [f"{plane} circulant determinant check failed: "
                                f"product {prod}, direct {direct}"]

@@ -23,7 +23,6 @@ from cartanmaps.cosets import (
     decompose_all,
     enumerate_subgroup,
     named_transversal,
-    transversal,
 )
 from cartanmaps.geometry import (
     STABILISERS,
@@ -41,7 +40,7 @@ from cartanmaps.geometry import (
 )
 from cartanmaps.modular_arith import PrimeContext
 
-from conftest import PRIMES_ALL, PRIMES_SMALL, random_invertible
+from conftest import PRIMES_ALL, PRIMES_SMALL, random_invertible, transversal
 
 
 def listed_stack(stacked):
@@ -125,11 +124,11 @@ def test_stacked_elements_are_cached_and_read_only(contexts):
 
 def test_decompose_examples(contexts):
     ctx7 = contexts[7]
-    dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx7), IDENTITY,
+    dec = decompose(named_transversal(NORMALIZER_SPLIT, ctx7), IDENTITY,
                     enumerate_subgroup(NORMALIZER_NONSPLIT, ctx7), ctx7)
     assert dec.degrees.tolist() == [3]
     ctx5 = contexts[5]
-    dec2 = decompose(enumerate_subgroup(SPLIT_CARTAN, ctx5),
+    dec2 = decompose(named_transversal(SPLIT_CARTAN, ctx5),
                      GroupElement(1, 2, 0, 1),
                      enumerate_subgroup(NONSPLIT_CARTAN, ctx5), ctx5)
     assert dec2.degrees.tolist() == [4]
@@ -146,7 +145,7 @@ def test_decompose_disjoint_cover(ell, contexts):
     for hk, g, kk in cases:
         H = enumerate_subgroup(hk, ctx)
         K = enumerate_subgroup(kk, ctx)
-        dec = decompose(H, g, K, ctx)
+        dec = decompose(transversal(H, ctx), g, K, ctx)
         union = set()
         for alpha in listed_reps(dec):
             coset = {mat_mul(mat_mul(alpha, g, ell), k, ell) for k in listed(K)}
@@ -167,21 +166,22 @@ def test_degree_invariance_under_double_coset_choice(ell, contexts):
     H = enumerate_subgroup(SPLIT_CARTAN, ctx)
     K = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     g = GroupElement(1, 2, 0, 1)
-    base = decompose(H, g, K, ctx)
+    T = transversal(H, ctx)
+    base = decompose(T, g, K, ctx)
     for _ in range(5):
         h = listed(H)[rng.randrange(len(H))]
         k = listed(K)[rng.randrange(len(K))]
         gp = mat_mul(mat_mul(h, g, ell), k, ell)
-        assert decompose(H, gp, K, ctx).degrees.tolist() == base.degrees.tolist()
+        assert decompose(T, gp, K, ctx).degrees.tolist() == base.degrees.tolist()
 
 
 @pytest.mark.parametrize("ell", PRIMES_ALL)
 def test_degree_formulas(ell):
     ctx = PrimeContext(ell)
-    dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx), IDENTITY,
+    dec = decompose(named_transversal(NORMALIZER_SPLIT, ctx), IDENTITY,
                     enumerate_subgroup(NORMALIZER_NONSPLIT, ctx), ctx)
     assert dec.degrees.tolist() == [(ell - 1) // 2]
-    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    C = named_transversal(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     for s in (1, 2, ell - 1):
         assert decompose(C, GroupElement(1, s, 0, 1), Cp, ctx).degrees.tolist() == [ell - 1]
@@ -190,10 +190,10 @@ def test_degree_formulas(ell):
 @pytest.mark.parametrize("ell", [3, 5])
 def test_coincidence_with_geometric_maps(ell, contexts):
     ctx = contexts[ell]
-    dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx), IDENTITY,
+    dec = decompose(named_transversal(NORMALIZER_SPLIT, ctx), IDENTITY,
                     enumerate_subgroup(NORMALIZER_NONSPLIT, ctx), ctx)
     assert coset_operator(dec, ctx) == build_psi_plus(ctx)
-    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    C = named_transversal(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     for s in range(1, ell):
         dec_s = decompose(C, GroupElement(1, s, 0, 1), Cp, ctx)
@@ -204,7 +204,7 @@ def test_coincidence_with_geometric_maps(ell, contexts):
 def test_coset_operator_row_sums_constant(ell, contexts):
     # |pairs| * degree incidences spread evenly over |H_ell| rows: (ell+1)/2 each
     ctx = contexts[ell]
-    dec = decompose(enumerate_subgroup(NORMALIZER_SPLIT, ctx), IDENTITY,
+    dec = decompose(named_transversal(NORMALIZER_SPLIT, ctx), IDENTITY,
                     enumerate_subgroup(NORMALIZER_NONSPLIT, ctx), ctx)
     op = coset_operator(dec, ctx)
     assert set(op.data.sum(axis=1).tolist()) == {(ell + 1) // 2}
@@ -217,7 +217,7 @@ def test_coset_operator_representative_independence(contexts):
     H = enumerate_subgroup(SPLIT_CARTAN, ctx)
     K = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     g = GroupElement(1, 2, 0, 1)
-    dec = decompose(H, g, K, ctx)
+    dec = decompose(transversal(H, ctx), g, K, ctx)
     base = coset_operator(dec, ctx)
     ginv = mat_inv(g, ell)
     members = set(listed(H))
@@ -233,7 +233,7 @@ def test_coset_operator_representative_independence(contexts):
 
 def test_coset_operator_takes_a_one_g_family(contexts):
     ctx = contexts[5]
-    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    C = named_transversal(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     dec = decompose_all(C, stack([GroupElement(1, s, 0, 1) for s in (1, 2)]), Cp, ctx)
     with pytest.raises(ValueError, match="one-g family"):
@@ -247,11 +247,11 @@ def test_coset_operator_rejects_unidentified_kinds(contexts):
     ctx = contexts[3]
     scalars = SubgroupSpec("scalars", stack([GroupElement(a, 0, 0, a) for a in (1, 2)]))
     Np = enumerate_subgroup(NORMALIZER_NONSPLIT, ctx)
-    dec = decompose(scalars, IDENTITY, Np, ctx)
+    dec = decompose(transversal(scalars, ctx), IDENTITY, Np, ctx)
     with pytest.raises(ValueError, match="no basis identification"):
         coset_operator(dec, ctx)
     with pytest.raises(ValueError, match="no basis identification"):
-        decompose(Np, IDENTITY, scalars, ctx)
+        decompose(transversal(Np, ctx), IDENTITY, scalars, ctx)
 
 
 def test_coset_key_identifies_cosets(contexts):
@@ -315,10 +315,11 @@ def bucketed(H, g, K, ctx):
 
 
 def assert_matches_bucketing(H, gs, K, ctx):
-    """decompose_all's one family: the g's in order, and each g's degree and
-    representatives those of the bucketing, in g order."""
-    dec = decompose_all(H, stack(gs), K, ctx)
-    assert (dec.H, dec.K) == (H, K)
+    """decompose_all's one family over the transversal of H/Z: the g's in
+    order, and each g's degree and representatives those of the bucketing
+    over all of H, in g order."""
+    dec = decompose_all(transversal(H, ctx), stack(gs), K, ctx)
+    assert (dec.H.kind, dec.K) == (H.kind, K)
     assert listed_stack(dec.g) == list(gs)
     want = [bucketed(H, g, K, ctx) for g in gs]
     assert dec.degrees.tolist() == [degree for degree, _ in want], (H, K)
@@ -347,7 +348,8 @@ def test_decompose_all_matches_the_bucketing_at_every_slope(ctx):
     gs = [GroupElement(1, s, 0, 1) for s in range(1, ell)]
     dec = assert_matches_bucketing(C, gs, Cp, ctx)
     assert dec.degrees.tolist() == [ell - 1] * (ell - 1)
-    assert listed_reps(decompose(C, gs[-1], Cp, ctx)) == listed_reps(dec)[-(ell - 1):]
+    assert listed_reps(decompose(named_transversal(SPLIT_CARTAN, ctx), gs[-1], Cp, ctx)) \
+        == listed_reps(dec)[-(ell - 1):]
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -361,7 +363,7 @@ def test_coset_incidence_of_a_family_is_each_gs_own(ell, contexts):
     degrees = set()
     for hk, kk in ((SPLIT_CARTAN, NONSPLIT_CARTAN), (NORMALIZER_SPLIT, NORMALIZER_NONSPLIT),
                    (NONSPLIT_CARTAN, SPLIT_CARTAN)):
-        H, K = enumerate_subgroup(hk, ctx), enumerate_subgroup(kk, ctx)
+        H, K = transversal(enumerate_subgroup(hk, ctx), ctx), enumerate_subgroup(kk, ctx)
         dec = decompose_all(H, stack(gs), K, ctx)
         degrees.add(tuple(dec.degrees.tolist()))
         family = coset_incidence(dec, ctx)
@@ -431,20 +433,21 @@ def test_the_closed_form_transversal_is_the_enumerated_one(ell):
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 13])
 def test_decompose_all_over_the_closed_form_transversal_is_that_over_h(ell):
-    """Given T itself, decompose_all gives the degrees and representatives
-    of the enumerated H, for N g N' and C (1 s; 0 1) C'."""
+    """Over the closed-form T, decompose_all gives the degrees and
+    representatives of the bucketing over every h of the enumerated H, for
+    N g N' and C (1 s; 0 1) C'."""
     ctx = PrimeContext(ell)
     rng = random.Random(f"closed-form:{ell}")
-    gs = stack([IDENTITY, GroupElement(0, 1, 1, 0)]
-               + [GroupElement(1, s, 0, 1) for s in range(1, ell)]
-               + [random_invertible(rng, ell) for _ in range(3)])
+    gs = ([IDENTITY, GroupElement(0, 1, 1, 0)]
+          + [GroupElement(1, s, 0, 1) for s in range(1, ell)]
+          + [random_invertible(rng, ell) for _ in range(3)])
     for hk, kk in ((NORMALIZER_SPLIT, NORMALIZER_NONSPLIT), (SPLIT_CARTAN, NONSPLIT_CARTAN)):
-        K = enumerate_subgroup(kk, ctx)
-        want = decompose_all(enumerate_subgroup(hk, ctx), gs, K, ctx)
-        got = decompose_all(named_transversal(hk, ctx), gs, K, ctx)
-        assert got.H.kind == hk and got.degrees.tolist() == want.degrees.tolist()
-        assert listed_reps(got) == listed_reps(want)
-        assert got.scalars_in_K is want.scalars_in_K is True
+        H, K = enumerate_subgroup(hk, ctx), enumerate_subgroup(kk, ctx)
+        want = [bucketed(H, g, K, ctx) for g in gs]
+        got = decompose_all(named_transversal(hk, ctx), stack(gs), K, ctx)
+        assert got.H.kind == hk and got.degrees.tolist() == [d for d, _ in want]
+        assert listed_reps(got) == [h for _, reps in want for h in reps]
+        assert got.scalars_in_K is True
 
 
 def test_verify_enumerates_neither_c_nor_n(monkeypatch, capsys):
@@ -504,7 +507,7 @@ def test_verify_fails_on_a_k_without_the_scalars(kind, capsys, monkeypatch):
 
 def test_decompose_all_does_not_depend_on_the_chunks(monkeypatch, contexts):
     ctx = contexts[13]
-    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    C = named_transversal(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     gs = stack([GroupElement(1, s, 0, 1) for s in range(1, 13)])
     whole = decompose_all(C, gs, Cp, ctx)
@@ -522,7 +525,7 @@ def test_decompose_all_keeps_its_arrays_within_the_budget(monkeypatch):
     slopes make one chunk of the 60 x 60 products of T, and with a budget
     of 1000 entries the same family goes in chunks of 16 slopes."""
     ctx = PrimeContext(61)
-    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    C = named_transversal(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     gs = stack([GroupElement(1, s, 0, 1) for s in range(1, 61)])
     sizes = []
@@ -547,7 +550,7 @@ def test_a_wrong_stabilizer_fails_the_degree_cross_check(monkeypatch, contexts):
     checked against, not the keys, so every slope reports the mismatch, over
     the 6 elements of the transversal of C/Z."""
     ctx = contexts[7]
-    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    C = named_transversal(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     inverted = []
     monkeypatch.setattr(cosets, "mat_inv", lambda m, ell: inverted.append(m) or m)

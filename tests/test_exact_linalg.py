@@ -8,7 +8,6 @@ from cartanmaps import exact_linalg
 from cartanmaps.correspondence import build_psi_plus, restrict_to_affine
 from cartanmaps.exact_linalg import (
     RankCertificate,
-    det_exact_small,
     det_mod_p,
     rank_exact,
     rank_mod_p,
@@ -16,7 +15,7 @@ from cartanmaps.exact_linalg import (
 )
 from cartanmaps.modular_arith import PrimeContext, is_prime
 
-from conftest import oracle_mod_p
+from conftest import exact_det, oracle_mod_p
 
 
 def fraction_rank(rows) -> int:
@@ -72,21 +71,17 @@ def test_det_examples():
     assert det_mod_p(np.eye(3, dtype=np.int64), 5) == 1
     assert det_mod_p(np.diag([2, 3]), 5) == 1
     assert det_mod_p(np.array([[1, 1], [1, 1]]), 5) == 0
-    assert det_exact_small(np.diag([2, 3])) == 6
-    assert det_exact_small(np.array([[1, 1], [1, 1]])) == 0
+    assert exact_det(np.diag([2, 3])) == 6
+    assert exact_det(np.array([[1, 1], [1, 1]])) == 0
     ctx = PrimeContext(3)
     restricted = restrict_to_affine(build_psi_plus(ctx), ctx.ell)
-    d = det_exact_small(restricted)
+    d = exact_det(restricted.data)
     assert d != 0 and det_mod_p(restricted, 3) == d % 3
 
 
-def test_det_validation(monkeypatch):
+def test_det_validation():
     with pytest.raises(ValueError):
         det_mod_p(np.zeros((2, 3), dtype=np.int64), 5)
-    with pytest.raises(ValueError):
-        det_exact_small(np.eye(65, dtype=np.int64))
-    monkeypatch.setattr(exact_linalg, "_DET_EXACT_MAX_DIM", 65)
-    assert det_exact_small(np.eye(65, dtype=np.int64)) == 1
 
 
 def test_rank_exact_preferred_prime_path():
@@ -145,7 +140,7 @@ def test_fuzz_rank_and_det_500():
         assert cert.conclusive, f"trial {trial} not conclusive"
         assert cert.rank == fraction_rank(A), f"trial {trial} rank mismatch"
         if m == n:
-            d = det_exact_small(np.array(A, dtype=np.int64))
+            d = exact_det(A)
             assert d == fraction_det(A)
             for p in (97, 1048583):
                 assert det_mod_p(np.array(A, dtype=np.int64), p) == d % p
@@ -299,8 +294,8 @@ def float_panel_echelon(A, p: int) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("p", (2, 3, 97, 1_048_583, 67_108_859))
-def test_dense_engine_matches_det_exact_small_and_the_float_engine(p):
-    """det_mod_p is det_exact_small mod p, and rank_mod_p and det_mod_p are
+def test_dense_engine_matches_the_exact_det_and_the_float_engine(p):
+    """det_mod_p is the exact determinant mod p, and rank_mod_p and det_mod_p are
     the float64 panel engine's, on random matrices: square ones, singular
     ones (a row a combination of two others) and wide and tall ones."""
     rng = np.random.default_rng(p)
@@ -314,7 +309,7 @@ def test_dense_engine_matches_det_exact_small_and_the_float_engine(p):
             A = rng.integers(-50, 51, size=(n, int(rng.integers(1, 20))))
             rank, det = float_panel_echelon(A, p)
         else:
-            assert det_mod_p(A, p) == det_exact_small(A) % p == det, (trial, n)
+            assert det_mod_p(A, p) == exact_det(A) % p == det, (trial, n)
             if trial % 3 == 1 and n > 2:
                 assert det == 0
         assert rank_mod_p(A, p) == rank, (trial, A.shape)

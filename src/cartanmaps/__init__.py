@@ -23,7 +23,6 @@ from .correspondence import (
     build_H_s,
     build_psi,
     build_psi_plus,
-    restrict_to_affine,
 )
 from .cosets import (
     DoubleCosetDecomposition,

@@ -35,11 +35,12 @@ from .circulant import (
     verify_chart_conjugacy,
 )
 from .correspondence import (
+    _STACK_ENTRIES,
     base_geodesic,
     base_paths,
-    build_H_s,
-    build_psi,
-    build_psi_plus,
+    build_H_s,  # noqa: F401
+    build_psi,  # noqa: F401
+    build_psi_plus,  # noqa: F401
     check_base_fixed,
     check_commutes,
     check_equivariance_incidence,
@@ -52,10 +53,11 @@ from .correspondence import (
     galois_row_orbits,
     geodesic_incidence,
     incidence_columns,
+    operator_rows,
+    operator_tags,
     pair_text,
     path_columns,
     representatives,
-    restrict_to_affine,
     unipotent_ranks,
 )
 from .cosets import (
@@ -685,11 +687,6 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL if n_fail else EXIT_OK
 
 
-def _physical_memory() -> int:
-    """The machine's physical memory, in bytes."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
 def cmd_export(args) -> int:
     ctx = _make_context(args)
     ell = ctx.ell
@@ -699,27 +696,26 @@ def cmd_export(args) -> int:
         raise UsageError("--map h-s requires --s")
     if args.map == "h-s" and args.s % ell == 0:
         raise UsageError("--s must be nonzero mod ell")
-    # the triplets in closed form, over all pairs or the affine ones: r a
-    # column of psi+, ell - 1 of H_s and (ell - 1)^2 of psi, whose slopes'
-    # paths are disjoint in a column.  export's peak is about 94 B a triplet
-    # (psi at 61: 1276 MB for 13.6 M); refused before anything is built
-    pairs = ell * (ell - 1 if args.restricted else ell + 1)
-    triplets = {"psi-plus": ctx.r * pairs // 2, "psi": (ell - 1) ** 2 * pairs,
-                "h-s": (ell - 1) * pairs}[args.map]
-    need = 94 * triplets
-    if need > _physical_memory() // 2:
-        raise UsageError(f"export --map {args.map} at ell={ell} would take about "
-                         f"{need >> 20} MB for {triplets} triplets, above half the "
-                         f"physical memory")
-    if args.map == "psi-plus":
-        m = build_psi_plus(ctx)
-    elif args.map == "psi":
-        m = build_psi(ctx)
-    else:  # h-s, the last of argparse's choices
-        m = build_H_s(ctx, args.s)
-    if args.restricted:
-        m = restrict_to_affine(m, ell)
-    _write(args.out, lambda fh: m.write_csv(fh, ctx))
+    op = {"psi-plus": "psi_plus", "psi": "psi"}.get(args.map, args.s)
+    row_tag, col_tag = operator_tags(op)
+    i, j = decode(col_tag, ell)
+    # the affine columns, numbered in order, or all of them
+    cols = np.flatnonzero((i < ell) & (j < ell)) if args.restricted else np.arange(len(i))
+    n_rows = len(decode(row_tag, ell)[0])
+    per = max(1, _STACK_ENTRIES // len(cols))
+
+    def write(fh):
+        fh.write(f"# basis_rows={row_tag} basis_cols={col_tag}"
+                 f"{'_affine' if args.restricted else ''} ell={ell} epsilon={ctx.epsilon}\n")
+        # row-major triplets, one block of rows at a time
+        with _phase(_Timings(ell), "export"):
+            for lo in range(0, n_rows, per):
+                block = operator_rows(ctx, op, slice(lo, lo + per), cols)
+                r, c = np.nonzero(block)
+                flat = np.stack((r + lo, c, block[r, c]), axis=1).ravel().tolist()
+                fh.write("%d,%d,%d\n" * len(r) % tuple(flat))
+
+    _write(args.out, write)
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ enumerations fixed in `geometry`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .geometry import (
     decode,
     det_mod,
     generators,
+    mat_inv,
     orbit_index,
     permutation,
     transporters,
@@ -53,18 +54,6 @@ class OperatorMatrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def to_triplets(self) -> Iterator[tuple[int, int, int]]:
-        """Nonzero entries as (row, col, value), row-major."""
-        rows, cols = np.nonzero(self.data)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            yield r, c, int(self.data[r, c])
-
-    def write_csv(self, fh, ctx: PrimeContext) -> None:
-        fh.write(f"# basis_rows={self.row_tag} basis_cols={self.col_tag} "
-                 f"ell={ctx.ell} epsilon={ctx.epsilon}\n")
-        for r, c, v in self.to_triplets():
-            fh.write(f"{r},{c},{v}\n")
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, OperatorMatrix)
                 and (self.row_tag, self.col_tag) == (other.row_tag, other.col_tag)
@@ -81,15 +70,20 @@ class OperatorMatrix:
 # every H_s rows C_ell and columns the ordered pairs.  Arrays are (points,
 # columns), so temporaries stay at about ell times the column count; the
 # path operators are built at any subset of columns, for any set of slopes
-# at once.  A dense operator is its array scattered.
+# at once.  The dense operators come from one closed form instead (see
+# operator_rows), which reads no incidence array.
 # ---------------------------------------------------------------------------
+
+def operator_tags(op) -> tuple[str, str]:
+    """(row tag, column tag) of psi+ (op "psi_plus"), psi ("psi") or H_s (op
+    the slope s)."""
+    return ("H_ell", "unordered_pairs") if op == "psi_plus" else ("C_ell", "ordered_pairs")
+
 
 def _tags(idx: np.ndarray, ctx: PrimeContext) -> tuple[str, str]:
     """(row tag, column tag) of an incidence array: a geodesic has r points,
     a path ell - 1."""
-    if len(idx) == ctx.r:
-        return "H_ell", "unordered_pairs"
-    return "C_ell", "ordered_pairs"
+    return operator_tags("psi_plus" if len(idx) == ctx.r else "psi")
 
 
 def pair_text(tag: str, i: int, j: int, ell: int) -> str:
@@ -115,13 +109,6 @@ def _distinct_sorted(idx: np.ndarray, col_tag: str, ell: int, what,
         raise AssertionError(f"{name} through {ends} is not {idx.shape[-2]} "
                              f"distinct points")
     return idx
-
-
-def _scatter(out: np.ndarray, idx: np.ndarray, weight: int = 1) -> np.ndarray:
-    """out[idx[i, j], j] += weight for every i and j.  A column of idx lists
-    distinct rows, so every (row, column) occurs once and += is exact."""
-    out[idx, np.arange(idx.shape[1])] += weight
-    return out
 
 
 def base_geodesic(ctx: PrimeContext) -> np.ndarray:
@@ -175,47 +162,49 @@ def path_columns(ctx: PrimeContext, bases: dict[int, np.ndarray],
     return dict(zip(bases, _distinct_sorted(idx, tag, ell, names, cols)))
 
 
-def path_incidence(ctx: PrimeContext, s: int) -> np.ndarray:
-    """H_s as its incidence index array: column j of H_s has its ones at the
-    C_ell rows idx[:, j], which are ell - 1 distinct indices in ascending order."""
-    n = ctx.ell * (ctx.ell + 1)
-    (idx,) = path_columns(ctx, base_paths(ctx, [s]), np.arange(n)).values()
-    return idx
+def operator_rows(ctx: PrimeContext, op, rows=slice(None),
+                  cols=slice(None)) -> np.ndarray:
+    """The dense int32 entries of psi+ (op "psi_plus"), psi ("psi") or H_s (op
+    the slope s) at these rows and columns, each an index array or a slice of
+    its basis (see operator_tags), from one closed form.
 
-
-def incidence_operator(ctx: PrimeContext, idx: np.ndarray) -> OperatorMatrix:
-    """The dense 0/1 operator of an incidence array, with a one at
-    (idx[i, j], j) for every i and j: psi+ for geodesic_incidence, H_s for
-    path_incidence."""
-    row_tag, col_tag = _tags(idx, ctx)
-    data = np.zeros((len(decode(row_tag, ctx.ell)[0]), idx.shape[1]), dtype=np.int32)
-    return OperatorMatrix(row_tag, col_tag, _scatter(data, idx))
+    Let x_c be column c's transporter and (x, y) the coordinates of x_c^-1 z,
+    z row r's point.  Column c is x_c applied to the base geodesic, whose
+    points have x = 0, or to the base path of s, whose points have x/y = s;
+    the base paths of the slopes partition the points with x != 0.  So
+    psi+[r, c] = [x = 0], H_s[r, c] = [x/y = s], and psi[r, c] = alpha_s +
+    beta_s at s = x/y, 0 where x = 0: each a table read at x/y.
+    """
+    ell = ctx.ell
+    row_tag, col_tag = operator_tags(op)
+    weight = np.zeros(ell, dtype=np.int32)
+    if op == "psi_plus":
+        weight[0] = 1
+    elif op == "psi":
+        weight[1:] = sum(coefficients(ctx))
+    elif op % ell:
+        weight[op % ell] = 1
+    else:
+        raise ValueError("path slope must be nonzero")
+    g = mat_inv(transporters(col_tag, *(u[cols] for u in decode(col_tag, ell)), ell), ell)
+    x, y = decode(row_tag, ell)
+    moved = act(g, row_tag, x[rows][:, None], y[rows][:, None], ctx)
+    return weight[x[moved] * ctx.inverse_table[y[moved]] % ell]
 
 
 def build_psi_plus(ctx: PrimeContext) -> OperatorMatrix:
     """0/1 incidence matrix of geodesic membership: rows H_ell, cols unordered pairs."""
-    return incidence_operator(ctx, geodesic_incidence(ctx))
+    return OperatorMatrix(*operator_tags("psi_plus"), operator_rows(ctx, "psi_plus"))
 
 
 def build_H_s(ctx: PrimeContext, s: int) -> OperatorMatrix:
     """0/1 incidence matrix of slope-s path membership: rows C_ell, cols ordered pairs."""
-    return incidence_operator(ctx, path_incidence(ctx, s))
+    return OperatorMatrix(*operator_tags(s), operator_rows(ctx, s))
 
 
 def build_psi(ctx: PrimeContext) -> OperatorMatrix:
     """The combined operator sum_s (alpha_s + beta_s) H_s as one integer matrix."""
-    ell = ctx.ell
-    data = np.zeros((ell * (ell - 1), ell * (ell + 1)), dtype=np.int32)
-    for s, w in enumerate(sum(coefficients(ctx)).tolist(), start=1):
-        _scatter(data, path_incidence(ctx, s), w)
-    return OperatorMatrix("C_ell", "ordered_pairs", data)
-
-
-def restrict_to_affine(m: OperatorMatrix, ell: int) -> OperatorMatrix:
-    """Drop the columns whose pair involves infinity; yields a square matrix."""
-    i, j = decode(m.col_tag, ell)
-    affine = (i < ell) & (j < ell)
-    return OperatorMatrix(m.row_tag, m.col_tag + "_affine", m.data[:, affine])
+    return OperatorMatrix(*operator_tags("psi"), operator_rows(ctx, "psi"))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +343,7 @@ def check_maps_base(perm: np.ndarray, base: np.ndarray, base_to: np.ndarray):
 # ---------------------------------------------------------------------------
 
 # Entry budget of one stacked elimination of the path operators' blocks,
-# counted on the block entries.
+# counted on the block entries, and of one block of rows export writes.
 _STACK_ENTRIES = 1 << 16
 
 

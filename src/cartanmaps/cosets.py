@@ -64,31 +64,18 @@ class Transversal(NamedTuple):
     stacked: GroupElement
 
 
-def _grid(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of range(lo, hi) x range(lo, hi), in row-major order, as
-    one flat int64 array per coordinate."""
-    i, j = np.divmod(np.arange((hi - lo) ** 2, dtype=np.int64), hi - lo)
-    return i + lo, j + lo
-
-
 def enumerate_subgroup(kind: str, ctx: PrimeContext) -> SubgroupSpec:
-    """One of the named subgroup kinds, enumerated row-major over the
-    parameters of its elements: (a 0; 0 d) and (0 a; d 0) over units a, d;
-    (x eps*y; y x) and (x -eps*y; y -x) over (x, y) != (0, 0)."""
+    """C' or N', enumerated row-major over the parameters of its elements:
+    (x eps*y; y x) and (x -eps*y; y -x) over (x, y) != (0, 0).  C and N enter
+    only as their transversals of H/Z (named_transversal)."""
     ell, eps = ctx.ell, ctx.epsilon
-    if kind in (SPLIT_CARTAN, NORMALIZER_SPLIT):
-        a, d = _grid(1, ell)
-        zero = 0 * a
-        parts = [(a, zero, zero, d)]
-        if kind == NORMALIZER_SPLIT:
-            parts.append((zero, a, d, zero))
-    elif kind in (NONSPLIT_CARTAN, NORMALIZER_NONSPLIT):
-        x, y = (u[1:] for u in _grid(0, ell))  # (0, 0) comes first
-        parts = [(x, eps * y % ell, y, x)]
-        if kind == NORMALIZER_NONSPLIT:
-            parts.append((x, -eps * y % ell, y, -x % ell))
-    else:
-        raise ValueError(f"unknown subgroup kind {kind!r}")
+    if kind not in (NONSPLIT_CARTAN, NORMALIZER_NONSPLIT):
+        raise ValueError(f"no enumeration of subgroup kind {kind!r}")
+    # every (x, y) but (0, 0), row-major
+    x, y = np.divmod(np.arange(1, ell * ell, dtype=np.int64), ell)
+    parts = [(x, eps * y % ell, y, x)]
+    if kind == NORMALIZER_NONSPLIT:
+        parts.append((x, -eps * y % ell, y, -x % ell))
     spec = SubgroupSpec(kind, GroupElement(*map(np.concatenate, zip(*parts))))
     if len(spec) != subgroup_order(kind, ell):
         raise AssertionError(f"|{kind}| = {len(spec)}, expected "

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from cartanmaps import GroupElement, PrimeContext
-from cartanmaps.cosets import Transversal
+from cartanmaps.correspondence import OperatorMatrix, base_paths, path_columns
+from cartanmaps.cosets import (NORMALIZER_SPLIT, SPLIT_CARTAN, SubgroupSpec, Transversal,
+                               enumerate_subgroup)
 from cartanmaps.geometry import decode
 
 # Exhaustive property range and the full desk-scale sweep.
@@ -140,3 +142,48 @@ def pair_label(tag: str, i: int, j: int, ell: int) -> str:
     """{i,j} or (i,j), infinity as inf: how messages and titles name a pair."""
     ends = ",".join("inf" if k == ell else str(k) for k in (i, j))
     return f"{{{ends}}}" if tag == "unordered_pairs" else f"({ends})"
+
+
+# ---------------------------------------------------------------------------
+# Dense references that the package no longer builds this way: an operator
+# scattered from its incidence array, a path operator's full array from
+# route 1's kernel (path_columns), the affine restriction, and C and N
+# enumerated element by element.
+# ---------------------------------------------------------------------------
+
+def path_incidence(ctx, s: int) -> np.ndarray:
+    """H_s as its incidence array: column j lists the ell - 1 C_ell rows of
+    the slope-s path through ordered pair j, in ascending order."""
+    n = ctx.ell * (ctx.ell + 1)
+    (idx,) = path_columns(ctx, base_paths(ctx, [s]), np.arange(n)).values()
+    return idx
+
+
+def incidence_operator(ctx, idx) -> OperatorMatrix:
+    """The dense 0/1 operator with a one at (idx[i, j], j) for every i and
+    j: psi+ for a geodesic array (r rows), H_s for a path array."""
+    row_tag, col_tag = (("H_ell", "unordered_pairs") if len(idx) == ctx.r
+                        else ("C_ell", "ordered_pairs"))
+    data = np.zeros((len(decode(row_tag, ctx.ell)[0]), idx.shape[1]), dtype=np.int32)
+    data[idx, np.arange(idx.shape[1])] += 1
+    return OperatorMatrix(row_tag, col_tag, data)
+
+
+def restrict_to_affine(m, ell: int) -> OperatorMatrix:
+    """m at the columns whose pair avoids infinity, numbered in order: a
+    square matrix."""
+    i, j = decode(m.col_tag, ell)
+    affine = (i < ell) & (j < ell)
+    return OperatorMatrix(m.row_tag, m.col_tag + "_affine", m.data[:, affine])
+
+
+def subgroup(kind: str, ctx) -> SubgroupSpec:
+    """Any of the four named kinds, enumerated row-major over the parameters
+    of its elements: (a 0; 0 d), then for N (0 a; d 0), over units a, d for
+    C and N; enumerate_subgroup for C' and N'."""
+    if kind not in (SPLIT_CARTAN, NORMALIZER_SPLIT):
+        return enumerate_subgroup(kind, ctx)
+    a, d = np.divmod(np.arange((ctx.ell - 1) ** 2, dtype=np.int64), ctx.ell - 1)
+    a, d, zero = a + 1, d + 1, 0 * a
+    parts = [(a, zero, zero, d)] + [(zero, a, d, zero)] * (kind == NORMALIZER_SPLIT)
+    return SubgroupSpec(kind, GroupElement(*map(np.concatenate, zip(*parts))))

@@ -30,7 +30,6 @@ from cartanmaps.correspondence import (
     base_paths,
     geodesic_incidence,
     path_columns,
-    restrict_to_affine,
 )
 from cartanmaps.cosets import (
     NONSPLIT_CARTAN,
@@ -62,7 +61,7 @@ from cartanmaps.geometry import (
 from cartanmaps.modular_arith import PrimeContext, legendre
 
 from conftest import (exact_det, fq_move, geodesic_set, incidence_sets, p1_move,
-                      path_set, random_invertible)
+                      path_set, random_invertible, restrict_to_affine)
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 PRIMES_EXHAUSTIVE = (3, 5, 7, 11, 13)

@@ -18,13 +18,12 @@ from cartanmaps.correspondence import (
     build_H_s,
     build_psi_plus,
     geodesic_incidence,
-    restrict_to_affine,
 )
 from cartanmaps.exact_linalg import det_mod_p
 from cartanmaps.geometry import decode
 from cartanmaps.modular_arith import PrimeContext, legendre
 
-from conftest import PRIMES_ALL, PRIMES_SMALL
+from conftest import PRIMES_ALL, PRIMES_SMALL, restrict_to_affine
 
 
 def test_block_index_sets_example(contexts):

@@ -301,7 +301,7 @@ def test_unwritable_out_is_a_usage_error_before_any_work(target, tmp_path, capsy
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli_mod, "run_verification", refused)
-    monkeypatch.setattr(cli_mod, "build_psi_plus", refused)
+    monkeypatch.setattr(cli_mod, "operator_rows", refused)
     out = tmp_path / "missing" / "x.json" if target == "missing directory" else tmp_path
     for argv in (["verify", "--ell", "3"], ["export", "--ell", "3", "--map", "psi-plus"]):
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
@@ -339,61 +339,89 @@ def test_export_h_s_and_restricted(capsys):
     assert run_cli(capsys, "export", "--ell", "5", "--map", "h-s", "--s", "5")[0] == EXIT_USAGE
 
 
-class Built(Exception):
-    """A dense builder was reached: the export passed its memory guard."""
-
-
-def refuse_builds(monkeypatch, cli_mod):
-    """Every dense builder export calls raises Built instead."""
-    def built(*args):
-        raise Built
-
-    for name in ("build_psi_plus", "build_psi", "build_H_s"):
-        monkeypatch.setattr(cli_mod, name, built)
-
-
-def test_export_refuses_triplets_above_half_the_physical_memory(capsys, monkeypatch):
-    """On an 8 GiB machine psi at 101 (103 M triplets, about 9 GB) is refused
-    with exit 64 before any matrix is built, also restricted, while psi at
-    61 (13.6 M, about 1.2 GB) and psi+ at 101 reach the builder."""
-    import cartanmaps.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 8 << 30)
-    refuse_builds(monkeypatch, cli_mod)
-    for extra in ([], ["--restricted"]):
-        code, out, err = run_cli(capsys, "export", "--ell", "101", "--map", "psi", *extra)
-        triplets = 101 * (100 if extra else 102) * 100 ** 2
-        assert code == EXIT_USAGE and out == ""
-        assert err == (f"error: export --map psi at ell=101 would take about "
-                       f"{94 * triplets >> 20} MB for {triplets} triplets, above half "
-                       f"the physical memory\n")
-    for argv in (["--ell", "61", "--map", "psi"], ["--ell", "101", "--map", "psi-plus"]):
-        with pytest.raises(Built):
-            main(["export", *argv])
+EXPORTS = [["--map", "psi-plus"], ["--map", "psi"], ["--map", "h-s", "--s", "2"]]
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
-def test_export_counts_its_triplets_in_closed_form(ell, capsys, monkeypatch):
-    """The triplet count the memory guard reads, made visible by a limit of
-    0, is the number of lines export writes, for every map, plain and
-    restricted."""
-    import cartanmaps.cli as cli_mod
-
-    argvs = [["--map", "psi-plus"], ["--map", "psi"], ["--map", "h-s", "--s", "2"]]
-    written = {}
-    for argv in argvs:
+def test_export_counts_its_triplets_in_closed_form(ell, capsys):
+    """export writes the nonzero count in closed form, for every map, plain
+    and restricted: r a column of psi+, ell - 1 of H_s and (ell - 1)^2 of
+    psi, whose slopes' paths are disjoint in a column, over all pairs or the
+    affine ones."""
+    for argv in EXPORTS:
         for extra in ([], ["--restricted"]):
             code, out, _ = run_cli(capsys, "export", "--ell", str(ell), *argv, *extra)
             assert code == EXIT_OK
-            written[argv[1], bool(extra)] = len(out.splitlines()) - 1
-    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 0)
-    refuse_builds(monkeypatch, cli_mod)
-    for argv in argvs:
-        for extra in ([], ["--restricted"]):
-            code, _, err = run_cli(capsys, "export", "--ell", str(ell), *argv, *extra)
-            assert code == EXIT_USAGE
-            counted = int(re.search(r" MB for (\d+) triplets", err).group(1))
-            assert counted == written[argv[1], bool(extra)], (argv, extra)
+            pairs = ell * (ell - 1 if extra else ell + 1)
+            counted = {"psi-plus": (ell - 1) // 2 * pairs // 2, "psi": (ell - 1) ** 2 * pairs,
+                       "h-s": (ell - 1) * pairs}[argv[1]]
+            assert len(out.splitlines()) - 1 == counted, (argv, extra)
+
+
+@pytest.mark.parametrize("ell", [3, 7, 13])
+def test_export_does_not_depend_on_the_block_size(ell, capsys, monkeypatch):
+    """Blocks of one row write what the default blocks write, byte for
+    byte, for every map, plain and restricted."""
+    import cartanmaps.cli as cli_mod
+
+    def exports():
+        for argv in EXPORTS:
+            for extra in ([], ["--restricted"]):
+                code, out, _ = run_cli(capsys, "export", "--ell", str(ell), *argv, *extra)
+                assert code == EXIT_OK
+                yield out
+
+    default = list(exports())
+    monkeypatch.setattr(cli_mod, "_STACK_ENTRIES", 1)
+    assert list(exports()) == default
+
+
+def test_export_streams_blocks_within_the_budget(capsys, monkeypatch):
+    """export builds no dense operator: it asks the closed form for blocks
+    of rows, each within the entry budget, which together cover every row
+    once, in order, at the columns written."""
+    import cartanmaps.cli as cli_mod
+
+    def built(*args):
+        raise AssertionError("export called a dense builder")
+
+    for name in ("build_psi_plus", "build_psi", "build_H_s"):
+        monkeypatch.setattr(cli_mod, name, built)
+    blocks = []
+    real = cli_mod.operator_rows
+
+    def recorded(ctx, op, rows, cols):
+        block = real(ctx, op, rows, cols)
+        blocks.append((op, rows, len(cols), block.shape))
+        return block
+
+    monkeypatch.setattr(cli_mod, "operator_rows", recorded)
+    for argv, n_rows, n_cols in ((["--ell", "13", "--map", "psi"], 156, 182),
+                                 (["--ell", "13", "--map", "psi", "--restricted"], 156, 156),
+                                 (["--ell", "31", "--map", "psi-plus"], 465, 496),
+                                 (["--ell", "11", "--map", "h-s", "--s", "3"], 110, 132)):
+        blocks.clear()
+        assert run_cli(capsys, "export", *argv)[0] == EXIT_OK
+        assert all(shape[0] * shape[1] <= cli_mod._STACK_ENTRIES for *_, shape in blocks)
+        assert {cols for _, _, cols, _ in blocks} == {n_cols}
+        starts = [rows.start for _, rows, _, _ in blocks]
+        assert starts == list(range(0, n_rows, blocks[0][3][0]))
+        assert sum(shape[0] for *_, shape in blocks) == n_rows
+    assert [op for op, *_ in blocks] == [3] * len(blocks)
+
+
+def test_export_logs_its_phase_at_info(tmp_path):
+    """At CARTAN_LOG=info export logs one phase line, "export", with its
+    time and the peak memory of the process."""
+    target = tmp_path / "psi.csv"
+    proc = run_module_logged("info", "export", "--ell", "7", "--map", "psi", "--out",
+                             str(target))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    records = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert [(r["ell"], r["phase"]) for r in records] == [(7, "export")]
+    assert set(records[0]) == {"ell", "phase", "elapsed_s", "maxrss_mb"}
+    assert records[0]["elapsed_s"] >= 0 and records[0]["maxrss_mb"] > 0
+    assert len(target.read_text().splitlines()) == 1 + 36 * 56
 
 
 @pytest.mark.parametrize("argv", [["export", "--map", "psi", "--s", "2"],
@@ -730,12 +758,12 @@ def test_only_geometry_imports_the_actions():
 
 def test_verify_names_no_dense_builder_or_rank():
     """run_verification and _theorem_section name no dense
-    operator builder and no dense rank: the theorem ranks come only from the
-    unipotent blocks.  export keeps the dense builders."""
+    operator builder, not even the closed form, and no dense rank: the
+    theorem ranks come only from the unipotent blocks.  export streams the
+    closed form and names no dense builder either."""
     import cartanmaps.cli as cli_mod
 
-    dense = {"build_psi", "build_psi_plus", "incidence_operator", "rank_exact",
-             "rank_mod_p", "restrict_to_affine"}
+    dense = {"build_psi", "build_psi_plus", "build_H_s", "rank_exact", "rank_mod_p"}
     with open(cli_mod.__file__) as fh:
         tree = ast.parse(fh.read())
     named = {}
@@ -745,8 +773,9 @@ def test_verify_names_no_dense_builder_or_rank():
                                 for sub in ast.walk(node)
                                 if isinstance(sub, (ast.Name, ast.Attribute))}
     verify = ("run_verification", "_theorem_section")
-    assert {name: named[name] & dense for name in verify} == {name: set() for name in verify}
-    assert {"build_psi", "build_psi_plus", "restrict_to_affine"} <= named["cmd_export"]
+    assert {name: named[name] & (dense | {"operator_rows"}) for name in verify} \
+        == {name: set() for name in verify}
+    assert named["cmd_export"] & dense == set() and "operator_rows" in named["cmd_export"]
 
 
 def test_benchmark_reference_verdicts_reproduce(capsys):

@@ -1,4 +1,3 @@
-import io
 import random
 import re
 from fractions import Fraction
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 
 from cartanmaps.correspondence import (
+    OperatorMatrix,
     _distinct_sorted,
     build_H_s,
     build_psi,
@@ -16,9 +16,9 @@ from cartanmaps.correspondence import (
     geodesic_incidence,
     base_paths,
     coefficients,
+    operator_rows,
+    operator_tags,
     path_columns,
-    path_incidence,
-    restrict_to_affine,
 )
 from cartanmaps.geometry import (
     GroupElement,
@@ -29,9 +29,11 @@ from cartanmaps.geometry import (
     ordered_pair_index,
     transporters,
 )
+from cartanmaps.modular_arith import PrimeContext
 
-from conftest import (PRIMES_ALL, PRIMES_SMALL, geodesic_set, incidence_sets, pair_label,
-                      path_set)
+from conftest import (PRIMES_ALL, PRIMES_SMALL, geodesic_set, incidence_operator,
+                      incidence_sets, pair_label, path_incidence, path_set,
+                      restrict_to_affine)
 
 
 def geodesics(ctx) -> dict:
@@ -137,7 +139,7 @@ def test_path_examples(contexts):
     assert paths(ctx3, 1)[0, 3] == {(1, 1), (2, 2)}
     assert len(paths(contexts[5], 3)[2, 4]) == 4
     with pytest.raises(ValueError, match="nonzero"):
-        path_incidence(ctx3, 0)
+        operator_rows(ctx3, 3)
 
 
 @pytest.mark.parametrize("ell", PRIMES_SMALL)
@@ -307,19 +309,40 @@ def test_psi_image_coefficients_matches_matrix(contexts):
             assert entries.get(z, 0) == expected
 
 
-def test_operator_matrix_triplets_and_csv(contexts):
-    ctx = contexts[3]
-    m = build_psi_plus(ctx)
-    trips = list(m.to_triplets())
-    assert len(trips) == 6
-    assert trips == sorted(trips)
-    assert all(v == 1 for _, _, v in trips)
-    buf = io.StringIO()
-    m.write_csv(buf, ctx)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "# basis_rows=H_ell basis_cols=unordered_pairs ell=3 epsilon=2"
-    assert len(lines) == 7
-    assert lines[1].count(",") == 2
+def path_kernel_operators(ctx):
+    """(op, dense operator) of psi+, psi and every H_s, scattered from the
+    incidence arrays of route 1's kernel (geodesic_incidence, path_columns);
+    psi is summed over the H_s as they come."""
+    ell = ctx.ell
+    yield "psi_plus", incidence_operator(ctx, geodesic_incidence(ctx)).data
+    psi = 0
+    for s in range(1, ell):
+        h_s = incidence_operator(ctx, path_incidence(ctx, s)).data
+        psi = psi + (1 + pow(s, -1, ell)) * h_s
+        yield s, h_s
+    yield "psi", psi
+
+
+@pytest.mark.parametrize("ctx", [PrimeContext(ell) for ell in PRIMES_ALL]
+                         + [PrimeContext(13, 5, 7)], ids=str)
+def test_the_closed_form_is_the_path_kernel_operator(ctx):
+    """operator_rows reads no incidence array, yet gives the operator
+    route 1's kernel scatters, for psi+, psi and every H_s: whole, and at
+    some rows and the affine columns, numbered as restrict_to_affine numbers
+    them."""
+    ell = ctx.ell
+    rng = np.random.default_rng(ell)
+    for op, want in path_kernel_operators(ctx):
+        got = operator_rows(ctx, op)
+        assert got.dtype == np.int32 and np.array_equal(got, want), op
+        row_tag, col_tag = operator_tags(op)
+        i, j = decode(col_tag, ell)
+        affine = np.flatnonzero((i < ell) & (j < ell))
+        rows = np.sort(rng.choice(len(want), size=ell, replace=False))
+        restricted = restrict_to_affine(OperatorMatrix(row_tag, col_tag, want), ell).data
+        assert np.array_equal(operator_rows(ctx, op, rows, affine), restricted[rows]), op
+        assert np.array_equal(operator_rows(ctx, op, slice(2, 2 + ell), affine),
+                              restricted[2:2 + ell]), op
 
 
 def test_distinct_sorted_names_the_column_that_repeats_a_row(contexts):

@@ -40,7 +40,7 @@ from cartanmaps.geometry import (
 )
 from cartanmaps.modular_arith import PrimeContext
 
-from conftest import PRIMES_ALL, PRIMES_SMALL, random_invertible, transversal
+from conftest import PRIMES_ALL, PRIMES_SMALL, random_invertible, subgroup, transversal
 
 
 def listed_stack(stacked):
@@ -60,13 +60,14 @@ def listed_reps(dec):
 
 
 def test_subgroup_sizes_examples(contexts):
-    assert len(enumerate_subgroup(SPLIT_CARTAN, contexts[3])) == 4
+    assert len(subgroup(SPLIT_CARTAN, contexts[3])) == 4
     assert len(enumerate_subgroup(NORMALIZER_NONSPLIT, contexts[3])) == 16
     ctx5 = contexts[5]
     for kind in NAMED_KINDS:
-        assert len(enumerate_subgroup(kind, ctx5)) == subgroup_order(kind, 5)
-    # the Borel subgroup has no G-set here, so it is no named kind
-    for kind in ("Z", "B"):
+        assert len(subgroup(kind, ctx5)) == subgroup_order(kind, 5)
+    # C and N enter verify by their transversals alone; the Borel subgroup
+    # has no G-set here, so it is no named kind
+    for kind in (SPLIT_CARTAN, NORMALIZER_SPLIT, "Z", "B"):
         with pytest.raises(ValueError):
             enumerate_subgroup(kind, ctx5)
 
@@ -81,7 +82,7 @@ def test_stabilisers_fix_the_base_objects(ctx):
     for tag, kind in STABILISERS.items():
         base = base_object(tag, ell)
         fixed = act(IDENTITY, tag, *base, ctx)
-        K = enumerate_subgroup(kind, ctx)
+        K = subgroup(kind, ctx)
         assert (act(K.stacked, tag, *base, ctx) == fixed).all(), tag
         assert len(decode(tag, ell)[0]) * subgroup_order(kind, ell) == gl2_order(ell), tag
 
@@ -89,7 +90,7 @@ def test_stabilisers_fix_the_base_objects(ctx):
 @pytest.mark.parametrize("kind", NAMED_KINDS)
 def test_named_subgroups_are_groups(kind, contexts):
     ell = 5
-    elements = listed(enumerate_subgroup(kind, contexts[ell]))
+    elements = listed(subgroup(kind, contexts[ell]))
     members = set(elements)
     assert len(members) == len(elements)
     assert IDENTITY in members
@@ -101,8 +102,8 @@ def test_named_subgroups_are_groups(kind, contexts):
 
 def test_normalizer_normalizes(contexts):
     ctx = contexts[5]
-    C = set(listed(enumerate_subgroup(SPLIT_CARTAN, ctx)))
-    N = enumerate_subgroup(NORMALIZER_SPLIT, ctx)
+    C = set(listed(subgroup(SPLIT_CARTAN, ctx)))
+    N = subgroup(NORMALIZER_SPLIT, ctx)
     for n in listed(N):
         ninv = mat_inv(n, 5)
         assert {mat_mul(mat_mul(n, c, 5), ninv, 5) for c in C} == C
@@ -143,8 +144,8 @@ def test_decompose_disjoint_cover(ell, contexts):
         (SPLIT_CARTAN, GroupElement(1, 1, 0, 1), NONSPLIT_CARTAN),
     ]
     for hk, g, kk in cases:
-        H = enumerate_subgroup(hk, ctx)
-        K = enumerate_subgroup(kk, ctx)
+        H = subgroup(hk, ctx)
+        K = subgroup(kk, ctx)
         dec = decompose(transversal(H, ctx), g, K, ctx)
         union = set()
         for alpha in listed_reps(dec):
@@ -163,7 +164,7 @@ def test_degree_invariance_under_double_coset_choice(ell, contexts):
     """deg(HgK) = deg(Hg'K) whenever Hg'K = HgK; sample g' = h*g*k."""
     ctx = contexts[ell]
     rng = random.Random(f"deg:{ell}")
-    H = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    H = subgroup(SPLIT_CARTAN, ctx)
     K = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     g = GroupElement(1, 2, 0, 1)
     T = transversal(H, ctx)
@@ -214,7 +215,7 @@ def test_coset_operator_representative_independence(contexts):
     """Replacing each alpha by another member of its coset leaves the matrix fixed."""
     ctx = contexts[5]
     ell = 5
-    H = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    H = subgroup(SPLIT_CARTAN, ctx)
     K = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     g = GroupElement(1, 2, 0, 1)
     dec = decompose(transversal(H, ctx), g, K, ctx)
@@ -260,7 +261,7 @@ def test_coset_key_identifies_cosets(contexts):
     ell = 3
     rng = random.Random("keys")
     for kind in NAMED_KINDS:
-        K = enumerate_subgroup(kind, ctx)
+        K = subgroup(kind, ctx)
         for _ in range(20):
             m = random_invertible(rng, ell)
             mp = random_invertible(rng, ell)
@@ -299,7 +300,7 @@ ORDER_CONTEXTS = [PrimeContext(3), PrimeContext(5), PrimeContext(7),
 @pytest.mark.parametrize("ctx", ORDER_CONTEXTS, ids=str)
 def test_enumerate_subgroup_keeps_the_element_order(ctx):
     for kind in NAMED_KINDS:
-        sub = enumerate_subgroup(kind, ctx)
+        sub = subgroup(kind, ctx)
         assert listed(sub) == listed_subgroup(kind, ctx), kind
         assert all(a.dtype == np.int64 and not a.flags.writeable for a in sub.stacked)
 
@@ -333,7 +334,7 @@ def test_decompose_all_matches_the_bucketing_for_every_named_pair(ell, contexts)
     rng = random.Random(f"named:{ell}")
     gs = [IDENTITY, GroupElement(1, 1, 0, 1), GroupElement(0, 1, 1, 0)]
     gs += [random_invertible(rng, ell) for _ in range(4)]
-    subs = {kind: enumerate_subgroup(kind, ctx) for kind in NAMED_KINDS}
+    subs = {kind: subgroup(kind, ctx) for kind in NAMED_KINDS}
     for H in subs.values():
         for K in subs.values():
             assert_matches_bucketing(H, gs, K, ctx)
@@ -343,7 +344,7 @@ def test_decompose_all_matches_the_bucketing_for_every_named_pair(ell, contexts)
                          + [PrimeContext(13, 5, 7)], ids=str)
 def test_decompose_all_matches_the_bucketing_at_every_slope(ctx):
     ell = ctx.ell
-    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    C = subgroup(SPLIT_CARTAN, ctx)
     Cp = enumerate_subgroup(NONSPLIT_CARTAN, ctx)
     gs = [GroupElement(1, s, 0, 1) for s in range(1, ell)]
     dec = assert_matches_bucketing(C, gs, Cp, ctx)
@@ -363,7 +364,7 @@ def test_coset_incidence_of_a_family_is_each_gs_own(ell, contexts):
     degrees = set()
     for hk, kk in ((SPLIT_CARTAN, NONSPLIT_CARTAN), (NORMALIZER_SPLIT, NORMALIZER_NONSPLIT),
                    (NONSPLIT_CARTAN, SPLIT_CARTAN)):
-        H, K = transversal(enumerate_subgroup(hk, ctx), ctx), enumerate_subgroup(kk, ctx)
+        H, K = transversal(subgroup(hk, ctx), ctx), subgroup(kk, ctx)
         dec = decompose_all(H, stack(gs), K, ctx)
         degrees.add(tuple(dec.degrees.tolist()))
         family = coset_incidence(dec, ctx)
@@ -396,7 +397,7 @@ def test_the_transversal_decomposes_as_all_of_h(ell):
         (SPLIT_CARTAN, NONSPLIT_CARTAN): [GroupElement(1, s, 0, 1) for s in range(1, ell)],
     }
     for (hk, kk), gs in families.items():
-        H, K = enumerate_subgroup(hk, ctx), enumerate_subgroup(kk, ctx)
+        H, K = subgroup(hk, ctx), subgroup(kk, ctx)
         dec = assert_matches_bucketing(H, gs, K, ctx)
         assert dec.scalars_in_K is True
         assert first_nonzero_is_one(dec.representatives), hk
@@ -420,7 +421,7 @@ def test_the_closed_form_transversal_is_the_enumerated_one(ell):
     have no closed form."""
     ctx = PrimeContext(ell)
     for kind in (SPLIT_CARTAN, NORMALIZER_SPLIT):
-        H = enumerate_subgroup(kind, ctx)
+        H = subgroup(kind, ctx)
         T = named_transversal(kind, ctx)
         assert T.kind == transversal(H, ctx).kind == kind
         assert listed_stack(T.stacked) == listed_stack(transversal(H, ctx).stacked) \
@@ -442,7 +443,7 @@ def test_decompose_all_over_the_closed_form_transversal_is_that_over_h(ell):
           + [GroupElement(1, s, 0, 1) for s in range(1, ell)]
           + [random_invertible(rng, ell) for _ in range(3)])
     for hk, kk in ((NORMALIZER_SPLIT, NORMALIZER_NONSPLIT), (SPLIT_CARTAN, NONSPLIT_CARTAN)):
-        H, K = enumerate_subgroup(hk, ctx), enumerate_subgroup(kk, ctx)
+        H, K = subgroup(hk, ctx), subgroup(kk, ctx)
         want = [bucketed(H, g, K, ctx) for g in gs]
         got = decompose_all(named_transversal(hk, ctx), stack(gs), K, ctx)
         assert got.H.kind == hk and got.degrees.tolist() == [d for d, _ in want]
@@ -478,7 +479,7 @@ def test_a_k_without_the_scalars_is_reported_not_cross_checked(contexts):
     K's base object, not its elements, so the degrees and representatives
     are still those of the loop over all of H."""
     ctx = contexts[7]
-    C = enumerate_subgroup(SPLIT_CARTAN, ctx)
+    C = subgroup(SPLIT_CARTAN, ctx)
     Cp = without_the_scalars(enumerate_subgroup(NONSPLIT_CARTAN, ctx))
     assert len(Cp) == subgroup_order(NONSPLIT_CARTAN, 7) - 6
     dec = assert_matches_bucketing(C, [GroupElement(1, s, 0, 1) for s in range(1, 7)],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cartanmaps import exact_linalg
-from cartanmaps.correspondence import build_psi_plus, restrict_to_affine
+from cartanmaps.correspondence import build_psi_plus
 from cartanmaps.exact_linalg import (
     RankCertificate,
     det_mod_p,
@@ -15,7 +15,7 @@ from cartanmaps.exact_linalg import (
 )
 from cartanmaps.modular_arith import PrimeContext, is_prime
 
-from conftest import exact_det, oracle_mod_p
+from conftest import exact_det, oracle_mod_p, restrict_to_affine
 
 
 def fraction_rank(rows) -> int:

@@ -22,10 +22,7 @@ from cartanmaps.correspondence import (
     check_equivariance_psi_plus,
     geodesic_incidence,
     incidence_columns,
-    incidence_operator,
     path_columns,
-    path_incidence,
-    restrict_to_affine,
     unipotent_ranks,
 )
 from cartanmaps.exact_linalg import det_mod_p, rank_exact, rank_mod_p, rank_mod_p_stack
@@ -33,7 +30,8 @@ from cartanmaps.modular_arith import (PrimeContext, find_primitive_root, inverse
                                       is_odd_prime, is_prime)
 from cartanmaps.cli import run_verification
 
-from conftest import PRIMES_ALL, PRIMES_SMALL, oracle_mod_p
+from conftest import (PRIMES_ALL, PRIMES_SMALL, incidence_operator, oracle_mod_p,
+                      path_incidence, restrict_to_affine)
 
 U = geometry.GroupElement(1, 1, 0, 1)
 TAGS = ("unordered_pairs", "ordered_pairs", "H_ell", "C_ell")
@@ -740,8 +738,8 @@ def test_verify_builds_no_dense_h_s(capsys, monkeypatch):
     stay incidence arrays through the proofs, the ranks, chart conjugacy and
     the coset coincidence."""
     for module in (cli_mod, correspondence, cosets):
-        for name in ("incidence_operator", "build_psi_plus", "build_psi", "build_H_s",
-                     "coset_operator", "restrict_to_affine"):
+        for name in ("operator_rows", "build_psi_plus", "build_psi", "build_H_s",
+                     "coset_operator"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse(name))
     assert main(["verify", "--ell-range", "3..13"]) == 0
@@ -843,12 +841,12 @@ def test_verify_proves_and_ranks_on_incidence_arrays_only(capsys, monkeypatch):
     array above COINCIDENCE_BOUND: the columns of the r slopes proved on
     their own are built once at the U-orbit representatives, in one call
     (their partners' blocks are relabelled), and every slope's in full only
-    for the coincidence, all slopes in one call.  path_incidence is not
-    called at all."""
-    for name in ("build_psi", "restrict_to_affine", "check_equivariance_psi",
+    for the coincidence, all slopes in one call.  The dense closed form
+    operator_rows is not called at all."""
+    for name in ("build_psi", "operator_rows", "check_equivariance_psi",
                  "check_equivariance_psi_plus"):
         monkeypatch.setattr(cli_mod, name, refuse(name))
-    monkeypatch.setattr(correspondence, "path_incidence", refuse("path_incidence"))
+    monkeypatch.setattr(correspondence, "operator_rows", refuse("operator_rows"))
     built, calls = Counter(), Counter()
     paths = cli_mod.path_columns
 

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import logging
-import math
 import os
 import platform
 import re
@@ -241,11 +240,8 @@ def _circulant_section(case: str, ctx: PrimeContext) -> tuple[dict, list]:
         # the count matrix failed its reduction: no determinant to compare
         section.update(det_product=None, det_direct=None, det_match=False)
         return section, failures
-    # the records hold every eigenvalue unless the certificate failed early;
     # the half-plane eigenvalues sit at the powers of g^2, the others at g's
-    e = 2 if case == "N" else 1
-    prod = (math.prod(r.matrix_eigenvalue for r in recs) % ctx.ell
-            if len(recs) == len(row) else circulant_det_mod(row, e, ctx))
+    prod = circulant_det_mod(row, 2 if case == "N" else 1, ctx)
     direct = det_mod_p(circulant_matrix(row), ctx.ell)
     det_ok = prod == direct and direct != 0
     if not det_ok:
@@ -325,7 +321,7 @@ def run_verification(ell: int, epsilon: int | None = None, root: int | None = No
                             representatives(ctx, "ordered_pairs"))
         weights = dict(enumerate(sum(coefficients(ctx)).tolist(), 1)) if eq_hs else None
         route = unipotent_ranks(incidence_columns(geodesics, ctx) if eq_plus else None,
-                                reps, weights, own, aux, ctx, paired, sigma)
+                                reps, weights, aux, ctx, paired, sigma)
         report["theorem1"], f1 = _theorem_section((n_H, n_up), route.psi_plus,
                                                   "theorem1", ctx)
         report["theorem2"], f2 = _theorem_section((n_C, n_op), route.psi, "theorem2", ctx)
@@ -707,13 +703,17 @@ def cmd_export(args) -> int:
     def write(fh):
         fh.write(f"# basis_rows={row_tag} basis_cols={col_tag}"
                  f"{'_affine' if args.restricted else ''} ell={ell} epsilon={ctx.epsilon}\n")
-        # row-major triplets, one block of rows at a time
+        # row-major triplets, one block of rows at a time, logged by tenths
         with _phase(_Timings(ell), "export"):
             for lo in range(0, n_rows, per):
                 block = operator_rows(ctx, op, slice(lo, lo + per), cols)
                 r, c = np.nonzero(block)
                 flat = np.stack((r + lo, c, block[r, c]), axis=1).ravel().tolist()
                 fh.write("%d,%d,%d\n" * len(r) % tuple(flat))
+                done = lo + len(block)
+                if done * 10 // n_rows > lo * 10 // n_rows:
+                    phase_log.info(json.dumps({"ell": ell, "phase": "export",
+                                               "rows_written": done, "rows": n_rows}))
 
     _write(args.out, write)
     return EXIT_OK

@@ -416,16 +416,15 @@ def _blocks(reps: list[np.ndarray], p: int, ctx: PrimeContext) -> np.ndarray:
     return np.stack(B, axis=1).astype(np.int64) % p
 
 
-def _ranks(blocks: list[np.ndarray], p: int, ell: int) -> list[int]:
-    """rank B_0 + (ell - 1) rank B_1 of each pair of blocks, in one stack
-    zero-padded to the (ell - 1) x (ell + 1) of an H_s: padding keeps ranks."""
-    if not blocks:
-        return []
+def _ranks(blocks: list[np.ndarray], p: int, ell: int) -> np.ndarray:
+    """rank B_0 + (ell - 1) rank B_1 of each pair of blocks' first j columns
+    in column j - 1, from one stack zero-padded to the (ell - 1) x (ell + 1)
+    of an H_s: padding keeps the rank of every column prefix."""
     B = np.zeros((len(blocks), 2, ell - 1, ell + 1), dtype=np.int64)
     for b, pair in zip(B, blocks):
         b[:, :pair.shape[1], :pair.shape[2]] = pair
-    return (rank_mod_p_stack(B.reshape(-1, ell - 1, ell + 1), p).reshape(-1, 2)
-            @ np.array([1, ell - 1])).tolist()
+    pivots = rank_mod_p_stack(B.reshape(-1, ell - 1, ell + 1), p).reshape(-1, 2, ell + 1)
+    return (np.array([1, ell - 1]) @ pivots).cumsum(axis=1)
 
 
 def galois_row_orbits(J: np.ndarray, ctx: PrimeContext) -> np.ndarray | None:
@@ -445,25 +444,25 @@ class RouteRanks(NamedTuple):
 
 
 def unipotent_ranks(geodesics: np.ndarray | None, paths: dict[int, np.ndarray],
-                    weights: dict[int, int] | None, own, p: int, ctx: PrimeContext,
+                    weights: dict[int, int] | None, p: int, ctx: PrimeContext,
                     paired: dict[int, int] | None = None,
                     sigma: np.ndarray | None = None) -> RouteRanks:
     """Route 1 mod p (p = 1 mod ell) from incidence_columns arrays: psi+
     (geodesics) and psi = sum_t weights[t] H_t, each skipped where its
-    argument is None, and the H_s of the slopes in own; each operator fixed
-    by GL2.  paths maps a slope to its array; a slope t not in paths is
-    paired[t] = s, H_t = P_J H_s, whose blocks are those of s at the row
+    argument is None, and the H_s of the slopes in paths; each operator
+    fixed by GL2.  paths maps a slope to its array; a slope t not in paths
+    is paired[t] = s, H_t = P_J H_s, whose blocks are those of s at the row
     orbits sigma (galois_row_orbits).  Each slope's blocks are built once, a
-    chunk at a time, for psi and for the stack of each chunk, which ranks
-    the own slopes, the last also psi+'s and psi's affine restrictions: an
-    operator's own blocks are ranked only where its restriction, a column
-    submatrix with all its rows, is singular."""
+    chunk at a time, for psi and for the stack that ranks the chunk, the
+    last chunk's also psi+ and psi.  The affine column orbits come first,
+    so an operator's affine restriction, a column submatrix with all its
+    rows, has the rank of the affine prefix of the same elimination."""
     ell = ctx.ell
     # a chunk's sum of terms below (p - 1)^2 must fit int64 with an entry below
     # p: p < 2^31, which rank_mod_p_stack checks, leaves room for one; the two
     # sums of a chunk are reduced before they are added
     per = max(1, min(_STACK_ENTRIES // (2 * (ell - 1) * (ell + 1)), _reduction_room(p)))
-    own, slopes, stack, h_s = set(own), list(paths), [], {}
+    slopes, last, h_s = list(paths), [], {}
     partner = {s: t for t, s in (paired or {}).items() if t not in paths}
     missing = sorted(set(weights or ()) - set(paths) - set(partner.values()))
     if missing or partner and sigma is None:
@@ -478,23 +477,20 @@ def unipotent_ranks(geodesics: np.ndarray | None, paths: dict[int, np.ndarray],
                           for s in chunk])
             own_sum, partner_sum = np.tensordot(w.T % p, B, 1) % p
             psi = (psi + own_sum + (partner_sum[:, sigma] if partner else 0)) % p
-        stack += [(s, b) for s, b in zip(chunk, B) if s in own]
-        if len(stack) > per:
-            h_s.update(zip([s for s, _ in stack[:per]],
-                           _ranks([b for _, b in stack[:per]], p, ell)))
-            del stack[:per]
-    named = {}  # name -> (blocks, column tag)
+        if lo + per < len(slopes):
+            h_s.update(zip(chunk, _ranks(list(B), p, ell)[:, -1].tolist()))
+        else:  # the last chunk is ranked with psi+ and psi
+            last = list(zip(chunk, B))
+    named = {}  # name -> (blocks, affine column orbits)
     if geodesics is not None:
-        named["psi_plus"] = (_blocks([geodesics], p, ctx)[0], "unordered_pairs")
+        named["psi_plus"] = (_blocks([geodesics], p, ctx)[0], orbits("unordered_pairs", ell)[2])
     if weights is not None:
-        named["psi"] = (psi, "ordered_pairs")
-    ranks = _ranks([b for _, b in stack] + [B[:, :, orbits(tag, ell)[2]]
-                                            for B, tag in named.values()], p, ell)
-    h_s.update(zip([s for s, _ in stack], ranks))
-    affine = dict(zip(named, ranks[len(stack):]))
-    # full row rank is ell times the row orbits
-    singular = [name for name, (B, _) in named.items() if affine[name] != ell * B.shape[1]]
-    rank = {**affine, **dict(zip(singular, _ranks([named[name][0] for name in singular],
-                                                 p, ell)))}
-    return RouteRanks(*((rank[name], affine[name]) if name in named else None
-                        for name in ("psi_plus", "psi")), h_s)
+        named["psi"] = (psi, orbits("ordered_pairs", ell)[2])
+    if not all(affine[:affine.sum()].all() for _, affine in named.values()):
+        raise AssertionError("the affine column orbits are not a prefix")
+    ranks = _ranks([b for _, b in last] + [B for B, _ in named.values()], p, ell).tolist()
+    h_s.update(zip([s for s, _ in last], (r[-1] for r in ranks)))
+    # each theorem's rank at its last column, its restriction's at the affine prefix
+    route = {name: (r[-1], r[affine.sum() - 1])
+             for (name, (_, affine)), r in zip(named.items(), ranks[len(last):])}
+    return RouteRanks(route.get("psi_plus"), route.get("psi"), h_s)

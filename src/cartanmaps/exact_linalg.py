@@ -94,17 +94,19 @@ def _inverses(values: list[int], p: int) -> list[int]:
 
 
 def rank_mod_p_stack(B, p: int) -> np.ndarray:
-    """Rank over F_p of every matrix in an integer stack of shape (batch, m, k).
+    """The pivot columns over F_p of every matrix in an integer stack of
+    shape (batch, m, k), as a (batch, k) bool array.
 
-    One elimination runs over the whole stack; Python loops over columns
-    only, and no row moves.  A matrix's pivot in a column is its first row
-    nonzero mod p there; its rows subtract (entry / pivot) * pivot_row, with
-    multipliers and pivot row reduced below p, which zeroes the pivot row in
-    every later column.  Rows zero in the column in every matrix are left
-    out.  An update grows an entry by less than (p - 1)^2, so the trailing
-    block is reduced only when int64 would run out of room (never below
-    about 2^20, where `verify`'s primes lie).  A column's pivots are
-    inverted together (_inverses).
+    One elimination runs over the whole stack; Python loops over columns,
+    in order, and no row moves, so the pivots among a matrix's first j
+    columns count their rank (the column rank profile).  A matrix's pivot in
+    a column is its first row nonzero mod p there; its rows subtract (entry
+    / pivot) * pivot_row, with multipliers and pivot row reduced below p,
+    which zeroes the pivot row in every later column.  Rows zero in the
+    column in every matrix are left out.  An update grows an entry by less
+    than (p - 1)^2, so the trailing block is reduced only when int64 would
+    run out of room (never below about 2^20, where `verify`'s primes lie).
+    A column's pivots are inverted together (_inverses).
     """
     if p >= 1 << 31:
         raise ValueError(f"modulus {p} does not fit the int64 elimination path")
@@ -115,9 +117,9 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
     if W.ndim != 3:
         raise ValueError(f"expected a (batch, m, k) stack, got shape {W.shape}")
     batch, m, k = W.shape
-    rank = np.zeros(batch, dtype=np.int64)
+    pivots = np.zeros((batch, k), dtype=bool)
     if batch == 0 or m == 0:
-        return rank
+        return pivots
     b, room, pending = np.arange(batch), _reduction_room(p), 0
     for j in range(k):
         col = W[:, :, j] % p
@@ -137,8 +139,8 @@ def rank_mod_p_stack(B, p: int) -> np.ndarray:
         if pending == room:
             W[:, :, j + 1:] %= p
             pending = 0
-        rank += pv != 0
-    return rank
+        pivots[:, j] = pv != 0
+    return pivots
 
 
 def _reduction_room(p: int) -> int:

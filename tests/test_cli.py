@@ -412,16 +412,38 @@ def test_export_streams_blocks_within_the_budget(capsys, monkeypatch):
 
 def test_export_logs_its_phase_at_info(tmp_path):
     """At CARTAN_LOG=info export logs one phase line, "export", with its
-    time and the peak memory of the process."""
+    time and the peak memory of the process, after the progress line of its
+    one block of rows."""
     target = tmp_path / "psi.csv"
     proc = run_module_logged("info", "export", "--ell", "7", "--map", "psi", "--out",
                              str(target))
     assert proc.returncode == EXIT_OK, proc.stderr
     records = [json.loads(line) for line in proc.stderr.splitlines()]
-    assert [(r["ell"], r["phase"]) for r in records] == [(7, "export")]
-    assert set(records[0]) == {"ell", "phase", "elapsed_s", "maxrss_mb"}
-    assert records[0]["elapsed_s"] >= 0 and records[0]["maxrss_mb"] > 0
+    assert [(r["ell"], r["phase"]) for r in records] == [(7, "export")] * 2
+    assert records[0] == {"ell": 7, "phase": "export", "rows_written": 42, "rows": 42}
+    assert set(records[1]) == {"ell", "phase", "elapsed_s", "maxrss_mb"}
+    assert records[1]["elapsed_s"] >= 0 and records[1]["maxrss_mb"] > 0
     assert len(target.read_text().splitlines()) == 1 + 36 * 56
+
+
+def test_export_logs_its_progress_by_tenths_of_the_rows(tmp_path):
+    """In blocks of 7 of the 156 rows of psi at 13, export logs the rows
+    written after each tenth of them: at most 10 lines, increasing, the last
+    at all the rows, then its phase line; the CSV is the default's, byte for
+    byte."""
+    want, got = tmp_path / "default.csv", tmp_path / "blocks.csv"
+    argv = ("export", "--ell", "13", "--map", "psi", "--out")
+    assert run_module_logged("warning", *argv, str(want)).returncode == EXIT_OK
+    proc = run_module_logged("info", *argv, str(got), entries=7 * 182)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    *progress, end = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert set(end) == {"ell", "phase", "elapsed_s", "maxrss_mb"}
+    assert all(set(r) == {"ell", "phase", "rows_written", "rows"} for r in progress)
+    assert {(r["ell"], r["phase"], r["rows"]) for r in progress} == {(13, "export", 156)}
+    written = [r["rows_written"] for r in progress]
+    # 23 blocks, the tenths of 156 rows crossed at the blocks ending at these
+    assert written == [21, 35, 49, 63, 84, 98, 112, 126, 147, 156]
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [["export", "--map", "psi", "--s", "2"],
@@ -1268,12 +1290,16 @@ def test_verify_never_imports_a_process_pool(argv, processes):
     assert out.stdout.strip() == f"{processes} []"
 
 
-def run_module_logged(level, *argv):
-    """python -m cartanmaps.cli with CARTAN_LOG=level, in a fresh process."""
+def run_module_logged(level, *argv, entries=None):
+    """python -m cartanmaps.cli with CARTAN_LOG=level, in a fresh process;
+    with the block budget _STACK_ENTRIES set to entries where given."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cartanmaps.__file__)))
     env = dict(os.environ, CARTAN_LOG=level)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "cartanmaps.cli", *argv],
+    module = ["-m", "cartanmaps.cli"] if entries is None else [
+        "-c", f"import sys, cartanmaps.cli as cli; cli._STACK_ENTRIES = {entries}; "
+              f"sys.exit(cli.main(sys.argv[1:]))"]
+    return subprocess.run([sys.executable, *module, *argv],
                           capture_output=True, text=True, timeout=120, env=env)
 
 

@@ -188,7 +188,7 @@ def test_rank_mod_p_stack_matches_the_oracle(p, bound, monkeypatch):
         # residues of either sign, up to 3p in size
         B += p * rng.integers(-3, 3, size=B.shape)
         want = [oracle_mod_p(A.tolist(), p)[0] for A in B]
-        assert rank_mod_p_stack(B, p).tolist() == want, (trial, m, n)
+        assert rank_mod_p_stack(B, p).sum(axis=1).tolist() == want, (trial, m, n)
 
 
 def eliminated_rank(rows, p: int) -> int:
@@ -244,12 +244,44 @@ def test_swap_free_stack_ranks_equal_a_per_matrix_elimination(p, forced, monkeyp
     for batch, m, k in STACK_SHAPES:
         for B in stacks_of(rng, batch, m, k, p):
             got = rank_mod_p_stack(B, p)
-            assert got.shape == (batch,)
-            assert got.tolist() == [eliminated_rank(A.tolist(), p) for A in B], (m, k)
+            assert got.shape == (batch, k) and got.dtype == bool
+            assert got.sum(axis=1).tolist() == [eliminated_rank(A.tolist(), p)
+                                                for A in B], (m, k)
     if p > 3:
         # uniform members at a large prime are of full rank
         B = rng.integers(0, p, size=(8, 10, 12))
-        assert rank_mod_p_stack(B, p).tolist() == [10] * 8
+        assert rank_mod_p_stack(B, p).sum(axis=1).tolist() == [10] * 8
+
+
+def dependent_columns(rng, batch, m, k, p):
+    """Uniform members in which about half the columns are replaced by a
+    combination of the columns before them, and uniform members with about
+    two columns in five zero."""
+    B = rng.integers(0, p, size=(batch, m, k))
+    for j in range(1, k):
+        coeff = rng.integers(0, p, size=(batch, 1, j))
+        combined = (B[:, :, :j] * coeff % p).sum(axis=2) % p
+        planted = rng.random(batch) < 0.5
+        B[planted, :, j] = combined[planted]
+    yield B
+    yield rng.integers(0, p, size=(batch, m, k)) * (rng.random((batch, 1, k)) >= 0.4)
+
+
+@pytest.mark.parametrize("p", (2, 3, 1_048_609, 2_147_483_647))
+def test_stack_pivots_count_the_rank_of_every_column_prefix(p):
+    """The kernel's pivot columns are the column rank profile: the pivots
+    among a member's first j columns number the rank of those j columns, by
+    the per-matrix elimination, for every j, on uniform, planted, shuffled,
+    dependent-column and zero-column stacks, batch 0 and m = 0 among them."""
+    assert is_prime(p)
+    rng = np.random.default_rng(p)
+    for batch, m, k in STACK_SHAPES:
+        for B in [*stacks_of(rng, batch, m, k, p), *dependent_columns(rng, batch, m, k, p)]:
+            pivots = rank_mod_p_stack(B, p)
+            assert pivots.shape == (batch, k) and pivots.dtype == bool
+            want = [[eliminated_rank(A[:, :j].tolist(), p) for j in range(1, k + 1)]
+                    for A in B]
+            assert pivots.cumsum(axis=1).tolist() == want, (m, k)
 
 
 def float_panel_echelon(A, p: int) -> tuple[int, int]:

@@ -64,20 +64,20 @@ def incidence_route(ctx, p, scale=1):
     weight of psi times scale."""
     ell = ctx.ell
     geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
-    yield "psi+", unipotent_ranks(geodesics, {}, None, (), p, ctx).psi_plus, \
+    yield "psi+", unipotent_ranks(geodesics, {}, None, p, ctx).psi_plus, \
         build_psi_plus(ctx)
     reps = {s: incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)}
     # alpha_s + beta_s = 1 + s^-1
     weights = {s: scale * (1 + pow(s, -1, ell)) for s in range(1, ell)}
-    yield "psi", unipotent_ranks(None, reps, weights, (), p, ctx).psi, build_psi(ctx)
+    yield "psi", unipotent_ranks(None, reps, weights, p, ctx).psi, build_psi(ctx)
     # the weights matter: all slopes weighted 0 but one
     only_h_2 = {s: scale * (s == 2 % ell) for s in range(1, ell)}
-    yield "H_2 of psi's terms", unipotent_ranks(None, reps, only_h_2, (), p, ctx).psi, \
+    yield "H_2 of psi's terms", unipotent_ranks(None, reps, only_h_2, p, ctx).psi, \
         build_H_s(ctx, 2 % ell)
     for s, rep in reps.items():
-        yield f"H_{s}", unipotent_ranks(None, {s: rep}, {s: scale}, (), p, ctx).psi, \
+        yield f"H_{s}", unipotent_ranks(None, {s: rep}, {s: scale}, p, ctx).psi, \
             build_H_s(ctx, s)
-    route = unipotent_ranks(geodesics, reps, weights, list(reps), p, ctx)
+    route = unipotent_ranks(geodesics, reps, weights, p, ctx)
     yield "psi+ with the rest", route.psi_plus, build_psi_plus(ctx)
     yield "psi with the rest", route.psi, build_psi(ctx)
     for s, rank in route.h_s.items():
@@ -206,7 +206,7 @@ def test_float_kernels_refuse_primes_from_2_to_the_26(contexts):
     with pytest.raises(ValueError, match=r"2\^26"):
         rank_mod_p(np.eye(2), 1 << 26)  # the bound itself, prime or not
     want = oracle_mod_p(m.data.tolist(), p)[0]
-    assert unipotent_ranks(None, {1: incidence_columns(idx, ctx)}, None, [1], p,
+    assert unipotent_ranks(None, {1: incidence_columns(idx, ctx)}, None, p,
                            ctx).h_s == {1: want}
 
 
@@ -226,8 +226,8 @@ def recorded_stack_shapes(monkeypatch):
 def test_affine_rank_reads_only_the_affine_columns(ell, contexts, monkeypatch):
     """H_1 minus an operator that agrees with H_1 on the affine pairs and
     with H_2 at infinity vanishes on the affine columns only.  Its singular
-    restriction still lets the full blocks be ranked, after the affine ones,
-    each pair of blocks in a stack of its own."""
+    restriction and its rank are read off one elimination, in one stack
+    with the blocks of the two slopes."""
     ctx = contexts[ell]
     shapes = recorded_stack_shapes(monkeypatch)
     h_1, h_2 = path_incidence(ctx, 1), path_incidence(ctx, 2)
@@ -237,31 +237,63 @@ def test_affine_rank_reads_only_the_affine_columns(ell, contexts, monkeypatch):
     m = incidence_operator(ctx, h_1)
     m = OperatorMatrix(m.row_tag, m.col_tag, m.data - incidence_operator(ctx, mixed).data)
     for p in route_primes(ell):
-        rank, affine_rank = unipotent_ranks(None, reps, {1: 1, 2: -1}, (), p, ctx).psi
+        route = unipotent_ranks(None, reps, {1: 1, 2: -1}, p, ctx)
+        rank, affine_rank = route.psi
         assert affine_rank == rank_mod_p(restrict_to_affine(m, ell), p) == 0
         assert rank == rank_mod_p(m, p) > 0
-        # the two blocks at the ell - 1 affine orbits of the ell + 1,
-        # zero-padded to all of them, then at all of them
-        assert shapes == [(2, ell - 1, ell + 1)] * 2
+        assert route.h_s == {s: rank_mod_p(incidence_operator(ctx, idx), p)
+                             for s, idx in ((1, h_1), (2, mixed))}
+        # the blocks of the two slopes and of psi, at all ell + 1 orbits
+        assert shapes == [(2 * 3, ell - 1, ell + 1)]
         shapes.clear()
 
 
-@pytest.mark.parametrize("ell", (3, 7))
-def test_a_nonsingular_restriction_spares_the_full_blocks(ell, contexts, monkeypatch):
+@pytest.mark.parametrize("ell", (3, 7, 11))
+def test_one_elimination_gives_the_rank_and_the_affine_rank(ell, contexts, monkeypatch):
     """The affine restriction is a column submatrix with the rows of the
-    operator: at full rank there, the operator's own blocks are not ranked."""
+    operator, at the affine column orbits, which come first: one call ranks
+    the blocks of psi+, psi and every H_s in one stack and reads each
+    theorem's rank and affine rank off the pivots, equal to the dense ranks
+    (psi's restriction is singular mod 23 at 11)."""
     ctx = contexts[ell]
     shapes = recorded_stack_shapes(monkeypatch)
     geodesics = geodesic_incidence(ctx)
+    reps = {s: incidence_columns(path_incidence(ctx, s), ctx) for s in range(1, ell)}
+    weights = dict(enumerate(sum(correspondence.coefficients(ctx)).tolist(), 1))
+    for p in route_primes(ell):
+        route = unipotent_ranks(incidence_columns(geodesics, ctx), reps, weights, p, ctx)
+        for got, m in ((route.psi_plus, build_psi_plus(ctx)), (route.psi, build_psi(ctx))):
+            assert got == (rank_mod_p(m, p), rank_mod_p(restrict_to_affine(m, ell), p)), p
+        # psi+'s r x (r + 1) blocks, and every other pair, zero-padded to the
+        # shape of an H_s's blocks
+        assert shapes == [(2 * (ell + 1), ell - 1, ell + 1)]
+        shapes.clear()
     rows, p = ell * ctx.r, aux_rank_prime(ell)
-    assert unipotent_ranks(incidence_columns(geodesics, ctx), {}, None, (), p, ctx) \
+    assert unipotent_ranks(incidence_columns(geodesics, ctx), {}, None, p, ctx) \
         == ((rows, rows), None, {})
     assert (rows, rows) == (rank_mod_p(build_psi_plus(ctx), p),) * 2
-    # B_0 and B_1 at the r affine orbits of the unordered pairs, zero-padded
-    # to the shape of an H_s's blocks
     assert shapes == [(2, ell - 1, ell + 1)]
     n_affine = (geometry.decode("unordered_pairs", ell)[1] < ell).sum()
     assert n_affine == rows == restrict_to_affine(incidence_operator(ctx, geodesics), ell).shape[1]
+
+
+@pytest.mark.parametrize("ell", (5, 7, 11))
+def test_ranks_of_every_column_prefix_of_psi_plus_blocks(ell, contexts):
+    """_ranks on psi+'s r x (r + 1) blocks, zero-padded to an H_s's shape,
+    gives in column j - 1, for j = 1..ell + 1, rank B_0 + (ell - 1) rank B_1
+    of their first j columns, by the oracle; the padding columns add
+    nothing."""
+    ctx = contexts[ell]
+    geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
+    for p in route_primes(ell):
+        B = correspondence._blocks([geodesics], p, ctx)[0]
+        assert B.shape == (2, ctx.r, ctx.r + 1)
+        want = [oracle_mod_p(B[0, :, :j].tolist(), p)[0]
+                + (ell - 1) * oracle_mod_p(B[1, :, :j].tolist(), p)[0]
+                for j in range(1, ell + 2)]
+        # a rank that grows column by column, so a shifted prefix shows
+        assert want[:2] == [ell, 2 * ell] and want[-1] == ell * ctx.r
+        assert correspondence._ranks([B], p, ell).tolist() == [want]
 
 
 def test_torus_rank_rejects_primes_without_the_characters(contexts):
@@ -270,7 +302,7 @@ def test_torus_rank_rejects_primes_without_the_characters(contexts):
     rep = {1: incidence_columns(path_incidence(ctx, 1), ctx)}
     geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
     for p in (5, 7, AUX_RANK_PRIME):  # 7 divides none of 4, 6, 1048582
-        for args in ((geodesics, {}, None, ()), (None, rep, {1: 1}, ()), (None, rep, None, [1])):
+        for args in ((geodesics, {}, None), (None, rep, {1: 1}), (None, rep, None)):
             with pytest.raises(ValueError, match="order 7"):
                 unipotent_ranks(*args, p, ctx)
 
@@ -454,13 +486,13 @@ def test_rank_mod_p_stack_matches_rank_mod_p(p):
     rng = np.random.default_rng(p)
     for m, k in ((1, 1), (1, 7), (4, 4), (6, 9), (9, 5), (12, 12)):
         stack = planted_stack(rng, 12, m, k, p)
-        got = rank_mod_p_stack(stack, p)
+        got = rank_mod_p_stack(stack, p).sum(axis=1)
         want = [oracle_mod_p(a.tolist(), p)[0] for a in stack]
         assert got.tolist() == want, (m, k)
         assert (got <= min(m, k)).all()
     # every member is reduced mod p first, like rank_mod_p
     shifted = stack + p * rng.integers(-3, 4, size=stack.shape)
-    assert rank_mod_p_stack(shifted, p).tolist() == want
+    assert rank_mod_p_stack(shifted, p).sum(axis=1).tolist() == want
 
 
 def test_rank_mod_p_stack_validation():
@@ -468,8 +500,10 @@ def test_rank_mod_p_stack_validation():
         rank_mod_p_stack(np.zeros((1, 2, 2)), (1 << 31) + 11)
     with pytest.raises(ValueError, match="stack"):
         rank_mod_p_stack(np.zeros((2, 2)), 3)
-    assert rank_mod_p_stack(np.zeros((0, 3, 3), dtype=np.int64), 3).tolist() == []
-    assert rank_mod_p_stack(np.zeros((2, 0, 3), dtype=np.int64), 3).tolist() == [0, 0]
+    # no pivot column in an empty stack or among members without rows
+    assert rank_mod_p_stack(np.zeros((0, 3, 3), dtype=np.int64), 3).shape == (0, 3)
+    assert not rank_mod_p_stack(np.zeros((2, 0, 3), dtype=np.int64), 3).any()
+    assert rank_mod_p_stack(np.zeros((2, 0, 3), dtype=np.int64), 3).shape == (2, 3)
 
 
 def test_aux_rank_prime():
@@ -575,7 +609,7 @@ def test_theorem_section_below_full_rank_is_a_lower_bound(contexts):
     ctx = contexts[5]
     m, p = build_H_s(ctx, 2), aux_rank_prime(5)
     ranks = unipotent_ranks(None, {2: incidence_columns(path_incidence(ctx, 2), ctx)},
-                            {2: 1}, (), p, ctx).psi
+                            {2: 1}, p, ctx).psi
     section, failures = cli_mod._theorem_section(m.shape, ranks, "H_2", ctx)
     rank, affine_rank = ranks
     assert rank == 15 < min(m.shape) == 20
@@ -668,7 +702,7 @@ def check_h_s_ranks(ctx):
     dense = {}
     for p in route_primes(ell):
         dense[p] = [rank_mod_p(build_H_s(ctx, s), p) for s in range(1, ell)]
-        got = unipotent_ranks(None, reps, None, list(reps), p, ctx).h_s
+        got = unipotent_ranks(None, reps, None, p, ctx).h_s
         assert list(got.items()) == list(zip(reps, dense[p])), p
     full = ell * (ell - 1)
     got = run_verification(ell, ctx.epsilon, ctx.g, skip_cosets=True)["h_s_ranks"]
@@ -1001,7 +1035,7 @@ def test_field_isomorphism_relabels_the_geodesic_array(ctx):
 def character_ranks(m, p, ctx, h, order):
     """The rank mod p of every character block of <h>, by the oracle."""
     B = np.array(character_blocks(m, p, ctx, h, order), dtype=np.int64)
-    return rank_mod_p_stack(B, p).tolist()
+    return rank_mod_p_stack(B, p).sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("ctx", [PrimeContext(ell) for ell in PRIMES_SMALL]
@@ -1032,8 +1066,8 @@ def test_weyl_and_unipotent_pairings_hold_block_by_block(ctx):
 
 def recorded_slope_work(monkeypatch):
     """The stacks of base paths premise (a) is checked on, the number of
-    slopes ranked on their own in each unipotent_ranks call verify makes,
-    and the number of slopes whose columns each path_columns call at the
+    slopes given blocks, and so ranked, in each unipotent_ranks call verify
+    makes, and the number of slopes whose columns each path_columns call at the
     U-orbit representatives builds."""
     proved, ranked, built = [], [], []
     check, ranks, paths = cli_mod.check_base_fixed, cli_mod.unipotent_ranks, cli_mod.path_columns
@@ -1042,9 +1076,9 @@ def recorded_slope_work(monkeypatch):
         proved.append(bases)
         return check(bases, ctx)
 
-    def recorded_ranks(geodesics, paths, weights, own, *args):
-        ranked.append(len(own))
-        return ranks(geodesics, paths, weights, own, *args)
+    def recorded_ranks(geodesics, paths, *args):
+        ranked.append(len(paths))
+        return ranks(geodesics, paths, *args)
 
     def recorded_paths(ctx, bases, cols):
         if np.array_equal(cols, correspondence.representatives(ctx, "ordered_pairs")):
@@ -1162,8 +1196,8 @@ def recorded_blocks(monkeypatch):
 @pytest.mark.parametrize("ctx, p", [(PrimeContext(ell), aux_rank_prime(ell))
                                     for ell in PRIMES_ALL]
                          + [(PrimeContext(13, 5, 7), aux_rank_prime(13)),
-                            # psi's affine restriction is singular at these
-                            # primes, so its full blocks are ranked too
+                            # primes at which psi's affine restriction is
+                            # singular
                             (PrimeContext(11), 23), (PrimeContext(13), 131)], ids=str)
 @pytest.mark.parametrize("slopes_per_stack", (1, None))
 def test_psi_blocks_from_the_relabelling_equal_the_all_slope_sum(ctx, p, slopes_per_stack,
@@ -1171,7 +1205,8 @@ def test_psi_blocks_from_the_relabelling_equal_the_all_slope_sum(ctx, p, slopes_
     """psi's blocks, and every rank, from the r own slopes and their partners
     relabelled equal those from every slope's own blocks: with psi's
     weights and with weights near p that differ from slope to slope, in one
-    chunk or a slope a chunk."""
+    chunk or a slope a chunk.  Every slope given blocks is ranked, so the
+    relabelled call ranks the r own slopes where the whole one ranks all."""
     ell = ctx.ell
     if slopes_per_stack:
         monkeypatch.setattr(correspondence, "_STACK_ENTRIES",
@@ -1184,15 +1219,14 @@ def test_psi_blocks_from_the_relabelling_equal_the_all_slope_sum(ctx, p, slopes_
     geodesics = incidence_columns(geodesic_incidence(ctx), ctx)
     for weights in (dict(zip(range(1, ell), sum(correspondence.coefficients(ctx)).tolist())),
                     {t: p - 1 - t * t for t in range(1, ell)}):
-        whole = unipotent_ranks(geodesics, cols, weights, list(own), p, ctx)
+        whole = unipotent_ranks(geodesics, cols, weights, p, ctx)
         n = len(calls)
-        relabelled = unipotent_ranks(geodesics, own, weights, list(own), p, ctx,
-                                     paired, sigma)
-        assert relabelled == whole
-        assert len(calls) == 2 * n
-        for want, got in zip(calls[:n], calls[n:]):
-            assert len(want) == len(got)
-            assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        relabelled = unipotent_ranks(geodesics, own, weights, p, ctx, paired, sigma)
+        assert relabelled == whole._replace(h_s={s: whole.h_s[s] for s in own})
+        # the blocks ranked, slope by slope, then psi+'s and psi's
+        want, got = ([b for call in part for b in call] for part in (calls[:n], calls[n:]))
+        assert len(want) == ell + 1 and len(got) == len(own) + 2
+        assert all(np.array_equal(a, b) for a, b in zip(want[:len(own)] + want[-2:], got))
         calls.clear()
 
 
@@ -1204,9 +1238,9 @@ def test_psi_needs_blocks_or_a_partner_for_every_weighted_slope(contexts):
     sigma = correspondence.galois_row_orbits(galois_conjugation(7), ctx)
     weights = {t: 1 for t in range(1, 7)}
     with pytest.raises(ValueError, match=r"slopes \[5, 6\] lack blocks"):
-        unipotent_ranks(None, own, weights, (), p, ctx, {4: 3}, sigma)
+        unipotent_ranks(None, own, weights, p, ctx, {4: 3}, sigma)
     with pytest.raises(ValueError, match="sigma"):
-        unipotent_ranks(None, own, weights, (), p, ctx, {4: 3, 5: 2, 6: 1})
+        unipotent_ranks(None, own, weights, p, ctx, {4: 3, 5: 2, 6: 1})
 
 
 @pytest.mark.parametrize("ell", PRIMES_ALL)
